@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import control, oracle, sim
+from .errors import AscontrolError
 from .model import (CompleteState, GenerativeModel, ModelSpec,
                     RecognitionModel, ReferenceModel, load_models, save_models)
 
@@ -215,9 +216,14 @@ def main(argv=None):
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "config"):
-        args = _apply_config(args, argv)
-    return args.func(args)
+    try:
+        if hasattr(args, "config"):
+            args = _apply_config(args, argv)
+        return args.func(args)
+    except (AscontrolError, ValueError, OSError) as exc:
+        # user mistakes (bad files, out-of-range settings): one line, no traceback
+        print(f"ascontrol {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

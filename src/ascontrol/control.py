@@ -60,7 +60,7 @@ class DifferentialValue:
         if self.greedy is not None:
             doc["greedy"] = self.greedy.tolist()
         with open(path, "w") as fh:
-            json.dump(doc, fh)
+            fh.write(json.dumps(doc))
 
     @classmethod
     def load(cls, path):

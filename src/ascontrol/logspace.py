@@ -33,12 +33,6 @@ def logsumexp(a, axis=None):
     return np.squeeze(out, axis=axis)
 
 
-def logmeanexp(a, axis=None):
-    a = np.asarray(a, dtype=float)
-    n = a.size if axis is None else a.shape[axis]
-    return logsumexp(a, axis=axis) - np.log(n)
-
-
 def pairwise_logsumexp(parts):
     """Reduce a sequence of log-values with a fixed pairwise tree.
 

@@ -186,7 +186,7 @@ class ConditionalTable:
         if np.any(probs < 0):
             raise ValueError("negative probability entry")
         sums = probs.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > LOAD_REJECT_TOL):
+        if not np.all(np.abs(sums - 1.0) <= LOAD_REJECT_TOL):
             worst = float(np.max(np.abs(sums - 1.0)))
             raise ValueError(f"row normalization off by {worst:.3e}")
         if _renormalize:
@@ -574,31 +574,70 @@ def sample_trajectory(gen, x0, T, rng):
 # serialization
 
 
-def _bundle_tables(gen, rec, ref):
-    tables = {}
-    for name in GenerativeModel.table_names:
-        tables[name] = getattr(gen, name).to_dict()
-    for name in ReferenceModel.table_names:
-        tables[name] = getattr(ref, name).to_dict()
-    for name in REC_FACTORS:
-        shape = rec.tables[name].shape
-        tables["rec_" + name] = {
-            "dims": list(shape),
-            "rows": rec.tables[name].reshape(-1, shape[-1]).tolist(),
-        }
-    return tables
+# Rows are encoded in blocks of about this many values, which bounds the
+# writer's working memory independently of the table size.
+_BLOCK_VALUES = 1 << 16
+
+# Stands in for each rows array in the envelope; json.dumps escapes the NULs,
+# so its encoding cannot occur anywhere else in the document.
+_ROWS_MARK = "\0rows\0"
+
+
+def _json_rows(rows, block_values=_BLOCK_VALUES):
+    """Yield pieces of text that join to json.dumps(rows.tolist()) for a 2-D
+    float array.
+
+    Each block of whole rows is formatted through its distinct values (by
+    bit pattern, so -0.0 and 0.0 stay apart): one json float encoding per
+    distinct value, then the row text is gathered from those strings. A
+    block whose values barely repeat is handed to json.dumps as is.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    n, k = rows.shape
+    step = max(1, block_values // k)
+    yield "["
+    for start in range(0, n, step):
+        block = rows[start:start + step]
+        if start:
+            yield ", "
+        uniq, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
+        if 2 * len(uniq) > block.size:
+            yield json.dumps(block.tolist())[1:-1]
+            continue
+        texts = json.dumps(uniq.view(np.float64).tolist())[1:-1].split(", ")
+        in_row = np.array([t + ", " for t in texts], dtype=object)
+        row_end = np.array([t + "], [" for t in texts], dtype=object)
+        cells = in_row[inverse].reshape(block.shape)
+        cells[:, -1] = row_end[inverse.reshape(block.shape)[:, -1]]
+        yield "[" + "".join(cells.ravel().tolist())[:-3]
+    yield "]"
 
 
 def save_models(path, gen, rec, ref):
     """Write the generative, recognition, and reference tables as one JSON
-    document (version 1, named row-major arrays)."""
-    doc = {
-        "version": FILE_VERSION,
-        "spec": gen.spec.to_dict(),
-        "tables": _bundle_tables(gen, rec, ref),
-    }
+    document (version 1, named row-major arrays).
+
+    The bytes equal json.dump of the whole document; the rows are streamed
+    block by block instead of being converted to nested lists first.
+    """
+    tables, arrays = {}, []
+    for model, names in ((gen, GenerativeModel.table_names),
+                         (ref, ReferenceModel.table_names)):
+        for name in names:
+            table = getattr(model, name)
+            tables[name] = dict(table.to_dict(), rows=_ROWS_MARK)
+            arrays.append(table.probs)
+    for name in REC_FACTORS:
+        shape = rec.tables[name].shape
+        tables["rec_" + name] = {"dims": list(shape), "rows": _ROWS_MARK}
+        arrays.append(rec.tables[name].reshape(-1, shape[-1]))
+    doc = {"version": FILE_VERSION, "spec": gen.spec.to_dict(), "tables": tables}
+    envelope = json.dumps(doc).split(json.dumps(_ROWS_MARK))
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(envelope[0])
+        for rows, text in zip(arrays, envelope[1:]):
+            fh.writelines(_json_rows(rows))
+            fh.write(text)
 
 
 def load_models(path):
@@ -621,7 +660,7 @@ def load_models(path):
         entry = tables["rec_" + name]
         arr = np.array(entry["rows"], dtype=float).reshape(entry["dims"])
         sums = arr.sum(axis=-1)
-        if np.any(np.abs(sums - 1.0) > LOAD_REJECT_TOL):
+        if not np.all(np.abs(sums - 1.0) <= LOAD_REJECT_TOL):
             raise ValueError(f"recognition table {name} rows not normalized")
         bad = np.abs(sums - 1.0) > TABLE_ROW_TOL
         if np.any(bad):

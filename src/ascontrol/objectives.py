@@ -14,7 +14,6 @@ import numpy as np
 from . import chains
 from .errors import EnumerationBudgetError
 from .logspace import kl_divergence, safe_log
-from .model import RecognitionContext
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,3 @@ def global_rate(per_step):
 def advantage(step, rate):
     """Mean-centered step objective."""
     return step.total - rate
-
-
-def step_context(o, a, x_prev, future=None):
-    return RecognitionContext(o=o, a=a, x_prev=x_prev, future=future)

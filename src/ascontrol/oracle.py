@@ -14,8 +14,8 @@ import numpy as np
 
 from . import chains
 from ._kernels import path_logsumexp
-from .errors import (DimensionMismatchError, EnumerationBudgetError,
-                     ImpossibleObservationError)
+from .errors import (ConvergenceError, DimensionMismatchError,
+                     EnumerationBudgetError, ImpossibleObservationError)
 from .logspace import NEG_INF, logsumexp, safe_log
 from .model import CompleteState, Trajectory, tick_at
 
@@ -247,15 +247,18 @@ def stationary_rate(step_mats, step_costs, tol=1e-14, max_iter=200_000):
     for p in range(1, period):
         composed = composed @ step_mats[p]
     mu = np.full(n, 1.0 / n)
+    residual = float("inf")
     for _ in range(max_iter):
         nxt = composed.T @ mu
         nxt /= nxt.sum()
-        if np.abs(nxt - mu).sum() <= tol:
-            mu = nxt
-            break
+        residual = float(np.abs(nxt - mu).sum())
         mu = nxt
+        if residual <= tol:
+            break
     else:
-        raise RuntimeError("stationary distribution did not converge")
+        raise ConvergenceError(
+            f"stationary distribution did not converge in {max_iter} iterations "
+            f"(L1 residual {residual:.3e})", residual=residual)
     total = 0.0
     for p in range(period):
         total += float(mu @ step_costs[p])

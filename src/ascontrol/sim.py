@@ -300,12 +300,6 @@ def observed_reference_surprisal(trace, ref):
     return float(np.mean(vals))
 
 
-def realized_reference_surprisal(trace, ref):
-    """Mean realized J over believed states along a trace."""
-    vals = [objectives.reference_surprisal(ref, r.state) for r in trace.rows]
-    return float(np.mean(vals))
-
-
 @dataclass(frozen=True)
 class EvalSummary:
     rates: np.ndarray

@@ -94,3 +94,17 @@ def test_config_file_merges_defaults(model_file, tmp_path):
             "--config", str(cfg))
     assert r.returncode == 0, r.stderr
     assert len(trace.read_text().splitlines()) == 10  # header + 9 steps
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", "--model", "{dir}/missing.json", "--out", "{dir}/value.json"),
+    ("simulate", "--model", "{dir}/missing.json", "--trace", "{dir}/t.csv"),
+    ("init", "--schedule", "0,9", "--out", "{dir}/model.json"),
+])
+def test_user_errors_get_one_line_and_exit_2(tmp_path, args):
+    r = run(*(a.format(dir=tmp_path) for a in args))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+    assert r.stderr.startswith(f"ascontrol {args[0]}: error: ")
+    assert list(tmp_path.iterdir()) == []

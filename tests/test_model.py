@@ -1,3 +1,5 @@
+import io
+import json
 import math
 
 import numpy as np
@@ -9,11 +11,12 @@ from ascontrol import chains
 from ascontrol.errors import DimensionMismatchError
 from ascontrol.instances import random_instance, random_state
 from ascontrol.logspace import logsumexp
-from ascontrol.model import (CompleteState, ConditionalTable, GenerativeModel,
-                             ModelSpec, RecognitionContext, RecognitionModel,
-                             load_models, recognition_logprob, sample_trajectory,
-                             sample_transition, save_models, tick_levels,
-                             trajectory_logprob, transition_logprob)
+from ascontrol.model import (REC_FACTORS, CompleteState, ConditionalTable,
+                             GenerativeModel, ModelSpec, RecognitionContext,
+                             RecognitionModel, ReferenceModel, _BLOCK_VALUES,
+                             _json_rows, load_models, recognition_logprob,
+                             sample_trajectory, sample_transition, save_models,
+                             tick_levels, trajectory_logprob, transition_logprob)
 from conftest import uniform_instance
 
 SPEC2 = ModelSpec(2, 2, 2, 2, 2, 2)
@@ -50,6 +53,8 @@ def test_tick_levels_period(t, period):
 def test_table_rejects_bad_rows():
     with pytest.raises(ValueError):
         ConditionalTable((2,), 2, np.array([[0.7, 0.2], [0.5, 0.5]]))
+    with pytest.raises(ValueError):
+        ConditionalTable((2,), 2, np.array([[math.nan, math.nan], [0.5, 0.5]]))
 
 
 def test_table_floor_keeps_rows_normalized():
@@ -294,8 +299,6 @@ def test_loader_rejects_denormalized_rows(tmp_path):
     gen, rec, ref = random_instance(9)
     path = tmp_path / "model.json"
     save_models(path, gen, rec, ref)
-    import json
-
     doc = json.loads(path.read_text())
     doc["tables"]["lik"]["rows"][0][0] += 1e-3
     path.write_text(json.dumps(doc))
@@ -307,10 +310,95 @@ def test_loader_renormalizes_small_deviations(tmp_path):
     gen, rec, ref = random_instance(9)
     path = tmp_path / "model.json"
     save_models(path, gen, rec, ref)
-    import json
-
     doc = json.loads(path.read_text())
     doc["tables"]["lik"]["rows"][0][0] += 1e-9
     path.write_text(json.dumps(doc))
     gen2, _, _ = load_models(path)
     assert abs(gen2.lik.probs[0].sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("table", ["lik", "rec_a1"])
+def test_loader_rejects_nan_rows(tmp_path, table):
+    gen, rec, ref = random_instance(9)
+    path = tmp_path / "model.json"
+    save_models(path, gen, rec, ref)
+    doc = json.loads(path.read_text())
+    doc["tables"][table]["rows"][0] = [math.nan] * len(doc["tables"][table]["rows"][0])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        load_models(path)
+
+
+# Values json encodes in its less common forms: signed zero, subnormals, the
+# exponent switch-over points of repr, exact integers, and non-finite values.
+AWKWARD_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.0001,
+                  1e16, 9999999999999998.0, 1.0, 0.1, 1 / 3, math.inf, -math.inf,
+                  math.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       n_rows=st.integers(min_value=0, max_value=12),
+       child_dim=st.integers(min_value=1, max_value=4),
+       block_values=st.integers(min_value=1, max_value=16),
+       repeated=st.booleans())
+def test_json_rows_matches_json_dumps(data, n_rows, child_dim, block_values, repeated):
+    if repeated:
+        pool = data.draw(st.lists(st.floats(), min_size=1, max_size=3))
+        values = st.sampled_from(pool + AWKWARD_FLOATS)
+    else:
+        values = st.floats() | st.sampled_from(AWKWARD_FLOATS)
+    flat = data.draw(st.lists(values, min_size=n_rows * child_dim,
+                              max_size=n_rows * child_dim))
+    a = np.array(flat, dtype=float).reshape(n_rows, child_dim)
+    assert "".join(_json_rows(a, block_values)) == json.dumps(a.tolist())
+
+
+def _reference_bundle_text(gen, rec, ref):
+    """The bundle as json.dump wrote it from nested lists, field by field."""
+    tables = {}
+    for model, names in ((gen, GenerativeModel.table_names),
+                         (ref, ReferenceModel.table_names)):
+        for name in names:
+            t = getattr(model, name)
+            tables[name] = {"parents": list(t.parent_dims), "child": t.child_dim,
+                            "rows": t.probs.tolist(),
+                            "strictly_positive": t.strictly_positive}
+    for name in REC_FACTORS:
+        shape = rec.tables[name].shape
+        tables["rec_" + name] = {
+            "dims": list(shape),
+            "rows": rec.tables[name].reshape(-1, shape[-1]).tolist()}
+    doc = {"version": 1, "spec": gen.spec.to_dict(), "tables": tables}
+    buf = io.StringIO()
+    json.dump(doc, buf)
+    return buf.getvalue()
+
+
+def _distinct_instance():
+    # recognition tables span more than one encoder block, every value distinct
+    spec = ModelSpec(3, 3, 2, 3, 2, 2)
+    rng = np.random.default_rng(4)
+    assert np.prod(RecognitionModel.factor_shapes(spec)["s1"]) > _BLOCK_VALUES
+    return (GenerativeModel.random(spec, rng), RecognitionModel.from_seed(spec, 4),
+            ReferenceModel.random(spec, rng))
+
+
+@pytest.mark.parametrize("build", [lambda: random_instance(9, floor=True),
+                                   lambda: uniform_instance(floor=True),
+                                   _distinct_instance],
+                         ids=["random", "uniform", "distinct"])
+def test_save_matches_json_dump(tmp_path, build):
+    gen, rec, ref = build()
+    path = tmp_path / "model.json"
+    save_models(path, gen, rec, ref)
+    assert path.read_bytes() == _reference_bundle_text(gen, rec, ref).encode()
+
+
+def test_save_load_save_byte_identical(tmp_path):
+    # unfloored tables: the loader reads every table back with
+    # strictly_positive=False, so only unfloored flags survive a round trip
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_models(first, *random_instance(9))
+    save_models(second, *load_models(first))
+    assert first.read_bytes() == second.read_bytes()

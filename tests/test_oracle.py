@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ascontrol import chains, oracle
-from ascontrol.errors import (EnumerationBudgetError, ImpossibleObservationError)
+from ascontrol.errors import (ConvergenceError, EnumerationBudgetError,
+                              ImpossibleObservationError)
 from ascontrol.instances import random_instance, random_state
 from ascontrol.logspace import logsumexp
 from ascontrol.model import (CompleteState, ConditionalTable, GenerativeModel,
@@ -157,6 +158,16 @@ def test_average_rate_two_cycle():
     e = math.exp(-1.0)
     expect = 0.5 * (1.0 - math.log(1 - e)) + math.log(2)
     assert rate == pytest.approx(expect, abs=1e-12)
+
+
+def test_stationary_rate_reports_residual_when_out_of_iterations():
+    mats = [np.array([[0.9, 0.1], [0.5, 0.5]])]
+    costs = [np.array([0.0, 1.0])]
+    with pytest.raises(ConvergenceError) as err:
+        oracle.stationary_rate(mats, costs, max_iter=1)
+    # one step from uniform: mu = (0.7, 0.3), L1 distance 0.4
+    assert err.value.residual == pytest.approx(0.4)
+    assert abs(oracle.stationary_rate(mats, costs) - 1.0 / 6.0) < 1e-12
 
 
 def test_average_rate_matches_rollout():
