@@ -11,12 +11,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import control, oracle, sim
 from .errors import AscontrolError
-from .model import (CompleteState, GenerativeModel, ModelSpec,
-                    RecognitionModel, ReferenceModel, load_models, save_models)
+from .model import CompleteState, load_models, save_models
 
 
 def _parse_x0(raw):

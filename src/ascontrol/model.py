@@ -22,7 +22,7 @@ numpy Generator so parallel callers use independent streams.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,13 +173,15 @@ class ConditionalTable:
 
     Rows are indexed row-major over `parent_dims`. With the strictly
     positive flag (default) every entry is floored at 1e-12 by mixing
-    with the uniform distribution, so logs stay finite.
+    with the uniform distribution, so logs stay finite. A table read back
+    from a bundle keeps its flag but is not floored a second time
+    (`_floor=False`).
     """
 
     __slots__ = ("parent_dims", "child_dim", "probs", "strictly_positive")
 
     def __init__(self, parent_dims, child_dim, probs, strictly_positive=True,
-                 _renormalize=True):
+                 _renormalize=True, _floor=True):
         parent_dims = tuple(int(d) for d in parent_dims)
         n_rows = int(np.prod(parent_dims)) if parent_dims else 1
         probs = np.array(probs, dtype=float).reshape(n_rows, child_dim)
@@ -194,7 +196,7 @@ class ConditionalTable:
             if np.any(bad):
                 probs = probs.copy()
                 probs[bad] /= sums[bad, None]
-        if strictly_positive:
+        if strictly_positive and _floor:
             probs = _floor_rows(probs, child_dim)
         probs = np.ascontiguousarray(probs)
         probs.setflags(write=False)
@@ -270,11 +272,6 @@ class ConditionalTable:
             "rows": self.probs.tolist(),
             "strictly_positive": self.strictly_positive,
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(tuple(d["parents"]), d["child"], np.array(d["rows"], dtype=float),
-                   strictly_positive=False)
 
 
 def softmax_rows(logits):
@@ -640,25 +637,139 @@ def save_models(path, gen, rec, ref):
             fh.write(text)
 
 
+# Rows are parsed in blocks of whole rows of about this many bytes, which
+# bounds the reader's per-block token lists independently of the table size.
+_BLOCK_CHARS = 1 << 20
+
+# The bytes a rows array may hold in json.dump's default layout: json's float
+# spellings (NaN and Infinity included), brackets, and ", " separators.
+_ROW_CHARS = b"0123456789.eE+-NaInfity[], "
+
+_ROWS_KEY = b'"rows": '
+
+
+def _rows_block(block, child_dim):
+    """Values of b"[v, v], [v, v]" (whole rows of child_dim values each) as a
+    flat float array.
+
+    The layout is checked on the bytes: only _ROW_CHARS, every comma followed
+    by one space and no other space, child_dim values per row, "], [" between
+    rows. Each distinct token is converted once by float(), the conversion
+    json applies to its float tokens; a block whose values barely repeat
+    converts every token directly.
+    """
+    arr = np.frombuffer(block, np.uint8)
+    commas = np.flatnonzero(arr == ord(","))
+    n = len(commas) + 1
+    n_rows, ragged = divmod(n, child_dim)
+    breaks = commas[child_dim - 1::child_dim]  # the commas between rows
+    if (block.translate(None, _ROW_CHARS) or ragged
+            or block[:1] != b"[" or block[-1:] != b"]"
+            or np.count_nonzero(arr == ord("[")) != n_rows
+            or np.count_nonzero(arr == ord("]")) != n_rows
+            or np.count_nonzero(arr == ord(" ")) != n - 1
+            or not np.all(arr[commas + 1] == ord(" "))
+            or not np.all(arr[breaks - 1] == ord("]"))
+            or not np.all(arr[breaks + 2] == ord("["))):
+        raise ValueError(f"bundle rows are not lists of {child_dim} numbers "
+                         "laid out as json.dump writes them")
+    tokens = block.translate(None, b"[],").split()
+    if len(tokens) != n:
+        raise ValueError("bundle rows hold an empty value")
+    distinct = set(tokens)
+    if 2 * len(distinct) > n:
+        values = np.fromiter(map(float, tokens), float, n)
+    else:
+        value_of = dict(zip(distinct, map(float, distinct)))
+        values = np.fromiter(map(value_of.__getitem__, tokens), float, n)
+    # json reads "-0" as the integer 0, which becomes 0.0, not -0.0
+    for i in np.flatnonzero((values == 0) & np.signbit(values)):
+        if tokens[i].lstrip(b"-").isdigit():
+            values[i] = 0.0
+    return values
+
+
+def _parse_rows(text, child_dim, start=0, stop=None, block_chars=_BLOCK_CHARS):
+    """Read the rows array text[start:stop] (bytes, a list of rows as
+    json.dump writes it) into an (n, child_dim) float array, bit-equal to
+    np.array(json.loads(text[start:stop])).
+
+    The array is cut at row boundaries into blocks of about block_chars
+    bytes; any other layout raises ValueError.
+    """
+    stop = len(text) if stop is None else stop
+    if text[start:start + 1] != b"[" or text[stop - 1:stop] != b"]":
+        raise ValueError("bundle rows are not a JSON list")
+    blocks, pos, end = [np.empty(0)], start + 1, stop - 1
+    while pos < end:
+        cut = text.find(b"], [", pos + block_chars, end)
+        cut = end if cut < 0 else cut + 1
+        blocks.append(_rows_block(text[pos:cut], child_dim))
+        pos = cut + 2
+    return np.concatenate(blocks).reshape(-1, child_dim)
+
+
+def _split_bundle(text):
+    """Parse the envelope of a bundle with json, each rows array cut out.
+
+    Returns the document, in which the i-th rows array is replaced by the
+    string "\\0<i>", and the (start, stop) span of each array in text.
+    """
+    pieces, spans, pos = [], [], 0
+    while (key := text.find(_ROWS_KEY + b"[[", pos)) >= 0:
+        start = key + len(_ROWS_KEY)
+        stop = text.find(b"]]", start) + 2
+        if stop < 2:
+            raise ValueError("model bundle ends inside a rows array")
+        pieces += [text[pos:start], b'"\\u0000%d"' % len(spans)]
+        spans.append((start, stop))
+        pos = stop
+    pieces.append(text[pos:])
+    # with no escape elsewhere, no other string can hold a NUL
+    if any(b"\\" in piece for piece in pieces[::2]):
+        raise ValueError("model bundle envelope holds an escaped string")
+    return json.loads(b"".join(pieces)), spans
+
+
 def load_models(path):
     """Load a model bundle. Rows further than 1e-6 from normalization are
-    rejected; rows within float error are kept bit-exact."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    rejected; rows within float error are kept bit-exact.
+
+    Only the envelope goes through json; each rows array is read by
+    _parse_rows, which takes the layout json.dump writes and no other.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read()
+    doc, spans = _split_bundle(text)
     if doc.get("version") != FILE_VERSION:
         raise ValueError(f"unsupported model file version {doc.get('version')!r}")
     spec = ModelSpec.from_dict(doc["spec"])
     tables = doc["tables"]
-    gen_tables = {name: ConditionalTable.from_dict(tables[name])
-                  for name in GenerativeModel.table_names}
-    ref_tables = {name: ConditionalTable.from_dict(tables[name])
-                  for name in ReferenceModel.table_names}
-    gen = GenerativeModel(spec, **gen_tables)
-    ref = ReferenceModel(spec, **ref_tables)
+    conditional = GenerativeModel.table_names + ReferenceModel.table_names
+    rows = {}
+    for name in conditional + tuple("rec_" + name for name in REC_FACTORS):
+        entry = tables[name]
+        mark = entry["rows"]
+        if not (isinstance(mark, str) and mark.startswith("\0")):
+            raise ValueError(f"table {name}: rows are not laid out as json.dump "
+                             "writes them")
+        width = entry["child"] if name in conditional else entry["dims"][-1]
+        rows[name] = _parse_rows(text, width, *spans[int(mark[1:])])
+    del text  # free the file's bytes before the models copy the tables
+
+    def table(name):
+        entry = tables[name]
+        return ConditionalTable(entry["parents"], entry["child"], rows[name],
+                                strictly_positive=entry["strictly_positive"],
+                                _floor=False)
+
+    gen = GenerativeModel(spec, **{name: table(name)
+                                   for name in GenerativeModel.table_names})
+    ref = ReferenceModel(spec, **{name: table(name)
+                                  for name in ReferenceModel.table_names})
     rec_tables = {}
     for name in REC_FACTORS:
-        entry = tables["rec_" + name]
-        arr = np.array(entry["rows"], dtype=float).reshape(entry["dims"])
+        arr = rows["rec_" + name].reshape(tables["rec_" + name]["dims"])
         sums = arr.sum(axis=-1)
         if not np.all(np.abs(sums - 1.0) <= LOAD_REJECT_TOL):
             raise ValueError(f"recognition table {name} rows not normalized")

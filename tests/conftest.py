@@ -1,9 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ascontrol.instances import random_instance, random_state
-from ascontrol.model import (CompleteState, ConditionalTable, GenerativeModel,
-                             ModelSpec, RecognitionModel, ReferenceModel)
+from ascontrol.model import (REC_FACTORS, CompleteState, ConditionalTable,
+                             GenerativeModel, ModelSpec, RecognitionModel,
+                             ReferenceModel, load_models)
 
 
 @pytest.fixture
@@ -53,5 +57,36 @@ def two_cycle_instance(cost_hi=1.0):
     return gen, rec, ref
 
 
+def bits(a):
+    """Bit patterns of a float array, so -0.0 != 0.0 and NaN == NaN."""
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def assert_load_matches_json(path):
+    """load_models(path) gives bit for bit the tables that json.load and
+    np.array give, and keeps each table's strictly_positive flag."""
+    gen, rec, ref = load_models(path)
+    tables = json.loads(Path(path).read_text())["tables"]
+    for model in (gen, ref):
+        for name in model.table_names:
+            table = getattr(model, name)
+            assert np.array_equal(bits(table.probs), bits(tables[name]["rows"]))
+            assert table.strictly_positive is tables[name]["strictly_positive"]
+    for name in REC_FACTORS:
+        entry = tables["rec_" + name]
+        want = np.array(entry["rows"], dtype=float).reshape(entry["dims"])
+        assert np.array_equal(bits(rec.tables[name]), bits(want))
+
+
+def ragged_rows(text):
+    """Bundle text with the first value of the first table's second row moved
+    to the end of its first row: the rows are ragged, but the number of rows
+    and of values is unchanged."""
+    head, tail = text.split("], [", 1)
+    first, rest = tail.split(", ", 1)
+    return f"{head}, {first}], [{rest}"
+
+
 __all__ = ["random_instance", "random_state", "uniform_instance",
-           "two_cycle_instance", "CompleteState"]
+           "two_cycle_instance", "bits", "assert_load_matches_json", "ragged_rows",
+           "CompleteState"]

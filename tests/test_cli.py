@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from conftest import assert_load_matches_json, ragged_rows
+
 CLI = [sys.executable, "-m", "ascontrol"]
 
 
@@ -24,6 +26,10 @@ def test_init_writes_bundle(model_file):
     assert doc["version"] == 1
     assert "spec" in doc and "tables" in doc
     assert "lik" in doc["tables"] and "rec_s1" in doc["tables"]
+
+
+def test_init_bundle_loads_as_json_reads_it(model_file):
+    assert_load_matches_json(model_file)
 
 
 def test_simulate_byte_identical(model_file, tmp_path):
@@ -108,3 +114,14 @@ def test_user_errors_get_one_line_and_exit_2(tmp_path, args):
     assert len(r.stderr.strip().splitlines()) == 1
     assert r.stderr.startswith(f"ascontrol {args[0]}: error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_ragged_bundle_gets_one_line_and_exit_2(model_file, tmp_path):
+    bad = tmp_path / "ragged.json"
+    bad.write_text(ragged_rows(model_file.read_text()))
+    r = run("simulate", "--model", str(bad), "--trace", str(tmp_path / "t.csv"))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+    assert r.stderr.startswith("ascontrol simulate: error: ")
+    assert not (tmp_path / "t.csv").exists()

@@ -14,10 +14,11 @@ from ascontrol.logspace import logsumexp
 from ascontrol.model import (REC_FACTORS, CompleteState, ConditionalTable,
                              GenerativeModel, ModelSpec, RecognitionContext,
                              RecognitionModel, ReferenceModel, _BLOCK_VALUES,
-                             _json_rows, load_models, recognition_logprob,
-                             sample_trajectory, sample_transition, save_models,
-                             tick_levels, trajectory_logprob, transition_logprob)
-from conftest import uniform_instance
+                             _json_rows, _parse_rows, load_models,
+                             recognition_logprob, sample_trajectory,
+                             sample_transition, save_models, tick_levels,
+                             trajectory_logprob, transition_logprob)
+from conftest import assert_load_matches_json, bits, ragged_rows, uniform_instance
 
 SPEC2 = ModelSpec(2, 2, 2, 2, 2, 2)
 
@@ -395,10 +396,84 @@ def test_save_matches_json_dump(tmp_path, build):
     assert path.read_bytes() == _reference_bundle_text(gen, rec, ref).encode()
 
 
-def test_save_load_save_byte_identical(tmp_path):
-    # unfloored tables: the loader reads every table back with
-    # strictly_positive=False, so only unfloored flags survive a round trip
+@pytest.mark.parametrize("floor", [False, True], ids=["unfloored", "floored"])
+def test_save_load_save_byte_identical(tmp_path, floor):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    save_models(first, *random_instance(9))
+    save_models(first, *random_instance(9, floor=floor))
     save_models(second, *load_models(first))
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("build", [lambda: random_instance(9),
+                                   lambda: random_instance(9, floor=True),
+                                   lambda: uniform_instance(floor=True),
+                                   _distinct_instance],
+                         ids=["random", "random-floored", "uniform", "distinct"])
+def test_load_matches_json_load(tmp_path, build):
+    path = tmp_path / "model.json"
+    save_models(path, *build())
+    assert_load_matches_json(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       n_rows=st.integers(min_value=0, max_value=12),
+       child_dim=st.integers(min_value=1, max_value=4),
+       block_chars=st.integers(min_value=1, max_value=64),
+       repeated=st.booleans())
+def test_parse_rows_matches_json_loads(data, n_rows, child_dim, block_chars, repeated):
+    # few distinct values take the convert-once path, many the direct one
+    values = st.floats() | st.sampled_from(AWKWARD_FLOATS)
+    if repeated:
+        values = st.sampled_from(data.draw(st.lists(values, min_size=1, max_size=3)))
+    flat = data.draw(st.lists(values, min_size=n_rows * child_dim,
+                              max_size=n_rows * child_dim))
+    rows = np.array(flat, dtype=float).reshape(n_rows, child_dim)
+    text = "".join(_json_rows(rows, data.draw(st.integers(1, 16)))).encode()
+    got = _parse_rows(text, child_dim, block_chars=block_chars)
+    want = np.array(json.loads(text), dtype=float).reshape(n_rows, child_dim)
+    assert got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_parse_rows_reads_integers_as_json_does():
+    text = b"[[-0, 1], [0, -0.0], [7, 1e2], [-0, -0]]"
+    want = np.array(json.loads(text), dtype=float)
+    assert np.array_equal(bits(_parse_rows(text, 2, block_chars=1)), bits(want))
+
+
+@pytest.mark.parametrize("text", [
+    b"[[0.5, 0.5, 0.5], [0.5]]",      # ragged, right number of values
+    b"[[0.5, 0.5], [0.5]]",           # short last row
+    b"[[0.5_0, 0.5]]",                # float() reads 0.5_0, json does not
+    b"[[0.5,0.5]]",                   # not json.dump's separators
+    b"[[0.5,  0.5]]",
+    b"[[0.5, 0.5],[0.5, 0.5]]",
+    b"[[0.5, 0.5], 0.5, [0.5]]",
+    b"[[0.5], 0.5, [0.5, 0.5]]",
+    b"[[0.5, ], [0.5, 0.5]]",         # empty value
+    b"[[0.5, 0.5], [0.5, 0.5]",       # truncated
+    b"[[0.5, 0.5]]]",
+    b"[[0.5, 1e]]",
+    b"[[0.5, \"0.5\"]]",
+    b"[\n [0.5, 0.5]\n]",
+])
+def test_parse_rows_rejects_other_layouts(text):
+    for block_chars in (1, 64):
+        with pytest.raises(ValueError):
+            _parse_rows(text, 2, block_chars=block_chars)
+
+
+@pytest.mark.parametrize("edit", [
+    ragged_rows,
+    lambda text: json.dumps(json.loads(text), indent=1),
+    lambda text: text.replace("0.5", "0.5_0", 1),  # float() reads 0.5_0 as 0.5
+    lambda text: text[:len(text) // 2],
+    lambda text: text[:-1],
+], ids=["ragged", "indented", "underscore", "truncated-rows", "truncated-envelope"])
+def test_loader_rejects_other_text(tmp_path, edit):
+    path = tmp_path / "model.json"
+    save_models(path, *uniform_instance())
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ValueError):
+        load_models(path)
