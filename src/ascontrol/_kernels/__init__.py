@@ -1,24 +1,8 @@
-"""Kernel selection: compiled core if built, numpy fallback otherwise.
+"""The exhaustive path-reduction kernel (pure numpy, see `_py`)."""
 
-Set ASC_FORCE_PYTHON=1 (before import) to force the fallback.
-"""
-
-import os
-
-from . import _py
-
-backend = "python"
-path_logsumexp = _py.path_logsumexp
-
-if not os.environ.get("ASC_FORCE_PYTHON"):
-    try:
-        from . import _core
-
-        path_logsumexp = _core.path_logsumexp
-        backend = "compiled"
-    except ImportError:
-        pass
+from ._py import path_logsumexp
 
 
 def backend_name():
-    return backend
+    """Name of the path-reduction backend; numpy is the only one."""
+    return "python"

@@ -1,4 +1,4 @@
-"""Pure-numpy fallback for the exhaustive path-reduction kernel.
+"""The exhaustive path-reduction kernel, in numpy.
 
 The reduction visits every nonzero-probability state path exactly once
 (no dynamic-programming shortcuts): leading steps are walked depth-first,
@@ -33,7 +33,7 @@ def path_logsumexp(first_row, mats, chunk=DENSE_CHUNK):
 
     def walk(start_row, depth):
         remaining = len(mats) - depth
-        if n ** (remaining + 1) <= chunk:
+        if remaining == 0 or n ** (remaining + 1) <= chunk:
             return expand(start_row, depth)
         parts = []
         for j in range(n):

@@ -276,6 +276,19 @@ def expected_edge_cost(marg, cost):
     return prod.sum(axis=(1, 2))
 
 
+def tick_pieces(gen, rec, ref, tick):
+    """The per-tick arrays that the rate and the differential free energy
+    read, keyed prior, belief, marg, cost (the edge cost total) and ev (its
+    expectation per state, shape (N,)). Callers build the chain matrix they
+    need from prior and belief."""
+    prior = latent_prior(gen, tick)
+    belief = belief_table(rec, tick)
+    marg = obs_action_marginal(gen, tick, prior=prior)
+    cost = edge_cost(gen, rec, ref, tick, prior=prior, belief=belief).total
+    return {"prior": prior, "belief": belief, "marg": marg, "cost": cost,
+            "ev": expected_edge_cost(marg, cost)}
+
+
 def expand_edges(values_noa, spec):
     """Broadcast an (N, O, A) edge array to a dense (N, N) matrix indexed by
     the successor's observation/action components."""

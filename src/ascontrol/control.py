@@ -369,24 +369,15 @@ def differential_free_energy(gen, rec, ref, x0, T, rate, n_rollouts=None,
         s = _rollout_path_costs(gen, rec, ref, x0, T, rate, "feedback",
                                 n_rollouts, seed or 0)
         return float(s.mean())
-    budget = oracle._budget(budget)
-    oracle._check_states(spec, budget)
-    per_tick = {}
-    for tick in (True, False):
-        prior = chains.latent_prior(gen, tick)
-        belief = chains.belief_table(rec, tick)
-        marg = chains.obs_action_marginal(gen, tick, prior=prior)
-        cost = chains.edge_cost(gen, rec, ref, tick, prior=prior, belief=belief)
-        qc = chains.qchain_matrix(gen, rec, tick, prior=prior, belief=belief)
-        ev = chains.expected_edge_cost(marg, cost.total)
-        per_tick[tick] = (qc, ev)
+    oracle._check_states(spec, oracle._budget(budget))
+    pieces = _dfe_pieces(gen, rec, ref)
     mu = np.zeros(spec.n_states)
     mu[x0.flat(spec)] = 1.0
     total = 0.0
     for t in range(1, T + 1):
-        qc, ev = per_tick[tick_at(t, spec)]
-        total += float(mu @ ev) - rate
-        mu = qc.T @ mu
+        pc = pieces[tick_at(t, spec)]
+        total += float(mu @ pc["ev"]) - rate
+        mu = pc["qc"].T @ mu
     return total
 
 
@@ -547,16 +538,12 @@ class _GradAccumulator:
 
 
 def _dfe_pieces(gen, rec, ref):
+    """chains.tick_pieces per tick value, plus the recognition chain "qc"."""
     pieces = {}
     for tick in (True, False):
-        prior = chains.latent_prior(gen, tick)
-        belief = chains.belief_table(rec, tick)
-        marg = chains.obs_action_marginal(gen, tick, prior=prior)
-        cost = chains.edge_cost(gen, rec, ref, tick, prior=prior, belief=belief)
-        qc = chains.qchain_matrix(gen, rec, tick, prior=prior, belief=belief)
-        pieces[tick] = {"prior": prior, "belief": belief, "marg": marg,
-                        "cost": cost.total, "qc": qc,
-                        "ev": chains.expected_edge_cost(marg, cost.total)}
+        pc = pieces[tick] = chains.tick_pieces(gen, rec, ref, tick)
+        pc["qc"] = chains.qchain_matrix(gen, rec, tick, prior=pc["prior"],
+                                        belief=pc["belief"])
     return pieces
 
 

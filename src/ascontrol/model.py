@@ -227,8 +227,7 @@ class ConditionalTable:
         return float(safe_log(self.prob(parents, child)))
 
     def sample(self, parents, rng):
-        r = self.probs[self.row_index(parents)]
-        return int(np.searchsorted(np.cumsum(r), rng.random(), side="right").clip(0, self.child_dim - 1))
+        return sample_categorical(self.probs[self.row_index(parents)], rng)
 
     def reshaped(self):
         """View shaped parent_dims + (child_dim,)."""
@@ -272,6 +271,13 @@ class ConditionalTable:
             "rows": self.probs.tolist(),
             "strictly_positive": self.strictly_positive,
         }
+
+
+def sample_categorical(probs, rng):
+    """An index drawn from the probability vector `probs` by inverting its
+    CDF at one rng.random()."""
+    return int(np.searchsorted(np.cumsum(probs), rng.random(),
+                               side="right").clip(0, probs.size - 1))
 
 
 def softmax_rows(logits):
@@ -411,11 +417,16 @@ class RecognitionModel:
     __slots__ = ("spec", "logits", "tables")
 
     def __init__(self, spec, logits, _tables=None):
+        """`logits` are copied, since a caller may keep changing its arrays
+        (fd_gradients does). `_tables`, the row-softmax of `logits`, is
+        internal: the model takes over both dicts' arrays without a copy
+        (see _adopt_tables)."""
         self.spec = spec
         shapes = self.factor_shapes(spec)
+        as_array = np.array if _tables is None else np.asarray
         clean = {}
         for name in REC_FACTORS:
-            arr = np.ascontiguousarray(np.array(logits[name], dtype=float))
+            arr = np.ascontiguousarray(as_array(logits[name], dtype=float))
             if arr.shape != shapes[name]:
                 raise DimensionMismatchError(
                     f"recognition factor {name}: expected logits {shapes[name]}, got {arr.shape}")
@@ -426,7 +437,7 @@ class RecognitionModel:
             self.tables = {name: softmax_rows(self.logits[name].reshape(-1, shapes[name][-1]))
                            .reshape(shapes[name]) for name in REC_FACTORS}
         else:
-            self.tables = {name: np.ascontiguousarray(np.array(_tables[name], dtype=float))
+            self.tables = {name: np.ascontiguousarray(_tables[name], dtype=float)
                            for name in REC_FACTORS}
         for t in self.tables.values():
             t.setflags(write=False)
@@ -457,11 +468,16 @@ class RecognitionModel:
 
     @classmethod
     def from_tables(cls, spec, tables):
-        """Build from explicit probability tables, kept bit-exact; the logits
-        are their logs, so the softmax mapping reproduces them (including
-        hard zeros)."""
-        tables = {name: np.asarray(tables[name], dtype=float)
-                  for name in REC_FACTORS}
+        """Build from explicit probability tables, kept bit-exact (as a copy);
+        the logits are their logs, so the softmax mapping reproduces them
+        (including hard zeros)."""
+        return cls._adopt_tables(spec, {name: np.array(tables[name], dtype=float, order="C")
+                                        for name in REC_FACTORS})
+
+    @classmethod
+    def _adopt_tables(cls, spec, tables):
+        """from_tables for float arrays no one else holds: the model keeps
+        them, read-only, without a copy."""
         return cls(spec, {name: safe_log(tables[name]) for name in REC_FACTORS},
                    _tables=tables)
 
@@ -731,6 +747,14 @@ def _split_bundle(text):
     return json.loads(b"".join(pieces)), spans
 
 
+def _bundle_key(mapping, key, where):
+    """mapping[key]; a ValueError naming `where` and the key if it is absent."""
+    try:
+        return mapping[key]
+    except KeyError:
+        raise ValueError(f"model bundle: {where} has no {key!r}") from None
+
+
 def load_models(path):
     """Load a model bundle. Rows further than 1e-6 from normalization are
     rejected; rows within float error are kept bit-exact.
@@ -743,25 +767,30 @@ def load_models(path):
     doc, spans = _split_bundle(text)
     if doc.get("version") != FILE_VERSION:
         raise ValueError(f"unsupported model file version {doc.get('version')!r}")
-    spec = ModelSpec.from_dict(doc["spec"])
-    tables = doc["tables"]
+    try:
+        spec = ModelSpec.from_dict(_bundle_key(doc, "spec", "the bundle"))
+    except TypeError as exc:
+        raise ValueError(f"model bundle spec: {exc}") from None
+    tables = _bundle_key(doc, "tables", "the bundle")
     conditional = GenerativeModel.table_names + ReferenceModel.table_names
     rows = {}
     for name in conditional + tuple("rec_" + name for name in REC_FACTORS):
-        entry = tables[name]
-        mark = entry["rows"]
+        entry = _bundle_key(tables, name, "the bundle's tables")
+        mark = _bundle_key(entry, "rows", f"table {name}")
         if not (isinstance(mark, str) and mark.startswith("\0")):
             raise ValueError(f"table {name}: rows are not laid out as json.dump "
                              "writes them")
-        width = entry["child"] if name in conditional else entry["dims"][-1]
+        width = (_bundle_key(entry, "child", f"table {name}") if name in conditional
+                 else _bundle_key(entry, "dims", f"table {name}")[-1])
         rows[name] = _parse_rows(text, width, *spans[int(mark[1:])])
     del text  # free the file's bytes before the models copy the tables
 
     def table(name):
         entry = tables[name]
-        return ConditionalTable(entry["parents"], entry["child"], rows[name],
-                                strictly_positive=entry["strictly_positive"],
-                                _floor=False)
+        return ConditionalTable(
+            _bundle_key(entry, "parents", f"table {name}"), entry["child"], rows[name],
+            strictly_positive=_bundle_key(entry, "strictly_positive", f"table {name}"),
+            _floor=False)
 
     gen = GenerativeModel(spec, **{name: table(name)
                                    for name in GenerativeModel.table_names})
@@ -778,5 +807,5 @@ def load_models(path):
             arr = arr.copy()
             arr[bad] /= sums[bad][..., None]
         rec_tables[name] = arr
-    rec = RecognitionModel.from_tables(spec, rec_tables)
+    rec = RecognitionModel._adopt_tables(spec, rec_tables)
     return gen, rec, ref

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chains
-from .errors import EnumerationBudgetError
+from . import chains, oracle
 from .logspace import kl_divergence, safe_log
 
 
@@ -67,17 +66,6 @@ def likelihood_surprisal(gen, x):
     return float(val)
 
 
-def _check_latent_budget(spec, budget):
-    if budget is None:
-        from .oracle import EnumerationBudget
-
-        budget = EnumerationBudget.from_env()
-    if spec.n_states > budget.max_states:
-        raise EnumerationBudgetError(
-            f"{spec.n_states} complete states exceed the enumeration budget",
-            required=spec.n_states, allowed=budget.max_states)
-
-
 def _context_rows(gen, rec, context, tick):
     """Belief, latent prior, and per-latent surprisal columns for one context."""
     spec = gen.spec
@@ -105,7 +93,7 @@ def variational_free_energy(gen, rec, context, tick=True, budget=None,
                             n_samples=None, rng=None):
     """E_q[-log p(o | a1, s1)] + KL(q || latent prior), plus the equivalent
     single-divergence form (belief against the unnormalized joint)."""
-    _check_latent_budget(gen.spec, budget)
+    oracle._check_states(gen.spec, oracle._budget(budget))
     q, prior, l_lat = _context_rows(gen, rec, context, tick)
     if n_samples:
         rng = rng or np.random.default_rng()
@@ -125,7 +113,7 @@ def step_objective(gen, rec, ref, context, tick=True, budget=None,
                    n_samples=None, rng=None):
     """The per-step pathwise objective: expected reference surprisal plus the
     two free-energy terms."""
-    _check_latent_budget(gen.spec, budget)
+    oracle._check_states(gen.spec, oracle._budget(budget))
     q, prior, l_lat = _context_rows(gen, rec, context, tick)
     lat = chains.Lattice.of(gen.spec)
     j_lat = chains.reference_over_latents(ref)[:, context.o]

@@ -196,14 +196,6 @@ def exact_step_posterior(gen, x_prev, o, tick=True):
 # exact rates
 
 
-def _chain_pieces(gen, rec, ref, tick):
-    prior = chains.latent_prior(gen, tick)
-    belief = chains.belief_table(rec, tick)
-    marg = chains.obs_action_marginal(gen, tick, prior=prior)
-    cost = chains.edge_cost(gen, rec, ref, tick, prior=prior, belief=belief)
-    return prior, belief, marg, cost
-
-
 def exact_average_rate(gen, rec, ref, x0, T_burn, T_eval, chain="generative",
                        budget=None):
     """Expected global surprise rate from x0: push the exact state
@@ -217,15 +209,15 @@ def exact_average_rate(gen, rec, ref, x0, T_burn, T_eval, chain="generative",
         raise ValueError("T_eval must be >= 1")
     per_tick = {}
     for tick in (True, False):
-        prior, belief, marg, cost = _chain_pieces(gen, rec, ref, tick)
+        pc = chains.tick_pieces(gen, rec, ref, tick)
         if chain == "generative":
-            mat = chains.transition_matrix(gen, tick, prior=prior)
+            mat = chains.transition_matrix(gen, tick, prior=pc["prior"])
         elif chain == "recognition":
-            mat = chains.qchain_matrix(gen, rec, tick, prior=prior, belief=belief)
+            mat = chains.qchain_matrix(gen, rec, tick, prior=pc["prior"],
+                                       belief=pc["belief"])
         else:
             raise ValueError(f"unknown chain {chain!r}")
-        ev = chains.expected_edge_cost(marg, cost.total)
-        per_tick[tick] = (mat, ev)
+        per_tick[tick] = (mat, pc["ev"])
     mu = np.zeros(spec.n_states)
     mu[x0.flat(spec)] = 1.0
     vals = []

@@ -21,7 +21,7 @@ from .errors import DimensionMismatchError, NonFiniteObjectiveError
 from .logspace import safe_log
 from .model import (CompleteState, ConditionalTable, GenerativeModel,
                     ModelSpec, RecognitionContext, RecognitionModel,
-                    ReferenceModel, tick_at)
+                    ReferenceModel, sample_categorical, tick_at)
 
 TRACE_COLUMNS = ("t", "o", "s1", "s2", "a", "a1", "a2",
                  "J", "L", "KL", "total", "running_rate", "advantage")
@@ -217,11 +217,6 @@ def _digest(gen, rec, ref, env, T, seed, x0):
     return h.hexdigest()
 
 
-def _sample_categorical(probs, rng):
-    return int(np.searchsorted(np.cumsum(probs), rng.random(),
-                               side="right").clip(0, probs.size - 1))
-
-
 def run_episode(gen, rec, ref, env, T, seed, x0=None, episode_id=0):
     """One logged episode. Deterministic given (models, env, T, seed, x0)."""
     spec = gen.spec
@@ -249,7 +244,7 @@ def run_episode(gen, rec, ref, env, T, seed, x0=None, episode_id=0):
             marg = joint.sum(axis=(2, 3))
             z = marg.sum()
             if z > 0.0:
-                flat = _sample_categorical(marg.reshape(-1) / z, rng)
+                flat = sample_categorical(marg.reshape(-1) / z, rng)
                 s1b, s2b = np.unravel_index(flat, (spec.card_s1, spec.card_s2))
                 xprev = CompleteState(xprev.o, int(s1b), int(s2b), xprev.a,
                                       xprev.a1, xprev.a2)

@@ -1,0 +1,66 @@
+"""The names the benchmark's tracer (perfbench/tracer.py) wraps or reads must
+exist where it looks for them, or a traced benchmark run stops with a
+KeyError before it measures anything."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import ascontrol
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def layer_module(layer):
+    return importlib.import_module(
+        "ascontrol._kernels" if layer == "kernels" else f"ascontrol.{layer}")
+
+
+ENTRY_POINTS = [(layer, attr) for layer, attrs in load_tracer().ENTRY_POINTS.items()
+                for attr in attrs]
+
+
+@pytest.mark.parametrize("layer,attr", ENTRY_POINTS,
+                         ids=[f"{layer}.{attr}" for layer, attr in ENTRY_POINTS])
+def test_entry_point_resolves_like_tracer_patch(layer, attr):
+    # Tracer.patch reads owner.__dict__[attr], so an inherited or
+    # re-exported-by-getattr name does not count
+    owner = layer_module(layer)
+    *cls, fname = attr.split(".")
+    if cls:
+        owner = owner.__dict__[cls[0]]
+    assert callable(owner.__dict__[fname])
+
+
+@pytest.mark.parametrize("module,attr", [("cli", "load_models"),
+                                         ("cli", "save_models"),
+                                         ("oracle", "path_logsumexp")])
+def test_by_name_bindings_resolve(module, attr):
+    assert callable(layer_module(module).__dict__[attr])
+
+
+def test_backend_and_kernel_names():
+    assert ascontrol.backend_name() == "python"
+    assert callable(importlib.import_module("ascontrol._kernels._py").path_logsumexp)
+
+
+def test_tracer_install_wraps_and_restore_undoes():
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer.patched)
+        for owner, attr, original in patched:
+            assert owner.__dict__[attr].__wrapped__ is original
+    finally:
+        tracer.restore()
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original

@@ -125,3 +125,15 @@ def test_ragged_bundle_gets_one_line_and_exit_2(model_file, tmp_path):
     assert len(r.stderr.strip().splitlines()) == 1
     assert r.stderr.startswith("ascontrol simulate: error: ")
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_missing_bundle_key_gets_one_line_and_exit_2(model_file, tmp_path):
+    bad = tmp_path / "no-flag.json"
+    bad.write_text(model_file.read_text().replace(', "strictly_positive": true', "", 1))
+    r = run("solve", "--model", str(bad), "--out", str(tmp_path / "value.json"))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+    assert r.stderr.startswith("ascontrol solve: error: ")
+    assert "table lik has no 'strictly_positive'" in r.stderr
+    assert not (tmp_path / "value.json").exists()

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +273,24 @@ def test_recognition_logits_deterministic():
     assert all(np.array_equal(a.tables[k], b.tables[k]) for k in a.tables)
 
 
+def test_recognition_keeps_callers_arrays_apart():
+    # the model is immutable, but the arrays a caller passed in stay the
+    # caller's: writable, and changing them later changes nothing
+    spec = ModelSpec(2, 2, 2, 2, 2, 2)
+    shapes = RecognitionModel.factor_shapes(spec)
+    tables = {k: np.full(s, 1.0 / s[-1]) for k, s in shapes.items()}
+    logits = {k: np.zeros(s) for k, s in shapes.items()}
+    from_tables = RecognitionModel.from_tables(spec, tables)
+    from_logits = RecognitionModel(spec, logits)
+    for k in REC_FACTORS:
+        assert tables[k].flags.writeable and logits[k].flags.writeable
+        tables[k][...] = 0.0
+        logits[k][..., 0] = 5.0
+        assert np.all(from_tables.tables[k] == 1.0 / shapes[k][-1])
+        assert np.all(from_logits.logits[k] == 0.0)
+        assert not from_tables.tables[k].flags.writeable
+
+
 def test_recognition_latent_range_check():
     _, rec, _ = random_instance(2)
     ctx = RecognitionContext(o=0, a=0, x_prev=CompleteState(0, 0, 0, 0, 0, 0))
@@ -470,10 +489,19 @@ def test_parse_rows_rejects_other_layouts(text):
     lambda text: text.replace("0.5", "0.5_0", 1),  # float() reads 0.5_0 as 0.5
     lambda text: text[:len(text) // 2],
     lambda text: text[:-1],
-], ids=["ragged", "indented", "underscore", "truncated-rows", "truncated-envelope"])
+    lambda text: re.sub(r'"spec": \{[^}]*\}, ', "", text, count=1),
+    lambda text: text.replace('"card_o": 2, ', "", 1),
+    lambda text: re.sub(r'"child": \d+, ', "", text, count=1),
+    lambda text: re.sub(r', "strictly_positive": (true|false)', "", text, count=1),
+    lambda text: re.sub(r'"dims": \[[\d, ]*\], ', "", text, count=1),
+], ids=["ragged", "indented", "underscore", "truncated-rows", "truncated-envelope",
+        "no-spec", "spec-without-card_o", "no-child", "no-strictly_positive",
+        "rec-without-dims"])
 def test_loader_rejects_other_text(tmp_path, edit):
     path = tmp_path / "model.json"
     save_models(path, *uniform_instance())
-    path.write_text(edit(path.read_text()))
+    text = path.read_text()
+    assert edit(text) != text
+    path.write_text(edit(text))
     with pytest.raises(ValueError):
         load_models(path)

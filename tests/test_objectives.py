@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ascontrol import chains, oracle
+from ascontrol.errors import EnumerationBudgetError
 from ascontrol.instances import random_context, random_instance, random_state
 from ascontrol.logspace import kl_divergence
 from ascontrol.model import (CompleteState, ConditionalTable, ModelSpec,
@@ -119,6 +120,17 @@ def test_vfe_mc_estimator_flag():
     approx = variational_free_energy(gen, rec, ctx, n_samples=200_000,
                                      rng=np.random.default_rng(5))
     assert approx.total == pytest.approx(exact.total, abs=0.05)
+
+
+def test_vfe_and_step_objective_enforce_state_budget():
+    gen, rec, ref = uniform_instance()  # 64 complete states
+    ctx = RecognitionContext(o=1, a=1, x_prev=CompleteState(0, 0, 0, 0, 0, 0))
+    tiny = oracle.EnumerationBudget(max_states=63)
+    with pytest.raises(EnumerationBudgetError):
+        variational_free_energy(gen, rec, ctx, budget=tiny)
+    with pytest.raises(EnumerationBudgetError):
+        step_objective(gen, rec, ref, ctx, budget=tiny)
+    step_objective(gen, rec, ref, ctx, budget=oracle.EnumerationBudget(max_states=64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Full-scale enumeration completeness: total trajectory probability mass is
 1 on all-two-valued domains for every horizon up to 5. The T=5 case walks
-~2.7e8 nonzero trajectories and runs only on the compiled kernel; the
-fallback covers T <= 4 (~4.2e6)."""
+~2.7e8 nonzero trajectories, about 10 s on the numpy kernel; T <= 4 walks
+at most ~4.2e6."""
 
 import numpy as np
 import pytest
 
 from ascontrol import chains, oracle
-from ascontrol._kernels import backend_name, path_logsumexp
+from ascontrol._kernels import path_logsumexp
 from ascontrol.instances import random_instance
 from ascontrol.logspace import safe_log
 from ascontrol.model import CompleteState
@@ -27,8 +27,6 @@ def test_enumeration_mass_all_two_valued(T):
     assert abs(np.exp(_mass_log(gen, T)) - 1.0) <= 1e-9
 
 
-@pytest.mark.skipif(backend_name() != "compiled",
-                    reason="T=5 walks ~2.7e8 paths; needs the compiled kernel")
-def test_enumeration_mass_t5_compiled():
+def test_enumeration_mass_t5():
     gen, _, _ = random_instance(123)
     assert abs(np.exp(_mass_log(gen, 5)) - 1.0) <= 1e-9
