@@ -12,6 +12,7 @@ tables hold one bias vector per phase.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,7 @@ def action_tuples(spec):
 
 class _BellmanOps:
     """Per-phase pieces of the hard-min backup: nature's factors, edge costs,
-    and successor indices per action tuple."""
+    and per action tuple the expected edge cost and successor indices."""
 
     def __init__(self, gen, rec, ref, budget=None):
         budget = oracle._budget(budget)
@@ -105,10 +106,13 @@ class _BellmanOps:
         lat = chains.Lattice.of(spec)
         self.ua, self.ua1, self.ua2 = action_tuples(spec)
         self.n_u = self.ua.size
-        self.likR = gen.lik.reshaped()                       # (a1, s1, o)
+        self.lik_u = gen.lik.reshaped()[self.ua1]            # (u, s1', o)
         d1 = gen.dyn1.reshaped()[lat.s1, :, lat.a, :]        # (N, s2', s1')
         self.base = {}
         self.cost = {}
+        # expected edge cost per action tuple, (u, N): it does not depend on
+        # the value table, so backup and greedy_operators read it from here
+        self.ecost = {}
         n = spec.n_states
         for tick in (True, False):
             if tick:
@@ -116,8 +120,15 @@ class _BellmanOps:
             else:
                 d2 = np.zeros((n, spec.card_s2))
                 d2[np.arange(n), lat.s2] = 1.0
-            self.base[tick] = np.einsum("xX,xXs->xXs", d2, d1)   # (N, s2', s1')
-            self.cost[tick] = chains.edge_cost(gen, rec, ref, tick).total
+            base = self.base[tick] = np.einsum("xX,xXs->xXs", d2, d1)  # (N, s2', s1')
+            cost = self.cost[tick] = chains.edge_cost(gen, rec, ref, tick).total
+            ecost = self.ecost[tick] = np.empty((self.n_u, n))
+            for u in range(self.n_u):
+                # sum_world base * lik * cost[x, o', a_u]
+                m1 = np.einsum("xXs,so->xo", base, self.lik_u[u])
+                c_u = cost[:, :, self.ua[u]]
+                with np.errstate(invalid="ignore"):
+                    ecost[u] = np.where(m1 > 0.0, m1 * c_u, 0.0).sum(axis=1)
         # successor state per (u, o', s1', s2')
         og, s1g, s2g = np.meshgrid(np.arange(spec.card_o), np.arange(spec.card_s1),
                                    np.arange(spec.card_s2), indexing="ij")
@@ -135,20 +146,12 @@ class _BellmanOps:
         """One hard-min backup out of phase p: returns (values, argmin) where
         values[x] = min_u E[cost + h_next(x')]."""
         tick = self.tick_of_phase(p)
-        base, cost = self.base[tick], self.cost[tick]
-        vals = np.empty((self.n_u, self.spec.n_states))
-        for u in range(self.n_u):
-            lik_u = self.likR[self.ua1[u]]                   # (s1', o)
-            # expected edge cost: sum_world base * lik * cost[x, o', a_u]
-            m1 = np.einsum("xXs,so->xo", base, lik_u)
-            c_u = cost[:, :, self.ua[u]]
-            with np.errstate(invalid="ignore"):
-                c_term = np.where(m1 > 0.0, m1 * c_u, 0.0).sum(axis=1)
-            # expected successor value
-            hn = h_next[self.succ[u]]                        # (o', s1', s2')
-            inner = np.einsum("so,osX->sX", lik_u, hn)
-            h_term = np.einsum("xXs,sX->x", base, inner)
-            vals[u] = c_term + h_term
+        base = self.base[tick]
+        # expected successor value: sum_{o'} lik * h_next(x'), then one matmul
+        # over the world factors (s2', s1') for all action tuples at once
+        inner = np.einsum("uso,uosX->uXs", self.lik_u, h_next[self.succ])
+        vals = self.ecost[tick] + inner.reshape(self.n_u, -1) @ base.reshape(
+            base.shape[0], -1).T
         argmin = np.argmin(vals, axis=0)
         return vals[argmin, np.arange(self.spec.n_states)], argmin
 
@@ -159,20 +162,14 @@ class _BellmanOps:
         mats, costs = [], []
         for p in range(self.period):
             tick = self.tick_of_phase(p)
-            base, cost = self.base[tick], self.cost[tick]
+            base = self.base[tick]
             mat = np.zeros((n, n))
-            ecost = np.empty(n)
             for u in np.unique(greedy[p]):
                 rows = np.nonzero(greedy[p] == u)[0]
-                lik_u = self.likR[self.ua1[u]]
-                w = np.einsum("xXs,so->xosX", base[rows], lik_u)  # (r, o, s1, s2)
+                w = np.einsum("xXs,so->xosX", base[rows], self.lik_u[u])  # (r, o, s1, s2)
                 mat[rows[:, None], self.succ[u].reshape(1, -1)] = w.reshape(rows.size, -1)
-                m1 = w.sum(axis=(2, 3))
-                c_u = cost[rows][:, :, self.ua[u]]
-                with np.errstate(invalid="ignore"):
-                    ecost[rows] = np.where(m1 > 0.0, m1 * c_u, 0.0).sum(axis=1)
             mats.append(mat)
-            costs.append(ecost)
+            costs.append(self.ecost[tick][greedy[p], np.arange(n)])
         return mats, costs
 
 
@@ -182,6 +179,12 @@ def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000,
     chain. Runs relative value iteration on the aperiodicity-transformed
     problem (lazy mixing tau), then verifies the original residual at the
     requested sup-norm tolerance."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"relative value iteration: tol must be a finite "
+                         f"number > 0, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"relative value iteration: max_iter must be >= 1, "
+                         f"got {max_iter!r}")
     ops = _BellmanOps(gen, rec, ref, budget=budget)
     spec = gen.spec
     n, period = spec.n_states, ops.period
@@ -303,35 +306,41 @@ def kl_qstar_identity(gen, value, x, t=0):
 
 
 def _rollout_ingredients(gen, rec, ref, mode):
-    """Per-tick transition matrices, row CDFs, and edge costs for rollouts."""
+    """Per-tick transition row CDFs and edge costs for rollouts."""
     spec = gen.spec
-    mats, cums, costs = {}, {}, {}
+    cums, costs = {}, {}
     for tick in (True, False):
         if mode == "feedforward":
-            mats[tick] = chains.transition_matrix(gen, tick)
+            mat = chains.transition_matrix(gen, tick)
             costs[tick] = np.broadcast_to(chains.state_cost(gen, ref),
                                           (spec.n_states, spec.n_states))
         elif mode == "feedback":
-            mats[tick] = chains.qchain_matrix(gen, rec, tick)
+            mat = chains.qchain_matrix(gen, rec, tick)
             costs[tick] = chains.expand_edges(
                 chains.edge_cost(gen, rec, ref, tick).total, spec)
         else:
             raise ValueError(f"unknown rollout density {mode!r}")
-        cums[tick] = np.cumsum(mats[tick], axis=1)
-    return mats, cums, costs
+        cums[tick] = np.cumsum(mat, axis=1)
+    return cums, costs
+
+
+def _sample_next(cum, states, rng):
+    """One seeded next-state draw per rollout: a uniform per state, compared
+    with the row CDFs of `cum` (rows that sum below 1 clamp to the last
+    state)."""
+    r = rng.random(states.size)
+    return np.minimum((cum[states] < r[:, None]).sum(axis=1), cum.shape[1] - 1)
 
 
 def _rollout_path_costs(gen, rec, ref, x0, T, rate, mode, n_rollouts, seed):
     spec = gen.spec
-    _, cums, costs = _rollout_ingredients(gen, rec, ref, mode)
+    cums, costs = _rollout_ingredients(gen, rec, ref, mode)
     rng = np.random.default_rng(seed)
     states = np.full(n_rollouts, x0.flat(spec), dtype=np.intp)
     path_cost = np.zeros(n_rollouts)
     for t in range(1, T + 1):
         tick = tick_at(t, spec)
-        r = rng.random(n_rollouts)
-        rows = cums[tick][states]
-        nxt = np.minimum((rows < r[:, None]).sum(axis=1), spec.n_states - 1)
+        nxt = _sample_next(cums[tick], states, rng)
         path_cost += costs[tick][states, nxt] - rate
         states = nxt
     return path_cost
@@ -599,9 +608,7 @@ def score_function_grad(gen, rec, ref, x0, T, rate, n_rollouts, seed,
     step_costs = []
     for t in range(1, T + 1):
         tick = tick_at(t, spec)
-        r = rng.random(n_rollouts)
-        rows = cums[tick][states]
-        nxt = np.minimum((rows < r[:, None]).sum(axis=1), spec.n_states - 1)
+        nxt = _sample_next(cums[tick], states, rng)
         step_costs.append(
             pieces[tick]["cost"][states, lat.o[nxt], lat.a[nxt]] - rate)
         states = nxt

@@ -748,11 +748,38 @@ def _split_bundle(text):
 
 
 def _bundle_key(mapping, key, where):
-    """mapping[key]; a ValueError naming `where` and the key if it is absent."""
+    """mapping[key]; a ValueError naming `where` and the key if it is absent
+    or `where` is not a JSON object."""
+    if type(mapping) is not dict:
+        raise ValueError(f"model bundle: {where} is not a JSON object")
     try:
         return mapping[key]
     except KeyError:
         raise ValueError(f"model bundle: {where} has no {key!r}") from None
+
+
+def _is_size(value):
+    return type(value) is int and value >= 1  # json's ints; bool is not one
+
+
+def _bundle_size(mapping, key, where):
+    """mapping[key] as a positive int (a table's child width); a ValueError
+    naming `where` and the key if it is anything else."""
+    value = _bundle_key(mapping, key, where)
+    if not _is_size(value):
+        raise ValueError(f"model bundle: {where} has {key} {value!r}, "
+                         "not a positive integer")
+    return value
+
+
+def _bundle_sizes(mapping, key, where):
+    """mapping[key] as a non-empty list of positive ints (parents, dims); a
+    ValueError naming `where` and the key if it is anything else."""
+    value = _bundle_key(mapping, key, where)
+    if not (type(value) is list and value and all(map(_is_size, value))):
+        raise ValueError(f"model bundle: {where} has {key} {value!r}, "
+                         "not a list of positive integers")
+    return value
 
 
 def load_models(path):
@@ -765,6 +792,8 @@ def load_models(path):
     with open(path, "rb") as fh:
         text = fh.read()
     doc, spans = _split_bundle(text)
+    if type(doc) is not dict:
+        raise ValueError("model bundle is not a JSON object")
     if doc.get("version") != FILE_VERSION:
         raise ValueError(f"unsupported model file version {doc.get('version')!r}")
     try:
@@ -780,15 +809,15 @@ def load_models(path):
         if not (isinstance(mark, str) and mark.startswith("\0")):
             raise ValueError(f"table {name}: rows are not laid out as json.dump "
                              "writes them")
-        width = (_bundle_key(entry, "child", f"table {name}") if name in conditional
-                 else _bundle_key(entry, "dims", f"table {name}")[-1])
+        width = (_bundle_size(entry, "child", f"table {name}") if name in conditional
+                 else _bundle_sizes(entry, "dims", f"table {name}")[-1])
         rows[name] = _parse_rows(text, width, *spans[int(mark[1:])])
     del text  # free the file's bytes before the models copy the tables
 
     def table(name):
         entry = tables[name]
         return ConditionalTable(
-            _bundle_key(entry, "parents", f"table {name}"), entry["child"], rows[name],
+            _bundle_sizes(entry, "parents", f"table {name}"), entry["child"], rows[name],
             strictly_positive=_bundle_key(entry, "strictly_positive", f"table {name}"),
             _floor=False)
 

@@ -4,13 +4,16 @@ KeyError before it measures anything."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 import ascontrol
+from ascontrol import control, sim
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 def load_tracer():
@@ -64,3 +67,16 @@ def test_tracer_install_wraps_and_restore_undoes():
         tracer.restore()
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original
+
+
+def test_seed3_solve_gain_matches_pinned_reference():
+    # the benchmark checks `solve --tol 1e-8` on the seed-3 `init` bundle
+    # against reference.json; a solver change that moves the gain past the
+    # benchmark's rule fails here first
+    want = json.loads((PERFBENCH / "reference.json").read_text())
+    assert want["seed"] == 3
+    want = want["fingerprints"]["solve"]["gain"]
+    env, ref = sim.thermostat_env(3, [0, 2], heat_success=0.85, phase_advance=0.1)
+    gen, rec = sim.thermostat_agent(env, [0, 2], 3)
+    got = control.relative_value_iteration(gen, rec, ref, tol=1e-8).gain
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))

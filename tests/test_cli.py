@@ -1,16 +1,25 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from conftest import assert_load_matches_json, ragged_rows
+from ascontrol.model import save_models
+from conftest import assert_load_matches_json, ragged_rows, uniform_instance
 
 CLI = [sys.executable, "-m", "ascontrol"]
 
 
 def run(*args, **kw):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, **kw)
+
+
+def assert_one_line_exit_2(r, command):
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+    assert r.stderr.startswith(f"ascontrol {command}: error: ")
 
 
 @pytest.fixture(scope="module")
@@ -109,10 +118,7 @@ def test_config_file_merges_defaults(model_file, tmp_path):
 ])
 def test_user_errors_get_one_line_and_exit_2(tmp_path, args):
     r = run(*(a.format(dir=tmp_path) for a in args))
-    assert r.returncode == 2
-    assert "Traceback" not in r.stderr
-    assert len(r.stderr.strip().splitlines()) == 1
-    assert r.stderr.startswith(f"ascontrol {args[0]}: error: ")
+    assert_one_line_exit_2(r, args[0])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -120,10 +126,7 @@ def test_ragged_bundle_gets_one_line_and_exit_2(model_file, tmp_path):
     bad = tmp_path / "ragged.json"
     bad.write_text(ragged_rows(model_file.read_text()))
     r = run("simulate", "--model", str(bad), "--trace", str(tmp_path / "t.csv"))
-    assert r.returncode == 2
-    assert "Traceback" not in r.stderr
-    assert len(r.stderr.strip().splitlines()) == 1
-    assert r.stderr.startswith("ascontrol simulate: error: ")
+    assert_one_line_exit_2(r, "simulate")
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -131,9 +134,41 @@ def test_missing_bundle_key_gets_one_line_and_exit_2(model_file, tmp_path):
     bad = tmp_path / "no-flag.json"
     bad.write_text(model_file.read_text().replace(', "strictly_positive": true', "", 1))
     r = run("solve", "--model", str(bad), "--out", str(tmp_path / "value.json"))
-    assert r.returncode == 2
-    assert "Traceback" not in r.stderr
-    assert len(r.stderr.strip().splitlines()) == 1
-    assert r.stderr.startswith("ascontrol solve: error: ")
+    assert_one_line_exit_2(r, "solve")
     assert "table lik has no 'strictly_positive'" in r.stderr
     assert not (tmp_path / "value.json").exists()
+
+
+@pytest.fixture
+def small_model(tmp_path):
+    path = tmp_path / "small.json"
+    save_models(path, *uniform_instance())
+    return path
+
+
+@pytest.mark.parametrize("pattern,repl,message", [
+    (r'"dims": \[[\d, ]*\]', '"dims": 7', "table rec_s2 has dims 7"),
+    (r'"child": (\d+)', r'"child": "\1"', "table lik has child '2'"),
+    (r'"child": \d+', '"child": 0', "table lik has child 0"),
+], ids=["int-dims", "str-child", "zero-child"])
+def test_wrong_typed_bundle_value_gets_one_line_and_exit_2(small_model, tmp_path,
+                                                          pattern, repl, message):
+    small_model.write_text(re.sub(pattern, repl, small_model.read_text(), count=1))
+    out = tmp_path / "value.json"
+    r = run("solve", "--model", str(small_model), "--out", str(out))
+    assert_one_line_exit_2(r, "solve")
+    assert message in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [("--tol", "0"), ("--tol", "nan"),
+                                   ("--max-iter", "0")],
+                         ids=["tol-0", "tol-nan", "max-iter-0"])
+def test_bad_solver_settings_get_one_line_and_exit_2(small_model, tmp_path, flags):
+    out = tmp_path / "value.json"
+    r = run("solve", "--model", str(small_model), *flags, "--out", str(out))
+    assert_one_line_exit_2(r, "solve")
+    # rejected up front, not reported after the sweeps ran out
+    assert flags[0].lstrip("-").replace("-", "_") in r.stderr
+    assert "sweeps" not in r.stderr
+    assert not out.exists()

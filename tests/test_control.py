@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ascontrol import chains, control, oracle
 from ascontrol.errors import (ConvergenceError, DegenerateWeightsError)
@@ -67,6 +69,46 @@ def test_rvi_nonconvergence_error_carries_residual():
     with pytest.raises(ConvergenceError) as exc:
         control.relative_value_iteration(gen, rec, ref, tol=1e-14, max_iter=3)
     assert exc.value.residual is not None
+
+
+@pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": -1e-9}, {"tol": math.nan},
+                                {"tol": math.inf}, {"max_iter": 0}],
+                         ids=["tol-0", "tol-negative", "tol-nan", "tol-inf",
+                              "max_iter-0"])
+def test_rvi_rejects_bad_settings_before_building_operators(monkeypatch, kw):
+    gen, rec, ref = uniform_instance()
+
+    def no_ops(*args, **kwargs):
+        raise AssertionError("Bellman operators built for a bad setting")
+
+    monkeypatch.setattr(control, "_BellmanOps", no_ops)
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        control.relative_value_iteration(gen, rec, ref, **kw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), phase=st.integers(0, 5),
+       h_seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-3, 1.0, 50.0]),
+       cards=st.tuples(*[st.integers(1, 2)] * 5 + [st.integers(1, 3)]),
+       tick_period=st.integers(1, 3), floor=st.booleans())
+def test_backup_matches_constant_policy_operators(seed, phase, h_seed, scale,
+                                                  cards, tick_period, floor):
+    # two routes to one backup: the vectorized hard min over action tuples,
+    # and min over u of each constant policy's (cost + matrix @ h)
+    gen, rec, ref = random_instance(seed, cards=cards, tick_period=tick_period,
+                                    floor=floor)
+    ops = control._BellmanOps(gen, rec, ref)
+    n, p = gen.spec.n_states, phase % ops.period
+    h = np.random.default_rng(h_seed).standard_normal(n) * scale
+    vals, argmin = ops.backup(p, h)
+    per_u = np.empty((ops.n_u, n))
+    for u in range(ops.n_u):
+        mats, costs = ops.greedy_operators(np.full((ops.period, n), u))
+        per_u[u] = costs[p] + mats[p] @ h
+    want = per_u.min(axis=0)
+    tol = 1e-12 * np.maximum(1.0, np.abs(want))
+    assert np.all(np.abs(vals - want) <= tol)
+    assert np.all(np.abs(per_u[argmin, np.arange(n)] - want) <= tol)
 
 
 def test_rvi_rollout_within_three_stderr():

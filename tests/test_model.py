@@ -494,9 +494,16 @@ def test_parse_rows_rejects_other_layouts(text):
     lambda text: re.sub(r'"child": \d+, ', "", text, count=1),
     lambda text: re.sub(r', "strictly_positive": (true|false)', "", text, count=1),
     lambda text: re.sub(r'"dims": \[[\d, ]*\], ', "", text, count=1),
+    lambda text: re.sub(r'"dims": \[[\d, ]*\]', '"dims": 7', text, count=1),
+    lambda text: re.sub(r'"child": (\d+)', r'"child": "\1"', text, count=1),
+    lambda text: re.sub(r'"child": \d+', '"child": 0', text, count=1),
+    lambda text: re.sub(r'"parents": \[[\d, ]*\]', '"parents": 2', text, count=1),
+    lambda text: re.sub(r'"tables": \{.*\}\}$', '"tables": []}', text, flags=re.S),
+    lambda text: "[" + text + "]",
 ], ids=["ragged", "indented", "underscore", "truncated-rows", "truncated-envelope",
         "no-spec", "spec-without-card_o", "no-child", "no-strictly_positive",
-        "rec-without-dims"])
+        "rec-without-dims", "int-dims", "str-child", "zero-child", "int-parents",
+        "list-tables", "list-bundle"])
 def test_loader_rejects_other_text(tmp_path, edit):
     path = tmp_path / "model.json"
     save_models(path, *uniform_instance())
