@@ -10,13 +10,13 @@ a handful of arrays built here:
     P, Qc     (N, N)            one-step transition matrices
 
 N is the complete-state count, L the latent-tuple count, O/A the
-observation/action cardinalities. All builders take an explicit `tick`
-flag; non-tick steps hold the slow latent deterministically. Complete
-states are raveled row-major in (o, s1, s2, a, a1, a2) order and latent
-tuples in (s1, s2, a1, a2) order.
+observation/action cardinalities. Builders that read the models' tables
+for one step take a `tick` flag (non-tick steps hold the slow latent
+deterministically); builders that combine arrays take exactly the arrays
+they combine. `tick_pieces` is the one place that wires prior -> belief
+-> marginal -> edge cost. Complete states are raveled row-major in
+(o, s1, s2, a, a1, a2) order and latent tuples in (s1, s2, a1, a2) order.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,10 @@ class Lattice:
         self.state_of_ola = np.ravel_multi_index(
             (o_grid, self.ls1[l_grid], self.ls2[l_grid], a_grid,
              self.la1[l_grid], self.la2[l_grid]), dims)
+        # the non-tick slow-latent step: s2' = s2, shape (N, s2')
+        self.hold_s2 = np.zeros((n, spec.card_s2))
+        self.hold_s2[np.arange(n), self.s2] = 1.0
+        self.hold_s2.setflags(write=False)
 
     @classmethod
     def of(cls, spec):
@@ -56,21 +60,24 @@ class Lattice:
         return lat
 
 
+def world_factors(gen, tick):
+    """Nature's factors out of every x_prev: d2 = p(s2' | s2, a), shape
+    (N, s2') (the hold on non-tick steps), and d1 = p(s1' | s1, s2', a),
+    shape (N, s2', s1')."""
+    lat = Lattice.of(gen.spec)
+    d2 = gen.dyn2.reshaped()[lat.s2, lat.a, :] if tick else lat.hold_s2
+    d1 = gen.dyn1.reshaped()[lat.s1, :, lat.a, :]
+    return d2, d1
+
+
 def latent_prior(gen, tick):
     """p(s1, s2, a1, a2 | x_prev) for every x_prev, shape (N, L)."""
     spec = gen.spec
-    lat = Lattice.of(spec)
-    n = spec.n_states
-    if tick:
-        d2 = gen.dyn2.reshaped()[lat.s2, lat.a, :]            # (N, s2')
-    else:
-        d2 = np.zeros((n, spec.card_s2))
-        d2[np.arange(n), lat.s2] = 1.0
+    d2, d1 = world_factors(gen, tick)
     p2 = gen.pol2.reshaped()                                   # (s2', a2)
-    d1 = gen.dyn1.reshaped()[lat.s1, :, lat.a, :]              # (N, s2', s1')
     p1 = gen.pol1.reshaped()                                   # (s1', a2, a1)
     prior = np.einsum("xX,XA,xXs,sAb->xsXbA", d2, p2, d1, p1, optimize=True)
-    return prior.reshape(n, spec.n_latents)
+    return prior.reshape(spec.n_states, spec.n_latents)
 
 
 def latent_prior_row(gen, x_prev, tick):
@@ -101,27 +108,22 @@ def pol0_over_latents(gen):
     return gen.pol0.reshaped()[:, lat.la1, :].transpose(1, 0, 2)
 
 
-def obs_action_marginal(gen, tick, prior=None):
+def obs_action_marginal(gen, prior):
     """p(o, a | x_prev) = sum_l prior * lik * pol0, shape (N, O, A)."""
-    if prior is None:
-        prior = latent_prior(gen, tick)
     return np.einsum("xl,lo,loa->xoa", prior, lik_over_latents(gen),
                      pol0_over_latents(gen), optimize=True)
 
 
-def belief_table(rec, tick, future=None):
-    """Recognition belief q(latents | o, a, x_prev, future) for every
-    (x_prev, o, a), shape (N, O, A, L). `future=None` is the sentinel."""
+def belief_table(rec, tick):
+    """Filtering (sentinel) recognition belief q(latents | o, a, x_prev) for
+    every (x_prev, o, a), shape (N, O, A, L)."""
     spec = rec.spec
-    lat = Lattice.of(spec)
     n = spec.n_states
-    f = rec.future_sentinel if future is None else int(future)
+    f = rec.future_sentinel
     if tick:
         q_s2 = rec.tables["s2"][:, :, :, f]                    # (N, O, A, s2)
     else:
-        hold = np.zeros((n, spec.card_s2))
-        hold[np.arange(n), lat.s2] = 1.0
-        q_s2 = np.broadcast_to(hold[:, None, None, :],
+        q_s2 = np.broadcast_to(Lattice.of(spec).hold_s2[:, None, None, :],
                                (n, spec.card_o, spec.card_a, spec.card_s2))
     q_a2 = rec.tables["a2"][:, :, :, f]                        # (N, O, A, s2, a2)
     q_s1 = rec.tables["s1"][:, :, :, f]                        # (N, O, A, s2, a2, s1)
@@ -140,28 +142,11 @@ def reference_over_latents(ref):
     return j_o + j_s1[:, None]
 
 
-@dataclass(frozen=True)
-class EdgeCost:
-    """Per-edge step objective, each field shaped (N, O, A)."""
-
-    j: np.ndarray
-    l: np.ndarray
-    kl: np.ndarray
-
-    @property
-    def total(self):
-        return self.j + self.l + self.kl
-
-
-def edge_cost(gen, rec, ref, tick, prior=None, belief=None):
+def edge_cost(gen, ref, prior, belief):
     """Step objective for a transition x_prev -> x', as a function of
-    (x_prev, o(x'), a(x')): expected reference surprisal, expected
-    observation surprisal, and KL from belief to latent prior, all under
-    the filtering (sentinel) belief."""
-    if prior is None:
-        prior = latent_prior(gen, tick)
-    if belief is None:
-        belief = belief_table(rec, tick)
+    (x_prev, o(x'), a(x')), shape (N, O, A): expected reference surprisal
+    plus expected observation surprisal plus the KL from belief to latent
+    prior, all under the filtering belief."""
     j_lat = reference_over_latents(ref)                        # (L, O)
     l_lat = -safe_log(lik_over_latents(gen))                   # (L, O)
     with np.errstate(invalid="ignore"):
@@ -172,50 +157,38 @@ def edge_cost(gen, rec, ref, tick, prior=None, belief=None):
     with np.errstate(invalid="ignore"):
         integrand = np.where(belief > 0.0, belief * (log_q - log_prior), 0.0)
     kl = integrand.sum(axis=3)
-    return EdgeCost(j=j, l=l, kl=kl)
+    return j + l + kl
+
+
+def _over_successors(spec, ola):
+    """Scatter an (..., O, L, A) array onto successor states, (..., N)."""
+    lead = ola.shape[:-3]
+    out = np.empty(lead + (spec.n_states,))
+    out[..., Lattice.of(spec).state_of_ola.reshape(-1)] = ola.reshape(lead + (-1,))
+    return out
 
 
 def transition_matrix(gen, tick, prior=None):
     """One-step matrix P[x, x'] of the policy-embedded model, shape (N, N)."""
-    spec = gen.spec
-    lat = Lattice.of(spec)
     if prior is None:
         prior = latent_prior(gen, tick)
     t4 = np.einsum("xl,lo,loa->xola", prior, lik_over_latents(gen),
                    pol0_over_latents(gen), optimize=True)
-    n = spec.n_states
-    out = np.empty((n, n))
-    out[:, lat.state_of_ola.reshape(-1)] = t4.reshape(n, n)
-    return out
+    return _over_successors(gen.spec, t4)
 
 
 def transition_row(gen, x, tick):
     """One transition row p(x' | x) of the policy-embedded model, shape (N,)."""
-    spec = gen.spec
-    lat = Lattice.of(spec)
-    prior = latent_prior_row(gen, x, tick)
-    row4 = np.einsum("l,lo,loa->ola", prior, lik_over_latents(gen),
-                     pol0_over_latents(gen))
-    out = np.empty(spec.n_states)
-    out[lat.state_of_ola.reshape(-1)] = row4.reshape(-1)
-    return out
+    row4 = np.einsum("l,lo,loa->ola", latent_prior_row(gen, x, tick),
+                     lik_over_latents(gen), pol0_over_latents(gen))
+    return _over_successors(gen.spec, row4)
 
 
-def qchain_matrix(gen, rec, tick, prior=None, belief=None):
+def qchain_matrix(spec, marg, belief):
     """One-step matrix of the recognition-controlled chain: observables from
     the model's marginal, latents from the filtering belief."""
-    spec = gen.spec
-    lat = Lattice.of(spec)
-    if prior is None:
-        prior = latent_prior(gen, tick)
-    if belief is None:
-        belief = belief_table(rec, tick)
-    m = obs_action_marginal(gen, tick, prior=prior)
-    q4 = np.einsum("xoa,xoal->xola", m, belief, optimize=True)
-    n = spec.n_states
-    out = np.empty((n, n))
-    out[:, lat.state_of_ola.reshape(-1)] = q4.reshape(n, n)
-    return out
+    q4 = np.einsum("xoa,xoal->xola", marg, belief, optimize=True)
+    return _over_successors(spec, q4)
 
 
 def state_cost(gen, ref):
@@ -278,15 +251,32 @@ def expected_edge_cost(marg, cost):
 
 def tick_pieces(gen, rec, ref, tick):
     """The per-tick arrays that the rate and the differential free energy
-    read, keyed prior, belief, marg, cost (the edge cost total) and ev (its
+    read, keyed prior, belief, marg, cost (the edge cost) and ev (its
     expectation per state, shape (N,)). Callers build the chain matrix they
-    need from prior and belief."""
+    need from these."""
     prior = latent_prior(gen, tick)
     belief = belief_table(rec, tick)
-    marg = obs_action_marginal(gen, tick, prior=prior)
-    cost = edge_cost(gen, rec, ref, tick, prior=prior, belief=belief).total
+    marg = obs_action_marginal(gen, prior)
+    cost = edge_cost(gen, ref, prior, belief)
     return {"prior": prior, "belief": belief, "marg": marg, "cost": cost,
             "ev": expected_edge_cost(marg, cost)}
+
+
+def rollout_density(gen, rec, ref, tick, mode):
+    """One step of a rollout density: its transition matrix and edge cost,
+    both (N, N). feedforward: the policy-embedded model with the realized
+    state costs J + L (broadcast over predecessors). feedback: the
+    recognition-controlled chain with the step objective's edge costs."""
+    spec = gen.spec
+    if mode == "feedforward":
+        n = spec.n_states
+        return (transition_matrix(gen, tick),
+                np.broadcast_to(state_cost(gen, ref), (n, n)))
+    if mode == "feedback":
+        pc = tick_pieces(gen, rec, ref, tick)
+        return (qchain_matrix(spec, pc["marg"], pc["belief"]),
+                expand_edges(pc["cost"], spec))
+    raise ValueError(f"unknown rollout density {mode!r}")
 
 
 def expand_edges(values_noa, spec):
@@ -296,12 +286,12 @@ def expand_edges(values_noa, spec):
     return values_noa[:, lat.o, lat.a]
 
 
-def step_matrices(builder, spec, T, t0=0):
-    """List of per-step matrices for steps t0+1 .. t0+T, built once per
-    distinct tick value. `builder(tick)` returns the matrix for one step."""
+def step_matrices(builder, spec, T):
+    """List of per-step matrices for steps 1 .. T, built once per distinct
+    tick value. `builder(tick)` returns the matrix for one step."""
     by_tick = {}
     out = []
-    for t in range(t0 + 1, t0 + T + 1):
+    for t in range(1, T + 1):
         k = tick_at(t, spec)
         if k not in by_tick:
             by_tick[k] = builder(k)

@@ -28,16 +28,33 @@ def _parse_schedule(raw):
 
 
 def _apply_config(args, argv):
-    """Fill run parameters from a JSON config; explicit flags win."""
-    if not getattr(args, "config", None):
-        return args
+    """Arguments with run parameters filled from a JSON config object.
+    A value goes through its flag's type and choices, as the same text on
+    the command line would (a JSON number as its JSON text); the command
+    line is then parsed over the config values, so explicit flags win."""
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config {args.config} is not a JSON object")
+    options = {a.dest: a for a in args.config_parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    values = {"command": args.command}
     for key, val in cfg.items():
-        flag = "--" + key.replace("_", "-")
-        if hasattr(args, key) and flag not in argv:
-            setattr(args, key, val)
-    return args
+        action = options.get(key)
+        if action is None:
+            raise ValueError(f"config {args.config}: unknown key {key!r}")
+        text = val if isinstance(val, str) else json.dumps(val)
+        try:
+            value = action.type(text) if action.type else text
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(
+                f"config {args.config}: invalid {key} {text!r} ({exc})") from exc
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config {args.config}: invalid {key} {text!r} "
+                             f"(choose from {', '.join(action.choices)})")
+        values[key] = value
+    # argv[0] is the command: the top-level parser has no options of its own
+    return args.config_parser.parse_args(argv[1:], argparse.Namespace(**values))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +194,7 @@ def build_parser():
     p.add_argument("--trace", required=True)
     p.add_argument("--x0", type=_parse_x0, default=None)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, config_parser=p)
 
     p = sub.add_parser("train", help="gradient training of the free logits")
     p.add_argument("--model", required=True)
@@ -192,7 +209,7 @@ def build_parser():
     p.add_argument("--report", default=None)
     p.add_argument("--x0", type=_parse_x0, default=None)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, config_parser=p)
 
     p = sub.add_parser("pi-value", help="Monte Carlo path-integral value")
     p.add_argument("--model", required=True)
@@ -214,7 +231,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "config"):
+        if getattr(args, "config", None):
             args = _apply_config(args, argv)
         return args.func(args)
     except (AscontrolError, ValueError, OSError) as exc:

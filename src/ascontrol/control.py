@@ -103,11 +103,9 @@ class _BellmanOps:
         oracle._check_states(gen.spec, budget)
         spec = self.spec = gen.spec
         self.period = spec.tick_period_level2
-        lat = chains.Lattice.of(spec)
         self.ua, self.ua1, self.ua2 = action_tuples(spec)
         self.n_u = self.ua.size
         self.lik_u = gen.lik.reshaped()[self.ua1]            # (u, s1', o)
-        d1 = gen.dyn1.reshaped()[lat.s1, :, lat.a, :]        # (N, s2', s1')
         self.base = {}
         self.cost = {}
         # expected edge cost per action tuple, (u, N): it does not depend on
@@ -115,13 +113,9 @@ class _BellmanOps:
         self.ecost = {}
         n = spec.n_states
         for tick in (True, False):
-            if tick:
-                d2 = gen.dyn2.reshaped()[lat.s2, lat.a, :]
-            else:
-                d2 = np.zeros((n, spec.card_s2))
-                d2[np.arange(n), lat.s2] = 1.0
+            d2, d1 = chains.world_factors(gen, tick)
             base = self.base[tick] = np.einsum("xX,xXs->xXs", d2, d1)  # (N, s2', s1')
-            cost = self.cost[tick] = chains.edge_cost(gen, rec, ref, tick).total
+            cost = self.cost[tick] = chains.tick_pieces(gen, rec, ref, tick)["cost"]
             ecost = self.ecost[tick] = np.empty((self.n_u, n))
             for u in range(self.n_u):
                 # sum_world base * lik * cost[x, o', a_u]
@@ -201,7 +195,7 @@ def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000,
         new -= new[0, 0]
         delta = float(np.max(np.abs(new - h)))
         h = new
-        if delta <= inner_tol or it % check_every == 0:
+        if delta <= inner_tol or it % check_every == 0 or it == max_iter:
             bias = (1.0 - tau) * h
             bias = bias - bias[0, 0]
             orig = np.empty_like(bias)
@@ -305,25 +299,6 @@ def kl_qstar_identity(gen, value, x, t=0):
 # Monte Carlo path-integral value and the differential free energy
 
 
-def _rollout_ingredients(gen, rec, ref, mode):
-    """Per-tick transition row CDFs and edge costs for rollouts."""
-    spec = gen.spec
-    cums, costs = {}, {}
-    for tick in (True, False):
-        if mode == "feedforward":
-            mat = chains.transition_matrix(gen, tick)
-            costs[tick] = np.broadcast_to(chains.state_cost(gen, ref),
-                                          (spec.n_states, spec.n_states))
-        elif mode == "feedback":
-            mat = chains.qchain_matrix(gen, rec, tick)
-            costs[tick] = chains.expand_edges(
-                chains.edge_cost(gen, rec, ref, tick).total, spec)
-        else:
-            raise ValueError(f"unknown rollout density {mode!r}")
-        cums[tick] = np.cumsum(mat, axis=1)
-    return cums, costs
-
-
 def _sample_next(cum, states, rng):
     """One seeded next-state draw per rollout: a uniform per state, compared
     with the row CDFs of `cum` (rows that sum below 1 clamp to the last
@@ -334,7 +309,11 @@ def _sample_next(cum, states, rng):
 
 def _rollout_path_costs(gen, rec, ref, x0, T, rate, mode, n_rollouts, seed):
     spec = gen.spec
-    cums, costs = _rollout_ingredients(gen, rec, ref, mode)
+    cums, costs = {}, {}
+    for tick in (True, False):
+        mat, costs[tick] = chains.rollout_density(gen, rec, ref, tick, mode)
+        cums[tick] = np.cumsum(mat, axis=1)
+    del mat  # not kept alive beside the rollouts' (n_rollouts, N) temporaries
     rng = np.random.default_rng(seed)
     states = np.full(n_rollouts, x0.flat(spec), dtype=np.intp)
     path_cost = np.zeros(n_rollouts)
@@ -551,8 +530,7 @@ def _dfe_pieces(gen, rec, ref):
     pieces = {}
     for tick in (True, False):
         pc = pieces[tick] = chains.tick_pieces(gen, rec, ref, tick)
-        pc["qc"] = chains.qchain_matrix(gen, rec, tick, prior=pc["prior"],
-                                        belief=pc["belief"])
+        pc["qc"] = chains.qchain_matrix(gen.spec, pc["marg"], pc["belief"])
     return pieces
 
 

@@ -502,9 +502,6 @@ class RecognitionModel:
         joint = np.einsum("X,XA,XAs,sAb->sXbA", q_s2, q_a2, q_s1, q_a1)
         return joint  # axes (s1, s2, a1, a2)
 
-    def with_logits(self, logits):
-        return RecognitionModel(self.spec, logits)
-
 
 def recognition_logprob(rec, latents, context, tick=True):
     """Log-probability of a latent tuple (s1, s2, a1, a2) under the factored

@@ -62,10 +62,9 @@ def _support_bound(first_row, mats):
     return bound
 
 
-def _log_transition_mats(gen, T, t0=0):
-    spec = gen.spec
+def _log_transition_mats(gen, T):
     return chains.step_matrices(
-        lambda tick: safe_log(chains.transition_matrix(gen, tick)), spec, T, t0)
+        lambda tick: safe_log(chains.transition_matrix(gen, tick)), gen.spec, T)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +212,7 @@ def exact_average_rate(gen, rec, ref, x0, T_burn, T_eval, chain="generative",
         if chain == "generative":
             mat = chains.transition_matrix(gen, tick, prior=pc["prior"])
         elif chain == "recognition":
-            mat = chains.qchain_matrix(gen, rec, tick, prior=pc["prior"],
-                                       belief=pc["belief"])
+            mat = chains.qchain_matrix(spec, pc["marg"], pc["belief"])
         else:
             raise ValueError(f"unknown chain {chain!r}")
         per_tick[tick] = (mat, pc["ev"])
@@ -271,28 +269,19 @@ class SoftValue:
     rooted: float
 
 
-def _value_mats(gen, rec, ref, T, rate, mode):
-    """Per-step log transitions and per-step costs for a rollout density.
+def _value_mats(gen, rec, ref, T, mode):
+    """Per-step log transitions and (N, N) edge costs for steps 1..T of a
+    rollout density (chains.rollout_density). Callers subtract the rate, so
+    the feedforward state costs stay a broadcast view."""
+    if mode not in ("feedforward", "feedback"):  # T = 0 builds no step to check it
+        raise ValueError(f"unknown rollout density {mode!r}")
 
-    feedforward: policy-embedded model, realized state costs J + L.
-    feedback: recognition-controlled chain, full step-objective edge costs.
-    Costs are returned as (N, N) edge matrices (state costs broadcast).
-    """
-    spec = gen.spec
-    if mode == "feedforward":
-        sc = chains.state_cost(gen, ref) - rate
-        logmats = _log_transition_mats(gen, T)
-        hmats = [np.broadcast_to(sc, (spec.n_states, spec.n_states))] * T
-        return logmats, hmats
-    if mode == "feedback":
-        logmats = chains.step_matrices(
-            lambda tick: safe_log(chains.qchain_matrix(gen, rec, tick)), spec, T)
-        hmats = chains.step_matrices(
-            lambda tick: chains.expand_edges(
-                chains.edge_cost(gen, rec, ref, tick).total, spec) - rate,
-            spec, T)
-        return logmats, hmats
-    raise ValueError(f"unknown rollout density {mode!r}")
+    def build(tick):
+        mat, cost = chains.rollout_density(gen, rec, ref, tick, mode)
+        return safe_log(mat), cost
+
+    steps = chains.step_matrices(build, gen.spec, T)
+    return [lm for lm, _ in steps], [c for _, c in steps]
 
 
 def exact_soft_value(gen, rec, ref, x0, T, rate, mode="feedforward", budget=None):
@@ -303,9 +292,9 @@ def exact_soft_value(gen, rec, ref, x0, T, rate, mode="feedforward", budget=None
     spec = gen.spec
     _check_states(spec, budget)
     x0.validate(spec)
-    logmats, hmats = _value_mats(gen, rec, ref, T, rate, mode)
+    logmats, costs = _value_mats(gen, rec, ref, T, mode)
     if mode == "feedforward":
-        sc = hmats[0][0]  # state cost row, identical across predecessors
+        sc = costs[0][0] - rate  # state cost row, identical across predecessors
         v = sc.copy()
         tables = [None] * T
         tables[T - 1] = v
@@ -319,7 +308,8 @@ def exact_soft_value(gen, rec, ref, x0, T, rate, mode="feedforward", budget=None
     w = np.zeros(spec.n_states)
     tables = [None] * T
     for t in range(T, 0, -1):
-        w = -logsumexp(logmats[t - 1] - hmats[t - 1] - w[None, :], axis=1)
+        h = costs[t - 1] - rate
+        w = -logsumexp(logmats[t - 1] - h - w[None, :], axis=1)
         tables[t - 1] = w
     return SoftValue(tuple(tables), float(w[x0.flat(spec)]))
 
@@ -332,8 +322,8 @@ def exact_path_integral_value(gen, rec, ref, x0, T, rate, mode="feedforward",
     spec = gen.spec
     _check_states(spec, budget)
     x0.validate(spec)
-    logmats, hmats = _value_mats(gen, rec, ref, T, rate, mode)
-    weighted = [lm - hm for lm, hm in zip(logmats, hmats)]
+    logmats, costs = _value_mats(gen, rec, ref, T, mode)
+    weighted = [lm - (c - rate) for lm, c in zip(logmats, costs)]
     first = weighted[0][x0.flat(spec)]
     _check_paths(_support_bound(first, weighted[1:]), budget)
     return float(-path_logsumexp(first, weighted[1:]))

@@ -111,6 +111,42 @@ def test_config_file_merges_defaults(model_file, tmp_path):
     assert len(trace.read_text().splitlines()) == 10  # header + 9 steps
 
 
+def test_config_values_parse_like_flags(model_file, tmp_path):
+    # a config value is the flag's text ("5" is --steps 5), and explicit
+    # flags win, abbreviated ones too
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": "5", "seed": 9}))
+    t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    r = run("simulate", "--model", str(model_file), "--trace", str(t1),
+            "--config", str(cfg), "--se", "4")
+    assert r.returncode == 0, r.stderr
+    r = run("simulate", "--model", str(model_file), "--trace", str(t2),
+            "--steps", "5", "--seed", "4")
+    assert r.returncode == 0, r.stderr
+    assert len(t1.read_text().splitlines()) == 6  # header + 5 steps
+    assert t1.read_bytes() == t2.read_bytes()
+
+
+@pytest.mark.parametrize("command,config,message", [
+    ("simulate", [1], "is not a JSON object"),
+    ("simulate", {"stepz": 5}, "unknown key 'stepz'"),
+    ("simulate", {"steps": 2.5}, "invalid steps '2.5'"),
+    ("simulate", {"x0": [0, 0, 0, 0, 0, 0]}, "invalid x0"),
+    ("train", {"estimator": "adam"}, "invalid estimator 'adam'"),
+], ids=["list", "unknown-key", "float-steps", "list-x0", "bad-choice"])
+def test_config_mistakes_get_one_line_and_exit_2(small_model, tmp_path, command,
+                                                 config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    extra = (("--trace", str(out)) if command == "simulate"
+             else ("--steps", "2", "--iters", "1", "--out", str(out)))
+    r = run(command, "--model", str(small_model), *extra, "--config", str(cfg))
+    assert_one_line_exit_2(r, command)
+    assert message in r.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ("solve", "--model", "{dir}/missing.json", "--out", "{dir}/value.json"),
     ("simulate", "--model", "{dir}/missing.json", "--trace", "{dir}/t.csv"),

@@ -178,7 +178,7 @@ def test_average_rate_matches_rollout():
     rng = np.random.default_rng(77)
     mats = {t: chains.transition_matrix(gen, t) for t in (True, False)}
     cums = {t: np.cumsum(m, axis=1) for t, m in mats.items()}
-    costs = {t: chains.edge_cost(gen, rec, ref, t).total for t in (True, False)}
+    costs = {t: chains.tick_pieces(gen, rec, ref, t)["cost"] for t in (True, False)}
     lat = chains.Lattice.of(spec)
     from ascontrol.model import tick_at
 
