@@ -61,10 +61,22 @@ def _apply_config(args, argv):
 # subcommands
 
 
-def cmd_init(args):
+def _build_env(args, spec=None):
+    """The environment and reference model the env options name; with
+    `spec`, the environment must match it."""
+    if args.env != "thermostat":
+        raise ValueError(f"unknown environment {args.env!r}")
     env, ref = sim.thermostat_env(args.temps, args.schedule,
                                   heat_success=args.heat_success,
                                   phase_advance=args.phase_advance)
+    if spec is not None and env.spec != spec:
+        raise ValueError("model spec does not match the requested environment "
+                         f"(model {spec.dims}, env {env.spec.dims})")
+    return env, ref
+
+
+def cmd_init(args):
+    env, ref = _build_env(args)
     gen, rec = sim.thermostat_agent(env, args.schedule, args.seed)
     save_models(args.out, gen, rec, ref)
     print(f"wrote thermostat model bundle to {args.out}")
@@ -95,18 +107,6 @@ def cmd_solve(args):
     value.save(args.out)
     print(f"gain {value.gain!r} nats/step; value written to {args.out}")
     return 0
-
-
-def _build_env(args, spec):
-    if args.env != "thermostat":
-        raise SystemExit(f"unknown environment {args.env!r}")
-    env, ref = sim.thermostat_env(args.temps, args.schedule,
-                                  heat_success=args.heat_success,
-                                  phase_advance=args.phase_advance)
-    if env.spec != spec:
-        raise SystemExit("model spec does not match the requested environment "
-                         f"(model {spec.dims}, env {env.spec.dims})")
-    return env, ref
 
 
 def cmd_simulate(args):

@@ -3,7 +3,7 @@
 Hard relative value iteration over the joint action tuple (a, a1, a2),
 the closed-form reweighted transition density q*, its KL identity,
 Monte Carlo path-integral estimation, the differential free energy, and
-gradient training of recognition/policy logits.
+gradient training of the filtering recognition logits and policy logits.
 
 The tick schedule makes the chain periodic in time, so all average-cost
 machinery runs on the phase-product chain: a state at time t carries
@@ -22,9 +22,15 @@ from .errors import (ConvergenceError, DegenerateSupportError,
                      DegenerateWeightsError, NonFiniteObjectiveError)
 from .logspace import NEG_INF, logsumexp, safe_log
 from .model import (CompleteState, ConditionalTable, REC_FACTORS,
-                    RecognitionModel, tick_at)
+                    RecognitionModel, sample_categorical, softmax_rows, tick_at)
 
 VALUE_FILE_VERSION = 1
+
+# lazy-mixing weight of relative value iteration's aperiodicity transform
+_TAU = 0.5
+
+# burn-in and evaluation steps of train's rate estimate
+_RATE_HORIZON = (32, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +174,10 @@ class _BellmanOps:
 
 
 def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000,
-                             h0=None, tau=0.5, budget=None):
+                             h0=None, budget=None):
     """Solve the hard-min differential Bellman equation on the phase-product
     chain. Runs relative value iteration on the aperiodicity-transformed
-    problem (lazy mixing tau), then verifies the original residual at the
+    problem (lazy mixing _TAU), then verifies the original residual at the
     requested sup-norm tolerance."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"relative value iteration: tol must be a finite "
@@ -184,19 +190,19 @@ def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000,
     n, period = spec.n_states, ops.period
     h = np.zeros((period, n)) if h0 is None else np.array(h0, dtype=float)
     h = h - h[0, 0]
-    inner_tol = max(tol * (1.0 - tau) * 0.1, 1e-15)
+    inner_tol = max(tol * (1.0 - _TAU) * 0.1, 1e-15)
     last_resid = np.inf
     check_every = 10
     for it in range(1, max_iter + 1):
         new = np.empty_like(h)
         for p in range(period):
-            vals, _ = ops.backup(p, (1.0 - tau) * h[(p + 1) % period])
-            new[p] = vals + tau * h[p]
+            vals, _ = ops.backup(p, (1.0 - _TAU) * h[(p + 1) % period])
+            new[p] = vals + _TAU * h[p]
         new -= new[0, 0]
         delta = float(np.max(np.abs(new - h)))
         h = new
         if delta <= inner_tol or it % check_every == 0 or it == max_iter:
-            bias = (1.0 - tau) * h
+            bias = (1.0 - _TAU) * h
             bias = bias - bias[0, 0]
             orig = np.empty_like(bias)
             greedy = np.empty((period, n), dtype=np.intp)
@@ -237,14 +243,12 @@ def greedy_rollout_rate(gen, rec, ref, value, x0, steps, seed, block=1000,
     period = ops.period
     cost_edge = [chains.expand_edges(ops.cost[ops.tick_of_phase(p)], spec)
                  for p in range(period)]
-    cums = [np.cumsum(m, axis=1) for m in mats]
     rng = np.random.default_rng(seed)
     x = x0.flat(spec)
     vals = np.empty(steps)
     for t in range(steps):
         p = t % period
-        nxt = int(np.searchsorted(cums[p][x], rng.random(), side="right"))
-        nxt = min(nxt, spec.n_states - 1)
+        nxt = sample_categorical(mats[p][x], rng)
         vals[t] = cost_edge[p][x, nxt]
         x = nxt
     n_blocks = steps // block
@@ -375,14 +379,13 @@ def differential_free_energy(gen, rec, ref, x0, T, rate, n_rollouts=None,
 
 @dataclass
 class TrainableParams:
-    """Free logits: all recognition factors plus the selected policies."""
+    """Free logits: the sentinel (filtering) slice of each recognition
+    factor, shaped like the factor without its future axis, plus the
+    selected policy tables. The smoothing slices are not trained: the
+    objective does not read them."""
 
     q_logits: dict
     pol_logits: dict
-
-    def copy(self):
-        return TrainableParams({k: np.array(v) for k, v in self.q_logits.items()},
-                               {k: np.array(v) for k, v in self.pol_logits.items()})
 
     def step(self, grads, lr):
         return TrainableParams(
@@ -403,24 +406,30 @@ _POL_PARENTS = {
 
 
 def extract_params(gen, rec, trainable_policies=("pol0", "pol1", "pol2")):
-    """Pull free logits out of existing models (policy logits are the log
-    tables, which the softmax reproduces exactly)."""
-    q = {k: np.array(rec.logits[k]) for k in REC_FACTORS}
+    """Pull free logits out of existing models: the log tables, which the
+    softmax reproduces exactly."""
+    sent = rec.future_sentinel
+    q = {k: safe_log(rec.tables[k][:, :, :, sent]) for k in REC_FACTORS}
     pol = {name: safe_log(getattr(gen, name).probs)
            for name in trainable_policies}
     return TrainableParams(q, pol)
 
 
-def apply_params(gen, params):
-    """Rebuild (generative-with-policies, recognition) from logits."""
+def apply_params(gen, rec, params):
+    """Rebuild (generative-with-policies, recognition) from logits: the
+    recognition sentinel slices become the softmax of params.q_logits, and
+    the smoothing slices carry over from `rec` unchanged."""
     spec = gen.spec
     new_pols = {}
     for name, logits in params.pol_logits.items():
         parents, child = _POL_PARENTS[name](spec)
         new_pols[name] = ConditionalTable.from_logits(parents, child, logits)
     gen2 = gen.replace_policies(**new_pols)
-    rec2 = RecognitionModel(spec, params.q_logits)
-    return gen2, rec2
+    tables = {}
+    for k in REC_FACTORS:
+        tables[k] = np.array(rec.tables[k])
+        tables[k][:, :, :, rec.future_sentinel] = softmax_rows(params.q_logits[k])
+    return gen2, RecognitionModel(spec, tables)
 
 
 def _safe_div(num, den):
@@ -459,9 +468,9 @@ class _GradAccumulator:
         lik_lat = chains.lik_over_latents(gen)
         pol0_lat = chains.pol0_over_latents(gen)
         a_lat = chains.reference_over_latents(ref) - safe_log(lik_lat)
-        sent = rec.future_sentinel
+        sent = {k: rec.tables[k][:, :, :, rec.future_sentinel] for k in REC_FACTORS}
 
-        g_q_logits = {k: np.zeros_like(rec.logits[k]) for k in REC_FACTORS}
+        g_sent = {k: np.zeros(v.shape) for k, v in sent.items()}
         g_pol_tables = {k: np.zeros_like(getattr(gen, k).probs)
                         for k in self.trained_pols}
 
@@ -487,17 +496,12 @@ class _GradAccumulator:
             # recognition factors via the product-ratio trick
             rq = (g_q * q).reshape(n, c_o, c_a, s1c, s2c, a1c, a2c)
             if tick:
-                g = _safe_div(rq.sum(axis=(3, 5, 6)),
-                              rec.tables["s2"][:, :, :, sent])
-                g_q_logits["s2"][:, :, :, sent] += g
-            g = _safe_div(rq.sum(axis=(3, 5)), rec.tables["a2"][:, :, :, sent])
-            g_q_logits["a2"][:, :, :, sent] += g
-            g = _safe_div(rq.sum(axis=5).transpose(0, 1, 2, 4, 5, 3),
-                          rec.tables["s1"][:, :, :, sent])
-            g_q_logits["s1"][:, :, :, sent] += g
-            g = _safe_div(rq.sum(axis=4).transpose(0, 1, 2, 3, 5, 4),
-                          rec.tables["a1"][:, :, :, sent])
-            g_q_logits["a1"][:, :, :, sent] += g
+                g_sent["s2"] += _safe_div(rq.sum(axis=(3, 5, 6)), sent["s2"])
+            g_sent["a2"] += _safe_div(rq.sum(axis=(3, 5)), sent["a2"])
+            g_sent["s1"] += _safe_div(rq.sum(axis=5).transpose(0, 1, 2, 4, 5, 3),
+                                      sent["s1"])
+            g_sent["a1"] += _safe_div(rq.sum(axis=4).transpose(0, 1, 2, 3, 5, 4),
+                                      sent["a1"])
             # policy factors
             if "pol0" in g_pol_tables:
                 g0 = np.einsum("xoa,xl,lo->loa", b["G_m"], prior, lik_lat,
@@ -513,13 +517,7 @@ class _GradAccumulator:
                                gen.pol1.reshaped())
                 g_pol_tables["pol1"] += g1.reshape(-1, a1c)
 
-        shapes = RecognitionModel.factor_shapes(spec)
-        q_grads = {}
-        for k in REC_FACTORS:
-            child = shapes[k][-1]
-            g = _softmax_grad_rows(rec.tables[k].reshape(-1, child),
-                                   g_q_logits[k].reshape(-1, child))
-            q_grads[k] = g.reshape(shapes[k])
+        q_grads = {k: _softmax_grad_rows(sent[k], g_sent[k]) for k in REC_FACTORS}
         pol_grads = {k: _softmax_grad_rows(getattr(gen, k).probs, g_pol_tables[k])
                      for k in self.trained_pols}
         return TrainableParams(q_grads, pol_grads)
@@ -610,12 +608,13 @@ def score_function_grad(gen, rec, ref, x0, T, rate, n_rollouts, seed,
     return value, grads
 
 
-def fd_gradients(gen, ref, params, x0, T, rate, step=1e-5, budget=None):
+def fd_gradients(gen, rec, ref, params, x0, T, rate, step=1e-5, budget=None):
     """Central finite differences of the exact differential free energy over
-    every logit in `params` (the independent check on the adjoint gradients)."""
+    every logit in `params` (the independent check on the adjoint gradients),
+    with the models rebuilt from `gen` and `rec` by apply_params."""
 
     def objective(p):
-        g2, r2 = apply_params(gen, p)
+        g2, r2 = apply_params(gen, rec, p)
         return differential_free_energy(g2, r2, ref, x0, T, rate, budget=budget)
 
     out = TrainableParams({k: np.zeros_like(v) for k, v in params.q_logits.items()},
@@ -668,20 +667,18 @@ class TrainReport:
 
 def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
           estimator="exact", n_rollouts=256,
-          trainable_policies=("pol0", "pol1", "pol2"), halving=True,
-          rate_chain="recognition", rate_horizon=(32, 16), budget=None):
+          trainable_policies=("pol0", "pol1", "pol2"), halving=True, budget=None):
     """Gradient descent on the differential free energy over the free logits.
 
-    The rate input is re-estimated every `rate_refresh` iterations
-    (block-coordinate; the rate shifts the objective but not its
-    gradient). With `halving`, a step that increases the exact objective
-    is retried at half the learning rate.
+    The rate input, the recognition chain's average rate, is re-estimated
+    every `rate_refresh` iterations (block-coordinate; the rate shifts the
+    objective but not its gradient). With `halving`, a step that increases
+    the exact objective is retried at half the learning rate.
     """
     params = extract_params(gen, rec, trainable_policies)
-    cur_gen, cur_rec = apply_params(gen, params)
-    rate = oracle.exact_average_rate(cur_gen, cur_rec, ref, x0,
-                                     rate_horizon[0], rate_horizon[1],
-                                     chain=rate_chain, budget=budget)
+    cur_gen, cur_rec = apply_params(gen, rec, params)
+    rate = oracle.exact_average_rate(cur_gen, cur_rec, ref, x0, *_RATE_HORIZON,
+                                     chain="recognition", budget=budget)
     obj_trace, gnorm_trace = [], []
     step_lr = lr
     mc_seed = np.random.default_rng(seed)
@@ -706,7 +703,7 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
         gnorm_trace.append(gnorm)
         while True:
             cand = params.step(grads, step_lr)
-            cand_gen, cand_rec = apply_params(gen, cand)
+            cand_gen, cand_rec = apply_params(gen, rec, cand)
             if not halving or estimator != "exact":
                 break
             cand_value = differential_free_energy(cand_gen, cand_rec, ref, x0,
@@ -716,9 +713,8 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
             step_lr *= 0.5
         params, cur_gen, cur_rec = cand, cand_gen, cand_rec
         if rate_refresh and (it + 1) % rate_refresh == 0:
-            rate = oracle.exact_average_rate(cur_gen, cur_rec, ref, x0,
-                                             rate_horizon[0], rate_horizon[1],
-                                             chain=rate_chain, budget=budget)
+            rate = oracle.exact_average_rate(cur_gen, cur_rec, ref, x0, *_RATE_HORIZON,
+                                             chain="recognition", budget=budget)
     report = TrainReport(iterations=len(obj_trace), objective_trace=obj_trace,
                          grad_norm_trace=gnorm_trace, final_rate=rate)
     return report, cur_gen, cur_rec

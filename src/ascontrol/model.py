@@ -205,10 +205,6 @@ class ConditionalTable:
         self.probs = probs
         self.strictly_positive = bool(strictly_positive)
 
-    @property
-    def n_rows(self):
-        return self.probs.shape[0]
-
     def row_index(self, parents):
         if len(parents) != len(self.parent_dims):
             raise DimensionMismatchError(
@@ -281,14 +277,14 @@ def sample_categorical(probs, rng):
 
 
 def softmax_rows(logits):
-    """Row-wise softmax tolerating -inf logits (zero probability)."""
+    """Softmax over the last axis tolerating -inf logits (zero probability)."""
     logits = np.atleast_2d(logits)
-    m = np.max(logits, axis=1, keepdims=True)
+    m = np.max(logits, axis=-1, keepdims=True)
     if np.any(~np.isfinite(m)):
         raise ValueError("softmax row with no finite logit")
     with np.errstate(over="ignore"):
         e = np.exp(logits - m)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -407,40 +403,30 @@ REC_FACTORS = ("s2", "a2", "s1", "a1")
 class RecognitionModel:
     """Per-step belief over (s1, s2, a1, a2), factored in topological order.
 
-    Each factor is parameterized by unconstrained logits; tables are the
-    row-softmax of the logits, computed once at construction (the mapping
-    is deterministic). The future-summary axis has card_o + 1 entries,
-    the last being the no-future sentinel. On non-tick steps the s2
-    factor is replaced by the deterministic level-2 hold.
+    Each factor is a table of normalized rows over its last axis, indexed
+    (x_prev, o, a, future, parents...). The future-summary axis has
+    card_o + 1 entries: the last is the no-future (filtering) sentinel,
+    the only slice the average-surprise objective reads; the others are
+    smoothing slices. On non-tick steps the s2 factor is replaced by the
+    deterministic level-2 hold.
     """
 
-    __slots__ = ("spec", "logits", "tables")
+    __slots__ = ("spec", "tables")
 
-    def __init__(self, spec, logits, _tables=None):
-        """`logits` are copied, since a caller may keep changing its arrays
-        (fd_gradients does). `_tables`, the row-softmax of `logits`, is
-        internal: the model takes over both dicts' arrays without a copy
-        (see _adopt_tables)."""
+    def __init__(self, spec, tables):
+        """Takes over the float arrays of `tables` without a copy and makes
+        them read-only, so pass arrays no one else holds (from_tables copies
+        its input)."""
         self.spec = spec
         shapes = self.factor_shapes(spec)
-        as_array = np.array if _tables is None else np.asarray
-        clean = {}
+        self.tables = {}
         for name in REC_FACTORS:
-            arr = np.ascontiguousarray(as_array(logits[name], dtype=float))
+            arr = np.ascontiguousarray(tables[name], dtype=float)
             if arr.shape != shapes[name]:
                 raise DimensionMismatchError(
-                    f"recognition factor {name}: expected logits {shapes[name]}, got {arr.shape}")
+                    f"recognition factor {name}: expected table {shapes[name]}, got {arr.shape}")
             arr.setflags(write=False)
-            clean[name] = arr
-        self.logits = clean
-        if _tables is None:
-            self.tables = {name: softmax_rows(self.logits[name].reshape(-1, shapes[name][-1]))
-                           .reshape(shapes[name]) for name in REC_FACTORS}
-        else:
-            self.tables = {name: np.ascontiguousarray(_tables[name], dtype=float)
-                           for name in REC_FACTORS}
-        for t in self.tables.values():
-            t.setflags(write=False)
+            self.tables[name] = arr
 
     @property
     def n_future(self):
@@ -462,24 +448,23 @@ class RecognitionModel:
 
     @classmethod
     def from_seed(cls, spec, seed):
+        """Tables softmaxed from standard-normal logits."""
         rng = np.random.default_rng(seed)
         shapes = cls.factor_shapes(spec)
-        return cls(spec, {name: rng.standard_normal(shapes[name]) for name in REC_FACTORS})
+        return cls.from_logits(spec, {name: rng.standard_normal(shapes[name])
+                                      for name in REC_FACTORS})
+
+    @classmethod
+    def from_logits(cls, spec, logits):
+        """Tables that are the softmax of `logits` over each row."""
+        return cls(spec, {name: softmax_rows(np.asarray(logits[name], dtype=float))
+                          for name in REC_FACTORS})
 
     @classmethod
     def from_tables(cls, spec, tables):
-        """Build from explicit probability tables, kept bit-exact (as a copy);
-        the logits are their logs, so the softmax mapping reproduces them
-        (including hard zeros)."""
-        return cls._adopt_tables(spec, {name: np.array(tables[name], dtype=float, order="C")
-                                        for name in REC_FACTORS})
-
-    @classmethod
-    def _adopt_tables(cls, spec, tables):
-        """from_tables for float arrays no one else holds: the model keeps
-        them, read-only, without a copy."""
-        return cls(spec, {name: safe_log(tables[name]) for name in REC_FACTORS},
-                   _tables=tables)
+        """Build from explicit probability tables, kept bit-exact as a copy."""
+        return cls(spec, {name: np.array(tables[name], dtype=float, order="C")
+                          for name in REC_FACTORS})
 
     def _fut_index(self, future):
         return self.future_sentinel if future is None else int(future)
@@ -833,5 +818,5 @@ def load_models(path):
             arr = arr.copy()
             arr[bad] /= sums[bad][..., None]
         rec_tables[name] = arr
-    rec = RecognitionModel._adopt_tables(spec, rec_tables)
+    rec = RecognitionModel(spec, rec_tables)
     return gen, rec, ref

@@ -1,9 +1,8 @@
 """Scalar objectives: surprisal costs, variational free energy, the per-step
 pathwise objective, the global surprise rate, and mean-centered advantages.
 
-All expectations over latent tuples are exhaustive sums in log-space;
-sampling estimators exist behind an explicit `n_samples` flag. Units are
-nats throughout.
+All expectations over latent tuples are exhaustive sums in log-space.
+Units are nats throughout.
 """
 
 import warnings
@@ -89,18 +88,11 @@ class FreeEnergy:
         return self.expected_nll + self.kl_prior
 
 
-def variational_free_energy(gen, rec, context, tick=True, budget=None,
-                            n_samples=None, rng=None):
+def variational_free_energy(gen, rec, context, tick=True, budget=None):
     """E_q[-log p(o | a1, s1)] + KL(q || latent prior), plus the equivalent
     single-divergence form (belief against the unnormalized joint)."""
     oracle._check_states(gen.spec, oracle._budget(budget))
     q, prior, l_lat = _context_rows(gen, rec, context, tick)
-    if n_samples:
-        rng = rng or np.random.default_rng()
-        draws = rng.choice(len(q), size=n_samples, p=q)
-        nll = float(np.mean(l_lat[draws]))
-        kl = float(np.mean(safe_log(q[draws]) - safe_log(prior[draws])))
-        return FreeEnergy(nll, kl, nll + kl)
     mask = q > 0.0
     nll = float(np.sum(q[mask] * l_lat[mask]))
     kl = kl_divergence(q, prior)
@@ -109,21 +101,12 @@ def variational_free_energy(gen, rec, context, tick=True, budget=None,
     return FreeEnergy(nll, kl, div)
 
 
-def step_objective(gen, rec, ref, context, tick=True, budget=None,
-                   n_samples=None, rng=None):
+def step_objective(gen, rec, ref, context, tick=True, budget=None):
     """The per-step pathwise objective: expected reference surprisal plus the
     two free-energy terms."""
     oracle._check_states(gen.spec, oracle._budget(budget))
     q, prior, l_lat = _context_rows(gen, rec, context, tick)
-    lat = chains.Lattice.of(gen.spec)
     j_lat = chains.reference_over_latents(ref)[:, context.o]
-    if n_samples:
-        rng = rng or np.random.default_rng()
-        draws = rng.choice(len(q), size=n_samples, p=q)
-        return StepObjective(
-            j=float(np.mean(j_lat[draws])),
-            l=float(np.mean(l_lat[draws])),
-            kl=float(np.mean(safe_log(q[draws]) - safe_log(prior[draws]))))
     mask = q > 0.0
     return StepObjective(
         j=float(np.sum(q[mask] * j_lat[mask])),

@@ -92,9 +92,9 @@ def run_validation(seed=0, instances=20):
         gen, rec, ref = random_instance(seed * 6000 + i, cards=(2, 2, 1, 2, 2, 1))
         x0 = random_state(rng, gen.spec)
         params = control.extract_params(gen, rec)
-        gen2, rec2 = control.apply_params(gen, params)
+        gen2, rec2 = control.apply_params(gen, rec, params)
         _, grads = control.dfe_value_and_grad(gen2, rec2, ref, x0, 2, 0.1)
-        fd = control.fd_gradients(gen, ref, params, x0, 2, 0.1)
+        fd = control.fd_gradients(gen, rec, ref, params, x0, 2, 0.1)
         err_grad = max(err_grad, control.gradient_relative_error(grads, fd))
     checks.append(_check("gradient_vs_finite_differences", err_grad, 1e-4))
 

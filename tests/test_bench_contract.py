@@ -11,6 +11,7 @@ import pytest
 
 import ascontrol
 from ascontrol import control, sim
+from ascontrol.model import CompleteState
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER_PATH = PERFBENCH / "tracer.py"
@@ -69,14 +70,46 @@ def test_tracer_install_wraps_and_restore_undoes():
         assert owner.__dict__[attr] is original
 
 
+def pinned(command):
+    """reference.json's seed-3 fingerprint of one benchmark command."""
+    want = json.loads((PERFBENCH / "reference.json").read_text())
+    assert want["seed"] == 3
+    return want["fingerprints"][command]
+
+
+def seed3_thermostat():
+    """The models of the seed-3 `init` bundle, built in memory with `init`'s
+    defaults (the bundle round trip is bit-exact)."""
+    env, ref = sim.thermostat_env(3, [0, 2], heat_success=0.85, phase_advance=0.1)
+    gen, rec = sim.thermostat_agent(env, [0, 2], 3)
+    return gen, rec, ref
+
+
+def close_to_pinned(got, want):
+    return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
 def test_seed3_solve_gain_matches_pinned_reference():
     # the benchmark checks `solve --tol 1e-8` on the seed-3 `init` bundle
     # against reference.json; a solver change that moves the gain past the
     # benchmark's rule fails here first
-    want = json.loads((PERFBENCH / "reference.json").read_text())
-    assert want["seed"] == 3
-    want = want["fingerprints"]["solve"]["gain"]
-    env, ref = sim.thermostat_env(3, [0, 2], heat_success=0.85, phase_advance=0.1)
-    gen, rec = sim.thermostat_agent(env, [0, 2], 3)
+    want = pinned("solve")["gain"]
+    gen, rec, ref = seed3_thermostat()
     got = control.relative_value_iteration(gen, rec, ref, tol=1e-8).gain
-    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+    assert close_to_pinned(got, want)
+
+
+def test_seed3_train_matches_pinned_reference():
+    # the benchmark runs `train --steps 8 --iters 2 --lr 0.5 --policies pol0
+    # --estimator exact` on the seed-3 bundle and checks the objective trace's
+    # ends and the final rate against reference.json
+    want = pinned("train")
+    gen, rec, ref = seed3_thermostat()
+    report, _, _ = control.train(gen, rec, ref, CompleteState(0, 0, 0, 0, 0, 0), 8,
+                                 iters=2, lr=0.5, seed=3, estimator="exact",
+                                 trainable_policies=("pol0",))
+    got = {"first": report.objective_trace[0], "last": report.objective_trace[-1],
+           "final_rate": report.final_rate}
+    assert set(got) == set(want)
+    for key in want:
+        assert close_to_pinned(got[key], want[key]), (key, got[key], want[key])

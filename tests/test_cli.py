@@ -151,6 +151,7 @@ def test_config_mistakes_get_one_line_and_exit_2(small_model, tmp_path, command,
     ("solve", "--model", "{dir}/missing.json", "--out", "{dir}/value.json"),
     ("simulate", "--model", "{dir}/missing.json", "--trace", "{dir}/t.csv"),
     ("init", "--schedule", "0,9", "--out", "{dir}/model.json"),
+    ("init", "--env", "foo", "--out", "{dir}/model.json"),
 ])
 def test_user_errors_get_one_line_and_exit_2(tmp_path, args):
     r = run(*(a.format(dir=tmp_path) for a in args))
@@ -186,7 +187,9 @@ def small_model(tmp_path):
     (r'"dims": \[[\d, ]*\]', '"dims": 7', "table rec_s2 has dims 7"),
     (r'"child": (\d+)', r'"child": "\1"', "table lik has child '2'"),
     (r'"child": \d+', '"child": 0', "table lik has child 0"),
-], ids=["int-dims", "str-child", "zero-child"])
+    (r'"dims": \[64, 2, 2, 3, 2\]', '"dims": [32, 4, 2, 3, 2]',
+     "recognition factor s2: expected table (64, 2, 2, 3, 2), got (32, 4, 2, 3, 2)"),
+], ids=["int-dims", "str-child", "zero-child", "rec-s2-shape"])
 def test_wrong_typed_bundle_value_gets_one_line_and_exit_2(small_model, tmp_path,
                                                           pattern, repl, message):
     small_model.write_text(re.sub(pattern, repl, small_model.read_text(), count=1))
@@ -207,4 +210,18 @@ def test_bad_solver_settings_get_one_line_and_exit_2(small_model, tmp_path, flag
     # rejected up front, not reported after the sweeps ran out
     assert flags[0].lstrip("-").replace("-", "_") in r.stderr
     assert "sweeps" not in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--env", "foo"), "unknown environment 'foo'"),
+    ((), "model spec does not match the requested environment"),
+], ids=["unknown-env", "spec-mismatch"])
+def test_simulate_environment_mistakes_get_one_line_and_exit_2(small_model, tmp_path,
+                                                               flags, message):
+    # small_model's spec is not the default thermostat's
+    out = tmp_path / "t.csv"
+    r = run("simulate", "--model", str(small_model), *flags, "--trace", str(out))
+    assert_one_line_exit_2(r, "simulate")
+    assert message in r.stderr
     assert not out.exists()

@@ -9,8 +9,9 @@ from ascontrol import chains, control, oracle
 from ascontrol.errors import (ConvergenceError, DegenerateWeightsError)
 from ascontrol.instances import (random_context, random_instance, random_state,
                                  random_value)
-from ascontrol.model import CompleteState, RecognitionModel
-from conftest import two_cycle_instance, uniform_instance
+from ascontrol.model import (REC_FACTORS, CompleteState, RecognitionModel,
+                             softmax_rows)
+from conftest import bits, two_cycle_instance, uniform_instance
 
 X0 = CompleteState(0, 0, 0, 0, 0, 0)
 LOG2 = math.log(2.0)
@@ -290,10 +291,60 @@ def test_gradients_match_finite_differences():
         gen, rec, ref = random_instance(950 + i, cards=cards)
         x0 = random_state(rng, gen.spec)
         params = control.extract_params(gen, rec)
-        gen2, rec2 = control.apply_params(gen, params)
+        gen2, rec2 = control.apply_params(gen, rec, params)
         _, grads = control.dfe_value_and_grad(gen2, rec2, ref, x0, 3, 0.15)
-        fd = control.fd_gradients(gen, ref, params, x0, 3, 0.15)
+        fd = control.fd_gradients(gen, rec, ref, params, x0, 3, 0.15)
         assert control.gradient_relative_error(grads, fd) <= 1e-4
+
+
+def with_other_smoothing_slices(rec, seed):
+    """`rec` with every non-sentinel slice replaced by other normalized rows."""
+    other = RecognitionModel.from_seed(rec.spec, seed)
+    sent = rec.future_sentinel
+    tables = {}
+    for k in REC_FACTORS:
+        tables[k] = np.array(other.tables[k])
+        tables[k][:, :, :, sent] = rec.tables[k][:, :, :, sent]
+    return RecognitionModel(rec.spec, tables)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_objective_reads_only_sentinel_slices(seed):
+    # the average-surprise objective is scored under filtering beliefs, so
+    # its value, every gradient entry and the rate ignore the smoothing slices
+    gen, rec, ref = random_instance(930 + seed, cards=(2, 2, 2, 2, 2, 1))
+    other = with_other_smoothing_slices(rec, 77 + seed)
+    assert not all(np.array_equal(rec.tables[k], other.tables[k]) for k in REC_FACTORS)
+    x0 = random_state(np.random.default_rng(seed), gen.spec)
+    assert (control.differential_free_energy(gen, rec, ref, x0, 3, 0.1)
+            == control.differential_free_energy(gen, other, ref, x0, 3, 0.1))
+    value, grads = control.dfe_value_and_grad(gen, rec, ref, x0, 3, 0.1)
+    value_o, grads_o = control.dfe_value_and_grad(gen, other, ref, x0, 3, 0.1)
+    assert value == value_o
+    for group in ("q_logits", "pol_logits"):
+        for k, g in getattr(grads, group).items():
+            assert np.array_equal(bits(g), bits(getattr(grads_o, group)[k])), (group, k)
+    assert (oracle.exact_average_rate(gen, rec, ref, x0, 8, 4, chain="recognition")
+            == oracle.exact_average_rate(gen, other, ref, x0, 8, 4, chain="recognition"))
+
+
+def test_apply_params_trains_only_sentinel_slices():
+    gen, rec, ref = random_instance(940, cards=(2, 2, 1, 2, 2, 1))
+    params = control.extract_params(gen, rec)
+    shapes = RecognitionModel.factor_shapes(gen.spec)
+    for k, logits in params.q_logits.items():
+        assert logits.shape == shapes[k][:3] + shapes[k][4:]  # no future axis
+    _, grads = control.dfe_value_and_grad(gen, rec, ref, X0, 3, 0.1)
+    cand = params.step(grads, 0.5)
+    _, rec2 = control.apply_params(gen, rec, cand)
+    sent = rec.future_sentinel
+    for k in REC_FACTORS:
+        assert np.array_equal(bits(rec2.tables[k][:, :, :, :sent]),
+                              bits(rec.tables[k][:, :, :, :sent]))
+        assert np.array_equal(bits(rec2.tables[k][:, :, :, sent]),
+                              bits(softmax_rows(cand.q_logits[k])))
+        assert not rec2.tables[k].flags.writeable
+    assert not all(np.array_equal(rec2.tables[k], rec.tables[k]) for k in REC_FACTORS)
 
 
 def test_zero_gradient_at_deterministic_optimum():
@@ -303,7 +354,7 @@ def test_zero_gradient_at_deterministic_optimum():
     # free-logit gradient vanishes at iteration 0.
     gen, rec, ref = two_cycle_instance(cost_hi=LOG2)
     params = control.extract_params(gen, rec, trainable_policies=())
-    gen2, rec2 = control.apply_params(gen, params)
+    gen2, rec2 = control.apply_params(gen, rec, params)
     value, grads = control.dfe_value_and_grad(gen2, rec2, ref, X0, 3, 0.0,
                                               trainable_policies=())
     assert np.isfinite(value)
@@ -332,7 +383,7 @@ def test_training_report_shape_and_rate_refresh():
 def test_score_gradient_tracks_exact_direction():
     gen, rec, ref = random_instance(98, cards=(2, 2, 1, 2, 1, 1), floor=True)
     params = control.extract_params(gen, rec)
-    gen2, rec2 = control.apply_params(gen, params)
+    gen2, rec2 = control.apply_params(gen, rec, params)
     _, exact = control.dfe_value_and_grad(gen2, rec2, ref, X0, 3, 0.1)
     _, score = control.score_function_grad(gen2, rec2, ref, X0, 3, 0.1,
                                            n_rollouts=60_000, seed=12)

@@ -281,14 +281,15 @@ def test_recognition_keeps_callers_arrays_apart():
     tables = {k: np.full(s, 1.0 / s[-1]) for k, s in shapes.items()}
     logits = {k: np.zeros(s) for k, s in shapes.items()}
     from_tables = RecognitionModel.from_tables(spec, tables)
-    from_logits = RecognitionModel(spec, logits)
+    from_logits = RecognitionModel.from_logits(spec, logits)
     for k in REC_FACTORS:
         assert tables[k].flags.writeable and logits[k].flags.writeable
         tables[k][...] = 0.0
         logits[k][..., 0] = 5.0
         assert np.all(from_tables.tables[k] == 1.0 / shapes[k][-1])
-        assert np.all(from_logits.logits[k] == 0.0)
+        assert np.all(from_logits.tables[k] == 1.0 / shapes[k][-1])
         assert not from_tables.tables[k].flags.writeable
+        assert not from_logits.tables[k].flags.writeable
 
 
 def test_recognition_latent_range_check():
@@ -346,6 +347,18 @@ def test_loader_rejects_nan_rows(tmp_path, table):
     doc["tables"][table]["rows"][0] = [math.nan] * len(doc["tables"][table]["rows"][0])
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
+        load_models(path)
+
+
+def test_loader_checks_recognition_factor_shapes(tmp_path):
+    # the right number of rec_s2 rows, but dims that are not the spec's shape
+    path = tmp_path / "model.json"
+    save_models(path, *uniform_instance())
+    text = path.read_text()
+    bad = text.replace('"dims": [64, 2, 2, 3, 2]', '"dims": [32, 4, 2, 3, 2]', 1)
+    assert bad != text
+    path.write_text(bad)
+    with pytest.raises(DimensionMismatchError, match="recognition factor s2"):
         load_models(path)
 
 

@@ -112,16 +112,6 @@ def test_vfe_equals_evidence_at_posterior():
         assert fe.total == pytest.approx(-log_ev, abs=1e-10)
 
 
-def test_vfe_mc_estimator_flag():
-    gen, rec, _ = random_instance(23)
-    ctx = RecognitionContext(o=1, a=0, x_prev=CompleteState(0, 0, 0, 0, 0, 0),
-                             future=None)
-    exact = variational_free_energy(gen, rec, ctx)
-    approx = variational_free_energy(gen, rec, ctx, n_samples=200_000,
-                                     rng=np.random.default_rng(5))
-    assert approx.total == pytest.approx(exact.total, abs=0.05)
-
-
 def test_vfe_and_step_objective_enforce_state_budget():
     gen, rec, ref = uniform_instance()  # 64 complete states
     ctx = RecognitionContext(o=1, a=1, x_prev=CompleteState(0, 0, 0, 0, 0, 0))
