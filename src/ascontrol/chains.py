@@ -200,11 +200,10 @@ def state_cost(gen, ref):
     return j + l
 
 
-def posterior_recognition_tables(gen, condition_on_action=True):
+def posterior_recognition_tables(gen):
     """Recognition tables initialized at the exact one-step filtering
-    posterior: q(latents | o, a, x_prev) propto prior * lik * pol0(a | o, a1)
-    (drop the pol0 factor with condition_on_action=False). Every
-    future-summary slice starts at the filtering posterior; training can
+    posterior: q(latents | o, a, x_prev) propto prior * lik * pol0(a | o, a1).
+    Every future-summary slice starts at the filtering posterior; training can
     move the smoothing slices away from it.
 
     Factored as (s2, a2 | s2, s1 | s2 a2, a1 | s1 a2); the last factor is
@@ -214,12 +213,8 @@ def posterior_recognition_tables(gen, condition_on_action=True):
     n, c_o, c_a = spec.n_states, spec.card_o, spec.card_a
     s1c, s2c, a1c, a2c = spec.latent_dims
     prior = latent_prior(gen, True)
-    joint = prior[:, None, None, :] * lik_over_latents(gen).T[None, :, None, :]
-    if condition_on_action:
-        joint = joint * pol0_over_latents(gen).transpose(1, 2, 0)[None]
-    else:
-        joint = np.ascontiguousarray(
-            np.broadcast_to(joint, (n, c_o, c_a, spec.n_latents)))
+    joint = (prior[:, None, None, :] * lik_over_latents(gen).T[None, :, None, :]
+             * pol0_over_latents(gen).transpose(1, 2, 0)[None])
     z = joint.sum(axis=3, keepdims=True)
     with np.errstate(invalid="ignore"):
         joint = np.where(z > 0.0, joint / z, 1.0 / joint.shape[3])

@@ -13,7 +13,7 @@ tables hold one bias vector per phase.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .errors import (ConvergenceError, DegenerateSupportError,
                      DegenerateWeightsError, NonFiniteObjectiveError)
 from .logspace import NEG_INF, logsumexp, safe_log
 from .model import (CompleteState, ConditionalTable, REC_FACTORS,
-                    RecognitionModel, sample_categorical, softmax_rows, tick_at)
+                    RecognitionModel, sample_categorical, softmax_rows,
+                    table_layout, tick_at)
 
 VALUE_FILE_VERSION = 1
 
@@ -31,6 +32,20 @@ _TAU = 0.5
 
 # burn-in and evaluation steps of train's rate estimate
 _RATE_HORIZON = (32, 16)
+
+# rollouts per gradient of train's score-function estimator
+_SCORE_ROLLOUTS = 256
+
+# steps per batch of greedy_rollout_rate's batch-means standard error
+_ROLLOUT_BLOCK = 1000
+
+# the generative tables train may move
+POLICY_TABLES = ("pol0", "pol1", "pol2")
+
+
+def _check_horizon(T):
+    if T < 1:
+        raise ValueError(f"the horizon T must be at least 1 step, got {T!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +248,9 @@ def greedy_stationary_rate(gen, rec, ref, value, budget=None):
     return oracle.stationary_rate(mats, costs)
 
 
-def greedy_rollout_rate(gen, rec, ref, value, x0, steps, seed, block=1000,
-                        budget=None):
+def greedy_rollout_rate(gen, rec, ref, value, x0, steps, seed, budget=None):
     """Seeded rollout under the greedy policy: mean edge cost and its
-    batch-means standard error."""
+    standard error over batches of _ROLLOUT_BLOCK steps."""
     ops = _BellmanOps(gen, rec, ref, budget=budget)
     mats, costs_by_phase = ops.greedy_operators(np.asarray(value.greedy))
     spec = gen.spec
@@ -251,6 +265,7 @@ def greedy_rollout_rate(gen, rec, ref, value, x0, steps, seed, block=1000,
         nxt = sample_categorical(mats[p][x], rng)
         vals[t] = cost_edge[p][x, nxt]
         x = nxt
+    block = _ROLLOUT_BLOCK
     n_blocks = steps // block
     means = vals[:n_blocks * block].reshape(n_blocks, block).mean(axis=1)
     stderr = float(means.std(ddof=1) / np.sqrt(n_blocks)) if n_blocks > 1 else 0.0
@@ -333,6 +348,7 @@ def mc_path_integral_value(gen, rec, ref, x0, T, rate, mode="feedforward",
                            n_rollouts=1000, seed=0):
     """-log mean(exp(-path cost)) over seeded rollouts, with a delta-method
     standard error on the log scale."""
+    _check_horizon(T)
     if n_rollouts < 2:
         raise ValueError("n_rollouts must be >= 2")
     x0.validate(gen.spec)
@@ -398,16 +414,13 @@ class TrainableParams:
         return float(np.sqrt(sq))
 
 
-_POL_PARENTS = {
-    "pol0": lambda s: ((s.card_o, s.card_a1), s.card_a),
-    "pol1": lambda s: ((s.card_s1, s.card_a2), s.card_a1),
-    "pol2": lambda s: ((s.card_s2,), s.card_a2),
-}
-
-
-def extract_params(gen, rec, trainable_policies=("pol0", "pol1", "pol2")):
+def extract_params(gen, rec, trainable_policies=POLICY_TABLES):
     """Pull free logits out of existing models: the log tables, which the
-    softmax reproduces exactly."""
+    softmax reproduces exactly. Only the POLICY_TABLES can be trained."""
+    for name in trainable_policies:
+        if name not in POLICY_TABLES:
+            raise ValueError(f"{name!r} is not a trainable policy table "
+                             f"(choose from {', '.join(POLICY_TABLES)})")
     sent = rec.future_sentinel
     q = {k: safe_log(rec.tables[k][:, :, :, sent]) for k in REC_FACTORS}
     pol = {name: safe_log(getattr(gen, name).probs)
@@ -419,17 +432,15 @@ def apply_params(gen, rec, params):
     """Rebuild (generative-with-policies, recognition) from logits: the
     recognition sentinel slices become the softmax of params.q_logits, and
     the smoothing slices carry over from `rec` unchanged."""
-    spec = gen.spec
-    new_pols = {}
-    for name, logits in params.pol_logits.items():
-        parents, child = _POL_PARENTS[name](spec)
-        new_pols[name] = ConditionalTable.from_logits(parents, child, logits)
-    gen2 = gen.replace_policies(**new_pols)
+    layout = table_layout(gen.spec)
+    gen2 = replace(gen, **{
+        name: ConditionalTable.from_logits(*layout[name], logits)
+        for name, logits in params.pol_logits.items()})
     tables = {}
     for k in REC_FACTORS:
         tables[k] = np.array(rec.tables[k])
         tables[k][:, :, :, rec.future_sentinel] = softmax_rows(params.q_logits[k])
-    return gen2, RecognitionModel(spec, tables)
+    return gen2, RecognitionModel(gen.spec, tables)
 
 
 def _safe_div(num, den):
@@ -532,8 +543,7 @@ def _dfe_pieces(gen, rec, ref):
     return pieces
 
 
-def dfe_value_and_grad(gen, rec, ref, x0, T, rate,
-                       trainable_policies=("pol0", "pol1", "pol2")):
+def dfe_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies=POLICY_TABLES):
     """Exact differential free energy and its gradient w.r.t. all trained
     logits, by forward propagation plus the adjoint recursion."""
     spec = gen.spec
@@ -571,7 +581,7 @@ def dfe_value_and_grad(gen, rec, ref, x0, T, rate,
 
 
 def score_function_grad(gen, rec, ref, x0, T, rate, n_rollouts, seed,
-                        trainable_policies=("pol0", "pol1", "pol2")):
+                        trainable_policies=POLICY_TABLES):
     """Monte Carlo gradient of the differential free energy: score-function
     term with cost-to-go (advantage) weights plus the direct cost term."""
     spec = gen.spec
@@ -666,15 +676,21 @@ class TrainReport:
 
 
 def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
-          estimator="exact", n_rollouts=256,
-          trainable_policies=("pol0", "pol1", "pol2"), halving=True, budget=None):
+          estimator="exact", trainable_policies=POLICY_TABLES, halving=True,
+          budget=None):
     """Gradient descent on the differential free energy over the free logits.
 
     The rate input, the recognition chain's average rate, is re-estimated
     every `rate_refresh` iterations (block-coordinate; the rate shifts the
     objective but not its gradient). With `halving`, a step that increases
-    the exact objective is retried at half the learning rate.
+    the exact objective is retried at half the learning rate. The score
+    estimator draws _SCORE_ROLLOUTS rollouts per gradient.
     """
+    _check_horizon(T)
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters!r}")
+    if estimator not in ("exact", "score"):
+        raise ValueError(f"unknown estimator {estimator!r}")
     params = extract_params(gen, rec, trainable_policies)
     cur_gen, cur_rec = apply_params(gen, rec, params)
     rate = oracle.exact_average_rate(cur_gen, cur_rec, ref, x0, *_RATE_HORIZON,
@@ -686,12 +702,10 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
         if estimator == "exact":
             value, grads = dfe_value_and_grad(cur_gen, cur_rec, ref, x0, T, rate,
                                               trainable_policies)
-        elif estimator == "score":
+        else:
             value, grads = score_function_grad(
                 cur_gen, cur_rec, ref, x0, T, rate,
-                n_rollouts, mc_seed.integers(2 ** 63), trainable_policies)
-        else:
-            raise ValueError(f"unknown estimator {estimator!r}")
+                _SCORE_ROLLOUTS, mc_seed.integers(2 ** 63), trainable_policies)
         if not np.isfinite(value):
             raise NonFiniteObjectiveError(
                 f"objective became non-finite at iteration {it}", iteration=it)

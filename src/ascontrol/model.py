@@ -249,16 +249,17 @@ class ConditionalTable:
         return cls(parent_dims, child_dim, probs, strictly_positive)
 
     @classmethod
-    def random(cls, parent_dims, child_dim, rng, strictly_positive=True,
-               concentration=1.0):
+    def random(cls, parent_dims, child_dim, rng, strictly_positive=True):
+        """Rows drawn from the flat Dirichlet(1, ..., 1)."""
         n_rows = int(np.prod(parent_dims)) if parent_dims else 1
-        probs = rng.dirichlet(np.full(child_dim, concentration), size=n_rows)
+        probs = rng.dirichlet(np.ones(child_dim), size=n_rows)
         return cls(parent_dims, child_dim, probs, strictly_positive)
 
     @classmethod
-    def from_logits(cls, parent_dims, child_dim, logits, strictly_positive=False):
+    def from_logits(cls, parent_dims, child_dim, logits):
+        """The softmax of `logits` over each row, not floored."""
         return cls(parent_dims, child_dim, softmax_rows(np.asarray(logits, dtype=float)),
-                   strictly_positive, _renormalize=False)
+                   strictly_positive=False, _renormalize=False)
 
     def to_dict(self):
         return {
@@ -291,15 +292,58 @@ def softmax_rows(logits):
 # generative, reference, recognition models
 
 
-def _expect_dims(table, parent_dims, child_dim, name):
-    if table.parent_dims != tuple(parent_dims) or table.child_dim != child_dim:
-        raise DimensionMismatchError(
-            f"table {name}: expected parents {tuple(parent_dims)} -> {child_dim}, "
-            f"got {table.parent_dims} -> {table.child_dim}")
+def table_layout(spec):
+    """Parents and child of every generative and reference table, in bundle
+    order: name -> (parent_dims, child_dim)."""
+    s = spec
+    return {
+        "lik": ((s.card_a1, s.card_s1), s.card_o),
+        "dyn1": ((s.card_s1, s.card_s2, s.card_a), s.card_s1),
+        "dyn2": ((s.card_s2, s.card_a), s.card_s2),
+        "pol0": ((s.card_o, s.card_a1), s.card_a),
+        "pol1": ((s.card_s1, s.card_a2), s.card_a1),
+        "pol2": ((s.card_s2,), s.card_a2),
+        "ref_o": ((s.card_a1,), s.card_o),
+        "ref_s1": ((s.card_a2,), s.card_s1),
+    }
+
+
+def check_layout(model):
+    """DimensionMismatchError naming the first of `model.table_names` whose
+    table is not laid out as table_layout(model.spec) says."""
+    layout = table_layout(model.spec)
+    for name in model.table_names:
+        table, (parents, child) = getattr(model, name), layout[name]
+        if table.parent_dims != parents or table.child_dim != child:
+            raise DimensionMismatchError(
+                f"table {name}: expected parents {parents} -> {child}, "
+                f"got {table.parent_dims} -> {table.child_dim}")
+
+
+class _TableModel:
+    """A spec plus the conditional tables named in `table_names`: checks
+    their layout and builds uniform or random instances."""
+
+    def __post_init__(self):
+        check_layout(self)
+
+    @classmethod
+    def uniform(cls, spec, strictly_positive=True):
+        layout = table_layout(spec)
+        return cls(spec, **{name: ConditionalTable.uniform(*layout[name], strictly_positive)
+                            for name in cls.table_names})
+
+    @classmethod
+    def random(cls, spec, rng, strictly_positive=True):
+        """Dirichlet(1) rows, drawn table by table in `table_names` order."""
+        layout = table_layout(spec)
+        return cls(spec, **{name: ConditionalTable.random(*layout[name], rng,
+                                                          strictly_positive)
+                            for name in cls.table_names})
 
 
 @dataclass(frozen=True)
-class GenerativeModel:
+class GenerativeModel(_TableModel):
     """The six conditional tables of the hierarchical model."""
 
     spec: ModelSpec
@@ -310,51 +354,11 @@ class GenerativeModel:
     pol1: ConditionalTable   # (s1, a2) -> a1
     pol2: ConditionalTable   # (s2,) -> a2
 
-    def __post_init__(self):
-        s = self.spec
-        _expect_dims(self.lik, (s.card_a1, s.card_s1), s.card_o, "lik")
-        _expect_dims(self.dyn1, (s.card_s1, s.card_s2, s.card_a), s.card_s1, "dyn1")
-        _expect_dims(self.dyn2, (s.card_s2, s.card_a), s.card_s2, "dyn2")
-        _expect_dims(self.pol0, (s.card_o, s.card_a1), s.card_a, "pol0")
-        _expect_dims(self.pol1, (s.card_s1, s.card_a2), s.card_a1, "pol1")
-        _expect_dims(self.pol2, (s.card_s2,), s.card_a2, "pol2")
-
     table_names = ("lik", "dyn1", "dyn2", "pol0", "pol1", "pol2")
-
-    @classmethod
-    def uniform(cls, spec, strictly_positive=True):
-        s = spec
-        return cls(
-            spec,
-            lik=ConditionalTable.uniform((s.card_a1, s.card_s1), s.card_o, strictly_positive),
-            dyn1=ConditionalTable.uniform((s.card_s1, s.card_s2, s.card_a), s.card_s1, strictly_positive),
-            dyn2=ConditionalTable.uniform((s.card_s2, s.card_a), s.card_s2, strictly_positive),
-            pol0=ConditionalTable.uniform((s.card_o, s.card_a1), s.card_a, strictly_positive),
-            pol1=ConditionalTable.uniform((s.card_s1, s.card_a2), s.card_a1, strictly_positive),
-            pol2=ConditionalTable.uniform((s.card_s2,), s.card_a2, strictly_positive),
-        )
-
-    @classmethod
-    def random(cls, spec, rng, strictly_positive=True):
-        s = spec
-        make = lambda parents, child: ConditionalTable.random(parents, child, rng, strictly_positive)
-        return cls(
-            spec,
-            lik=make((s.card_a1, s.card_s1), s.card_o),
-            dyn1=make((s.card_s1, s.card_s2, s.card_a), s.card_s1),
-            dyn2=make((s.card_s2, s.card_a), s.card_s2),
-            pol0=make((s.card_o, s.card_a1), s.card_a),
-            pol1=make((s.card_s1, s.card_a2), s.card_a1),
-            pol2=make((s.card_s2,), s.card_a2),
-        )
-
-    def replace_policies(self, pol0=None, pol1=None, pol2=None):
-        return GenerativeModel(self.spec, self.lik, self.dyn1, self.dyn2,
-                               pol0 or self.pol0, pol1 or self.pol1, pol2 or self.pol2)
 
 
 @dataclass(frozen=True)
-class ReferenceModel:
+class ReferenceModel(_TableModel):
     """Preference densities: ref_o scores observations given a1, ref_s1 scores
     fast latents given a2."""
 
@@ -362,24 +366,7 @@ class ReferenceModel:
     ref_o: ConditionalTable   # (a1,) -> o
     ref_s1: ConditionalTable  # (a2,) -> s1
 
-    def __post_init__(self):
-        s = self.spec
-        _expect_dims(self.ref_o, (s.card_a1,), s.card_o, "ref_o")
-        _expect_dims(self.ref_s1, (s.card_a2,), s.card_s1, "ref_s1")
-
     table_names = ("ref_o", "ref_s1")
-
-    @classmethod
-    def uniform(cls, spec, strictly_positive=True):
-        return cls(spec,
-                   ConditionalTable.uniform((spec.card_a1,), spec.card_o, strictly_positive),
-                   ConditionalTable.uniform((spec.card_a2,), spec.card_s1, strictly_positive))
-
-    @classmethod
-    def random(cls, spec, rng, strictly_positive=True):
-        return cls(spec,
-                   ConditionalTable.random((spec.card_a1,), spec.card_o, rng, strictly_positive),
-                   ConditionalTable.random((spec.card_a2,), spec.card_s1, rng, strictly_positive))
 
 
 @dataclass(frozen=True)

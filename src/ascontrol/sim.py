@@ -12,7 +12,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .errors import DimensionMismatchError, NonFiniteObjectiveError
 from .logspace import safe_log
 from .model import (CompleteState, ConditionalTable, GenerativeModel,
                     ModelSpec, RecognitionContext, RecognitionModel,
-                    ReferenceModel, sample_categorical, tick_at)
+                    ReferenceModel, check_layout, sample_categorical,
+                    table_layout, tick_at)
 
 TRACE_COLUMNS = ("t", "o", "s1", "s2", "a", "a1", "a2",
                  "J", "L", "KL", "total", "running_rate", "advantage")
@@ -29,8 +30,8 @@ TRACE_COLUMNS = ("t", "o", "s1", "s2", "a", "a1", "a2",
 
 @dataclass(frozen=True)
 class Environment:
-    """Ground-truth world: emission and latent dynamics with the same shapes
-    as the agent's generative tables."""
+    """Ground-truth world: emission and latent dynamics laid out like the
+    agent's generative tables."""
 
     spec: ModelSpec
     lik: ConditionalTable
@@ -38,15 +39,10 @@ class Environment:
     dyn2: ConditionalTable
     label: str
 
+    table_names = ("lik", "dyn1", "dyn2")
+
     def __post_init__(self):
-        s = self.spec
-        for table, parents, child in (
-                (self.lik, (s.card_a1, s.card_s1), s.card_o),
-                (self.dyn1, (s.card_s1, s.card_s2, s.card_a), s.card_s1),
-                (self.dyn2, (s.card_s2, s.card_a), s.card_s2)):
-            if table.parent_dims != parents or table.child_dim != child:
-                raise DimensionMismatchError(
-                    f"environment table shape mismatch for {self.label}")
+        check_layout(self)
 
 
 @dataclass(frozen=True)
@@ -94,16 +90,21 @@ class Trace:
 # thermostat task
 
 
-def _temp_ref_rows(n_levels, n_phase, targets, sharpness):
+# decay rate (per temperature level) of the reference densities around their
+# target level
+_REF_SHARPNESS = 2.0
+
+
+def _temp_ref_rows(n_levels, n_phase, targets):
     rows = np.empty((len(targets), n_levels * n_phase))
     for i, target in enumerate(targets):
-        w = np.exp(-sharpness * np.abs(np.arange(n_levels) - target))
+        w = np.exp(-_REF_SHARPNESS * np.abs(np.arange(n_levels) - target))
         rows[i] = np.repeat(w / w.sum(), n_phase) / n_phase
     return rows
 
 
 def thermostat_env(n_temp_levels, setpoint_schedule, heat_success=0.85,
-                   phase_advance=0.1, ref_sharpness=2.0):
+                   phase_advance=0.1):
     """A temperature chain with a phase-indexed setpoint schedule.
 
     Observations and fast latents both encode (temperature, phase); the
@@ -125,8 +126,10 @@ def thermostat_env(n_temp_levels, setpoint_schedule, heat_success=0.85,
     n_ph = len(schedule)
     spec = ModelSpec(card_o=n_temp_levels * n_ph, card_s1=n_temp_levels * n_ph,
                      card_s2=n_ph, card_a=2, card_a1=n_temp_levels, card_a2=n_ph)
+    layout = table_layout(spec)
+    dense = {name: parents + (child,) for name, (parents, child) in layout.items()}
 
-    dyn2 = np.zeros((n_ph, 2, n_ph))
+    dyn2 = np.zeros(dense["dyn2"])
     for ph in range(n_ph):
         for a in range(2):
             if ph == n_ph - 1:
@@ -135,7 +138,7 @@ def thermostat_env(n_temp_levels, setpoint_schedule, heat_success=0.85,
                 dyn2[ph, a, ph] = 1.0 - phase_advance
                 dyn2[ph, a, ph + 1] = phase_advance
 
-    dyn1 = np.zeros((spec.card_s1, n_ph, 2, spec.card_s1))
+    dyn1 = np.zeros(dense["dyn1"])
     for s1 in range(spec.card_s1):
         temp = s1 // n_ph
         for ph2 in range(n_ph):
@@ -144,28 +147,17 @@ def thermostat_env(n_temp_levels, setpoint_schedule, heat_success=0.85,
                 dyn1[s1, ph2, a, moved * n_ph + ph2] += heat_success
                 dyn1[s1, ph2, a, temp * n_ph + ph2] += 1.0 - heat_success
 
-    lik = np.zeros((n_temp_levels, spec.card_s1, spec.card_o))
+    lik = np.zeros(dense["lik"])
     for a1 in range(n_temp_levels):
         lik[a1, np.arange(spec.card_s1), np.arange(spec.card_s1)] = 1.0
 
-    env = Environment(
-        spec=spec,
-        lik=ConditionalTable((spec.card_a1, spec.card_s1), spec.card_o,
-                             lik.reshape(-1, spec.card_o)),
-        dyn1=ConditionalTable((spec.card_s1, n_ph, 2), spec.card_s1,
-                              dyn1.reshape(-1, spec.card_s1)),
-        dyn2=ConditionalTable((n_ph, 2), n_ph, dyn2.reshape(-1, n_ph)),
-        label="thermostat",
-    )
-    ref = ReferenceModel(
-        spec=spec,
-        ref_o=ConditionalTable((spec.card_a1,), spec.card_o,
-                               _temp_ref_rows(n_temp_levels, n_ph,
-                                              range(n_temp_levels), ref_sharpness)),
-        ref_s1=ConditionalTable((spec.card_a2,), spec.card_s1,
-                                _temp_ref_rows(n_temp_levels, n_ph,
-                                               schedule, ref_sharpness)),
-    )
+    rows = {"lik": lik, "dyn1": dyn1, "dyn2": dyn2,
+            "ref_o": _temp_ref_rows(n_temp_levels, n_ph, range(n_temp_levels)),
+            "ref_s1": _temp_ref_rows(n_temp_levels, n_ph, schedule)}
+    tables = {name: ConditionalTable(*layout[name], arr) for name, arr in rows.items()}
+    env = Environment(spec, tables["lik"], tables["dyn1"], tables["dyn2"],
+                      label="thermostat")
+    ref = ReferenceModel(spec, tables["ref_o"], tables["ref_s1"])
     return env, ref
 
 
@@ -178,16 +170,16 @@ def thermostat_agent(env, setpoint_schedule, seed):
     from . import chains
 
     spec = env.spec
+    layout = table_layout(spec)
     schedule = [int(s) for s in setpoint_schedule]
     rng = np.random.default_rng(seed)
-    pol0 = ConditionalTable.from_logits(
-        (spec.card_o, spec.card_a1), spec.card_a,
-        rng.standard_normal((spec.card_o * spec.card_a1, spec.card_a)))
-    pol1 = ConditionalTable.one_hot((spec.card_s1, spec.card_a2), spec.card_a1,
-                                    lambda s1, a2: schedule[a2],
+    parents, child = layout["pol0"]
+    pol0 = ConditionalTable.from_logits(parents, child,
+                                        rng.standard_normal(parents + (child,)))
+    pol1 = ConditionalTable.one_hot(*layout["pol1"], lambda s1, a2: schedule[a2],
                                     strictly_positive=True)
-    pol2 = ConditionalTable.one_hot((spec.card_s2,), spec.card_a2,
-                                    lambda s2: s2, strictly_positive=True)
+    pol2 = ConditionalTable.one_hot(*layout["pol2"], lambda s2: s2,
+                                    strictly_positive=True)
     gen = GenerativeModel(spec, lik=env.lik, dyn1=env.dyn1, dyn2=env.dyn2,
                           pol0=pol0, pol1=pol1, pol2=pol2)
     rec = RecognitionModel.from_tables(
@@ -197,8 +189,8 @@ def thermostat_agent(env, setpoint_schedule, seed):
 
 def with_uniform_pol0(gen):
     """Same agent with a uniform low-level policy (random-action baseline)."""
-    return gen.replace_policies(pol0=ConditionalTable.uniform(
-        (gen.spec.card_o, gen.spec.card_a1), gen.spec.card_a))
+    return replace(
+        gen, pol0=ConditionalTable.uniform(*table_layout(gen.spec)["pol0"]))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +211,8 @@ def _digest(gen, rec, ref, env, T, seed, x0):
 
 def run_episode(gen, rec, ref, env, T, seed, x0=None, episode_id=0):
     """One logged episode. Deterministic given (models, env, T, seed, x0)."""
+    if T < 1:
+        raise ValueError(f"an episode needs T >= 1 steps, got {T!r}")
     spec = gen.spec
     if env.spec != spec:
         raise DimensionMismatchError("agent and environment specs differ")

@@ -14,6 +14,8 @@ def _check(name, max_err, tolerance):
 
 def run_validation(seed=0, instances=20):
     """Run the full battery on `instances` seeded random instances."""
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances!r}")
     rng = np.random.default_rng(seed)
     checks = []
 

@@ -2,9 +2,13 @@
 exist where it looks for them, or a traced benchmark run stops with a
 KeyError before it measures anything."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,5 +115,51 @@ def test_seed3_train_matches_pinned_reference():
     got = {"first": report.objective_trace[0], "last": report.objective_trace[-1],
            "final_rate": report.final_rate}
     assert set(got) == set(want)
+    for key in want:
+        assert close_to_pinned(got[key], want[key]), (key, got[key], want[key])
+
+
+# The benchmark runs each command in a fresh process with one BLAS thread, so
+# the sums inside a matrix product happen in the same order on every host.
+BENCH_ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                 MKL_NUM_THREADS="1")
+
+
+def bench_cli(*args):
+    r = subprocess.run([sys.executable, "-m", "ascontrol", *args], env=BENCH_ENV,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def seed3_bundle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bench") / "model.json"
+    bench_cli("init", "--seed", "3", "--out", str(path))
+    return path
+
+
+def test_seed3_init_bundle_matches_pinned_digest(seed3_bundle):
+    # a change to the thermostat builders or the bundle writer that moves
+    # one byte of `init --seed 3` fails the benchmark's reference check
+    assert sha256(seed3_bundle) == pinned("init")["sha256"]
+
+
+def test_seed3_simulate_trace_matches_pinned_digest(seed3_bundle, tmp_path):
+    trace = tmp_path / "trace.csv"
+    bench_cli("simulate", "--model", str(seed3_bundle), "--steps", "60",
+              "--seed", "300", "--trace", str(trace))
+    assert sha256(trace) == pinned("simulate:300")["sha256"]
+
+
+def test_seed3_pi_value_matches_pinned_reference(seed3_bundle):
+    want = pinned("pi-value:300")
+    out = bench_cli("pi-value", "--model", str(seed3_bundle), "--mode", "feedforward",
+                    "--rollouts", "10000", "--horizon", "5", "--seed", "300")
+    got = json.loads(out.strip().splitlines()[-1])
     for key in want:
         assert close_to_pinned(got[key], want[key]), (key, got[key], want[key])

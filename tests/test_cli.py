@@ -152,10 +152,25 @@ def test_config_mistakes_get_one_line_and_exit_2(small_model, tmp_path, command,
     ("simulate", "--model", "{dir}/missing.json", "--trace", "{dir}/t.csv"),
     ("init", "--schedule", "0,9", "--out", "{dir}/model.json"),
     ("init", "--env", "foo", "--out", "{dir}/model.json"),
+    # run lengths below 1 and tables train cannot move are rejected before
+    # any output
+    ("train", "--model", "{model}", "--steps", "2", "--iters", "1",
+     "--policies", "pol3", "--out", "{dir}/trained.json"),
+    ("train", "--model", "{model}", "--steps", "2", "--iters", "1",
+     "--policies", "lik", "--out", "{dir}/trained.json"),
+    ("train", "--model", "{model}", "--steps", "2", "--iters", "0",
+     "--out", "{dir}/trained.json"),
+    ("train", "--model", "{model}", "--steps", "0", "--iters", "1",
+     "--out", "{dir}/trained.json"),
+    ("simulate", "--model", "{model}", "--steps", "0", "--trace", "{dir}/t.csv"),
+    ("validate", "--instances", "0", "--report", "{dir}/report.json"),
+    ("pi-value", "--model", "{model}", "--horizon", "0"),
+    ("pi-value", "--model", "{model}", "--horizon", "-1"),
 ])
-def test_user_errors_get_one_line_and_exit_2(tmp_path, args):
-    r = run(*(a.format(dir=tmp_path) for a in args))
+def test_user_errors_get_one_line_and_exit_2(model_file, tmp_path, args):
+    r = run(*(a.format(dir=tmp_path, model=model_file) for a in args))
     assert_one_line_exit_2(r, args[0])
+    assert r.stdout == ""
     assert list(tmp_path.iterdir()) == []
 
 

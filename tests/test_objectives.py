@@ -96,10 +96,13 @@ def test_vfe_two_forms_and_gap():
 
 def test_vfe_equals_evidence_at_posterior():
     from ascontrol.model import RecognitionModel
+    from ascontrol.sim import with_uniform_pol0
 
-    gen, _, _ = random_instance(17)
+    # under a uniform pol0 the action carries no evidence, so the
+    # action-conditioned posterior tables are the posterior given o alone
+    gen = with_uniform_pol0(random_instance(17)[0])
     rec_post = RecognitionModel.from_tables(
-        gen.spec, chains.posterior_recognition_tables(gen, condition_on_action=False))
+        gen.spec, chains.posterior_recognition_tables(gen))
     rng = np.random.default_rng(17)
     for _ in range(5):
         xp = random_state(rng, gen.spec)
