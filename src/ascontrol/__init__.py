@@ -27,10 +27,9 @@ from .objectives import (FreeEnergy, RateEstimate, StepBelief, StepObjective,
                          advantage, global_rate, likelihood_surprisal,
                          reference_cross_entropy_rate, reference_surprisal,
                          step_objective, variational_free_energy)
-from .oracle import (EnumerationBudget, SoftValue, enumerate_trajectories,
-                     exact_average_rate, exact_marginal_likelihood,
-                     exact_path_integral_value, exact_posterior,
-                     exact_soft_value, exact_step_posterior)
+from .oracle import (SoftValue, enumerate_trajectories, exact_average_rate,
+                     exact_marginal_likelihood, exact_path_integral_value,
+                     exact_posterior, exact_soft_value, exact_step_posterior)
 from .sim import (Environment, EvalSummary, Trace, evaluate,
                   observed_reference_surprisal, run_episode, thermostat_agent,
                   thermostat_env, with_uniform_pol0)

@@ -20,8 +20,12 @@ they combine. `tick_pieces` is the one place that wires prior -> belief
 
 import numpy as np
 
+from .errors import EnumerationBudgetError
 from .logspace import safe_log
 from .model import tick_at
+
+# the complete-state ceiling of dense operators ((N, N) floats: 128 MiB)
+MAX_STATES = 4096
 
 
 class Lattice:
@@ -31,8 +35,8 @@ class Lattice:
 
     def __init__(self, spec):
         self.spec = spec
+        n = self.n_states = spec.n_states
         dims = spec.dims
-        n = spec.n_states
         comps = np.unravel_index(np.arange(n), dims)
         self.o, self.s1, self.s2, self.a, self.a1, self.a2 = (
             c.astype(np.intp) for c in comps)
@@ -54,7 +58,14 @@ class Lattice:
 
     @classmethod
     def of(cls, spec):
+        """The lattice of `spec`, which every dense builder reaches before it
+        allocates: more than MAX_STATES complete states raise, cached or not."""
         lat = cls._cache.get(spec)
+        n = spec.n_states if lat is None else lat.n_states
+        if n > MAX_STATES:
+            raise EnumerationBudgetError(
+                f"{n} complete states exceed the dense-operator ceiling of "
+                f"{MAX_STATES}", required=n, allowed=MAX_STATES)
         if lat is None:
             lat = cls._cache[spec] = cls(spec)
         return lat
@@ -118,12 +129,13 @@ def belief_table(rec, tick):
     """Filtering (sentinel) recognition belief q(latents | o, a, x_prev) for
     every (x_prev, o, a), shape (N, O, A, L)."""
     spec = rec.spec
+    lat = Lattice.of(spec)
     n = spec.n_states
     f = rec.future_sentinel
     if tick:
         q_s2 = rec.tables["s2"][:, :, :, f]                    # (N, O, A, s2)
     else:
-        q_s2 = np.broadcast_to(Lattice.of(spec).hold_s2[:, None, None, :],
+        q_s2 = np.broadcast_to(lat.hold_s2[:, None, None, :],
                                (n, spec.card_o, spec.card_a, spec.card_s2))
     q_a2 = rec.tables["a2"][:, :, :, f]                        # (N, O, A, s2, a2)
     q_s1 = rec.tables["s1"][:, :, :, f]                        # (N, O, A, s2, a2, s1)
@@ -162,9 +174,10 @@ def edge_cost(gen, ref, prior, belief):
 
 def _over_successors(spec, ola):
     """Scatter an (..., O, L, A) array onto successor states, (..., N)."""
+    lat = Lattice.of(spec)
     lead = ola.shape[:-3]
-    out = np.empty(lead + (spec.n_states,))
-    out[..., Lattice.of(spec).state_of_ola.reshape(-1)] = ola.reshape(lead + (-1,))
+    out = np.empty(lead + (lat.n_states,))
+    out[..., lat.state_of_ola.reshape(-1)] = ola.reshape(lead + (-1,))
     return out
 
 
@@ -187,6 +200,7 @@ def transition_row(gen, x, tick):
 def qchain_matrix(spec, marg, belief):
     """One-step matrix of the recognition-controlled chain: observables from
     the model's marginal, latents from the filtering belief."""
+    Lattice.of(spec)  # the ceiling, before the einsum allocates
     q4 = np.einsum("xoa,xoal->xola", marg, belief, optimize=True)
     return _over_successors(spec, q4)
 

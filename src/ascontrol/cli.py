@@ -4,7 +4,7 @@ Subcommands: init (write a thermostat model bundle), validate (invariant
 suite with a JSON report), solve (relative value iteration), simulate
 (episode trace CSV), train, and pi-value (Monte Carlo path-integral
 estimate). The ASC_ENUM_BUDGET environment variable overrides the
-trajectory-enumeration budget everywhere.
+trajectory-enumeration ceiling everywhere.
 """
 
 import argparse
@@ -139,6 +139,7 @@ def cmd_train(args):
 
 
 def cmd_pi_value(args):
+    control.check_path_integral_settings(args.horizon, args.rollouts, args.rate)
     gen, rec, ref = load_models(args.model)
     x0 = args.x0 or CompleteState(0, 0, 0, 0, 0, 0)
     rate = args.rate

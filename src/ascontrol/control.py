@@ -39,6 +39,11 @@ _SCORE_ROLLOUTS = 256
 # steps per batch of greedy_rollout_rate's batch-means standard error
 _ROLLOUT_BLOCK = 1000
 
+# central-difference step of fd_gradients, and the magnitude below which
+# gradient_relative_error compares absolute differences
+_FD_STEP = 1e-5
+_GRAD_ERR_FLOOR = 1e-4
+
 # the generative tables train may move
 POLICY_TABLES = ("pol0", "pol1", "pol2")
 
@@ -46,6 +51,18 @@ POLICY_TABLES = ("pol0", "pol1", "pol2")
 def _check_horizon(T):
     if T < 1:
         raise ValueError(f"the horizon T must be at least 1 step, got {T!r}")
+
+
+def check_path_integral_settings(T, n_rollouts, rate):
+    """The settings of a Monte Carlo rollout estimate: a horizon of at least
+    one step, at least two rollouts, and a finite rate (None stands for a
+    rate still to be computed)."""
+    _check_horizon(T)
+    if n_rollouts < 2:
+        raise ValueError(f"n_rollouts must be >= 2, got {n_rollouts!r}")
+    if rate is not None and not math.isfinite(rate):
+        raise ValueError(f"the rate must be a finite number of nats per step, "
+                         f"got {rate!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +136,7 @@ class _BellmanOps:
     """Per-phase pieces of the hard-min backup: nature's factors, edge costs,
     and per action tuple the expected edge cost and successor indices."""
 
-    def __init__(self, gen, rec, ref, budget=None):
-        budget = oracle._budget(budget)
-        oracle._check_states(gen.spec, budget)
+    def __init__(self, gen, rec, ref):
         spec = self.spec = gen.spec
         self.period = spec.tick_period_level2
         self.ua, self.ua1, self.ua2 = action_tuples(spec)
@@ -189,7 +204,7 @@ class _BellmanOps:
 
 
 def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000,
-                             h0=None, budget=None):
+                             h0=None):
     """Solve the hard-min differential Bellman equation on the phase-product
     chain. Runs relative value iteration on the aperiodicity-transformed
     problem (lazy mixing _TAU), then verifies the original residual at the
@@ -200,7 +215,7 @@ def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000,
     if max_iter < 1:
         raise ValueError(f"relative value iteration: max_iter must be >= 1, "
                          f"got {max_iter!r}")
-    ops = _BellmanOps(gen, rec, ref, budget=budget)
+    ops = _BellmanOps(gen, rec, ref)
     spec = gen.spec
     n, period = spec.n_states, ops.period
     h = np.zeros((period, n)) if h0 is None else np.array(h0, dtype=float)
@@ -238,20 +253,20 @@ def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000,
         f"after {max_iter} sweeps", residual=last_resid)
 
 
-def greedy_stationary_rate(gen, rec, ref, value, budget=None):
+def greedy_stationary_rate(gen, rec, ref, value):
     """Exact long-run average edge cost of the greedy policy extracted from a
     converged DifferentialValue."""
     if value.greedy is None:
         raise ValueError("DifferentialValue carries no greedy policy")
-    ops = _BellmanOps(gen, rec, ref, budget=budget)
+    ops = _BellmanOps(gen, rec, ref)
     mats, costs = ops.greedy_operators(np.asarray(value.greedy))
     return oracle.stationary_rate(mats, costs)
 
 
-def greedy_rollout_rate(gen, rec, ref, value, x0, steps, seed, budget=None):
+def greedy_rollout_rate(gen, rec, ref, value, x0, steps, seed):
     """Seeded rollout under the greedy policy: mean edge cost and its
     standard error over batches of _ROLLOUT_BLOCK steps."""
-    ops = _BellmanOps(gen, rec, ref, budget=budget)
+    ops = _BellmanOps(gen, rec, ref)
     mats, costs_by_phase = ops.greedy_operators(np.asarray(value.greedy))
     spec = gen.spec
     period = ops.period
@@ -348,9 +363,7 @@ def mc_path_integral_value(gen, rec, ref, x0, T, rate, mode="feedforward",
                            n_rollouts=1000, seed=0):
     """-log mean(exp(-path cost)) over seeded rollouts, with a delta-method
     standard error on the log scale."""
-    _check_horizon(T)
-    if n_rollouts < 2:
-        raise ValueError("n_rollouts must be >= 2")
+    check_path_integral_settings(T, n_rollouts, rate)
     x0.validate(gen.spec)
     s = _rollout_path_costs(gen, rec, ref, x0, T, rate, mode, n_rollouts, seed)
     neg = -s
@@ -365,19 +378,17 @@ def mc_path_integral_value(gen, rec, ref, x0, T, rate, mode="feedforward",
 
 
 def differential_free_energy(gen, rec, ref, x0, T, rate, n_rollouts=None,
-                             seed=None, budget=None):
+                             seed=None):
     """Jensen bound on the feedback path-integral value:
     E_{chain}[sum_t (step objective - rate)]. Exact by forward propagation,
     or Monte Carlo when n_rollouts is given."""
     spec = gen.spec
     x0.validate(spec)
     if n_rollouts is not None:
-        if n_rollouts < 2:
-            raise ValueError("n_rollouts must be >= 2")
+        check_path_integral_settings(T, n_rollouts, rate)
         s = _rollout_path_costs(gen, rec, ref, x0, T, rate, "feedback",
                                 n_rollouts, seed or 0)
         return float(s.mean())
-    oracle._check_states(spec, oracle._budget(budget))
     pieces = _dfe_pieces(gen, rec, ref)
     mu = np.zeros(spec.n_states)
     mu[x0.flat(spec)] = 1.0
@@ -618,14 +629,15 @@ def score_function_grad(gen, rec, ref, x0, T, rate, n_rollouts, seed,
     return value, grads
 
 
-def fd_gradients(gen, rec, ref, params, x0, T, rate, step=1e-5, budget=None):
-    """Central finite differences of the exact differential free energy over
-    every logit in `params` (the independent check on the adjoint gradients),
-    with the models rebuilt from `gen` and `rec` by apply_params."""
+def fd_gradients(gen, rec, ref, params, x0, T, rate):
+    """Central finite differences (step _FD_STEP) of the exact differential
+    free energy over every logit in `params` (the independent check on the
+    adjoint gradients), with the models rebuilt from `gen` and `rec` by
+    apply_params."""
 
     def objective(p):
         g2, r2 = apply_params(gen, rec, p)
-        return differential_free_energy(g2, r2, ref, x0, T, rate, budget=budget)
+        return differential_free_energy(g2, r2, ref, x0, T, rate)
 
     out = TrainableParams({k: np.zeros_like(v) for k, v in params.q_logits.items()},
                           {k: np.zeros_like(v) for k, v in params.pol_logits.items()})
@@ -636,23 +648,23 @@ def fd_gradients(gen, rec, ref, params, x0, T, rate, step=1e-5, budget=None):
             grad = group_dst[key].reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + step
+                flat[i] = orig + _FD_STEP
                 hi = objective(params)
-                flat[i] = orig - step
+                flat[i] = orig - _FD_STEP
                 lo = objective(params)
                 flat[i] = orig
-                grad[i] = (hi - lo) / (2.0 * step)
+                grad[i] = (hi - lo) / (2.0 * _FD_STEP)
     return out
 
 
-def gradient_relative_error(grads, fd, floor=1e-4):
-    """Max over logits of |g - fd| / max(|g|, |fd|, floor)."""
+def gradient_relative_error(grads, fd):
+    """Max over logits of |g - fd| / max(|g|, |fd|, _GRAD_ERR_FLOOR)."""
     worst = 0.0
     for group, ref_group in ((grads.q_logits, fd.q_logits),
                              (grads.pol_logits, fd.pol_logits)):
         for key in group:
             g, f = group[key], ref_group[key]
-            rel = np.abs(g - f) / np.maximum(np.maximum(np.abs(g), np.abs(f)), floor)
+            rel = np.abs(g - f) / np.maximum(np.maximum(np.abs(g), np.abs(f)), _GRAD_ERR_FLOOR)
             worst = max(worst, float(rel.max(initial=0.0)))
     return worst
 
@@ -676,8 +688,7 @@ class TrainReport:
 
 
 def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
-          estimator="exact", trainable_policies=POLICY_TABLES, halving=True,
-          budget=None):
+          estimator="exact", trainable_policies=POLICY_TABLES, halving=True):
     """Gradient descent on the differential free energy over the free logits.
 
     The rate input, the recognition chain's average rate, is re-estimated
@@ -694,7 +705,7 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
     params = extract_params(gen, rec, trainable_policies)
     cur_gen, cur_rec = apply_params(gen, rec, params)
     rate = oracle.exact_average_rate(cur_gen, cur_rec, ref, x0, *_RATE_HORIZON,
-                                     chain="recognition", budget=budget)
+                                     chain="recognition")
     obj_trace, gnorm_trace = [], []
     step_lr = lr
     mc_seed = np.random.default_rng(seed)
@@ -721,14 +732,14 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
             if not halving or estimator != "exact":
                 break
             cand_value = differential_free_energy(cand_gen, cand_rec, ref, x0,
-                                                  T, rate, budget=budget)
+                                                  T, rate)
             if cand_value <= value or step_lr < 1e-12:
                 break
             step_lr *= 0.5
         params, cur_gen, cur_rec = cand, cand_gen, cand_rec
         if rate_refresh and (it + 1) % rate_refresh == 0:
             rate = oracle.exact_average_rate(cur_gen, cur_rec, ref, x0, *_RATE_HORIZON,
-                                             chain="recognition", budget=budget)
+                                             chain="recognition")
     report = TrainReport(iterations=len(obj_trace), objective_trace=obj_trace,
                          grad_norm_trace=gnorm_trace, final_rate=rate)
     return report, cur_gen, cur_rec

@@ -10,7 +10,7 @@ class DimensionMismatchError(AscontrolError):
 
 
 class EnumerationBudgetError(AscontrolError):
-    """An exhaustive computation would exceed the configured budget."""
+    """A dense or exhaustive computation would exceed its ceiling."""
 
     def __init__(self, message, required=None, allowed=None):
         super().__init__(message)

@@ -22,11 +22,10 @@ def random_state(rng, spec):
     return CompleteState(*(int(rng.integers(d)) for d in spec.dims))
 
 
-def random_context(rng, spec, future="any"):
-    """A random recognition context; future can be 'any', None, or an index."""
-    if future == "any":
-        f = int(rng.integers(spec.card_o + 1))
-        future = None if f == spec.card_o else f
+def random_context(rng, spec):
+    """A random recognition context; the future is an observation or None."""
+    f = int(rng.integers(spec.card_o + 1))
+    future = None if f == spec.card_o else f
     return RecognitionContext(o=int(rng.integers(spec.card_o)),
                               a=int(rng.integers(spec.card_a)),
                               x_prev=random_state(rng, spec), future=future)

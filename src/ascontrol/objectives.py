@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chains, oracle
+from . import chains
 from .logspace import kl_divergence, safe_log
 
 
@@ -67,10 +67,9 @@ def likelihood_surprisal(gen, x):
 
 def _context_rows(gen, rec, context, tick):
     """Belief, latent prior, and per-latent surprisal columns for one context."""
-    spec = gen.spec
+    lat = chains.Lattice.of(gen.spec)
     q = rec.joint(context, tick=tick).reshape(-1)
     prior = chains.latent_prior_row(gen, context.x_prev, tick)
-    lat = chains.Lattice.of(spec)
     l_lat = -safe_log(gen.lik.reshaped()[lat.la1, lat.ls1, context.o])
     return q, prior, l_lat
 
@@ -88,10 +87,9 @@ class FreeEnergy:
         return self.expected_nll + self.kl_prior
 
 
-def variational_free_energy(gen, rec, context, tick=True, budget=None):
+def variational_free_energy(gen, rec, context, tick=True):
     """E_q[-log p(o | a1, s1)] + KL(q || latent prior), plus the equivalent
     single-divergence form (belief against the unnormalized joint)."""
-    oracle._check_states(gen.spec, oracle._budget(budget))
     q, prior, l_lat = _context_rows(gen, rec, context, tick)
     mask = q > 0.0
     nll = float(np.sum(q[mask] * l_lat[mask]))
@@ -101,10 +99,9 @@ def variational_free_energy(gen, rec, context, tick=True, budget=None):
     return FreeEnergy(nll, kl, div)
 
 
-def step_objective(gen, rec, ref, context, tick=True, budget=None):
+def step_objective(gen, rec, ref, context, tick=True):
     """The per-step pathwise objective: expected reference surprisal plus the
     two free-energy terms."""
-    oracle._check_states(gen.spec, oracle._budget(budget))
     q, prior, l_lat = _context_rows(gen, rec, context, tick)
     j_lat = chains.reference_over_latents(ref)[:, context.o]
     mask = q > 0.0

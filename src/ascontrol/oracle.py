@@ -3,7 +3,8 @@
 Every routine here either enumerates explicitly (trajectory streams,
 posterior tables, path-integral reductions over each state path) or
 propagates exact distributions forward/backward. Nothing is sampled and
-nothing is approximated beyond float arithmetic; budgets abort loudly
+nothing is approximated beyond float arithmetic; the ceilings (complete
+states in chains.Lattice.of, trajectories in _check_paths) abort loudly
 rather than truncate.
 """
 
@@ -20,39 +21,23 @@ from .logspace import NEG_INF, logsumexp, safe_log
 from .model import CompleteState, Trajectory, tick_at
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Hard ceilings for exhaustive work. ASC_ENUM_BUDGET (an integer)
-    overrides max_trajectories."""
+# the trajectory ceiling of exhaustive enumerations; ASC_ENUM_BUDGET (an
+# integer) overrides it
+MAX_TRAJECTORIES = 10_000_000
 
-    max_states: int = 4096
-    max_trajectories: int = 10_000_000
-
-    @classmethod
-    def from_env(cls):
-        raw = os.environ.get("ASC_ENUM_BUDGET")
-        if raw:
-            return cls(max_trajectories=int(raw))
-        return cls()
+_STATIONARY_TOL = 1e-14  # L1 step at which stationary_rate stops
 
 
-def _budget(budget):
-    return budget if budget is not None else EnumerationBudget.from_env()
-
-
-def _check_states(spec, budget):
-    if spec.n_states > budget.max_states:
+def _check_paths(bound):
+    raw = os.environ.get("ASC_ENUM_BUDGET")
+    try:
+        allowed = int(raw) if raw else MAX_TRAJECTORIES
+    except ValueError:
+        raise ValueError(f"ASC_ENUM_BUDGET must be an integer, got {raw!r}") from None
+    if bound > allowed:
         raise EnumerationBudgetError(
-            f"{spec.n_states} complete states exceed the oracle budget of "
-            f"{budget.max_states}", required=spec.n_states, allowed=budget.max_states)
-
-
-def _check_paths(bound, budget):
-    if bound > budget.max_trajectories:
-        raise EnumerationBudgetError(
-            f"enumeration needs up to {bound} trajectories, budget is "
-            f"{budget.max_trajectories}", required=bound,
-            allowed=budget.max_trajectories)
+            f"enumeration needs up to {bound} trajectories, budget is {allowed}",
+            required=bound, allowed=allowed)
 
 
 def _support_bound(first_row, mats):
@@ -71,18 +56,16 @@ def _log_transition_mats(gen, T):
 # trajectory enumeration
 
 
-def enumerate_trajectories(gen, x0, T, budget=None):
+def enumerate_trajectories(gen, x0, T):
     """Yield every nonzero-probability trajectory of length T from x0 with its
     log-probability, depth-first in state order."""
-    budget = _budget(budget)
     spec = gen.spec
-    _check_states(spec, budget)
     x0.validate(spec)
     if T < 1:
         raise ValueError("T must be >= 1")
     logmats = _log_transition_mats(gen, T)
     first = logmats[0][x0.flat(spec)]
-    _check_paths(_support_bound(first, logmats[1:]), budget)
+    _check_paths(_support_bound(first, logmats[1:]))
 
     states = [CompleteState.from_flat(i, spec) for i in range(spec.n_states)]
     path = []
@@ -104,11 +87,10 @@ def enumerate_trajectories(gen, x0, T, budget=None):
 # observation-clamped quantities (Bayes rule at episode scale)
 
 
-def _completion_mats(gen, x0, obs, budget):
+def _completion_mats(gen, x0, obs):
     """Log-weight matrices over the completion space (all non-observation
     components) for a clamped observation sequence."""
     spec = gen.spec
-    _check_states(spec, budget)
     x0.validate(spec)
     obs = [int(o) for o in obs]
     for o in obs:
@@ -125,12 +107,11 @@ def _completion_mats(gen, x0, obs, budget):
     return first, rest, m
 
 
-def exact_marginal_likelihood(gen, x0, obs, budget=None):
+def exact_marginal_likelihood(gen, x0, obs):
     """log p(o_1..o_t | x0): exhaustive sum over every completion of the
     non-observed components."""
-    budget = _budget(budget)
-    first, rest, _ = _completion_mats(gen, x0, obs, budget)
-    _check_paths(_support_bound(first, rest), budget)
+    first, rest, _ = _completion_mats(gen, x0, obs)
+    _check_paths(_support_bound(first, rest))
     return float(path_logsumexp(first, rest))
 
 
@@ -155,13 +136,12 @@ class PosteriorTable:
                              int(a1), int(a2))
 
 
-def exact_posterior(gen, x0, obs, budget=None):
+def exact_posterior(gen, x0, obs):
     """Normalized posterior over all latent/action completions of an
     observation sequence (Bayes rule by enumeration)."""
-    budget = _budget(budget)
-    first, rest, m = _completion_mats(gen, x0, obs, budget)
+    first, rest, m = _completion_mats(gen, x0, obs)
     T = len(rest) + 1
-    _check_paths(m ** T, budget)
+    _check_paths(m ** T)
     logw = first
     for mat in rest:
         k = logw.shape[0]
@@ -195,14 +175,11 @@ def exact_step_posterior(gen, x_prev, o, tick=True):
 # exact rates
 
 
-def exact_average_rate(gen, rec, ref, x0, T_burn, T_eval, chain="generative",
-                       budget=None):
+def exact_average_rate(gen, rec, ref, x0, T_burn, T_eval, chain="generative"):
     """Expected global surprise rate from x0: push the exact state
     distribution forward T_burn + T_eval steps and average the expected
     step objective over the last T_eval steps."""
-    budget = _budget(budget)
     spec = gen.spec
-    _check_states(spec, budget)
     x0.validate(spec)
     if T_eval < 1:
         raise ValueError("T_eval must be >= 1")
@@ -227,7 +204,7 @@ def exact_average_rate(gen, rec, ref, x0, T_burn, T_eval, chain="generative",
     return float(np.mean(vals))
 
 
-def stationary_rate(step_mats, step_costs, tol=1e-14, max_iter=200_000):
+def stationary_rate(step_mats, step_costs, max_iter=200_000):
     """Average expected edge cost under the stationary cycle of a periodic
     chain. `step_mats[p]` maps phase p to p+1; `step_costs[p]` is the
     expected one-step cost from each state at phase p."""
@@ -243,7 +220,7 @@ def stationary_rate(step_mats, step_costs, tol=1e-14, max_iter=200_000):
         nxt /= nxt.sum()
         residual = float(np.abs(nxt - mu).sum())
         mu = nxt
-        if residual <= tol:
+        if residual <= _STATIONARY_TOL:
             break
     else:
         raise ConvergenceError(
@@ -284,13 +261,11 @@ def _value_mats(gen, rec, ref, T, mode):
     return [lm for lm, _ in steps], [c for _, c in steps]
 
 
-def exact_soft_value(gen, rec, ref, x0, T, rate, mode="feedforward", budget=None):
+def exact_soft_value(gen, rec, ref, x0, T, rate, mode="feedforward"):
     """Differential surprise-to-go by the backward soft recursion
     (terminal value 0), under the adopted sign convention:
     value(t) = h(t) - log E[exp(-value(t+1))]."""
-    budget = _budget(budget)
     spec = gen.spec
-    _check_states(spec, budget)
     x0.validate(spec)
     logmats, costs = _value_mats(gen, rec, ref, T, mode)
     if mode == "feedforward":
@@ -314,16 +289,13 @@ def exact_soft_value(gen, rec, ref, x0, T, rate, mode="feedforward", budget=None
     return SoftValue(tuple(tables), float(w[x0.flat(spec)]))
 
 
-def exact_path_integral_value(gen, rec, ref, x0, T, rate, mode="feedforward",
-                              budget=None):
+def exact_path_integral_value(gen, rec, ref, x0, T, rate, mode="feedforward"):
     """-log E[exp(-sum_t h_t)] by exhaustive enumeration over every state
     path from x0, reduced in log-space."""
-    budget = _budget(budget)
     spec = gen.spec
-    _check_states(spec, budget)
     x0.validate(spec)
     logmats, costs = _value_mats(gen, rec, ref, T, mode)
     weighted = [lm - (c - rate) for lm, c in zip(logmats, costs)]
     first = weighted[0][x0.flat(spec)]
-    _check_paths(_support_bound(first, weighted[1:]), budget)
+    _check_paths(_support_bound(first, weighted[1:]))
     return float(-path_logsumexp(first, weighted[1:]))

@@ -8,13 +8,16 @@ instances, on both ticks and tick periods 1-3.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascontrol import chains
+from ascontrol import chains, control, objectives, oracle, sim
+from ascontrol.errors import EnumerationBudgetError
 from ascontrol.instances import random_instance
 from ascontrol.model import (CompleteState, ConditionalTable, GenerativeModel,
-                             RecognitionContext, RecognitionModel, ReferenceModel)
+                             ModelSpec, RecognitionContext, RecognitionModel,
+                             ReferenceModel)
 from ascontrol.objectives import step_objective
 
 TOL = 1e-12
@@ -119,3 +122,115 @@ def test_step_objective_matches_edge_cost(inst, tick):
     for x, o, a, ctx in contexts(spec):
         assert_close(step_objective(gen, rec, ref, ctx, tick=tick).total,
                      cost[x.flat(spec), o, a])
+
+
+# ---------------------------------------------------------------------------
+# the complete-state ceiling
+
+
+X0 = CompleteState(0, 0, 0, 0, 0, 0)
+CTX = RecognitionContext(o=1, a=0, x_prev=X0)
+
+
+@pytest.fixture(scope="module")
+def built():
+    """A 64-state instance with its per-tick pieces and solved value, built
+    under the default ceiling (so every lattice lookup below is a cache hit)."""
+    gen, rec, ref = random_instance(5, floor=True)
+    pc = chains.tick_pieces(gen, rec, ref, True)
+    value = control.relative_value_iteration(gen, rec, ref, tol=1e-8)
+    params = control.extract_params(gen, rec)
+    return gen, rec, ref, pc, value, params
+
+
+DENSE_ENTRY_POINTS = {
+    "chains.latent_prior": lambda g, r, f, pc, v, p: chains.latent_prior(g, True),
+    "chains.transition_matrix": lambda g, r, f, pc, v, p: chains.transition_matrix(g, False),
+    "chains.transition_matrix(prior)": lambda g, r, f, pc, v, p:
+        chains.transition_matrix(g, True, prior=pc["prior"]),
+    "chains.transition_row": lambda g, r, f, pc, v, p: chains.transition_row(g, X0, True),
+    "chains.belief_table": lambda g, r, f, pc, v, p: chains.belief_table(r, True),
+    "chains.obs_action_marginal": lambda g, r, f, pc, v, p:
+        chains.obs_action_marginal(g, pc["prior"]),
+    "chains.edge_cost": lambda g, r, f, pc, v, p:
+        chains.edge_cost(g, f, pc["prior"], pc["belief"]),
+    "chains.qchain_matrix": lambda g, r, f, pc, v, p:
+        chains.qchain_matrix(g.spec, pc["marg"], pc["belief"]),
+    "chains.expand_edges": lambda g, r, f, pc, v, p: chains.expand_edges(pc["cost"], g.spec),
+    "chains.state_cost": lambda g, r, f, pc, v, p: chains.state_cost(g, f),
+    "chains.posterior_recognition_tables": lambda g, r, f, pc, v, p:
+        chains.posterior_recognition_tables(g),
+    "chains.rollout_density": lambda g, r, f, pc, v, p:
+        chains.rollout_density(g, r, f, True, "feedback"),
+    "control.relative_value_iteration": lambda g, r, f, pc, v, p:
+        control.relative_value_iteration(g, r, f),
+    "control.greedy_stationary_rate": lambda g, r, f, pc, v, p:
+        control.greedy_stationary_rate(g, r, f, v),
+    "control.greedy_rollout_rate": lambda g, r, f, pc, v, p:
+        control.greedy_rollout_rate(g, r, f, v, X0, 10, 0),
+    "control.optimal_transition": lambda g, r, f, pc, v, p: control.optimal_transition(g, v, X0),
+    "control.kl_qstar_identity": lambda g, r, f, pc, v, p: control.kl_qstar_identity(g, v, X0),
+    "control.mc_path_integral_value": lambda g, r, f, pc, v, p:
+        control.mc_path_integral_value(g, r, f, X0, 2, 0.0, n_rollouts=4),
+    "control.differential_free_energy": lambda g, r, f, pc, v, p:
+        control.differential_free_energy(g, r, f, X0, 2, 0.0),
+    "control.differential_free_energy(n_rollouts)": lambda g, r, f, pc, v, p:
+        control.differential_free_energy(g, r, f, X0, 2, 0.0, n_rollouts=4, seed=0),
+    "control.dfe_value_and_grad": lambda g, r, f, pc, v, p:
+        control.dfe_value_and_grad(g, r, f, X0, 2, 0.0),
+    "control.score_function_grad": lambda g, r, f, pc, v, p:
+        control.score_function_grad(g, r, f, X0, 2, 0.0, 4, 0),
+    "control.fd_gradients": lambda g, r, f, pc, v, p:
+        control.fd_gradients(g, r, f, p, X0, 2, 0.0),
+    "control.train": lambda g, r, f, pc, v, p: control.train(g, r, f, X0, 2, 1),
+    "control.train(score)": lambda g, r, f, pc, v, p:
+        control.train(g, r, f, X0, 2, 1, estimator="score"),
+    "oracle.enumerate_trajectories": lambda g, r, f, pc, v, p:
+        next(oracle.enumerate_trajectories(g, X0, 2)),
+    "oracle.exact_marginal_likelihood": lambda g, r, f, pc, v, p:
+        oracle.exact_marginal_likelihood(g, X0, [0, 1]),
+    "oracle.exact_posterior": lambda g, r, f, pc, v, p: oracle.exact_posterior(g, X0, [0, 1]),
+    "oracle.exact_step_posterior": lambda g, r, f, pc, v, p:
+        oracle.exact_step_posterior(g, X0, 0),
+    "oracle.exact_average_rate": lambda g, r, f, pc, v, p:
+        oracle.exact_average_rate(g, r, f, X0, 2, 2, chain="recognition"),
+    "oracle.exact_soft_value": lambda g, r, f, pc, v, p:
+        oracle.exact_soft_value(g, r, f, X0, 2, 0.0, mode="feedback"),
+    "oracle.exact_path_integral_value": lambda g, r, f, pc, v, p:
+        oracle.exact_path_integral_value(g, r, f, X0, 2, 0.0),
+    "objectives.variational_free_energy": lambda g, r, f, pc, v, p:
+        objectives.variational_free_energy(g, r, CTX),
+    "objectives.step_objective": lambda g, r, f, pc, v, p:
+        objectives.step_objective(g, r, f, CTX),
+}
+
+
+@pytest.mark.parametrize("name", DENSE_ENTRY_POINTS)
+def test_dense_entry_points_refuse_states_above_the_ceiling(built, monkeypatch, name):
+    monkeypatch.setattr(chains, "MAX_STATES", 63)
+    with pytest.raises(EnumerationBudgetError) as info:
+        DENSE_ENTRY_POINTS[name](*built)
+    assert (info.value.required, info.value.allowed) == (64, 63)
+
+
+def test_the_ceiling_itself_is_allowed(built, monkeypatch):
+    gen, rec, ref = built[:3]
+    monkeypatch.setattr(chains, "MAX_STATES", 64)
+    assert chains.Lattice.of(gen.spec).n_states == 64
+    assert np.isfinite(control.differential_free_energy(gen, rec, ref, X0, 2, 0.0))
+
+
+def test_thermostat_agent_refuses_states_above_the_ceiling(monkeypatch):
+    env, _ = sim.thermostat_env(3, [0, 2])                     # 864 states
+    monkeypatch.setattr(chains, "MAX_STATES", 863)
+    with pytest.raises(EnumerationBudgetError) as info:
+        sim.thermostat_agent(env, [0, 2], 0)
+    assert (info.value.required, info.value.allowed) == (864, 863)
+
+
+def test_lattice_is_not_built_above_the_ceiling():
+    spec = ModelSpec(5, 4, 4, 4, 4, 4)
+    assert chains.MAX_STATES < spec.n_states
+    with pytest.raises(EnumerationBudgetError, match="5120 complete states"):
+        chains.Lattice.of(spec)
+    assert spec not in chains.Lattice._cache

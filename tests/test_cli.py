@@ -1,11 +1,14 @@
 import json
+import os
 import re
+import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ascontrol.model import save_models
+from ascontrol.model import load_models, save_models
 from conftest import assert_load_matches_json, ragged_rows, uniform_instance
 
 CLI = [sys.executable, "-m", "ascontrol"]
@@ -166,12 +169,64 @@ def test_config_mistakes_get_one_line_and_exit_2(small_model, tmp_path, command,
     ("validate", "--instances", "0", "--report", "{dir}/report.json"),
     ("pi-value", "--model", "{model}", "--horizon", "0"),
     ("pi-value", "--model", "{model}", "--horizon", "-1"),
+    ("pi-value", "--model", "{model}", "--horizon", "2", "--rollouts", "5",
+     "--rate", "nan"),
+    ("pi-value", "--model", "{model}", "--horizon", "2", "--rollouts", "5",
+     "--rate", "inf"),
 ])
 def test_user_errors_get_one_line_and_exit_2(model_file, tmp_path, args):
     r = run(*(a.format(dir=tmp_path, model=model_file) for a in args))
     assert_one_line_exit_2(r, args[0])
     assert r.stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags,setting", [
+    (("--horizon", "0"), "horizon"),
+    (("--rollouts", "1"), "n_rollouts"),
+    (("--rate", "nan"), "rate"),
+], ids=["horizon-0", "rollouts-1", "rate-nan"])
+def test_pi_value_settings_are_checked_before_the_bundle(tmp_path, flags, setting):
+    # the bundle does not exist: the error names the setting, not the file
+    r = run("pi-value", "--model", str(tmp_path / "missing.json"), *flags)
+    assert_one_line_exit_2(r, "pi-value")
+    assert setting in r.stderr
+    assert "missing.json" not in r.stderr
+    assert r.stdout == ""
+
+
+def _cap_address_space():
+    cap = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_init_above_the_state_ceiling_gets_one_line_and_exit_2(tmp_path):
+    # 6 temperatures give 6,912 complete states; the 1 GiB address-space cap
+    # keeps a dense build that skips the ceiling from taking the machine's
+    # memory
+    out = tmp_path / "model.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    r = run("init", "--temps", "6", "--out", str(out), env=env,
+            preexec_fn=_cap_address_space)
+    assert_one_line_exit_2(r, "init")
+    assert "6912 complete states exceed" in r.stderr
+    assert r.stdout == ""
+    assert not out.exists()
+
+
+def test_train_score_estimator_writes_a_bundle_that_loads(small_model, tmp_path):
+    out, rep = tmp_path / "trained.json", tmp_path / "report.json"
+    r = run("train", "--model", str(small_model), "--steps", "3", "--iters", "2",
+            "--estimator", "score", "--seed", "1", "--out", str(out),
+            "--report", str(rep))
+    assert r.returncode == 0, r.stderr
+    report = json.loads(rep.read_text())
+    assert report["iterations"] == 2
+    assert np.all(np.isfinite(report["objective_trace"] + report["grad_norm_trace"]
+                              + [report["final_rate"]]))
+    gen, rec, ref = load_models(out)
+    assert gen.spec == load_models(small_model)[0].spec
+    assert all(np.all(np.isfinite(t)) for t in rec.tables.values())
 
 
 def test_ragged_bundle_gets_one_line_and_exit_2(model_file, tmp_path):

@@ -220,6 +220,13 @@ def test_mc_pi_requires_two_rollouts():
         control.mc_path_integral_value(gen, rec, ref, X0, 2, 0.0, n_rollouts=1)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_mc_pi_requires_a_finite_rate(rate):
+    gen, rec, ref = uniform_instance()
+    with pytest.raises(ValueError, match="rate must be a finite number"):
+        control.mc_path_integral_value(gen, rec, ref, X0, 2, rate, n_rollouts=4)
+
+
 def test_mc_pi_deterministic_chain_exact():
     from test_oracle import deterministic_gen
 
@@ -378,6 +385,30 @@ def test_training_report_shape_and_rate_refresh():
     assert len(report.grad_norm_trace) == 12
     assert np.isfinite(report.final_rate)
     assert isinstance(rec2, RecognitionModel)
+
+
+def test_score_training_is_seeded_and_finite():
+    gen, rec, ref = random_instance(97, cards=(2, 2, 1, 2, 2, 1), floor=True)
+
+    def run(seed):
+        return control.train(gen, rec, ref, X0, T=3, iters=4, lr=0.05, seed=seed,
+                             estimator="score")
+
+    (rep_a, gen_a, rec_a), (rep_b, gen_b, rec_b) = run(5), run(5)
+    assert rep_a.to_dict() == rep_b.to_dict()
+    for name in control.POLICY_TABLES:
+        assert np.array_equal(bits(getattr(gen_a, name).probs),
+                              bits(getattr(gen_b, name).probs))
+    for k in REC_FACTORS:
+        assert np.array_equal(bits(rec_a.tables[k]), bits(rec_b.tables[k]))
+    assert run(6)[0].objective_trace != rep_a.objective_trace
+    assert rep_a.iterations == 4
+    values = rep_a.objective_trace + rep_a.grad_norm_trace + [rep_a.final_rate]
+    assert np.all(np.isfinite(values))
+    for k in REC_FACTORS:
+        assert np.all(np.isfinite(rec_a.tables[k]))
+    for name in control.POLICY_TABLES:
+        assert np.all(np.isfinite(getattr(gen_a, name).probs))
 
 
 def test_score_gradient_tracks_exact_direction():

@@ -115,15 +115,16 @@ def test_vfe_equals_evidence_at_posterior():
         assert fe.total == pytest.approx(-log_ev, abs=1e-10)
 
 
-def test_vfe_and_step_objective_enforce_state_budget():
+def test_vfe_and_step_objective_enforce_state_budget(monkeypatch):
     gen, rec, ref = uniform_instance()  # 64 complete states
     ctx = RecognitionContext(o=1, a=1, x_prev=CompleteState(0, 0, 0, 0, 0, 0))
-    tiny = oracle.EnumerationBudget(max_states=63)
+    monkeypatch.setattr(chains, "MAX_STATES", 63)
     with pytest.raises(EnumerationBudgetError):
-        variational_free_energy(gen, rec, ctx, budget=tiny)
+        variational_free_energy(gen, rec, ctx)
     with pytest.raises(EnumerationBudgetError):
-        step_objective(gen, rec, ref, ctx, budget=tiny)
-    step_objective(gen, rec, ref, ctx, budget=oracle.EnumerationBudget(max_states=64))
+        step_objective(gen, rec, ref, ctx)
+    monkeypatch.setattr(chains, "MAX_STATES", 64)
+    step_objective(gen, rec, ref, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -62,16 +62,38 @@ def test_enumerate_random_mass_and_logprobs():
     assert np.exp(logsumexp(np.array(total))) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_enumerate_budget_error():
+def test_enumerate_budget_error(monkeypatch):
     gen, _, _ = random_instance(12)
-    tiny = oracle.EnumerationBudget(max_trajectories=100)
+    monkeypatch.setenv("ASC_ENUM_BUDGET", "100")
     with pytest.raises(EnumerationBudgetError):
-        list(oracle.enumerate_trajectories(gen, X0, 3, budget=tiny))
+        list(oracle.enumerate_trajectories(gen, X0, 3))
 
 
 def test_enum_budget_env_override(monkeypatch):
-    monkeypatch.setenv("ASC_ENUM_BUDGET", "123")
-    assert oracle.EnumerationBudget.from_env().max_trajectories == 123
+    # the bound itself passes, one trajectory less raises
+    gen, _, _ = random_instance(12)
+    monkeypatch.setenv("ASC_ENUM_BUDGET", "1")
+    with pytest.raises(EnumerationBudgetError) as info:
+        list(oracle.enumerate_trajectories(gen, X0, 3))
+    need = info.value.required
+    assert need > 1 and info.value.allowed == 1
+    monkeypatch.setenv("ASC_ENUM_BUDGET", str(need))
+    assert len(list(oracle.enumerate_trajectories(gen, X0, 3))) > 0
+    monkeypatch.setenv("ASC_ENUM_BUDGET", str(need - 1))
+    with pytest.raises(EnumerationBudgetError) as info:
+        list(oracle.enumerate_trajectories(gen, X0, 3))
+    assert (info.value.required, info.value.allowed) == (need, need - 1)
+    # unset (or empty), the default ceiling applies
+    monkeypatch.setenv("ASC_ENUM_BUDGET", "")
+    assert len(list(oracle.enumerate_trajectories(gen, X0, 3))) > 0
+    assert need <= oracle.MAX_TRAJECTORIES
+
+
+def test_enum_budget_env_must_be_an_integer(monkeypatch):
+    gen, _, _ = random_instance(12)
+    monkeypatch.setenv("ASC_ENUM_BUDGET", "1e6")
+    with pytest.raises(ValueError, match="ASC_ENUM_BUDGET"):
+        list(oracle.enumerate_trajectories(gen, X0, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +284,15 @@ def test_path_integral_deterministic_chain_sums_costs():
     assert pi == pytest.approx(total, abs=1e-10)
 
 
-def test_budget_guard_on_path_integral():
+def test_budget_guard_on_path_integral(monkeypatch):
     gen, rec, ref = random_instance(50)
-    tiny = oracle.EnumerationBudget(max_trajectories=10)
+    monkeypatch.setenv("ASC_ENUM_BUDGET", "10")
     with pytest.raises(EnumerationBudgetError):
-        oracle.exact_path_integral_value(gen, rec, ref, X0, 3, 0.0, budget=tiny)
+        oracle.exact_path_integral_value(gen, rec, ref, X0, 3, 0.0)
 
 
-def test_state_budget_guard():
+def test_state_budget_guard(monkeypatch):
     gen, rec, ref = random_instance(51)
-    tiny = oracle.EnumerationBudget(max_states=8)
+    monkeypatch.setattr(chains, "MAX_STATES", 8)
     with pytest.raises(EnumerationBudgetError):
-        oracle.exact_average_rate(gen, rec, ref, X0, 2, 2, budget=tiny)
+        oracle.exact_average_rate(gen, rec, ref, X0, 2, 2)

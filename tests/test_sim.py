@@ -137,8 +137,9 @@ def test_episode_level2_hold_visible():
 
 def test_episode_spec_mismatch():
     env, ref = sim.thermostat_env(3, [0, 2])
-    env2, _ = sim.thermostat_env(3, [0, 1, 2])
-    gen, rec = sim.thermostat_agent(env2, [0, 1, 2], seed=0)
+    # 2 levels x 3 phases: 1,296 complete states, below the dense ceiling
+    env2, _ = sim.thermostat_env(2, [0, 1, 1])
+    gen, rec = sim.thermostat_agent(env2, [0, 1, 1], seed=0)
     with pytest.raises(DimensionMismatchError):
         sim.run_episode(gen, rec, ref, env, 5, seed=0)
 
