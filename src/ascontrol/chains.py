@@ -13,9 +13,18 @@ N is the complete-state count, L the latent-tuple count, O/A the
 observation/action cardinalities. Builders that read the models' tables
 for one step take a `tick` flag (non-tick steps hold the slow latent
 deterministically); builders that combine arrays take exactly the arrays
-they combine. `tick_pieces` is the one place that wires prior -> belief
--> marginal -> edge cost. Complete states are raveled row-major in
+they combine. Complete states are raveled row-major in
 (o, s1, s2, a, a1, a2) order and latent tuples in (s1, s2, a1, a2) order.
+
+The per-tick pieces come in two halves. The generative half, prior and
+marg, reads only the generative model: `generative_pieces` builds it once
+per model and tick and keeps it, read-only, in the model's `pieces` cache,
+so every objective evaluation on one generative model (the recognition
+perturbations of a finite-difference check, training's accepted step and
+the gradient after it) shares it. The recognition half, belief, cost and
+ev (and the chain matrix Qc callers build from marg and belief), reads the
+recognition model too and is built per call. `tick_pieces` is the one
+place that wires the two: prior -> belief -> marginal -> edge cost.
 """
 
 import numpy as np
@@ -181,10 +190,9 @@ def _over_successors(spec, ola):
     return out
 
 
-def transition_matrix(gen, tick, prior=None):
+def transition_matrix(gen, tick):
     """One-step matrix P[x, x'] of the policy-embedded model, shape (N, N)."""
-    if prior is None:
-        prior = latent_prior(gen, tick)
+    prior = generative_pieces(gen, tick)["prior"]
     t4 = np.einsum("xl,lo,loa->xola", prior, lik_over_latents(gen),
                    pol0_over_latents(gen), optimize=True)
     return _over_successors(gen.spec, t4)
@@ -258,14 +266,29 @@ def expected_edge_cost(marg, cost):
     return prod.sum(axis=(1, 2))
 
 
+def generative_pieces(gen, tick):
+    """The generative half of the per-tick pieces, keyed prior and marg:
+    built on the first call for (gen, tick) and then read, read-only, from
+    `gen.pieces`."""
+    pieces = gen.pieces.get(tick)
+    if pieces is None:
+        prior = latent_prior(gen, tick)
+        marg = obs_action_marginal(gen, prior)
+        prior.setflags(write=False)
+        marg.setflags(write=False)
+        pieces = gen.pieces[tick] = {"prior": prior, "marg": marg}
+    return pieces
+
+
 def tick_pieces(gen, rec, ref, tick):
     """The per-tick arrays that the rate and the differential free energy
     read, keyed prior, belief, marg, cost (the edge cost) and ev (its
-    expectation per state, shape (N,)). Callers build the chain matrix they
-    need from these."""
-    prior = latent_prior(gen, tick)
+    expectation per state, shape (N,)): the cached generative half plus the
+    recognition half built on it. Callers build the chain matrix they need
+    from these."""
+    half = generative_pieces(gen, tick)
+    prior, marg = half["prior"], half["marg"]
     belief = belief_table(rec, tick)
-    marg = obs_action_marginal(gen, prior)
     cost = edge_cost(gen, ref, prior, belief)
     return {"prior": prior, "belief": belief, "marg": marg, "cost": cost,
             "ev": expected_edge_cost(marg, cost)}

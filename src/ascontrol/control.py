@@ -48,16 +48,11 @@ _GRAD_ERR_FLOOR = 1e-4
 POLICY_TABLES = ("pol0", "pol1", "pol2")
 
 
-def _check_horizon(T):
-    if T < 1:
-        raise ValueError(f"the horizon T must be at least 1 step, got {T!r}")
-
-
 def check_path_integral_settings(T, n_rollouts, rate):
     """The settings of a Monte Carlo rollout estimate: a horizon of at least
     one step, at least two rollouts, and a finite rate (None stands for a
     rate still to be computed)."""
-    _check_horizon(T)
+    oracle.check_horizon(T)
     if n_rollouts < 2:
         raise ValueError(f"n_rollouts must be >= 2, got {n_rollouts!r}")
     if rate is not None and not math.isfinite(rate):
@@ -443,15 +438,25 @@ def apply_params(gen, rec, params):
     """Rebuild (generative-with-policies, recognition) from logits: the
     recognition sentinel slices become the softmax of params.q_logits, and
     the smoothing slices carry over from `rec` unchanged."""
+    return _policy_model(gen, params), _recognition_model(rec, params)
+
+
+def _policy_model(gen, params):
+    """The policy half of apply_params: `gen` with each table in
+    params.pol_logits replaced by the softmax of its logits."""
     layout = table_layout(gen.spec)
-    gen2 = replace(gen, **{
+    return replace(gen, **{
         name: ConditionalTable.from_logits(*layout[name], logits)
         for name, logits in params.pol_logits.items()})
+
+
+def _recognition_model(rec, params):
+    """The recognition half of apply_params."""
     tables = {}
     for k in REC_FACTORS:
         tables[k] = np.array(rec.tables[k])
         tables[k][:, :, :, rec.future_sentinel] = softmax_rows(params.q_logits[k])
-    return gen2, RecognitionModel(gen.spec, tables)
+    return RecognitionModel(rec.spec, tables)
 
 
 def _safe_div(num, den):
@@ -632,26 +637,36 @@ def score_function_grad(gen, rec, ref, x0, T, rate, n_rollouts, seed,
 def fd_gradients(gen, rec, ref, params, x0, T, rate):
     """Central finite differences (step _FD_STEP) of the exact differential
     free energy over every logit in `params` (the independent check on the
-    adjoint gradients), with the models rebuilt from `gen` and `rec` by
-    apply_params."""
+    adjoint gradients), with the models rebuilt from `gen` and `rec` as
+    apply_params rebuilds them. A perturbed recognition logit rebuilds only
+    the recognition model, so those evaluations share the unperturbed
+    generative model and its cached per-tick generative half; a perturbed
+    policy logit rebuilds the generative model on the unperturbed
+    recognition model."""
+    base_gen, base_rec = apply_params(gen, rec, params)
 
-    def objective(p):
-        g2, r2 = apply_params(gen, rec, p)
-        return differential_free_energy(g2, r2, ref, x0, T, rate)
+    def q_objective():
+        return differential_free_energy(base_gen, _recognition_model(rec, params),
+                                        ref, x0, T, rate)
+
+    def pol_objective():
+        return differential_free_energy(_policy_model(gen, params), base_rec,
+                                        ref, x0, T, rate)
 
     out = TrainableParams({k: np.zeros_like(v) for k, v in params.q_logits.items()},
                           {k: np.zeros_like(v) for k, v in params.pol_logits.items()})
-    for group_src, group_dst in ((params.q_logits, out.q_logits),
-                                 (params.pol_logits, out.pol_logits)):
+    for group_src, group_dst, objective in (
+            (params.q_logits, out.q_logits, q_objective),
+            (params.pol_logits, out.pol_logits, pol_objective)):
         for key, arr in group_src.items():
             flat = arr.reshape(-1)
             grad = group_dst[key].reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + _FD_STEP
-                hi = objective(params)
+                hi = objective()
                 flat[i] = orig - _FD_STEP
-                lo = objective(params)
+                lo = objective()
                 flat[i] = orig
                 grad[i] = (hi - lo) / (2.0 * _FD_STEP)
     return out
@@ -697,7 +712,7 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
     the exact objective is retried at half the learning rate. The score
     estimator draws _SCORE_ROLLOUTS rollouts per gradient.
     """
-    _check_horizon(T)
+    oracle.check_horizon(T)
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters!r}")
     if estimator not in ("exact", "score"):

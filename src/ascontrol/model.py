@@ -17,12 +17,13 @@ and a recognition model carries per-step beliefs over the four latent
 variables, conditioned on (o_t, a_t, x_{t-1}) and a summary of the next
 step (the next observation, or a designated no-future sentinel).
 
-Everything is immutable after construction; sampling takes an explicit
-numpy Generator so parallel callers use independent streams.
+Every table is immutable after construction (a generative model only
+fills its cache of per-tick arrays derived from them); sampling takes an
+explicit numpy Generator so parallel callers use independent streams.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -353,6 +354,11 @@ class GenerativeModel(_TableModel):
     pol0: ConditionalTable   # (o, a1) -> a
     pol1: ConditionalTable   # (s1, a2) -> a1
     pol2: ConditionalTable   # (s2,) -> a2
+    # the generative half of the per-tick pieces, tick -> {"prior", "marg"},
+    # filled by chains.generative_pieces on first use. The tables are
+    # read-only, so it cannot go stale; dataclasses.replace starts empty.
+    pieces: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     table_names = ("lik", "dyn1", "dyn2", "pol0", "pol1", "pol2")
 

@@ -40,6 +40,12 @@ def _check_paths(bound):
             required=bound, allowed=allowed)
 
 
+def check_horizon(T):
+    """A horizon of at least one step, checked before any work."""
+    if T < 1:
+        raise ValueError(f"the horizon T must be at least 1 step, got {T!r}")
+
+
 def _support_bound(first_row, mats):
     bound = int(np.count_nonzero(first_row > NEG_INF))
     for m in mats:
@@ -61,8 +67,7 @@ def enumerate_trajectories(gen, x0, T):
     log-probability, depth-first in state order."""
     spec = gen.spec
     x0.validate(spec)
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    check_horizon(T)
     logmats = _log_transition_mats(gen, T)
     first = logmats[0][x0.flat(spec)]
     _check_paths(_support_bound(first, logmats[1:]))
@@ -187,7 +192,7 @@ def exact_average_rate(gen, rec, ref, x0, T_burn, T_eval, chain="generative"):
     for tick in (True, False):
         pc = chains.tick_pieces(gen, rec, ref, tick)
         if chain == "generative":
-            mat = chains.transition_matrix(gen, tick, prior=pc["prior"])
+            mat = chains.transition_matrix(gen, tick)
         elif chain == "recognition":
             mat = chains.qchain_matrix(spec, pc["marg"], pc["belief"])
         else:
@@ -250,8 +255,7 @@ def _value_mats(gen, rec, ref, T, mode):
     """Per-step log transitions and (N, N) edge costs for steps 1..T of a
     rollout density (chains.rollout_density). Callers subtract the rate, so
     the feedforward state costs stay a broadcast view."""
-    if mode not in ("feedforward", "feedback"):  # T = 0 builds no step to check it
-        raise ValueError(f"unknown rollout density {mode!r}")
+    check_horizon(T)
 
     def build(tick):
         mat, cost = chains.rollout_density(gen, rec, ref, tick, mode)

@@ -7,6 +7,8 @@ below check that the two routes agree on random, floored and hard-zero
 instances, on both ticks and tick periods 1-3.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from ascontrol.model import (CompleteState, ConditionalTable, GenerativeModel,
                              ModelSpec, RecognitionContext, RecognitionModel,
                              ReferenceModel)
 from ascontrol.objectives import step_objective
+from conftest import bits
 
 TOL = 1e-12
 
@@ -125,6 +128,40 @@ def test_step_objective_matches_edge_cost(inst, tick):
 
 
 # ---------------------------------------------------------------------------
+# the cached generative half
+
+
+def test_generative_half_is_rebuilt_for_a_rebuilt_model():
+    gen, rec, ref = random_instance(7)
+    for tick in (True, False):
+        chains.tick_pieces(gen, rec, ref, tick)
+    params = control.extract_params(gen, rec)
+    rng = np.random.default_rng(0)
+    params.pol_logits = {k: v + rng.standard_normal(v.shape)
+                         for k, v in params.pol_logits.items()}
+    by_apply, _ = control.apply_params(gen, rec, params)
+    by_replace = replace(gen, pol1=by_apply.pol1)
+    for g in (by_apply, by_replace):
+        for tick in (True, False):
+            half = chains.tick_pieces(g, rec, ref, tick)
+            prior = chains.latent_prior(g, tick)
+            assert np.array_equal(bits(half["prior"]), bits(prior))
+            assert np.array_equal(bits(half["marg"]),
+                                  bits(chains.obs_action_marginal(g, prior)))
+            assert not np.array_equal(half["prior"], gen.pieces[tick]["prior"])
+
+
+def test_generative_half_is_read_only():
+    gen, rec, ref = random_instance(8)
+    pc = chains.tick_pieces(gen, rec, ref, True)
+    for key in ("prior", "marg"):
+        assert pc[key] is chains.generative_pieces(gen, True)[key]
+        with pytest.raises(ValueError, match="read-only"):
+            pc[key][0] = 0.0
+    assert pc["prior"] is gen.pieces[True]["prior"]
+
+
+# ---------------------------------------------------------------------------
 # the complete-state ceiling
 
 
@@ -146,8 +183,9 @@ def built():
 DENSE_ENTRY_POINTS = {
     "chains.latent_prior": lambda g, r, f, pc, v, p: chains.latent_prior(g, True),
     "chains.transition_matrix": lambda g, r, f, pc, v, p: chains.transition_matrix(g, False),
+    # tick_pieces in `built` already cached this tick's prior
     "chains.transition_matrix(prior)": lambda g, r, f, pc, v, p:
-        chains.transition_matrix(g, True, prior=pc["prior"]),
+        chains.transition_matrix(g, True),
     "chains.transition_row": lambda g, r, f, pc, v, p: chains.transition_row(g, X0, True),
     "chains.belief_table": lambda g, r, f, pc, v, p: chains.belief_table(r, True),
     "chains.obs_action_marginal": lambda g, r, f, pc, v, p:

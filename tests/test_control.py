@@ -304,6 +304,72 @@ def test_gradients_match_finite_differences():
         assert control.gradient_relative_error(grads, fd) <= 1e-4
 
 
+def fd_rebuilding_both_models(gen, rec, ref, params, x0, T, rate):
+    """Central differences that rebuild both models from scratch for every
+    evaluation: the route fd_gradients must reproduce bit for bit."""
+
+    def objective():
+        g2, r2 = control.apply_params(gen, rec, params)
+        return control.differential_free_energy(g2, r2, ref, x0, T, rate)
+
+    out = {}
+    for group in ("q_logits", "pol_logits"):
+        for key, arr in getattr(params, group).items():
+            grad = np.zeros_like(arr)
+            flat, g = arr.reshape(-1), grad.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + control._FD_STEP
+                hi = objective()
+                flat[i] = orig - control._FD_STEP
+                lo = objective()
+                flat[i] = orig
+                g[i] = (hi - lo) / (2.0 * control._FD_STEP)
+            out[group, key] = grad
+    return out
+
+
+@pytest.mark.parametrize("cards", [(2, 2, 1, 2, 2, 1), (2, 2, 2, 2, 1, 1)])
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), T=st.integers(1, 3))
+def test_fd_gradients_match_rebuilding_both_models(cards, seed, T):
+    gen, rec, ref = random_instance(seed, cards=cards)
+    rng = np.random.default_rng(seed)
+    x0 = random_state(rng, gen.spec)
+    rate = float(rng.standard_normal() * 0.2)
+    # logits away from the loaded tables, so the unperturbed models that
+    # fd_gradients shares differ from `gen` and `rec`
+    base = control.extract_params(gen, rec)
+    params = control.TrainableParams(
+        {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in base.q_logits.items()},
+        {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in base.pol_logits.items()})
+    fd = control.fd_gradients(gen, rec, ref, params, x0, T, rate)
+    want = fd_rebuilding_both_models(gen, rec, ref, params, x0, T, rate)
+    assert set(want) == ({("q_logits", k) for k in fd.q_logits}
+                         | {("pol_logits", k) for k in fd.pol_logits})
+    for (group, key), w in want.items():
+        assert np.array_equal(bits(getattr(fd, group)[key]), bits(w)), (group, key)
+
+
+def test_fd_gradients_build_one_generative_half_per_generative_model(monkeypatch):
+    # recognition perturbations share the unperturbed generative model, so
+    # the latent prior is built once per tick for it and for each of the two
+    # models of every policy-logit perturbation
+    gen, rec, ref = random_instance(960, cards=(2, 2, 1, 2, 2, 1))
+    params = control.extract_params(gen, rec)
+    calls = []
+    latent_prior = chains.latent_prior
+
+    def counted(g, tick):
+        calls.append(tick)
+        return latent_prior(g, tick)
+
+    monkeypatch.setattr(chains, "latent_prior", counted)
+    control.fd_gradients(gen, rec, ref, params, X0, 2, 0.1)
+    n_pol = sum(v.size for v in params.pol_logits.values())
+    assert len(calls) <= 2 * (2 * n_pol + 1)
+
+
 def with_other_smoothing_slices(rec, seed):
     """`rec` with every non-sentinel slice replaced by other normalized rows."""
     other = RecognitionModel.from_seed(rec.spec, seed)

@@ -284,6 +284,22 @@ def test_path_integral_deterministic_chain_sums_costs():
     assert pi == pytest.approx(total, abs=1e-10)
 
 
+@pytest.mark.parametrize("fn", [oracle.exact_soft_value,
+                                oracle.exact_path_integral_value])
+@pytest.mark.parametrize("mode", ["feedforward", "feedback"])
+@pytest.mark.parametrize("T", [0, -1])
+def test_soft_and_path_integral_values_refuse_horizons_below_one(monkeypatch, fn,
+                                                                 mode, T):
+    gen, rec, ref = random_instance(0)
+
+    def no_build(*args):
+        raise AssertionError("a step was built before the horizon check")
+
+    monkeypatch.setattr(chains, "rollout_density", no_build)
+    with pytest.raises(ValueError, match="horizon T must be at least 1 step"):
+        fn(gen, rec, ref, X0, T, 0.0, mode=mode)
+
+
 def test_budget_guard_on_path_integral(monkeypatch):
     gen, rec, ref = random_instance(50)
     monkeypatch.setenv("ASC_ENUM_BUDGET", "10")
