@@ -20,7 +20,7 @@ import numpy as np
 from . import chains, oracle
 from .errors import (ConvergenceError, DegenerateSupportError,
                      DegenerateWeightsError, NonFiniteObjectiveError)
-from .logspace import NEG_INF, logsumexp, safe_log
+from .logspace import NEG_INF, logsumexp, safe_log, worst_error
 from .model import (CompleteState, ConditionalTable, REC_FACTORS,
                     RecognitionModel, sample_categorical, softmax_rows,
                     table_layout, tick_at)
@@ -673,14 +673,15 @@ def fd_gradients(gen, rec, ref, params, x0, T, rate):
 
 
 def gradient_relative_error(grads, fd):
-    """Max over logits of |g - fd| / max(|g|, |fd|, _GRAD_ERR_FLOOR)."""
+    """Max over logits of |g - fd| / max(|g|, |fd|, _GRAD_ERR_FLOOR); NaN if
+    any of them is NaN."""
     worst = 0.0
     for group, ref_group in ((grads.q_logits, fd.q_logits),
                              (grads.pol_logits, fd.pol_logits)):
         for key in group:
             g, f = group[key], ref_group[key]
             rel = np.abs(g - f) / np.maximum(np.maximum(np.abs(g), np.abs(f)), _GRAD_ERR_FLOOR)
-            worst = max(worst, float(rel.max(initial=0.0)))
+            worst = worst_error(worst, rel.max(initial=0.0))
     return worst
 
 

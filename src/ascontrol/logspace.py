@@ -3,7 +3,8 @@
 All probability accumulation in the package goes through these helpers:
 max-shifted log-sum-exp that tolerates -inf entries, and a deterministic
 pairwise-tree reduction so partitioned sums are bit-stable regardless of
-how many chunks the caller split the work into.
+how many chunks the caller split the work into. The error accumulator
+of every numerical check lives here too, so that a NaN error fails.
 """
 
 import numpy as np
@@ -73,3 +74,9 @@ def kl_divergence(q, p):
         return float("inf")
     qm = q[mask]
     return float(np.sum(qm * (np.log(qm) - np.log(p[mask]))))
+
+
+def worst_error(worst, err):
+    """The larger of two check errors, NaN if either is NaN, so a NaN error
+    fails its check (Python's max(worst, nan) keeps worst)."""
+    return float(np.maximum(worst, err))

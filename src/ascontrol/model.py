@@ -632,11 +632,36 @@ def save_models(path, gen, rec, ref):
 # bounds the reader's per-block token lists independently of the table size.
 _BLOCK_CHARS = 1 << 20
 
-# The bytes a rows array may hold in json.dump's default layout: json's float
-# spellings (NaN and Infinity included), brackets, and ", " separators.
-_ROW_CHARS = b"0123456789.eE+-NaInfity[], "
+# The bytes of json's float spellings (NaN and Infinity included), and those
+# a rows array may hold in json.dump's default layout: numbers, brackets, and
+# ", " separators.
+_NUMBER_CHARS = b"0123456789.eE+-NaInfity"
+_ROW_CHARS = _NUMBER_CHARS + b"[], "
 
 _ROWS_KEY = b'"rows": '
+
+
+def _layout_error(child_dim):
+    return ValueError(f"bundle rows are not lists of {child_dim} numbers "
+                      "laid out as json.dump writes them")
+
+
+def _json_float(token):
+    """float(token), except that json reads "-0" as the integer 0, so 0.0."""
+    value = float(token)
+    if value == 0 and token.lstrip(b"-").isdigit():
+        return 0.0
+    return value
+
+
+def _row_values(row, child_dim):
+    """The values of one row text b"v, v" (no brackets): child_dim non-empty
+    numbers joined by ", ", else ValueError."""
+    tokens = row.split(b", ")
+    if len(tokens) != child_dim or not all(
+            token and not token.translate(None, _NUMBER_CHARS) for token in tokens):
+        raise _layout_error(child_dim)
+    return list(map(_json_float, tokens))
 
 
 def _rows_block(block, child_dim):
@@ -662,8 +687,7 @@ def _rows_block(block, child_dim):
             or not np.all(arr[commas + 1] == ord(" "))
             or not np.all(arr[breaks - 1] == ord("]"))
             or not np.all(arr[breaks + 2] == ord("["))):
-        raise ValueError(f"bundle rows are not lists of {child_dim} numbers "
-                         "laid out as json.dump writes them")
+        raise _layout_error(child_dim)
     tokens = block.translate(None, b"[],").split()
     if len(tokens) != n:
         raise ValueError("bundle rows hold an empty value")
@@ -675,9 +699,27 @@ def _rows_block(block, child_dim):
         values = np.fromiter(map(value_of.__getitem__, tokens), float, n)
     # json reads "-0" as the integer 0, which becomes 0.0, not -0.0
     for i in np.flatnonzero((values == 0) & np.signbit(values)):
-        if tokens[i].lstrip(b"-").isdigit():
-            values[i] = 0.0
+        values[i] = _json_float(tokens[i])
     return values
+
+
+def _row_indices(block, child_dim, index_of, distinct):
+    """The index into distinct of each row of block (b"[v, v], [v, v]").
+
+    index_of maps each row text seen so far to its index; a row text not
+    seen before is checked, converted and appended to distinct. None, with
+    nothing added, if more than half of the block's rows are new.
+    """
+    if block[:1] != b"[" or block[-1:] != b"]":
+        raise _layout_error(child_dim)
+    rows = block[1:-1].split(b"], [")
+    new = set(rows).difference(index_of)
+    if 2 * len(new) > len(rows):
+        return None
+    for row in new:
+        index_of[row] = len(distinct)
+        distinct.append(_row_values(row, child_dim))
+    return np.fromiter(map(index_of.__getitem__, rows), np.intp, len(rows))
 
 
 def _parse_rows(text, child_dim, start=0, stop=None, block_chars=_BLOCK_CHARS):
@@ -686,18 +728,39 @@ def _parse_rows(text, child_dim, start=0, stop=None, block_chars=_BLOCK_CHARS):
     np.array(json.loads(text[start:stop])).
 
     The array is cut at row boundaries into blocks of about block_chars
-    bytes; any other layout raises ValueError.
+    bytes; any other layout raises ValueError. Each block is split into row
+    texts, each row text not seen before in the array is checked and
+    converted once, and the block keeps only the index of each of its rows.
+    From the first block whose rows barely repeat on, the array is read value
+    by value by _rows_block, so an array of distinct rows pays for one split.
     """
     stop = len(text) if stop is None else stop
     if text[start:start + 1] != b"[" or text[stop - 1:stop] != b"]":
         raise ValueError("bundle rows are not a JSON list")
-    blocks, pos, end = [np.empty(0)], start + 1, stop - 1
+    index_of, distinct = {}, []
+    pieces, pos, end = [], start + 1, stop - 1  # row indices (1-D) or values (2-D)
+    repeating = True
     while pos < end:
         cut = text.find(b"], [", pos + block_chars, end)
         cut = end if cut < 0 else cut + 1
-        blocks.append(_rows_block(text[pos:cut], child_dim))
+        # each block is sliced where it is read, so no copy outlives its use
+        if repeating:
+            piece = _row_indices(text[pos:cut], child_dim, index_of, distinct)
+            repeating = piece is not None
+        if not repeating:
+            piece = _rows_block(text[pos:cut], child_dim).reshape(-1, child_dim)
+        pieces.append(piece)
         pos = cut + 2
-    return np.concatenate(blocks).reshape(-1, child_dim)
+    table = np.array(distinct, dtype=float).reshape(-1, child_dim)
+    out = np.empty((sum(map(len, pieces)), child_dim))
+    row = 0
+    for piece in pieces:
+        if piece.ndim == 1:
+            np.take(table, piece, axis=0, out=out[row:row + len(piece)])
+        else:
+            out[row:row + len(piece)] = piece
+        row += len(piece)
+    return out
 
 
 def _split_bundle(text):

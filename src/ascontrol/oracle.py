@@ -188,15 +188,15 @@ def exact_average_rate(gen, rec, ref, x0, T_burn, T_eval, chain="generative"):
     x0.validate(spec)
     if T_eval < 1:
         raise ValueError("T_eval must be >= 1")
+    if chain not in ("generative", "recognition"):
+        raise ValueError(f"unknown chain {chain!r}")
     per_tick = {}
     for tick in (True, False):
         pc = chains.tick_pieces(gen, rec, ref, tick)
         if chain == "generative":
             mat = chains.transition_matrix(gen, tick)
-        elif chain == "recognition":
-            mat = chains.qchain_matrix(spec, pc["marg"], pc["belief"])
         else:
-            raise ValueError(f"unknown chain {chain!r}")
+            mat = chains.qchain_matrix(spec, pc["marg"], pc["belief"])
         per_tick[tick] = (mat, pc["ev"])
     mu = np.zeros(spec.n_states)
     mu[x0.flat(spec)] = 1.0

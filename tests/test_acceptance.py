@@ -11,7 +11,7 @@ import numpy as np
 from ascontrol import control, oracle
 from ascontrol.instances import (random_context, random_instance, random_state,
                                  random_value)
-from ascontrol.logspace import kl_divergence
+from ascontrol.logspace import kl_divergence, worst_error
 from ascontrol.model import CompleteState
 from ascontrol.objectives import variational_free_energy
 from conftest import uniform_instance
@@ -35,11 +35,11 @@ def test_criterion_1_free_energy_decomposition():
         for tick in (True, False):
             ctx = random_context(rng, gen.spec)
             fe = variational_free_energy(gen, rec, ctx, tick=tick)
-            worst_forms = max(worst_forms, abs(fe.total - fe.divergence_form))
+            worst_forms = worst_error(worst_forms, abs(fe.total - fe.divergence_form))
             post, log_ev = oracle.exact_step_posterior(gen, ctx.x_prev, ctx.o, tick)
             q = rec.joint(ctx, tick=tick).reshape(-1)
             gap = fe.total - (-log_ev)
-            worst_gap = max(worst_gap, abs(gap - kl_divergence(q, post)))
+            worst_gap = worst_error(worst_gap, abs(gap - kl_divergence(q, post)))
             assert gap >= -1e-10
     elapsed = time.time() - t0
     report(1, "free-energy two-form agreement and posterior gap",
@@ -57,7 +57,7 @@ def test_criterion_2_reweighted_row_normalization():
             for flat in range(gen.spec.n_states):
                 x = CompleteState.from_flat(flat, gen.spec)
                 q = control.optimal_transition(gen, value, x, t=t)
-                worst = max(worst, abs(float(q.sum()) - 1.0))
+                worst = worst_error(worst, abs(float(q.sum()) - 1.0))
     report(2, "reweighted transition rows normalize", worst <= 1e-12,
            f"max |sum-1| = {worst:.2e}")
 
@@ -75,7 +75,7 @@ def test_criterion_3_kl_identity():
             for flat in range(0, gen.spec.n_states, 7):
                 x = CompleteState.from_flat(flat, gen.spec)
                 lhs, rhs = control.kl_qstar_identity(gen, value, x, t=t)
-                worst = max(worst, abs(lhs - rhs))
+                worst = worst_error(worst, abs(lhs - rhs))
     report(3, "KL identity for the reweighted controller", worst <= 1e-10,
            f"max |lhs-rhs| = {worst:.2e}, incl. solver-produced tables")
 
@@ -94,7 +94,7 @@ def test_criterion_4_recursion_vs_enumeration():
                 sv = oracle.exact_soft_value(gen, rec, ref, x0, T, rate, mode=mode)
                 pi = oracle.exact_path_integral_value(gen, rec, ref, x0, T, rate,
                                                       mode=mode)
-                worst = max(worst, abs(sv.rooted - pi))
+                worst = worst_error(worst, abs(sv.rooted - pi))
     elapsed = time.time() - t0
     report(4, "soft recursion equals exhaustive path enumeration (T=1..5)",
            worst <= 1e-8 and elapsed < 60.0,
@@ -112,7 +112,7 @@ def test_criterion_5_jensen_bound():
         bound = control.differential_free_energy(gen, rec, ref, x0, 4, rate)
         pi = oracle.exact_path_integral_value(gen, rec, ref, x0, 4, rate,
                                               mode="feedback")
-        worst_violation = max(worst_violation, pi - bound)
+        worst_violation = worst_error(worst_violation, pi - bound)
     # constant-advantage instances: equality
     worst_eq = 0.0
     gen, rec, ref = uniform_instance()
@@ -120,7 +120,7 @@ def test_criterion_5_jensen_bound():
         bound = control.differential_free_energy(gen, rec, ref, X0, 4, rate)
         pi = oracle.exact_path_integral_value(gen, rec, ref, X0, 4, rate,
                                               mode="feedback")
-        worst_eq = max(worst_eq, abs(bound - pi))
+        worst_eq = worst_error(worst_eq, abs(bound - pi))
     report(5, "differential free energy dominates the path-integral value",
            worst_violation <= 1e-8 and worst_eq <= 1e-10,
            f"max violation = {worst_violation:.2e}, equality gap = {worst_eq:.2e}")
@@ -132,10 +132,10 @@ def test_criterion_6_average_cost_consistency():
         gen, rec, ref = random_instance(seed)
         value = control.relative_value_iteration(gen, rec, ref, tol=1e-9)
         stat = control.greedy_stationary_rate(gen, rec, ref, value)
-        worst_gain = max(worst_gain, abs(value.gain - stat))
+        worst_gain = worst_error(worst_gain, abs(value.gain - stat))
         mean, se = control.greedy_rollout_rate(gen, rec, ref, value, X0,
                                                100_000, seed=seed)
-        worst_z = max(worst_z, abs(mean - value.gain) / se)
+        worst_z = worst_error(worst_z, abs(mean - value.gain) / se)
     report(6, "solver gain matches greedy stationary and rollout rates",
            worst_gain <= 1e-6 and worst_z <= 3.0,
            f"|gain-stationary| = {worst_gain:.2e}, rollout z = {worst_z:.2f}")
@@ -152,7 +152,7 @@ def test_criterion_7_gradient_correctness():
         gen2, rec2 = control.apply_params(gen, rec, params)
         _, grads = control.dfe_value_and_grad(gen2, rec2, ref, x0, 3, 0.15)
         fd = control.fd_gradients(gen, rec, ref, params, x0, 3, 0.15)
-        worst = max(worst, control.gradient_relative_error(grads, fd))
+        worst = worst_error(worst, control.gradient_relative_error(grads, fd))
     report(7, "exact gradients match central finite differences",
            worst <= 1e-4, f"max relative error = {worst:.2e} over 20 instances")
 

@@ -16,43 +16,12 @@ from hypothesis import strategies as st
 
 from ascontrol import chains, control, objectives, oracle, sim
 from ascontrol.errors import EnumerationBudgetError
-from ascontrol.instances import random_instance
-from ascontrol.model import (CompleteState, ConditionalTable, GenerativeModel,
-                             ModelSpec, RecognitionContext, RecognitionModel,
-                             ReferenceModel)
+from ascontrol.instances import hard_zero_instance, random_instance
+from ascontrol.model import CompleteState, ModelSpec, RecognitionContext
 from ascontrol.objectives import step_objective
 from conftest import bits
 
 TOL = 1e-12
-
-
-def zero_some(probs, rng):
-    """Rows of `probs` (last axis) with about a third of their entries set to
-    exact zeros; each row keeps its largest entry and is renormalized."""
-    rows = np.array(probs).reshape(-1, probs.shape[-1])
-    cut = rng.random(rows.shape) < 1.0 / 3.0
-    cut[np.arange(len(rows)), rows.argmax(axis=1)] = False
-    rows = np.where(cut, 0.0, rows)
-    return (rows / rows.sum(axis=1, keepdims=True)).reshape(probs.shape)
-
-
-def hard_zero_instance(seed, cards, tick_period):
-    """random_instance with hard zeros in every generative, reference and
-    recognition table."""
-    gen, rec, ref = random_instance(seed, cards=cards, tick_period=tick_period)
-    rng = np.random.default_rng(seed)
-
-    def table(t):
-        return ConditionalTable(t.parent_dims, t.child_dim, zero_some(t.probs, rng),
-                                strictly_positive=False)
-
-    gen = GenerativeModel(gen.spec, *(table(getattr(gen, k))
-                                      for k in GenerativeModel.table_names))
-    ref = ReferenceModel(ref.spec, *(table(getattr(ref, k))
-                                     for k in ReferenceModel.table_names))
-    rec = RecognitionModel.from_tables(
-        rec.spec, {k: zero_some(v, rng) for k, v in rec.tables.items()})
-    return gen, rec, ref
 
 
 @st.composite

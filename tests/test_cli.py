@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from ascontrol import model
 from ascontrol.model import load_models, save_models
-from conftest import assert_load_matches_json, ragged_rows, uniform_instance
+from conftest import assert_load_matches_json, bits, ragged_rows, uniform_instance
 
 CLI = [sys.executable, "-m", "ascontrol"]
 
@@ -42,6 +43,28 @@ def test_init_writes_bundle(model_file):
 
 def test_init_bundle_loads_as_json_reads_it(model_file):
     assert_load_matches_json(model_file)
+
+
+def test_loading_converts_each_distinct_row_once(model_file, monkeypatch):
+    # the recognition tables repeat a few hundred rows over a million times;
+    # each distinct row text of an array is checked and converted once
+    converted, arrays = [], []
+    row_values, parse_rows = model._row_values, model._parse_rows
+
+    def counting_parse_rows(*args, **kwargs):
+        converted.clear()
+        rows = parse_rows(*args, **kwargs)
+        arrays.append((rows, list(converted)))
+        return rows
+
+    monkeypatch.setattr(model, "_row_values",
+                        lambda row, k: converted.append(row) or row_values(row, k))
+    monkeypatch.setattr(model, "_parse_rows", counting_parse_rows)
+    load_models(model_file)
+    large = [(rows, texts) for rows, texts in arrays if len(rows) > 10_000]
+    assert len(large) == 4
+    for rows, texts in large:
+        assert len(texts) == len(set(texts)) == len(np.unique(bits(rows), axis=0))
 
 
 def test_simulate_byte_identical(model_file, tmp_path):

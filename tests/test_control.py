@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from ascontrol import chains, control, oracle
 from ascontrol.errors import (ConvergenceError, DegenerateWeightsError)
-from ascontrol.instances import (random_context, random_instance, random_state,
-                                 random_value)
+from ascontrol.instances import (hard_zero_instance, random_context, random_instance,
+                                 random_state, random_value)
+from ascontrol.logspace import worst_error
 from ascontrol.model import (REC_FACTORS, CompleteState, RecognitionModel,
                              softmax_rows)
+from ascontrol.validate import run_validation
 from conftest import bits, two_cycle_instance, uniform_instance
 
 X0 = CompleteState(0, 0, 0, 0, 0, 0)
@@ -196,7 +198,7 @@ def test_kl_identity_sweep_including_rvi_values():
             x = random_state(rng, gen.spec)
             t = int(rng.integers(1, 3))
             lhs, rhs = control.kl_qstar_identity(gen, value, x, t=t)
-            worst = max(worst, abs(lhs - rhs))
+            worst = worst_error(worst, abs(lhs - rhs))
     assert worst <= 1e-10
 
 
@@ -302,6 +304,38 @@ def test_gradients_match_finite_differences():
         _, grads = control.dfe_value_and_grad(gen2, rec2, ref, x0, 3, 0.15)
         fd = control.fd_gradients(gen, rec, ref, params, x0, 3, 0.15)
         assert control.gradient_relative_error(grads, fd) <= 1e-4
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_nan_gradients_fail_the_gradient_check():
+    # hard zeros make both the adjoint and the finite differences NaN; the
+    # error must be NaN, which fails any tolerance, not 0.0
+    gen, rec, ref = hard_zero_instance(2, (2, 1, 2, 2, 1, 1), 2)
+    x0 = CompleteState.from_flat(3, gen.spec)
+    params = control.extract_params(gen, rec)
+    gen2, rec2 = control.apply_params(gen, rec, params)
+    _, grads = control.dfe_value_and_grad(gen2, rec2, ref, x0, 2, 0.3)
+    fd = control.fd_gradients(gen, rec, ref, params, x0, 2, 0.3)
+    assert math.isnan(control.gradient_relative_error(grads, fd))
+
+
+def test_worst_error_keeps_nan():
+    for errors in ([0.0, math.nan, 1.0], [math.nan, 0.0], [1.0, 2.0, math.nan]):
+        worst = 0.0
+        for err in errors:
+            worst = worst_error(worst, err)
+        assert math.isnan(worst)
+    assert worst_error(worst_error(0.0, 2.0), 1.0) == 2.0
+
+
+def test_validation_fails_on_nan_errors(monkeypatch):
+    # a NaN path-integral value makes the soft-value and Jensen checks NaN
+    monkeypatch.setattr(oracle, "exact_path_integral_value",
+                        lambda *args, **kwargs: math.nan)
+    report = run_validation(seed=3, instances=1)
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert failed == {"soft_value_vs_path_integral", "jensen_bound_violation"}
+    assert not report["all_passed"]
 
 
 def fd_rebuilding_both_models(gen, rec, ref, params, x0, T, rate):

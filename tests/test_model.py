@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascontrol import chains, sim
+from ascontrol import chains, model, sim
 from ascontrol.errors import DimensionMismatchError
 from ascontrol.instances import random_instance, random_state
 from ascontrol.logspace import logsumexp
@@ -502,25 +502,58 @@ def test_load_matches_json_load(tmp_path, build):
     assert_load_matches_json(path)
 
 
-@settings(max_examples=200, deadline=None)
+# Value texts json reads as integers; "-0" is the integer 0, so 0.0, not -0.0.
+INTEGER_TEXTS = ["-0", "0", "7", "-3", "100"]
+
+
+@settings(max_examples=300, deadline=None)
 @given(data=st.data(),
-       n_rows=st.integers(min_value=0, max_value=12),
        child_dim=st.integers(min_value=1, max_value=4),
-       block_chars=st.integers(min_value=1, max_value=64),
-       repeated=st.booleans())
-def test_parse_rows_matches_json_loads(data, n_rows, child_dim, block_chars, repeated):
-    # few distinct values take the convert-once path, many the direct one
-    values = st.floats() | st.sampled_from(AWKWARD_FLOATS)
-    if repeated:
-        values = st.sampled_from(data.draw(st.lists(values, min_size=1, max_size=3)))
-    flat = data.draw(st.lists(values, min_size=n_rows * child_dim,
-                              max_size=n_rows * child_dim))
-    rows = np.array(flat, dtype=float).reshape(n_rows, child_dim)
-    text = "".join(_json_rows(rows, data.draw(st.integers(1, 16)))).encode()
+       block_chars=st.integers(min_value=1, max_value=256),
+       runs=st.lists(st.tuples(st.sampled_from(["rows", "values", "fresh"]),
+                               st.integers(min_value=0, max_value=24)),
+                     max_size=4))
+def test_parse_rows_matches_json_loads(data, child_dim, block_chars, runs):
+    # runs of rows drawn from a few row texts (converted once per distinct
+    # row, and repeated across blocks), of rows drawn from a few value texts
+    # (converted once per distinct value) and of fresh rows, in any order;
+    # some value texts are json integers, "-0" among them
+    value = st.floats().map(json.dumps) | st.sampled_from(
+        [json.dumps(v) for v in AWKWARD_FLOATS] + INTEGER_TEXTS)
+    rows = []
+    for kind, n_rows in runs:
+        if kind == "values":
+            values = st.sampled_from(data.draw(st.lists(value, min_size=1, max_size=3)))
+        else:
+            values = value
+        row = st.lists(values, min_size=child_dim, max_size=child_dim).map(", ".join)
+        if kind == "rows":
+            row = st.sampled_from(data.draw(st.lists(row, min_size=1, max_size=3)))
+        rows += data.draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    text = ("[" + ", ".join(f"[{r}]" for r in rows) + "]").encode()
     got = _parse_rows(text, child_dim, block_chars=block_chars)
-    want = np.array(json.loads(text), dtype=float).reshape(n_rows, child_dim)
+    want = np.array(json.loads(text), dtype=float).reshape(len(rows), child_dim)
     assert got.shape == want.shape
     assert np.array_equal(bits(got), bits(want))
+
+
+def test_parse_rows_converts_each_repeated_row_once(monkeypatch):
+    # repeated rows span several blocks, then a block of fresh rows sends the
+    # rest of the array value by value
+    repeated = [b"[-0, 0.25]", b"[0.5, -0.0]", b"[1, 0.0]"] * 40
+    fresh = [b"[%d.5, -0]" % i for i in range(40)]
+    text = b"[" + b", ".join(repeated + fresh + repeated) + b"]"
+    converted, blocks = [], []
+    row_values, rows_block = model._row_values, model._rows_block
+    monkeypatch.setattr(model, "_row_values",
+                        lambda row, k: converted.append(row) or row_values(row, k))
+    monkeypatch.setattr(model, "_rows_block",
+                        lambda block, k: blocks.append(block) or rows_block(block, k))
+    got = _parse_rows(text, 2, block_chars=100)
+    want = np.array(json.loads(text), dtype=float)
+    assert np.array_equal(bits(got), bits(want))
+    assert sorted(converted) == [b"-0, 0.25", b"0.5, -0.0", b"1, 0.0"]
+    assert blocks and all(b"[%d.5, -0]" % i in b"".join(blocks) for i in range(40))
 
 
 def test_parse_rows_reads_integers_as_json_does():
@@ -544,11 +577,19 @@ def test_parse_rows_reads_integers_as_json_does():
     b"[[0.5, 1e]]",
     b"[[0.5, \"0.5\"]]",
     b"[\n [0.5, 0.5]\n]",
+    b"[[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]]",  # rows of another width
+    b'["0.5, 0.5], [0.5, 0.5"]',      # a string, not rows
 ])
 def test_parse_rows_rejects_other_layouts(text):
-    for block_chars in (1, 64):
-        with pytest.raises(ValueError):
-            _parse_rows(text, 2, block_chars=block_chars)
+    body = text[1:-1]
+    good = b"[0.5, 0.5]"
+    # as given, the bad rows repeated, and the bad rows first met in a later
+    # block, after blocks of one repeated good row
+    for variant in (text, b"[" + b", ".join([body] * 50) + b"]",
+                    b"[" + b", ".join([good] * 50 + [body] * 3) + b"]"):
+        for block_chars in (1, 64, 1 << 20):
+            with pytest.raises(ValueError):
+                _parse_rows(variant, 2, block_chars=block_chars)
 
 
 @pytest.mark.parametrize("edit", [

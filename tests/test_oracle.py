@@ -224,6 +224,17 @@ def test_average_rate_recognition_chain_runs():
     assert np.isfinite(r)
 
 
+def test_average_rate_rejects_an_unknown_chain_before_building(monkeypatch):
+    gen, rec, ref = random_instance(0)
+    calls = []
+    tick_pieces = chains.tick_pieces
+    monkeypatch.setattr(chains, "tick_pieces",
+                        lambda *args: calls.append(args) or tick_pieces(*args))
+    with pytest.raises(ValueError, match="unknown chain 'bogus'"):
+        oracle.exact_average_rate(gen, rec, ref, X0, 2, 2, chain="bogus")
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # soft values and path integrals
 
