@@ -22,9 +22,14 @@ per model and tick and keeps it, read-only, in the model's `pieces` cache,
 so every objective evaluation on one generative model (the recognition
 perturbations of a finite-difference check, training's accepted step and
 the gradient after it) shares it. The recognition half, belief, cost and
-ev (and the chain matrix Qc callers build from marg and belief), reads the
-recognition model too and is built per call. `tick_pieces` is the one
-place that wires the two: prior -> belief -> marginal -> edge cost.
+ev (and the chain matrix Qc, built from marg and belief on first use by
+`recognition_chain`), reads the recognition model too. It is built per
+call, unless a caller hands it on with `keep_recognition_half`: then it is
+built once per tick and kept on the recognition model until
+`drop_recognition_half`, so training's halving check, the gradient after
+it and the rate refresh share one build per parameter set, and no half
+outlives the hand-off. `tick_pieces` is the one place that wires the
+two: prior -> belief -> marginal -> edge cost.
 """
 
 import numpy as np
@@ -280,18 +285,54 @@ def generative_pieces(gen, tick):
     return pieces
 
 
+def keep_recognition_half(gen, rec, ref):
+    """Hand on the recognition half of (gen, rec, ref): from now on
+    tick_pieces(gen, rec, ref, tick) builds it once per tick and keeps it,
+    read-only, on `rec` until drop_recognition_half(rec)."""
+    rec.kept = (gen, ref, {})
+
+
+def drop_recognition_half(rec):
+    """End the hand-off of keep_recognition_half."""
+    rec.kept = None
+
+
 def tick_pieces(gen, rec, ref, tick):
     """The per-tick arrays that the rate and the differential free energy
     read, keyed prior, belief, marg, cost (the edge cost) and ev (its
     expectation per state, shape (N,)): the cached generative half plus the
-    recognition half built on it. Callers build the chain matrix they need
-    from these."""
+    recognition half built on it, or kept on `rec` if it was handed on for
+    this gen and ref. Callers that need the chain matrix read it with
+    recognition_chain."""
+    kept = None
+    if rec.kept is not None and rec.kept[0] is gen and rec.kept[1] is ref:
+        kept = rec.kept[2]
+        if tick in kept:
+            Lattice.of(rec.spec)  # the ceiling holds for a kept half too
+            return kept[tick]
     half = generative_pieces(gen, tick)
     prior, marg = half["prior"], half["marg"]
     belief = belief_table(rec, tick)
     cost = edge_cost(gen, ref, prior, belief)
-    return {"prior": prior, "belief": belief, "marg": marg, "cost": cost,
-            "ev": expected_edge_cost(marg, cost)}
+    ev = expected_edge_cost(marg, cost)
+    for arr in (belief, cost, ev):
+        arr.setflags(write=False)
+    pieces = {"prior": prior, "belief": belief, "marg": marg, "cost": cost,
+              "ev": ev}
+    if kept is not None:
+        kept[tick] = pieces
+    return pieces
+
+
+def recognition_chain(spec, pieces):
+    """The recognition chain Qc of one tick's pieces (qchain_matrix), built
+    on first use and kept, read-only, in `pieces` under "qc", so a kept
+    recognition half carries its chain."""
+    qc = pieces.get("qc")
+    if qc is None:
+        qc = pieces["qc"] = qchain_matrix(spec, pieces["marg"], pieces["belief"])
+        qc.setflags(write=False)
+    return qc
 
 
 def rollout_density(gen, rec, ref, tick, mode):
@@ -306,8 +347,7 @@ def rollout_density(gen, rec, ref, tick, mode):
                 np.broadcast_to(state_cost(gen, ref), (n, n)))
     if mode == "feedback":
         pc = tick_pieces(gen, rec, ref, tick)
-        return (qchain_matrix(spec, pc["marg"], pc["belief"]),
-                expand_edges(pc["cost"], spec))
+        return recognition_chain(spec, pc), expand_edges(pc["cost"], spec)
     raise ValueError(f"unknown rollout density {mode!r}")
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import chains, oracle
 from .errors import (ConvergenceError, DegenerateSupportError,
                      DegenerateWeightsError, NonFiniteObjectiveError)
-from .logspace import NEG_INF, logsumexp, safe_log, worst_error
+from .logspace import NEG_INF, logsumexp, safe_log, support_dot, worst_error
 from .model import (CompleteState, ConditionalTable, REC_FACTORS,
                     RecognitionModel, sample_categorical, softmax_rows,
                     table_layout, tick_at)
@@ -203,7 +203,9 @@ def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000,
     """Solve the hard-min differential Bellman equation on the phase-product
     chain. Runs relative value iteration on the aperiodicity-transformed
     problem (lazy mixing _TAU), then verifies the original residual at the
-    requested sup-norm tolerance."""
+    requested sup-norm tolerance. A state whose every action tuple has
+    infinite expected cost at some phase has no finite bias, so it raises
+    DegenerateSupportError before the first sweep."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"relative value iteration: tol must be a finite "
                          f"number > 0, got {tol!r}")
@@ -213,6 +215,13 @@ def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000,
     ops = _BellmanOps(gen, rec, ref)
     spec = gen.spec
     n, period = spec.n_states, ops.period
+    for p in range(period):
+        stuck = np.isposinf(ops.ecost[ops.tick_of_phase(p)]).all(axis=0)
+        if stuck.any():
+            raise DegenerateSupportError(
+                f"relative value iteration: {int(stuck.sum())} states have "
+                f"infinite expected cost under every action tuple at phase {p} "
+                f"(first: {CompleteState.from_flat(int(np.argmax(stuck)), spec)})")
     h = np.zeros((period, n)) if h0 is None else np.array(h0, dtype=float)
     h = h - h[0, 0]
     inner_tol = max(tol * (1.0 - _TAU) * 0.1, 1e-15)
@@ -376,7 +385,9 @@ def differential_free_energy(gen, rec, ref, x0, T, rate, n_rollouts=None,
                              seed=None):
     """Jensen bound on the feedback path-integral value:
     E_{chain}[sum_t (step objective - rate)]. Exact by forward propagation,
-    or Monte Carlo when n_rollouts is given."""
+    or Monte Carlo when n_rollouts is given. The exact expectation runs over
+    occupied states only: an unreachable state's infinite expected cost
+    contributes nothing, a reachable one makes the value +inf."""
     spec = gen.spec
     x0.validate(spec)
     if n_rollouts is not None:
@@ -390,7 +401,7 @@ def differential_free_energy(gen, rec, ref, x0, T, rate, n_rollouts=None,
     total = 0.0
     for t in range(1, T + 1):
         pc = pieces[tick_at(t, spec)]
-        total += float(mu @ pc["ev"]) - rate
+        total += float(support_dot(mu, pc["ev"])) - rate
         mu = pc["qc"].T @ mu
     return total
 
@@ -438,31 +449,34 @@ def apply_params(gen, rec, params):
     """Rebuild (generative-with-policies, recognition) from logits: the
     recognition sentinel slices become the softmax of params.q_logits, and
     the smoothing slices carry over from `rec` unchanged."""
-    return _policy_model(gen, params), _recognition_model(rec, params)
+    return (_policy_model(gen, params.pol_logits),
+            _recognition_model(rec, params.q_logits))
 
 
-def _policy_model(gen, params):
+def _policy_model(gen, pol_logits):
     """The policy half of apply_params: `gen` with each table in
-    params.pol_logits replaced by the softmax of its logits."""
+    `pol_logits` replaced by the softmax of its logits."""
     layout = table_layout(gen.spec)
     return replace(gen, **{
         name: ConditionalTable.from_logits(*layout[name], logits)
-        for name, logits in params.pol_logits.items()})
+        for name, logits in pol_logits.items()})
 
 
-def _recognition_model(rec, params):
-    """The recognition half of apply_params."""
-    tables = {}
-    for k in REC_FACTORS:
+def _recognition_model(rec, q_logits):
+    """The recognition half of apply_params: `rec` with the sentinel slice
+    of each factor in `q_logits` replaced by the softmax of its logits. The
+    other factors share rec's read-only tables."""
+    tables = dict(rec.tables)
+    for k, logits in q_logits.items():
         tables[k] = np.array(rec.tables[k])
-        tables[k][:, :, :, rec.future_sentinel] = softmax_rows(params.q_logits[k])
+        tables[k][:, :, :, rec.future_sentinel] = softmax_rows(logits)
     return RecognitionModel(rec.spec, tables)
 
 
 def _safe_div(num, den):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
-    return np.where(den > 0.0, out, 0.0)
+    """num / den where den > 0, else 0, in one pass."""
+    out = np.zeros(np.broadcast_shapes(np.shape(num), np.shape(den)))
+    return np.divide(num, den, out=out, where=den > 0.0)
 
 
 def _softmax_grad_rows(probs, g):
@@ -487,6 +501,26 @@ class _GradAccumulator:
             for tick in (True, False)
         }
 
+    def add_occupation(self, tick, pc, occ, k_ola, rate):
+        """Add the exact adjoint's terms of one tick value, from its two
+        occupation sums: occ = M = sum_t mu_t, shape (N,), and k_ola = K =
+        sum_t mu_t (x) lam_{t+1} gathered at the successor of each (o, L, a),
+        shape (N, O, L, A), which this overwrites with dqc4, the upstream
+        gradient of the chain entries."""
+        b = self.buckets[tick]
+        marg, belief = pc["marg"], pc["belief"]
+        # zero-probability edges may carry infinite cost; they contribute
+        # nothing and their logits sit at the softmax boundary, so mask
+        # them, and unoccupied predecessors too
+        live = ((marg[:, :, None, :] * belief.transpose(0, 1, 3, 2) > 0.0)
+                & (occ > 0.0)[:, None, None, None])
+        with np.errstate(invalid="ignore"):
+            k_ola += occ[:, None, None, None] * (pc["cost"] - rate)[:, :, None, :]
+        np.copyto(k_ola, 0.0, where=~live)
+        b["G_m"] += np.einsum("xola,xoal->xoa", k_ola, belief, optimize=True)
+        b["G_q"] += k_ola.transpose(0, 1, 3, 2) * marg[..., None]
+        b["dC"] += occ[:, None, None] * marg
+
     def finalize(self, pieces):
         gen, rec, ref = self.gen, self.rec, self.ref
         spec = gen.spec
@@ -506,29 +540,38 @@ class _GradAccumulator:
             if not (b["G_m"].any() or b["G_q"].any() or b["dC"].any()):
                 continue
             prior, q = pieces[tick]["prior"], pieces[tick]["belief"]
-            log_q = np.where(q > 0.0, safe_log(q), 0.0)
             log_prior = np.where(prior > 0.0, safe_log(prior), 0.0)
-            # C = sum_l q (a_lat + log q - log prior); at q = 0 the cost's
-            # one-sided derivative is taken as 0 (softmax boundary)
-            with np.errstate(invalid="ignore"):
-                g_q = b["G_q"] + np.where(
-                    q > 0.0,
-                    b["dC"][..., None] * (a_lat.T[None, :, None, :] + log_q
-                                          + 1.0 - log_prior[:, None, None, :]),
-                    0.0)
-            ratio = _safe_div(q, prior[:, None, None, :])
+            # rq = g_q * q, built in place, where the upstream gradient of q
+            # is g_q = G_q + dC (a_lat + log q + 1 - log prior), the second
+            # term from the cost C = sum_l q (a_lat + log q - log prior); at
+            # q = 0 the cost's one-sided derivative is taken as 0 (softmax
+            # boundary), and an unoccupied context (dC = 0) contributes
+            # nothing
+            live = (q > 0.0) & (b["dC"] > 0.0)[..., None]
+            rq = np.zeros(q.shape)
+            np.log(q, out=rq, where=live)
+            np.add(rq, a_lat.T[None, :, None, :], out=rq, where=live)
+            np.add(rq, 1.0, out=rq, where=live)
+            np.subtract(rq, log_prior[:, None, None, :], out=rq, where=live)
+            np.multiply(rq, b["dC"][..., None], out=rq, where=live)
+            rq += b["G_q"]
+            rq *= q
             g_prior = (np.einsum("xoa,lo,loa->xl", b["G_m"], lik_lat, pol0_lat,
                                  optimize=True)
-                       - np.einsum("xoa,xoal->xl", b["dC"], ratio, optimize=True))
-            # recognition factors via the product-ratio trick
-            rq = (g_q * q).reshape(n, c_o, c_a, s1c, s2c, a1c, a2c)
-            if tick:
-                g_sent["s2"] += _safe_div(rq.sum(axis=(3, 5, 6)), sent["s2"])
-            g_sent["a2"] += _safe_div(rq.sum(axis=(3, 5)), sent["a2"])
-            g_sent["s1"] += _safe_div(rq.sum(axis=5).transpose(0, 1, 2, 4, 5, 3),
-                                      sent["s1"])
+                       - _safe_div(np.einsum("xoa,xoal->xl", b["dC"], q, optimize=True),
+                                   prior))
+            # recognition factors via the product-ratio trick, each factor's
+            # sum taken from the one before it where it can be
+            rq = rq.reshape(n, c_o, c_a, s1c, s2c, a1c, a2c)
             g_sent["a1"] += _safe_div(rq.sum(axis=4).transpose(0, 1, 2, 3, 5, 4),
                                       sent["a1"])
+            r_s1 = rq.sum(axis=5)                            # (.., s1, s2, a2)
+            del rq  # not kept alive beside the next tick's
+            g_sent["s1"] += _safe_div(r_s1.transpose(0, 1, 2, 4, 5, 3), sent["s1"])
+            r_a2 = r_s1.sum(axis=3)                          # (.., s2, a2)
+            g_sent["a2"] += _safe_div(r_a2, sent["a2"])
+            if tick:
+                g_sent["s2"] += _safe_div(r_a2.sum(axis=4), sent["s2"])
             # policy factors
             if "pol0" in g_pol_tables:
                 g0 = np.einsum("xoa,xl,lo->loa", b["G_m"], prior, lik_lat,
@@ -551,47 +594,53 @@ class _GradAccumulator:
 
 
 def _dfe_pieces(gen, rec, ref):
-    """chains.tick_pieces per tick value, plus the recognition chain "qc"."""
+    """chains.tick_pieces per tick value, each with its recognition chain
+    "qc"."""
     pieces = {}
     for tick in (True, False):
         pc = pieces[tick] = chains.tick_pieces(gen, rec, ref, tick)
-        pc["qc"] = chains.qchain_matrix(gen.spec, pc["marg"], pc["belief"])
+        chains.recognition_chain(gen.spec, pc)
     return pieces
 
 
 def dfe_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies=POLICY_TABLES):
     """Exact differential free energy and its gradient w.r.t. all trained
-    logits, by forward propagation plus the adjoint recursion."""
+    logits, by forward propagation plus the adjoint recursion.
+
+    The backward pass is in occupation form: step t adds to its tick's
+    buckets terms linear in the occupation mu_t and in mu_t (x) lam_{t+1}
+    (lam_{t+1} the cost-to-go of the states at t + 1), so per tick value
+    two sums carry every step, M = sum_t mu_t and K = sum_t mu_t (x)
+    lam_{t+1}, and the masked (N, O, L, A) terms are built once per tick
+    value. Sums run over positive occupation only (support_dot)."""
+    oracle.check_horizon(T)
     spec = gen.spec
+    n = spec.n_states
     lat = chains.Lattice.of(spec)
     pieces = _dfe_pieces(gen, rec, ref)
     ticks = [tick_at(t, spec) for t in range(1, T + 1)]
-    mus = [np.zeros(spec.n_states)]
-    mus[0][x0.flat(spec)] = 1.0
+    mus = np.zeros((T, n))                                   # mu_t, t = 0..T-1
+    mus[0, x0.flat(spec)] = 1.0
     value = 0.0
     for t in range(T):
         pc = pieces[ticks[t]]
-        value += float(mus[t] @ pc["ev"]) - rate
-        mus.append(pc["qc"].T @ mus[t])
-    lam = np.zeros(spec.n_states)
-    acc = _GradAccumulator(gen, rec, ref, trainable_policies)
-    for t in range(T - 1, -1, -1):
+        value += float(support_dot(mus[t], pc["ev"])) - rate
+        if t + 1 < T:
+            mus[t + 1] = pc["qc"].T @ mus[t]
+    lams = np.zeros((T, n))                                  # lam_{t+1}, t = 0..T-1
+    for t in range(T - 1, 0, -1):
         pc = pieces[ticks[t]]
-        bucket = acc.buckets[ticks[t]]
-        lam_g = lam[lat.state_of_ola]                        # (o, L, a)
-        c_tilde = pc["cost"] - rate
-        # zero-probability edges may carry infinite cost; they contribute
-        # nothing and their logits sit at the softmax boundary, so mask
-        edge_p = pc["marg"][:, :, None, :] * pc["belief"].transpose(0, 1, 3, 2)
-        with np.errstate(invalid="ignore"):
-            dqc4 = np.where(edge_p > 0.0,
-                            mus[t][:, None, None, None]
-                            * (c_tilde[:, :, None, :] + lam_g[None]), 0.0)
-        bucket["G_m"] += np.einsum("xola,xoal->xoa", dqc4, pc["belief"],
-                                   optimize=True)
-        bucket["G_q"] += dqc4.transpose(0, 1, 3, 2) * pc["marg"][..., None]
-        bucket["dC"] += mus[t][:, None, None] * pc["marg"]
-        lam = pc["ev"] - rate + pc["qc"] @ lam
+        lams[t - 1] = pc["ev"] - rate + support_dot(pc["qc"], lams[t])
+    acc = _GradAccumulator(gen, rec, ref, trainable_policies)
+    ola = lat.state_of_ola.reshape(-1)
+    for tick in (True, False):
+        steps = [t for t in range(T) if ticks[t] == tick]
+        if steps:
+            # K at the successor of each (o, L, a): one (N, T_tick) @ (T_tick, N)
+            acc.add_occupation(
+                tick, pieces[tick], mus[steps].sum(axis=0),
+                support_dot(mus[steps].T, lams[steps][:, ola]).reshape(
+                    (n,) + lat.state_of_ola.shape), rate)
     grads = acc.finalize(pieces)
     return value, grads
 
@@ -638,20 +687,22 @@ def fd_gradients(gen, rec, ref, params, x0, T, rate):
     """Central finite differences (step _FD_STEP) of the exact differential
     free energy over every logit in `params` (the independent check on the
     adjoint gradients), with the models rebuilt from `gen` and `rec` as
-    apply_params rebuilds them. A perturbed recognition logit rebuilds only
-    the recognition model, so those evaluations share the unperturbed
-    generative model and its cached per-tick generative half; a perturbed
-    policy logit rebuilds the generative model on the unperturbed
-    recognition model."""
+    apply_params rebuilds them. A perturbed logit rebuilds only the table it
+    belongs to and shares the others with the unperturbed models: a
+    recognition logit rebuilds one factor and keeps the unperturbed
+    generative model with its cached per-tick generative half; a policy
+    logit rebuilds one policy table on the unperturbed recognition model."""
     base_gen, base_rec = apply_params(gen, rec, params)
 
-    def q_objective():
-        return differential_free_energy(base_gen, _recognition_model(rec, params),
-                                        ref, x0, T, rate)
+    def q_objective(key):
+        return differential_free_energy(
+            base_gen, _recognition_model(base_rec, {key: params.q_logits[key]}),
+            ref, x0, T, rate)
 
-    def pol_objective():
-        return differential_free_energy(_policy_model(gen, params), base_rec,
-                                        ref, x0, T, rate)
+    def pol_objective(key):
+        return differential_free_energy(
+            _policy_model(base_gen, {key: params.pol_logits[key]}), base_rec,
+            ref, x0, T, rate)
 
     out = TrainableParams({k: np.zeros_like(v) for k, v in params.q_logits.items()},
                           {k: np.zeros_like(v) for k, v in params.pol_logits.items()})
@@ -664,9 +715,9 @@ def fd_gradients(gen, rec, ref, params, x0, T, rate):
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + _FD_STEP
-                hi = objective()
+                hi = objective(key)
                 flat[i] = orig - _FD_STEP
-                lo = objective()
+                lo = objective(key)
                 flat[i] = orig
                 grad[i] = (hi - lo) / (2.0 * _FD_STEP)
     return out
@@ -691,15 +742,22 @@ def gradient_relative_error(grads, fd):
 
 @dataclass
 class TrainReport:
+    """Per iteration: the objective and gradient norm at the iterate, the
+    rate that gradient used, and the step size accepted after halving."""
+
     iterations: int
     objective_trace: list
     grad_norm_trace: list
+    step_size_trace: list
+    rate_trace: list
     final_rate: float
 
     def to_dict(self):
         return {"iterations": self.iterations,
                 "objective_trace": list(self.objective_trace),
                 "grad_norm_trace": list(self.grad_norm_trace),
+                "step_size_trace": list(self.step_size_trace),
+                "rate_trace": list(self.rate_trace),
                 "final_rate": self.final_rate}
 
 
@@ -712,6 +770,12 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
     objective but not its gradient). With `halving`, a step that increases
     the exact objective is retried at half the learning rate. The score
     estimator draws _SCORE_ROLLOUTS rollouts per gradient.
+
+    Each parameter set's recognition half is built once and handed on
+    (chains.keep_recognition_half) from the evaluation that first needs it,
+    the rate or the halving check, to the rate refresh and the gradient
+    after it. The current iterate's half is dropped once its gradient is
+    taken, so outside a gradient at most one half is alive.
     """
     oracle.check_horizon(T)
     if iters < 1:
@@ -720,9 +784,10 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
         raise ValueError(f"unknown estimator {estimator!r}")
     params = extract_params(gen, rec, trainable_policies)
     cur_gen, cur_rec = apply_params(gen, rec, params)
+    chains.keep_recognition_half(cur_gen, cur_rec, ref)
     rate = oracle.exact_average_rate(cur_gen, cur_rec, ref, x0, *_RATE_HORIZON,
                                      chain="recognition")
-    obj_trace, gnorm_trace = [], []
+    obj_trace, gnorm_trace, step_trace, rate_trace = [], [], [], []
     step_lr = lr
     mc_seed = np.random.default_rng(seed)
     for it in range(iters):
@@ -733,6 +798,8 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
             value, grads = score_function_grad(
                 cur_gen, cur_rec, ref, x0, T, rate,
                 _SCORE_ROLLOUTS, mc_seed.integers(2 ** 63), trainable_policies)
+        chains.drop_recognition_half(cur_rec)
+        rate_trace.append(rate)
         if not np.isfinite(value):
             raise NonFiniteObjectiveError(
                 f"objective became non-finite at iteration {it}", iteration=it)
@@ -745,17 +812,22 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
         while True:
             cand = params.step(grads, step_lr)
             cand_gen, cand_rec = apply_params(gen, rec, cand)
+            chains.keep_recognition_half(cand_gen, cand_rec, ref)
             if not halving or estimator != "exact":
                 break
             cand_value = differential_free_energy(cand_gen, cand_rec, ref, x0,
                                                   T, rate)
             if cand_value <= value or step_lr < 1e-12:
                 break
+            chains.drop_recognition_half(cand_rec)  # before the next candidate
             step_lr *= 0.5
+        step_trace.append(step_lr)
         params, cur_gen, cur_rec = cand, cand_gen, cand_rec
         if rate_refresh and (it + 1) % rate_refresh == 0:
             rate = oracle.exact_average_rate(cur_gen, cur_rec, ref, x0, *_RATE_HORIZON,
                                              chain="recognition")
+    chains.drop_recognition_half(cur_rec)
     report = TrainReport(iterations=len(obj_trace), objective_trace=obj_trace,
-                         grad_norm_trace=gnorm_trace, final_rate=rate)
+                         grad_norm_trace=gnorm_trace, step_size_trace=step_trace,
+                         rate_trace=rate_trace, final_rate=rate)
     return report, cur_gen, cur_rec

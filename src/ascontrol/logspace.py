@@ -4,7 +4,9 @@ All probability accumulation in the package goes through these helpers:
 max-shifted log-sum-exp that tolerates -inf entries, and a deterministic
 pairwise-tree reduction so partitioned sums are bit-stable regardless of
 how many chunks the caller split the work into. The error accumulator
-of every numerical check lives here too, so that a NaN error fails.
+of every numerical check lives here too, so that a NaN error fails, and
+so does `support_dot`, the expectation that leaves zero weights out, so
+that an unreachable infinite cost does not become NaN.
 """
 
 import numpy as np
@@ -74,6 +76,16 @@ def kl_divergence(q, p):
         return float("inf")
     qm = q[mask]
     return float(np.sum(qm * (np.log(qm) - np.log(p[mask]))))
+
+
+def support_dot(w, v):
+    """w @ v over positive weights only: a term of zero weight contributes
+    nothing even where v is +inf, where the plain product would give
+    0 * inf = NaN. The weights are nonnegative and v is finite or +inf."""
+    inf = np.isposinf(v)
+    if not inf.any():
+        return w @ v
+    return np.where((w > 0.0) @ inf, np.inf, w @ np.where(inf, 0.0, v))
 
 
 def worst_error(worst, err):

@@ -404,13 +404,16 @@ class RecognitionModel:
     deterministic level-2 hold.
     """
 
-    __slots__ = ("spec", "tables")
+    __slots__ = ("spec", "tables", "kept")
 
     def __init__(self, spec, tables):
         """Takes over the float arrays of `tables` without a copy and makes
         them read-only, so pass arrays no one else holds (from_tables copies
         its input)."""
         self.spec = spec
+        # the recognition half of the per-tick pieces while a caller hands it
+        # on (chains.keep_recognition_half); None keeps nothing
+        self.kept = None
         shapes = self.factor_shapes(spec)
         self.tables = {}
         for name in REC_FACTORS:

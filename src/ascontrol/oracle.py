@@ -17,7 +17,7 @@ from . import chains
 from ._kernels import path_logsumexp
 from .errors import (ConvergenceError, DimensionMismatchError,
                      EnumerationBudgetError, ImpossibleObservationError)
-from .logspace import NEG_INF, logsumexp, safe_log
+from .logspace import NEG_INF, logsumexp, safe_log, support_dot
 from .model import CompleteState, Trajectory, tick_at
 
 
@@ -183,7 +183,9 @@ def exact_step_posterior(gen, x_prev, o, tick=True):
 def exact_average_rate(gen, rec, ref, x0, T_burn, T_eval, chain="generative"):
     """Expected global surprise rate from x0: push the exact state
     distribution forward T_burn + T_eval steps and average the expected
-    step objective over the last T_eval steps."""
+    step objective over the last T_eval steps. The expectation runs over
+    occupied states only, so an unreachable state's infinite cost leaves
+    the rate finite."""
     spec = gen.spec
     x0.validate(spec)
     if T_eval < 1:
@@ -196,7 +198,7 @@ def exact_average_rate(gen, rec, ref, x0, T_burn, T_eval, chain="generative"):
         if chain == "generative":
             mat = chains.transition_matrix(gen, tick)
         else:
-            mat = chains.qchain_matrix(spec, pc["marg"], pc["belief"])
+            mat = chains.recognition_chain(spec, pc)
         per_tick[tick] = (mat, pc["ev"])
     mu = np.zeros(spec.n_states)
     mu[x0.flat(spec)] = 1.0
@@ -204,7 +206,7 @@ def exact_average_rate(gen, rec, ref, x0, T_burn, T_eval, chain="generative"):
     for t in range(1, T_burn + T_eval + 1):
         mat, ev = per_tick[tick_at(t, spec)]
         if t > T_burn:
-            vals.append(float(mu @ ev))
+            vals.append(float(support_dot(mu, ev)))
         mu = mat.T @ mu
     return float(np.mean(vals))
 

@@ -1,0 +1,280 @@
+"""The exact gradient of the differential free energy.
+
+`control.dfe_value_and_grad` carries its backward pass in occupation form
+(two sums per tick value). The per-step adjoint it replaced is kept below as
+a reference, together with the accumulator's finalisation as it was before
+its temporaries were trimmed, and the two routes are compared on random
+and floored instances. Hard zeros check the positive-occupation rule of the
+objective and its adjoint, and training checks that each parameter set's
+recognition half is built once.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ascontrol import chains, control, oracle, sim
+from ascontrol.instances import hard_zero_instance, random_instance, random_state
+from ascontrol.logspace import safe_log
+from ascontrol.model import REC_FACTORS, CompleteState, tick_at
+
+X0 = CompleteState(0, 0, 0, 0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the per-step reference
+
+
+def per_step_finalize(acc, pieces):
+    """_GradAccumulator.finalize before its in-place trim: every
+    (N, O, A, L) term as its own array, each factor's sum over the full
+    product."""
+    gen, rec, ref = acc.gen, acc.rec, acc.ref
+    spec = gen.spec
+    s1c, s2c, a1c, a2c = spec.latent_dims
+    n, c_o, c_a = spec.n_states, spec.card_o, spec.card_a
+    lik_lat = chains.lik_over_latents(gen)
+    pol0_lat = chains.pol0_over_latents(gen)
+    a_lat = chains.reference_over_latents(ref) - safe_log(lik_lat)
+    sent = {k: rec.tables[k][:, :, :, rec.future_sentinel] for k in REC_FACTORS}
+    g_sent = {k: np.zeros(v.shape) for k, v in sent.items()}
+    g_pol = {k: np.zeros_like(getattr(gen, k).probs) for k in acc.trained_pols}
+    for tick in (True, False):
+        b = acc.buckets[tick]
+        if not (b["G_m"].any() or b["G_q"].any() or b["dC"].any()):
+            continue
+        prior, q = pieces[tick]["prior"], pieces[tick]["belief"]
+        log_q = np.where(q > 0.0, safe_log(q), 0.0)
+        log_prior = np.where(prior > 0.0, safe_log(prior), 0.0)
+        g_q = b["G_q"] + np.where(
+            q > 0.0, b["dC"][..., None] * (a_lat.T[None, :, None, :] + log_q
+                                           + 1.0 - log_prior[:, None, None, :]), 0.0)
+        ratio = control._safe_div(q, prior[:, None, None, :])
+        g_prior = (np.einsum("xoa,lo,loa->xl", b["G_m"], lik_lat, pol0_lat)
+                   - np.einsum("xoa,xoal->xl", b["dC"], ratio))
+        rq = (g_q * q).reshape(n, c_o, c_a, s1c, s2c, a1c, a2c)
+        if tick:
+            g_sent["s2"] += control._safe_div(rq.sum(axis=(3, 5, 6)), sent["s2"])
+        g_sent["a2"] += control._safe_div(rq.sum(axis=(3, 5)), sent["a2"])
+        g_sent["s1"] += control._safe_div(
+            rq.sum(axis=5).transpose(0, 1, 2, 4, 5, 3), sent["s1"])
+        g_sent["a1"] += control._safe_div(
+            rq.sum(axis=4).transpose(0, 1, 2, 3, 5, 4), sent["a1"])
+        if "pol0" in g_pol:
+            g0 = np.einsum("xoa,xl,lo->loa", b["G_m"], prior, lik_lat)
+            g0 = g0.reshape(s1c, s2c, a1c, a2c, c_o, c_a).sum(axis=(0, 1, 3))
+            g_pol["pol0"] += g0.transpose(1, 0, 2).reshape(-1, c_a)
+        r5 = (g_prior * prior).reshape(n, s1c, s2c, a1c, a2c)
+        if "pol2" in g_pol:
+            g_pol["pol2"] += control._safe_div(
+                r5.sum(axis=(0, 1, 3)), gen.pol2.reshaped()).reshape(-1, a2c)
+        if "pol1" in g_pol:
+            g_pol["pol1"] += control._safe_div(
+                r5.sum(axis=(0, 2)).transpose(0, 2, 1), gen.pol1.reshaped()).reshape(-1, a1c)
+    return control.TrainableParams(
+        {k: control._softmax_grad_rows(sent[k], g_sent[k]) for k in REC_FACTORS},
+        {k: control._softmax_grad_rows(getattr(gen, k).probs, g_pol[k])
+         for k in acc.trained_pols})
+
+
+def per_step_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies):
+    """The adjoint step by step: each step adds its own (N, O, L, A) terms,
+    built from mu_t and lam_{t+1}, to its tick's buckets."""
+    spec = gen.spec
+    lat = chains.Lattice.of(spec)
+    pieces = control._dfe_pieces(gen, rec, ref)
+    ticks = [tick_at(t, spec) for t in range(1, T + 1)]
+    mus = [np.zeros(spec.n_states)]
+    mus[0][x0.flat(spec)] = 1.0
+    value = 0.0
+    for t in range(T):
+        pc = pieces[ticks[t]]
+        value += float(mus[t] @ pc["ev"]) - rate
+        mus.append(pc["qc"].T @ mus[t])
+    lam = np.zeros(spec.n_states)
+    acc = control._GradAccumulator(gen, rec, ref, trainable_policies)
+    for t in range(T - 1, -1, -1):
+        pc = pieces[ticks[t]]
+        bucket = acc.buckets[ticks[t]]
+        lam_g = lam[lat.state_of_ola]
+        c_tilde = pc["cost"] - rate
+        edge_p = pc["marg"][:, :, None, :] * pc["belief"].transpose(0, 1, 3, 2)
+        dqc4 = np.where(edge_p > 0.0, mus[t][:, None, None, None]
+                        * (c_tilde[:, :, None, :] + lam_g[None]), 0.0)
+        bucket["G_m"] += np.einsum("xola,xoal->xoa", dqc4, pc["belief"])
+        bucket["G_q"] += dqc4.transpose(0, 1, 3, 2) * pc["marg"][..., None]
+        bucket["dC"] += mus[t][:, None, None] * pc["marg"]
+        lam = pc["ev"] - rate + pc["qc"] @ lam
+    return value, per_step_finalize(acc, pieces)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       cards=st.tuples(*[st.integers(1, 2)] * 5 + [st.integers(1, 3)]),
+       tick_period=st.integers(1, 3), floor=st.booleans(), T=st.integers(1, 6))
+def test_occupation_form_matches_the_per_step_adjoint(seed, cards, tick_period,
+                                                      floor, T):
+    gen, rec, ref = random_instance(seed, cards=cards, tick_period=tick_period,
+                                    floor=floor)
+    rng = np.random.default_rng(seed)
+    x0 = random_state(rng, gen.spec)
+    rate = float(rng.standard_normal())
+    value, grads = control.dfe_value_and_grad(gen, rec, ref, x0, T, rate)
+    want_value, want = per_step_value_and_grad(gen, rec, ref, x0, T, rate,
+                                               control.POLICY_TABLES)
+    assert value == want_value
+    assert set(grads.pol_logits) == set(control.POLICY_TABLES)
+    assert control.gradient_relative_error(grads, want) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# hard zeros: sums over positive occupation only
+
+
+HARD = (2, (2, 1, 2, 2, 1, 1), 2)      # 8 states, hard zeros in every table
+DEEP = (17, (2, 1, 2, 2, 1, 1), 1)     # finite objectives at T = 3, 4
+# from flat state 3, a state occupied at some steps of a tick value is
+# unoccupied at another, where its successor's cost-to-go is infinite
+GAPS = (1, (1, 2, 2, 2, 1, 1), 2)
+
+
+def path_expectation(gen, rec, ref, x0, T, rate):
+    """E[sum_t (cost - rate)] by enumerating the recognition chain's state
+    paths of positive probability (the independent route)."""
+    pieces = control._dfe_pieces(gen, rec, ref)
+    lat = chains.Lattice.of(gen.spec)
+    total = 0.0
+    for path in itertools.product(range(gen.spec.n_states), repeat=T):
+        prob, cost, prev = 1.0, 0.0, x0.flat(gen.spec)
+        for t, nxt in enumerate(path, start=1):
+            pc = pieces[tick_at(t, gen.spec)]
+            prob *= pc["qc"][prev, nxt]
+            cost += pc["cost"][prev, lat.o[nxt], lat.a[nxt]] - rate
+            prev = nxt
+        if prob > 0.0:
+            total += prob * cost
+    return total
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("instance,T", [(HARD, 1), (HARD, 2), (HARD, 3),
+                                        (DEEP, 3), (DEEP, 4)])
+def test_free_energy_sums_over_positive_occupation(instance, T):
+    # a state the chain cannot reach may have infinite expected cost; it
+    # must not turn the objective into 0 * inf = NaN
+    gen, rec, ref = hard_zero_instance(*instance)
+    values = []
+    for s in range(gen.spec.n_states):
+        x0 = CompleteState.from_flat(s, gen.spec)
+        v = control.differential_free_energy(gen, rec, ref, x0, T, 0.3)
+        want = path_expectation(gen, rec, ref, x0, T, 0.3)
+        assert v == want or math.isclose(v, want, rel_tol=1e-12), (s, v, want)
+        assert v == control.dfe_value_and_grad(gen, rec, ref, x0, T, 0.3)[0]
+        values.append(v)
+    finite = [s for s, v in enumerate(values) if math.isfinite(v)]
+    if instance == HARD:
+        assert finite == ([3, 7] if T < 3 else [])
+    else:
+        assert len(finite) == 5
+    if instance == HARD and T == 2:
+        assert values[3] == pytest.approx(0.0745552916305, abs=1e-12)
+        assert values[7] == pytest.approx(0.6596905352248, abs=1e-12)
+
+
+@pytest.mark.parametrize("instance,T", [(HARD, 2), (DEEP, 3), (DEEP, 4)])
+def test_rate_sums_over_positive_occupation(instance, T):
+    # with no burn-in, T steps of the recognition chain's rate are the
+    # differential free energy at rate 0; both are +inf, not NaN, where a
+    # reachable state's cost is infinite
+    gen, rec, ref = hard_zero_instance(*instance)
+    for s in range(gen.spec.n_states):
+        x0 = CompleteState.from_flat(s, gen.spec)
+        rate = oracle.exact_average_rate(gen, rec, ref, x0, 0, T, chain="recognition")
+        dfe = control.differential_free_energy(gen, rec, ref, x0, T, 0.0)
+        assert not math.isnan(rate)
+        assert rate * T == dfe or math.isclose(rate * T, dfe, rel_tol=1e-12), (s, rate, dfe)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("instance,T,starts", [(HARD, 2, (3, 7)), (DEEP, 3, (0, 3)),
+                                               (DEEP, 4, (0,)), (GAPS, 3, (3,))])
+def test_adjoint_sums_over_positive_occupation(instance, T, starts):
+    # at T >= 3 the adjoint's recursion meets unreachable successors of
+    # infinite cost-to-go, and K = sum_t mu_t (x) lam_{t+1} meets them at the
+    # steps where a state is unoccupied; neither may become NaN
+    gen, rec, ref = hard_zero_instance(*instance)
+    params = control.extract_params(gen, rec)
+    gen2, rec2 = control.apply_params(gen, rec, params)
+    for s in starts:
+        x0 = CompleteState.from_flat(s, gen.spec)
+        value, grads = control.dfe_value_and_grad(gen2, rec2, ref, x0, T, 0.3)
+        assert math.isfinite(value)
+        fd = control.fd_gradients(gen, rec, ref, params, x0, T, 0.3)
+        assert control.gradient_relative_error(grads, fd) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# one recognition half per parameter set
+
+
+def seed3_thermostat():
+    env, ref = sim.thermostat_env(3, [0, 2], heat_success=0.85, phase_advance=0.1)
+    gen, rec = sim.thermostat_agent(env, [0, 2], 3)
+    return gen, rec, ref
+
+
+def counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("iters,builds", [(2, 6), (12, 26)])
+def test_training_builds_one_recognition_half_per_parameter_set(monkeypatch, iters,
+                                                                builds):
+    # the rate, the halving check, the gradient and the rate refresh of one
+    # parameter set share its belief; training pol0 makes a new generative
+    # model, and so a new latent prior, for each parameter set
+    gen, rec, ref = seed3_thermostat()
+    calls = {"belief_table": 0, "latent_prior": 0}
+    for name in calls:
+        counting(monkeypatch, chains, name, calls)
+    control.train(gen, rec, ref, X0, 8, iters=iters, lr=0.5, seed=3,
+                  estimator="exact", trainable_policies=("pol0",))
+    assert calls == {"belief_table": builds, "latent_prior": builds}
+
+
+def test_training_keeps_at_most_one_recognition_half(monkeypatch):
+    gen, rec, ref = random_instance(97, cards=(2, 2, 1, 2, 2, 1), floor=True)
+    handed_on = []
+    keep = chains.keep_recognition_half
+
+    def recorded(g, r, f):
+        handed_on.append(r)
+        keep(g, r, f)
+
+    def checked(module, name):
+        original = getattr(module, name)
+
+        def run(*args, **kwargs):
+            assert sum(r.kept is not None for r in handed_on) == 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, run)
+
+    monkeypatch.setattr(chains, "keep_recognition_half", recorded)
+    checked(control, "differential_free_energy")
+    checked(oracle, "exact_average_rate")
+    report, _, rec2 = control.train(gen, rec, ref, X0, T=3, iters=6, lr=40.0,
+                                    rate_refresh=2)
+    assert report.step_size_trace[-1] < 40.0               # some steps halved
+    assert rec2.kept is None
+    assert all(r.kept is None for r in handed_on)

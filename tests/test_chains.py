@@ -131,6 +131,49 @@ def test_generative_half_is_read_only():
 
 
 # ---------------------------------------------------------------------------
+# the handed-on recognition half
+
+
+def test_a_kept_recognition_half_is_built_once_per_tick(monkeypatch):
+    gen, rec, ref = random_instance(9)
+    fresh = {t: chains.tick_pieces(gen, rec, ref, t) for t in (True, False)}
+    calls = []
+    belief_table = chains.belief_table
+    monkeypatch.setattr(chains, "belief_table",
+                        lambda r, tick: calls.append(tick) or belief_table(r, tick))
+    chains.keep_recognition_half(gen, rec, ref)
+    kept = {t: chains.tick_pieces(gen, rec, ref, t) for t in (True, False)}
+    qc = chains.recognition_chain(gen.spec, kept[True])
+    for t in (True, False):
+        assert chains.tick_pieces(gen, rec, ref, t) is kept[t]
+        for key, arr in fresh[t].items():
+            assert np.array_equal(bits(kept[t][key]), bits(arr))
+    assert chains.recognition_chain(gen.spec, chains.tick_pieces(gen, rec, ref, True)) is qc
+    for key in ("belief", "cost", "ev", "qc"):
+        assert not kept[True][key].flags.writeable
+    assert calls == [True, False]
+    # another generative or reference model builds afresh, and so does any
+    # call after the hand-off ends
+    assert chains.tick_pieces(replace(gen), rec, ref, True) is not kept[True]
+    assert chains.tick_pieces(gen, rec, replace(ref), True) is not kept[True]
+    chains.drop_recognition_half(rec)
+    assert rec.kept is None
+    assert chains.tick_pieces(gen, rec, ref, True) is not kept[True]
+    assert calls == [True, False, True, True, True]
+
+
+def test_a_kept_recognition_half_still_meets_the_ceiling(monkeypatch):
+    gen, rec, ref = random_instance(5, floor=True)             # 64 states
+    chains.keep_recognition_half(gen, rec, ref)
+    control._dfe_pieces(gen, rec, ref)
+    monkeypatch.setattr(chains, "MAX_STATES", 63)
+    with pytest.raises(EnumerationBudgetError):
+        chains.tick_pieces(gen, rec, ref, True)
+    with pytest.raises(EnumerationBudgetError):
+        control.differential_free_energy(gen, rec, ref, X0, 2, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # the complete-state ceiling
 
 

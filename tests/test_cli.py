@@ -114,7 +114,9 @@ def test_train_subcommand(model_file, tmp_path):
     assert r.returncode == 0, r.stderr
     report = json.loads(rep.read_text())
     assert report["iterations"] == 3
-    assert len(report["objective_trace"]) == 3
+    for key in ("objective_trace", "grad_norm_trace", "step_size_trace", "rate_trace"):
+        assert len(report[key]) == 3, key
+    assert all(0.0 < s <= 0.2 for s in report["step_size_trace"])
     assert out.exists()
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ascontrol import chains, control, oracle
-from ascontrol.errors import (ConvergenceError, DegenerateWeightsError)
-from ascontrol.instances import (hard_zero_instance, random_context, random_instance,
-                                 random_state, random_value)
+from ascontrol.errors import ConvergenceError, DegenerateSupportError
+from ascontrol.instances import (hard_zero_instance, random_instance, random_state,
+                                 random_value)
 from ascontrol.logspace import worst_error
 from ascontrol.model import (REC_FACTORS, CompleteState, RecognitionModel,
                              softmax_rows)
@@ -78,6 +79,21 @@ def test_rvi_nonconvergence_error_carries_residual():
         assert math.isfinite(exc.value.residual)
         assert "inf" not in str(exc.value)
         assert f"after {max_iter} sweeps" in str(exc.value)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_rvi_refuses_states_of_infinite_cost_under_every_action(monkeypatch):
+    # on this hard-zero instance 6 of 8 states have infinite expected cost
+    # under every action tuple at the tick phase: no finite bias exists, and
+    # relative value iteration must say so before its first sweep
+    gen, rec, ref = hard_zero_instance(2, (2, 1, 2, 2, 1, 1), 2)
+
+    def unreachable(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(control._BellmanOps, "backup", unreachable)
+    with pytest.raises(DegenerateSupportError, match="6 states .* phase 0"):
+        control.relative_value_iteration(gen, rec, ref)
 
 
 @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": -1e-9}, {"tol": math.nan},
@@ -308,10 +324,11 @@ def test_gradients_match_finite_differences():
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_nan_gradients_fail_the_gradient_check():
-    # hard zeros make both the adjoint and the finite differences NaN; the
-    # error must be NaN, which fails any tolerance, not 0.0
+    # from flat state 0 a reachable state has infinite expected cost, so the
+    # objective is +inf and both the adjoint and the finite differences are
+    # NaN; the error must be NaN, which fails any tolerance, not 0.0
     gen, rec, ref = hard_zero_instance(2, (2, 1, 2, 2, 1, 1), 2)
-    x0 = CompleteState.from_flat(3, gen.spec)
+    x0 = CompleteState.from_flat(0, gen.spec)
     params = control.extract_params(gen, rec)
     gen2, rec2 = control.apply_params(gen, rec, params)
     _, grads = control.dfe_value_and_grad(gen2, rec2, ref, x0, 2, 0.3)
@@ -404,6 +421,28 @@ def test_fd_gradients_build_one_generative_half_per_generative_model(monkeypatch
     assert len(calls) <= 2 * (2 * n_pol + 1)
 
 
+def test_fd_gradients_rebuild_only_the_perturbed_factor(monkeypatch):
+    # a perturbed recognition logit rebuilds its own factor's table; the
+    # other three are the unperturbed model's arrays, which the policy-logit
+    # evaluations read whole
+    gen, rec, ref = random_instance(961, cards=(2, 2, 1, 2, 2, 1))
+    params = control.extract_params(gen, rec)
+    recs = []
+    monkeypatch.setattr(control, "differential_free_energy",
+                        lambda g, r, *args: recs.append(r) or 0.0)
+    control.fd_gradients(gen, rec, ref, params, X0, 2, 0.1)
+    sizes = {k: 2 * v.size for k, v in params.q_logits.items()}
+    n_q = sum(sizes.values())
+    base = recs[n_q]
+    assert all(r is base for r in recs[n_q:])
+    start = 0
+    for key, size in sizes.items():
+        for r in recs[start:start + size]:
+            for k in REC_FACTORS:
+                assert (r.tables[k] is base.tables[k]) == (k != key), (key, k)
+        start += size
+
+
 def with_other_smoothing_slices(rec, seed):
     """`rec` with every non-sentinel slice replaced by other normalized rows."""
     other = RecognitionModel.from_seed(rec.spec, seed)
@@ -485,6 +524,31 @@ def test_training_report_shape_and_rate_refresh():
     assert len(report.grad_norm_trace) == 12
     assert np.isfinite(report.final_rate)
     assert isinstance(rec2, RecognitionModel)
+
+
+def test_training_report_records_step_sizes_and_rates():
+    # lr 40 forces halvings; rate_refresh 2 re-estimates the rate after every
+    # second step, so the gradients of iterations 2 and 4 use new rates
+    gen, rec, ref = random_instance(97, cards=(2, 2, 1, 2, 2, 1), floor=True)
+    report, _, _ = control.train(gen, rec, ref, X0, T=3, iters=6, lr=40.0,
+                                 rate_refresh=2)
+    doc = json.loads(json.dumps(report.to_dict()))
+    steps, rates = doc["step_size_trace"], doc["rate_trace"]
+    assert len(steps) == len(rates) == doc["iterations"] == 6
+    assert steps[0] < 40.0
+    assert all(math.log2(40.0 / s).is_integer() for s in steps)
+    assert steps == sorted(steps, reverse=True)
+    cur_gen, cur_rec = control.apply_params(gen, rec, control.extract_params(gen, rec))
+    assert rates[0] == oracle.exact_average_rate(cur_gen, cur_rec, ref, X0,
+                                                 *control._RATE_HORIZON,
+                                                 chain="recognition")
+    assert rates[0] == rates[1] and rates[2] == rates[3] and rates[4] == rates[5]
+    assert len({rates[0], rates[2], rates[4], doc["final_rate"]}) == 4
+    # without halving every step is the learning rate
+    plain, _, _ = control.train(gen, rec, ref, X0, T=3, iters=2, lr=40.0,
+                                halving=False, rate_refresh=0)
+    assert plain.step_size_trace == [40.0, 40.0]
+    assert plain.rate_trace == [rates[0]] * 2
 
 
 def test_score_training_is_seeded_and_finite():
