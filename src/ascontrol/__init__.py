@@ -17,7 +17,7 @@ from .control import (DifferentialValue, TrainableParams, TrainReport,
 from .errors import (AscontrolError, ConvergenceError, DegenerateSupportError,
                      DegenerateWeightsError, DimensionMismatchError,
                      EnumerationBudgetError, ImpossibleObservationError,
-                     NonFiniteObjectiveError)
+                     NonFiniteObjectiveError, NonUniqueStationaryError)
 from .model import (CompleteState, ConditionalTable, GenerativeModel,
                     ModelSpec, RecognitionContext, RecognitionModel,
                     ReferenceModel, Trajectory, load_models, recognition_logprob,

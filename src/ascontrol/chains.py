@@ -30,6 +30,14 @@ built once per tick and kept on the recognition model until
 it and the rate refresh share one build per parameter set, and no half
 outlives the hand-off. `tick_pieces` is the one place that wires the
 two: prior -> belief -> marginal -> edge cost.
+
+The edge cost also reads two model-only log tables, -log R and -log lik
+per latent tuple; each is built once per model and kept, read-only, in the
+model's `pieces` cache. The four product builders (latent_prior,
+belief_table, transition_matrix, qchain_matrix) sum no index: each runs
+numpy's greedy contraction plan, computed once per (subscripts, operand
+shapes) and replayed, so a call costs its arithmetic and gives the bits of
+np.einsum(..., optimize=True).
 """
 
 import numpy as np
@@ -85,6 +93,43 @@ class Lattice:
         return lat
 
 
+# the one step of numpy's greedy plan for each product builder, per
+# (subscripts, operand shapes): (operand positions, step subscripts)
+_PLANS = {}
+
+
+def _product(subscripts, *ops):
+    """np.einsum(subscripts, *ops, optimize=True), bit for bit, for a
+    contraction that sums no index, with numpy's greedy plan computed once
+    per (subscripts, shapes) and replayed with plain np.einsum. For such a
+    contraction the plan is one step over every operand, which np.einsum
+    pops in descending position: one product per output element, so the
+    same operands multiplied in the same order give the same bits (plain
+    np.einsum(subscripts, *ops) multiplies them in another order)."""
+    key = (subscripts, tuple(op.shape for op in ops))
+    plan = _PLANS.get(key)
+    if plan is None:
+        (positions,) = np.einsum_path(subscripts, *ops, optimize="greedy")[0][1:]
+        positions = sorted(positions, reverse=True)
+        inputs, output = subscripts.split("->")
+        terms = inputs.split(",")
+        plan = _PLANS[key] = (
+            positions, ",".join(terms[i] for i in positions) + "->" + output)
+    positions, step = plan
+    return np.einsum(step, *[ops[i] for i in positions])
+
+
+def _model_table(model, key, build):
+    """The model-only table `key` of a generative or reference model: built
+    by `build()` on first use and then read, read-only, from `model.pieces`."""
+    Lattice.of(model.spec)  # the ceiling holds for a kept table too
+    table = model.pieces.get(key)
+    if table is None:
+        table = model.pieces[key] = build()
+        table.setflags(write=False)
+    return table
+
+
 def world_factors(gen, tick):
     """Nature's factors out of every x_prev: d2 = p(s2' | s2, a), shape
     (N, s2') (the hold on non-tick steps), and d1 = p(s1' | s1, s2', a),
@@ -101,7 +146,7 @@ def latent_prior(gen, tick):
     d2, d1 = world_factors(gen, tick)
     p2 = gen.pol2.reshaped()                                   # (s2', a2)
     p1 = gen.pol1.reshaped()                                   # (s1', a2, a1)
-    prior = np.einsum("xX,XA,xXs,sAb->xsXbA", d2, p2, d1, p1, optimize=True)
+    prior = _product("xX,XA,xXs,sAb->xsXbA", d2, p2, d1, p1)
     return prior.reshape(spec.n_states, spec.n_latents)
 
 
@@ -154,18 +199,21 @@ def belief_table(rec, tick):
     q_a2 = rec.tables["a2"][:, :, :, f]                        # (N, O, A, s2, a2)
     q_s1 = rec.tables["s1"][:, :, :, f]                        # (N, O, A, s2, a2, s1)
     q_a1 = rec.tables["a1"][:, :, :, f]                        # (N, O, A, s1, a2, a1)
-    joint = np.einsum("xowX,xowXA,xowXAs,xowsAb->xowsXbA",
-                      q_s2, q_a2, q_s1, q_a1, optimize=True)
+    joint = _product("xowX,xowXA,xowXAs,xowsAb->xowsXbA", q_s2, q_a2, q_s1, q_a1)
     return joint.reshape(n, spec.card_o, spec.card_a, spec.n_latents)
 
 
 def reference_over_latents(ref):
     """-log R per latent tuple: shape (L, O); the o-dependent ref_o term plus
-    the o-independent ref_s1 term."""
-    lat = Lattice.of(ref.spec)
-    j_o = -safe_log(ref.ref_o.reshaped()[lat.la1, :])          # (L, O)
-    j_s1 = -safe_log(ref.ref_s1.reshaped()[lat.la2, lat.ls1])  # (L,)
-    return j_o + j_s1[:, None]
+    the o-independent ref_s1 term. Built once per reference model and kept,
+    read-only, in `ref.pieces`."""
+    def build():
+        lat = Lattice.of(ref.spec)
+        j_o = -safe_log(ref.ref_o.reshaped()[lat.la1, :])          # (L, O)
+        j_s1 = -safe_log(ref.ref_s1.reshaped()[lat.la2, lat.ls1])  # (L,)
+        return j_o + j_s1[:, None]
+
+    return _model_table(ref, "neg_log_ref", build)
 
 
 def edge_cost(gen, ref, prior, belief):
@@ -174,7 +222,8 @@ def edge_cost(gen, ref, prior, belief):
     plus expected observation surprisal plus the KL from belief to latent
     prior, all under the filtering belief."""
     j_lat = reference_over_latents(ref)                        # (L, O)
-    l_lat = -safe_log(lik_over_latents(gen))                   # (L, O)
+    l_lat = _model_table(gen, "neg_log_lik",                   # (L, O)
+                         lambda: -safe_log(lik_over_latents(gen)))
     with np.errstate(invalid="ignore"):
         j = np.where(belief > 0.0, belief * j_lat.T[None, :, None, :], 0.0).sum(axis=3)
         l = np.where(belief > 0.0, belief * l_lat.T[None, :, None, :], 0.0).sum(axis=3)
@@ -198,8 +247,8 @@ def _over_successors(spec, ola):
 def transition_matrix(gen, tick):
     """One-step matrix P[x, x'] of the policy-embedded model, shape (N, N)."""
     prior = generative_pieces(gen, tick)["prior"]
-    t4 = np.einsum("xl,lo,loa->xola", prior, lik_over_latents(gen),
-                   pol0_over_latents(gen), optimize=True)
+    t4 = _product("xl,lo,loa->xola", prior, lik_over_latents(gen),
+                  pol0_over_latents(gen))
     return _over_successors(gen.spec, t4)
 
 
@@ -213,8 +262,8 @@ def transition_row(gen, x, tick):
 def qchain_matrix(spec, marg, belief):
     """One-step matrix of the recognition-controlled chain: observables from
     the model's marginal, latents from the filtering belief."""
-    Lattice.of(spec)  # the ceiling, before the einsum allocates
-    q4 = np.einsum("xoa,xoal->xola", marg, belief, optimize=True)
+    Lattice.of(spec)  # the ceiling, before the product allocates
+    q4 = _product("xoa,xoal->xola", marg, belief)
     return _over_successors(spec, q4)
 
 

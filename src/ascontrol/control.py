@@ -480,9 +480,15 @@ def _safe_div(num, den):
 
 
 def _softmax_grad_rows(probs, g):
-    g = np.where(probs > 0.0, g, 0.0)
-    inner = np.sum(g * probs, axis=-1, keepdims=True)
-    return probs * (g - inner)
+    # probs * (g - E_probs[g]), with g centred on its row mean first: the
+    # upstream gradients carry a large offset common to a row (cost-to-go),
+    # and subtracting the mean once would leave an error of eps * |g| in an
+    # entry that may be far smaller than |g|; the second mean removes what
+    # the rounding of the first left behind
+    live = probs > 0.0
+    g = np.where(live, g, 0.0)
+    g = np.where(live, g - np.sum(g * probs, axis=-1, keepdims=True), 0.0)
+    return probs * (g - np.sum(g * probs, axis=-1, keepdims=True))
 
 
 class _GradAccumulator:

@@ -38,6 +38,11 @@ class NonFiniteObjectiveError(AscontrolError):
         self.iteration = iteration
 
 
+class NonUniqueStationaryError(AscontrolError):
+    """A chain has more than one recurrent class, so no unique stationary
+    distribution."""
+
+
 class ConvergenceError(AscontrolError):
     """An iterative solver exhausted its iteration budget."""
 

@@ -17,12 +17,13 @@ and a recognition model carries per-step beliefs over the four latent
 variables, conditioned on (o_t, a_t, x_{t-1}) and a summary of the next
 step (the next observation, or a designated no-future sentinel).
 
-Every table is immutable after construction (a generative model only
-fills its cache of per-tick arrays derived from them); sampling takes an
+Every table is immutable after construction (a generative or reference
+model only fills its cache of arrays derived from them); sampling takes an
 explicit numpy Generator so parallel callers use independent streams.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +69,7 @@ class ModelSpec:
 
     @property
     def n_states(self):
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def n_latents(self):
@@ -355,8 +356,10 @@ class GenerativeModel(_TableModel):
     pol1: ConditionalTable   # (s1, a2) -> a1
     pol2: ConditionalTable   # (s2,) -> a2
     # the generative half of the per-tick pieces, tick -> {"prior", "marg"},
-    # filled by chains.generative_pieces on first use. The tables are
-    # read-only, so it cannot go stale; dataclasses.replace starts empty.
+    # filled by chains.generative_pieces on first use, and the model-only
+    # -log lik over latents ("neg_log_lik", filled by chains.edge_cost). The
+    # tables are read-only, so it cannot go stale; dataclasses.replace
+    # starts empty.
     pieces: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -371,6 +374,11 @@ class ReferenceModel(_TableModel):
     spec: ModelSpec
     ref_o: ConditionalTable   # (a1,) -> o
     ref_s1: ConditionalTable  # (a2,) -> s1
+    # the model-only log tables of the edge cost, filled by
+    # chains.reference_over_latents on first use; like GenerativeModel.pieces
+    # it cannot go stale, and dataclasses.replace starts empty
+    pieces: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     table_names = ("ref_o", "ref_s1")
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import chains
 from ._kernels import path_logsumexp
-from .errors import (ConvergenceError, DimensionMismatchError,
-                     EnumerationBudgetError, ImpossibleObservationError)
+from .errors import (DimensionMismatchError, EnumerationBudgetError,
+                     ImpossibleObservationError, NonUniqueStationaryError)
 from .logspace import NEG_INF, logsumexp, safe_log, support_dot
 from .model import CompleteState, Trajectory, tick_at
 
@@ -24,8 +24,6 @@ from .model import CompleteState, Trajectory, tick_at
 # the trajectory ceiling of exhaustive enumerations; ASC_ENUM_BUDGET (an
 # integer) overrides it
 MAX_TRAJECTORIES = 10_000_000
-
-_STATIONARY_TOL = 1e-14  # L1 step at which stationary_rate stops
 
 
 def _check_paths(bound):
@@ -211,28 +209,27 @@ def exact_average_rate(gen, rec, ref, x0, T_burn, T_eval, chain="generative"):
     return float(np.mean(vals))
 
 
-def stationary_rate(step_mats, step_costs, max_iter=200_000):
+def stationary_rate(step_mats, step_costs):
     """Average expected edge cost under the stationary cycle of a periodic
     chain. `step_mats[p]` maps phase p to p+1; `step_costs[p]` is the
-    expected one-step cost from each state at phase p."""
+    expected one-step cost from each state at phase p. The stationary law
+    mu of the composed chain C solves mu (C - I) = 0 with sum(mu) = 1, in one
+    dense least-squares solve, so periodic chains need no mixing; a
+    rank-deficient system (more than one recurrent class) has no unique mu
+    and raises NonUniqueStationaryError."""
     period = len(step_mats)
     n = step_mats[0].shape[0]
     composed = step_mats[0]
     for p in range(1, period):
         composed = composed @ step_mats[p]
-    mu = np.full(n, 1.0 / n)
-    residual = float("inf")
-    for _ in range(max_iter):
-        nxt = composed.T @ mu
-        nxt /= nxt.sum()
-        residual = float(np.abs(nxt - mu).sum())
-        mu = nxt
-        if residual <= _STATIONARY_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"stationary distribution did not converge in {max_iter} iterations "
-            f"(L1 residual {residual:.3e})", residual=residual)
+    system = np.vstack([composed.T - np.eye(n), np.ones((1, n))])
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    mu, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
+    if rank < n:
+        raise NonUniqueStationaryError(
+            f"the chain has more than one recurrent class: its stationary "
+            f"system has rank {rank} < {n} states")
     total = 0.0
     for p in range(period):
         total += float(mu @ step_costs[p])

@@ -9,8 +9,8 @@ import time
 import numpy as np
 
 from ascontrol import control, oracle
-from ascontrol.instances import (random_context, random_instance, random_state,
-                                 random_value)
+from ascontrol.instances import (hard_zero_instance, random_context, random_instance,
+                                 random_state, random_value)
 from ascontrol.logspace import kl_divergence, worst_error
 from ascontrol.model import CompleteState
 from ascontrol.objectives import variational_free_energy
@@ -18,6 +18,20 @@ from conftest import uniform_instance
 
 X0 = CompleteState(0, 0, 0, 0, 0, 0)
 LOG2 = math.log(2.0)
+
+
+def gap(a, b):
+    """a - b, but 0 where a and b are the same infinity: such a pair agrees,
+    and a path value of +inf under a bound of +inf meets the bound. A finite
+    value against an infinite one keeps its infinite gap, and NaN stays."""
+    return 0.0 if a == b else a - b
+
+
+def hard_zero_cases(seed, n):
+    """n hard-zero instances of the criteria 4-5 shapes, tick periods 1-3."""
+    for i in range(n):
+        cards = (2, 2, 2, 2, 1, 1) if i % 2 == 0 else (2, 2, 2, 1, 1, 1)
+        yield hard_zero_instance(seed + i, cards, 1 + i % 3)
 
 
 def report(num, name, passed, detail):
@@ -84,9 +98,11 @@ def test_criterion_4_recursion_vs_enumeration():
     t0 = time.time()
     rng = np.random.default_rng(4)
     worst = 0.0
-    for i in range(100):
-        cards = (2, 2, 2, 2, 1, 1) if i % 2 == 0 else (2, 2, 2, 1, 1, 1)
-        gen, rec, ref = random_instance(40_000 + i, cards=cards)
+    instances = [random_instance(40_000 + i, cards=(2, 2, 2, 2, 1, 1) if i % 2 == 0
+                                 else (2, 2, 2, 1, 1, 1)) for i in range(100)]
+    instances += hard_zero_cases(41_000, 12)
+    infinite = 0
+    for gen, rec, ref in instances:
         x0 = random_state(rng, gen.spec)
         rate = float(rng.standard_normal() * 0.3)
         for T in range(1, 6):
@@ -94,25 +110,31 @@ def test_criterion_4_recursion_vs_enumeration():
                 sv = oracle.exact_soft_value(gen, rec, ref, x0, T, rate, mode=mode)
                 pi = oracle.exact_path_integral_value(gen, rec, ref, x0, T, rate,
                                                       mode=mode)
-                worst = worst_error(worst, abs(sv.rooted - pi))
+                worst = worst_error(worst, abs(gap(sv.rooted, pi)))
+                infinite += math.isinf(pi)
     elapsed = time.time() - t0
     report(4, "soft recursion equals exhaustive path enumeration (T=1..5)",
            worst <= 1e-8 and elapsed < 60.0,
-           f"max diff = {worst:.2e}, {elapsed:.1f}s")
+           f"max diff = {worst:.2e}, {infinite} infinite path values on 12 "
+           f"hard-zero instances, {elapsed:.1f}s")
 
 
 def test_criterion_5_jensen_bound():
     rng = np.random.default_rng(5)
     worst_violation = 0.0
-    for i in range(100):
-        cards = (2, 2, 2, 2, 1, 1) if i % 2 == 0 else (2, 2, 2, 1, 1, 1)
-        gen, rec, ref = random_instance(50_000 + i, cards=cards)
+    instances = [random_instance(50_000 + i, cards=(2, 2, 2, 2, 1, 1) if i % 2 == 0
+                                 else (2, 2, 2, 1, 1, 1)) for i in range(100)]
+    instances += hard_zero_cases(51_000, 16)
+    infinite = [0, 0]
+    for gen, rec, ref in instances:
         x0 = random_state(rng, gen.spec)
         rate = float(rng.standard_normal() * 0.4)
         bound = control.differential_free_energy(gen, rec, ref, x0, 4, rate)
         pi = oracle.exact_path_integral_value(gen, rec, ref, x0, 4, rate,
                                               mode="feedback")
-        worst_violation = worst_error(worst_violation, pi - bound)
+        worst_violation = worst_error(worst_violation, gap(pi, bound))
+        infinite[0] += math.isinf(bound)
+        infinite[1] += math.isinf(pi)
     # constant-advantage instances: equality
     worst_eq = 0.0
     gen, rec, ref = uniform_instance()
@@ -123,7 +145,22 @@ def test_criterion_5_jensen_bound():
         worst_eq = worst_error(worst_eq, abs(bound - pi))
     report(5, "differential free energy dominates the path-integral value",
            worst_violation <= 1e-8 and worst_eq <= 1e-10,
-           f"max violation = {worst_violation:.2e}, equality gap = {worst_eq:.2e}")
+           f"max violation = {worst_violation:.2e}, {infinite[0]} infinite bounds "
+           f"and {infinite[1]} infinite path values on 16 hard-zero instances, "
+           f"equality gap = {worst_eq:.2e}")
+
+
+def test_gap_fails_a_finite_value_against_an_infinite_one():
+    inf = math.inf
+    assert gap(inf, inf) == 0.0 and gap(-inf, -inf) == 0.0
+    # criterion 4: a finite value against an infinite one disagrees
+    assert worst_error(0.0, abs(gap(1.0, inf))) == inf
+    assert worst_error(0.0, abs(gap(-inf, 1.0))) == inf
+    # criterion 5: a +inf path value over a finite bound violates it; a
+    # finite path value under a +inf bound meets it
+    assert worst_error(0.0, gap(inf, 3.0)) == inf
+    assert worst_error(0.0, gap(3.0, inf)) == 0.0
+    assert math.isnan(worst_error(0.0, abs(gap(math.nan, math.nan))))
 
 
 def test_criterion_6_average_cost_consistency():

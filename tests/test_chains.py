@@ -4,10 +4,15 @@ Each dense (N, ...) builder in `chains` has a second route that builds one
 row or one context at a time: `latent_prior_row`, `transition_row`,
 `RecognitionModel.joint` and `objectives.step_objective`. The properties
 below check that the two routes agree on random, floored and hard-zero
-instances, on both ticks and tick periods 1-3.
+instances, on both ticks and tick periods 1-3. The product builders'
+fixed contraction plans are checked against np.einsum(..., optimize=True)
+bit for bit.
 """
 
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -128,6 +133,24 @@ def test_generative_half_is_read_only():
         with pytest.raises(ValueError, match="read-only"):
             pc[key][0] = 0.0
     assert pc["prior"] is gen.pieces[True]["prior"]
+
+
+def test_model_only_log_tables_are_kept_per_model():
+    gen, rec, ref = random_instance(10)
+    pc = chains.tick_pieces(gen, rec, ref, True)
+    j_lat = chains.reference_over_latents(ref)
+    l_lat = gen.pieces["neg_log_lik"]
+    assert chains.reference_over_latents(ref) is j_lat
+    assert ref.pieces["neg_log_ref"] is j_lat
+    for table in (j_lat, l_lat):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+    assert np.array_equal(bits(l_lat), bits(-np.log(chains.lik_over_latents(gen))))
+    assert np.array_equal(bits(chains.edge_cost(gen, ref, pc["prior"], pc["belief"])),
+                          bits(pc["cost"]))
+    # a rebuilt model starts empty
+    assert replace(ref).pieces == {} and replace(gen).pieces == {}
+    assert chains.reference_over_latents(replace(ref)) is not j_lat
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +307,98 @@ def test_lattice_is_not_built_above_the_ceiling():
     with pytest.raises(EnumerationBudgetError, match="5120 complete states"):
         chains.Lattice.of(spec)
     assert spec not in chains.Lattice._cache
+
+
+# ---------------------------------------------------------------------------
+# fixed contraction plans of the product builders
+
+try:
+    from numpy._core import einsumfunc
+except ImportError:  # numpy 1.x
+    from numpy.core import einsumfunc
+
+# the subscripts of each product builder's contraction
+PRODUCTS = ("xX,XA,xXs,sAb->xsXbA",                 # latent_prior
+            "xowX,xowXA,xowXAs,xowsAb->xowsXbA",    # belief_table
+            "xl,lo,loa->xola",                      # transition_matrix
+            "xoa,xoal->xola")                       # qchain_matrix
+
+
+def build_products(gen, rec, tick):
+    """Run the four product builders on one instance and tick."""
+    chains.latent_prior(gen, tick)
+    chains.transition_matrix(gen, tick)
+    chains.qchain_matrix(gen.spec, chains.generative_pieces(gen, tick)["marg"],
+                         chains.belief_table(rec, tick))
+
+
+@contextmanager
+def checked_products():
+    """Compare each contraction the product builders run, bit for bit, with
+    np.einsum(..., optimize=True); yields the (subscripts, shapes) run."""
+    product, seen = chains._product, []
+
+    def checked(subscripts, *ops):
+        out = product(subscripts, *ops)
+        want = np.einsum(subscripts, *ops, optimize=True)
+        assert np.array_equal(bits(out), bits(want)), subscripts
+        seen.append((subscripts, tuple(op.shape for op in ops)))
+        return out
+
+    with patch.object(chains, "_product", checked):
+        yield seen
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), cards=st.tuples(*[st.integers(1, 3)] * 6),
+       tick_period=st.integers(1, 3), tick=st.booleans())
+def test_product_builders_give_the_bits_of_einsum_optimize(seed, cards, tick_period,
+                                                           tick):
+    gen, rec, _ = random_instance(seed, cards=cards, tick_period=tick_period)
+    with checked_products() as seen:
+        build_products(gen, rec, tick)
+    assert {subscripts for subscripts, _ in seen} == set(PRODUCTS)
+
+
+def test_product_builders_give_the_bits_of_einsum_optimize_on_the_thermostat():
+    env, _ = sim.thermostat_env(3, [0, 2])                     # 864 states
+    gen, rec = sim.thermostat_agent(env, [0, 2], 0)
+    with checked_products() as seen:
+        for tick in (True, False):
+            build_products(gen, rec, tick)
+    assert {subscripts for subscripts, _ in seen} == set(PRODUCTS)
+
+
+def test_plans_are_kept_per_subscripts_and_shapes(monkeypatch):
+    monkeypatch.setattr(chains, "_PLANS", {})
+    small = random_instance(11, cards=(2, 2, 2, 2, 2, 2))
+    other = random_instance(12, cards=(3, 1, 2, 2, 3, 1), tick_period=3)
+    with checked_products() as seen:
+        for gen, rec, _ in (small, other, small):
+            for tick in (True, False):
+                build_products(gen, rec, tick)
+    shapes = {}
+    for subscripts, shape in seen:
+        shapes.setdefault(subscripts, set()).add(shape)
+    assert all(len(s) == 2 for s in shapes.values())           # same subscripts
+    assert set(chains._PLANS) == set(seen)
+
+
+def test_fd_gradients_plan_each_product_once(monkeypatch):
+    """Validate's first gradient instance: every contraction plan of the
+    product builders is computed at most once per (subscripts, shapes)
+    over the whole finite-difference check."""
+    gen, rec, ref = random_instance(3 * 6000, cards=(2, 2, 1, 2, 2, 1))
+    params = control.extract_params(gen, rec)
+    monkeypatch.setattr(chains, "_PLANS", {}, raising=False)
+    einsum_path, calls = np.einsum_path, Counter()
+
+    def counted(subscripts, *ops, **kwargs):
+        if subscripts in PRODUCTS:
+            calls[subscripts, tuple(np.shape(op) for op in ops)] += 1
+        return einsum_path(subscripts, *ops, **kwargs)
+
+    monkeypatch.setattr(einsumfunc, "einsum_path", counted)    # np.einsum's
+    monkeypatch.setattr(np, "einsum_path", counted)
+    control.fd_gradients(gen, rec, ref, params, X0, 2, 0.1)
+    assert calls and max(calls.values()) == 1, calls

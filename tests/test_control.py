@@ -47,6 +47,14 @@ def test_rvi_gain_matches_greedy_stationary_rate():
     assert v.gain == pytest.approx(stat, abs=1e-6)
 
 
+def test_greedy_stationary_rate_of_a_periodic_greedy_chain():
+    # the greedy chain is a 2-cycle between states 2 and 9: power iteration
+    # from the uniform law never settled on it
+    gen, rec, ref = random_instance(57, cards=(1, 1, 1, 2, 2, 3), tick_period=1)
+    v = control.relative_value_iteration(gen, rec, ref, tol=1e-10)
+    assert control.greedy_stationary_rate(gen, rec, ref, v) == pytest.approx(v.gain, abs=1e-9)
+
+
 def test_rvi_reinitialization_invariance():
     gen, rec, ref = random_instance(61)
     v1 = control.relative_value_iteration(gen, rec, ref, tol=1e-10)

@@ -1,12 +1,17 @@
-"""Every module-level import in the package is used by its module, and
-every function, class and method in the package is used somewhere.
+"""Every module-level import in the package is used by its module, every
+function, class and method in the package is used somewhere, and every
+einsum that plans its contraction per call sums an index.
 
 Stdlib-only stand-ins for a linter's unused-import and dead-code rules.
 Imports: each module under src/ascontrol (package __init__ files
 re-export, so they are skipped) is parsed, and every name bound by a
 top-level import must occur as a name somewhere in the module. Dead code:
 every non-dunder def or class under src/ascontrol must be referenced
-outside its own body in src/, tests/ or perfbench/.
+outside its own body in src/, tests/ or perfbench/. Contractions: an
+`np.einsum(..., optimize=True)` computes its path on every call, so it is
+kept for contractions that sum an index (numpy runs their steps through
+matmul), and a contraction that sums none goes through `chains._product`,
+which plans it once per shape; both take literal subscripts.
 """
 
 import ast
@@ -103,3 +108,48 @@ def test_every_package_def_is_referenced():
 
     assert unreferenced_defs(sources("src"), {**sources("tests"),
                                               **sources("perfbench")}) == []
+
+
+def sums_an_index(subscripts):
+    inputs, output = subscripts.split("->")
+    return bool(set(inputs) - set(output) - {","})
+
+
+def misplaced_contractions(source):
+    """(line, subscripts) of each `np.einsum(..., optimize=True)` in `source`
+    whose subscripts are not a literal that sums an index, and of each
+    `_product(...)` whose subscripts are not a literal that sums none."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        planned = (isinstance(func, ast.Attribute) and func.attr == "einsum"
+                   and any(k.arg == "optimize" and isinstance(k.value, ast.Constant)
+                           and k.value.value is True for k in node.keywords))
+        product = (func.attr if isinstance(func, ast.Attribute)
+                   else getattr(func, "id", None)) == "_product"
+        if not (planned or product):
+            continue
+        first = node.args[0] if node.args else None
+        literal = isinstance(first, ast.Constant) and isinstance(first.value, str)
+        subscripts = first.value if literal else None
+        if not literal or sums_an_index(subscripts) != planned:
+            bad.append((node.lineno, subscripts))
+    return bad
+
+
+def test_contraction_checker_flags_misplaced_sites():
+    source = ("a = np.einsum('xl,lo->xo', p, q, optimize=True)\n"
+              "b = np.einsum('xoa,xoal->xola', m, q, optimize=True)\n"
+              "c = np.einsum(subs, m, q, optimize=True)\n"
+              "d = np.einsum('xoa,xoal->xola', m, q)\n"
+              "e = chains._product('xoa,xoal->xola', m, q)\n"
+              "f = _product('xl,lo->xo', p, q)\n")
+    assert misplaced_contractions(source) == [
+        (2, "xoa,xoal->xola"), (3, None), (6, "xl,lo->xo")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_planned_contractions_sum_an_index(path):
+    assert misplaced_contractions(path.read_text()) == []

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ascontrol import chains, oracle
-from ascontrol.errors import (ConvergenceError, EnumerationBudgetError,
-                              ImpossibleObservationError)
+from ascontrol.errors import (EnumerationBudgetError, ImpossibleObservationError,
+                              NonUniqueStationaryError)
 from ascontrol.instances import random_instance, random_state
 from ascontrol.logspace import logsumexp
 from ascontrol.model import (CompleteState, ConditionalTable, GenerativeModel,
@@ -182,14 +184,82 @@ def test_average_rate_two_cycle():
     assert rate == pytest.approx(expect, abs=1e-12)
 
 
-def test_stationary_rate_reports_residual_when_out_of_iterations():
+def test_stationary_rate_of_a_two_state_chain():
     mats = [np.array([[0.9, 0.1], [0.5, 0.5]])]
     costs = [np.array([0.0, 1.0])]
-    with pytest.raises(ConvergenceError) as err:
-        oracle.stationary_rate(mats, costs, max_iter=1)
-    # one step from uniform: mu = (0.7, 0.3), L1 distance 0.4
-    assert err.value.residual == pytest.approx(0.4)
+    # stationary law (5/6, 1/6)
     assert abs(oracle.stationary_rate(mats, costs) - 1.0 / 6.0) < 1e-12
+
+
+def test_stationary_rate_of_a_periodic_chain():
+    # state 0 enters the 2-cycle {1, 2}: from the uniform law the iterates
+    # swap (0, 2/3, 1/3) and (0, 1/3, 2/3) for ever; the cycle's law is
+    # (0, 1/2, 1/2). A 3-cycle split over two phases visits its states equally.
+    enter = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    rate = oracle.stationary_rate([enter], [np.array([5.0, 1.0, 4.0])])
+    assert rate == pytest.approx(2.5, abs=1e-12)
+    cycle = np.roll(np.eye(3), 1, axis=1)
+    rate = oracle.stationary_rate([cycle, cycle], [np.array([0.0, 3.0, 6.0]),
+                                                   np.array([1.0, 1.0, 1.0])])
+    assert rate == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("chain", ["identity", "two-blocks"])
+def test_stationary_rate_refuses_more_than_one_recurrent_class(chain):
+    if chain == "identity":
+        mat = np.eye(3)
+    else:
+        rng = np.random.default_rng(1)
+        a, b = rng.random((3, 3)), rng.random((4, 4))
+        mat = np.zeros((7, 7))
+        mat[:3, :3] = a / a.sum(axis=1, keepdims=True)
+        mat[3:, 3:] = b / b.sum(axis=1, keepdims=True)
+    with pytest.raises(NonUniqueStationaryError, match="more than one recurrent class"):
+        oracle.stationary_rate([mat], [np.zeros(len(mat))])
+
+
+def power_iteration_rate(mats, costs):
+    """The stationary rate by power iteration from the uniform law, for
+    aperiodic chains with one recurrent class (the test-only second route)."""
+    composed = mats[0]
+    for m in mats[1:]:
+        composed = composed @ m
+    mu = np.full(len(composed), 1.0 / len(composed))
+    for _ in range(5_000):
+        mu = composed.T @ mu
+        mu /= mu.sum()
+    total = 0.0
+    for m, c in zip(mats, costs):
+        total += float(mu @ c)
+        mu = m.T @ mu
+    return total / len(mats)
+
+
+@st.composite
+def aperiodic_chains(draw):
+    """1-3 phases of random n-state stochastic matrices with hard zeros; each
+    row keeps its self-loop and at least 1/45 of its mass on state 0, so
+    every state reaches state 0, which has a self-loop: one recurrent class,
+    aperiodic, and 5,000 power steps shrink the distance to the stationary
+    law by more than e^-100."""
+    n = draw(st.integers(1, 6))
+    period = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats, costs = [], []
+    for _ in range(period):
+        m = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+        m[np.arange(n), np.arange(n)] += rng.random(n) + 0.01
+        m[:, 0] += rng.random(n) + 0.2
+        mats.append(m / m.sum(axis=1, keepdims=True))
+        costs.append(rng.standard_normal(n))
+    return mats, costs
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain=aperiodic_chains())
+def test_stationary_rate_matches_power_iteration(chain):
+    mats, costs = chain
+    assert abs(oracle.stationary_rate(mats, costs) - power_iteration_rate(mats, costs)) <= 1e-12
 
 
 def test_average_rate_matches_rollout():
