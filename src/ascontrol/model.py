@@ -165,6 +165,23 @@ def tick_at(t, spec):
 # conditional tables
 
 
+def _normalized_rows(probs):
+    """probs, rows over the last axis, after the check every table passes: no
+    negative entry and each row sum within 1e-6 of one (else ValueError); a
+    row off by more than 1e-12 is divided by its sum, in a copy."""
+    if np.any(probs < 0):
+        raise ValueError("negative probability entry")
+    sums = probs.sum(axis=-1)
+    off = np.abs(sums - 1.0)
+    if not np.all(off <= LOAD_REJECT_TOL):
+        raise ValueError(f"row normalization off by {float(np.max(off)):.3e}")
+    bad = off > TABLE_ROW_TOL
+    if np.any(bad):
+        probs = probs.copy()
+        probs[bad] /= sums[bad][..., None]
+    return probs
+
+
 def _floor_rows(rows, child_dim, eps=POSITIVITY_FLOOR):
     # mixture with uniform: keeps rows normalized and every entry >= eps
     return (1.0 - child_dim * eps) * rows + eps
@@ -183,21 +200,10 @@ class ConditionalTable:
     __slots__ = ("parent_dims", "child_dim", "probs", "strictly_positive")
 
     def __init__(self, parent_dims, child_dim, probs, strictly_positive=True,
-                 _renormalize=True, _floor=True):
+                 _floor=True):
         parent_dims = tuple(int(d) for d in parent_dims)
         n_rows = int(np.prod(parent_dims)) if parent_dims else 1
-        probs = np.array(probs, dtype=float).reshape(n_rows, child_dim)
-        if np.any(probs < 0):
-            raise ValueError("negative probability entry")
-        sums = probs.sum(axis=1)
-        if not np.all(np.abs(sums - 1.0) <= LOAD_REJECT_TOL):
-            worst = float(np.max(np.abs(sums - 1.0)))
-            raise ValueError(f"row normalization off by {worst:.3e}")
-        if _renormalize:
-            bad = np.abs(sums - 1.0) > TABLE_ROW_TOL
-            if np.any(bad):
-                probs = probs.copy()
-                probs[bad] /= sums[bad, None]
+        probs = _normalized_rows(np.array(probs, dtype=float).reshape(n_rows, child_dim))
         if strictly_positive and _floor:
             probs = _floor_rows(probs, child_dim)
         probs = np.ascontiguousarray(probs)
@@ -261,15 +267,7 @@ class ConditionalTable:
     def from_logits(cls, parent_dims, child_dim, logits):
         """The softmax of `logits` over each row, not floored."""
         return cls(parent_dims, child_dim, softmax_rows(np.asarray(logits, dtype=float)),
-                   strictly_positive=False, _renormalize=False)
-
-    def to_dict(self):
-        return {
-            "parents": list(self.parent_dims),
-            "child": self.child_dim,
-            "rows": self.probs.tolist(),
-            "strictly_positive": self.strictly_positive,
-        }
+                   strictly_positive=False)
 
 
 def sample_categorical(probs, rng):
@@ -586,10 +584,10 @@ def _json_rows(rows, block_values=_BLOCK_VALUES):
     """Yield pieces of text that join to json.dumps(rows.tolist()) for a 2-D
     float array.
 
-    Each block of whole rows is formatted through its distinct values (by
-    bit pattern, so -0.0 and 0.0 stay apart): one json float encoding per
-    distinct value, then the row text is gathered from those strings. A
-    block whose values barely repeat is handed to json.dumps as is.
+    Every block of whole rows, whether or not its values repeat, is
+    formatted through its distinct values (by bit pattern, so -0.0 and 0.0
+    stay apart): one json float encoding per distinct value, then the row
+    text is gathered from those strings.
     """
     rows = np.ascontiguousarray(rows, dtype=float)
     n, k = rows.shape
@@ -600,9 +598,6 @@ def _json_rows(rows, block_values=_BLOCK_VALUES):
         if start:
             yield ", "
         uniq, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
-        if 2 * len(uniq) > block.size:
-            yield json.dumps(block.tolist())[1:-1]
-            continue
         texts = json.dumps(uniq.view(np.float64).tolist())[1:-1].split(", ")
         in_row = np.array([t + ", " for t in texts], dtype=object)
         row_end = np.array([t + "], [" for t in texts], dtype=object)
@@ -624,7 +619,9 @@ def save_models(path, gen, rec, ref):
                          (ref, ReferenceModel.table_names)):
         for name in names:
             table = getattr(model, name)
-            tables[name] = dict(table.to_dict(), rows=_ROWS_MARK)
+            tables[name] = {"parents": list(table.parent_dims), "child": table.child_dim,
+                            "rows": _ROWS_MARK,
+                            "strictly_positive": table.strictly_positive}
             arrays.append(table.probs)
     for name in REC_FACTORS:
         shape = rec.tables[name].shape
@@ -640,14 +637,12 @@ def save_models(path, gen, rec, ref):
 
 
 # Rows are parsed in blocks of whole rows of about this many bytes, which
-# bounds the reader's per-block token lists independently of the table size.
+# bounds the reader's per-block row lists independently of the table size.
 _BLOCK_CHARS = 1 << 20
 
-# The bytes of json's float spellings (NaN and Infinity included), and those
-# a rows array may hold in json.dump's default layout: numbers, brackets, and
-# ", " separators.
-_NUMBER_CHARS = b"0123456789.eE+-NaInfity"
-_ROW_CHARS = _NUMBER_CHARS + b"[], "
+# The bytes a rows array may hold in json.dump's default layout: json's float
+# spellings (NaN and Infinity included), brackets, and ", " separators.
+_ROW_CHARS = b"0123456789.eE+-NaInfity[], "
 
 _ROWS_KEY = b'"rows": '
 
@@ -657,33 +652,14 @@ def _layout_error(child_dim):
                       "laid out as json.dump writes them")
 
 
-def _json_float(token):
-    """float(token), except that json reads "-0" as the integer 0, so 0.0."""
-    value = float(token)
-    if value == 0 and token.lstrip(b"-").isdigit():
-        return 0.0
-    return value
-
-
-def _row_values(row, child_dim):
-    """The values of one row text b"v, v" (no brackets): child_dim non-empty
-    numbers joined by ", ", else ValueError."""
-    tokens = row.split(b", ")
-    if len(tokens) != child_dim or not all(
-            token and not token.translate(None, _NUMBER_CHARS) for token in tokens):
-        raise _layout_error(child_dim)
-    return list(map(_json_float, tokens))
-
-
 def _rows_block(block, child_dim):
     """Values of b"[v, v], [v, v]" (whole rows of child_dim values each) as a
     flat float array.
 
     The layout is checked on the bytes: only _ROW_CHARS, every comma followed
     by one space and no other space, child_dim values per row, "], [" between
-    rows. Each distinct token is converted once by float(), the conversion
-    json applies to its float tokens; a block whose values barely repeat
-    converts every token directly.
+    rows. Every token is converted by float(), the conversion json applies to
+    its float tokens; _parse_rows hands over only a block's distinct rows.
     """
     arr = np.frombuffer(block, np.uint8)
     commas = np.flatnonzero(arr == ord(","))
@@ -702,35 +678,12 @@ def _rows_block(block, child_dim):
     tokens = block.translate(None, b"[],").split()
     if len(tokens) != n:
         raise ValueError("bundle rows hold an empty value")
-    distinct = set(tokens)
-    if 2 * len(distinct) > n:
-        values = np.fromiter(map(float, tokens), float, n)
-    else:
-        value_of = dict(zip(distinct, map(float, distinct)))
-        values = np.fromiter(map(value_of.__getitem__, tokens), float, n)
+    values = np.fromiter(map(float, tokens), float, n)
     # json reads "-0" as the integer 0, which becomes 0.0, not -0.0
     for i in np.flatnonzero((values == 0) & np.signbit(values)):
-        values[i] = _json_float(tokens[i])
+        if tokens[i].lstrip(b"-").isdigit():
+            values[i] = 0.0
     return values
-
-
-def _row_indices(block, child_dim, index_of, distinct):
-    """The index into distinct of each row of block (b"[v, v], [v, v]").
-
-    index_of maps each row text seen so far to its index; a row text not
-    seen before is checked, converted and appended to distinct. None, with
-    nothing added, if more than half of the block's rows are new.
-    """
-    if block[:1] != b"[" or block[-1:] != b"]":
-        raise _layout_error(child_dim)
-    rows = block[1:-1].split(b"], [")
-    new = set(rows).difference(index_of)
-    if 2 * len(new) > len(rows):
-        return None
-    for row in new:
-        index_of[row] = len(distinct)
-        distinct.append(_row_values(row, child_dim))
-    return np.fromiter(map(index_of.__getitem__, rows), np.intp, len(rows))
 
 
 def _parse_rows(text, child_dim, start=0, stop=None, block_chars=_BLOCK_CHARS):
@@ -740,37 +693,31 @@ def _parse_rows(text, child_dim, start=0, stop=None, block_chars=_BLOCK_CHARS):
 
     The array is cut at row boundaries into blocks of about block_chars
     bytes; any other layout raises ValueError. Each block is split into row
-    texts, each row text not seen before in the array is checked and
-    converted once, and the block keeps only the index of each of its rows.
-    From the first block whose rows barely repeat on, the array is read value
-    by value by _rows_block, so an array of distinct rows pays for one split.
+    texts, its distinct rows are checked and converted in one _rows_block
+    call over their joined text, and the block keeps those values and the
+    index of each of its rows into them until the array is gathered.
     """
     stop = len(text) if stop is None else stop
     if text[start:start + 1] != b"[" or text[stop - 1:stop] != b"]":
         raise ValueError("bundle rows are not a JSON list")
-    index_of, distinct = {}, []
-    pieces, pos, end = [], start + 1, stop - 1  # row indices (1-D) or values (2-D)
-    repeating = True
+    blocks, pos, end = [], start + 1, stop - 1  # (distinct values, row indices)
     while pos < end:
         cut = text.find(b"], [", pos + block_chars, end)
         cut = end if cut < 0 else cut + 1
-        # each block is sliced where it is read, so no copy outlives its use
-        if repeating:
-            piece = _row_indices(text[pos:cut], child_dim, index_of, distinct)
-            repeating = piece is not None
-        if not repeating:
-            piece = _rows_block(text[pos:cut], child_dim).reshape(-1, child_dim)
-        pieces.append(piece)
+        if text[pos:pos + 1] != b"[" or text[cut - 1:cut] != b"]":
+            raise _layout_error(child_dim)
+        rows = text[pos + 1:cut - 1].split(b"], [")
+        distinct = dict.fromkeys(rows)
+        index_of = dict(zip(distinct, range(len(distinct))))
+        values = _rows_block(b"[%b]" % b"], [".join(distinct), child_dim)
+        blocks.append((values.reshape(-1, child_dim),
+                       np.fromiter(map(index_of.__getitem__, rows), np.int32, len(rows))))
         pos = cut + 2
-    table = np.array(distinct, dtype=float).reshape(-1, child_dim)
-    out = np.empty((sum(map(len, pieces)), child_dim))
+    out = np.empty((sum(len(index) for _, index in blocks), child_dim))
     row = 0
-    for piece in pieces:
-        if piece.ndim == 1:
-            np.take(table, piece, axis=0, out=out[row:row + len(piece)])
-        else:
-            out[row:row + len(piece)] = piece
-        row += len(piece)
+    for values, index in blocks:
+        np.take(values, index, axis=0, out=out[row:row + len(index)])
+        row += len(index)
     return out
 
 
@@ -876,14 +823,10 @@ def load_models(path):
                                   for name in ReferenceModel.table_names})
     rec_tables = {}
     for name in REC_FACTORS:
-        arr = rows["rec_" + name].reshape(tables["rec_" + name]["dims"])
-        sums = arr.sum(axis=-1)
-        if not np.all(np.abs(sums - 1.0) <= LOAD_REJECT_TOL):
-            raise ValueError(f"recognition table {name} rows not normalized")
-        bad = np.abs(sums - 1.0) > TABLE_ROW_TOL
-        if np.any(bad):
-            arr = arr.copy()
-            arr[bad] /= sums[bad][..., None]
-        rec_tables[name] = arr
+        try:
+            rec_tables[name] = _normalized_rows(
+                rows["rec_" + name].reshape(tables["rec_" + name]["dims"]))
+        except ValueError as exc:
+            raise ValueError(f"recognition table {name}: {exc}") from None
     rec = RecognitionModel(spec, rec_tables)
     return gen, rec, ref

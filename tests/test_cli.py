@@ -45,11 +45,17 @@ def test_init_bundle_loads_as_json_reads_it(model_file):
     assert_load_matches_json(model_file)
 
 
-def test_loading_converts_each_distinct_row_once(model_file, monkeypatch):
+def test_loading_converts_a_blocks_distinct_rows_once(model_file, monkeypatch):
     # the recognition tables repeat a few hundred rows over a million times;
-    # each distinct row text of an array is checked and converted once
+    # each block of an array converts its distinct rows, once each
     converted, arrays = [], []
-    row_values, parse_rows = model._row_values, model._parse_rows
+    rows_block, parse_rows = model._rows_block, model._parse_rows
+
+    def counting_rows_block(block, child_dim):
+        rows = block[1:-1].split(b"], [")
+        assert len(rows) == len(set(rows))
+        converted.append(len(rows))
+        return rows_block(block, child_dim)
 
     def counting_parse_rows(*args, **kwargs):
         converted.clear()
@@ -57,14 +63,16 @@ def test_loading_converts_each_distinct_row_once(model_file, monkeypatch):
         arrays.append((rows, list(converted)))
         return rows
 
-    monkeypatch.setattr(model, "_row_values",
-                        lambda row, k: converted.append(row) or row_values(row, k))
+    monkeypatch.setattr(model, "_rows_block", counting_rows_block)
     monkeypatch.setattr(model, "_parse_rows", counting_parse_rows)
     load_models(model_file)
-    large = [(rows, texts) for rows, texts in arrays if len(rows) > 10_000]
+    large = [(rows, counts) for rows, counts in arrays if len(rows) > 10_000]
     assert len(large) == 4
-    for rows, texts in large:
-        assert len(texts) == len(set(texts)) == len(np.unique(bits(rows), axis=0))
+    for rows, counts in large:
+        distinct = len(np.unique(bits(rows), axis=0))
+        assert distinct < len(rows) // 100
+        assert max(counts) <= distinct
+        assert sum(counts) <= len(counts) * distinct
 
 
 def test_simulate_byte_identical(model_file, tmp_path):
@@ -284,7 +292,9 @@ def small_model(tmp_path):
     (r'"child": \d+', '"child": 0', "table lik has child 0"),
     (r'"dims": \[64, 2, 2, 3, 2\]', '"dims": [32, 4, 2, 3, 2]',
      "recognition factor s2: expected table (64, 2, 2, 3, 2), got (32, 4, 2, 3, 2)"),
-], ids=["int-dims", "str-child", "zero-child", "rec-s2-shape"])
+    (r'("rec_s2": \{"dims": \[[\d, ]*\], "rows": \[)\[0\.5, 0\.5\]', r"\1[1.5, -0.5]",
+     "recognition table s2: negative probability entry"),
+], ids=["int-dims", "str-child", "zero-child", "rec-s2-shape", "rec-s2-negative"])
 def test_wrong_typed_bundle_value_gets_one_line_and_exit_2(small_model, tmp_path,
                                                           pattern, repl, message):
     small_model.write_text(re.sub(pattern, repl, small_model.read_text(), count=1))

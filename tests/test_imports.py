@@ -1,13 +1,16 @@
 """Every module-level import in the package is used by its module, every
-function, class and method in the package is used somewhere, and every
-einsum that plans its contraction per call sums an index.
+function, class, method and module-level assigned name in the package is
+used somewhere, and every einsum that plans its contraction per call sums
+an index.
 
 Stdlib-only stand-ins for a linter's unused-import and dead-code rules.
 Imports: each module under src/ascontrol (package __init__ files
 re-export, so they are skipped) is parsed, and every name bound by a
 top-level import must occur as a name somewhere in the module. Dead code:
-every non-dunder def or class under src/ascontrol must be referenced
-outside its own body in src/, tests/ or perfbench/. Contractions: an
+every non-dunder def or class under src/ascontrol, and every non-dunder
+name a module-level assignment binds (constants, tables, aliases), must be
+referenced outside its own body or statement in src/, tests/ or
+perfbench/. Contractions: an
 `np.einsum(..., optimize=True)` computes its path on every call, so it is
 kept for contractions that sum an index (numpy runs their steps through
 matmul), and a contraction that sums none goes through `chains._product`,
@@ -66,10 +69,25 @@ def references(tree):
                 yield parts[-1], node.lineno
 
 
+def definitions(tree):
+    """(name, node) of each def or class in `tree`, and of each name bound
+    by one of its module-level assignments."""
+    for node in ast.walk(tree):
+        if isinstance(node, DEFS):
+            yield node.name, node
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
 def unreferenced_defs(checked, others):
-    """(file, name) of each non-dunder def or class in the `checked` sources
-    ({file: text}) that no code in `checked` or `others` uses outside the
-    definition's own lines."""
+    """(file, name) of each non-dunder def, class or module-level assigned
+    name in the `checked` sources ({file: text}) that no code in `checked` or
+    `others` uses outside the definition's own lines."""
     trees = {f: ast.parse(text) for f, text in {**others, **checked}.items()}
     uses = {}
     for f, tree in trees.items():
@@ -77,13 +95,12 @@ def unreferenced_defs(checked, others):
             uses.setdefault(name, []).append((f, line))
     unused = []
     for f in checked:
-        for node in ast.walk(trees[f]):
-            if not isinstance(node, DEFS) or (
-                    node.name.startswith("__") and node.name.endswith("__")):
+        for name, node in definitions(trees[f]):
+            if name.startswith("__") and name.endswith("__"):
                 continue
             own = range(node.lineno, node.end_lineno + 1)
-            if all(g == f and line in own for g, line in uses.get(node.name, [])):
-                unused.append((f, node.name))
+            if all(g == f and line in own for g, line in uses.get(name, [])):
+                unused.append((f, name))
     return unused
 
 
@@ -99,6 +116,25 @@ def test_dead_code_checker_flags_unused_defs():
     # in user's string; `inner` is named by the def that encloses it
     assert sorted(name for _, name in unreferenced_defs({"lib": lib}, {})) == [
         "A", "called", "fact", "traced", "used"]
+
+
+def test_dead_code_checker_flags_unused_assignments():
+    lib = ("import json\n"
+           "_BLOCK = 1 << 16\n"
+           "_CHARS = b'0123'\n"
+           "_ALL = (_CHARS\n"
+           "        + b'[]')\n"
+           "_LOW, _HIGH = 0, 1\n"
+           "_TOL: float = 1e-6\n"
+           "__all__ = ['f']\n"
+           "def f(x=_HIGH):\n"
+           "    local = json.dumps(x)\n"
+           "    return local\n")
+    user = "from lib import f\nf()\n"
+    # _CHARS is used only by _ALL, which nothing uses; names bound inside a
+    # def (local) and dunders are not checked
+    assert sorted(name for _, name in unreferenced_defs({"lib": lib}, {"user": user})) == [
+        "_ALL", "_BLOCK", "_LOW", "_TOL"]
 
 
 def test_every_package_def_is_referenced():

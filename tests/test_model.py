@@ -405,6 +405,18 @@ def test_loader_rejects_nan_rows(tmp_path, table):
         load_models(path)
 
 
+@pytest.mark.parametrize("table", ["lik", "rec_s2"])
+def test_loader_rejects_negative_rows(tmp_path, table):
+    # the row still sums to one; generative and recognition tables share the check
+    path = tmp_path / "model.json"
+    save_models(path, *uniform_instance())
+    doc = json.loads(path.read_text())
+    doc["tables"][table]["rows"][0] = [1.5, -0.5]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="negative probability entry"):
+        load_models(path)
+
+
 def test_loader_checks_recognition_factor_shapes(tmp_path):
     # the right number of rec_s2 rows, but dims that are not the spec's shape
     path = tmp_path / "model.json"
@@ -537,23 +549,39 @@ def test_parse_rows_matches_json_loads(data, child_dim, block_chars, runs):
     assert np.array_equal(bits(got), bits(want))
 
 
-def test_parse_rows_converts_each_repeated_row_once(monkeypatch):
-    # repeated rows span several blocks, then a block of fresh rows sends the
-    # rest of the array value by value
+def row_blocks(rows, block_chars):
+    """The rows of each block _parse_rows reads from b"[" + b", ".join(rows)
+    + b"]": a block ends with its first row whose closing bracket lies
+    block_chars or more bytes past the block's start."""
+    blocks, size = [[]], 0
+    for row in rows:
+        blocks[-1].append(row)
+        size += len(row) + 2
+        if size - 3 >= block_chars:
+            blocks.append([])
+            size = 0
+    return [block for block in blocks if block]
+
+
+def test_parse_rows_converts_each_distinct_row_of_a_block_once(monkeypatch):
+    # repeated rows span several blocks, beside a run of fresh rows; each
+    # block hands its distinct rows, once each, to one _rows_block call
     repeated = [b"[-0, 0.25]", b"[0.5, -0.0]", b"[1, 0.0]"] * 40
     fresh = [b"[%d.5, -0]" % i for i in range(40)]
-    text = b"[" + b", ".join(repeated + fresh + repeated) + b"]"
-    converted, blocks = [], []
-    row_values, rows_block = model._row_values, model._rows_block
-    monkeypatch.setattr(model, "_row_values",
-                        lambda row, k: converted.append(row) or row_values(row, k))
+    rows = repeated + fresh + repeated
+    text = b"[" + b", ".join(rows) + b"]"
+    calls = []
+    rows_block = model._rows_block
     monkeypatch.setattr(model, "_rows_block",
-                        lambda block, k: blocks.append(block) or rows_block(block, k))
+                        lambda block, k: calls.append(block) or rows_block(block, k))
     got = _parse_rows(text, 2, block_chars=100)
     want = np.array(json.loads(text), dtype=float)
     assert np.array_equal(bits(got), bits(want))
-    assert sorted(converted) == [b"-0, 0.25", b"0.5, -0.0", b"1, 0.0"]
-    assert blocks and all(b"[%d.5, -0]" % i in b"".join(blocks) for i in range(40))
+    blocks = row_blocks(rows, 100)
+    assert len(blocks) > 3 and len(calls) == len(blocks)
+    for block, call in zip(blocks, calls):
+        assert call[:1] == b"[" and call[-1:] == b"]"
+        assert sorted(call[1:-1].split(b"], [")) == sorted({row[1:-1] for row in block})
 
 
 def test_parse_rows_reads_integers_as_json_does():
