@@ -548,16 +548,16 @@ class _GradAccumulator:
             prior, q = pieces[tick]["prior"], pieces[tick]["belief"]
             log_prior = np.where(prior > 0.0, safe_log(prior), 0.0)
             # rq = g_q * q, built in place, where the upstream gradient of q
-            # is g_q = G_q + dC (a_lat + log q + 1 - log prior), the second
-            # term from the cost C = sum_l q (a_lat + log q - log prior); at
-            # q = 0 the cost's one-sided derivative is taken as 0 (softmax
-            # boundary), and an unoccupied context (dC = 0) contributes
-            # nothing
+            # is g_q = G_q + dC (a_lat + log q - log prior), the second term
+            # from the cost C = sum_l q (a_lat + log q - log prior) less its
+            # term dC, constant over each factor's row, which the softmax
+            # gradient removes; at q = 0 the cost's one-sided derivative is
+            # taken as 0 (softmax boundary), and an unoccupied context
+            # (dC = 0) contributes nothing
             live = (q > 0.0) & (b["dC"] > 0.0)[..., None]
             rq = np.zeros(q.shape)
             np.log(q, out=rq, where=live)
             np.add(rq, a_lat.T[None, :, None, :], out=rq, where=live)
-            np.add(rq, 1.0, out=rq, where=live)
             np.subtract(rq, log_prior[:, None, None, :], out=rq, where=live)
             np.multiply(rq, b["dC"][..., None], out=rq, where=live)
             rq += b["G_q"]

@@ -47,6 +47,14 @@ def hard_zero_instance(seed, cards, tick_period):
     return gen, rec, ref
 
 
+def hard_zero_cases(seed, n):
+    """n hard-zero instances for the path-integral sweeps: cards alternate
+    between (2, 2, 2, 2, 1, 1) and (2, 2, 2, 1, 1, 1), tick periods cycle 1-3."""
+    for i in range(n):
+        cards = (2, 2, 2, 2, 1, 1) if i % 2 == 0 else (2, 2, 2, 1, 1, 1)
+        yield hard_zero_instance(seed + i, cards, 1 + i % 3)
+
+
 def random_state(rng, spec):
     return CompleteState(*(int(rng.integers(d)) for d in spec.dims))
 

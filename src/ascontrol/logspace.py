@@ -92,3 +92,10 @@ def worst_error(worst, err):
     """The larger of two check errors, NaN if either is NaN, so a NaN error
     fails its check (Python's max(worst, nan) keeps worst)."""
     return float(np.maximum(worst, err))
+
+
+def gap(a, b):
+    """a - b, but 0 where a and b are the same infinity: such a pair agrees,
+    and a path value of +inf under a bound of +inf meets the bound. A finite
+    value against an infinite one keeps its infinite gap, and NaN stays."""
+    return 0.0 if a == b else a - b

@@ -812,10 +812,13 @@ def load_models(path):
 
     def table(name):
         entry = tables[name]
-        return ConditionalTable(
-            _bundle_sizes(entry, "parents", f"table {name}"), entry["child"], rows[name],
-            strictly_positive=_bundle_key(entry, "strictly_positive", f"table {name}"),
-            _floor=False)
+        parents = _bundle_sizes(entry, "parents", f"table {name}")
+        positive = _bundle_key(entry, "strictly_positive", f"table {name}")
+        try:
+            return ConditionalTable(parents, entry["child"], rows[name],
+                                    strictly_positive=positive, _floor=False)
+        except ValueError as exc:
+            raise ValueError(f"table {name}: {exc}") from None
 
     gen = GenerativeModel(spec, **{name: table(name)
                                    for name in GenerativeModel.table_names})

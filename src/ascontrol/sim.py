@@ -9,9 +9,7 @@ sentinel).
 """
 
 import csv
-import hashlib
 import io
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,7 +59,6 @@ class TraceRow:
 class Trace:
     episode_id: int
     seed: int
-    config_digest: str
     rows: tuple
 
     def totals(self):
@@ -197,18 +194,6 @@ def with_uniform_pol0(gen):
 # episode loop
 
 
-def _digest(gen, rec, ref, env, T, seed, x0):
-    h = hashlib.sha256()
-    h.update(json.dumps(gen.spec.to_dict(), sort_keys=True).encode())
-    h.update(json.dumps([T, seed, env.label, x0.astuple()]).encode())
-    for table in (gen.lik, gen.dyn1, gen.dyn2, gen.pol0, gen.pol1, gen.pol2,
-                  ref.ref_o, ref.ref_s1, env.lik, env.dyn1, env.dyn2):
-        h.update(table.probs.tobytes())
-    for name in sorted(rec.tables):
-        h.update(rec.tables[name].tobytes())
-    return h.hexdigest()
-
-
 def run_episode(gen, rec, ref, env, T, seed, x0=None, episode_id=0):
     """One logged episode. Deterministic given (models, env, T, seed, x0)."""
     if T < 1:
@@ -276,9 +261,7 @@ def run_episode(gen, rec, ref, env, T, seed, x0=None, episode_id=0):
                              kl=step.kl, total=step.total,
                              running_rate=running_rate,
                              advantage=step.total - running_rate))
-    return Trace(episode_id=episode_id, seed=seed,
-                 config_digest=_digest(gen, rec, ref, env, T, seed, x0),
-                 rows=tuple(rows))
+    return Trace(episode_id=episode_id, seed=seed, rows=tuple(rows))
 
 
 def observed_reference_surprisal(trace, ref):

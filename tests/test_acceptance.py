@@ -9,29 +9,16 @@ import time
 import numpy as np
 
 from ascontrol import control, oracle
-from ascontrol.instances import (hard_zero_instance, random_context, random_instance,
-                                 random_state, random_value)
-from ascontrol.logspace import kl_divergence, worst_error
+from ascontrol.instances import (hard_zero_cases, random_context, random_instance,
+                                 random_value)
+from ascontrol.logspace import worst_error
 from ascontrol.model import CompleteState
-from ascontrol.objectives import variational_free_energy
+from ascontrol.validate import (free_energy_errors, gradient_error, jensen_violation,
+                                recursion_vs_enumeration)
 from conftest import uniform_instance
 
 X0 = CompleteState(0, 0, 0, 0, 0, 0)
 LOG2 = math.log(2.0)
-
-
-def gap(a, b):
-    """a - b, but 0 where a and b are the same infinity: such a pair agrees,
-    and a path value of +inf under a bound of +inf meets the bound. A finite
-    value against an infinite one keeps its infinite gap, and NaN stays."""
-    return 0.0 if a == b else a - b
-
-
-def hard_zero_cases(seed, n):
-    """n hard-zero instances of the criteria 4-5 shapes, tick periods 1-3."""
-    for i in range(n):
-        cards = (2, 2, 2, 2, 1, 1) if i % 2 == 0 else (2, 2, 2, 1, 1, 1)
-        yield hard_zero_instance(seed + i, cards, 1 + i % 3)
 
 
 def report(num, name, passed, detail):
@@ -48,12 +35,9 @@ def test_criterion_1_free_energy_decomposition():
         gen, rec, _ = random_instance(10_000 + i)
         for tick in (True, False):
             ctx = random_context(rng, gen.spec)
-            fe = variational_free_energy(gen, rec, ctx, tick=tick)
-            worst_forms = worst_error(worst_forms, abs(fe.total - fe.divergence_form))
-            post, log_ev = oracle.exact_step_posterior(gen, ctx.x_prev, ctx.o, tick)
-            q = rec.joint(ctx, tick=tick).reshape(-1)
-            gap = fe.total - (-log_ev)
-            worst_gap = worst_error(worst_gap, abs(gap - kl_divergence(q, post)))
+            forms, gap, gap_err = free_energy_errors(gen, rec, ctx, tick)
+            worst_forms = worst_error(worst_forms, forms)
+            worst_gap = worst_error(worst_gap, gap_err)
             assert gap >= -1e-10
     elapsed = time.time() - t0
     report(1, "free-energy two-form agreement and posterior gap",
@@ -96,22 +80,11 @@ def test_criterion_3_kl_identity():
 
 def test_criterion_4_recursion_vs_enumeration():
     t0 = time.time()
-    rng = np.random.default_rng(4)
-    worst = 0.0
     instances = [random_instance(40_000 + i, cards=(2, 2, 2, 2, 1, 1) if i % 2 == 0
                                  else (2, 2, 2, 1, 1, 1)) for i in range(100)]
     instances += hard_zero_cases(41_000, 12)
-    infinite = 0
-    for gen, rec, ref in instances:
-        x0 = random_state(rng, gen.spec)
-        rate = float(rng.standard_normal() * 0.3)
-        for T in range(1, 6):
-            for mode in ("feedforward", "feedback"):
-                sv = oracle.exact_soft_value(gen, rec, ref, x0, T, rate, mode=mode)
-                pi = oracle.exact_path_integral_value(gen, rec, ref, x0, T, rate,
-                                                      mode=mode)
-                worst = worst_error(worst, abs(gap(sv.rooted, pi)))
-                infinite += math.isinf(pi)
+    worst, infinite = recursion_vs_enumeration(instances, np.random.default_rng(4),
+                                               range(1, 6), 0.3)
     elapsed = time.time() - t0
     report(4, "soft recursion equals exhaustive path enumeration (T=1..5)",
            worst <= 1e-8 and elapsed < 60.0,
@@ -120,21 +93,11 @@ def test_criterion_4_recursion_vs_enumeration():
 
 
 def test_criterion_5_jensen_bound():
-    rng = np.random.default_rng(5)
-    worst_violation = 0.0
     instances = [random_instance(50_000 + i, cards=(2, 2, 2, 2, 1, 1) if i % 2 == 0
                                  else (2, 2, 2, 1, 1, 1)) for i in range(100)]
     instances += hard_zero_cases(51_000, 16)
-    infinite = [0, 0]
-    for gen, rec, ref in instances:
-        x0 = random_state(rng, gen.spec)
-        rate = float(rng.standard_normal() * 0.4)
-        bound = control.differential_free_energy(gen, rec, ref, x0, 4, rate)
-        pi = oracle.exact_path_integral_value(gen, rec, ref, x0, 4, rate,
-                                              mode="feedback")
-        worst_violation = worst_error(worst_violation, gap(pi, bound))
-        infinite[0] += math.isinf(bound)
-        infinite[1] += math.isinf(pi)
+    worst_violation, inf_bounds, inf_paths = jensen_violation(
+        instances, np.random.default_rng(5), 4, 0.4)
     # constant-advantage instances: equality
     worst_eq = 0.0
     gen, rec, ref = uniform_instance()
@@ -145,22 +108,9 @@ def test_criterion_5_jensen_bound():
         worst_eq = worst_error(worst_eq, abs(bound - pi))
     report(5, "differential free energy dominates the path-integral value",
            worst_violation <= 1e-8 and worst_eq <= 1e-10,
-           f"max violation = {worst_violation:.2e}, {infinite[0]} infinite bounds "
-           f"and {infinite[1]} infinite path values on 16 hard-zero instances, "
+           f"max violation = {worst_violation:.2e}, {inf_bounds} infinite bounds "
+           f"and {inf_paths} infinite path values on 16 hard-zero instances, "
            f"equality gap = {worst_eq:.2e}")
-
-
-def test_gap_fails_a_finite_value_against_an_infinite_one():
-    inf = math.inf
-    assert gap(inf, inf) == 0.0 and gap(-inf, -inf) == 0.0
-    # criterion 4: a finite value against an infinite one disagrees
-    assert worst_error(0.0, abs(gap(1.0, inf))) == inf
-    assert worst_error(0.0, abs(gap(-inf, 1.0))) == inf
-    # criterion 5: a +inf path value over a finite bound violates it; a
-    # finite path value under a +inf bound meets it
-    assert worst_error(0.0, gap(inf, 3.0)) == inf
-    assert worst_error(0.0, gap(3.0, inf)) == 0.0
-    assert math.isnan(worst_error(0.0, abs(gap(math.nan, math.nan))))
 
 
 def test_criterion_6_average_cost_consistency():
@@ -179,17 +129,9 @@ def test_criterion_6_average_cost_consistency():
 
 
 def test_criterion_7_gradient_correctness():
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for i in range(20):
-        cards = (2, 2, 1, 2, 2, 1) if i % 2 == 0 else (2, 2, 2, 2, 1, 1)
-        gen, rec, ref = random_instance(70_000 + i, cards=cards)
-        x0 = random_state(rng, gen.spec)
-        params = control.extract_params(gen, rec)
-        gen2, rec2 = control.apply_params(gen, rec, params)
-        _, grads = control.dfe_value_and_grad(gen2, rec2, ref, x0, 3, 0.15)
-        fd = control.fd_gradients(gen, rec, ref, params, x0, 3, 0.15)
-        worst = worst_error(worst, control.gradient_relative_error(grads, fd))
+    instances = (random_instance(70_000 + i, cards=(2, 2, 1, 2, 2, 1) if i % 2 == 0
+                                 else (2, 2, 2, 2, 1, 1)) for i in range(20))
+    worst = gradient_error(instances, np.random.default_rng(7), 3, 0.15)
     report(7, "exact gradients match central finite differences",
            worst <= 1e-4, f"max relative error = {worst:.2e} over 20 instances")
 

@@ -294,7 +294,10 @@ def small_model(tmp_path):
      "recognition factor s2: expected table (64, 2, 2, 3, 2), got (32, 4, 2, 3, 2)"),
     (r'("rec_s2": \{"dims": \[[\d, ]*\], "rows": \[)\[0\.5, 0\.5\]', r"\1[1.5, -0.5]",
      "recognition table s2: negative probability entry"),
-], ids=["int-dims", "str-child", "zero-child", "rec-s2-shape", "rec-s2-negative"])
+    (r'("lik": \{"parents": \[[\d, ]*\], "child": 2, "rows": \[)\[0\.5, 0\.5\]',
+     r"\1[1.5, -0.5]", "table lik: negative probability entry"),
+], ids=["int-dims", "str-child", "zero-child", "rec-s2-shape", "rec-s2-negative",
+        "lik-negative"])
 def test_wrong_typed_bundle_value_gets_one_line_and_exit_2(small_model, tmp_path,
                                                           pattern, repl, message):
     small_model.write_text(re.sub(pattern, repl, small_model.read_text(), count=1))

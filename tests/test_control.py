@@ -10,10 +10,10 @@ from ascontrol import chains, control, oracle
 from ascontrol.errors import ConvergenceError, DegenerateSupportError
 from ascontrol.instances import (hard_zero_instance, random_instance, random_state,
                                  random_value)
-from ascontrol.logspace import worst_error
-from ascontrol.model import (REC_FACTORS, CompleteState, RecognitionModel,
-                             softmax_rows)
-from ascontrol.validate import run_validation
+from ascontrol.logspace import gap, worst_error
+from ascontrol.model import (REC_FACTORS, CompleteState, ConditionalTable,
+                             RecognitionModel, ReferenceModel, softmax_rows)
+from ascontrol.validate import gradient_error, jensen_violation, run_validation
 from conftest import bits, two_cycle_instance, uniform_instance
 
 X0 = CompleteState(0, 0, 0, 0, 0, 0)
@@ -295,15 +295,9 @@ def test_dfe_zero_advantage_equality():
 
 
 def test_dfe_jensen_bound_sweep():
-    rng = np.random.default_rng(3)
-    for i in range(25):
-        gen, rec, ref = random_instance(900 + i, cards=(2, 2, 2, 2, 1, 1))
-        x0 = random_state(rng, gen.spec)
-        rate = float(rng.standard_normal() * 0.4)
-        bound = control.differential_free_energy(gen, rec, ref, x0, 3, rate)
-        pi = oracle.exact_path_integral_value(gen, rec, ref, x0, 3, rate,
-                                              mode="feedback")
-        assert bound >= pi - 1e-8
+    instances = (random_instance(900 + i, cards=(2, 2, 2, 2, 1, 1)) for i in range(25))
+    violation, _, _ = jensen_violation(instances, np.random.default_rng(3), 3, 0.4)
+    assert violation <= 1e-8
 
 
 def test_dfe_mc_agrees_with_exact():
@@ -314,20 +308,43 @@ def test_dfe_mc_agrees_with_exact():
     assert mc == pytest.approx(exact, abs=0.05)
 
 
+# extreme but valid inputs: long horizons, and costs of hundreds of nats
+
+
+@pytest.mark.parametrize("T", [3, 50, 400])
+def test_dfe_bounds_the_soft_value_at_long_horizons(T):
+    # both grow to ~1,300-1,400 nats at T = 400
+    gen, rec, ref = random_instance(5, cards=(2, 2, 2, 2, 1, 1))
+    sv = oracle.exact_soft_value(gen, rec, ref, X0, T, 0.1, mode="feedback")
+    assert sv.rooted <= control.differential_free_energy(gen, rec, ref, X0, T, 0.1)
+
+
+@pytest.mark.parametrize("tiny", [1e-100, 1e-300, 5e-324])
+def test_costs_of_hundreds_of_nats(tiny):
+    # every reference row puts `tiny` on its first entry: gains of 233-751 nats
+    gen, rec, ref = random_instance(5, cards=(2, 2, 2, 2, 1, 1))
+    rows = [tiny, 1.0 - tiny]
+    ref = ReferenceModel(ref.spec, *(
+        ConditionalTable(t.parent_dims, 2, np.tile(rows, (len(t.probs), 1)),
+                         strictly_positive=False) for t in (ref.ref_o, ref.ref_s1)))
+    for mode in ("feedforward", "feedback"):
+        sv = oracle.exact_soft_value(gen, rec, ref, X0, 3, 0.1, mode=mode)
+        pi = oracle.exact_path_integral_value(gen, rec, ref, X0, 3, 0.1, mode=mode)
+        assert abs(sv.rooted - pi) <= 1e-12 * abs(pi)
+    value = control.relative_value_iteration(gen, rec, ref, tol=1e-10)
+    stat = control.greedy_stationary_rate(gen, rec, ref, value)
+    assert value.gain > 200.0
+    assert abs(value.gain - stat) <= 1e-10 * stat
+
+
 # ---------------------------------------------------------------------------
 # gradients and training
 
 
 def test_gradients_match_finite_differences():
-    rng = np.random.default_rng(4)
-    for i, cards in enumerate([(2, 2, 1, 2, 2, 1), (2, 2, 2, 2, 1, 1)]):
-        gen, rec, ref = random_instance(950 + i, cards=cards)
-        x0 = random_state(rng, gen.spec)
-        params = control.extract_params(gen, rec)
-        gen2, rec2 = control.apply_params(gen, rec, params)
-        _, grads = control.dfe_value_and_grad(gen2, rec2, ref, x0, 3, 0.15)
-        fd = control.fd_gradients(gen, rec, ref, params, x0, 3, 0.15)
-        assert control.gradient_relative_error(grads, fd) <= 1e-4
+    instances = (random_instance(950 + i, cards=cards)
+                 for i, cards in enumerate([(2, 2, 1, 2, 2, 1), (2, 2, 2, 2, 1, 1)]))
+    assert gradient_error(instances, np.random.default_rng(4), 3, 0.15) <= 1e-4
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -353,14 +370,47 @@ def test_worst_error_keeps_nan():
     assert worst_error(worst_error(0.0, 2.0), 1.0) == 2.0
 
 
+def test_gap_fails_a_finite_value_against_an_infinite_one():
+    inf = math.inf
+    assert gap(inf, inf) == 0.0 and gap(-inf, -inf) == 0.0
+    # recursion vs enumeration: a finite value against an infinite one disagrees
+    assert worst_error(0.0, abs(gap(1.0, inf))) == inf
+    assert worst_error(0.0, abs(gap(-inf, 1.0))) == inf
+    # Jensen bound: a +inf path value over a finite bound violates it; a
+    # finite path value under a +inf bound meets it
+    assert worst_error(0.0, gap(inf, 3.0)) == inf
+    assert worst_error(0.0, gap(3.0, inf)) == 0.0
+    assert math.isnan(worst_error(0.0, abs(gap(math.nan, math.nan))))
+
+
 def test_validation_fails_on_nan_errors(monkeypatch):
-    # a NaN path-integral value makes the soft-value and Jensen checks NaN
+    # a NaN path-integral value makes the soft-value and Jensen checks NaN,
+    # on the plain and on the hard-zero instances
     monkeypatch.setattr(oracle, "exact_path_integral_value",
                         lambda *args, **kwargs: math.nan)
     report = run_validation(seed=3, instances=1)
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
-    assert failed == {"soft_value_vs_path_integral", "jensen_bound_violation"}
+    assert failed == {"soft_value_vs_path_integral", "jensen_bound_violation",
+                      "soft_value_vs_path_integral_hard_zero",
+                      "jensen_bound_violation_hard_zero"}
     assert not report["all_passed"]
+
+
+@pytest.mark.parametrize("seed,max_errs", [
+    (3, "4.440892098500626e-16, 4.440892098500626e-16, 1.3322676295501878e-15, "
+        "1.3322676295501878e-15, 2.220446049250313e-16, 3.3306690738754696e-16, "
+        "1.7763568394002505e-15, 0.0, 8.517832294531458e-07"),
+    (5, "2.220446049250313e-16, 4.440892098500626e-16, 2.220446049250313e-16, "
+        "8.881784197001252e-16, 2.220446049250313e-16, 2.220446049250313e-16, "
+        "8.881784197001252e-16, 0.0, 4.641881207889534e-07")], ids=["seed3", "seed5"])
+def test_validation_keeps_pinned_errors_and_sweeps_hard_zeros(seed, max_errs):
+    # the checks before the hard-zero sweeps keep their draws and their bits
+    report = run_validation(seed=seed, instances=4)
+    *checks, hard_pi, hard_jensen = report["checks"]
+    assert ", ".join(repr(c["max_err"]) for c in checks) == max_errs
+    assert hard_pi["name"] == "soft_value_vs_path_integral_hard_zero"
+    assert hard_jensen["name"] == "jensen_bound_violation_hard_zero"
+    assert report["all_passed"]
 
 
 def fd_rebuilding_both_models(gen, rec, ref, params, x0, T, rate):

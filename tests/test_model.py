@@ -413,7 +413,9 @@ def test_loader_rejects_negative_rows(tmp_path, table):
     doc = json.loads(path.read_text())
     doc["tables"][table]["rows"][0] = [1.5, -0.5]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="negative probability entry"):
+    # the message names the table: "table lik", "recognition table s2"
+    with pytest.raises(ValueError, match=f"table {table.removeprefix('rec_')}: "
+                                         "negative probability entry"):
         load_models(path)
 
 
