@@ -16,28 +16,23 @@ deterministically); builders that combine arrays take exactly the arrays
 they combine. Complete states are raveled row-major in
 (o, s1, s2, a, a1, a2) order and latent tuples in (s1, s2, a1, a2) order.
 
-The per-tick pieces come in two halves. The generative half, prior and
-marg, reads only the generative model: `generative_pieces` builds it once
-per model and tick and keeps it, read-only, in the model's `pieces` cache,
-so every objective evaluation on one generative model (the recognition
-perturbations of a finite-difference check, training's accepted step and
-the gradient after it) shares it. The recognition half, belief, cost and
-ev (and the chain matrix Qc, built from marg and belief on first use by
-`recognition_chain`), reads the recognition model too. It is built per
-call, unless a caller hands it on with `keep_recognition_half`: then it is
-built once per tick and kept on the recognition model until
-`drop_recognition_half`, so training's halving check, the gradient after
-it and the rate refresh share one build per parameter set, and no half
-outlives the hand-off. `tick_pieces` is the one place that wires the
-two: prior -> belief -> marginal -> edge cost.
+Every derived per-tick array has one cache rule (`_kept`): it is built on
+first use and kept, read-only, in the `pieces` of the model it derives
+from. The generative half of the per-tick pieces (prior, marg;
+`generative_pieces`) and the model-only log tables of the edge cost
+(-log R and -log lik per latent tuple) are kept on their generative or
+reference model. The recognition half (belief, cost, ev, and the chain
+matrix Qc on first use by `recognition_chain`) is kept on the recognition
+model for the last (gen, ref) pair it was built with, so the rate, the
+halving check and the gradient of one parameter set share one build.
+Models are read-only, so nothing kept goes stale; a caller bounds memory
+by the lifetime of its models. `tick_pieces` is the one place that wires
+the two halves: prior -> belief -> marginal -> edge cost.
 
-The edge cost also reads two model-only log tables, -log R and -log lik
-per latent tuple; each is built once per model and kept, read-only, in the
-model's `pieces` cache. The four product builders (latent_prior,
-belief_table, transition_matrix, qchain_matrix) sum no index: each runs
-numpy's greedy contraction plan, computed once per (subscripts, operand
-shapes) and replayed, so a call costs its arithmetic and gives the bits of
-np.einsum(..., optimize=True).
+The four product builders (latent_prior, belief_table, transition_matrix,
+qchain_matrix) sum no index: each runs numpy's greedy contraction plan,
+computed once per (subscripts, operand shapes) and replayed, so a call
+costs its arithmetic and gives the bits of np.einsum(..., optimize=True).
 """
 
 import numpy as np
@@ -119,15 +114,17 @@ def _product(subscripts, *ops):
     return np.einsum(step, *[ops[i] for i in positions])
 
 
-def _model_table(model, key, build):
-    """The model-only table `key` of a generative or reference model: built
-    by `build()` on first use and then read, read-only, from `model.pieces`."""
-    Lattice.of(model.spec)  # the ceiling holds for a kept table too
-    table = model.pieces.get(key)
-    if table is None:
-        table = model.pieces[key] = build()
-        table.setflags(write=False)
-    return table
+def _kept(cache, key, spec, build):
+    """cache[key]: built by `build()` on first use, made read-only (an array,
+    or each array of a dict) and kept, then read. The state ceiling of
+    `spec` holds on a hit too."""
+    Lattice.of(spec)
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build()
+        for arr in value.values() if isinstance(value, dict) else (value,):
+            arr.setflags(write=False)
+    return value
 
 
 def world_factors(gen, tick):
@@ -205,15 +202,14 @@ def belief_table(rec, tick):
 
 def reference_over_latents(ref):
     """-log R per latent tuple: shape (L, O); the o-dependent ref_o term plus
-    the o-independent ref_s1 term. Built once per reference model and kept,
-    read-only, in `ref.pieces`."""
+    the o-independent ref_s1 term. Kept in `ref.pieces`."""
     def build():
         lat = Lattice.of(ref.spec)
         j_o = -safe_log(ref.ref_o.reshaped()[lat.la1, :])          # (L, O)
         j_s1 = -safe_log(ref.ref_s1.reshaped()[lat.la2, lat.ls1])  # (L,)
         return j_o + j_s1[:, None]
 
-    return _model_table(ref, "neg_log_ref", build)
+    return _kept(ref.pieces, "neg_log_ref", ref.spec, build)
 
 
 def edge_cost(gen, ref, prior, belief):
@@ -222,8 +218,8 @@ def edge_cost(gen, ref, prior, belief):
     plus expected observation surprisal plus the KL from belief to latent
     prior, all under the filtering belief."""
     j_lat = reference_over_latents(ref)                        # (L, O)
-    l_lat = _model_table(gen, "neg_log_lik",                   # (L, O)
-                         lambda: -safe_log(lik_over_latents(gen)))
+    l_lat = _kept(gen.pieces, "neg_log_lik", gen.spec,         # (L, O)
+                  lambda: -safe_log(lik_over_latents(gen)))
     with np.errstate(invalid="ignore"):
         j = np.where(belief > 0.0, belief * j_lat.T[None, :, None, :], 0.0).sum(axis=3)
         l = np.where(belief > 0.0, belief * l_lat.T[None, :, None, :], 0.0).sum(axis=3)
@@ -321,67 +317,41 @@ def expected_edge_cost(marg, cost):
 
 
 def generative_pieces(gen, tick):
-    """The generative half of the per-tick pieces, keyed prior and marg:
-    built on the first call for (gen, tick) and then read, read-only, from
-    `gen.pieces`."""
-    pieces = gen.pieces.get(tick)
-    if pieces is None:
+    """The generative half of the per-tick pieces, keyed prior and marg, kept
+    in `gen.pieces` under `tick`."""
+    def build():
         prior = latent_prior(gen, tick)
-        marg = obs_action_marginal(gen, prior)
-        prior.setflags(write=False)
-        marg.setflags(write=False)
-        pieces = gen.pieces[tick] = {"prior": prior, "marg": marg}
-    return pieces
+        return {"prior": prior, "marg": obs_action_marginal(gen, prior)}
 
-
-def keep_recognition_half(gen, rec, ref):
-    """Hand on the recognition half of (gen, rec, ref): from now on
-    tick_pieces(gen, rec, ref, tick) builds it once per tick and keeps it,
-    read-only, on `rec` until drop_recognition_half(rec)."""
-    rec.kept = (gen, ref, {})
-
-
-def drop_recognition_half(rec):
-    """End the hand-off of keep_recognition_half."""
-    rec.kept = None
+    return _kept(gen.pieces, tick, gen.spec, build)
 
 
 def tick_pieces(gen, rec, ref, tick):
     """The per-tick arrays that the rate and the differential free energy
     read, keyed prior, belief, marg, cost (the edge cost) and ev (its
-    expectation per state, shape (N,)): the cached generative half plus the
-    recognition half built on it, or kept on `rec` if it was handed on for
-    this gen and ref. Callers that need the chain matrix read it with
-    recognition_chain."""
-    kept = None
-    if rec.kept is not None and rec.kept[0] is gen and rec.kept[1] is ref:
-        kept = rec.kept[2]
-        if tick in kept:
-            Lattice.of(rec.spec)  # the ceiling holds for a kept half too
-            return kept[tick]
-    half = generative_pieces(gen, tick)
-    prior, marg = half["prior"], half["marg"]
-    belief = belief_table(rec, tick)
-    cost = edge_cost(gen, ref, prior, belief)
-    ev = expected_edge_cost(marg, cost)
-    for arr in (belief, cost, ev):
-        arr.setflags(write=False)
-    pieces = {"prior": prior, "belief": belief, "marg": marg, "cost": cost,
-              "ev": ev}
-    if kept is not None:
-        kept[tick] = pieces
-    return pieces
+    expectation per state, shape (N,)): the generative half plus the
+    recognition half built on it, kept in `rec.pieces` under `tick` for the
+    last (gen, ref) pair, by identity. Callers that need the chain matrix
+    read it with recognition_chain."""
+    if rec.pieces.get("gen") is not gen or rec.pieces.get("ref") is not ref:
+        rec.pieces = {"gen": gen, "ref": ref}
+
+    def build():
+        half = generative_pieces(gen, tick)
+        prior, marg = half["prior"], half["marg"]
+        belief = belief_table(rec, tick)
+        cost = edge_cost(gen, ref, prior, belief)
+        return {"prior": prior, "belief": belief, "marg": marg, "cost": cost,
+                "ev": expected_edge_cost(marg, cost)}
+
+    return _kept(rec.pieces, tick, rec.spec, build)
 
 
 def recognition_chain(spec, pieces):
-    """The recognition chain Qc of one tick's pieces (qchain_matrix), built
-    on first use and kept, read-only, in `pieces` under "qc", so a kept
-    recognition half carries its chain."""
-    qc = pieces.get("qc")
-    if qc is None:
-        qc = pieces["qc"] = qchain_matrix(spec, pieces["marg"], pieces["belief"])
-        qc.setflags(write=False)
-    return qc
+    """The recognition chain Qc of one tick's pieces (qchain_matrix), kept in
+    `pieces` under "qc"."""
+    return _kept(pieces, "qc", spec,
+                 lambda: qchain_matrix(spec, pieces["marg"], pieces["belief"]))
 
 
 def rollout_density(gen, rec, ref, tick, mode):

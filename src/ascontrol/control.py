@@ -39,6 +39,9 @@ _SCORE_ROLLOUTS = 256
 # steps per batch of greedy_rollout_rate's batch-means standard error
 _ROLLOUT_BLOCK = 1000
 
+# rollouts per block of _sample_next, which bounds its (block, N) gather
+_SAMPLE_BLOCK = 1024
+
 # central-difference step of fd_gradients, and the magnitude below which
 # gradient_relative_error compares absolute differences
 _FD_STEP = 1e-5
@@ -340,9 +343,13 @@ def kl_qstar_identity(gen, value, x, t=0):
 def _sample_next(cum, states, rng):
     """One seeded next-state draw per rollout: a uniform per state, compared
     with the row CDFs of `cum` (rows that sum below 1 clamp to the last
-    state)."""
+    state), _SAMPLE_BLOCK rollouts at a time."""
     r = rng.random(states.size)
-    return np.minimum((cum[states] < r[:, None]).sum(axis=1), cum.shape[1] - 1)
+    nxt = np.empty_like(states)
+    for i in range(0, states.size, _SAMPLE_BLOCK):
+        block = slice(i, i + _SAMPLE_BLOCK)
+        nxt[block] = (cum[states[block]] < r[block, None]).sum(axis=1)
+    return np.minimum(nxt, cum.shape[1] - 1, out=nxt)
 
 
 def _rollout_path_costs(gen, rec, ref, x0, T, rate, mode, n_rollouts, seed):
@@ -777,11 +784,11 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
     the exact objective is retried at half the learning rate. The score
     estimator draws _SCORE_ROLLOUTS rollouts per gradient.
 
-    Each parameter set's recognition half is built once and handed on
-    (chains.keep_recognition_half) from the evaluation that first needs it,
-    the rate or the halving check, to the rate refresh and the gradient
-    after it. The current iterate's half is dropped once its gradient is
-    taken, so outside a gradient at most one half is alive.
+    Each parameter set's per-tick pieces are built once and kept on its
+    models (chains.tick_pieces), so its rate, halving check and gradient
+    share one build. The outgoing iterate, or a rejected candidate, is
+    released before the next candidate is built, so at most one parameter
+    set's pieces are alive.
     """
     oracle.check_horizon(T)
     if iters < 1:
@@ -790,7 +797,6 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
         raise ValueError(f"unknown estimator {estimator!r}")
     params = extract_params(gen, rec, trainable_policies)
     cur_gen, cur_rec = apply_params(gen, rec, params)
-    chains.keep_recognition_half(cur_gen, cur_rec, ref)
     rate = oracle.exact_average_rate(cur_gen, cur_rec, ref, x0, *_RATE_HORIZON,
                                      chain="recognition")
     obj_trace, gnorm_trace, step_trace, rate_trace = [], [], [], []
@@ -804,7 +810,7 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
             value, grads = score_function_grad(
                 cur_gen, cur_rec, ref, x0, T, rate,
                 _SCORE_ROLLOUTS, mc_seed.integers(2 ** 63), trainable_policies)
-        chains.drop_recognition_half(cur_rec)
+        del cur_gen, cur_rec
         rate_trace.append(rate)
         if not np.isfinite(value):
             raise NonFiniteObjectiveError(
@@ -817,22 +823,20 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
         gnorm_trace.append(gnorm)
         while True:
             cand = params.step(grads, step_lr)
-            cand_gen, cand_rec = apply_params(gen, rec, cand)
-            chains.keep_recognition_half(cand_gen, cand_rec, ref)
+            cur_gen, cur_rec = apply_params(gen, rec, cand)
             if not halving or estimator != "exact":
                 break
-            cand_value = differential_free_energy(cand_gen, cand_rec, ref, x0,
+            cand_value = differential_free_energy(cur_gen, cur_rec, ref, x0,
                                                   T, rate)
             if cand_value <= value or step_lr < 1e-12:
                 break
-            chains.drop_recognition_half(cand_rec)  # before the next candidate
+            del cur_gen, cur_rec
             step_lr *= 0.5
         step_trace.append(step_lr)
-        params, cur_gen, cur_rec = cand, cand_gen, cand_rec
+        params = cand
         if rate_refresh and (it + 1) % rate_refresh == 0:
             rate = oracle.exact_average_rate(cur_gen, cur_rec, ref, x0, *_RATE_HORIZON,
                                              chain="recognition")
-    chains.drop_recognition_half(cur_rec)
     report = TrainReport(iterations=len(obj_trace), objective_trace=obj_trace,
                          grad_norm_trace=gnorm_trace, step_size_trace=step_trace,
                          rate_trace=rate_trace, final_rate=rate)

@@ -353,11 +353,10 @@ class GenerativeModel(_TableModel):
     pol0: ConditionalTable   # (o, a1) -> a
     pol1: ConditionalTable   # (s1, a2) -> a1
     pol2: ConditionalTable   # (s2,) -> a2
-    # the generative half of the per-tick pieces, tick -> {"prior", "marg"},
-    # filled by chains.generative_pieces on first use, and the model-only
-    # -log lik over latents ("neg_log_lik", filled by chains.edge_cost). The
-    # tables are read-only, so it cannot go stale; dataclasses.replace
-    # starts empty.
+    # derived arrays kept by chains on first use: the generative half of the
+    # per-tick pieces (tick -> {"prior", "marg"}) and -log lik over latents
+    # ("neg_log_lik"). The tables are read-only, so it cannot go stale;
+    # dataclasses.replace starts empty.
     pieces: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -372,9 +371,8 @@ class ReferenceModel(_TableModel):
     spec: ModelSpec
     ref_o: ConditionalTable   # (a1,) -> o
     ref_s1: ConditionalTable  # (a2,) -> s1
-    # the model-only log tables of the edge cost, filled by
-    # chains.reference_over_latents on first use; like GenerativeModel.pieces
-    # it cannot go stale, and dataclasses.replace starts empty
+    # -log R over latents ("neg_log_ref"), kept by chains on first use; like
+    # GenerativeModel.pieces it cannot go stale
     pieces: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -410,16 +408,16 @@ class RecognitionModel:
     deterministic level-2 hold.
     """
 
-    __slots__ = ("spec", "tables", "kept")
+    __slots__ = ("spec", "tables", "pieces", "__weakref__")
 
     def __init__(self, spec, tables):
         """Takes over the float arrays of `tables` without a copy and makes
         them read-only, so pass arrays no one else holds (from_tables copies
         its input)."""
         self.spec = spec
-        # the recognition half of the per-tick pieces while a caller hands it
-        # on (chains.keep_recognition_half); None keeps nothing
-        self.kept = None
+        # the recognition half of the per-tick pieces, kept by
+        # chains.tick_pieces for the last (gen, ref) pair it was built with
+        self.pieces = {}
         shapes = self.factor_shapes(spec)
         self.tables = {}
         for name in REC_FACTORS:

@@ -57,8 +57,6 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class Trace:
-    episode_id: int
-    seed: int
     rows: tuple
 
     def totals(self):
@@ -194,7 +192,7 @@ def with_uniform_pol0(gen):
 # episode loop
 
 
-def run_episode(gen, rec, ref, env, T, seed, x0=None, episode_id=0):
+def run_episode(gen, rec, ref, env, T, seed, x0=None):
     """One logged episode. Deterministic given (models, env, T, seed, x0)."""
     if T < 1:
         raise ValueError(f"an episode needs T >= 1 steps, got {T!r}")
@@ -261,7 +259,7 @@ def run_episode(gen, rec, ref, env, T, seed, x0=None, episode_id=0):
                              kl=step.kl, total=step.total,
                              running_rate=running_rate,
                              advantage=step.total - running_rate))
-    return Trace(episode_id=episode_id, seed=seed, rows=tuple(rows))
+    return Trace(rows=tuple(rows))
 
 
 def observed_reference_surprisal(trace, ref):
@@ -292,8 +290,8 @@ def evaluate(gen, rec, ref, env, n_episodes, T, seed, x0=None, seeds=None):
         seeds = [int(s.generate_state(1)[0])
                  for s in np.random.SeedSequence(seed).spawn(n_episodes)]
     rates, obs_ref = [], []
-    for i, s in enumerate(seeds):
-        trace = run_episode(gen, rec, ref, env, T, s, x0=x0, episode_id=i)
+    for s in seeds:
+        trace = run_episode(gen, rec, ref, env, T, s, x0=x0)
         rates.append(float(trace.totals().mean()))
         obs_ref.append(observed_reference_surprisal(trace, ref))
     rates = np.array(rates)

@@ -4,10 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ascontrol.instances import random_instance, random_state
-from ascontrol.model import (REC_FACTORS, CompleteState, ConditionalTable,
-                             GenerativeModel, ModelSpec, RecognitionModel,
-                             ReferenceModel, load_models)
+from ascontrol.model import (REC_FACTORS, ConditionalTable, GenerativeModel,
+                             ModelSpec, RecognitionModel, ReferenceModel,
+                             load_models)
 
 
 @pytest.fixture
@@ -87,6 +86,5 @@ def ragged_rows(text):
     return f"{head}, {first}], [{rest}"
 
 
-__all__ = ["random_instance", "random_state", "uniform_instance",
-           "two_cycle_instance", "bits", "assert_load_matches_json", "ragged_rows",
-           "CompleteState"]
+__all__ = ["uniform_instance", "two_cycle_instance", "bits",
+           "assert_load_matches_json", "ragged_rows"]

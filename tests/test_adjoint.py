@@ -11,6 +11,7 @@ recognition half is built once.
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -315,28 +316,37 @@ def test_training_builds_one_recognition_half_per_parameter_set(monkeypatch, ite
 
 
 def test_training_keeps_at_most_one_recognition_half(monkeypatch):
+    # each parameter set's pieces live on its models, so at every build and
+    # every evaluation at most one recognition model that apply_params made
+    # is alive: the outgoing iterate and a rejected candidate are released
+    # before the next candidate is built
     gen, rec, ref = random_instance(97, cards=(2, 2, 1, 2, 2, 1), floor=True)
-    handed_on = []
-    keep = chains.keep_recognition_half
+    made = []
+    apply_params = control.apply_params
 
-    def recorded(g, r, f):
-        handed_on.append(r)
-        keep(g, r, f)
+    def alive():
+        return sum(r() is not None for r in made)
+
+    def recorded(*args):
+        assert alive() <= 1
+        g, r = apply_params(*args)
+        made.append(weakref.ref(r))
+        return g, r
 
     def checked(module, name):
         original = getattr(module, name)
 
         def run(*args, **kwargs):
-            assert sum(r.kept is not None for r in handed_on) == 1
+            assert alive() <= 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, run)
 
-    monkeypatch.setattr(chains, "keep_recognition_half", recorded)
+    monkeypatch.setattr(control, "apply_params", recorded)
     checked(control, "differential_free_energy")
+    checked(control, "dfe_value_and_grad")
     checked(oracle, "exact_average_rate")
     report, _, rec2 = control.train(gen, rec, ref, X0, T=3, iters=6, lr=40.0,
                                     rate_refresh=2)
     assert report.step_size_trace[-1] < 40.0               # some steps halved
-    assert rec2.kept is None
-    assert all(r.kept is None for r in handed_on)
+    assert len(made) > 7 and alive() == 1 and made[-1]() is rec2

@@ -154,40 +154,45 @@ def test_model_only_log_tables_are_kept_per_model():
 
 
 # ---------------------------------------------------------------------------
-# the handed-on recognition half
+# the kept recognition half
 
 
 def test_a_kept_recognition_half_is_built_once_per_tick(monkeypatch):
     gen, rec, ref = random_instance(9)
-    fresh = {t: chains.tick_pieces(gen, rec, ref, t) for t in (True, False)}
+    fresh = {}
+    for t in (True, False):
+        prior, belief = chains.latent_prior(gen, t), chains.belief_table(rec, t)
+        marg = chains.obs_action_marginal(gen, prior)
+        cost = chains.edge_cost(gen, ref, prior, belief)
+        fresh[t] = {"prior": prior, "belief": belief, "marg": marg, "cost": cost,
+                    "ev": chains.expected_edge_cost(marg, cost)}
     calls = []
     belief_table = chains.belief_table
     monkeypatch.setattr(chains, "belief_table",
                         lambda r, tick: calls.append(tick) or belief_table(r, tick))
-    chains.keep_recognition_half(gen, rec, ref)
     kept = {t: chains.tick_pieces(gen, rec, ref, t) for t in (True, False)}
     qc = chains.recognition_chain(gen.spec, kept[True])
     for t in (True, False):
         assert chains.tick_pieces(gen, rec, ref, t) is kept[t]
         for key, arr in fresh[t].items():
             assert np.array_equal(bits(kept[t][key]), bits(arr))
+    # the chain is carried by the kept pieces
     assert chains.recognition_chain(gen.spec, chains.tick_pieces(gen, rec, ref, True)) is qc
     for key in ("belief", "cost", "ev", "qc"):
-        assert not kept[True][key].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept[True][key][0] = 0.0
     assert calls == [True, False]
-    # another generative or reference model builds afresh, and so does any
-    # call after the hand-off ends
-    assert chains.tick_pieces(replace(gen), rec, ref, True) is not kept[True]
+    # another generative or reference model builds afresh, and is then kept
+    # in place of the last pair
+    other = chains.tick_pieces(replace(gen), rec, ref, True)
+    assert other is not kept[True] and "qc" not in other
     assert chains.tick_pieces(gen, rec, replace(ref), True) is not kept[True]
-    chains.drop_recognition_half(rec)
-    assert rec.kept is None
     assert chains.tick_pieces(gen, rec, ref, True) is not kept[True]
     assert calls == [True, False, True, True, True]
 
 
 def test_a_kept_recognition_half_still_meets_the_ceiling(monkeypatch):
     gen, rec, ref = random_instance(5, floor=True)             # 64 states
-    chains.keep_recognition_half(gen, rec, ref)
     control._dfe_pieces(gen, rec, ref)
     monkeypatch.setattr(chains, "MAX_STATES", 63)
     with pytest.raises(EnumerationBudgetError):

@@ -280,6 +280,21 @@ def test_mc_pi_within_three_stderr_of_exact(mode):
     assert abs(est - exact) <= 3 * se
 
 
+def test_rollout_sampler_blocks_match_the_one_shot_draw():
+    n = 7
+    rng = np.random.default_rng(5)
+    mat = rng.random((n, n))
+    mat /= mat.sum(axis=1, keepdims=True)
+    mat[2] *= 0.5                                  # a row that sums below 1
+    cum = np.cumsum(mat, axis=1)
+    states = rng.integers(n, size=2 * control._SAMPLE_BLOCK + 17)
+    r = np.random.default_rng(9).random(states.size)
+    want = np.minimum((cum[states] < r[:, None]).sum(axis=1), n - 1)
+    got = control._sample_next(cum, states, np.random.default_rng(9))
+    assert np.array_equal(got, want)
+    assert (r[states == 2] > cum[2, -1]).any()     # the clamp is exercised
+
+
 # ---------------------------------------------------------------------------
 # differential free energy
 

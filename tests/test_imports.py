@@ -1,12 +1,13 @@
-"""Every module-level import in the package is used by its module, every
+"""Every module-level import in the package and in the tests is used by its
+module, every
 function, class, method and module-level assigned name in the package is
 used somewhere, and every einsum that plans its contraction per call sums
 an index.
 
 Stdlib-only stand-ins for a linter's unused-import and dead-code rules.
 Imports: each module under src/ascontrol (package __init__ files
-re-export, so they are skipped) is parsed, and every name bound by a
-top-level import must occur as a name somewhere in the module. Dead code:
+re-export, so they are skipped) and under tests/ is parsed, and every name
+bound by a top-level import must occur as a name somewhere in the module. Dead code:
 every non-dunder def or class under src/ascontrol, and every non-dunder
 name a module-level assignment binds (constants, tables, aliases), must be
 referenced outside its own body or statement in src/, tests/ or
@@ -25,6 +26,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ascontrol"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -47,7 +49,14 @@ def test_checker_flags_unused_names():
     assert unused_imports(source) == ["json", "arr"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def module_id(path):
+    """A package module by its path in the package, a test by its path in
+    the repository."""
+    top = PACKAGE if path.is_relative_to(PACKAGE) else ROOT
+    return path.relative_to(top).as_posix()
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=module_id)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
 

@@ -8,8 +8,8 @@ from ascontrol.errors import EnumerationBudgetError
 from ascontrol.instances import random_context, random_instance, random_state
 from ascontrol.model import (CompleteState, ConditionalTable, ModelSpec,
                              RecognitionContext, ReferenceModel)
-from ascontrol.objectives import (RateEstimate, StepBelief, advantage,
-                                  global_rate, likelihood_surprisal,
+from ascontrol.objectives import (StepBelief, advantage, global_rate,
+                                  likelihood_surprisal,
                                   reference_cross_entropy_rate,
                                   reference_surprisal, step_objective,
                                   variational_free_energy)

@@ -6,7 +6,7 @@ at most ~4.2e6."""
 import numpy as np
 import pytest
 
-from ascontrol import chains, oracle
+from ascontrol import chains
 from ascontrol._kernels import path_logsumexp
 from ascontrol.instances import random_instance
 from ascontrol.logspace import safe_log
