@@ -279,7 +279,8 @@ def posterior_recognition_tables(gen):
     move the smoothing slices away from it.
 
     Factored as (s2, a2 | s2, s1 | s2 a2, a1 | s1 a2); the last factor is
-    exact because a1 is conditionally independent of s2 given (s1, a2).
+    exact because a1 is conditionally independent of s2 given (s1, a2). The
+    tables are fresh arrays, which RecognitionModel takes over uncopied.
     """
     spec = gen.spec
     n, c_o, c_a = spec.n_states, spec.card_o, spec.card_a

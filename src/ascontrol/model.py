@@ -634,15 +634,15 @@ def save_models(path, gen, rec, ref):
             fh.write(text)
 
 
-# Rows are parsed in blocks of whole rows of about this many bytes, which
-# bounds the reader's per-block row lists independently of the table size.
+# The file is read in chunks of this many bytes: a load holds the tables and
+# a few chunks' worth of the file's text, whatever the file's size.
 _BLOCK_CHARS = 1 << 20
 
 # The bytes a rows array may hold in json.dump's default layout: json's float
 # spellings (NaN and Infinity included), brackets, and ", " separators.
 _ROW_CHARS = b"0123456789.eE+-NaInfity[], "
 
-_ROWS_KEY = b'"rows": '
+_ROWS_KEY = b'"rows": [['
 
 
 def _layout_error(child_dim):
@@ -657,7 +657,7 @@ def _rows_block(block, child_dim):
     The layout is checked on the bytes: only _ROW_CHARS, every comma followed
     by one space and no other space, child_dim values per row, "], [" between
     rows. Every token is converted by float(), the conversion json applies to
-    its float tokens; _parse_rows hands over only a block's distinct rows.
+    its float tokens; _rows_of hands over a block's distinct rows.
     """
     arr = np.frombuffer(block, np.uint8)
     commas = np.flatnonzero(arr == ord(","))
@@ -684,61 +684,69 @@ def _rows_block(block, child_dim):
     return values
 
 
-def _parse_rows(text, child_dim, start=0, stop=None, block_chars=_BLOCK_CHARS):
-    """Read the rows array text[start:stop] (bytes, a list of rows as
-    json.dump writes it) into an (n, child_dim) float array, bit-equal to
-    np.array(json.loads(text[start:stop])).
+def _rows_of(text, stop):
+    """The rows of text[1:stop] (text starts at a row's "[") as their distinct
+    rows' values, each converted once, and each row's index into them; None
+    if not laid out as json.dump writes them, as when a row holds a "]"."""
+    rows = text[1:stop].split(b"], [")
+    index_of = dict(zip(distinct := dict.fromkeys(rows), range(len(distinct))))
+    width = rows[0].count(b",") + 1
+    try:
+        values = _rows_block(b"[%b]" % b"], [".join(distinct), width)
+    except ValueError:
+        return None
+    return (values.reshape(-1, width),
+            np.fromiter(map(index_of.__getitem__, rows), np.int32, len(rows)))
 
-    The array is cut at row boundaries into blocks of about block_chars
-    bytes; any other layout raises ValueError. Each block is split into row
-    texts, its distinct rows are checked and converted in one _rows_block
-    call over their joined text, and the block keeps those values and the
-    index of each of its rows into them until the array is gathered.
-    """
-    stop = len(text) if stop is None else stop
-    if text[start:start + 1] != b"[" or text[stop - 1:stop] != b"]":
-        raise ValueError("bundle rows are not a JSON list")
-    blocks, pos, end = [], start + 1, stop - 1  # (distinct values, row indices)
-    while pos < end:
-        cut = text.find(b"], [", pos + block_chars, end)
-        cut = end if cut < 0 else cut + 1
-        if text[pos:pos + 1] != b"[" or text[cut - 1:cut] != b"]":
-            raise _layout_error(child_dim)
-        rows = text[pos + 1:cut - 1].split(b"], [")
-        distinct = dict.fromkeys(rows)
-        index_of = dict(zip(distinct, range(len(distinct))))
-        values = _rows_block(b"[%b]" % b"], [".join(distinct), child_dim)
-        blocks.append((values.reshape(-1, child_dim),
-                       np.fromiter(map(index_of.__getitem__, rows), np.int32, len(rows))))
-        pos = cut + 2
-    out = np.empty((sum(len(index) for _, index in blocks), child_dim))
-    row = 0
+
+def _gather(arrays, mark, width, name):
+    """The rows array `mark` stands for as an (n, width) float array; a
+    ValueError naming table `name` unless its rows are lists of `width`
+    numbers laid out as json.dump writes them."""
+    blocks = arrays[int(mark[1:])] if isinstance(mark, str) and mark[:1] == "\0" else [None]
+    if any(block is None or block[0].shape[1] != width for block in blocks):
+        raise ValueError(f"table {name}: {_layout_error(width)}")
+    out, row = np.empty((sum(len(index) for _, index in blocks), width)), 0
     for values, index in blocks:
         np.take(values, index, axis=0, out=out[row:row + len(index)])
         row += len(index)
     return out
 
 
-def _split_bundle(text):
-    """Parse the envelope of a bundle with json, each rows array cut out.
-
-    Returns the document, in which the i-th rows array is replaced by the
-    string "\\0<i>", and the (start, stop) span of each array in text.
+def _read_bundle(fh):
+    """Read the bundle in the binary file fh, _BLOCK_CHARS bytes at a time:
+    the envelope, parsed by json with the i-th rows array replaced by the
+    string "\\0<i>", and each array's blocks (_rows_of), a chunk's whole rows
+    with its partial last row carried over. Only a block _rows_of rejects, as
+    it rejects the one holding the array's end, is searched for "]]".
     """
-    pieces, spans, pos = [], [], 0
-    while (key := text.find(_ROWS_KEY + b"[[", pos)) >= 0:
-        start = key + len(_ROWS_KEY)
-        stop = text.find(b"]]", start) + 2
-        if stop < 2:
-            raise ValueError("model bundle ends inside a rows array")
-        pieces += [text[pos:start], b'"\\u0000%d"' % len(spans)]
-        spans.append((start, stop))
-        pos = stop
-    pieces.append(text[pos:])
-    # with no escape elsewhere, no other string can hold a NUL
-    if any(b"\\" in piece for piece in pieces[::2]):
+    pieces, arrays, blocks, text = [], [], None, b""
+    for chunk in iter(lambda: fh.read(_BLOCK_CHARS), b""):
+        text += chunk
+        while blocks is not None or (key := text.find(_ROWS_KEY)) >= 0:
+            if blocks is None:  # a rows array starts
+                pieces += [text[:key + len(_ROWS_KEY) - 2], b'"\\u0000%d"' % len(arrays)]
+                blocks, text = [], text[key + len(_ROWS_KEY) - 1:]
+                arrays.append(blocks)
+            cut = text.rfind(b"], [")
+            block = _rows_of(text, cut) if cut > 0 else None
+            end = -1 if block is not None else text.find(b"]]")
+            if end >= 0:  # the array ends: its last block stops at `end`
+                block, cut = _rows_of(text, end), end - 1
+            elif cut < 0:
+                break
+            blocks.append(block)
+            blocks, text = (None if end >= 0 else blocks), text[cut + 3:]
+        else:  # the envelope, but for a rows key the chunk may have cut
+            pieces.append(text[:-len(_ROWS_KEY)])
+            text = text[-len(_ROWS_KEY):]
+    if blocks is not None:
+        raise ValueError("model bundle ends inside a rows array")
+    envelope = b"".join(pieces) + text
+    # with no escape but the markers', no other string can hold a NUL
+    if envelope.count(b"\\") != len(arrays):
         raise ValueError("model bundle envelope holds an escaped string")
-    return json.loads(b"".join(pieces)), spans
+    return json.loads(envelope), arrays
 
 
 def _bundle_key(mapping, key, where):
@@ -780,12 +788,11 @@ def load_models(path):
     """Load a model bundle. Rows further than 1e-6 from normalization are
     rejected; rows within float error are kept bit-exact.
 
-    Only the envelope goes through json; each rows array is read by
-    _parse_rows, which takes the layout json.dump writes and no other.
+    The file is streamed (_read_bundle); only the envelope goes through json,
+    and the rows arrays are read in the layout json.dump writes and no other.
     """
     with open(path, "rb") as fh:
-        text = fh.read()
-    doc, spans = _split_bundle(text)
+        doc, arrays = _read_bundle(fh)
     if type(doc) is not dict:
         raise ValueError("model bundle is not a JSON object")
     if doc.get("version") != FILE_VERSION:
@@ -799,14 +806,10 @@ def load_models(path):
     rows = {}
     for name in conditional + tuple("rec_" + name for name in REC_FACTORS):
         entry = _bundle_key(tables, name, "the bundle's tables")
-        mark = _bundle_key(entry, "rows", f"table {name}")
-        if not (isinstance(mark, str) and mark.startswith("\0")):
-            raise ValueError(f"table {name}: rows are not laid out as json.dump "
-                             "writes them")
         width = (_bundle_size(entry, "child", f"table {name}") if name in conditional
                  else _bundle_sizes(entry, "dims", f"table {name}")[-1])
-        rows[name] = _parse_rows(text, width, *spans[int(mark[1:])])
-    del text  # free the file's bytes before the models copy the tables
+        rows[name] = _gather(arrays, _bundle_key(entry, "rows", f"table {name}"), width, name)
+    del arrays  # free the blocks before the models check the tables
 
     def table(name):
         entry = tables[name]
@@ -818,10 +821,8 @@ def load_models(path):
         except ValueError as exc:
             raise ValueError(f"table {name}: {exc}") from None
 
-    gen = GenerativeModel(spec, **{name: table(name)
-                                   for name in GenerativeModel.table_names})
-    ref = ReferenceModel(spec, **{name: table(name)
-                                  for name in ReferenceModel.table_names})
+    gen, ref = (cls(spec, **{name: table(name) for name in cls.table_names})
+                for cls in (GenerativeModel, ReferenceModel))
     rec_tables = {}
     for name in REC_FACTORS:
         try:
@@ -829,5 +830,4 @@ def load_models(path):
                 rows["rec_" + name].reshape(tables["rec_" + name]["dims"]))
         except ValueError as exc:
             raise ValueError(f"recognition table {name}: {exc}") from None
-    rec = RecognitionModel(spec, rec_tables)
-    return gen, rec, ref
+    return gen, RecognitionModel(spec, rec_tables), ref

@@ -47,32 +47,37 @@ def test_init_bundle_loads_as_json_reads_it(model_file):
 
 def test_loading_converts_a_blocks_distinct_rows_once(model_file, monkeypatch):
     # the recognition tables repeat a few hundred rows over a million times;
-    # each block of an array converts its distinct rows, once each
-    converted, arrays = [], []
-    rows_block, parse_rows = model._rows_block, model._parse_rows
+    # each block hands its distinct rows, once each, to one _rows_block call
+    converted, blocks = [], []
+    rows_block, rows_of = model._rows_block, model._rows_of
 
     def counting_rows_block(block, child_dim):
-        rows = block[1:-1].split(b"], [")
-        assert len(rows) == len(set(rows))
-        converted.append(len(rows))
+        converted.append(block[1:-1].split(b"], ["))
         return rows_block(block, child_dim)
 
-    def counting_parse_rows(*args, **kwargs):
-        converted.clear()
-        rows = parse_rows(*args, **kwargs)
-        arrays.append((rows, list(converted)))
-        return rows
+    def checking_rows_of(text, stop):
+        calls = len(converted)
+        got = rows_of(text, stop)
+        rows = text[1:stop].split(b"], [")
+        assert len(converted) == calls + 1
+        assert converted[-1] == list(dict.fromkeys(rows))
+        if got is not None:
+            blocks.append((len(rows), len(converted[-1])))
+        return got
 
     monkeypatch.setattr(model, "_rows_block", counting_rows_block)
-    monkeypatch.setattr(model, "_parse_rows", counting_parse_rows)
-    load_models(model_file)
-    large = [(rows, counts) for rows, counts in arrays if len(rows) > 10_000]
-    assert len(large) == 4
-    for rows, counts in large:
-        distinct = len(np.unique(bits(rows), axis=0))
+    monkeypatch.setattr(model, "_rows_of", checking_rows_of)
+    gen, rec, ref = load_models(model_file)
+    n_rows = sum(len(getattr(m, name).probs) for m in (gen, ref) for name in m.table_names)
+    distinct = 0
+    for table in rec.tables.values():
+        rows = table.reshape(-1, table.shape[-1])
+        n_rows += len(rows)
+        distinct = max(distinct, len(np.unique(bits(rows), axis=0)))
         assert distinct < len(rows) // 100
-        assert max(counts) <= distinct
-        assert sum(counts) <= len(counts) * distinct
+    assert sum(n for n, _ in blocks) == n_rows
+    assert max(d for _, d in blocks) <= distinct
+    assert sum(d for _, d in blocks) < n_rows // 20
 
 
 def test_simulate_byte_identical(model_file, tmp_path):
@@ -296,8 +301,11 @@ def small_model(tmp_path):
      "recognition table s2: negative probability entry"),
     (r'("lik": \{"parents": \[[\d, ]*\], "child": 2, "rows": \[)\[0\.5, 0\.5\]',
      r"\1[1.5, -0.5]", "table lik: negative probability entry"),
+    (r'("rec_s1": \{"dims": \[[\d, ]*\], "rows": \[)\[0\.5, 0\.5\]', r"\1[0.5,  0.5]",
+     "table rec_s1: bundle rows are not lists of 2 numbers laid out as json.dump "
+     "writes them"),
 ], ids=["int-dims", "str-child", "zero-child", "rec-s2-shape", "rec-s2-negative",
-        "lik-negative"])
+        "lik-negative", "rec-s1-layout"])
 def test_wrong_typed_bundle_value_gets_one_line_and_exit_2(small_model, tmp_path,
                                                           pattern, repl, message):
     small_model.write_text(re.sub(pattern, repl, small_model.read_text(), count=1))

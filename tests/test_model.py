@@ -3,7 +3,9 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from ascontrol.logspace import logsumexp
 from ascontrol.model import (REC_FACTORS, CompleteState, ConditionalTable,
                              GenerativeModel, ModelSpec, RecognitionContext,
                              RecognitionModel, ReferenceModel, _BLOCK_VALUES,
-                             _json_rows, _parse_rows, load_models,
+                             _json_rows, load_models,
                              recognition_logprob, sample_trajectory,
                              sample_transition, save_models, tick_levels,
                              trajectory_logprob, transition_logprob)
@@ -519,15 +521,27 @@ def test_load_matches_json_load(tmp_path, build):
 # Value texts json reads as integers; "-0" is the integer 0, so 0.0, not -0.0.
 INTEGER_TEXTS = ["-0", "0", "7", "-3", "100"]
 
+# What the one-array bundles of read_rows hold before their rows array.
+ROWS_PREFIX = b'{"rows": '
+
+
+def read_rows(text, child_dim, chunk_chars):
+    """The rows array `text` as load_models reads it: from the bundle
+    {"rows": text}, in chunks of chunk_chars bytes, gathered child_dim wide;
+    ValueError if load_models would reject it."""
+    with mock.patch.object(model, "_BLOCK_CHARS", chunk_chars):
+        doc, arrays = model._read_bundle(io.BytesIO(ROWS_PREFIX + text + b"}"))
+    return model._gather(arrays, doc["rows"], child_dim, "rows")
+
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(),
        child_dim=st.integers(min_value=1, max_value=4),
-       block_chars=st.integers(min_value=1, max_value=256),
+       chunk_chars=st.integers(min_value=1, max_value=256),
        runs=st.lists(st.tuples(st.sampled_from(["rows", "values", "fresh"]),
                                st.integers(min_value=0, max_value=24)),
                      max_size=4))
-def test_parse_rows_matches_json_loads(data, child_dim, block_chars, runs):
+def test_parse_rows_matches_json_loads(data, child_dim, chunk_chars, runs):
     # runs of rows drawn from a few row texts (converted once per distinct
     # row, and repeated across blocks), of rows drawn from a few value texts
     # (converted once per distinct value) and of fresh rows, in any order;
@@ -545,24 +559,26 @@ def test_parse_rows_matches_json_loads(data, child_dim, block_chars, runs):
             row = st.sampled_from(data.draw(st.lists(row, min_size=1, max_size=3)))
         rows += data.draw(st.lists(row, min_size=n_rows, max_size=n_rows))
     text = ("[" + ", ".join(f"[{r}]" for r in rows) + "]").encode()
-    got = _parse_rows(text, child_dim, block_chars=block_chars)
+    if not rows:  # no table has no rows, and json.dump writes no empty array
+        with pytest.raises(ValueError):
+            read_rows(text, child_dim, chunk_chars)
+        return
+    got = read_rows(text, child_dim, chunk_chars)
     want = np.array(json.loads(text), dtype=float).reshape(len(rows), child_dim)
     assert got.shape == want.shape
     assert np.array_equal(bits(got), bits(want))
 
 
-def row_blocks(rows, block_chars):
-    """The rows of each block _parse_rows reads from b"[" + b", ".join(rows)
-    + b"]": a block ends with its first row whose closing bracket lies
-    block_chars or more bytes past the block's start."""
-    blocks, size = [[]], 0
-    for row in rows:
-        blocks[-1].append(row)
-        size += len(row) + 2
-        if size - 3 >= block_chars:
-            blocks.append([])
-            size = 0
-    return [block for block in blocks if block]
+def row_blocks(rows, chunk_chars):
+    """The rows of each block _read_bundle reads from ROWS_PREFIX + b"[" +
+    b", ".join(rows) + b"]}" in chunks of chunk_chars bytes: once a chunk is
+    read, the rows whose "], [" it completes are one block; the last row,
+    ended by "]]", is a block of its own."""
+    blocks, pos = {}, len(ROWS_PREFIX) + 1  # where the next row starts
+    for row in rows[:-1]:
+        pos += len(row) + 2
+        blocks.setdefault(-(-(pos + 1) // chunk_chars), []).append(row)
+    return list(blocks.values()) + [rows[-1:]]
 
 
 def test_parse_rows_converts_each_distinct_row_of_a_block_once(monkeypatch):
@@ -572,24 +588,24 @@ def test_parse_rows_converts_each_distinct_row_of_a_block_once(monkeypatch):
     fresh = [b"[%d.5, -0]" % i for i in range(40)]
     rows = repeated + fresh + repeated
     text = b"[" + b", ".join(rows) + b"]"
-    calls = []
-    rows_block = model._rows_block
-    monkeypatch.setattr(model, "_rows_block",
-                        lambda block, k: calls.append(block) or rows_block(block, k))
-    got = _parse_rows(text, 2, block_chars=100)
     want = np.array(json.loads(text), dtype=float)
-    assert np.array_equal(bits(got), bits(want))
-    blocks = row_blocks(rows, 100)
-    assert len(blocks) > 3 and len(calls) == len(blocks)
-    for block, call in zip(blocks, calls):
-        assert call[:1] == b"[" and call[-1:] == b"]"
-        assert sorted(call[1:-1].split(b"], [")) == sorted({row[1:-1] for row in block})
+    rows_block = model._rows_block
+    for chunk_chars in (1, 7, 100, 1 << 20):
+        calls = []
+        monkeypatch.setattr(model, "_rows_block",
+                            lambda block, k: calls.append(block) or rows_block(block, k))
+        assert np.array_equal(bits(read_rows(text, 2, chunk_chars)), bits(want))
+        blocks = row_blocks(rows, chunk_chars)
+        assert len(calls) == len(blocks) >= 2
+        for block, call in zip(blocks, calls):
+            assert call[:1] == b"[" and call[-1:] == b"]"
+            assert call[1:-1].split(b"], [") == list(dict.fromkeys(r[1:-1] for r in block))
 
 
 def test_parse_rows_reads_integers_as_json_does():
     text = b"[[-0, 1], [0, -0.0], [7, 1e2], [-0, -0]]"
     want = np.array(json.loads(text), dtype=float)
-    assert np.array_equal(bits(_parse_rows(text, 2, block_chars=1)), bits(want))
+    assert np.array_equal(bits(read_rows(text, 2, 1)), bits(want))
 
 
 @pytest.mark.parametrize("text", [
@@ -617,9 +633,68 @@ def test_parse_rows_rejects_other_layouts(text):
     # block, after blocks of one repeated good row
     for variant in (text, b"[" + b", ".join([body] * 50) + b"]",
                     b"[" + b", ".join([good] * 50 + [body] * 3) + b"]"):
-        for block_chars in (1, 64, 1 << 20):
+        for chunk_chars in range(1, 257):
             with pytest.raises(ValueError):
-                _parse_rows(variant, 2, block_chars=block_chars)
+                read_rows(variant, 2, chunk_chars)
+
+
+def chunk_sizes_cutting(text, tokens):
+    """Chunk sizes whose first chunk ends inside the first of each token in
+    text, at every place inside it."""
+    return [text.find(token) + k for token in tokens for k in range(1, len(token))]
+
+
+BUNDLE_TOKENS = (b'"rows": [[', b"], [", b"]]")
+
+
+def test_load_reads_across_chunk_boundaries(tmp_path):
+    path = tmp_path / "model.json"
+    save_models(path, *random_instance(9, floor=True))
+    text = path.read_bytes()
+    assert_load_matches_json(path)
+    for chunk_chars in chunk_sizes_cutting(text, BUNDLE_TOKENS):
+        with mock.patch.object(model, "_BLOCK_CHARS", chunk_chars):
+            assert_load_matches_json(path)
+
+
+@pytest.mark.parametrize("edit", [ragged_rows, lambda text: text[:len(text) // 2],
+                                  lambda text: text[:-3]],
+                         ids=["ragged", "truncated-rows", "truncated-end"])
+def test_broken_bundles_raise_across_chunk_boundaries(tmp_path, monkeypatch, edit):
+    path = tmp_path / "model.json"
+    save_models(path, *random_instance(9))
+    text = edit(path.read_text())
+    path.write_text(text)
+    for chunk_chars in chunk_sizes_cutting(text.encode(), BUNDLE_TOKENS) + [1 << 20]:
+        monkeypatch.setattr(model, "_BLOCK_CHARS", chunk_chars)
+        with pytest.raises(ValueError):
+            load_models(path)
+
+
+def test_load_holds_the_tables_and_a_few_chunks(tmp_path):
+    # a bundle of several chunks whose recognition tables repeat a few rows,
+    # as the thermostat's do; the reader never holds the file's text, so the
+    # load's peak is its tables, the row checks' temporaries and a few chunks
+    spec = ModelSpec(4, 3, 2, 3, 2, 2)
+    rng = np.random.default_rng(0)
+    tables = {}
+    for name, shape in RecognitionModel.factor_shapes(spec).items():
+        pool = rng.dirichlet(np.ones(shape[-1]), size=7)
+        tables[name] = pool[rng.integers(0, 7, size=shape[:-1])]
+    path = tmp_path / "model.json"
+    save_models(path, GenerativeModel.random(spec, rng), RecognitionModel(spec, tables),
+                ReferenceModel.random(spec, rng))
+    assert path.stat().st_size > 8 * model._BLOCK_CHARS
+    tracemalloc.start()
+    try:
+        gen, rec, ref = load_models(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = (sum(t.nbytes for t in rec.tables.values())
+                   + sum(getattr(m, name).probs.nbytes
+                         for m in (gen, ref) for name in m.table_names))
+    assert peak < table_bytes + 4 * model._BLOCK_CHARS
 
 
 @pytest.mark.parametrize("edit", [
