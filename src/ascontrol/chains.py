@@ -275,8 +275,9 @@ def state_cost(gen, ref):
 def posterior_recognition_tables(gen):
     """Recognition tables initialized at the exact one-step filtering
     posterior: q(latents | o, a, x_prev) propto prior * lik * pol0(a | o, a1).
-    Every future-summary slice starts at the filtering posterior; training can
-    move the smoothing slices away from it.
+    Every future-summary slice starts at the filtering posterior; training
+    moves only the sentinel (filtering) slice, and apply_params carries the
+    smoothing slices over unchanged.
 
     Factored as (s2, a2 | s2, s1 | s2 a2, a1 | s1 a2); the last factor is
     exact because a1 is conditionally independent of s2 given (s1, a2). The

@@ -22,8 +22,7 @@ from .errors import (ConvergenceError, DegenerateSupportError,
                      DegenerateWeightsError, NonFiniteObjectiveError)
 from .logspace import NEG_INF, logsumexp, safe_log, support_dot, worst_error
 from .model import (CompleteState, ConditionalTable, REC_FACTORS,
-                    RecognitionModel, sample_categorical, softmax_rows,
-                    table_layout, tick_at)
+                    RecognitionModel, softmax_rows, table_layout, tick_at)
 
 VALUE_FILE_VERSION = 1
 
@@ -39,7 +38,7 @@ _SCORE_ROLLOUTS = 256
 # steps per batch of greedy_rollout_rate's batch-means standard error
 _ROLLOUT_BLOCK = 1000
 
-# rollouts per block of _sample_next, which bounds its (block, N) gather
+# rollouts per block of _sample_paths, which bounds its (block, N) gather
 _SAMPLE_BLOCK = 1024
 
 # central-difference step of fd_gradients, and the magnitude below which
@@ -274,19 +273,15 @@ def greedy_rollout_rate(gen, rec, ref, value, x0, steps, seed):
     """Seeded rollout under the greedy policy: mean edge cost and its
     standard error over batches of _ROLLOUT_BLOCK steps."""
     ops = _BellmanOps(gen, rec, ref)
-    mats, costs_by_phase = ops.greedy_operators(np.asarray(value.greedy))
-    spec = gen.spec
+    mats, _ = ops.greedy_operators(np.asarray(value.greedy))
     period = ops.period
-    cost_edge = [chains.expand_edges(ops.cost[ops.tick_of_phase(p)], spec)
-                 for p in range(period)]
-    rng = np.random.default_rng(seed)
-    x = x0.flat(spec)
+    cums = [np.cumsum(mat, axis=1) for mat in mats]
+    path = _sample_paths([cums[t % period] for t in range(steps)], x0.flat(gen.spec),
+                         1, np.random.default_rng(seed))[:, 0]
     vals = np.empty(steps)
-    for t in range(steps):
-        p = t % period
-        nxt = sample_categorical(mats[p][x], rng)
-        vals[t] = cost_edge[p][x, nxt]
-        x = nxt
+    for p in range(period):
+        cost_edge = chains.expand_edges(ops.cost[ops.tick_of_phase(p)], gen.spec)
+        vals[p::period] = cost_edge[path[p:-1:period], path[p + 1::period]]
     block = _ROLLOUT_BLOCK
     n_blocks = steps // block
     means = vals[:n_blocks * block].reshape(n_blocks, block).mean(axis=1)
@@ -340,34 +335,40 @@ def kl_qstar_identity(gen, value, x, t=0):
 # Monte Carlo path-integral value and the differential free energy
 
 
-def _sample_next(cum, states, rng):
-    """One seeded next-state draw per rollout: a uniform per state, compared
-    with the row CDFs of `cum` (rows that sum below 1 clamp to the last
-    state), _SAMPLE_BLOCK rollouts at a time."""
-    r = rng.random(states.size)
-    nxt = np.empty_like(states)
-    for i in range(0, states.size, _SAMPLE_BLOCK):
-        block = slice(i, i + _SAMPLE_BLOCK)
-        nxt[block] = (cum[states[block]] < r[block, None]).sum(axis=1)
-    return np.minimum(nxt, cum.shape[1] - 1, out=nxt)
+def _sample_paths(cums, x0, n_rollouts, rng):
+    """Seeded state paths of n_rollouts rollouts from the flat state x0, one
+    step per row-CDF matrix in `cums`: a (len(cums) + 1, n_rollouts) array.
+    Each step draws one uniform u per rollout and takes the first state
+    whose CDF exceeds u, as sample_categorical does (a row that sums below 1
+    clamps to the last state), _SAMPLE_BLOCK rollouts at a time."""
+    paths = np.empty((len(cums) + 1, n_rollouts), dtype=np.intp)
+    paths[0] = x0
+    for t, cum in enumerate(cums):
+        u = rng.random(n_rollouts)
+        for i in range(0, n_rollouts, _SAMPLE_BLOCK):
+            block = slice(i, i + _SAMPLE_BLOCK)
+            paths[t + 1, block] = (cum[paths[t, block]] <= u[block, None]).sum(axis=1)
+        np.minimum(paths[t + 1], cum.shape[1] - 1, out=paths[t + 1])
+    return paths
 
 
 def _rollout_path_costs(gen, rec, ref, x0, T, rate, mode, n_rollouts, seed):
+    """Seeded rollouts of the `mode` density (chains.rollout_density) from
+    x0: their (T + 1, n_rollouts) state paths and (T, n_rollouts) step
+    costs less the rate."""
     spec = gen.spec
     cums, costs = {}, {}
     for tick in (True, False):
         mat, costs[tick] = chains.rollout_density(gen, rec, ref, tick, mode)
         cums[tick] = np.cumsum(mat, axis=1)
-    del mat  # not kept alive beside the rollouts' (n_rollouts, N) temporaries
-    rng = np.random.default_rng(seed)
-    states = np.full(n_rollouts, x0.flat(spec), dtype=np.intp)
-    path_cost = np.zeros(n_rollouts)
-    for t in range(1, T + 1):
-        tick = tick_at(t, spec)
-        nxt = _sample_next(cums[tick], states, rng)
-        path_cost += costs[tick][states, nxt] - rate
-        states = nxt
-    return path_cost
+    del mat  # not kept alive beside the rollouts' (block, N) temporaries
+    ticks = [tick_at(t, spec) for t in range(1, T + 1)]
+    paths = _sample_paths([cums[tick] for tick in ticks], x0.flat(spec), n_rollouts,
+                          np.random.default_rng(seed))
+    step_costs = np.empty((T, n_rollouts))
+    for t, tick in enumerate(ticks):
+        step_costs[t] = costs[tick][paths[t], paths[t + 1]] - rate
+    return paths, step_costs
 
 
 def mc_path_integral_value(gen, rec, ref, x0, T, rate, mode="feedforward",
@@ -376,8 +377,9 @@ def mc_path_integral_value(gen, rec, ref, x0, T, rate, mode="feedforward",
     standard error on the log scale."""
     check_path_integral_settings(T, n_rollouts, rate)
     x0.validate(gen.spec)
-    s = _rollout_path_costs(gen, rec, ref, x0, T, rate, mode, n_rollouts, seed)
-    neg = -s
+    _, step_costs = _rollout_path_costs(gen, rec, ref, x0, T, rate, mode,
+                                        n_rollouts, seed)
+    neg = -step_costs.sum(axis=0)
     m = float(np.max(neg))
     if m == NEG_INF:
         raise DegenerateWeightsError("every rollout carries zero weight")
@@ -399,9 +401,9 @@ def differential_free_energy(gen, rec, ref, x0, T, rate, n_rollouts=None,
     x0.validate(spec)
     if n_rollouts is not None:
         check_path_integral_settings(T, n_rollouts, rate)
-        s = _rollout_path_costs(gen, rec, ref, x0, T, rate, "feedback",
-                                n_rollouts, seed or 0)
-        return float(s.mean())
+        _, step_costs = _rollout_path_costs(gen, rec, ref, x0, T, rate, "feedback",
+                                            n_rollouts, seed or 0)
+        return float(step_costs.sum(axis=0).mean())
     pieces = _dfe_pieces(gen, rec, ref)
     mu = np.zeros(spec.n_states)
     mu[x0.flat(spec)] = 1.0
@@ -665,19 +667,8 @@ def score_function_grad(gen, rec, ref, x0, T, rate, n_rollouts, seed,
     spec = gen.spec
     lat = chains.Lattice.of(spec)
     pieces = _dfe_pieces(gen, rec, ref)
-    cums = {tick: np.cumsum(pieces[tick]["qc"], axis=1) for tick in (True, False)}
-    rng = np.random.default_rng(seed)
-    states = np.full(n_rollouts, x0.flat(spec), dtype=np.intp)
-    path = [states]
-    step_costs = []
-    for t in range(1, T + 1):
-        tick = tick_at(t, spec)
-        nxt = _sample_next(cums[tick], states, rng)
-        step_costs.append(
-            pieces[tick]["cost"][states, lat.o[nxt], lat.a[nxt]] - rate)
-        states = nxt
-        path.append(states)
-    step_costs = np.array(step_costs)                        # (T, n)
+    path, step_costs = _rollout_path_costs(gen, rec, ref, x0, T, rate, "feedback",
+                                           n_rollouts, seed)
     togo = np.cumsum(step_costs[::-1], axis=0)[::-1]
     value = float(step_costs.sum(axis=0).mean())
     acc = _GradAccumulator(gen, rec, ref, trainable_policies)

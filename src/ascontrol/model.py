@@ -645,11 +645,6 @@ _ROW_CHARS = b"0123456789.eE+-NaInfity[], "
 _ROWS_KEY = b'"rows": [['
 
 
-def _layout_error(child_dim):
-    return ValueError(f"bundle rows are not lists of {child_dim} numbers "
-                      "laid out as json.dump writes them")
-
-
 def _rows_block(block, child_dim):
     """Values of b"[v, v], [v, v]" (whole rows of child_dim values each) as a
     flat float array.
@@ -657,7 +652,8 @@ def _rows_block(block, child_dim):
     The layout is checked on the bytes: only _ROW_CHARS, every comma followed
     by one space and no other space, child_dim values per row, "], [" between
     rows. Every token is converted by float(), the conversion json applies to
-    its float tokens; _rows_of hands over a block's distinct rows.
+    its float tokens; _rows_of hands over a block's distinct rows, and reads
+    any ValueError as a block not laid out that way.
     """
     arr = np.frombuffer(block, np.uint8)
     commas = np.flatnonzero(arr == ord(","))
@@ -672,10 +668,8 @@ def _rows_block(block, child_dim):
             or not np.all(arr[commas + 1] == ord(" "))
             or not np.all(arr[breaks - 1] == ord("]"))
             or not np.all(arr[breaks + 2] == ord("["))):
-        raise _layout_error(child_dim)
+        raise ValueError
     tokens = block.translate(None, b"[],").split()
-    if len(tokens) != n:
-        raise ValueError("bundle rows hold an empty value")
     values = np.fromiter(map(float, tokens), float, n)
     # json reads "-0" as the integer 0, which becomes 0.0, not -0.0
     for i in np.flatnonzero((values == 0) & np.signbit(values)):
@@ -705,7 +699,8 @@ def _gather(arrays, mark, width, name):
     numbers laid out as json.dump writes them."""
     blocks = arrays[int(mark[1:])] if isinstance(mark, str) and mark[:1] == "\0" else [None]
     if any(block is None or block[0].shape[1] != width for block in blocks):
-        raise ValueError(f"table {name}: {_layout_error(width)}")
+        raise ValueError(f"table {name}: bundle rows are not lists of {width} numbers "
+                         "laid out as json.dump writes them")
     out, row = np.empty((sum(len(index) for _, index in blocks), width)), 0
     for values, index in blocks:
         np.take(values, index, axis=0, out=out[row:row + len(index)])
@@ -717,8 +712,9 @@ def _read_bundle(fh):
     """Read the bundle in the binary file fh, _BLOCK_CHARS bytes at a time:
     the envelope, parsed by json with the i-th rows array replaced by the
     string "\\0<i>", and each array's blocks (_rows_of), a chunk's whole rows
-    with its partial last row carried over. Only a block _rows_of rejects, as
-    it rejects the one holding the array's end, is searched for "]]".
+    with its partial last row carried over. An array's end, "]]", is searched
+    for only before the first "}" of the text: a rows array holds none, and
+    its table's object closes after it.
     """
     pieces, arrays, blocks, text = [], [], None, b""
     for chunk in iter(lambda: fh.read(_BLOCK_CHARS), b""):
@@ -728,15 +724,16 @@ def _read_bundle(fh):
                 pieces += [text[:key + len(_ROWS_KEY) - 2], b'"\\u0000%d"' % len(arrays)]
                 blocks, text = [], text[key + len(_ROWS_KEY) - 1:]
                 arrays.append(blocks)
-            cut = text.rfind(b"], [")
-            block = _rows_of(text, cut) if cut > 0 else None
-            end = -1 if block is not None else text.find(b"]]")
-            if end >= 0:  # the array ends: its last block stops at `end`
-                block, cut = _rows_of(text, end), end - 1
-            elif cut < 0:
+            brace = text.find(b"}")
+            end = text.find(b"]]", 0, brace) if brace >= 0 else -1
+            stop = end if end >= 0 else text.rfind(b"], [")
+            if stop < 0:
                 break
-            blocks.append(block)
-            blocks, text = (None if end >= 0 else blocks), text[cut + 3:]
+            blocks.append(_rows_of(text, stop))
+            if end >= 0:  # the array ends with this block
+                blocks, text = None, text[end + 2:]
+            else:
+                text = text[stop + 3:]
         else:  # the envelope, but for a rows key the chunk may have cut
             pieces.append(text[:-len(_ROWS_KEY)])
             text = text[-len(_ROWS_KEY):]

@@ -304,8 +304,14 @@ def small_model(tmp_path):
     (r'("rec_s1": \{"dims": \[[\d, ]*\], "rows": \[)\[0\.5, 0\.5\]', r"\1[0.5,  0.5]",
      "table rec_s1: bundle rows are not lists of 2 numbers laid out as json.dump "
      "writes them"),
+    (r'("rec_s1": \{"dims": \[[\d, ]*\], "rows": \[)\[0\.5, 0\.5\]', r"\1[0.5, ]",
+     "table rec_s1: bundle rows are not lists of 2 numbers laid out as json.dump "
+     "writes them"),
+    (r'("rec_s1": \{"dims": \[[\d, ]*\], "rows": \[)\[0\.5, 0\.5\]', r"\1[0.5, 1e]",
+     "table rec_s1: bundle rows are not lists of 2 numbers laid out as json.dump "
+     "writes them"),
 ], ids=["int-dims", "str-child", "zero-child", "rec-s2-shape", "rec-s2-negative",
-        "lik-negative", "rec-s1-layout"])
+        "lik-negative", "rec-s1-layout", "rec-s1-empty-value", "rec-s1-bad-number"])
 def test_wrong_typed_bundle_value_gets_one_line_and_exit_2(small_model, tmp_path,
                                                           pattern, repl, message):
     small_model.write_text(re.sub(pattern, repl, small_model.read_text(), count=1))

@@ -12,7 +12,8 @@ from ascontrol.instances import (hard_zero_instance, random_instance, random_sta
                                  random_value)
 from ascontrol.logspace import gap, worst_error
 from ascontrol.model import (REC_FACTORS, CompleteState, ConditionalTable,
-                             RecognitionModel, ReferenceModel, softmax_rows)
+                             RecognitionModel, ReferenceModel, sample_categorical,
+                             softmax_rows)
 from ascontrol.validate import gradient_error, jensen_violation, run_validation
 from conftest import bits, two_cycle_instance, uniform_instance
 
@@ -281,18 +282,65 @@ def test_mc_pi_within_three_stderr_of_exact(mode):
 
 
 def test_rollout_sampler_blocks_match_the_one_shot_draw():
-    n = 7
+    n, x0 = 7, 2
     rng = np.random.default_rng(5)
-    mat = rng.random((n, n))
-    mat /= mat.sum(axis=1, keepdims=True)
-    mat[2] *= 0.5                                  # a row that sums below 1
-    cum = np.cumsum(mat, axis=1)
-    states = rng.integers(n, size=2 * control._SAMPLE_BLOCK + 17)
-    r = np.random.default_rng(9).random(states.size)
-    want = np.minimum((cum[states] < r[:, None]).sum(axis=1), n - 1)
-    got = control._sample_next(cum, states, np.random.default_rng(9))
+    mats = rng.random((2, n, n))
+    mats /= mats.sum(axis=2, keepdims=True)
+    mats[:, x0] *= 0.5                             # a row that sums below 1
+    cums = list(np.cumsum(mats, axis=2)) * 2
+    n_rollouts = 2 * control._SAMPLE_BLOCK + 17
+    got = control._sample_paths(cums, x0, n_rollouts, np.random.default_rng(9))
+    r = np.random.default_rng(9).random((len(cums), n_rollouts))
+    want = [np.full(n_rollouts, x0)]
+    for cum, u in zip(cums, r):
+        want.append(np.minimum((cum[want[-1]] <= u[:, None]).sum(axis=1), n - 1))
     assert np.array_equal(got, want)
-    assert (r[states == 2] > cum[2, -1]).any()     # the clamp is exercised
+    assert (r[0] > cums[0][x0, -1]).any()          # the clamp is exercised
+
+
+class StubUniforms:
+    """A generator whose random() hands out the given uniforms in turn."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, size=None):
+        if size is None:
+            return self.uniforms.pop(0)
+        return np.array([self.uniforms.pop(0) for _ in range(size)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), T=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1), stub=st.booleans())
+def test_rollout_sampler_draws_as_sample_categorical(data, n, T, seed, stub):
+    # rows with hard zeros (leading ones too), some scaled to sum below 1;
+    # the stub's uniforms are 0.0 and exact CDF values, where a draw that
+    # compared cum < u instead of cum <= u would pick another state
+    weight = st.sampled_from([0.0, 0.0, 0.1, 0.3, 0.5, 1.0])
+    row = st.lists(weight, min_size=n, max_size=n).filter(any)
+    mats = []
+    for _ in range(T):
+        rows = np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+        rows /= rows.sum(axis=1, keepdims=True)
+        rows *= np.array(data.draw(st.lists(st.sampled_from([1.0, 1.0, 0.75]),
+                                            min_size=n, max_size=n)))[:, None]
+        mats.append(rows)
+    cums = [np.cumsum(m, axis=1) for m in mats]
+    x0 = data.draw(st.integers(0, n - 1))
+    if stub:
+        values = sorted({0.0} | {float(c) for cum in cums for c in cum.ravel() if c < 1.0})
+        uniforms = data.draw(st.lists(st.sampled_from(values), min_size=T, max_size=T))
+
+    def generator():
+        return StubUniforms(uniforms) if stub else np.random.default_rng(seed)
+
+    rng, want = generator(), [x0]
+    for m in mats:
+        want.append(sample_categorical(m[want[-1]], rng))
+    got = control._sample_paths(cums, x0, 1, generator())
+    assert got.shape == (T + 1, 1)
+    assert got[:, 0].tolist() == want
 
 
 # ---------------------------------------------------------------------------

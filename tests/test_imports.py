@@ -15,7 +15,11 @@ perfbench/. Contractions: an
 `np.einsum(..., optimize=True)` computes its path on every call, so it is
 kept for contractions that sum an index (numpy runs their steps through
 matmul), and a contraction that sums none goes through `chains._product`,
-which plans it once per shape; both take literal subscripts.
+which plans it once per shape; both take literal subscripts. Draws: a
+categorical draw inverts a CDF in one of two places, `model.sample_categorical`
+for one draw and `control._sample_paths` for rollouts, so no other package
+code calls `searchsorted` or draws uniforms with `.random(` (but for
+`instances.py`, whose `zero_some` masks entries at random).
 """
 
 import ast
@@ -198,3 +202,50 @@ def test_contraction_checker_flags_misplaced_sites():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_planned_contractions_sum_an_index(path):
     assert misplaced_contractions(path.read_text()) == []
+
+
+# the functions that invert a CDF, and the module that may draw uniforms for
+# other ends
+INVERSE_CDF_SITES = ("sample_categorical", "_sample_paths")
+FREE_DRAW_MODULES = ("instances.py",)
+
+
+def stray_draws(source):
+    """(line, call) of each `.searchsorted(...)` call and each uniform draw
+    `.random(...)` in `source` outside the INVERSE_CDF_SITES; a class's own
+    `random` constructor (`ConditionalTable.random`) draws no uniform."""
+    tree = ast.parse(source)
+    inside = {id(node) for site in ast.walk(tree)
+              if isinstance(site, DEFS) and site.name in INVERSE_CDF_SITES
+              for node in ast.walk(site)}
+    bad = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)) \
+                or id(node) in inside:
+            continue
+        func = node.func
+        constructor = isinstance(func.value, ast.Name) and func.value.id[:1].isupper()
+        if func.attr == "searchsorted" or (func.attr == "random" and not constructor):
+            bad.append((node.lineno, ast.unparse(func)))
+    return sorted(bad)
+
+
+def test_draw_checker_flags_stray_sites():
+    source = ("def sample_categorical(p, rng):\n"
+              "    return np.searchsorted(np.cumsum(p), rng.random())\n"
+              "def _sample_paths(cums, rng):\n"
+              "    return rng.random(3)\n"
+              "def walk(cum, rng):\n"
+              "    u = rng.random(2)\n"
+              "    return cum.searchsorted(u), np.searchsorted(cum, u)\n"
+              "gen = GenerativeModel.random(spec, rng)\n"
+              "x = np.random.default_rng(0).random()\n")
+    assert stray_draws(source) == [(6, "rng.random"), (7, "cum.searchsorted"),
+                                   (7, "np.searchsorted"),
+                                   (9, "np.random.default_rng(0).random")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in FREE_DRAW_MODULES],
+                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_categorical_draws_go_through_the_inverse_cdf_sites(path):
+    assert stray_draws(path.read_text()) == []

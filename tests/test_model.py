@@ -572,13 +572,18 @@ def test_parse_rows_matches_json_loads(data, child_dim, chunk_chars, runs):
 def row_blocks(rows, chunk_chars):
     """The rows of each block _read_bundle reads from ROWS_PREFIX + b"[" +
     b", ".join(rows) + b"]}" in chunks of chunk_chars bytes: once a chunk is
-    read, the rows whose "], [" it completes are one block; the last row,
-    ended by "]]", is a block of its own."""
+    read, the rows whose "], [" it completes are one block, but the chunk
+    that holds the closing "}" ends the array, so its block runs to "]]"
+    and holds the last row too."""
+    def chunk_of(n_bytes):
+        return -(-n_bytes // chunk_chars)
+
     blocks, pos = {}, len(ROWS_PREFIX) + 1  # where the next row starts
     for row in rows[:-1]:
         pos += len(row) + 2
-        blocks.setdefault(-(-(pos + 1) // chunk_chars), []).append(row)
-    return list(blocks.values()) + [rows[-1:]]
+        blocks.setdefault(chunk_of(pos + 1), []).append(row)
+    blocks.setdefault(chunk_of(pos + len(rows[-1]) + 2), []).append(rows[-1])
+    return list(blocks.values())
 
 
 def test_parse_rows_converts_each_distinct_row_of_a_block_once(monkeypatch):
@@ -596,7 +601,8 @@ def test_parse_rows_converts_each_distinct_row_of_a_block_once(monkeypatch):
                             lambda block, k: calls.append(block) or rows_block(block, k))
         assert np.array_equal(bits(read_rows(text, 2, chunk_chars)), bits(want))
         blocks = row_blocks(rows, chunk_chars)
-        assert len(calls) == len(blocks) >= 2
+        assert len(calls) == len(blocks)
+        assert len(blocks) > 1 or chunk_chars > len(text)  # one chunk, one block
         for block, call in zip(blocks, calls):
             assert call[:1] == b"[" and call[-1:] == b"]"
             assert call[1:-1].split(b"], [") == list(dict.fromkeys(r[1:-1] for r in block))
