@@ -187,15 +187,14 @@ def belief_table(rec, tick):
     spec = rec.spec
     lat = Lattice.of(spec)
     n = spec.n_states
-    f = rec.future_sentinel
     if tick:
-        q_s2 = rec.tables["s2"][:, :, :, f]                    # (N, O, A, s2)
+        q_s2 = rec.sentinel["s2"]                              # (N, O, A, s2)
     else:
         q_s2 = np.broadcast_to(lat.hold_s2[:, None, None, :],
                                (n, spec.card_o, spec.card_a, spec.card_s2))
-    q_a2 = rec.tables["a2"][:, :, :, f]                        # (N, O, A, s2, a2)
-    q_s1 = rec.tables["s1"][:, :, :, f]                        # (N, O, A, s2, a2, s1)
-    q_a1 = rec.tables["a1"][:, :, :, f]                        # (N, O, A, s1, a2, a1)
+    q_a2 = rec.sentinel["a2"]                                  # (N, O, A, s2, a2)
+    q_s1 = rec.sentinel["s1"]                                  # (N, O, A, s2, a2, s1)
+    q_a1 = rec.sentinel["a1"]                                  # (N, O, A, s1, a2, a1)
     joint = _product("xowX,xowXA,xowXAs,xowsAb->xowsXbA", q_s2, q_a2, q_s1, q_a1)
     return joint.reshape(n, spec.card_o, spec.card_a, spec.n_latents)
 
@@ -220,14 +219,15 @@ def edge_cost(gen, ref, prior, belief):
     j_lat = reference_over_latents(ref)                        # (L, O)
     l_lat = _kept(gen.pieces, "neg_log_lik", gen.spec,         # (L, O)
                   lambda: -safe_log(lik_over_latents(gen)))
-    with np.errstate(invalid="ignore"):
-        j = np.where(belief > 0.0, belief * j_lat.T[None, :, None, :], 0.0).sum(axis=3)
-        l = np.where(belief > 0.0, belief * l_lat.T[None, :, None, :], 0.0).sum(axis=3)
-    log_q = safe_log(belief)
-    log_prior = safe_log(prior)[:, None, None, :]
-    with np.errstate(invalid="ignore"):
-        integrand = np.where(belief > 0.0, belief * (log_q - log_prior), 0.0)
-    kl = integrand.sum(axis=3)
+    # each term's integrand is written into one buffer where belief > 0 and
+    # summed over latents; elsewhere the buffer keeps its zeros
+    live = belief > 0.0
+    buf = np.zeros(belief.shape)
+    j = np.multiply(belief, j_lat.T[None, :, None, :], out=buf, where=live).sum(axis=3)
+    l = np.multiply(belief, l_lat.T[None, :, None, :], out=buf, where=live).sum(axis=3)
+    np.log(belief, out=buf, where=live)
+    np.subtract(buf, safe_log(prior)[:, None, None, :], out=buf, where=live)
+    kl = np.multiply(belief, buf, out=buf, where=live).sum(axis=3)
     return j + l + kl
 
 
@@ -276,8 +276,8 @@ def posterior_recognition_tables(gen):
     """Recognition tables initialized at the exact one-step filtering
     posterior: q(latents | o, a, x_prev) propto prior * lik * pol0(a | o, a1).
     Every future-summary slice starts at the filtering posterior; training
-    moves only the sentinel (filtering) slice, and apply_params carries the
-    smoothing slices over unchanged.
+    moves only the sentinel (filtering) slice, and every model apply_params
+    builds shares these smoothing slices rather than carrying copies.
 
     Factored as (s2, a2 | s2, s1 | s2 a2, a1 | s1 a2); the last factor is
     exact because a1 is conditionally independent of s2 given (s1, a2). The

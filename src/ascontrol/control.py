@@ -21,8 +21,7 @@ from . import chains, oracle
 from .errors import (ConvergenceError, DegenerateSupportError,
                      DegenerateWeightsError, NonFiniteObjectiveError)
 from .logspace import NEG_INF, logsumexp, safe_log, support_dot, worst_error
-from .model import (CompleteState, ConditionalTable, REC_FACTORS,
-                    RecognitionModel, softmax_rows, table_layout, tick_at)
+from .model import CompleteState, ConditionalTable, REC_FACTORS, table_layout, tick_at
 
 VALUE_FILE_VERSION = 1
 
@@ -338,17 +337,18 @@ def kl_qstar_identity(gen, value, x, t=0):
 def _sample_paths(cums, x0, n_rollouts, rng):
     """Seeded state paths of n_rollouts rollouts from the flat state x0, one
     step per row-CDF matrix in `cums`: a (len(cums) + 1, n_rollouts) array.
-    Each step draws one uniform u per rollout and takes the first state
-    whose CDF exceeds u, as sample_categorical does (a row that sums below 1
-    clamps to the last state), _SAMPLE_BLOCK rollouts at a time."""
+    Each step takes, per rollout, the first state whose CDF exceeds its
+    uniform u, as sample_categorical does, _SAMPLE_BLOCK rollouts at a time.
+    A CDF row does not decrease, so that state is the count of the row's
+    entries but the last that are <= u, and a row that sums below 1 clamps
+    to the last state. One rng.random call draws every step's uniforms, row
+    t for step t: the stream of one call per step."""
     paths = np.empty((len(cums) + 1, n_rollouts), dtype=np.intp)
     paths[0] = x0
-    for t, cum in enumerate(cums):
-        u = rng.random(n_rollouts)
+    for t, (cum, u) in enumerate(zip(cums, rng.random((len(cums), n_rollouts)))):
         for i in range(0, n_rollouts, _SAMPLE_BLOCK):
             block = slice(i, i + _SAMPLE_BLOCK)
-            paths[t + 1, block] = (cum[paths[t, block]] <= u[block, None]).sum(axis=1)
-        np.minimum(paths[t + 1], cum.shape[1] - 1, out=paths[t + 1])
+            paths[t + 1, block] = (cum[paths[t, block], :-1] <= u[block, None]).sum(axis=1)
     return paths
 
 
@@ -447,8 +447,7 @@ def extract_params(gen, rec, trainable_policies=POLICY_TABLES):
         if name not in POLICY_TABLES:
             raise ValueError(f"{name!r} is not a trainable policy table "
                              f"(choose from {', '.join(POLICY_TABLES)})")
-    sent = rec.future_sentinel
-    q = {k: safe_log(rec.tables[k][:, :, :, sent]) for k in REC_FACTORS}
+    q = {k: safe_log(rec.sentinel[k]) for k in REC_FACTORS}
     pol = {name: safe_log(getattr(gen, name).probs)
            for name in trainable_policies}
     return TrainableParams(q, pol)
@@ -456,10 +455,10 @@ def extract_params(gen, rec, trainable_policies=POLICY_TABLES):
 
 def apply_params(gen, rec, params):
     """Rebuild (generative-with-policies, recognition) from logits: the
-    recognition sentinel slices become the softmax of params.q_logits, and
-    the smoothing slices carry over from `rec` unchanged."""
-    return (_policy_model(gen, params.pol_logits),
-            _recognition_model(rec, params.q_logits))
+    recognition sentinel slices become the softmax of params.q_logits
+    (RecognitionModel.with_logits), and the smoothing slices are `rec`'s own
+    arrays, shared, not copied."""
+    return _policy_model(gen, params.pol_logits), rec.with_logits(params.q_logits)
 
 
 def _policy_model(gen, pol_logits):
@@ -469,17 +468,6 @@ def _policy_model(gen, pol_logits):
     return replace(gen, **{
         name: ConditionalTable.from_logits(*layout[name], logits)
         for name, logits in pol_logits.items()})
-
-
-def _recognition_model(rec, q_logits):
-    """The recognition half of apply_params: `rec` with the sentinel slice
-    of each factor in `q_logits` replaced by the softmax of its logits. The
-    other factors share rec's read-only tables."""
-    tables = dict(rec.tables)
-    for k, logits in q_logits.items():
-        tables[k] = np.array(rec.tables[k])
-        tables[k][:, :, :, rec.future_sentinel] = softmax_rows(logits)
-    return RecognitionModel(rec.spec, tables)
 
 
 def _safe_div(num, den):
@@ -544,9 +532,10 @@ class _GradAccumulator:
         lik_lat = chains.lik_over_latents(gen)
         pol0_lat = chains.pol0_over_latents(gen)
         a_lat = chains.reference_over_latents(ref) - safe_log(lik_lat)
-        sent = {k: rec.tables[k][:, :, :, rec.future_sentinel] for k in REC_FACTORS}
-
-        g_sent = {k: np.zeros(v.shape) for k, v in sent.items()}
+        sent = rec.sentinel
+        # per factor, the sum over its row's latent completions of g_q * q,
+        # in the sentinel layout; each factor's gradient is this over sent
+        r_sent = {k: np.zeros(v.shape) for k, v in sent.items()}
         g_pol_tables = {k: np.zeros_like(getattr(gen, k).probs)
                         for k in self.trained_pols}
 
@@ -578,15 +567,14 @@ class _GradAccumulator:
             # recognition factors via the product-ratio trick, each factor's
             # sum taken from the one before it where it can be
             rq = rq.reshape(n, c_o, c_a, s1c, s2c, a1c, a2c)
-            g_sent["a1"] += _safe_div(rq.sum(axis=4).transpose(0, 1, 2, 3, 5, 4),
-                                      sent["a1"])
+            r_sent["a1"] += rq.sum(axis=4).transpose(0, 1, 2, 3, 5, 4)
             r_s1 = rq.sum(axis=5)                            # (.., s1, s2, a2)
             del rq  # not kept alive beside the next tick's
-            g_sent["s1"] += _safe_div(r_s1.transpose(0, 1, 2, 4, 5, 3), sent["s1"])
+            r_sent["s1"] += r_s1.transpose(0, 1, 2, 4, 5, 3)
             r_a2 = r_s1.sum(axis=3)                          # (.., s2, a2)
-            g_sent["a2"] += _safe_div(r_a2, sent["a2"])
+            r_sent["a2"] += r_a2
             if tick:
-                g_sent["s2"] += _safe_div(r_a2.sum(axis=4), sent["s2"])
+                r_sent["s2"] += r_a2.sum(axis=4)
             # policy factors
             if "pol0" in g_pol_tables:
                 g0 = np.einsum("xoa,xl,lo->loa", b["G_m"], prior, lik_lat,
@@ -602,7 +590,8 @@ class _GradAccumulator:
                                gen.pol1.reshaped())
                 g_pol_tables["pol1"] += g1.reshape(-1, a1c)
 
-        q_grads = {k: _softmax_grad_rows(sent[k], g_sent[k]) for k in REC_FACTORS}
+        q_grads = {k: _softmax_grad_rows(sent[k], _safe_div(r_sent[k], sent[k]))
+                   for k in REC_FACTORS}
         pol_grads = {k: _softmax_grad_rows(getattr(gen, k).probs, g_pol_tables[k])
                      for k in self.trained_pols}
         return TrainableParams(q_grads, pol_grads)
@@ -693,14 +682,15 @@ def fd_gradients(gen, rec, ref, params, x0, T, rate):
     adjoint gradients), with the models rebuilt from `gen` and `rec` as
     apply_params rebuilds them. A perturbed logit rebuilds only the table it
     belongs to and shares the others with the unperturbed models: a
-    recognition logit rebuilds one factor and keeps the unperturbed
-    generative model with its cached per-tick generative half; a policy
-    logit rebuilds one policy table on the unperturbed recognition model."""
+    recognition logit rebuilds one factor's sentinel slice and keeps the
+    unperturbed generative model with its cached per-tick generative half; a
+    policy logit rebuilds one policy table on the unperturbed recognition
+    model."""
     base_gen, base_rec = apply_params(gen, rec, params)
 
     def q_objective(key):
         return differential_free_energy(
-            base_gen, _recognition_model(base_rec, {key: params.q_logits[key]}),
+            base_gen, base_rec.with_logits({key: params.q_logits[key]}),
             ref, x0, T, rate)
 
     def pol_objective(key):

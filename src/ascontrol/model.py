@@ -168,17 +168,19 @@ def tick_at(t, spec):
 def _normalized_rows(probs):
     """probs, rows over the last axis, after the check every table passes: no
     negative entry and each row sum within 1e-6 of one (else ValueError); a
-    row off by more than 1e-12 is divided by its sum, in a copy."""
+    row off by more than 1e-12 is divided by its sum, in a copy. The row sums
+    are its one row-sized temporary."""
     if np.any(probs < 0):
         raise ValueError("negative probability entry")
     sums = probs.sum(axis=-1)
-    off = np.abs(sums - 1.0)
-    if not np.all(off <= LOAD_REJECT_TOL):
-        raise ValueError(f"row normalization off by {float(np.max(off)):.3e}")
-    bad = off > TABLE_ROW_TOL
-    if np.any(bad):
+    off = float(np.max((sums.max() - 1.0, 1.0 - sums.min())))  # NaN if a sum is
+    if not off <= LOAD_REJECT_TOL:
+        raise ValueError(f"row normalization off by {off:.3e}")
+    if off > TABLE_ROW_TOL:
+        np.abs(np.subtract(sums, 1.0, out=sums), out=sums)
         probs = probs.copy()
-        probs[bad] /= sums[bad][..., None]
+        bad = sums > TABLE_ROW_TOL
+        probs[bad] /= probs[bad].sum(axis=-1, keepdims=True)
     return probs
 
 
@@ -278,14 +280,17 @@ def sample_categorical(probs, rng):
 
 
 def softmax_rows(logits):
-    """Softmax over the last axis tolerating -inf logits (zero probability)."""
+    """Softmax over the last axis tolerating -inf logits (zero probability),
+    computed in the one array it returns."""
     logits = np.atleast_2d(logits)
     m = np.max(logits, axis=-1, keepdims=True)
     if np.any(~np.isfinite(m)):
         raise ValueError("softmax row with no finite logit")
+    e = np.subtract(logits, m, dtype=float)
     with np.errstate(over="ignore"):
-        e = np.exp(logits - m)
-    return e / e.sum(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +411,14 @@ class RecognitionModel:
     the only slice the average-surprise objective reads; the others are
     smoothing slices. On non-tick steps the s2 factor is replaced by the
     deterministic level-2 hold.
+
+    `sentinel[k]` is factor k's filtering slice, the array every reader of
+    the objective takes. A candidate (with_logits) shares its parent's
+    tables, smoothing slices included, and owns only its new sentinels;
+    the whole layout is assembled only where it is read (blocks, tables).
     """
 
-    __slots__ = ("spec", "tables", "pieces", "__weakref__")
+    __slots__ = ("spec", "sentinel", "_tables", "pieces", "__weakref__")
 
     def __init__(self, spec, tables):
         """Takes over the float arrays of `tables` without a copy and makes
@@ -419,14 +429,52 @@ class RecognitionModel:
         # chains.tick_pieces for the last (gen, ref) pair it was built with
         self.pieces = {}
         shapes = self.factor_shapes(spec)
-        self.tables = {}
+        self._tables = {}
         for name in REC_FACTORS:
             arr = np.ascontiguousarray(tables[name], dtype=float)
             if arr.shape != shapes[name]:
                 raise DimensionMismatchError(
                     f"recognition factor {name}: expected table {shapes[name]}, got {arr.shape}")
             arr.setflags(write=False)
-            self.tables[name] = arr
+            self._tables[name] = arr
+        self.sentinel = {name: arr[:, :, :, self.future_sentinel]
+                         for name, arr in self._tables.items()}
+
+    def with_logits(self, logits):
+        """A candidate: this model with the sentinel slice of each factor in
+        `logits` replaced by the softmax of its logits, a fresh array; every
+        other slice, smoothing slices included, is this model's, shared."""
+        sentinel = dict(self.sentinel)
+        for name, values in logits.items():
+            arr = sentinel[name] = softmax_rows(values)
+            if arr.shape != self.sentinel[name].shape:
+                raise DimensionMismatchError(
+                    f"recognition factor {name}: expected sentinel "
+                    f"{self.sentinel[name].shape}, got {arr.shape}")
+            arr.setflags(write=False)
+        model = object.__new__(RecognitionModel)
+        model.spec, model._tables, model.pieces = self.spec, self._tables, {}
+        model.sentinel = sentinel
+        return model
+
+    def blocks(self, name):
+        """Factor `name` whole, (x_prev, o, a, future, parents..., child), as
+        fresh arrays over consecutive x_prev of about _BLOCK_VALUES values
+        each, with this model's sentinel slice written in."""
+        arr, sent = self._tables[name], self.sentinel[name]
+        step = max(1, _BLOCK_VALUES // arr[0].size)
+        for x in range(0, len(arr), step):
+            block = np.array(arr[x:x + step])
+            block[:, :, :, self.future_sentinel] = sent[x:x + step]
+            yield block
+
+    @property
+    def tables(self):
+        """Every factor whole, keyed by name: its blocks joined, read-only."""
+        tables = {name: np.concatenate([*self.blocks(name)]) for name in REC_FACTORS}
+        for arr in tables.values():
+            arr.setflags(write=False)
+        return tables
 
     @property
     def n_future(self):
@@ -466,24 +514,21 @@ class RecognitionModel:
         return cls(spec, {name: np.array(tables[name], dtype=float, order="C")
                           for name in REC_FACTORS})
 
-    def _fut_index(self, future):
-        return self.future_sentinel if future is None else int(future)
-
     def joint(self, context, tick=True):
-        """Belief over latent tuples, shaped (card_s1, card_s2, card_a1, card_a2)."""
+        """Belief over latent tuples, shaped (card_s1, card_s2, card_a1, card_a2):
+        the sentinel slices for a None future, the shared tables otherwise."""
         sp = self.spec
         xp = context.x_prev.validate(sp).flat(sp)
-        o, a, f = int(context.o), int(context.a), self._fut_index(context.future)
+        o, a = int(context.o), int(context.a)
+        f = self.future_sentinel if context.future is None else int(context.future)
         if not 0 <= o < sp.card_o or not 0 <= a < sp.card_a or not 0 <= f < self.n_future:
             raise DimensionMismatchError("recognition context index out of range")
-        if tick:
-            q_s2 = self.tables["s2"][xp, o, a, f]
-        else:
+        slices = (self.sentinel if f == self.future_sentinel
+                  else {k: t[:, :, :, f] for k, t in self._tables.items()})
+        q_s2, q_a2, q_s1, q_a1 = (slices[k][xp, o, a] for k in REC_FACTORS)
+        if not tick:
             q_s2 = np.zeros(sp.card_s2)
             q_s2[context.x_prev.s2] = 1.0
-        q_a2 = self.tables["a2"][xp, o, a, f]          # (s2, a2)
-        q_s1 = self.tables["s1"][xp, o, a, f]          # (s2, a2, s1)
-        q_a1 = self.tables["a1"][xp, o, a, f]          # (s1, a2, a1)
         joint = np.einsum("X,XA,XAs,sAb->sXbA", q_s2, q_a2, q_s1, q_a1)
         return joint  # axes (s1, s2, a1, a2)
 
@@ -578,30 +623,31 @@ _BLOCK_VALUES = 1 << 16
 _ROWS_MARK = "\0rows\0"
 
 
-def _json_rows(rows, block_values=_BLOCK_VALUES):
-    """Yield pieces of text that join to json.dumps(rows.tolist()) for a 2-D
-    float array.
+def _json_rows(chunks, block_values=_BLOCK_VALUES):
+    """Yield pieces of text that join to json.dumps(rows.tolist()), where
+    rows is the 2-D float array of the rows (over the last axis) of the
+    arrays in `chunks`, one after the other.
 
     Every block of whole rows, whether or not its values repeat, is
     formatted through its distinct values (by bit pattern, so -0.0 and 0.0
     stay apart): one json float encoding per distinct value, then the row
     text is gathered from those strings.
     """
-    rows = np.ascontiguousarray(rows, dtype=float)
-    n, k = rows.shape
-    step = max(1, block_values // k)
+    sep = ""
     yield "["
-    for start in range(0, n, step):
-        block = rows[start:start + step]
-        if start:
-            yield ", "
-        uniq, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
-        texts = json.dumps(uniq.view(np.float64).tolist())[1:-1].split(", ")
-        in_row = np.array([t + ", " for t in texts], dtype=object)
-        row_end = np.array([t + "], [" for t in texts], dtype=object)
-        cells = in_row[inverse].reshape(block.shape)
-        cells[:, -1] = row_end[inverse.reshape(block.shape)[:, -1]]
-        yield "[" + "".join(cells.ravel().tolist())[:-3]
+    for chunk in chunks:
+        rows = np.ascontiguousarray(chunk, dtype=float).reshape(-1, np.shape(chunk)[-1])
+        step = max(1, block_values // rows.shape[1])
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            uniq, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
+            texts = json.dumps(uniq.view(np.float64).tolist())[1:-1].split(", ")
+            in_row = np.array([t + ", " for t in texts], dtype=object)
+            row_end = np.array([t + "], [" for t in texts], dtype=object)
+            cells = in_row[inverse].reshape(block.shape)
+            cells[:, -1] = row_end[inverse.reshape(block.shape)[:, -1]]
+            yield sep + "[" + "".join(cells.ravel().tolist())[:-3]
+            sep = ", "
     yield "]"
 
 
@@ -610,9 +656,10 @@ def save_models(path, gen, rec, ref):
     document (version 1, named row-major arrays).
 
     The bytes equal json.dump of the whole document; the rows are streamed
-    block by block instead of being converted to nested lists first.
+    block by block instead of being converted to nested lists first, and a
+    recognition factor is assembled block by block too (rec.blocks).
     """
-    tables, arrays = {}, []
+    tables, chunks = {}, []
     for model, names in ((gen, GenerativeModel.table_names),
                          (ref, ReferenceModel.table_names)):
         for name in names:
@@ -620,16 +667,15 @@ def save_models(path, gen, rec, ref):
             tables[name] = {"parents": list(table.parent_dims), "child": table.child_dim,
                             "rows": _ROWS_MARK,
                             "strictly_positive": table.strictly_positive}
-            arrays.append(table.probs)
-    for name in REC_FACTORS:
-        shape = rec.tables[name].shape
+            chunks.append([table.probs])
+    for name, shape in RecognitionModel.factor_shapes(rec.spec).items():
         tables["rec_" + name] = {"dims": list(shape), "rows": _ROWS_MARK}
-        arrays.append(rec.tables[name].reshape(-1, shape[-1]))
+        chunks.append(rec.blocks(name))
     doc = {"version": FILE_VERSION, "spec": gen.spec.to_dict(), "tables": tables}
     envelope = json.dumps(doc).split(json.dumps(_ROWS_MARK))
     with open(path, "w") as fh:
         fh.write(envelope[0])
-        for rows, text in zip(arrays, envelope[1:]):
+        for rows, text in zip(chunks, envelope[1:]):
             fh.writelines(_json_rows(rows))
             fh.write(text)
 

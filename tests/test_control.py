@@ -1,19 +1,21 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascontrol import chains, control, oracle
-from ascontrol.errors import ConvergenceError, DegenerateSupportError
+from ascontrol import chains, control, oracle, sim
+from ascontrol.errors import (ConvergenceError, DegenerateSupportError,
+                              DimensionMismatchError)
 from ascontrol.instances import (hard_zero_instance, random_instance, random_state,
                                  random_value)
-from ascontrol.logspace import gap, worst_error
+from ascontrol.logspace import gap, safe_log, worst_error
 from ascontrol.model import (REC_FACTORS, CompleteState, ConditionalTable,
-                             RecognitionModel, ReferenceModel, sample_categorical,
-                             softmax_rows)
+                             RecognitionContext, RecognitionModel, ReferenceModel,
+                             sample_categorical, softmax_rows)
 from ascontrol.validate import gradient_error, jensen_violation, run_validation
 from conftest import bits, two_cycle_instance, uniform_instance
 
@@ -299,7 +301,8 @@ def test_rollout_sampler_blocks_match_the_one_shot_draw():
 
 
 class StubUniforms:
-    """A generator whose random() hands out the given uniforms in turn."""
+    """A generator whose random() hands out the given uniforms in turn, in C
+    order for a shaped draw."""
 
     def __init__(self, uniforms):
         self.uniforms = list(uniforms)
@@ -307,7 +310,8 @@ class StubUniforms:
     def random(self, size=None):
         if size is None:
             return self.uniforms.pop(0)
-        return np.array([self.uniforms.pop(0) for _ in range(size)])
+        return np.array([self.uniforms.pop(0)
+                         for _ in range(int(np.prod(size)))]).reshape(size)
 
 
 @settings(max_examples=300, deadline=None)
@@ -543,9 +547,9 @@ def test_fd_gradients_build_one_generative_half_per_generative_model(monkeypatch
 
 
 def test_fd_gradients_rebuild_only_the_perturbed_factor(monkeypatch):
-    # a perturbed recognition logit rebuilds its own factor's table; the
-    # other three are the unperturbed model's arrays, which the policy-logit
-    # evaluations read whole
+    # a perturbed recognition logit rebuilds its own factor's sentinel slice;
+    # the other three are the unperturbed model's arrays, which the
+    # policy-logit evaluations read whole
     gen, rec, ref = random_instance(961, cards=(2, 2, 1, 2, 2, 1))
     params = control.extract_params(gen, rec)
     recs = []
@@ -560,7 +564,7 @@ def test_fd_gradients_rebuild_only_the_perturbed_factor(monkeypatch):
     for key, size in sizes.items():
         for r in recs[start:start + size]:
             for k in REC_FACTORS:
-                assert (r.tables[k] is base.tables[k]) == (k != key), (key, k)
+                assert (r.sentinel[k] is base.sentinel[k]) == (k != key), (key, k)
         start += size
 
 
@@ -612,6 +616,78 @@ def test_apply_params_trains_only_sentinel_slices():
                               bits(softmax_rows(cand.q_logits[k])))
         assert not rec2.tables[k].flags.writeable
     assert not all(np.array_equal(rec2.tables[k], rec.tables[k]) for k in REC_FACTORS)
+
+
+def test_apply_params_allocates_only_the_sentinel_slices():
+    # on the seed-3 thermostat a candidate's four sentinel slices are 5.2 MiB
+    # of its 36.5 MiB of recognition tables: it allocates them (and, while
+    # they are built, their softmax's row maxima and sums) and shares the
+    # smoothing slices, its parent's arrays
+    env, ref = sim.thermostat_env(3, [0, 2], heat_success=0.85, phase_advance=0.1)
+    gen, rec = sim.thermostat_agent(env, [0, 2], 3)
+    params = control.extract_params(gen, rec, ("pol0",))
+    sent_bytes = sum(v.nbytes for v in params.q_logits.values())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, cand = control.apply_params(gen, rec, params)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < sent_bytes + 2 ** 16
+    assert peak - before < 1.5 * sent_bytes
+    for k in REC_FACTORS:
+        assert cand._tables[k] is rec._tables[k]
+        assert np.shares_memory(cand._tables[k], rec._tables[k])
+        assert not np.may_share_memory(cand.sentinel[k], rec._tables[k])
+        assert cand.sentinel[k].flags.c_contiguous and not cand.sentinel[k].flags.writeable
+
+
+def test_apply_params_rejects_logits_shaped_like_the_whole_table():
+    # a factor's logits have no future axis; with one, the candidate would
+    # not fit its parent's layout, and the error names the factor
+    gen, rec, _ = random_instance(942)
+    params = control.extract_params(gen, rec)
+    params.q_logits["s1"] = safe_log(rec.tables["s1"])
+    with pytest.raises(DimensionMismatchError, match="recognition factor s1"):
+        control.apply_params(gen, rec, params)
+
+
+def copy_and_write_layout(rec, q_logits):
+    """The whole tables of apply_params(..., rec, ...) as a candidate once
+    held them: copies of rec's tables with the softmax of q_logits written
+    into the sentinel slices."""
+    tables = {k: np.array(v) for k, v in rec.tables.items()}
+    for k, logits in q_logits.items():
+        tables[k][:, :, :, rec.future_sentinel] = softmax_rows(logits)
+    return tables
+
+
+def test_candidate_joint_matches_the_copy_and_write_layout():
+    # every future, filtering (None) and smoothing, on both tick values: a
+    # candidate, and a candidate of it that rebuilds one factor as
+    # fd_gradients does, read their beliefs bit for bit as the whole layout
+    gen, rec, ref = random_instance(941)
+    spec = gen.spec
+    params = control.extract_params(gen, rec)
+    rng = np.random.default_rng(0)
+    q = {k: v + rng.standard_normal(v.shape) for k, v in params.q_logits.items()}
+    _, cand = control.apply_params(gen, rec, control.TrainableParams(q, {}))
+    s1 = {"s1": rng.standard_normal(q["s1"].shape)}
+    cases = [(cand, RecognitionModel(spec, copy_and_write_layout(rec, q))),
+             (cand.with_logits(s1),
+              RecognitionModel(spec, copy_and_write_layout(rec, {**q, **s1})))]
+    futures = [None] + list(range(spec.card_o + 1))
+    for got, want in cases:
+        for x in range(spec.n_states):
+            x_prev = CompleteState.from_flat(x, spec)
+            for o in range(spec.card_o):
+                for a in range(spec.card_a):
+                    for future in futures:
+                        ctx = RecognitionContext(o, a, x_prev, future)
+                        for tick in (True, False):
+                            assert np.array_equal(bits(got.joint(ctx, tick)),
+                                                  bits(want.joint(ctx, tick)))
 
 
 def test_zero_gradient_at_deterministic_optimum():

@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascontrol import chains, model, sim
+from ascontrol import chains, control, model, sim
 from ascontrol.errors import DimensionMismatchError
 from ascontrol.instances import random_instance, random_state
 from ascontrol.logspace import logsumexp
@@ -21,8 +22,8 @@ from ascontrol.model import (REC_FACTORS, CompleteState, ConditionalTable,
                              RecognitionModel, ReferenceModel, _BLOCK_VALUES,
                              _json_rows, load_models,
                              recognition_logprob, sample_trajectory,
-                             sample_transition, save_models, tick_levels,
-                             trajectory_logprob, transition_logprob)
+                             sample_transition, save_models, softmax_rows,
+                             tick_levels, trajectory_logprob, transition_logprob)
 from conftest import assert_load_matches_json, bits, ragged_rows, uniform_instance
 
 SPEC2 = ModelSpec(2, 2, 2, 2, 2, 2)
@@ -61,6 +62,45 @@ def test_table_rejects_bad_rows():
         ConditionalTable((2,), 2, np.array([[0.7, 0.2], [0.5, 0.5]]))
     with pytest.raises(ValueError):
         ConditionalTable((2,), 2, np.array([[math.nan, math.nan], [0.5, 0.5]]))
+
+
+def three_temporary_normalized_rows(probs):
+    """model._normalized_rows as it was with a temporary per step (sums,
+    sums - 1, their absolute value): the reference for its errors, messages
+    and bits."""
+    if np.any(probs < 0):
+        raise ValueError("negative probability entry")
+    sums = probs.sum(axis=-1)
+    off = np.abs(sums - 1.0)
+    if not np.all(off <= model.LOAD_REJECT_TOL):
+        raise ValueError(f"row normalization off by {float(np.max(off)):.3e}")
+    bad = off > model.TABLE_ROW_TOL
+    if np.any(bad):
+        probs = probs.copy()
+        probs[bad] /= sums[bad][..., None]
+    return probs
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), shape=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_normalized_rows_matches_the_three_temporary_check(data, shape, seed):
+    # rows scaled a little above or below one (kept, or divided by their
+    # sum), too far off, non-finite or negative (rejected)
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    scales = [1.0, 1.0 + 1e-13, 1.0 - 1e-13, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-3,
+              1.0 - 1e-3, math.nan, math.inf, -1.0]
+    rows = probs.reshape(-1, shape[-1])
+    rows *= np.array(data.draw(st.lists(st.sampled_from(scales), min_size=len(rows),
+                                        max_size=len(rows))))[:, None]
+    try:
+        want = three_temporary_normalized_rows(probs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            model._normalized_rows(probs)
+    else:
+        assert np.array_equal(bits(model._normalized_rows(probs)), bits(want))
 
 
 def test_table_floor_keeps_rows_normalized():
@@ -455,7 +495,7 @@ def test_json_rows_matches_json_dumps(data, n_rows, child_dim, block_values, rep
     flat = data.draw(st.lists(values, min_size=n_rows * child_dim,
                               max_size=n_rows * child_dim))
     a = np.array(flat, dtype=float).reshape(n_rows, child_dim)
-    assert "".join(_json_rows(a, block_values)) == json.dumps(a.tolist())
+    assert "".join(_json_rows([a], block_values)) == json.dumps(a.tolist())
 
 
 def _reference_bundle_text(gen, rec, ref):
@@ -497,6 +537,33 @@ def test_save_matches_json_dump(tmp_path, build):
     path = tmp_path / "model.json"
     save_models(path, gen, rec, ref)
     assert path.read_bytes() == _reference_bundle_text(gen, rec, ref).encode()
+
+
+@pytest.mark.parametrize("block_values", [_BLOCK_VALUES, 40], ids=["one-block", "blocks"])
+def test_save_of_a_candidate_matches_the_copy_and_write_layout(tmp_path, monkeypatch,
+                                                               block_values):
+    # a candidate owns its sentinel slices only and is written block by block;
+    # its bundle is that of the whole tables a candidate once held (its
+    # parent's, with the softmax of its logits in the sentinel slices), as a
+    # model and as json.dump writes them
+    monkeypatch.setattr(model, "_BLOCK_VALUES", block_values)
+    gen, _, ref = _distinct_instance()
+    spec = gen.spec
+    rng = np.random.default_rng(5)
+    source = {k: softmax_rows(rng.standard_normal(shape))
+              for k, shape in RecognitionModel.factor_shapes(spec).items()}
+    rec = RecognitionModel.from_tables(spec, source)
+    params = control.extract_params(gen, rec, ())
+    q = {k: v + rng.standard_normal(v.shape) for k, v in params.q_logits.items()}
+    _, cand = control.apply_params(gen, rec, control.TrainableParams(q, {}))
+    for k, logits in q.items():
+        source[k][:, :, :, spec.card_o] = softmax_rows(logits)
+    got, want = tmp_path / "cand.json", tmp_path / "whole.json"
+    save_models(got, gen, cand, ref)
+    save_models(want, gen, RecognitionModel(spec, source), ref)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes() == _reference_bundle_text(
+        gen, SimpleNamespace(tables=source), ref).encode()
 
 
 @pytest.mark.parametrize("floor", [False, True], ids=["unfloored", "floored"])
