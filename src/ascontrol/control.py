@@ -13,7 +13,7 @@ tables hold one bias vector per phase.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from . import chains, oracle
 from .errors import (ConvergenceError, DegenerateSupportError,
                      DegenerateWeightsError, NonFiniteObjectiveError)
 from .logspace import NEG_INF, logsumexp, safe_log, support_dot, worst_error
-from .model import CompleteState, ConditionalTable, REC_FACTORS, table_layout, tick_at
+from .model import (CompleteState, ConditionalTable, ModelSpec, REC_FACTORS, table_layout,
+                    tick_at)
 
 VALUE_FILE_VERSION = 1
 
@@ -99,8 +100,6 @@ class DifferentialValue:
 
     @classmethod
     def load(cls, path):
-        from .model import ModelSpec
-
         with open(path) as fh:
             doc = json.load(fh)
         if doc.get("version") != VALUE_FILE_VERSION:
@@ -122,10 +121,8 @@ class DifferentialValue:
 
 def action_tuples(spec):
     """Flat row-major enumeration of the joint action tuple (a, a1, a2)."""
-    n_u = spec.card_a * spec.card_a1 * spec.card_a2
-    ua, ua1, ua2 = np.unravel_index(
-        np.arange(n_u), (spec.card_a, spec.card_a1, spec.card_a2))
-    return ua.astype(np.intp), ua1.astype(np.intp), ua2.astype(np.intp)
+    dims = (spec.card_a, spec.card_a1, spec.card_a2)
+    return np.unravel_index(np.arange(math.prod(dims)), dims)
 
 
 class _BellmanOps:
@@ -292,20 +289,26 @@ def greedy_rollout_rate(gen, rec, ref, value, x0, steps, seed):
 # optimal transition density and its KL identity
 
 
+def _reweighted_row(gen, value, x, t):
+    """log p(x_{t+1} | x_t = x), the next bias, the reweighted log row
+    log p - bias and its log normalizer."""
+    x.validate(gen.spec)
+    logp = safe_log(chains.transition_row(gen, x, tick_at(t + 1, gen.spec)))
+    bias_next = value.bias_at_time(t + 1)
+    logw = logp - bias_next
+    log_z = logsumexp(logw)
+    if log_z == NEG_INF:
+        raise DegenerateSupportError(
+            f"transition row from {x} has no support after reweighting")
+    return logp, bias_next, logw, log_z
+
+
 def optimal_transition(gen, value, x, t=0):
     """q*(x_{t+1} | x_t): the model's transition row reweighted by
     exp(-bias(x_{t+1})), normalized. `t` is the time index of the
     conditioning state, so the row describes the transition into step
     t + 1 (t=0 is the episode context; its outgoing transition ticks)."""
-    spec = gen.spec
-    x.validate(spec)
-    row = chains.transition_row(gen, x, tick_at(t + 1, spec))
-    bias_next = value.bias_at_time(t + 1)
-    logw = safe_log(row) - bias_next
-    log_z = logsumexp(logw)
-    if log_z == NEG_INF:
-        raise DegenerateSupportError(
-            f"transition row from {x} has no support after reweighting")
+    _, _, logw, log_z = _reweighted_row(gen, value, x, t)
     return np.exp(logw - log_z)
 
 
@@ -313,16 +316,7 @@ def kl_qstar_identity(gen, value, x, t=0):
     """Both sides of the feedback-vs-feedforward KL identity:
     lhs = KL(q* || p); rhs = -E_{q*}[bias'] - log E_p[exp(-bias')].
     `t` follows the optimal_transition convention."""
-    spec = gen.spec
-    x.validate(spec)
-    row = chains.transition_row(gen, x, tick_at(t + 1, spec))
-    bias_next = value.bias_at_time(t + 1)
-    logp = safe_log(row)
-    logw = logp - bias_next
-    log_z = logsumexp(logw)
-    if log_z == NEG_INF:
-        raise DegenerateSupportError(
-            f"transition row from {x} has no support after reweighting")
+    logp, bias_next, logw, log_z = _reweighted_row(gen, value, x, t)
     q = np.exp(logw - log_z)
     mask = q > 0.0
     lhs = float(np.sum(q[mask] * (np.log(q[mask]) - logp[mask])))
@@ -747,12 +741,7 @@ class TrainReport:
     final_rate: float
 
     def to_dict(self):
-        return {"iterations": self.iterations,
-                "objective_trace": list(self.objective_trace),
-                "grad_norm_trace": list(self.grad_norm_trace),
-                "step_size_trace": list(self.step_size_trace),
-                "rate_trace": list(self.rate_trace),
-                "final_rate": self.final_rate}
+        return asdict(self)
 
 
 def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,

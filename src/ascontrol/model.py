@@ -24,7 +24,7 @@ explicit numpy Generator so parallel callers use independent streams.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -81,11 +81,7 @@ class ModelSpec:
         return (self.card_s1, self.card_s2, self.card_a1, self.card_a2)
 
     def to_dict(self):
-        return {
-            "card_o": self.card_o, "card_s1": self.card_s1, "card_s2": self.card_s2,
-            "card_a": self.card_a, "card_a1": self.card_a1, "card_a2": self.card_a2,
-            "tick_period_level2": self.tick_period_level2,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -104,16 +100,14 @@ class CompleteState:
     a2: int
 
     def validate(self, spec):
-        vals = (self.o, self.s1, self.s2, self.a, self.a1, self.a2)
-        for v, dim, name in zip(vals, spec.dims, ("o", "s1", "s2", "a", "a1", "a2")):
+        for v, dim, name in zip(self.astuple(), spec.dims, ("o", "s1", "s2", "a", "a1", "a2")):
             if not 0 <= v < dim:
                 raise DimensionMismatchError(
                     f"state component {name}={v} out of range [0, {dim})")
         return self
 
     def flat(self, spec):
-        return int(np.ravel_multi_index(
-            (self.o, self.s1, self.s2, self.a, self.a1, self.a2), spec.dims))
+        return int(np.ravel_multi_index(self.astuple(), spec.dims))
 
     @classmethod
     def from_flat(cls, idx, spec):
@@ -139,22 +133,16 @@ class Trajectory:
 
     def hold_respected(self, spec):
         """True iff s2 is unchanged on every non-tick step."""
-        prev = self.x0
-        for t, x in enumerate(self.steps, start=1):
-            if 2 not in tick_levels(t, spec) and x.s2 != prev.s2:
-                return False
-            prev = x
-        return True
+        prevs = (self.x0,) + self.steps
+        return all(tick_at(t, spec) or x.s2 == prev.s2
+                   for t, (prev, x) in enumerate(zip(prevs, self.steps), start=1))
 
 
 def tick_levels(t, spec):
     """Which hierarchy levels transition at step t (level 1 always does)."""
     if t < 1:
         raise ValueError("time index starts at 1")
-    levels = {1}
-    if (t - 1) % spec.tick_period_level2 == 0:
-        levels.add(2)
-    return levels
+    return {1, 2} if tick_at(t, spec) else {1}
 
 
 def tick_at(t, spec):
@@ -168,8 +156,8 @@ def tick_at(t, spec):
 def _normalized_rows(probs):
     """probs, rows over the last axis, after the check every table passes: no
     negative entry and each row sum within 1e-6 of one (else ValueError); a
-    row off by more than 1e-12 is divided by its sum, in a copy. The row sums
-    are its one row-sized temporary."""
+    row off by more than 1e-12 is divided by its sum, in a copy. Unless one
+    is, the row sums are its one row-sized temporary."""
     if np.any(probs < 0):
         raise ValueError("negative probability entry")
     sums = probs.sum(axis=-1)
@@ -177,16 +165,10 @@ def _normalized_rows(probs):
     if not off <= LOAD_REJECT_TOL:
         raise ValueError(f"row normalization off by {off:.3e}")
     if off > TABLE_ROW_TOL:
-        np.abs(np.subtract(sums, 1.0, out=sums), out=sums)
+        bad = np.abs(sums - 1.0) > TABLE_ROW_TOL
         probs = probs.copy()
-        bad = sums > TABLE_ROW_TOL
-        probs[bad] /= probs[bad].sum(axis=-1, keepdims=True)
+        probs[bad] /= sums[bad][..., None]
     return probs
-
-
-def _floor_rows(rows, child_dim, eps=POSITIVITY_FLOOR):
-    # mixture with uniform: keeps rows normalized and every entry >= eps
-    return (1.0 - child_dim * eps) * rows + eps
 
 
 class ConditionalTable:
@@ -207,7 +189,8 @@ class ConditionalTable:
         n_rows = int(np.prod(parent_dims)) if parent_dims else 1
         probs = _normalized_rows(np.array(probs, dtype=float).reshape(n_rows, child_dim))
         if strictly_positive and _floor:
-            probs = _floor_rows(probs, child_dim)
+            # mixture with uniform: keeps rows normalized and every entry >= 1e-12
+            probs = (1.0 - child_dim * POSITIVITY_FLOOR) * probs + POSITIVITY_FLOOR
         probs = np.ascontiguousarray(probs)
         probs.setflags(write=False)
         self.parent_dims = parent_dims
@@ -424,21 +407,23 @@ class RecognitionModel:
         """Takes over the float arrays of `tables` without a copy and makes
         them read-only, so pass arrays no one else holds (from_tables copies
         its input)."""
-        self.spec = spec
-        # the recognition half of the per-tick pieces, kept by
-        # chains.tick_pieces for the last (gen, ref) pair it was built with
-        self.pieces = {}
         shapes = self.factor_shapes(spec)
-        self._tables = {}
+        whole = {}
         for name in REC_FACTORS:
-            arr = np.ascontiguousarray(tables[name], dtype=float)
+            arr = whole[name] = np.ascontiguousarray(tables[name], dtype=float)
             if arr.shape != shapes[name]:
                 raise DimensionMismatchError(
                     f"recognition factor {name}: expected table {shapes[name]}, got {arr.shape}")
             arr.setflags(write=False)
-            self._tables[name] = arr
-        self.sentinel = {name: arr[:, :, :, self.future_sentinel]
-                         for name, arr in self._tables.items()}
+        self._set(spec, whole, {name: arr[:, :, :, spec.card_o] for name, arr in whole.items()})
+
+    def _set(self, spec, tables, sentinel):
+        """Fill every slot: the one initializer of a model and a candidate."""
+        self.spec, self._tables, self.sentinel = spec, tables, sentinel
+        # the recognition half of the per-tick pieces, kept by
+        # chains.tick_pieces for the last (gen, ref) pair it was built with
+        self.pieces = {}
+        return self
 
     def with_logits(self, logits):
         """A candidate: this model with the sentinel slice of each factor in
@@ -452,10 +437,7 @@ class RecognitionModel:
                     f"recognition factor {name}: expected sentinel "
                     f"{self.sentinel[name].shape}, got {arr.shape}")
             arr.setflags(write=False)
-        model = object.__new__(RecognitionModel)
-        model.spec, model._tables, model.pieces = self.spec, self._tables, {}
-        model.sentinel = sentinel
-        return model
+        return object.__new__(RecognitionModel)._set(self.spec, self._tables, sentinel)
 
     def blocks(self, name):
         """Factor `name` whole, (x_prev, o, a, future, parents..., child), as
@@ -470,15 +452,12 @@ class RecognitionModel:
 
     @property
     def tables(self):
-        """Every factor whole, keyed by name: its blocks joined, read-only."""
+        """Every factor whole, keyed by name: its blocks joined into a fresh
+        read-only copy, all four on every read."""
         tables = {name: np.concatenate([*self.blocks(name)]) for name in REC_FACTORS}
         for arr in tables.values():
             arr.setflags(write=False)
         return tables
-
-    @property
-    def n_future(self):
-        return self.spec.card_o + 1
 
     @property
     def future_sentinel(self):
@@ -498,9 +477,8 @@ class RecognitionModel:
     def from_seed(cls, spec, seed):
         """Tables softmaxed from standard-normal logits."""
         rng = np.random.default_rng(seed)
-        shapes = cls.factor_shapes(spec)
-        return cls.from_logits(spec, {name: rng.standard_normal(shapes[name])
-                                      for name in REC_FACTORS})
+        return cls.from_logits(spec, {name: rng.standard_normal(shape)
+                                      for name, shape in cls.factor_shapes(spec).items()})
 
     @classmethod
     def from_logits(cls, spec, logits):
@@ -521,7 +499,7 @@ class RecognitionModel:
         xp = context.x_prev.validate(sp).flat(sp)
         o, a = int(context.o), int(context.a)
         f = self.future_sentinel if context.future is None else int(context.future)
-        if not 0 <= o < sp.card_o or not 0 <= a < sp.card_a or not 0 <= f < self.n_future:
+        if not 0 <= o < sp.card_o or not 0 <= a < sp.card_a or not 0 <= f <= self.future_sentinel:
             raise DimensionMismatchError("recognition context index out of range")
         slices = (self.sentinel if f == self.future_sentinel
                   else {k: t[:, :, :, f] for k, t in self._tables.items()})
@@ -538,9 +516,7 @@ def recognition_logprob(rec, latents, context, tick=True):
     belief for the given context."""
     s1, s2, a1, a2 = latents
     sp = rec.spec
-    for v, dim, name in zip((s1, s2, a1, a2),
-                            (sp.card_s1, sp.card_s2, sp.card_a1, sp.card_a2),
-                            ("s1", "s2", "a1", "a2")):
+    for v, dim, name in zip((s1, s2, a1, a2), sp.latent_dims, ("s1", "s2", "a1", "a2")):
         if not 0 <= v < dim:
             raise DimensionMismatchError(f"latent {name}={v} out of range [0, {dim})")
     joint = rec.joint(context, tick=tick)
@@ -575,13 +551,11 @@ def trajectory_logprob(gen, traj):
     if not traj.steps:
         raise ValueError("trajectory has no steps")
     total = 0.0
-    prev = traj.x0
-    for t, x in enumerate(traj.steps, start=1):
+    for t, (prev, x) in enumerate(zip((traj.x0,) + traj.steps, traj.steps), start=1):
         lp = transition_logprob(gen, prev, x, t)
         if lp == float("-inf"):
-            return float("-inf")
+            return lp
         total += lp
-        prev = x
     return total
 
 
@@ -602,12 +576,10 @@ def sample_transition(gen, x_prev, t, rng):
 
 
 def sample_trajectory(gen, x0, T, rng):
-    steps = []
-    x = x0
+    steps = [x0]
     for t in range(1, T + 1):
-        x = sample_transition(gen, x, t, rng)
-        steps.append(x)
-    return Trajectory(x0, steps)
+        steps.append(sample_transition(gen, steps[-1], t, rng))
+    return Trajectory(x0, steps[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -614,7 +614,8 @@ def test_apply_params_trains_only_sentinel_slices():
                               bits(rec.tables[k][:, :, :, :sent]))
         assert np.array_equal(bits(rec2.tables[k][:, :, :, sent]),
                               bits(softmax_rows(cand.q_logits[k])))
-        assert not rec2.tables[k].flags.writeable
+        assert not rec2.sentinel[k].flags.writeable
+        assert not rec2._tables[k].flags.writeable
     assert not all(np.array_equal(rec2.tables[k], rec.tables[k]) for k in REC_FACTORS)
 
 

@@ -332,8 +332,25 @@ def test_recognition_keeps_callers_arrays_apart():
         logits[k][..., 0] = 5.0
         assert np.all(from_tables.tables[k] == 1.0 / shapes[k][-1])
         assert np.all(from_logits.tables[k] == 1.0 / shapes[k][-1])
-        assert not from_tables.tables[k].flags.writeable
-        assert not from_logits.tables[k].flags.writeable
+        for rec in (from_tables, from_logits):
+            assert not rec._tables[k].flags.writeable
+            assert not rec.sentinel[k].flags.writeable
+
+
+def test_recognition_arrays_are_read_only(tmp_path):
+    # the per-tick pieces a model keeps (chains.tick_pieces) are built from
+    # its arrays once, so no writer may reach them: not those of a built or
+    # loaded model, and not a candidate's own sentinels or shared tables
+    gen, rec, ref = random_instance(3)
+    save_models(tmp_path / "model.json", gen, rec, ref)
+    loaded = load_models(tmp_path / "model.json")[1]
+    params = control.extract_params(gen, rec, ())
+    cand = control.apply_params(gen, rec, params)[1]
+    for r in (rec, loaded, cand):
+        for k in REC_FACTORS:
+            for arr in (r._tables[k], r.sentinel[k]):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[(0,) * arr.ndim] = 0.5
 
 
 def test_recognition_latent_range_check():
