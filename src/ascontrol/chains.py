@@ -29,6 +29,10 @@ Models are read-only, so nothing kept goes stale; a caller bounds memory
 by the lifetime of its models. `tick_pieces` is the one place that wires
 the two halves: prior -> belief -> marginal -> edge cost.
 
+The recognition half takes a leading candidate axis: on a stack of
+candidates (RecognitionModel.stacked) belief, cost, ev and Qc each gain
+it, and every row is the single build of its candidate, bit for bit.
+
 The four product builders (latent_prior, belief_table, transition_matrix,
 qchain_matrix) sum no index: each runs numpy's greedy contraction plan,
 computed once per (subscripts, operand shapes) and replayed, so a call
@@ -183,7 +187,8 @@ def obs_action_marginal(gen, prior):
 
 def belief_table(rec, tick):
     """Filtering (sentinel) recognition belief q(latents | o, a, x_prev) for
-    every (x_prev, o, a), shape (N, O, A, L)."""
+    every (x_prev, o, a), shape (..., N, O, A, L): a leading candidate axis
+    of any sentinel slice (RecognitionModel.stacked) leads the belief."""
     spec = rec.spec
     lat = Lattice.of(spec)
     n = spec.n_states
@@ -195,8 +200,9 @@ def belief_table(rec, tick):
     q_a2 = rec.sentinel["a2"]                                  # (N, O, A, s2, a2)
     q_s1 = rec.sentinel["s1"]                                  # (N, O, A, s2, a2, s1)
     q_a1 = rec.sentinel["a1"]                                  # (N, O, A, s1, a2, a1)
-    joint = _product("xowX,xowXA,xowXAs,xowsAb->xowsXbA", q_s2, q_a2, q_s1, q_a1)
-    return joint.reshape(n, spec.card_o, spec.card_a, spec.n_latents)
+    joint = _product("...xowX,...xowXA,...xowXAs,...xowsAb->...xowsXbA",
+                     q_s2, q_a2, q_s1, q_a1)
+    return joint.reshape(joint.shape[:-4] + (spec.n_latents,))
 
 
 def reference_over_latents(ref):
@@ -213,9 +219,10 @@ def reference_over_latents(ref):
 
 def edge_cost(gen, ref, prior, belief):
     """Step objective for a transition x_prev -> x', as a function of
-    (x_prev, o(x'), a(x')), shape (N, O, A): expected reference surprisal
-    plus expected observation surprisal plus the KL from belief to latent
-    prior, all under the filtering belief."""
+    (x_prev, o(x'), a(x')), shape (..., N, O, A) for a belief of shape
+    (..., N, O, A, L): expected reference surprisal plus expected
+    observation surprisal plus the KL from belief to latent prior, all under
+    the filtering belief."""
     j_lat = reference_over_latents(ref)                        # (L, O)
     l_lat = _kept(gen.pieces, "neg_log_lik", gen.spec,         # (L, O)
                   lambda: -safe_log(lik_over_latents(gen)))
@@ -223,11 +230,11 @@ def edge_cost(gen, ref, prior, belief):
     # summed over latents; elsewhere the buffer keeps its zeros
     live = belief > 0.0
     buf = np.zeros(belief.shape)
-    j = np.multiply(belief, j_lat.T[None, :, None, :], out=buf, where=live).sum(axis=3)
-    l = np.multiply(belief, l_lat.T[None, :, None, :], out=buf, where=live).sum(axis=3)
+    j = np.multiply(belief, j_lat.T[None, :, None, :], out=buf, where=live).sum(axis=-1)
+    l = np.multiply(belief, l_lat.T[None, :, None, :], out=buf, where=live).sum(axis=-1)
     np.log(belief, out=buf, where=live)
     np.subtract(buf, safe_log(prior)[:, None, None, :], out=buf, where=live)
-    kl = np.multiply(belief, buf, out=buf, where=live).sum(axis=3)
+    kl = np.multiply(belief, buf, out=buf, where=live).sum(axis=-1)
     return j + l + kl
 
 
@@ -257,9 +264,10 @@ def transition_row(gen, x, tick):
 
 def qchain_matrix(spec, marg, belief):
     """One-step matrix of the recognition-controlled chain: observables from
-    the model's marginal, latents from the filtering belief."""
+    the model's marginal, latents from the filtering belief; shape (..., N, N)
+    for a belief of shape (..., N, O, A, L)."""
     Lattice.of(spec)  # the ceiling, before the product allocates
-    q4 = _product("xoa,xoal->xola", marg, belief)
+    q4 = _product("...xoa,...xoal->...xola", marg, belief)
     return _over_successors(spec, q4)
 
 
@@ -312,10 +320,11 @@ def posterior_recognition_tables(gen):
 
 def expected_edge_cost(marg, cost):
     """E over (o, a) of an edge cost, honoring that zero-probability edges
-    contribute nothing even when their cost is infinite. Shapes (N, O, A)."""
+    contribute nothing even when their cost is infinite. Shapes (N, O, A)
+    and (..., N, O, A)."""
     with np.errstate(invalid="ignore"):
         prod = np.where(marg > 0.0, marg * cost, 0.0)
-    return prod.sum(axis=(1, 2))
+    return prod.sum(axis=(-2, -1))
 
 
 def generative_pieces(gen, tick):

@@ -234,6 +234,8 @@ def main(argv=None):
     try:
         if getattr(args, "config", None):
             args = _apply_config(args, argv)
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (AscontrolError, ValueError, OSError) as exc:
         # user mistakes (bad files, out-of-range settings): one line, no traceback

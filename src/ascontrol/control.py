@@ -46,6 +46,10 @@ _SAMPLE_BLOCK = 1024
 _FD_STEP = 1e-5
 _GRAD_ERR_FLOOR = 1e-4
 
+# values per block of fd_gradients' stacked recognition candidates, counted
+# in their beliefs (each candidate's belief, like its chain matrix, has N^2)
+_FD_BLOCK_VALUES = 8192
+
 # the generative tables train may move
 POLICY_TABLES = ("pol0", "pol1", "pol2")
 
@@ -356,7 +360,7 @@ def _rollout_path_costs(gen, rec, ref, x0, T, rate, mode, n_rollouts, seed):
         mat, costs[tick] = chains.rollout_density(gen, rec, ref, tick, mode)
         cums[tick] = np.cumsum(mat, axis=1)
     del mat  # not kept alive beside the rollouts' (block, N) temporaries
-    ticks = [tick_at(t, spec) for t in range(1, T + 1)]
+    ticks = _step_ticks(spec, T)
     paths = _sample_paths([cums[tick] for tick in ticks], x0.flat(spec), n_rollouts,
                           np.random.default_rng(seed))
     step_costs = np.empty((T, n_rollouts))
@@ -399,13 +403,25 @@ def differential_free_energy(gen, rec, ref, x0, T, rate, n_rollouts=None,
                                             n_rollouts, seed or 0)
         return float(step_costs.sum(axis=0).mean())
     pieces = _dfe_pieces(gen, rec, ref)
+    return _forward_value([(pieces[tick]["ev"], pieces[tick]["qc"])
+                           for tick in _step_ticks(spec, T)], spec, x0, rate)
+
+
+def _step_ticks(spec, T):
+    """The tick value of each step 1 .. T."""
+    return [tick_at(t, spec) for t in range(1, T + 1)]
+
+
+def _forward_value(steps, spec, x0, rate):
+    """sum_t (E_{mu_t}[ev_t] - rate) over `steps`, one (ev, qc) pair per
+    step, with mu_0 the point mass at x0 and mu_{t+1} = qc_t^T mu_t: the
+    forward propagation of every exact differential free energy."""
     mu = np.zeros(spec.n_states)
     mu[x0.flat(spec)] = 1.0
     total = 0.0
-    for t in range(1, T + 1):
-        pc = pieces[tick_at(t, spec)]
-        total += float(support_dot(mu, pc["ev"])) - rate
-        mu = pc["qc"].T @ mu
+    for ev, qc in steps:
+        total += float(support_dot(mu, ev)) - rate
+        mu = qc.T @ mu
     return total
 
 
@@ -591,14 +607,16 @@ class _GradAccumulator:
         return TrainableParams(q_grads, pol_grads)
 
 
+def _chain_pieces(gen, rec, ref, tick):
+    """chains.tick_pieces of one tick value, with its recognition chain "qc"."""
+    pc = chains.tick_pieces(gen, rec, ref, tick)
+    chains.recognition_chain(gen.spec, pc)
+    return pc
+
+
 def _dfe_pieces(gen, rec, ref):
-    """chains.tick_pieces per tick value, each with its recognition chain
-    "qc"."""
-    pieces = {}
-    for tick in (True, False):
-        pc = pieces[tick] = chains.tick_pieces(gen, rec, ref, tick)
-        chains.recognition_chain(gen.spec, pc)
-    return pieces
+    """_chain_pieces per tick value."""
+    return {tick: _chain_pieces(gen, rec, ref, tick) for tick in (True, False)}
 
 
 def dfe_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies=POLICY_TABLES):
@@ -616,7 +634,7 @@ def dfe_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies=POLICY_TAB
     n = spec.n_states
     lat = chains.Lattice.of(spec)
     pieces = _dfe_pieces(gen, rec, ref)
-    ticks = [tick_at(t, spec) for t in range(1, T + 1)]
+    ticks = _step_ticks(spec, T)
     mus = np.zeros((T, n))                                   # mu_t, t = 0..T-1
     mus[0, x0.flat(spec)] = 1.0
     value = 0.0
@@ -673,42 +691,66 @@ def score_function_grad(gen, rec, ref, x0, T, rate, n_rollouts, seed,
 def fd_gradients(gen, rec, ref, params, x0, T, rate):
     """Central finite differences (step _FD_STEP) of the exact differential
     free energy over every logit in `params` (the independent check on the
-    adjoint gradients), with the models rebuilt from `gen` and `rec` as
-    apply_params rebuilds them. A perturbed logit rebuilds only the table it
-    belongs to and shares the others with the unperturbed models: a
-    recognition logit rebuilds one factor's sentinel slice and keeps the
-    unperturbed generative model with its cached per-tick generative half; a
-    policy logit rebuilds one policy table on the unperturbed recognition
+    adjoint gradients), each bit for bit what rebuilding both models with
+    apply_params for every evaluation gives.
+
+    Recognition logits: the two candidates of each logit of a factor (+ and
+    - _FD_STEP) are stacked along a leading axis (RecognitionModel.stacked)
+    on the unperturbed models, whose generative half is built once. The
+    stack is built block by block, _FD_BLOCK_VALUES belief values at a
+    time, so memory does not grow with the logit count: per block the
+    sentinel softmax and the recognition pieces of each tick (belief, edge
+    cost, ev, Qc) are built once over the stack, except pieces the factor
+    does not enter (the non-tick ones of s2), which are the unperturbed
+    model's. Each candidate still gets its own forward propagation
+    (_forward_value). Policy logits: each evaluation rebuilds one policy
+    table and runs differential_free_energy on the unperturbed recognition
     model."""
+    spec = gen.spec
+    n = chains.Lattice.of(spec).n_states  # the ceiling, before any stack
+    x0.validate(spec)
     base_gen, base_rec = apply_params(gen, rec, params)
+    base = _dfe_pieces(base_gen, base_rec, ref)
+    ticks = _step_ticks(spec, T)
+    block = max(1, _FD_BLOCK_VALUES // n ** 2)
+    q_grads = {}
+    for key, logits in params.q_logits.items():
+        flat = logits.reshape(-1)
+        values = np.empty(2 * flat.size)        # candidate 2i is +, 2i + 1 is -
+        for first in range(0, values.size, block):
+            cands = np.arange(first, min(first + block, values.size))
+            stack = np.repeat(flat[None], cands.size, axis=0)
+            stack[np.arange(cands.size), cands // 2] += np.where(cands % 2, -_FD_STEP,
+                                                                 _FD_STEP)
+            stacked = base_rec.stacked(key, stack.reshape((cands.size,) + logits.shape))
+            # the non-tick belief holds s2 and reads no s2 sentinel
+            pieces = {tick: base[tick] if key == "s2" and not tick
+                      else _chain_pieces(base_gen, stacked, ref, tick)
+                      for tick in set(ticks)}
+            evs = [np.broadcast_to(pieces[tick]["ev"], (cands.size, n)) for tick in ticks]
+            qcs = [np.broadcast_to(pieces[tick]["qc"], (cands.size, n, n)) for tick in ticks]
+            for j in range(cands.size):
+                values[first + j] = _forward_value(
+                    [(ev[j], qc[j]) for ev, qc in zip(evs, qcs)], spec, x0, rate)
+            del stacked, pieces, evs, qcs  # not kept alive beside the next block's
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for floats
+            q_grads[key] = ((values[0::2] - values[1::2])
+                            / (2.0 * _FD_STEP)).reshape(logits.shape)
 
-    def q_objective(key):
-        return differential_free_energy(
-            base_gen, base_rec.with_logits({key: params.q_logits[key]}),
-            ref, x0, T, rate)
-
-    def pol_objective(key):
-        return differential_free_energy(
-            _policy_model(base_gen, {key: params.pol_logits[key]}), base_rec,
-            ref, x0, T, rate)
-
-    out = TrainableParams({k: np.zeros_like(v) for k, v in params.q_logits.items()},
-                          {k: np.zeros_like(v) for k, v in params.pol_logits.items()})
-    for group_src, group_dst, objective in (
-            (params.q_logits, out.q_logits, q_objective),
-            (params.pol_logits, out.pol_logits, pol_objective)):
-        for key, arr in group_src.items():
-            flat = arr.reshape(-1)
-            grad = group_dst[key].reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + _FD_STEP
-                hi = objective(key)
-                flat[i] = orig - _FD_STEP
-                lo = objective(key)
-                flat[i] = orig
-                grad[i] = (hi - lo) / (2.0 * _FD_STEP)
-    return out
+    pol_grads = {k: np.zeros_like(v) for k, v in params.pol_logits.items()}
+    for key, logits in params.pol_logits.items():
+        flat, grad = logits.reshape(-1), pol_grads[key].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + _FD_STEP
+            hi = differential_free_energy(_policy_model(base_gen, {key: logits}),
+                                          base_rec, ref, x0, T, rate)
+            flat[i] = orig - _FD_STEP
+            lo = differential_free_energy(_policy_model(base_gen, {key: logits}),
+                                          base_rec, ref, x0, T, rate)
+            flat[i] = orig
+            grad[i] = (hi - lo) / (2.0 * _FD_STEP)
+    return TrainableParams(q_grads, pol_grads)
 
 
 def gradient_relative_error(grads, fd):

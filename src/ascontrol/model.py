@@ -264,9 +264,14 @@ def sample_categorical(probs, rng):
 
 def softmax_rows(logits):
     """Softmax over the last axis tolerating -inf logits (zero probability),
-    computed in the one array it returns."""
+    computed in the one array it returns. The row max is taken column by
+    column, exact at any row length and cheaper than a reduction over the
+    tables' short rows; the row sum is numpy's."""
     logits = np.atleast_2d(logits)
-    m = np.max(logits, axis=-1, keepdims=True)
+    m = logits[..., 0].copy()
+    for k in range(1, logits.shape[-1]):
+        np.maximum(m, logits[..., k], out=m)
+    m = m[..., None]
     if np.any(~np.isfinite(m)):
         raise ValueError("softmax row with no finite logit")
     e = np.subtract(logits, m, dtype=float)
@@ -429,13 +434,26 @@ class RecognitionModel:
         """A candidate: this model with the sentinel slice of each factor in
         `logits` replaced by the softmax of its logits, a fresh array; every
         other slice, smoothing slices included, is this model's, shared."""
+        return self._candidate(logits, ())
+
+    def stacked(self, name, logits):
+        """Candidates along a leading axis: this model with factor `name`'s
+        sentinel slice replaced by the softmax of each entry of `logits`,
+        shaped (candidates,) + that slice's shape, as one fresh array; every
+        other slice is this model's, shared. Only the recognition half of
+        the per-tick pieces reads a stack (chains.tick_pieces), and each of
+        its pieces gains the leading axis."""
+        return self._candidate({name: logits}, np.shape(logits)[:1])
+
+    def _candidate(self, logits, lead):
         sentinel = dict(self.sentinel)
         for name, values in logits.items():
             arr = sentinel[name] = softmax_rows(values)
-            if arr.shape != self.sentinel[name].shape:
+            want = lead + self.sentinel[name].shape
+            if arr.shape != want:
                 raise DimensionMismatchError(
-                    f"recognition factor {name}: expected sentinel "
-                    f"{self.sentinel[name].shape}, got {arr.shape}")
+                    f"recognition factor {name}: expected sentinel {want}, "
+                    f"got {arr.shape}")
             arr.setflags(write=False)
         return object.__new__(RecognitionModel)._set(self.spec, self._tables, sentinel)
 

@@ -323,10 +323,10 @@ except ImportError:  # numpy 1.x
     from numpy.core import einsumfunc
 
 # the subscripts of each product builder's contraction
-PRODUCTS = ("xX,XA,xXs,sAb->xsXbA",                 # latent_prior
-            "xowX,xowXA,xowXAs,xowsAb->xowsXbA",    # belief_table
-            "xl,lo,loa->xola",                      # transition_matrix
-            "xoa,xoal->xola")                       # qchain_matrix
+PRODUCTS = ("xX,XA,xXs,sAb->xsXbA",                                 # latent_prior
+            "...xowX,...xowXA,...xowXAs,...xowsAb->...xowsXbA",     # belief_table
+            "xl,lo,loa->xola",                                      # transition_matrix
+            "...xoa,...xoal->...xola")                              # qchain_matrix
 
 
 def build_products(gen, rec, tick):
@@ -392,7 +392,8 @@ def test_plans_are_kept_per_subscripts_and_shapes(monkeypatch):
 def test_fd_gradients_plan_each_product_once(monkeypatch):
     """Validate's first gradient instance: every contraction plan of the
     product builders is computed at most once per (subscripts, shapes)
-    over the whole finite-difference check."""
+    over the whole finite-difference check, each factor's stacked belief
+    included."""
     gen, rec, ref = random_instance(3 * 6000, cards=(2, 2, 1, 2, 2, 1))
     params = control.extract_params(gen, rec)
     monkeypatch.setattr(chains, "_PLANS", {}, raising=False)
@@ -407,3 +408,38 @@ def test_fd_gradients_plan_each_product_once(monkeypatch):
     monkeypatch.setattr(np, "einsum_path", counted)
     control.fd_gradients(gen, rec, ref, params, X0, 2, 0.1)
     assert calls and max(calls.values()) == 1, calls
+    # the belief operands in REC_FACTORS order, each stacked in some plan
+    sentinel_ndim = [v.ndim for v in rec.sentinel.values()]
+    assert {i for (subscripts, shapes) in calls if subscripts == PRODUCTS[1]
+            for i, shape in enumerate(shapes)
+            if len(shape) == sentinel_ndim[i] + 1} == {0, 1, 2, 3}
+
+
+# ---------------------------------------------------------------------------
+# stacked recognition candidates
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), cards=st.tuples(*[st.integers(1, 3)] * 6),
+       tick_period=st.integers(1, 3), hard_zero=st.booleans(), tick=st.booleans())
+def test_stacked_candidates_give_the_single_builds_bit_for_bit(seed, cards, tick_period,
+                                                               hard_zero, tick):
+    """Each row of a stacked build of the recognition pieces is the single
+    build of its candidate, for every factor, hard zeros (and the NaN and
+    infinite costs they bring) included."""
+    gen, rec, ref = (hard_zero_instance(seed, cards, tick_period) if hard_zero
+                     else random_instance(seed, cards=cards, tick_period=tick_period))
+    rng = np.random.default_rng(seed)
+    for key, logits in control.extract_params(gen, rec).q_logits.items():
+        # two candidates off the model's logits; hard zeros stay at -inf
+        cands = logits + rng.standard_normal((2,) + logits.shape)
+        stacked = chains.tick_pieces(gen, rec.stacked(key, cands), ref, tick)
+        chains.recognition_chain(gen.spec, stacked)
+        # the non-tick belief reads no s2 sentinel, so it is not stacked
+        assert stacked["belief"].ndim == (4 if key == "s2" and not tick else 5)
+        for j, cand in enumerate(cands):
+            single = chains.tick_pieces(gen, rec.with_logits({key: cand}), ref, tick)
+            chains.recognition_chain(gen.spec, single)
+            for name in ("belief", "cost", "ev", "qc"):
+                row = np.broadcast_to(stacked[name], (2,) + single[name].shape)[j]
+                assert np.array_equal(bits(row), bits(single[name])), (key, name, j)

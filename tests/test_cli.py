@@ -211,19 +211,29 @@ def test_config_mistakes_get_one_line_and_exit_2(small_model, tmp_path, command,
      "--rate", "nan"),
     ("pi-value", "--model", "{model}", "--horizon", "2", "--rollouts", "5",
      "--rate", "inf"),
+    # a negative seed, before any work
+    ("init", "--seed", "-1", "--out", "{dir}/model.json"),
+    ("validate", "--seed", "-1", "--report", "{dir}/report.json"),
+    ("simulate", "--model", "{model}", "--seed", "-1", "--trace", "{dir}/t.csv"),
+    ("train", "--model", "{model}", "--steps", "2", "--iters", "1", "--seed", "-1",
+     "--out", "{dir}/trained.json"),
+    ("pi-value", "--model", "{model}", "--seed", "-1"),
 ])
 def test_user_errors_get_one_line_and_exit_2(model_file, tmp_path, args):
     r = run(*(a.format(dir=tmp_path, model=model_file) for a in args))
     assert_one_line_exit_2(r, args[0])
     assert r.stdout == ""
     assert list(tmp_path.iterdir()) == []
+    if "--seed" in args:
+        assert "--seed" in r.stderr
 
 
 @pytest.mark.parametrize("flags,setting", [
     (("--horizon", "0"), "horizon"),
     (("--rollouts", "1"), "n_rollouts"),
     (("--rate", "nan"), "rate"),
-], ids=["horizon-0", "rollouts-1", "rate-nan"])
+    (("--seed", "-1"), "--seed"),
+], ids=["horizon-0", "rollouts-1", "rate-nan", "seed-negative"])
 def test_pi_value_settings_are_checked_before_the_bundle(tmp_path, flags, setting):
     # the bundle does not exist: the error names the setting, not the file
     r = run("pi-value", "--model", str(tmp_path / "missing.json"), *flags)

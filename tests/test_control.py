@@ -528,9 +528,9 @@ def test_fd_gradients_match_rebuilding_both_models(cards, seed, T):
 
 
 def test_fd_gradients_build_one_generative_half_per_generative_model(monkeypatch):
-    # recognition perturbations share the unperturbed generative model, so
-    # the latent prior is built once per tick for it and for each of the two
-    # models of every policy-logit perturbation
+    # the recognition stacks share the unperturbed generative model, so the
+    # latent prior is built once per tick for it and for each of the two
+    # models of every policy-logit perturbation, and never for a stack
     gen, rec, ref = random_instance(960, cards=(2, 2, 1, 2, 2, 1))
     params = control.extract_params(gen, rec)
     calls = []
@@ -543,29 +543,58 @@ def test_fd_gradients_build_one_generative_half_per_generative_model(monkeypatch
     monkeypatch.setattr(chains, "latent_prior", counted)
     control.fd_gradients(gen, rec, ref, params, X0, 2, 0.1)
     n_pol = sum(v.size for v in params.pol_logits.values())
-    assert len(calls) <= 2 * (2 * n_pol + 1)
+    assert len(calls) == 2 * (2 * n_pol + 1)
 
 
 def test_fd_gradients_rebuild_only_the_perturbed_factor(monkeypatch):
-    # a perturbed recognition logit rebuilds its own factor's sentinel slice;
-    # the other three are the unperturbed model's arrays, which the
-    # policy-logit evaluations read whole
+    # a recognition logit's candidates are stacked in its own factor's
+    # sentinel slice, every candidate once; the other three slices are the
+    # unperturbed model's arrays, which the policy-logit evaluations read whole
     gen, rec, ref = random_instance(961, cards=(2, 2, 1, 2, 2, 1))
     params = control.extract_params(gen, rec)
-    recs = []
+    recs, pol_recs = {}, []
+    tick_pieces = chains.tick_pieces
+
+    def recorded(g, r, f, tick):
+        recs.setdefault(id(r), r)           # kept alive, so ids stay distinct
+        return tick_pieces(g, r, f, tick)
+
+    monkeypatch.setattr(chains, "tick_pieces", recorded)
     monkeypatch.setattr(control, "differential_free_energy",
-                        lambda g, r, *args: recs.append(r) or 0.0)
+                        lambda g, r, *args: pol_recs.append(r) or 0.0)
     control.fd_gradients(gen, rec, ref, params, X0, 2, 0.1)
-    sizes = {k: 2 * v.size for k, v in params.q_logits.items()}
-    n_q = sum(sizes.values())
-    base = recs[n_q]
-    assert all(r is base for r in recs[n_q:])
-    start = 0
-    for key, size in sizes.items():
-        for r in recs[start:start + size]:
-            for k in REC_FACTORS:
-                assert (r.sentinel[k] is base.sentinel[k]) == (k != key), (key, k)
-        start += size
+    base, *stacks = recs.values()
+    assert len(pol_recs) == 2 * sum(v.size for v in params.pol_logits.values())
+    assert all(r is base for r in pol_recs)
+    candidates = dict.fromkeys(REC_FACTORS, 0)
+    for r in stacks:
+        (key,) = [k for k in REC_FACTORS if r.sentinel[k] is not base.sentinel[k]]
+        assert r.sentinel[key].shape[1:] == base.sentinel[key].shape
+        candidates[key] += len(r.sentinel[key])
+    assert candidates == {k: 2 * v.size for k, v in params.q_logits.items()}
+
+
+def test_fd_gradients_hold_one_block_of_candidates_at_a_time(monkeypatch):
+    # validate's first gradient instance: the stacks are built block by
+    # block, so the check's peak is a few blocks, not every candidate of a
+    # factor (two per logit) at once, which the unbounded control run shows
+    # would break the limit
+    gen, rec, ref = random_instance(3 * 6000, cards=(2, 2, 1, 2, 2, 1))
+    params = control.extract_params(gen, rec)
+    limit = 16 * 8 * control._FD_BLOCK_VALUES
+
+    def peak():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            control.fd_gradients(gen, rec, ref, params, X0, 2, 0.1)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < limit
+    monkeypatch.setattr(control, "_FD_BLOCK_VALUES", 2 ** 62)
+    assert peak() > limit
 
 
 def with_other_smoothing_slices(rec, seed):

@@ -103,6 +103,26 @@ def test_normalized_rows_matches_the_three_temporary_check(data, shape, seed):
         assert np.array_equal(bits(model._normalized_rows(probs)), bits(want))
 
 
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 12)),
+       seed=st.integers(0, 2 ** 16), scale=st.sampled_from([1.0, 30.0, 1e3]))
+def test_softmax_rows_matches_the_reduction_max(shape, seed, scale):
+    # the column-by-column row max gives numpy's reduction max at every row
+    # length, -inf entries (hard zeros) included, so every bit of the
+    # softmax; a row with no finite logit still raises
+    rng = np.random.default_rng(seed)
+    logits = scale * rng.standard_normal(shape)
+    logits[rng.random(shape) < 0.3] = -np.inf
+    m = np.max(logits, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(m)):
+        with pytest.raises(ValueError, match="no finite logit"):
+            softmax_rows(logits)
+        return
+    want = np.exp(logits - m)
+    want /= want.sum(axis=-1, keepdims=True)
+    assert np.array_equal(bits(softmax_rows(logits)), bits(want))
+
+
 def test_table_floor_keeps_rows_normalized():
     t = ConditionalTable((1,), 3, np.array([[1.0, 0.0, 0.0]]), strictly_positive=True)
     assert abs(t.probs.sum() - 1.0) < 1e-12
