@@ -24,7 +24,9 @@ from. The generative half of the per-tick pieces (prior, marg;
 reference model. The recognition half (belief, cost, ev, and the chain
 matrix Qc on first use by `recognition_chain`) is kept on the recognition
 model for the last (gen, ref) pair it was built with, so the rate, the
-halving check and the gradient of one parameter set share one build.
+halving check and the gradient of one parameter set share one build; the
+belief, which reads the recognition model alone, outlives a switch of
+that pair.
 Models are read-only, so nothing kept goes stale; a caller bounds memory
 by the lifetime of its models. `tick_pieces` is the one place that wires
 the two halves: prior -> belief -> marginal -> edge cost.
@@ -281,15 +283,16 @@ def state_cost(gen, ref):
 
 
 def posterior_recognition_tables(gen):
-    """Recognition tables initialized at the exact one-step filtering
-    posterior: q(latents | o, a, x_prev) propto prior * lik * pol0(a | o, a1).
-    Every future-summary slice starts at the filtering posterior; training
-    moves only the sentinel (filtering) slice, and every model apply_params
-    builds shares these smoothing slices rather than carrying copies.
+    """The exact one-step filtering posterior q(latents | o, a, x_prev)
+    propto prior * lik * pol0(a | o, a1), as the filtering slice of each
+    recognition factor: shaped like the factor without its future axis.
+    RecognitionModel.from_filtering starts every future-summary slice at
+    it; training moves only the sentinel (filtering) slice, and every model
+    apply_params builds shares the smoothing slices' rows.
 
     Factored as (s2, a2 | s2, s1 | s2 a2, a1 | s1 a2); the last factor is
     exact because a1 is conditionally independent of s2 given (s1, a2). The
-    tables are fresh arrays, which RecognitionModel takes over uncopied.
+    slices are fresh arrays, which from_filtering takes over.
     """
     spec = gen.spec
     n, c_o, c_a = spec.n_states, spec.card_o, spec.card_a
@@ -307,15 +310,10 @@ def posterior_recognition_tables(gen):
         with np.errstate(invalid="ignore"):
             return np.where(s > 0.0, arr / s, 1.0 / arr.shape[-1])
 
-    f_s2 = _norm(joint.sum(axis=(3, 5, 6)))                          # (.., s2)
-    f_a2 = _norm(joint.sum(axis=(3, 5)))                             # (.., s2, a2)
-    f_s1 = _norm(joint.sum(axis=5).transpose(0, 1, 2, 4, 5, 3))      # (.., s2, a2, s1)
-    f_a1 = _norm(joint.sum(axis=4).transpose(0, 1, 2, 3, 5, 4))      # (.., s1, a2, a1)
-    n_fut = c_o + 1
-    expand = lambda a: np.broadcast_to(
-        a[:, :, :, None], a.shape[:3] + (n_fut,) + a.shape[3:]).copy()
-    return {"s2": expand(f_s2), "a2": expand(f_a2),
-            "s1": expand(f_s1), "a1": expand(f_a1)}
+    return {"s2": _norm(joint.sum(axis=(3, 5, 6))),                        # (.., s2)
+            "a2": _norm(joint.sum(axis=(3, 5))),                           # (.., s2, a2)
+            "s1": _norm(joint.sum(axis=5).transpose(0, 1, 2, 4, 5, 3)),    # (.., s2, a2, s1)
+            "a1": _norm(joint.sum(axis=4).transpose(0, 1, 2, 3, 5, 4))}    # (.., s1, a2, a1)
 
 
 def expected_edge_cost(marg, cost):
@@ -342,15 +340,17 @@ def tick_pieces(gen, rec, ref, tick):
     read, keyed prior, belief, marg, cost (the edge cost) and ev (its
     expectation per state, shape (N,)): the generative half plus the
     recognition half built on it, kept in `rec.pieces` under `tick` for the
-    last (gen, ref) pair, by identity. Callers that need the chain matrix
-    read it with recognition_chain."""
+    last (gen, ref) pair, by identity. The belief reads `rec` alone, so it
+    is kept apart, under "belief", across a switch of (gen, ref). Callers
+    that need the chain matrix read it with recognition_chain."""
     if rec.pieces.get("gen") is not gen or rec.pieces.get("ref") is not ref:
-        rec.pieces = {"gen": gen, "ref": ref}
+        rec.pieces = {"gen": gen, "ref": ref, "belief": rec.pieces.get("belief", {})}
 
     def build():
         half = generative_pieces(gen, tick)
         prior, marg = half["prior"], half["marg"]
-        belief = belief_table(rec, tick)
+        belief = _kept(rec.pieces["belief"], tick, rec.spec,
+                       lambda: belief_table(rec, tick))
         cost = edge_cost(gen, ref, prior, belief)
         return {"prior": prior, "belief": belief, "marg": marg, "cost": cost,
                 "ev": expected_edge_cost(marg, cost)}

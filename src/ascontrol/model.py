@@ -22,8 +22,10 @@ model only fills its cache of arrays derived from them); sampling takes an
 explicit numpy Generator so parallel callers use independent streams.
 """
 
+import itertools
 import json
 import math
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -390,6 +392,12 @@ class RecognitionContext:
 REC_FACTORS = ("s2", "a2", "s1", "a1")
 
 
+def _check_factor(name, want, shape):
+    if shape != want:
+        raise DimensionMismatchError(
+            f"recognition factor {name}: expected table {want}, got {shape}")
+
+
 class RecognitionModel:
     """Per-step belief over (s1, s2, a1, a2), factored in topological order.
 
@@ -400,33 +408,50 @@ class RecognitionModel:
     smoothing slices. On non-tick steps the s2 factor is replaced by the
     deterministic level-2 hold.
 
-    `sentinel[k]` is factor k's filtering slice, the array every reader of
-    the objective takes. A candidate (with_logits) shares its parent's
-    tables, smoothing slices included, and owns only its new sentinels;
-    the whole layout is assembled only where it is read (blocks, tables).
+    A factor is held row-indexed: `rows[k]`, shape (R, child), and
+    `index[k]`, int32 shaped (x_prev, o, a, future, parents...), with
+    table[i] == rows[k][index[k][i]]; both are read-only and may repeat
+    or broadcast (a loaded factor keeps each bundle block's distinct rows
+    once). `sentinel[k]` is factor k's filtering slice, gathered into a
+    dense array: the array every reader of the objective takes. A
+    candidate (with_logits) shares its parent's rows and index and owns
+    only its new sentinels; the whole layout is assembled only where it is
+    read (blocks, tables).
     """
 
-    __slots__ = ("spec", "sentinel", "_tables", "pieces", "__weakref__")
+    __slots__ = ("spec", "rows", "index", "sentinel", "pieces", "__weakref__")
 
     def __init__(self, spec, tables):
         """Takes over the float arrays of `tables` without a copy and makes
         them read-only, so pass arrays no one else holds (from_tables copies
-        its input)."""
+        its input). Each becomes its own rows, under an identity index."""
         shapes = self.factor_shapes(spec)
-        whole = {}
+        rows, index = {}, {}
         for name in REC_FACTORS:
-            arr = whole[name] = np.ascontiguousarray(tables[name], dtype=float)
-            if arr.shape != shapes[name]:
-                raise DimensionMismatchError(
-                    f"recognition factor {name}: expected table {shapes[name]}, got {arr.shape}")
+            arr = np.ascontiguousarray(tables[name], dtype=float)
+            _check_factor(name, shapes[name], arr.shape)
             arr.setflags(write=False)
-        self._set(spec, whole, {name: arr[:, :, :, spec.card_o] for name, arr in whole.items()})
+            rows[name] = arr.reshape(-1, arr.shape[-1])
+            index[name] = np.arange(len(rows[name]), dtype=np.int32).reshape(arr.shape[:-1])
+        self._indexed(spec, rows, index)
 
-    def _set(self, spec, tables, sentinel):
+    def _indexed(self, spec, rows, index):
+        """Fill every slot from read-only row-indexed factors, each checked
+        against the spec's shape, with the sentinel slices gathered."""
+        shapes, sentinel = self.factor_shapes(spec), {}
+        for name in REC_FACTORS:
+            _check_factor(name, shapes[name], index[name].shape + rows[name].shape[1:])
+            index[name].setflags(write=False)
+            sentinel[name] = np.take(rows[name], index[name][:, :, :, spec.card_o], axis=0)
+            sentinel[name].setflags(write=False)
+        return self._set(spec, rows, index, sentinel)
+
+    def _set(self, spec, rows, index, sentinel):
         """Fill every slot: the one initializer of a model and a candidate."""
-        self.spec, self._tables, self.sentinel = spec, tables, sentinel
+        self.spec, self.rows, self.index, self.sentinel = spec, rows, index, sentinel
         # the recognition half of the per-tick pieces, kept by
         # chains.tick_pieces for the last (gen, ref) pair it was built with
+        # (the belief, which reads this model alone, for every pair)
         self.pieces = {}
         return self
 
@@ -455,16 +480,17 @@ class RecognitionModel:
                     f"recognition factor {name}: expected sentinel {want}, "
                     f"got {arr.shape}")
             arr.setflags(write=False)
-        return object.__new__(RecognitionModel)._set(self.spec, self._tables, sentinel)
+        return object.__new__(RecognitionModel)._set(self.spec, self.rows, self.index,
+                                                     sentinel)
 
     def blocks(self, name):
         """Factor `name` whole, (x_prev, o, a, future, parents..., child), as
         fresh arrays over consecutive x_prev of about _BLOCK_VALUES values
         each, with this model's sentinel slice written in."""
-        arr, sent = self._tables[name], self.sentinel[name]
-        step = max(1, _BLOCK_VALUES // arr[0].size)
-        for x in range(0, len(arr), step):
-            block = np.array(arr[x:x + step])
+        rows, index, sent = self.rows[name], self.index[name], self.sentinel[name]
+        step = max(1, _BLOCK_VALUES // (index[0].size * rows.shape[1]))
+        for x in range(0, len(index), step):
+            block = np.take(rows, index[x:x + step], axis=0)
             block[:, :, :, self.future_sentinel] = sent[x:x + step]
             yield block
 
@@ -510,18 +536,35 @@ class RecognitionModel:
         return cls(spec, {name: np.array(tables[name], dtype=float, order="C")
                           for name in REC_FACTORS})
 
+    @classmethod
+    def from_filtering(cls, spec, filtering):
+        """The model whose every future slice is the filtering slice in
+        `filtering` (each factor's shape without its future axis): those
+        arrays, taken over read-only (copied only if not C-contiguous), are
+        its rows, and a read-only broadcast over the future axis its index."""
+        rows, index = {}, {}
+        for name, shape in cls.factor_shapes(spec).items():
+            arr = np.ascontiguousarray(filtering[name], dtype=float)
+            _check_factor(name, shape[:3] + shape[4:], arr.shape)
+            arr.setflags(write=False)
+            rows[name] = arr.reshape(-1, shape[-1])
+            index[name] = np.broadcast_to(
+                np.arange(len(rows[name]), dtype=np.int32).reshape(
+                    shape[:3] + (1,) + shape[4:-1]), shape[:-1])
+        return object.__new__(cls)._indexed(spec, rows, index)
+
     def joint(self, context, tick=True):
         """Belief over latent tuples, shaped (card_s1, card_s2, card_a1, card_a2):
-        the sentinel slices for a None future, the shared tables otherwise."""
+        the sentinel slices for a None future, the shared rows otherwise."""
         sp = self.spec
         xp = context.x_prev.validate(sp).flat(sp)
         o, a = int(context.o), int(context.a)
         f = self.future_sentinel if context.future is None else int(context.future)
         if not 0 <= o < sp.card_o or not 0 <= a < sp.card_a or not 0 <= f <= self.future_sentinel:
             raise DimensionMismatchError("recognition context index out of range")
-        slices = (self.sentinel if f == self.future_sentinel
-                  else {k: t[:, :, :, f] for k, t in self._tables.items()})
-        q_s2, q_a2, q_s1, q_a1 = (slices[k][xp, o, a] for k in REC_FACTORS)
+        q_s2, q_a2, q_s1, q_a1 = (
+            self.sentinel[k][xp, o, a] if f == self.future_sentinel
+            else self.rows[k][self.index[k][xp, o, a, f]] for k in REC_FACTORS)
         if not tick:
             q_s2 = np.zeros(sp.card_s2)
             q_s2[context.x_prev.s2] = 1.0
@@ -716,32 +759,35 @@ def _rows_block(block, child_dim):
 
 def _rows_of(text, stop):
     """The rows of text[1:stop] (text starts at a row's "[") as their distinct
-    rows' values, each converted once, and each row's index into them; None
-    if not laid out as json.dump writes them, as when a row holds a "]"."""
+    rows' values, in first-seen order and each converted once, and each
+    row's index into them; None if not laid out as json.dump writes them, as
+    when a row holds a "]"."""
     rows = text[1:stop].split(b"], [")
-    index_of = dict(zip(distinct := dict.fromkeys(rows), range(len(distinct))))
+    index_of = defaultdict(itertools.count().__next__)
+    index = np.fromiter(map(index_of.__getitem__, rows), np.int32, len(rows))
     width = rows[0].count(b",") + 1
     try:
-        values = _rows_block(b"[%b]" % b"], [".join(distinct), width)
+        values = _rows_block(b"[%b]" % b"], [".join(index_of), width)
     except ValueError:
         return None
-    return (values.reshape(-1, width),
-            np.fromiter(map(index_of.__getitem__, rows), np.int32, len(rows)))
+    return values.reshape(-1, width), index
 
 
 def _gather(arrays, mark, width, name):
-    """The rows array `mark` stands for as an (n, width) float array; a
-    ValueError naming table `name` unless its rows are lists of `width`
-    numbers laid out as json.dump writes them."""
+    """The rows array `mark` stands for, row-indexed: its blocks' distinct
+    rows joined into one (R, width) float array, and each row's int32 index
+    into them (a block's own index plus its rows' offset); a ValueError
+    naming table `name` unless its rows are lists of `width` numbers laid
+    out as json.dump writes them."""
     blocks = arrays[int(mark[1:])] if isinstance(mark, str) and mark[:1] == "\0" else [None]
     if any(block is None or block[0].shape[1] != width for block in blocks):
         raise ValueError(f"table {name}: bundle rows are not lists of {width} numbers "
                          "laid out as json.dump writes them")
-    out, row = np.empty((sum(len(index) for _, index in blocks), width)), 0
-    for values, index in blocks:
-        np.take(values, index, axis=0, out=out[row:row + len(index)])
-        row += len(index)
-    return out
+    index, row, offset = np.empty(sum(len(i) for _, i in blocks), np.int32), 0, 0
+    for values, block_index in blocks:
+        np.add(block_index, offset, out=index[row:row + len(block_index)])
+        row, offset = row + len(block_index), offset + len(values)
+    return np.concatenate([values for values, _ in blocks]), index
 
 
 def _read_bundle(fh):
@@ -848,19 +894,25 @@ def load_models(path):
         entry = tables[name]
         parents = _bundle_sizes(entry, "parents", f"table {name}")
         positive = _bundle_key(entry, "strictly_positive", f"table {name}")
+        values, index = rows[name]
         try:
-            return ConditionalTable(parents, entry["child"], rows[name],
+            return ConditionalTable(parents, entry["child"], values[index],
                                     strictly_positive=positive, _floor=False)
         except ValueError as exc:
             raise ValueError(f"table {name}: {exc}") from None
 
     gen, ref = (cls(spec, **{name: table(name) for name in cls.table_names})
                 for cls in (GenerativeModel, ReferenceModel))
-    rec_tables = {}
+    # a row's check and rescaling read that row alone, so checking the
+    # distinct rows checks every row the index points to
+    rec_rows, rec_index = {}, {}
     for name in REC_FACTORS:
+        values, index = rows["rec_" + name]
         try:
-            rec_tables[name] = _normalized_rows(
-                rows["rec_" + name].reshape(tables["rec_" + name]["dims"]))
+            rec_index[name] = index.reshape(tables["rec_" + name]["dims"][:-1])
+            values = _normalized_rows(values)
         except ValueError as exc:
             raise ValueError(f"recognition table {name}: {exc}") from None
-    return gen, RecognitionModel(spec, rec_tables), ref
+        values.setflags(write=False)
+        rec_rows[name] = values
+    return gen, object.__new__(RecognitionModel)._indexed(spec, rec_rows, rec_index), ref

@@ -177,7 +177,7 @@ def thermostat_agent(env, setpoint_schedule, seed):
                                     strictly_positive=True)
     gen = GenerativeModel(spec, lik=env.lik, dyn1=env.dyn1, dyn2=env.dyn2,
                           pol0=pol0, pol1=pol1, pol2=pol2)
-    rec = RecognitionModel(spec, chains.posterior_recognition_tables(gen))
+    rec = RecognitionModel.from_filtering(spec, chains.posterior_recognition_tables(gen))
     return gen, rec
 
 

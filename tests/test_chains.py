@@ -183,12 +183,15 @@ def test_a_kept_recognition_half_is_built_once_per_tick(monkeypatch):
             kept[True][key][0] = 0.0
     assert calls == [True, False]
     # another generative or reference model builds afresh, and is then kept
-    # in place of the last pair
+    # in place of the last pair; the belief reads the recognition model
+    # alone, so each switch reuses it
     other = chains.tick_pieces(replace(gen), rec, ref, True)
     assert other is not kept[True] and "qc" not in other
     assert chains.tick_pieces(gen, rec, replace(ref), True) is not kept[True]
-    assert chains.tick_pieces(gen, rec, ref, True) is not kept[True]
-    assert calls == [True, False, True, True, True]
+    again = chains.tick_pieces(gen, rec, ref, True)
+    assert again is not kept[True]
+    assert other["belief"] is again["belief"] is kept[True]["belief"]
+    assert calls == [True, False]
 
 
 def test_a_kept_recognition_half_still_meets_the_ceiling(monkeypatch):

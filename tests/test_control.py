@@ -546,6 +546,23 @@ def test_fd_gradients_build_one_generative_half_per_generative_model(monkeypatch
     assert len(calls) == 2 * (2 * n_pol + 1)
 
 
+def test_fd_gradients_build_the_unperturbed_belief_once_per_tick(monkeypatch):
+    # validate's first gradient instance: each policy-logit evaluation puts
+    # another generative model beside the unperturbed recognition model,
+    # whose belief reads no generative table and so is kept across the
+    # switch (rebuilding it for each evaluation would make 114 calls)
+    gen, rec, ref = random_instance(3 * 6000, cards=(2, 2, 1, 2, 2, 1))
+    params = control.extract_params(gen, rec)
+    calls = []
+    belief_table = chains.belief_table
+    monkeypatch.setattr(chains, "belief_table",
+                        lambda r, tick: calls.append(r) or belief_table(r, tick))
+    control.fd_gradients(gen, rec, ref, params, X0, 2, 0.1)
+    base = calls[0]
+    assert sum(r is base for r in calls) == 2
+    assert len(calls) == 62
+
+
 def test_fd_gradients_rebuild_only_the_perturbed_factor(monkeypatch):
     # a recognition logit's candidates are stacked in its own factor's
     # sentinel slice, every candidate once; the other three slices are the
@@ -643,8 +660,9 @@ def test_apply_params_trains_only_sentinel_slices():
                               bits(rec.tables[k][:, :, :, :sent]))
         assert np.array_equal(bits(rec2.tables[k][:, :, :, sent]),
                               bits(softmax_rows(cand.q_logits[k])))
-        assert not rec2.sentinel[k].flags.writeable
-        assert not rec2._tables[k].flags.writeable
+        assert rec2.rows[k] is rec.rows[k] and rec2.index[k] is rec.index[k]
+        for arr in (rec2.rows[k], rec2.index[k], rec2.sentinel[k]):
+            assert not arr.flags.writeable
     assert not all(np.array_equal(rec2.tables[k], rec.tables[k]) for k in REC_FACTORS)
 
 
@@ -652,7 +670,7 @@ def test_apply_params_allocates_only_the_sentinel_slices():
     # on the seed-3 thermostat a candidate's four sentinel slices are 5.2 MiB
     # of its 36.5 MiB of recognition tables: it allocates them (and, while
     # they are built, their softmax's row maxima and sums) and shares the
-    # smoothing slices, its parent's arrays
+    # smoothing slices, its parent's rows and index
     env, ref = sim.thermostat_env(3, [0, 2], heat_success=0.85, phase_advance=0.1)
     gen, rec = sim.thermostat_agent(env, [0, 2], 3)
     params = control.extract_params(gen, rec, ("pol0",))
@@ -667,9 +685,9 @@ def test_apply_params_allocates_only_the_sentinel_slices():
     assert after - before < sent_bytes + 2 ** 16
     assert peak - before < 1.5 * sent_bytes
     for k in REC_FACTORS:
-        assert cand._tables[k] is rec._tables[k]
-        assert np.shares_memory(cand._tables[k], rec._tables[k])
-        assert not np.may_share_memory(cand.sentinel[k], rec._tables[k])
+        assert cand.rows[k] is rec.rows[k] and cand.index[k] is rec.index[k]
+        assert not np.may_share_memory(cand.sentinel[k], rec.rows[k])
+        assert not np.may_share_memory(cand.sentinel[k], rec.sentinel[k])
         assert cand.sentinel[k].flags.c_contiguous and not cand.sentinel[k].flags.writeable
 
 

@@ -353,22 +353,65 @@ def test_recognition_keeps_callers_arrays_apart():
         assert np.all(from_tables.tables[k] == 1.0 / shapes[k][-1])
         assert np.all(from_logits.tables[k] == 1.0 / shapes[k][-1])
         for rec in (from_tables, from_logits):
-            assert not rec._tables[k].flags.writeable
-            assert not rec.sentinel[k].flags.writeable
+            for arr in (rec.rows[k], rec.index[k], rec.sentinel[k]):
+                assert not arr.flags.writeable
+
+
+def dense_joint(tables, xp, o, a, f):
+    """The belief of one context read straight off dense tables, as
+    RecognitionModel.joint reads it (tick step)."""
+    q_s2, q_a2, q_s1, q_a1 = (tables[k][xp, o, a, f] for k in REC_FACTORS)
+    return np.einsum("X,XA,XAs,sAb->sXbA", q_s2, q_a2, q_s1, q_a1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cards=st.tuples(*[st.integers(min_value=1, max_value=3)] * 6),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_row_indexed_factors_read_back_the_dense_tables(cards, seed):
+    # rows under an identity index (a dense constructor) and rows under a
+    # broadcast future axis (from_filtering) give back their tables bit for
+    # bit, hard zeros and -0.0 entries included, and joint reads every
+    # future, the sentinel's included, as the dense slice
+    spec = ModelSpec(*cards)
+    rng = np.random.default_rng(seed)
+    tables = {}
+    for name, shape in RecognitionModel.factor_shapes(spec).items():
+        t = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+        zero = rng.random(shape) < 0.3
+        t[zero] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)[zero]
+        tables[name] = t
+    rec = RecognitionModel(spec, {k: np.array(v) for k, v in tables.items()})
+    x_prev = random_state(rng, spec)
+    xp, o, a = x_prev.flat(spec), int(rng.integers(spec.card_o)), int(rng.integers(spec.card_a))
+    sent = spec.card_o
+    filtering = {k: np.broadcast_to(v[:, :, :, sent:], v.shape) for k, v in tables.items()}
+    from_filtering = RecognitionModel.from_filtering(
+        spec, {k: np.array(v[:, :, :, sent]) for k, v in tables.items()})
+    for r, want in ((rec, tables), (from_filtering, filtering)):
+        got = r.tables
+        for k in REC_FACTORS:
+            assert np.array_equal(bits(got[k]), bits(want[k])), k
+            assert r.index[k].dtype == np.int32
+        for f in range(sent + 1):
+            ctx = RecognitionContext(o, a, x_prev, None if f == sent else f)
+            assert np.array_equal(bits(r.joint(ctx)), bits(dense_joint(want, xp, o, a, f)))
 
 
 def test_recognition_arrays_are_read_only(tmp_path):
     # the per-tick pieces a model keeps (chains.tick_pieces) are built from
     # its arrays once, so no writer may reach them: not those of a built or
-    # loaded model, and not a candidate's own sentinels or shared tables
+    # loaded model or one started at the filtering posterior, and not a
+    # candidate's own sentinels or its shared rows and index
     gen, rec, ref = random_instance(3)
     save_models(tmp_path / "model.json", gen, rec, ref)
     loaded = load_models(tmp_path / "model.json")[1]
+    filtering = RecognitionModel.from_filtering(
+        gen.spec, chains.posterior_recognition_tables(gen))
     params = control.extract_params(gen, rec, ())
     cand = control.apply_params(gen, rec, params)[1]
-    for r in (rec, loaded, cand):
+    for r in (rec, loaded, filtering, cand):
         for k in REC_FACTORS:
-            for arr in (r._tables[k], r.sentinel[k]):
+            for arr in (r.rows[k], r.index[k], r.sentinel[k]):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[(0,) * arr.ndim] = 0.5
 
@@ -635,7 +678,8 @@ def read_rows(text, child_dim, chunk_chars):
     ValueError if load_models would reject it."""
     with mock.patch.object(model, "_BLOCK_CHARS", chunk_chars):
         doc, arrays = model._read_bundle(io.BytesIO(ROWS_PREFIX + text + b"}"))
-    return model._gather(arrays, doc["rows"], child_dim, "rows")
+    values, index = model._gather(arrays, doc["rows"], child_dim, "rows")
+    return values[index]
 
 
 @settings(max_examples=300, deadline=None)
@@ -781,10 +825,14 @@ def test_broken_bundles_raise_across_chunk_boundaries(tmp_path, monkeypatch, edi
             load_models(path)
 
 
-def test_load_holds_the_tables_and_a_few_chunks(tmp_path):
-    # a bundle of several chunks whose recognition tables repeat a few rows,
-    # as the thermostat's do; the reader never holds the file's text, so the
-    # load's peak is its tables, the row checks' temporaries and a few chunks
+def test_load_holds_the_tables_and_a_few_chunks(tmp_path, monkeypatch):
+    # a bundle of many chunks whose recognition tables repeat a few rows, as
+    # the thermostat's do; the reader never holds the file's text, and a
+    # recognition factor is held as its distinct rows and an int32 row index
+    # beside its filtering slice, so the load's peak is those, the other
+    # tables, the row checks' temporaries and a few chunks (the whole
+    # tables, 4.1 MB here, would not fit)
+    monkeypatch.setattr(model, "_BLOCK_CHARS", 1 << 18)
     spec = ModelSpec(4, 3, 2, 3, 2, 2)
     rng = np.random.default_rng(0)
     tables = {}
@@ -801,10 +849,12 @@ def test_load_holds_the_tables_and_a_few_chunks(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table_bytes = (sum(t.nbytes for t in rec.tables.values())
-                   + sum(getattr(m, name).probs.nbytes
-                         for m in (gen, ref) for name in m.table_names))
-    assert peak < table_bytes + 4 * model._BLOCK_CHARS
+    held = (sum(rec.sentinel[k].nbytes + rec.index[k].nbytes + rec.rows[k].nbytes
+                for k in REC_FACTORS)
+            + sum(getattr(m, name).probs.nbytes
+                  for m in (gen, ref) for name in m.table_names))
+    assert held < sum(t.nbytes for t in tables.values()) / 2
+    assert peak < held + 4 * model._BLOCK_CHARS
 
 
 @pytest.mark.parametrize("edit", [

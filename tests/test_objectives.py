@@ -95,7 +95,7 @@ def test_vfe_equals_evidence_at_posterior():
     # under a uniform pol0 the action carries no evidence, so the
     # action-conditioned posterior tables are the posterior given o alone
     gen = with_uniform_pol0(random_instance(17)[0])
-    rec_post = RecognitionModel.from_tables(
+    rec_post = RecognitionModel.from_filtering(
         gen.spec, chains.posterior_recognition_tables(gen))
     rng = np.random.default_rng(17)
     for _ in range(5):
