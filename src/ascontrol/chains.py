@@ -15,6 +15,11 @@ for one step take a `tick` flag (non-tick steps hold the slow latent
 deterministically); builders that combine arrays take exactly the arrays
 they combine. Complete states are raveled row-major in
 (o, s1, s2, a, a1, a2) order and latent tuples in (s1, s2, a1, a2) order.
+Every array over a step's (observation, action, latents) has the belief's
+one axis order, (..., N, O, A, L), and meets the successor states through
+one map, `Lattice.state_of_oal` and its inverse `Lattice.oal_of_state`: the
+chain matrices gather their (O, A, L) entries at each successor, and the
+adjoint and the Bellman backup index the successors' values by it.
 
 Every derived per-tick array has one cache rule (`_kept`): it is built on
 first use and kept, read-only, in the `pieces` of the model it derives
@@ -64,16 +69,16 @@ class Lattice:
         self.o, self.s1, self.s2, self.a, self.a1, self.a2 = (
             c.astype(np.intp) for c in comps)
         lat = np.unravel_index(np.arange(spec.n_latents), spec.latent_dims)
-        self.ls1, self.ls2, self.la1, self.la2 = (c.astype(np.intp) for c in lat)
-        # latent index of each complete state, and state index of (o, latent, a)
+        self.ls1, _, self.la1, self.la2 = (c.astype(np.intp) for c in lat)
+        # latent index of each complete state, its (o, a, latent) index, and
+        # the one successor map: the state of each (o, a, latent)
         self.lat_of_state = np.ravel_multi_index(
             (self.s1, self.s2, self.a1, self.a2), spec.latent_dims)
-        o_grid, l_grid, a_grid = np.meshgrid(
-            np.arange(spec.card_o), np.arange(spec.n_latents),
-            np.arange(spec.card_a), indexing="ij")
-        self.state_of_ola = np.ravel_multi_index(
-            (o_grid, self.ls1[l_grid], self.ls2[l_grid], a_grid,
-             self.la1[l_grid], self.la2[l_grid]), dims)
+        self.oal_of_state = np.ravel_multi_index(
+            (self.o, self.a, self.lat_of_state),
+            (spec.card_o, spec.card_a, spec.n_latents))
+        self.state_of_oal = np.argsort(self.oal_of_state).reshape(
+            spec.card_o, spec.card_a, spec.n_latents)
         # the non-tick slow-latent step: s2' = s2, shape (N, s2')
         self.hold_s2 = np.zeros((n, spec.card_s2))
         self.hold_s2[np.arange(n), self.s2] = 1.0
@@ -240,26 +245,23 @@ def edge_cost(gen, ref, prior, belief):
     return j + l + kl
 
 
-def _over_successors(spec, ola):
-    """Scatter an (..., O, L, A) array onto successor states, (..., N)."""
+def _over_successors(spec, oal):
+    """Gather an (..., O, A, L) array onto successor states, (..., N)."""
     lat = Lattice.of(spec)
-    lead = ola.shape[:-3]
-    out = np.empty(lead + (lat.n_states,))
-    out[..., lat.state_of_ola.reshape(-1)] = ola.reshape(lead + (-1,))
-    return out
+    return np.take(oal.reshape(oal.shape[:-3] + (-1,)), lat.oal_of_state, axis=-1)
 
 
 def transition_matrix(gen, tick):
     """One-step matrix P[x, x'] of the policy-embedded model, shape (N, N)."""
     prior = generative_pieces(gen, tick)["prior"]
-    t4 = _product("xl,lo,loa->xola", prior, lik_over_latents(gen),
+    t4 = _product("xl,lo,loa->xoal", prior, lik_over_latents(gen),
                   pol0_over_latents(gen))
     return _over_successors(gen.spec, t4)
 
 
 def transition_row(gen, x, tick):
     """One transition row p(x' | x) of the policy-embedded model, shape (N,)."""
-    row4 = np.einsum("l,lo,loa->ola", latent_prior_row(gen, x, tick),
+    row4 = np.einsum("l,lo,loa->oal", latent_prior_row(gen, x, tick),
                      lik_over_latents(gen), pol0_over_latents(gen))
     return _over_successors(gen.spec, row4)
 
@@ -269,7 +271,7 @@ def qchain_matrix(spec, marg, belief):
     the model's marginal, latents from the filtering belief; shape (..., N, N)
     for a belief of shape (..., N, O, A, L)."""
     Lattice.of(spec)  # the ceiling, before the product allocates
-    q4 = _product("...xoa,...xoal->...xola", marg, belief)
+    q4 = _product("...xoa,...xoal->...xoal", marg, belief)
     return _over_successors(spec, q4)
 
 
@@ -292,7 +294,7 @@ def posterior_recognition_tables(gen):
 
     Factored as (s2, a2 | s2, s1 | s2 a2, a1 | s1 a2); the last factor is
     exact because a1 is conditionally independent of s2 given (s1, a2). The
-    slices are fresh arrays, which from_filtering takes over.
+    slices are fresh C-ordered arrays, which from_filtering takes over.
     """
     spec = gen.spec
     n, c_o, c_a = spec.n_states, spec.card_o, spec.card_a
@@ -307,8 +309,8 @@ def posterior_recognition_tables(gen):
 
     def _norm(arr):
         s = arr.sum(axis=-1, keepdims=True)
-        with np.errstate(invalid="ignore"):
-            return np.where(s > 0.0, arr / s, 1.0 / arr.shape[-1])
+        out = np.full(arr.shape, 1.0 / arr.shape[-1])
+        return np.divide(arr, s, out=out, where=s > 0.0)
 
     return {"s2": _norm(joint.sum(axis=(3, 5, 6))),                        # (.., s2)
             "a2": _norm(joint.sum(axis=(3, 5))),                           # (.., s2, a2)

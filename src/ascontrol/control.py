@@ -157,14 +157,9 @@ class _BellmanOps:
                 with np.errstate(invalid="ignore"):
                     ecost[u] = np.where(m1 > 0.0, m1 * c_u, 0.0).sum(axis=1)
         # successor state per (u, o', s1', s2')
-        og, s1g, s2g = np.meshgrid(np.arange(spec.card_o), np.arange(spec.card_s1),
-                                   np.arange(spec.card_s2), indexing="ij")
-        self.succ = np.empty((self.n_u,) + og.shape, dtype=np.intp)
-        for u in range(self.n_u):
-            self.succ[u] = np.ravel_multi_index(
-                (og, s1g, s2g, np.full_like(og, self.ua[u]),
-                 np.full_like(og, self.ua1[u]), np.full_like(og, self.ua2[u])),
-                spec.dims)
+        oal = chains.Lattice.of(spec).state_of_oal.reshape(
+            (spec.card_o, spec.card_a) + spec.latent_dims)
+        self.succ = oal[:, self.ua, :, :, self.ua1, self.ua2]
 
     def tick_of_phase(self, p):
         return p == 0
@@ -514,24 +509,23 @@ class _GradAccumulator:
             for tick in (True, False)
         }
 
-    def add_occupation(self, tick, pc, occ, k_ola, rate):
+    def add_occupation(self, tick, pc, occ, k, rate):
         """Add the exact adjoint's terms of one tick value, from its two
-        occupation sums: occ = M = sum_t mu_t, shape (N,), and k_ola = K =
-        sum_t mu_t (x) lam_{t+1} gathered at the successor of each (o, L, a),
-        shape (N, O, L, A), which this overwrites with dqc4, the upstream
+        occupation sums: occ = M = sum_t mu_t, shape (N,), and k = K =
+        sum_t mu_t (x) lam_{t+1} gathered at the successor of each (o, a, L),
+        shape (N, O, A, L), which this overwrites with dqc4, the upstream
         gradient of the chain entries."""
         b = self.buckets[tick]
         marg, belief = pc["marg"], pc["belief"]
         # zero-probability edges may carry infinite cost; they contribute
         # nothing and their logits sit at the softmax boundary, so mask
         # them, and unoccupied predecessors too
-        live = ((marg[:, :, None, :] * belief.transpose(0, 1, 3, 2) > 0.0)
-                & (occ > 0.0)[:, None, None, None])
+        live = (marg[..., None] * belief > 0.0) & (occ > 0.0)[:, None, None, None]
         with np.errstate(invalid="ignore"):
-            k_ola += occ[:, None, None, None] * (pc["cost"] - rate)[:, :, None, :]
-        np.copyto(k_ola, 0.0, where=~live)
-        b["G_m"] += np.einsum("xola,xoal->xoa", k_ola, belief, optimize=True)
-        b["G_q"] += k_ola.transpose(0, 1, 3, 2) * marg[..., None]
+            k += occ[:, None, None, None] * (pc["cost"] - rate)[..., None]
+        np.copyto(k, 0.0, where=~live)
+        b["G_m"] += np.einsum("xoal,xoal->xoa", k, belief, optimize=True)
+        b["G_q"] += k * marg[..., None]
         b["dC"] += occ[:, None, None] * marg
 
     def finalize(self, pieces):
@@ -627,7 +621,7 @@ def dfe_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies=POLICY_TAB
     buckets terms linear in the occupation mu_t and in mu_t (x) lam_{t+1}
     (lam_{t+1} the cost-to-go of the states at t + 1), so per tick value
     two sums carry every step, M = sum_t mu_t and K = sum_t mu_t (x)
-    lam_{t+1}, and the masked (N, O, L, A) terms are built once per tick
+    lam_{t+1}, and the masked (N, O, A, L) terms are built once per tick
     value. Sums run over positive occupation only (support_dot)."""
     oracle.check_horizon(T)
     spec = gen.spec
@@ -648,15 +642,14 @@ def dfe_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies=POLICY_TAB
         pc = pieces[ticks[t]]
         lams[t - 1] = pc["ev"] - rate + support_dot(pc["qc"], lams[t])
     acc = _GradAccumulator(gen, rec, ref, trainable_policies)
-    ola = lat.state_of_ola.reshape(-1)
     for tick in (True, False):
         steps = [t for t in range(T) if ticks[t] == tick]
         if steps:
-            # K at the successor of each (o, L, a): one (N, T_tick) @ (T_tick, N)
+            # K at the successor of each (o, a, L): one (N, T_tick) @ (T_tick, N)
             acc.add_occupation(
                 tick, pieces[tick], mus[steps].sum(axis=0),
-                support_dot(mus[steps].T, lams[steps][:, ola]).reshape(
-                    (n,) + lat.state_of_ola.shape), rate)
+                support_dot(mus[steps].T, lams[steps][:, lat.state_of_oal.ravel()]).reshape(
+                    (n,) + lat.state_of_oal.shape), rate)
     grads = acc.finalize(pieces)
     return value, grads
 
@@ -815,13 +808,15 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
     step_lr = lr
     mc_seed = np.random.default_rng(seed)
     for it in range(iters):
-        if estimator == "exact":
-            value, grads = dfe_value_and_grad(cur_gen, cur_rec, ref, x0, T, rate,
-                                              trainable_policies)
-        else:
-            value, grads = score_function_grad(
-                cur_gen, cur_rec, ref, x0, T, rate,
-                _SCORE_ROLLOUTS, mc_seed.integers(2 ** 63), trainable_policies)
+        # an infinite cost or rate gives NaN terms; the checks below raise on them
+        with np.errstate(invalid="ignore"):
+            if estimator == "exact":
+                value, grads = dfe_value_and_grad(cur_gen, cur_rec, ref, x0, T, rate,
+                                                  trainable_policies)
+            else:
+                value, grads = score_function_grad(
+                    cur_gen, cur_rec, ref, x0, T, rate,
+                    _SCORE_ROLLOUTS, mc_seed.integers(2 ** 63), trainable_policies)
         del cur_gen, cur_rec
         rate_trace.append(rate)
         if not np.isfinite(value):

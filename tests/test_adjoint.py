@@ -88,7 +88,7 @@ def per_step_finalize(acc, pieces):
 
 
 def per_step_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies):
-    """The adjoint step by step: each step adds its own (N, O, L, A) terms,
+    """The adjoint step by step: each step adds its own (N, O, A, L) terms,
     built from mu_t and lam_{t+1}, to its tick's buckets, over the states
     occupied at that step only. Returns the value, the logit gradients and
     their upstream gradients (per_step_finalize)."""
@@ -108,15 +108,15 @@ def per_step_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies):
     for t in range(T - 1, -1, -1):
         pc = pieces[ticks[t]]
         bucket = acc.buckets[ticks[t]]
-        lam_g = lam[lat.state_of_ola]
+        lam_g = lam[lat.state_of_oal]
         c_tilde = pc["cost"] - rate
-        edge_p = pc["marg"][:, :, None, :] * pc["belief"].transpose(0, 1, 3, 2)
+        edge_p = pc["marg"][..., None] * pc["belief"]
         live = (edge_p > 0.0) & (mus[t] > 0.0)[:, None, None, None]
         with np.errstate(invalid="ignore"):  # 0 * inf off the live edges, masked
             dqc4 = np.where(live, mus[t][:, None, None, None]
-                            * (c_tilde[:, :, None, :] + lam_g[None]), 0.0)
-        bucket["G_m"] += np.einsum("xola,xoal->xoa", dqc4, pc["belief"])
-        bucket["G_q"] += dqc4.transpose(0, 1, 3, 2) * pc["marg"][..., None]
+                            * (c_tilde[..., None] + lam_g[None]), 0.0)
+        bucket["G_m"] += np.einsum("xoal,xoal->xoa", dqc4, pc["belief"])
+        bucket["G_q"] += dqc4 * pc["marg"][..., None]
         bucket["dC"] += mus[t][:, None, None] * pc["marg"]
         lam = pc["ev"] - rate + support_dot(pc["qc"], lam)
     return (value, *per_step_finalize(acc, pieces))

@@ -318,6 +318,27 @@ def test_lattice_is_not_built_above_the_ceiling():
 
 
 # ---------------------------------------------------------------------------
+# the successor map
+
+
+@settings(max_examples=40, deadline=None)
+@given(cards=st.tuples(*[st.integers(1, 3)] * 6))
+def test_successor_map_is_the_inverse_of_each_states_oal_index(cards):
+    spec = ModelSpec(*cards)
+    lat = chains.Lattice.of(spec)
+    o_n, a_n, l_n = spec.card_o, spec.card_a, spec.n_latents
+    assert lat.state_of_oal.shape == (o_n, a_n, l_n)
+    flat = lat.state_of_oal.reshape(-1)
+    assert np.array_equal(np.sort(flat), np.arange(spec.n_states))
+    assert np.array_equal(flat[lat.oal_of_state], np.arange(spec.n_states))
+    assert np.array_equal(lat.oal_of_state[flat], np.arange(spec.n_states))
+    for o, a, l in np.ndindex(o_n, a_n, l_n):
+        x = CompleteState.from_flat(int(lat.state_of_oal[o, a, l]), spec)
+        assert (x.o, x.a) == (o, a)
+        assert (x.s1, x.s2, x.a1, x.a2) == np.unravel_index(l, spec.latent_dims)
+
+
+# ---------------------------------------------------------------------------
 # fixed contraction plans of the product builders
 
 try:
@@ -328,8 +349,8 @@ except ImportError:  # numpy 1.x
 # the subscripts of each product builder's contraction
 PRODUCTS = ("xX,XA,xXs,sAb->xsXbA",                                 # latent_prior
             "...xowX,...xowXA,...xowXAs,...xowsAb->...xowsXbA",     # belief_table
-            "xl,lo,loa->xola",                                      # transition_matrix
-            "...xoa,...xoal->...xola")                              # qchain_matrix
+            "xl,lo,loa->xoal",                                      # transition_matrix
+            "...xoa,...xoal->...xoal")                              # qchain_matrix
 
 
 def build_products(gen, rec, tick):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import resource
@@ -8,9 +9,14 @@ import sys
 import numpy as np
 import pytest
 
-from ascontrol import model
-from ascontrol.model import load_models, save_models
+from ascontrol import cli, control, model, sim
+from ascontrol.errors import NonFiniteObjectiveError
+from ascontrol.instances import hard_zero_instance, random_instance
+from ascontrol.model import (CompleteState, ConditionalTable, ReferenceModel, load_models,
+                             save_models)
 from conftest import assert_load_matches_json, bits, ragged_rows, uniform_instance
+
+X0 = CompleteState(0, 0, 0, 0, 0, 0)
 
 CLI = [sys.executable, "-m", "ascontrol"]
 
@@ -131,6 +137,75 @@ def test_train_subcommand(model_file, tmp_path):
         assert len(report[key]) == 3, key
     assert all(0.0 < s <= 0.2 for s in report["step_size_trace"])
     assert out.exists()
+
+
+def test_train_with_a_reachable_infinite_edge_cost_stops_at_iteration_0(tmp_path):
+    gen, rec, ref = hard_zero_instance(0, (2, 2, 2, 2, 1, 1), 2)
+    # an edge of infinite cost is reachable from x0 within 3 steps
+    assert math.isinf(control.differential_free_energy(gen, rec, ref, X0, 3, 0.0))
+    with pytest.raises(NonFiniteObjectiveError, match="objective became non-finite") as err:
+        control.train(gen, rec, ref, X0, 3, iters=2)
+    assert err.value.iteration == 0
+    bundle, out = tmp_path / "hard-zero.json", tmp_path / "trained.json"
+    save_models(bundle, gen, rec, ref)
+    r = run("train", "--model", str(bundle), "--steps", "3", "--iters", "2",
+            "--out", str(out))
+    assert_one_line_exit_2(r, "train")
+    assert "objective became non-finite at iteration 0" in r.stderr
+    assert not out.exists()
+
+
+def test_train_with_a_non_finite_gradient_stops_at_its_iteration(tmp_path, monkeypatch,
+                                                                 capsys):
+    gen, rec, ref = random_instance(4, floor=True)
+    exact, calls = control.dfe_value_and_grad, []
+
+    def nan_from_the_second_call(*args):
+        value, grads = exact(*args)
+        calls.append(value)
+        if len(calls) > 1:
+            grads = control.TrainableParams(
+                {k: np.full_like(v, np.nan) for k, v in grads.q_logits.items()},
+                grads.pol_logits)
+        return value, grads
+
+    monkeypatch.setattr(control, "dfe_value_and_grad", nan_from_the_second_call)
+    with pytest.raises(NonFiniteObjectiveError, match="gradient became non-finite") as err:
+        control.train(gen, rec, ref, X0, 3, iters=3)
+    assert err.value.iteration == 1
+    assert np.isfinite(calls).all()
+    bundle, out = tmp_path / "model.json", tmp_path / "trained.json"
+    save_models(bundle, gen, rec, ref)
+    calls.clear()
+    assert cli.main(["train", "--model", str(bundle), "--steps", "3", "--iters", "3",
+                     "--out", str(out)]) == 2
+    err_text = capsys.readouterr().err
+    assert err_text == ("ascontrol train: error: gradient became non-finite at "
+                        "iteration 1\n")
+    assert not out.exists()
+
+
+def test_episode_with_a_zero_reference_on_the_belief_stops_at_its_step(tmp_path):
+    env, ref = sim.thermostat_env(2, [0])                      # 16 states
+    gen, rec = sim.thermostat_agent(env, [0], 0)
+    # R(o | a1) is zero for o = 1 under every a1, so the first step that
+    # observes o = 1 has an infinite expected reference surprisal; the path
+    # does not depend on the reference
+    zero = ReferenceModel(gen.spec, ConditionalTable.one_hot(
+        (gen.spec.card_a1,), gen.spec.card_o, lambda a1: 0), ref.ref_s1)
+    rows = sim.run_episode(gen, rec, ref, env, 12, seed=2).rows
+    first = next(r.t for r in rows if r.state.o == 1)
+    assert first > 1 and all(math.isfinite(r.total) for r in rows)
+    with pytest.raises(NonFiniteObjectiveError, match=f"at t={first};") as err:
+        sim.run_episode(gen, rec, zero, env, 12, seed=2)
+    assert err.value.iteration == first
+    bundle, trace = tmp_path / "zero-ref.json", tmp_path / "t.csv"
+    save_models(bundle, gen, rec, zero)
+    r = run("simulate", "--model", str(bundle), "--temps", "2", "--schedule", "0",
+            "--steps", "12", "--seed", "2", "--trace", str(trace))
+    assert_one_line_exit_2(r, "simulate")
+    assert f"non-finite step objective at t={first};" in r.stderr
+    assert not trace.exists()
 
 
 def test_validate_report(tmp_path):

@@ -147,6 +147,36 @@ def test_backup_matches_constant_policy_operators(seed, phase, h_seed, scale,
     assert np.all(np.abs(per_u[argmin, np.arange(n)] - want) <= tol)
 
 
+def loop_successors(spec):
+    """The Bellman backup's successor table as it was built before the
+    lattice's successor map: one raveling per action tuple, (u, o', s1', s2')."""
+    ua, ua1, ua2 = control.action_tuples(spec)
+    og, s1g, s2g = np.meshgrid(np.arange(spec.card_o), np.arange(spec.card_s1),
+                               np.arange(spec.card_s2), indexing="ij")
+    succ = np.empty((ua.size,) + og.shape, dtype=np.intp)
+    for u in range(ua.size):
+        succ[u] = np.ravel_multi_index(
+            (og, s1g, s2g, np.full_like(og, ua[u]), np.full_like(og, ua1[u]),
+             np.full_like(og, ua2[u])), spec.dims)
+    return succ
+
+
+def thermostat_instance():
+    env, ref = sim.thermostat_env(3, [0, 2])                   # 864 states
+    return (*sim.thermostat_agent(env, [0, 2], 0), ref)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_instance(5, cards=(2, 3, 2, 2, 3, 2), tick_period=3),
+    lambda: random_instance(6, cards=(3, 1, 2, 2, 1, 3)),
+    thermostat_instance], ids=["random", "unit-cards", "thermostat"])
+def test_backup_successors_are_the_lattice_map(build):
+    gen, rec, ref = build()
+    succ = control._BellmanOps(gen, rec, ref).succ
+    want = loop_successors(gen.spec)
+    assert succ.dtype == want.dtype and np.array_equal(succ, want)
+
+
 def test_rvi_rollout_within_three_stderr():
     gen, rec, ref = random_instance(64)
     v = control.relative_value_iteration(gen, rec, ref, tol=1e-9)

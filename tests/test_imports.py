@@ -1,17 +1,17 @@
 """Every module-level import in the package and in the tests is used by its
-module, every
-function, class, method and module-level assigned name in the package is
-used somewhere, and every einsum that plans its contraction per call sums
-an index.
+module, every function, class, method, module-level assigned name and
+instance attribute in the package is used somewhere, and every einsum that
+plans its contraction per call sums an index.
 
 Stdlib-only stand-ins for a linter's unused-import and dead-code rules.
 Imports: each module under src/ascontrol (package __init__ files
 re-export, so they are skipped) and under tests/ is parsed, and every name
 bound by a top-level import must occur as a name somewhere in the module. Dead code:
-every non-dunder def or class under src/ascontrol, and every non-dunder
-name a module-level assignment binds (constants, tables, aliases), must be
-referenced outside its own body or statement in src/, tests/ or
-perfbench/. Contractions: an
+every non-dunder def or class under src/ascontrol, every non-dunder
+name a module-level assignment binds (constants, tables, aliases), and
+every attribute a package class assigns on `self` must be referenced
+outside its own body or statement in src/, tests/ or perfbench/ (an
+attribute by a read: assigning it is no use). Contractions: an
 `np.einsum(..., optimize=True)` computes its path on every call, so it is
 kept for contractions that sum an index (numpy runs their steps through
 matmul), and a contraction that sums none goes through `chains._product`,
@@ -66,13 +66,14 @@ def test_module_imports_are_used(path):
 
 
 def references(tree):
-    """(name, line) of every use of a name in `tree`: names, attributes,
-    imported names, and string constants that are a dotted path (as the
-    benchmark's tracer names its entry points)."""
+    """(name, line) of every use of a name in `tree`: names, attributes read
+    (an assigned attribute is not a use), imported names, and string
+    constants that are a dotted path (as the benchmark's tracer names its
+    entry points)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             yield node.attr, node.lineno
         elif isinstance(node, ast.alias):
             yield node.name.split(".")[-1], node.lineno
@@ -82,19 +83,31 @@ def references(tree):
                 yield parts[-1], node.lineno
 
 
+def assigned(stmt):
+    """The targets of an assignment statement; none for another node."""
+    if isinstance(stmt, ast.Assign):
+        return stmt.targets
+    return [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+
+
 def definitions(tree):
-    """(name, node) of each def or class in `tree`, and of each name bound
-    by one of its module-level assignments."""
+    """(name, node) of each def or class in `tree`, of each name bound by one
+    of its module-level assignments, and of each attribute that a statement
+    in one of its classes assigns on `self`."""
     for node in ast.walk(tree):
         if isinstance(node, DEFS):
             yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for stmt in ast.walk(node):
+                for attr in (a for t in assigned(stmt) for a in ast.walk(t)):
+                    if (isinstance(attr, ast.Attribute) and isinstance(attr.value, ast.Name)
+                            and attr.value.id == "self"):
+                        yield attr.attr, stmt
     for node in tree.body:
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                for name in ast.walk(target):
-                    if isinstance(name, ast.Name):
-                        yield name.id, node
+        for target in assigned(node):
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, node
 
 
 def unreferenced_defs(checked, others):
@@ -148,6 +161,23 @@ def test_dead_code_checker_flags_unused_assignments():
     # def (local) and dunders are not checked
     assert sorted(name for _, name in unreferenced_defs({"lib": lib}, {"user": user})) == [
         "_ALL", "_BLOCK", "_LOW", "_TOL"]
+
+
+def test_dead_code_checker_flags_unread_instance_attributes():
+    lib = ("class A:\n"
+           "    def __init__(self, x):\n"
+           "        self.read, self.unread = x, x\n"
+           "        self.typed: int = 0\n"
+           "        self.total = 0\n"
+           "    def add(self, other):\n"
+           "        self.total += 1\n"
+           "        other.stored = self.read\n"
+           "        return self\n")
+    user = "from lib import A\nA(1).add(A(2))\n"
+    # an assignment, augmented ones included, is not a read; `stored` is
+    # assigned on another object, not on self
+    assert sorted(name for _, name in unreferenced_defs({"lib": lib}, {"user": user})) == [
+        "total", "typed", "unread"]
 
 
 def test_every_package_def_is_referenced():

@@ -416,6 +416,18 @@ def test_recognition_arrays_are_read_only(tmp_path):
                     arr[(0,) * arr.ndim] = 0.5
 
 
+def test_from_filtering_shares_the_filtering_posterior():
+    # the posterior's factors are C-ordered, so the model takes them over as
+    # its rows without a copy
+    env, _ = sim.thermostat_env(3, [0, 2])
+    gen, _ = sim.thermostat_agent(env, [0, 2], 0)
+    post = chains.posterior_recognition_tables(gen)
+    rec = RecognitionModel.from_filtering(gen.spec, post)
+    for k in REC_FACTORS:
+        assert post[k].flags.c_contiguous, k
+        assert np.shares_memory(rec.rows[k], post[k]), k
+
+
 def test_recognition_latent_range_check():
     _, rec, _ = random_instance(2)
     ctx = RecognitionContext(o=0, a=0, x_prev=CompleteState(0, 0, 0, 0, 0, 0))
