@@ -411,12 +411,13 @@ class RecognitionModel:
     A factor is held row-indexed: `rows[k]`, shape (R, child), and
     `index[k]`, int32 shaped (x_prev, o, a, future, parents...), with
     table[i] == rows[k][index[k][i]]; both are read-only and may repeat
-    or broadcast (a loaded factor keeps each bundle block's distinct rows
-    once). `sentinel[k]` is factor k's filtering slice, gathered into a
-    dense array: the array every reader of the objective takes. A
+    or broadcast (a loaded factor keeps its bundle array's distinct rows,
+    each once while they fit the reader's row dictionary, _rows_of).
+    `sentinel[k]` is factor k's filtering slice, gathered into a dense
+    array: the array every reader of the objective takes. A
     candidate (with_logits) shares its parent's rows and index and owns
     only its new sentinels; the whole layout is assembled only where it is
-    read (blocks, tables).
+    read (tables).
     """
 
     __slots__ = ("spec", "rows", "index", "sentinel", "pieces", "__weakref__")
@@ -483,23 +484,14 @@ class RecognitionModel:
         return object.__new__(RecognitionModel)._set(self.spec, self.rows, self.index,
                                                      sentinel)
 
-    def blocks(self, name):
-        """Factor `name` whole, (x_prev, o, a, future, parents..., child), as
-        fresh arrays over consecutive x_prev of about _BLOCK_VALUES values
-        each, with this model's sentinel slice written in."""
-        rows, index, sent = self.rows[name], self.index[name], self.sentinel[name]
-        step = max(1, _BLOCK_VALUES // (index[0].size * rows.shape[1]))
-        for x in range(0, len(index), step):
-            block = np.take(rows, index[x:x + step], axis=0)
-            block[:, :, :, self.future_sentinel] = sent[x:x + step]
-            yield block
-
     @property
     def tables(self):
-        """Every factor whole, keyed by name: its blocks joined into a fresh
-        read-only copy, all four on every read."""
-        tables = {name: np.concatenate([*self.blocks(name)]) for name in REC_FACTORS}
-        for arr in tables.values():
+        """Every factor whole, keyed by name: its rows gathered by its index,
+        sentinel slice written in, a fresh read-only copy on every read."""
+        tables = {}
+        for name in REC_FACTORS:
+            arr = tables[name] = np.take(self.rows[name], self.index[name], axis=0)
+            arr[:, :, :, self.future_sentinel] = self.sentinel[name]
             arr.setflags(write=False)
         return tables
 
@@ -656,32 +648,44 @@ _BLOCK_VALUES = 1 << 16
 _ROWS_MARK = "\0rows\0"
 
 
-def _json_rows(chunks, block_values=_BLOCK_VALUES):
-    """Yield pieces of text that join to json.dumps(rows.tolist()), where
-    rows is the 2-D float array of the rows (over the last axis) of the
-    arrays in `chunks`, one after the other.
+def _row_texts(rows):
+    """Each row of the 2-D float array `rows` as json.dumps writes it, less
+    its brackets, in an object array: the text is gathered from the rows'
+    distinct values (by bit pattern, so -0.0 and 0.0 stay apart), each
+    encoded once."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    uniq, inverse = np.unique(rows.view(np.uint64).ravel(), return_inverse=True)
+    values = np.array(json.dumps(uniq.view(np.float64).tolist())[1:-1].split(", "), object)
+    cells = values[inverse].reshape(rows.shape).tolist()
+    return np.array(list(map(", ".join, cells)), object)
 
-    Every block of whole rows, whether or not its values repeat, is
-    formatted through its distinct values (by bit pattern, so -0.0 and 0.0
-    stay apart): one json float encoding per distinct value, then the row
-    text is gathered from those strings.
-    """
-    sep = ""
-    yield "["
-    for chunk in chunks:
-        rows = np.ascontiguousarray(chunk, dtype=float).reshape(-1, np.shape(chunk)[-1])
-        step = max(1, block_values // rows.shape[1])
-        for start in range(0, len(rows), step):
-            block = rows[start:start + step]
-            uniq, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
-            texts = json.dumps(uniq.view(np.float64).tolist())[1:-1].split(", ")
-            in_row = np.array([t + ", " for t in texts], dtype=object)
-            row_end = np.array([t + "], [" for t in texts], dtype=object)
-            cells = in_row[inverse].reshape(block.shape)
-            cells[:, -1] = row_end[inverse.reshape(block.shape)[:, -1]]
-            yield sep + "[" + "".join(cells.ravel().tolist())[:-3]
-            sep = ", "
-    yield "]"
+
+def _distinct_rows(rows):
+    """The distinct rows of the 2-D float array `rows` by bit pattern, in
+    first-seen order, and each row's index into them."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    index_of = defaultdict(itertools.count().__next__)
+    index = np.fromiter(map(index_of.__getitem__, keys), np.intp, len(keys))
+    return np.frombuffer(b"".join(index_of), float).reshape(-1, rows.shape[1]), index
+
+
+def _factor_texts(rec, name):
+    """The rows of recognition factor `name` of rec, whole and in table
+    order, as lists of row texts over consecutive x_prev of about
+    _BLOCK_VALUES values each. A block formats each distinct row (by bit
+    pattern) of the rows its index points to and of its sentinel slice
+    once, through their distinct values, and gathers the texts by index."""
+    rows, index, sent = rec.rows[name], rec.index[name], rec.sentinel[name]
+    width = rows.shape[1]
+    step = max(1, _BLOCK_VALUES // (index[0].size * width))
+    for x in range(0, len(index), step):
+        idx, block = np.array(index[x:x + step]), sent[x:x + step].reshape(-1, width)
+        # the sentinel slice's rows count on after the factor's rows
+        idx[:, :, :, rec.future_sentinel].flat = np.arange(len(rows), len(rows) + len(block))
+        used, inverse = np.unique(idx, return_inverse=True)
+        distinct, at = _distinct_rows(np.concatenate([rows[used[used < len(rows)]], block]))
+        yield _row_texts(distinct)[at[inverse.ravel()]].tolist()
 
 
 def save_models(path, gen, rec, ref):
@@ -689,8 +693,8 @@ def save_models(path, gen, rec, ref):
     document (version 1, named row-major arrays).
 
     The bytes equal json.dump of the whole document; the rows are streamed
-    block by block instead of being converted to nested lists first, and a
-    recognition factor is assembled block by block too (rec.blocks).
+    as row texts, block by block (_row_texts, _factor_texts), instead of
+    being converted to nested lists first.
     """
     tables, chunks = {}, []
     for model, names in ((gen, GenerativeModel.table_names),
@@ -700,17 +704,20 @@ def save_models(path, gen, rec, ref):
             tables[name] = {"parents": list(table.parent_dims), "child": table.child_dim,
                             "rows": _ROWS_MARK,
                             "strictly_positive": table.strictly_positive}
-            chunks.append([table.probs])
+            chunks.append([_row_texts(table.probs).tolist()])
     for name, shape in RecognitionModel.factor_shapes(rec.spec).items():
         tables["rec_" + name] = {"dims": list(shape), "rows": _ROWS_MARK}
-        chunks.append(rec.blocks(name))
+        chunks.append(_factor_texts(rec, name))
     doc = {"version": FILE_VERSION, "spec": gen.spec.to_dict(), "tables": tables}
     envelope = json.dumps(doc).split(json.dumps(_ROWS_MARK))
     with open(path, "w") as fh:
         fh.write(envelope[0])
-        for rows, text in zip(chunks, envelope[1:]):
-            fh.writelines(_json_rows(rows))
-            fh.write(text)
+        for blocks, text in zip(chunks, envelope[1:]):
+            sep = "[["
+            for texts in blocks:
+                fh.writelines((sep, "], [".join(texts)))
+                sep = "], ["
+            fh.write("]]" + text)
 
 
 # The file is read in chunks of this many bytes: a load holds the tables and
@@ -731,8 +738,8 @@ def _rows_block(block, child_dim):
     The layout is checked on the bytes: only _ROW_CHARS, every comma followed
     by one space and no other space, child_dim values per row, "], [" between
     rows. Every token is converted by float(), the conversion json applies to
-    its float tokens; _rows_of hands over a block's distinct rows, and reads
-    any ValueError as a block not laid out that way.
+    its float tokens; _rows_of hands over a block's rows new to its array,
+    and reads any ValueError as a block not laid out that way.
     """
     arr = np.frombuffer(block, np.uint8)
     commas = np.flatnonzero(arr == ord(","))
@@ -757,46 +764,47 @@ def _rows_block(block, child_dim):
     return values
 
 
-def _rows_of(text, stop):
-    """The rows of text[1:stop] (text starts at a row's "[") as their distinct
-    rows' values, in first-seen order and each converted once, and each
-    row's index into them; None if not laid out as json.dump writes them, as
-    when a row holds a "]"."""
+def _rows_of(text, stop, index_of):
+    """The rows of text[1:stop] (text starts at a row's "[") through index_of,
+    their array's row dictionary (row text -> index): the rows new to it,
+    converted once in first-seen order, and each row's index; None if not
+    laid out as json.dump writes them, as when a row holds a "]". Once its
+    rows fill about half a chunk (_BLOCK_CHARS), the dictionary starts over,
+    its indices counting on: that bounds it when rows barely repeat."""
     rows = text[1:stop].split(b"], [")
-    index_of = defaultdict(itertools.count().__next__)
+    known = len(index_of)
     index = np.fromiter(map(index_of.__getitem__, rows), np.int32, len(rows))
     width = rows[0].count(b",") + 1
+    new = b"], [".join(itertools.islice(index_of, known, None))
     try:
-        values = _rows_block(b"[%b]" % b"], [".join(index_of), width)
+        values = _rows_block(b"[%b]" % new, width) if len(index_of) > known else np.empty(0)
     except ValueError:
         return None
+    if 2 * len(index_of) * stop >= _BLOCK_CHARS * len(rows):
+        index_of.clear()
     return values.reshape(-1, width), index
 
 
 def _gather(arrays, mark, width, name):
-    """The rows array `mark` stands for, row-indexed: its blocks' distinct
-    rows joined into one (R, width) float array, and each row's int32 index
-    into them (a block's own index plus its rows' offset); a ValueError
-    naming table `name` unless its rows are lists of `width` numbers laid
-    out as json.dump writes them."""
+    """The rows array `mark` stands for, row-indexed: its blocks' new rows
+    joined into one (R, width) float array, and its blocks' int32 indices
+    into them joined; a ValueError naming table `name` unless its rows are
+    lists of `width` numbers laid out as json.dump writes them."""
     blocks = arrays[int(mark[1:])] if isinstance(mark, str) and mark[:1] == "\0" else [None]
     if any(block is None or block[0].shape[1] != width for block in blocks):
         raise ValueError(f"table {name}: bundle rows are not lists of {width} numbers "
                          "laid out as json.dump writes them")
-    index, row, offset = np.empty(sum(len(i) for _, i in blocks), np.int32), 0, 0
-    for values, block_index in blocks:
-        np.add(block_index, offset, out=index[row:row + len(block_index)])
-        row, offset = row + len(block_index), offset + len(values)
-    return np.concatenate([values for values, _ in blocks]), index
+    return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 def _read_bundle(fh):
     """Read the bundle in the binary file fh, _BLOCK_CHARS bytes at a time:
     the envelope, parsed by json with the i-th rows array replaced by the
-    string "\\0<i>", and each array's blocks (_rows_of), a chunk's whole rows
-    with its partial last row carried over. An array's end, "]]", is searched
-    for only before the first "}" of the text: a rows array holds none, and
-    its table's object closes after it.
+    string "\\0<i>", and each array's blocks (_rows_of, through one row
+    dictionary per array), a chunk's whole rows with its partial last row
+    carried over. An array's end, "]]", is searched for only before the
+    first "}" of the text: a rows array holds none, and its table's object
+    closes after it.
     """
     pieces, arrays, blocks, text = [], [], None, b""
     for chunk in iter(lambda: fh.read(_BLOCK_CHARS), b""):
@@ -806,12 +814,13 @@ def _read_bundle(fh):
                 pieces += [text[:key + len(_ROWS_KEY) - 2], b'"\\u0000%d"' % len(arrays)]
                 blocks, text = [], text[key + len(_ROWS_KEY) - 1:]
                 arrays.append(blocks)
+                index_of = defaultdict(itertools.count().__next__)  # row text -> index
             brace = text.find(b"}")
             end = text.find(b"]]", 0, brace) if brace >= 0 else -1
             stop = end if end >= 0 else text.rfind(b"], [")
             if stop < 0:
                 break
-            blocks.append(_rows_of(text, stop))
+            blocks.append(_rows_of(text, stop, index_of))
             if end >= 0:  # the array ends with this block
                 blocks, text = None, text[end + 2:]
             else:

@@ -15,7 +15,7 @@ import pytest
 
 import ascontrol
 from ascontrol import control, sim
-from ascontrol.model import CompleteState
+from ascontrol.model import CompleteState, load_models, save_models
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER_PATH = PERFBENCH / "tracer.py"
@@ -147,6 +147,14 @@ def test_seed3_init_bundle_matches_pinned_digest(seed3_bundle):
     # a change to the thermostat builders or the bundle writer that moves
     # one byte of `init --seed 3` fails the benchmark's reference check
     assert sha256(seed3_bundle) == pinned("init")["sha256"]
+
+
+def test_seed3_bundle_save_load_save_byte_identical(seed3_bundle, tmp_path):
+    # the writer on the loaded, row-indexed 1.4M-row layout (a few hundred
+    # distinct rows per factor) gives back the `init` bytes
+    path = tmp_path / "model.json"
+    save_models(path, *load_models(seed3_bundle))
+    assert path.read_bytes() == seed3_bundle.read_bytes()
 
 
 def test_seed3_simulate_trace_matches_pinned_digest(seed3_bundle, tmp_path):

@@ -51,39 +51,34 @@ def test_init_bundle_loads_as_json_reads_it(model_file):
     assert_load_matches_json(model_file)
 
 
-def test_loading_converts_a_blocks_distinct_rows_once(model_file, monkeypatch):
+def test_loading_converts_each_distinct_row_of_an_array_once(model_file, monkeypatch):
     # the recognition tables repeat a few hundred rows over a million times;
-    # each block hands its distinct rows, once each, to one _rows_block call
-    converted, blocks = [], []
-    rows_block, rows_of = model._rows_block, model._rows_of
+    # a rows array's distinct rows fit its row dictionary, so each is
+    # converted once, in the _rows_block call of the block it first shows in
+    converted = []
+    rows_block = model._rows_block
 
     def counting_rows_block(block, child_dim):
-        converted.append(block[1:-1].split(b"], ["))
+        converted.extend(block[1:-1].split(b"], ["))
         return rows_block(block, child_dim)
 
-    def checking_rows_of(text, stop):
-        calls = len(converted)
-        got = rows_of(text, stop)
-        rows = text[1:stop].split(b"], [")
-        assert len(converted) == calls + 1
-        assert converted[-1] == list(dict.fromkeys(rows))
-        if got is not None:
-            blocks.append((len(rows), len(converted[-1])))
-        return got
-
     monkeypatch.setattr(model, "_rows_block", counting_rows_block)
-    monkeypatch.setattr(model, "_rows_of", checking_rows_of)
     gen, rec, ref = load_models(model_file)
-    n_rows = sum(len(getattr(m, name).probs) for m in (gen, ref) for name in m.table_names)
-    distinct = 0
-    for table in rec.tables.values():
+    n_rows, distinct = 0, 0
+    tables = [getattr(m, name).probs for m in (gen, ref) for name in m.table_names]
+    for name, table in rec.tables.items():
         rows = table.reshape(-1, table.shape[-1])
+        assert len(rec.rows[name]) == len(np.unique(bits(rows), axis=0)) < len(rows) // 100
+        tables.append(rows)
+    for rows in tables:
         n_rows += len(rows)
-        distinct = max(distinct, len(np.unique(bits(rows), axis=0)))
-        assert distinct < len(rows) // 100
-    assert sum(n for n, _ in blocks) == n_rows
-    assert max(d for _, d in blocks) <= distinct
-    assert sum(d for _, d in blocks) < n_rows // 20
+        distinct += len(np.unique(bits(rows), axis=0))
+    assert len(converted) == distinct < n_rows // 1000
+
+
+def test_seed3_load_holds_each_factors_distinct_rows(model_file):
+    _, rec, _ = load_models(model_file)
+    assert tuple(len(rec.rows[name]) for name in model.REC_FACTORS) == (129, 139, 515, 491)
 
 
 def test_simulate_byte_identical(model_file, tmp_path):

@@ -20,7 +20,7 @@ from ascontrol.logspace import logsumexp
 from ascontrol.model import (REC_FACTORS, CompleteState, ConditionalTable,
                              GenerativeModel, ModelSpec, RecognitionContext,
                              RecognitionModel, ReferenceModel, _BLOCK_VALUES,
-                             _json_rows, load_models,
+                             _distinct_rows, _row_texts, load_models,
                              recognition_logprob, sample_trajectory,
                              sample_transition, save_models, softmax_rows,
                              tick_levels, trajectory_logprob, transition_logprob)
@@ -576,9 +576,8 @@ AWKWARD_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.0001,
 @given(data=st.data(),
        n_rows=st.integers(min_value=0, max_value=12),
        child_dim=st.integers(min_value=1, max_value=4),
-       block_values=st.integers(min_value=1, max_value=16),
        repeated=st.booleans())
-def test_json_rows_matches_json_dumps(data, n_rows, child_dim, block_values, repeated):
+def test_row_texts_match_json_dumps(data, n_rows, child_dim, repeated):
     if repeated:
         pool = data.draw(st.lists(st.floats(), min_size=1, max_size=3))
         values = st.sampled_from(pool + AWKWARD_FLOATS)
@@ -587,7 +586,11 @@ def test_json_rows_matches_json_dumps(data, n_rows, child_dim, block_values, rep
     flat = data.draw(st.lists(values, min_size=n_rows * child_dim,
                               max_size=n_rows * child_dim))
     a = np.array(flat, dtype=float).reshape(n_rows, child_dim)
-    assert "".join(_json_rows([a], block_values)) == json.dumps(a.tolist())
+    assert _row_texts(a).tolist() == [json.dumps(row)[1:-1] for row in a.tolist()]
+    # the writer's per-block pass over a block's rows tells them apart by bits
+    distinct, index = _distinct_rows(a)
+    assert np.array_equal(bits(distinct[index]), bits(a))
+    assert len(np.unique(bits(distinct), axis=0)) == len(distinct)
 
 
 def _reference_bundle_text(gen, rec, ref):
@@ -677,6 +680,29 @@ def test_load_matches_json_load(tmp_path, build):
     assert_load_matches_json(path)
 
 
+def test_load_of_distinct_rows_restarts_the_row_dictionary(tmp_path, monkeypatch):
+    # every recognition row is distinct, so in 4 KiB chunks each array's row
+    # dictionary fills and starts over many times, its indices counting on;
+    # the tables still load bit for bit
+    path = tmp_path / "model.json"
+    gen, rec, ref = _distinct_instance()
+    save_models(path, gen, rec, ref)
+    restarts = []
+    rows_of = model._rows_of
+
+    def counting_rows_of(text, stop, index_of):
+        got = rows_of(text, stop, index_of)
+        restarts.append(not index_of)
+        return got
+
+    monkeypatch.setattr(model, "_BLOCK_CHARS", 1 << 12)
+    monkeypatch.setattr(model, "_rows_of", counting_rows_of)
+    _, got, _ = load_models(path)
+    assert sum(restarts) > 2 * len(REC_FACTORS)
+    for name in REC_FACTORS:
+        assert np.array_equal(bits(got.tables[name]), bits(rec.tables[name]))
+
+
 # Value texts json reads as integers; "-0" is the integer 0, so 0.0, not -0.0.
 INTEGER_TEXTS = ["-0", "0", "7", "-3", "100"]
 
@@ -729,43 +755,30 @@ def test_parse_rows_matches_json_loads(data, child_dim, chunk_chars, runs):
     assert np.array_equal(bits(got), bits(want))
 
 
-def row_blocks(rows, chunk_chars):
-    """The rows of each block _read_bundle reads from ROWS_PREFIX + b"[" +
-    b", ".join(rows) + b"]}" in chunks of chunk_chars bytes: once a chunk is
-    read, the rows whose "], [" it completes are one block, but the chunk
-    that holds the closing "}" ends the array, so its block runs to "]]"
-    and holds the last row too."""
-    def chunk_of(n_bytes):
-        return -(-n_bytes // chunk_chars)
-
-    blocks, pos = {}, len(ROWS_PREFIX) + 1  # where the next row starts
-    for row in rows[:-1]:
-        pos += len(row) + 2
-        blocks.setdefault(chunk_of(pos + 1), []).append(row)
-    blocks.setdefault(chunk_of(pos + len(rows[-1]) + 2), []).append(rows[-1])
-    return list(blocks.values())
-
-
-def test_parse_rows_converts_each_distinct_row_of_a_block_once(monkeypatch):
-    # repeated rows span several blocks, beside a run of fresh rows; each
-    # block hands its distinct rows, once each, to one _rows_block call
-    repeated = [b"[-0, 0.25]", b"[0.5, -0.0]", b"[1, 0.0]"] * 40
+def test_parse_rows_converts_each_distinct_row_of_an_array_once(monkeypatch):
+    # repeated rows span several blocks, beside a run of fresh rows; while
+    # the array's distinct rows fit its row dictionary (about half a chunk),
+    # each is converted once, in the _rows_block call of the block it first
+    # shows in; in smaller chunks the dictionary starts over, and a call
+    # converts only rows new to it
+    repeated = [b"[-0, 0.25]", b"[0.5, -0.0]", b"[1, 0.0]"] * 100
     fresh = [b"[%d.5, -0]" % i for i in range(40)]
-    rows = repeated + fresh + repeated
-    text = b"[" + b", ".join(rows) + b"]"
+    rows = [r[1:-1] for r in repeated + fresh + repeated]
+    text = b"[[" + b"], [".join(rows) + b"]]"
     want = np.array(json.loads(text), dtype=float)
     rows_block = model._rows_block
-    for chunk_chars in (1, 7, 100, 1 << 20):
+    for chunk_chars in (1, 7, 100, 2048, 1 << 20):
         calls = []
         monkeypatch.setattr(model, "_rows_block",
-                            lambda block, k: calls.append(block) or rows_block(block, k))
+                            lambda block, k: calls.append(block[1:-1].split(b"], ["))
+                            or rows_block(block, k))
         assert np.array_equal(bits(read_rows(text, 2, chunk_chars)), bits(want))
-        blocks = row_blocks(rows, chunk_chars)
-        assert len(calls) == len(blocks)
-        assert len(blocks) > 1 or chunk_chars > len(text)  # one chunk, one block
-        for block, call in zip(blocks, calls):
-            assert call[:1] == b"[" and call[-1:] == b"]"
-            assert call[1:-1].split(b"], [") == list(dict.fromkeys(r[1:-1] for r in block))
+        assert all(len(set(call)) == len(call) for call in calls)
+        if chunk_chars >= 2048:
+            assert sum(calls, []) == list(dict.fromkeys(rows))
+            assert (len(calls) > 1) is (chunk_chars < len(text))
+        else:
+            assert sum(map(len, calls)) > len(set(rows))
 
 
 def test_parse_rows_reads_integers_as_json_does():
