@@ -24,14 +24,14 @@ adjoint and the Bellman backup index the successors' values by it.
 Every derived per-tick array has one cache rule (`_kept`): it is built on
 first use and kept, read-only, in the `pieces` of the model it derives
 from. The generative half of the per-tick pieces (prior, marg;
-`generative_pieces`) and the model-only log tables of the edge cost
-(-log R and -log lik per latent tuple) are kept on their generative or
-reference model. The recognition half (belief, cost, ev, and the chain
-matrix Qc on first use by `recognition_chain`) is kept on the recognition
-model for the last (gen, ref) pair it was built with, so the rate, the
-halving check and the gradient of one parameter set share one build; the
-belief, which reads the recognition model alone, outlives a switch of
-that pair.
+`generative_pieces`), the policy-embedded transition matrix P and the
+model-only log tables of the edge cost (-log R and -log lik per latent
+tuple) are kept on their generative or reference model. The recognition
+half (belief, cost, ev, and the chain matrix Qc on first use by
+`recognition_chain`) is kept on the recognition model for the last (gen,
+ref) pair it was built with, so the rate, the halving check and the
+gradient of one parameter set share one build; the belief, which reads
+the recognition model alone, outlives a switch of that pair.
 Models are read-only, so nothing kept goes stale; a caller bounds memory
 by the lifetime of its models. `tick_pieces` is the one place that wires
 the two halves: prior -> belief -> marginal -> edge cost.
@@ -252,11 +252,15 @@ def _over_successors(spec, oal):
 
 
 def transition_matrix(gen, tick):
-    """One-step matrix P[x, x'] of the policy-embedded model, shape (N, N)."""
-    prior = generative_pieces(gen, tick)["prior"]
-    t4 = _product("xl,lo,loa->xoal", prior, lik_over_latents(gen),
-                  pol0_over_latents(gen))
-    return _over_successors(gen.spec, t4)
+    """One-step matrix P[x, x'] of the policy-embedded model, shape (N, N),
+    kept in `gen.pieces` under ("P", tick)."""
+    def build():
+        prior = generative_pieces(gen, tick)["prior"]
+        t4 = _product("xl,lo,loa->xoal", prior, lik_over_latents(gen),
+                      pol0_over_latents(gen))
+        return _over_successors(gen.spec, t4)
+
+    return _kept(gen.pieces, ("P", tick), gen.spec, build)
 
 
 def transition_row(gen, x, tick):

@@ -39,7 +39,7 @@ _SCORE_ROLLOUTS = 256
 _ROLLOUT_BLOCK = 1000
 
 # rollouts per block of _sample_paths, which bounds its (block, N) gather
-_SAMPLE_BLOCK = 1024
+_SAMPLE_BLOCK = 256
 
 # central-difference step of fd_gradients, and the magnitude below which
 # gradient_relative_error compares absolute differences
@@ -270,8 +270,7 @@ def greedy_rollout_rate(gen, rec, ref, value, x0, steps, seed):
     ops = _BellmanOps(gen, rec, ref)
     mats, _ = ops.greedy_operators(np.asarray(value.greedy))
     period = ops.period
-    cums = [np.cumsum(mat, axis=1) for mat in mats]
-    path = _sample_paths([cums[t % period] for t in range(steps)], x0.flat(gen.spec),
+    path = _sample_paths([mats[t % period] for t in range(steps)], x0.flat(gen.spec),
                          1, np.random.default_rng(seed))[:, 0]
     vals = np.empty(steps)
     for p in range(period):
@@ -327,21 +326,32 @@ def kl_qstar_identity(gen, value, x, t=0):
 # Monte Carlo path-integral value and the differential free energy
 
 
-def _sample_paths(cums, x0, n_rollouts, rng):
+def _sample_paths(mats, x0, n_rollouts, rng):
     """Seeded state paths of n_rollouts rollouts from the flat state x0, one
-    step per row-CDF matrix in `cums`: a (len(cums) + 1, n_rollouts) array.
-    Each step takes, per rollout, the first state whose CDF exceeds its
-    uniform u, as sample_categorical does, _SAMPLE_BLOCK rollouts at a time.
-    A CDF row does not decrease, so that state is the count of the row's
-    entries but the last that are <= u, and a row that sums below 1 clamps
-    to the last state. One rng.random call draws every step's uniforms, row
-    t for step t: the stream of one call per step."""
-    paths = np.empty((len(cums) + 1, n_rollouts), dtype=np.intp)
+    step per transition matrix in `mats`: a (len(mats) + 1, n_rollouts)
+    array. Each step takes, per rollout, the first state whose CDF exceeds
+    its uniform u, as sample_categorical does, _SAMPLE_BLOCK rollouts at a
+    time. A CDF row does not decrease, so that state is the count of the
+    row's entries but the last that are <= u, and a row that sums below 1
+    clamps to the last state. A matrix's CDF row (np.cumsum, as
+    sample_categorical takes it) is taken once per state a rollout leaves.
+    One rng.random call draws every step's uniforms, row t for step t: the
+    stream of one call per step."""
+    paths = np.empty((len(mats) + 1, n_rollouts), dtype=np.intp)
     paths[0] = x0
-    for t, (cum, u) in enumerate(zip(cums, rng.random((len(cums), n_rollouts)))):
+    cdfs = {}  # id of a matrix -> (each state's CDF row, -1 until needed; the rows)
+    for t, (mat, u) in enumerate(zip(mats, rng.random((len(mats), n_rollouts)))):
+        row_of, cum = cdfs.get(id(mat)) or (np.full(len(mat), -1), np.empty((0, len(mat))))
+        at = row_of[paths[t]]
+        if at.min() < 0:
+            new = np.unique(paths[t][at < 0])
+            row_of[new] = np.arange(len(cum), len(cum) + len(new))
+            cum = np.concatenate([cum, np.cumsum(mat[new], axis=1)])
+            at = row_of[paths[t]]
+        cdfs[id(mat)] = row_of, cum
         for i in range(0, n_rollouts, _SAMPLE_BLOCK):
             block = slice(i, i + _SAMPLE_BLOCK)
-            paths[t + 1, block] = (cum[paths[t, block], :-1] <= u[block, None]).sum(axis=1)
+            paths[t + 1, block] = (cum[at[block], :-1] <= u[block, None]).sum(axis=1)
     return paths
 
 
@@ -350,13 +360,11 @@ def _rollout_path_costs(gen, rec, ref, x0, T, rate, mode, n_rollouts, seed):
     x0: their (T + 1, n_rollouts) state paths and (T, n_rollouts) step
     costs less the rate."""
     spec = gen.spec
-    cums, costs = {}, {}
+    mats, costs = {}, {}
     for tick in (True, False):
-        mat, costs[tick] = chains.rollout_density(gen, rec, ref, tick, mode)
-        cums[tick] = np.cumsum(mat, axis=1)
-    del mat  # not kept alive beside the rollouts' (block, N) temporaries
+        mats[tick], costs[tick] = chains.rollout_density(gen, rec, ref, tick, mode)
     ticks = _step_ticks(spec, T)
-    paths = _sample_paths([cums[tick] for tick in ticks], x0.flat(spec), n_rollouts,
+    paths = _sample_paths([mats[tick] for tick in ticks], x0.flat(spec), n_rollouts,
                           np.random.default_rng(seed))
     step_costs = np.empty((T, n_rollouts))
     for t, tick in enumerate(ticks):

@@ -25,6 +25,7 @@ explicit numpy Generator so parallel callers use independent streams.
 import itertools
 import json
 import math
+import re
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
@@ -349,9 +350,9 @@ class GenerativeModel(_TableModel):
     pol1: ConditionalTable   # (s1, a2) -> a1
     pol2: ConditionalTable   # (s2,) -> a2
     # derived arrays kept by chains on first use: the generative half of the
-    # per-tick pieces (tick -> {"prior", "marg"}) and -log lik over latents
-    # ("neg_log_lik"). The tables are read-only, so it cannot go stale;
-    # dataclasses.replace starts empty.
+    # per-tick pieces (tick -> {"prior", "marg"}), the transition matrix
+    # (("P", tick)) and -log lik over latents ("neg_log_lik"). The tables
+    # are read-only, so it cannot go stale; dataclasses.replace starts empty.
     pieces: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -730,6 +731,11 @@ _ROW_CHARS = b"0123456789.eE+-NaInfity[], "
 
 _ROWS_KEY = b'"rows": [['
 
+# The "dims" list save_models writes just before a recognition factor's
+# rows: dims[3:-1] span one (x_prev, o, a) context, a piece of the reader's.
+# It is only a hint, and is not checked.
+_DIMS_BEFORE_ROWS = re.compile(rb'"dims": \[(\d+(?:, \d+)*)\], \Z')
+
 
 def _rows_block(block, child_dim):
     """Values of b"[v, v], [v, v]" (whole rows of child_dim values each) as a
@@ -764,24 +770,42 @@ def _rows_block(block, child_dim):
     return values
 
 
-def _rows_of(text, stop, index_of):
-    """The rows of text[1:stop] (text starts at a row's "[") through index_of,
-    their array's row dictionary (row text -> index): the rows new to it,
-    converted once in first-seen order, and each row's index; None if not
-    laid out as json.dump writes them, as when a row holds a "]". Once its
-    rows fill about half a chunk (_BLOCK_CHARS), the dictionary starts over,
-    its indices counting on: that bounds it when rows barely repeat."""
-    rows = text[1:stop].split(b"], [")
-    known = len(index_of)
-    index = np.fromiter(map(index_of.__getitem__, rows), np.int32, len(rows))
-    width = rows[0].count(b",") + 1
+def _rows_of(text, stop, index_of, piece_of, cuts):
+    """The rows of text[1:stop] (text starts at a row's "[") through their
+    array's row dictionary index_of (row text -> index) and piece dictionary
+    piece_of (piece text -> its rows' int32 indices): the rows new to
+    index_of, converted once in first-seen order, and each row's index; None
+    if not laid out as json.dump writes them, as when a row holds a "]".
+    The text is cut into pieces after the "]"s the slice `cuts` picks that
+    ", [" follows; only a piece new to piece_of is split into rows, so any
+    cuts give the same result. Once its rows fill about half a chunk
+    (_BLOCK_CHARS), index_of starts over, its indices counting on, and
+    piece_of with it; piece_of also starts over once its pieces fill about
+    two chunks. That bounds both when rows or pieces barely repeat."""
+    ends = np.flatnonzero(np.frombuffer(text, np.uint8, stop) == ord("]"))[cuts].tolist()
+    ends = [end for end in ends if text.startswith(b"], [", end)]
+    starts = [1] + [end + 4 for end in ends]
+    known, parts = len(index_of), []
+    for piece in map(text.__getitem__, map(slice, starts, ends + [stop])):
+        part = piece_of.get(piece)
+        if part is None:
+            rows = piece.split(b"], [")
+            part = piece_of[piece] = np.fromiter(map(index_of.__getitem__, rows), np.int32,
+                                                 len(rows))
+        parts.append(part)
+    index = np.concatenate(parts)
+    first = text.find(b"], [", 1, stop)
+    width = text.count(b",", 1, first if first >= 0 else stop) + 1
     new = b"], [".join(itertools.islice(index_of, known, None))
     try:
         values = _rows_block(b"[%b]" % new, width) if len(index_of) > known else np.empty(0)
     except ValueError:
         return None
-    if 2 * len(index_of) * stop >= _BLOCK_CHARS * len(rows):
+    if 2 * len(index_of) * stop >= _BLOCK_CHARS * len(index):
         index_of.clear()
+        piece_of.clear()
+    elif len(piece_of) * stop >= 2 * _BLOCK_CHARS * len(parts):
+        piece_of.clear()
     return values.reshape(-1, width), index
 
 
@@ -789,8 +813,10 @@ def _gather(arrays, mark, width, name):
     """The rows array `mark` stands for, row-indexed: its blocks' new rows
     joined into one (R, width) float array, and its blocks' int32 indices
     into them joined; a ValueError naming table `name` unless its rows are
-    lists of `width` numbers laid out as json.dump writes them."""
-    blocks = arrays[int(mark[1:])] if isinstance(mark, str) and mark[:1] == "\0" else [None]
+    lists of `width` numbers laid out as json.dump writes them. The blocks
+    leave `arrays` as they are gathered."""
+    marked = isinstance(mark, str) and mark[:1] == "\0"
+    blocks = arrays.pop(int(mark[1:])) if marked else [None]
     if any(block is None or block[0].shape[1] != width for block in blocks):
         raise ValueError(f"table {name}: bundle rows are not lists of {width} numbers "
                          "laid out as json.dump writes them")
@@ -800,37 +826,46 @@ def _gather(arrays, mark, width, name):
 def _read_bundle(fh):
     """Read the bundle in the binary file fh, _BLOCK_CHARS bytes at a time:
     the envelope, parsed by json with the i-th rows array replaced by the
-    string "\\0<i>", and each array's blocks (_rows_of, through one row
-    dictionary per array), a chunk's whole rows with its partial last row
-    carried over. An array's end, "]]", is searched for only before the
-    first "}" of the text: a rows array holds none, and its table's object
-    closes after it.
+    string "\\0<i>", and each array's blocks, keyed by i: a chunk's whole
+    rows, its partial last row carried over, read by _rows_of through one
+    row dictionary and one piece dictionary per array. A piece is the rows
+    of one (x_prev, o, a) context, counted from the array's first row, as
+    many as the "dims" list before the array gives (else one). An array's
+    end, "]]", is searched for only before the first "}" of the text: a
+    rows array holds none, and its table's object closes after it.
     """
-    pieces, arrays, blocks, text = [], [], None, b""
+    parts, arrays, blocks, text = [], {}, None, b""
     for chunk in iter(lambda: fh.read(_BLOCK_CHARS), b""):
         text += chunk
         while blocks is not None or (key := text.find(_ROWS_KEY)) >= 0:
             if blocks is None:  # a rows array starts
-                pieces += [text[:key + len(_ROWS_KEY) - 2], b'"\\u0000%d"' % len(arrays)]
-                blocks, text = [], text[key + len(_ROWS_KEY) - 1:]
-                arrays.append(blocks)
+                dims = _DIMS_BEFORE_ROWS.search(b"".join(parts) + text[:key])
+                size = max(math.prod(map(int, dims[1].split(b", ")[3:-1])), 1) if dims else 1
+                parts += [text[:key + len(_ROWS_KEY) - 2], b'"\\u0000%d"' % len(arrays)]
+                blocks, text, seen = [], text[key + len(_ROWS_KEY) - 1:], 0
+                arrays[len(arrays)] = blocks
                 index_of = defaultdict(itertools.count().__next__)  # row text -> index
+                piece_of = {}  # piece text -> its rows' indices
             brace = text.find(b"}")
             end = text.find(b"]]", 0, brace) if brace >= 0 else -1
             stop = end if end >= 0 else text.rfind(b"], [")
             if stop < 0:
                 break
-            blocks.append(_rows_of(text, stop, index_of))
+            # cut after each context's last row: every size-th from the array's first
+            cuts = slice((-seen - 1) % size, None, size)
+            block = _rows_of(text, stop, index_of, piece_of, cuts)
+            blocks.append(block)
+            seen += 0 if block is None else len(block[1])
             if end >= 0:  # the array ends with this block
                 blocks, text = None, text[end + 2:]
             else:
                 text = text[stop + 3:]
         else:  # the envelope, but for a rows key the chunk may have cut
-            pieces.append(text[:-len(_ROWS_KEY)])
+            parts.append(text[:-len(_ROWS_KEY)])
             text = text[-len(_ROWS_KEY):]
     if blocks is not None:
         raise ValueError("model bundle ends inside a rows array")
-    envelope = b"".join(pieces) + text
+    envelope = b"".join(parts) + text
     # with no escape but the markers', no other string can hold a NUL
     if envelope.count(b"\\") != len(arrays):
         raise ValueError("model bundle envelope holds an escaped string")

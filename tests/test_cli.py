@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ascontrol import cli, control, model, sim
+from ascontrol import chains, cli, control, model, sim
 from ascontrol.errors import NonFiniteObjectiveError
 from ascontrol.instances import hard_zero_instance, random_instance
 from ascontrol.model import (CompleteState, ConditionalTable, ReferenceModel, load_models,
@@ -79,6 +79,52 @@ def test_loading_converts_each_distinct_row_of_an_array_once(model_file, monkeyp
 def test_seed3_load_holds_each_factors_distinct_rows(model_file):
     _, rec, _ = load_models(model_file)
     assert tuple(len(rec.rows[name]) for name in model.REC_FACTORS) == (129, 139, 515, 491)
+
+
+def test_loading_splits_each_distinct_piece_of_an_array_once(model_file, monkeypatch):
+    # a recognition factor's rows repeat by (x_prev, o, a) context: its
+    # pieces of 7, 14, 28 and 84 rows (s2, a2, s1, a1), cut from the array's
+    # first row and at block edges, have a few hundred distinct texts; each
+    # array's piece dictionary never starts over and ends holding every one
+    # of them, so each is split into rows once
+    sizes = [1] * 8 + [7, 14, 28, 84]   # the conditional tables, then s2 .. a1
+    arrays, rows_of = [], model._rows_of
+
+    def watching_rows_of(text, stop, index_of, piece_of, cuts):
+        if not arrays or arrays[-1][0] is not piece_of:
+            arrays.append((piece_of, set(), [0]))
+        _, pieces, seen = arrays[-1]
+        size, held = sizes[len(arrays) - 1], set(piece_of)
+        rows = text[1:stop].split(b"], [")
+        for i in range(-seen[0] % size - size, len(rows), size):
+            pieces.add(b"], [".join(rows[max(i, 0):i + size]))
+        pieces.discard(b"")
+        seen[0] += len(rows)
+        got = rows_of(text, stop, index_of, piece_of, cuts)
+        assert held <= set(piece_of)
+        return got
+
+    monkeypatch.setattr(model, "_rows_of", watching_rows_of)
+    load_models(model_file)
+    assert len(arrays) == len(sizes)
+    assert all(set(piece_of) == pieces for piece_of, pieces, _ in arrays)
+    assert [len(piece_of) for piece_of, _, _ in arrays[8:]] == [133, 134, 212, 254]
+
+
+def test_pi_value_builds_each_ticks_transition_matrix_once(model_file, monkeypatch, capsys):
+    # the exact rate and the rollouts read one matrix per tick, kept on the
+    # generative model
+    builds, product = [], chains._product
+
+    def counting_product(subscripts, *ops):
+        builds.append(subscripts)
+        return product(subscripts, *ops)
+
+    monkeypatch.setattr(chains, "_product", counting_product)
+    assert cli.main(["pi-value", "--model", str(model_file), "--rollouts", "100",
+                     "--horizon", "3", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["rollouts"] == 100
+    assert builds.count("xl,lo,loa->xoal") == 2
 
 
 def test_simulate_byte_identical(model_file, tmp_path):

@@ -321,7 +321,7 @@ def test_rollout_sampler_blocks_match_the_one_shot_draw():
     mats[:, x0] *= 0.5                             # a row that sums below 1
     cums = list(np.cumsum(mats, axis=2)) * 2
     n_rollouts = 2 * control._SAMPLE_BLOCK + 17
-    got = control._sample_paths(cums, x0, n_rollouts, np.random.default_rng(9))
+    got = control._sample_paths(list(mats) * 2, x0, n_rollouts, np.random.default_rng(9))
     r = np.random.default_rng(9).random((len(cums), n_rollouts))
     want = [np.full(n_rollouts, x0)]
     for cum, u in zip(cums, r):
@@ -372,7 +372,7 @@ def test_rollout_sampler_draws_as_sample_categorical(data, n, T, seed, stub):
     rng, want = generator(), [x0]
     for m in mats:
         want.append(sample_categorical(m[want[-1]], rng))
-    got = control._sample_paths(cums, x0, 1, generator())
+    got = control._sample_paths(mats, x0, 1, generator())
     assert got.shape == (T + 1, 1)
     assert got[:, 0].tolist() == want
 

@@ -19,7 +19,9 @@ which plans it once per shape; both take literal subscripts. Draws: a
 categorical draw inverts a CDF in one of two places, `model.sample_categorical`
 for one draw and `control._sample_paths` for rollouts, so no other package
 code calls `searchsorted` or draws uniforms with `.random(` (but for
-`instances.py`, whose `zero_some` masks entries at random).
+`instances.py`, whose `zero_some` masks entries at random). Conversion: the
+bundle reader turns row text into floats in one place, `model._rows_block`,
+which no package code but `model._rows_of` names.
 """
 
 import ast
@@ -279,3 +281,36 @@ def test_draw_checker_flags_stray_sites():
                          ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_categorical_draws_go_through_the_inverse_cdf_sites(path):
     assert stray_draws(path.read_text()) == []
+
+
+# the function that converts a bundle's row text to floats, and the one
+# function that calls it
+CONVERSION = "_rows_block"
+CONVERSION_SITES = ("_rows_of",)
+
+
+def stray_uses(source, name, sites):
+    """(line, use) of each use of the function `name` in `source`, by its
+    name or as an attribute, outside the defs in `sites`."""
+    tree = ast.parse(source)
+    inside = {id(node) for site in ast.walk(tree)
+              if isinstance(site, DEFS) and site.name in sites
+              for node in ast.walk(site)}
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+                  if id(node) not in inside
+                  and (isinstance(node, ast.Name) and node.id == name
+                       or isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def test_conversion_checker_flags_stray_sites():
+    source = ("def _rows_block(block, k):\n    return block\n"
+              "def _rows_of(text):\n    return _rows_block(text, 2)\n"
+              "def _gather(blocks):\n    return list(map(_rows_block, blocks))\n"
+              "convert = model._rows_block\n")
+    assert stray_uses(source, CONVERSION, CONVERSION_SITES) == [
+        (6, "_rows_block"), (7, "model._rows_block")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_row_text_is_converted_in_one_place(path):
+    assert stray_uses(path.read_text(), CONVERSION, CONVERSION_SITES) == []

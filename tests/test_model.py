@@ -690,8 +690,8 @@ def test_load_of_distinct_rows_restarts_the_row_dictionary(tmp_path, monkeypatch
     restarts = []
     rows_of = model._rows_of
 
-    def counting_rows_of(text, stop, index_of):
-        got = rows_of(text, stop, index_of)
+    def counting_rows_of(text, stop, index_of, piece_of, cuts):
+        got = rows_of(text, stop, index_of, piece_of, cuts)
         restarts.append(not index_of)
         return got
 
@@ -703,6 +703,30 @@ def test_load_of_distinct_rows_restarts_the_row_dictionary(tmp_path, monkeypatch
         assert np.array_equal(bits(got.tables[name]), bits(rec.tables[name]))
 
 
+def test_load_of_distinct_rows_holds_one_factors_blocks_at_a_time(tmp_path, monkeypatch):
+    # every recognition row is distinct, so a factor's blocks are as large
+    # as its rows; each array's blocks are released as it is gathered, so
+    # the load's peak is the loaded model, the blocks and rows of the factor
+    # being gathered, and a few chunks, not every factor's blocks beside
+    # the gathered rows
+    path = tmp_path / "model.json"
+    save_models(path, *_distinct_instance())
+    monkeypatch.setattr(model, "_BLOCK_CHARS", 1 << 16)
+    tracemalloc.start()
+    try:
+        gen, rec, ref = load_models(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = (sum(rec.sentinel[k].nbytes + rec.index[k].nbytes + rec.rows[k].nbytes
+                for k in REC_FACTORS)
+            + sum(getattr(m, name).probs.nbytes
+                  for m in (gen, ref) for name in m.table_names))
+    largest = max(rec.rows[k].nbytes for k in REC_FACTORS)
+    assert largest < sum(rec.rows[k].nbytes for k in REC_FACTORS) / 2
+    assert peak < held + largest + 8 * model._BLOCK_CHARS
+
+
 # Value texts json reads as integers; "-0" is the integer 0, so 0.0, not -0.0.
 INTEGER_TEXTS = ["-0", "0", "7", "-3", "100"]
 
@@ -710,12 +734,21 @@ INTEGER_TEXTS = ["-0", "0", "7", "-3", "100"]
 ROWS_PREFIX = b'{"rows": '
 
 
-def read_rows(text, child_dim, chunk_chars):
+# A pattern no text matches: in its place, the reader finds no dims and cuts
+# pieces of one row.
+NO_DIMS = re.compile(rb"(?!)")
+
+
+def read_rows(text, child_dim, chunk_chars, dims=None):
     """The rows array `text` as load_models reads it: from the bundle
-    {"rows": text}, in chunks of chunk_chars bytes, gathered child_dim wide;
-    ValueError if load_models would reject it."""
+    {"rows": text}, or {"dims": dims, "rows": text} as a recognition
+    factor's array is written (its dims give the reader its piece size), in
+    chunks of chunk_chars bytes, gathered child_dim wide; ValueError if
+    load_models would reject it."""
+    prefix = (ROWS_PREFIX if dims is None
+              else b'{"dims": %b, "rows": ' % json.dumps(dims).encode())
     with mock.patch.object(model, "_BLOCK_CHARS", chunk_chars):
-        doc, arrays = model._read_bundle(io.BytesIO(ROWS_PREFIX + text + b"}"))
+        doc, arrays = model._read_bundle(io.BytesIO(prefix + text + b"}"))
     values, index = model._gather(arrays, doc["rows"], child_dim, "rows")
     return values[index]
 
@@ -753,6 +786,73 @@ def test_parse_rows_matches_json_loads(data, child_dim, chunk_chars, runs):
     want = np.array(json.loads(text), dtype=float).reshape(len(rows), child_dim)
     assert got.shape == want.shape
     assert np.array_equal(bits(got), bits(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       child_dim=st.integers(min_value=1, max_value=3),
+       piece_rows=st.integers(min_value=1, max_value=4),
+       n_pieces=st.integers(min_value=1, max_value=12),
+       chunk_chars=st.integers(min_value=1, max_value=96))
+def test_parse_rows_by_pieces_matches_json_loads(data, child_dim, piece_rows, n_pieces,
+                                                 chunk_chars):
+    # a recognition factor's array: n_pieces contexts of piece_rows rows
+    # each, drawn from a few piece texts (read whole once seen) and fresh
+    # ones, read in chunks that cut inside pieces, separators and "]]"; its
+    # dims are the array's or give another piece size; whatever the piece
+    # size, the reader gives the rows of json.loads, and the rows and row
+    # index of the row-by-row read (pieces of one row), bit for bit
+    value = st.floats().map(json.dumps) | st.sampled_from(
+        [json.dumps(v) for v in AWKWARD_FLOATS[:4]] + INTEGER_TEXTS[:2])
+    row = st.lists(value, min_size=child_dim, max_size=child_dim).map(", ".join)
+    piece = st.lists(row, min_size=piece_rows, max_size=piece_rows)
+    pool = data.draw(st.lists(piece, min_size=1, max_size=3))
+    rows = sum(data.draw(st.lists(st.sampled_from(pool) | piece, min_size=n_pieces,
+                                  max_size=n_pieces)), [])
+    text = ("[" + ", ".join(f"[{r}]" for r in rows) + "]").encode()
+    dims = data.draw(st.sampled_from([
+        [n_pieces, 1, 1, piece_rows, child_dim],
+        [1, 1, 1, n_pieces * piece_rows, child_dim],
+        [n_pieces * piece_rows, 1, 1, child_dim],
+        [n_pieces, 1, 1, piece_rows + 1, 2, child_dim]]))
+    gathered, gather = [], model._gather
+
+    def keeping_gather(*args):
+        gathered.append(gather(*args))
+        return gathered[-1]
+
+    with mock.patch.object(model, "_gather", keeping_gather):
+        got = read_rows(text, child_dim, chunk_chars, dims)
+        with mock.patch.object(model, "_DIMS_BEFORE_ROWS", NO_DIMS):
+            read_rows(text, child_dim, chunk_chars, dims)
+    want = np.array(json.loads(text), dtype=float).reshape(len(rows), child_dim)
+    assert np.array_equal(bits(got), bits(want))
+    (values, index), (row_values, row_index) = gathered
+    assert np.array_equal(bits(values), bits(row_values))
+    assert np.array_equal(index, row_index)
+
+
+def test_parse_rows_splits_pieces_that_do_not_repeat_within_a_bound():
+    # the rows repeat (four texts) but the pieces, 16 rows each, do not: the
+    # piece dictionary starts over on its own once its pieces fill about two
+    # chunks, so beside the bundle's text the load holds the row index, the
+    # gathered rows and a few chunks, not every piece's text (0.8 MB here)
+    rng = np.random.default_rng(0)
+    pool = [b"0.5, 0.5", b"0.25, 0.75", b"1.0, 0.0", b"0.0, 1.0"]
+    n_pieces, piece_rows, chunk = 4000, 16, 1 << 14
+    rows = [pool[k] for k in rng.integers(0, 4, size=n_pieces * piece_rows)]
+    text = b"[[" + b"], [".join(rows) + b"]]"
+    assert len(set(zip(*[iter(rows)] * piece_rows))) == n_pieces
+    tracemalloc.start()
+    try:
+        got = read_rows(text, 2, chunk, [n_pieces, 1, 1, piece_rows, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = np.array(json.loads(text), dtype=float)
+    assert np.array_equal(bits(got), bits(want))
+    assert len(text) > 32 * chunk
+    assert peak < len(text) + 2 * 4 * len(rows) + got.nbytes + 8 * chunk
 
 
 def test_parse_rows_converts_each_distinct_row_of_an_array_once(monkeypatch):
@@ -808,13 +908,15 @@ def test_parse_rows_reads_integers_as_json_does():
 def test_parse_rows_rejects_other_layouts(text):
     body = text[1:-1]
     good = b"[0.5, 0.5]"
-    # as given, the bad rows repeated, and the bad rows first met in a later
-    # block, after blocks of one repeated good row
-    for variant in (text, b"[" + b", ".join([body] * 50) + b"]",
-                    b"[" + b", ".join([good] * 50 + [body] * 3) + b"]"):
+    # as given, the bad rows repeated, the bad rows first met in a later
+    # block, after blocks of one repeated good row, and, in pieces of two
+    # rows, first met in a later piece after 25 of one repeated piece
+    for variant, dims in ((text, None), (b"[" + b", ".join([body] * 50) + b"]", None),
+                          (b"[" + b", ".join([good] * 50 + [body] * 3) + b"]", None),
+                          (b"[" + b", ".join([good] * 51 + [body]) + b"]", [26, 1, 1, 2, 2])):
         for chunk_chars in range(1, 257):
             with pytest.raises(ValueError):
-                read_rows(variant, 2, chunk_chars)
+                read_rows(variant, 2, chunk_chars, dims)
 
 
 def chunk_sizes_cutting(text, tokens):
@@ -911,3 +1013,58 @@ def test_loader_rejects_other_text(tmp_path, edit):
     path.write_text(edit(text))
     with pytest.raises(ValueError):
         load_models(path)
+
+
+def edit_dims(name, change):
+    """An edit of a bundle's text that replaces the dims list of table
+    `name` by change(dims)."""
+    def edit(text):
+        return re.sub(rf'"{name}": {{"dims": (\[[\d, ]*\])',
+                      lambda m: f'"{name}": {{"dims": {json.dumps(change(json.loads(m[1])))}',
+                      text, count=1)
+    return edit
+
+
+def load_outcome(path):
+    """The tables load_models(path) gives, or the type and message of its
+    error."""
+    try:
+        gen, rec, ref = load_models(path)
+    except (ValueError, DimensionMismatchError) as exc:
+        return type(exc), str(exc)
+    return ([getattr(m, name).probs for m in (gen, ref) for name in m.table_names]
+            + [rec.tables[name] for name in REC_FACTORS])
+
+
+@pytest.mark.parametrize("chunk_chars", [1 << 20, 97])
+@pytest.mark.parametrize("edit,loads", [
+    (lambda text: re.sub(r'"child": (\d+), "rows"', r'"child": \1, "dims": [1, 1, 1, 3, \1], '
+                         '"rows"', text, count=1), True),
+    (lambda text: re.sub(r'"rec_a1": \{("dims": \[[\d, ]*\]), ("rows": \[\[.*?\]\])\}',
+                         r'"rec_a1": {\2, \1}', text, count=1, flags=re.S), True),
+    (edit_dims("rec_s1", lambda d: [d[0] // 2, d[1], d[2], 2, *d[3:]]), False),
+    (edit_dims("rec_s2", lambda d: d[:3] + [0] + d[4:]), False),
+    (edit_dims("rec_a2", lambda d: d[:3] + [10 ** 30] + d[4:]), False),
+    (lambda text: re.sub(r'"rec_s1": \{"dims": \[[\d, ]*\], ', '"rec_s1": {', text), False),
+], ids=["conditional-dims", "dims-after-rows", "reshaped-dims", "zero-dims", "huge-dims",
+        "no-dims"])
+def test_load_reads_dims_as_a_hint_only(tmp_path, monkeypatch, edit, loads, chunk_chars):
+    # the "dims" list just before a rows key gives the reader its piece
+    # size; where it is on a table that has none, comes after the rows, lies
+    # or is missing, the load gives what the row-by-row read (pieces of one
+    # row) gives: the same tables, bit for bit, or the same error
+    path = tmp_path / "model.json"
+    save_models(path, *random_instance(9))
+    text = path.read_text()
+    assert edit(text) != text
+    path.write_text(edit(text))
+    monkeypatch.setattr(model, "_BLOCK_CHARS", chunk_chars)
+    got = load_outcome(path)
+    monkeypatch.setattr(model, "_DIMS_BEFORE_ROWS", NO_DIMS)
+    want = load_outcome(path)
+    assert isinstance(got, list) is loads
+    if loads:
+        assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(got, want, strict=True))
+        assert_load_matches_json(path)
+    else:
+        assert got == want
