@@ -35,6 +35,8 @@ the recognition model alone, outlives a switch of that pair.
 Models are read-only, so nothing kept goes stale; a caller bounds memory
 by the lifetime of its models. `tick_pieces` is the one place that wires
 the two halves: prior -> belief -> marginal -> edge cost.
+P depends on x_prev only through its (s1, s2, a) class: its product runs on
+one prior row per class, with no (N, O, A, L) array, and expands by class.
 
 The recognition half takes a leading candidate axis: on a stack of
 candidates (RecognitionModel.stacked) belief, cost, ev and Qc each gain
@@ -79,6 +81,10 @@ class Lattice:
             (spec.card_o, spec.card_a, spec.n_latents))
         self.state_of_oal = np.argsort(self.oal_of_state).reshape(
             spec.card_o, spec.card_a, spec.n_latents)
+        # each state's (s1, s2, a) class, all of x_prev that nature's factors
+        # read, and one state per class (o = a1 = a2 = 0), in class order
+        self.sa_class = np.ravel_multi_index((self.s1, self.s2, self.a), dims[1:4])
+        self.sa_reps = np.flatnonzero((self.o == 0) & (self.a1 == 0) & (self.a2 == 0))
         # the non-tick slow-latent step: s2' = s2, shape (N, s2')
         self.hold_s2 = np.zeros((n, spec.card_s2))
         self.hold_s2[np.arange(n), self.s2] = 1.0
@@ -253,12 +259,13 @@ def _over_successors(spec, oal):
 
 def transition_matrix(gen, tick):
     """One-step matrix P[x, x'] of the policy-embedded model, shape (N, N),
-    kept in `gen.pieces` under ("P", tick)."""
+    kept in `gen.pieces` under ("P", tick): one row per (s1, s2, a) class of
+    x, expanded by each state's class."""
     def build():
-        prior = generative_pieces(gen, tick)["prior"]
-        t4 = _product("xl,lo,loa->xoal", prior, lik_over_latents(gen),
-                      pol0_over_latents(gen))
-        return _over_successors(gen.spec, t4)
+        lat = Lattice.of(gen.spec)
+        t4 = _product("xl,lo,loa->xoal", generative_pieces(gen, tick)["prior"][lat.sa_reps],
+                      lik_over_latents(gen), pol0_over_latents(gen))
+        return _over_successors(gen.spec, t4)[lat.sa_class]
 
     return _kept(gen.pieces, ("P", tick), gen.spec, build)
 

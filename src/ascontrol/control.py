@@ -38,9 +38,6 @@ _SCORE_ROLLOUTS = 256
 # steps per batch of greedy_rollout_rate's batch-means standard error
 _ROLLOUT_BLOCK = 1000
 
-# rollouts per block of _sample_paths, which bounds its (block, N) gather
-_SAMPLE_BLOCK = 256
-
 # central-difference step of fd_gradients, and the magnitude below which
 # gradient_relative_error compares absolute differences
 _FD_STEP = 1e-5
@@ -165,17 +162,15 @@ class _BellmanOps:
         return p == 0
 
     def backup(self, p, h_next):
-        """One hard-min backup out of phase p: returns (values, argmin) where
-        values[x] = min_u E[cost + h_next(x')]."""
+        """The action values of one hard-min backup out of phase p, shape
+        (u, N): E[cost + h_next(x')] per action tuple u and state x. The
+        backup's values are their min over u, its greedy tuples the argmin."""
         tick = self.tick_of_phase(p)
         base = self.base[tick]
         # expected successor value: sum_{o'} lik * h_next(x'), then one matmul
         # over the world factors (s2', s1') for all action tuples at once
         inner = np.einsum("uso,uosX->uXs", self.lik_u, h_next[self.succ])
-        vals = self.ecost[tick] + inner.reshape(self.n_u, -1) @ base.reshape(
-            base.shape[0], -1).T
-        argmin = np.argmin(vals, axis=0)
-        return vals[argmin, np.arange(self.spec.n_states)], argmin
+        return self.ecost[tick] + inner.reshape(self.n_u, -1) @ base.reshape(len(base), -1).T
 
     def greedy_operators(self, greedy):
         """Transition matrices and expected edge costs of the greedy policy,
@@ -225,20 +220,17 @@ def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000,
     last_resid = np.inf
     check_every = 10
     for it in range(1, max_iter + 1):
-        new = np.empty_like(h)
-        for p in range(period):
-            vals, _ = ops.backup(p, (1.0 - _TAU) * h[(p + 1) % period])
-            new[p] = vals + _TAU * h[p]
+        new = np.array([ops.backup(p, (1.0 - _TAU) * h[(p + 1) % period]).min(axis=0)
+                        for p in range(period)]) + _TAU * h
         new -= new[0, 0]
         delta = float(np.max(np.abs(new - h)))
         h = new
         if delta <= inner_tol or it % check_every == 0 or it == max_iter:
             bias = (1.0 - _TAU) * h
             bias = bias - bias[0, 0]
-            orig = np.empty_like(bias)
-            greedy = np.empty((period, n), dtype=np.intp)
-            for p in range(period):
-                orig[p], greedy[p] = ops.backup(p, bias[(p + 1) % period])
+            values = np.array([ops.backup(p, bias[(p + 1) % period]) for p in range(period)])
+            greedy = values.argmin(axis=1)
+            orig = np.take_along_axis(values, greedy[:, None], axis=1)[:, 0]
             gain = float(orig[0, 0] - bias[0, 0])
             last_resid = float(np.max(np.abs(orig - gain - bias)))
             if last_resid <= tol:
@@ -330,28 +322,29 @@ def _sample_paths(mats, x0, n_rollouts, rng):
     """Seeded state paths of n_rollouts rollouts from the flat state x0, one
     step per transition matrix in `mats`: a (len(mats) + 1, n_rollouts)
     array. Each step takes, per rollout, the first state whose CDF exceeds
-    its uniform u, as sample_categorical does, _SAMPLE_BLOCK rollouts at a
-    time. A CDF row does not decrease, so that state is the count of the
-    row's entries but the last that are <= u, and a row that sums below 1
-    clamps to the last state. A matrix's CDF row (np.cumsum, as
-    sample_categorical takes it) is taken once per state a rollout leaves.
+    its uniform u, by sample_categorical's rule: one np.searchsorted(side=
+    "right") per occupied state, over the uniforms of the rollouts at that
+    state, on the state's CDF row without its last entry, so a row that sums
+    below 1 clamps to the last state. A step whose rollouts all sit in one
+    state skips the grouping. A matrix's CDF row (np.cumsum, as
+    sample_categorical takes it) is formed once per state a rollout leaves.
     One rng.random call draws every step's uniforms, row t for step t: the
     stream of one call per step."""
     paths = np.empty((len(mats) + 1, n_rollouts), dtype=np.intp)
     paths[0] = x0
-    cdfs = {}  # id of a matrix -> (each state's CDF row, -1 until needed; the rows)
+    cdfs = {}  # (id of a matrix, state) -> the state's CDF row but its last entry
     for t, (mat, u) in enumerate(zip(mats, rng.random((len(mats), n_rollouts)))):
-        row_of, cum = cdfs.get(id(mat)) or (np.full(len(mat), -1), np.empty((0, len(mat))))
-        at = row_of[paths[t]]
-        if at.min() < 0:
-            new = np.unique(paths[t][at < 0])
-            row_of[new] = np.arange(len(cum), len(cum) + len(new))
-            cum = np.concatenate([cum, np.cumsum(mat[new], axis=1)])
-            at = row_of[paths[t]]
-        cdfs[id(mat)] = row_of, cum
-        for i in range(0, n_rollouts, _SAMPLE_BLOCK):
-            block = slice(i, i + _SAMPLE_BLOCK)
-            paths[t + 1, block] = (cum[at[block], :-1] <= u[block, None]).sum(axis=1)
+        at = paths[t]
+        if n_rollouts == 1 or (at == at[0]).all():
+            groups = [(int(at[0]), slice(None))]
+        else:
+            order = np.argsort(at)
+            groups = [(int(at[idx[0]]), idx) for idx in
+                      np.split(order, np.flatnonzero(np.diff(at[order])) + 1)]
+        for x, idx in groups:
+            if (cdf := cdfs.get((id(mat), x))) is None:
+                cdf = cdfs[id(mat), x] = np.cumsum(mat[x])[:-1]
+            paths[t + 1, idx] = cdf.searchsorted(u[idx], side="right")
     return paths
 
 

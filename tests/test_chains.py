@@ -9,6 +9,7 @@ fixed contraction plans are checked against np.einsum(..., optimize=True)
 bit for bit.
 """
 
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
@@ -78,6 +79,54 @@ def test_transition_rows_match_dense(inst, tick):
     dense = chains.transition_matrix(gen, tick)
     for x in states(gen.spec):
         assert_close(chains.transition_row(gen, x, tick), dense[x.flat(gen.spec)])
+
+
+def per_state_transition_matrix(gen, tick):
+    """P built one state at a time: each state's own prior row through
+    transition_matrix's product and successor gather, with no class map."""
+    prior = chains.latent_prior(gen, tick)
+    lik, pol0 = chains.lik_over_latents(gen), chains.pol0_over_latents(gen)
+    return np.concatenate([chains._over_successors(
+        gen.spec, chains._product("xl,lo,loa->xoal", prior[x:x + 1], lik, pol0))
+        for x in range(gen.spec.n_states)])
+
+
+def thermostat_model():
+    env, _ = sim.thermostat_env(3, [0, 2])                     # 864 states
+    return sim.thermostat_agent(env, [0, 2], 0)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), cards=st.tuples(*[st.integers(1, 3)] * 6),
+       tick_period=st.integers(1, 3), hard_zero=st.booleans(), tick=st.booleans())
+def test_transition_matrix_is_the_per_state_build(seed, cards, tick_period, hard_zero,
+                                                  tick):
+    make = hard_zero_instance if hard_zero else random_instance
+    gen = make(seed, cards, tick_period)[0]
+    got = chains.transition_matrix(gen, tick)
+    assert np.array_equal(bits(got), bits(per_state_transition_matrix(gen, tick)))
+
+
+@pytest.mark.parametrize("tick", [True, False])
+def test_transition_matrix_is_the_per_state_build_on_the_thermostat(tick):
+    gen = thermostat_model()
+    got = chains.transition_matrix(gen, tick)
+    assert np.array_equal(bits(got), bits(per_state_transition_matrix(gen, tick)))
+
+
+def test_transition_matrix_build_holds_little_beside_its_output():
+    # the product runs on one prior row per (s1, s2, a) class (24 of 864
+    # on the thermostat), so no (N, O, A, L) array is made on the way
+    gen = thermostat_model()
+    chains.generative_pieces(gen, True)                        # kept: not P's
+    tracemalloc.start()
+    try:
+        out = chains.transition_matrix(gen, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 864 * 864 * 8
+    assert peak < 1.5 * out.nbytes, peak
 
 
 @settings(max_examples=30, deadline=None)

@@ -74,7 +74,7 @@ def test_rvi_residual_bound():
     ops = control._BellmanOps(gen, rec, ref)
     worst = 0.0
     for p in range(v.period):
-        vals, _ = ops.backup(p, v.bias[(p + 1) % v.period])
+        vals = ops.backup(p, v.bias[(p + 1) % v.period]).min(axis=0)
         worst = max(worst, float(np.abs(vals - v.gain - v.bias[p]).max()))
     assert worst <= tol
 
@@ -136,7 +136,8 @@ def test_backup_matches_constant_policy_operators(seed, phase, h_seed, scale,
     ops = control._BellmanOps(gen, rec, ref)
     n, p = gen.spec.n_states, phase % ops.period
     h = np.random.default_rng(h_seed).standard_normal(n) * scale
-    vals, argmin = ops.backup(p, h)
+    values = ops.backup(p, h)
+    vals, argmin = values.min(axis=0), values.argmin(axis=0)
     per_u = np.empty((ops.n_u, n))
     for u in range(ops.n_u):
         mats, costs = ops.greedy_operators(np.full((ops.period, n), u))
@@ -314,13 +315,15 @@ def test_mc_pi_within_three_stderr_of_exact(mode):
 
 
 def test_rollout_sampler_blocks_match_the_one_shot_draw():
+    # 529 rollouts spread over the 7 states, each state's searched as one
+    # block, against the count of CDF entries <= u over all rollouts at once
     n, x0 = 7, 2
     rng = np.random.default_rng(5)
     mats = rng.random((2, n, n))
     mats /= mats.sum(axis=2, keepdims=True)
     mats[:, x0] *= 0.5                             # a row that sums below 1
     cums = list(np.cumsum(mats, axis=2)) * 2
-    n_rollouts = 2 * control._SAMPLE_BLOCK + 17
+    n_rollouts = 529
     got = control._sample_paths(list(mats) * 2, x0, n_rollouts, np.random.default_rng(9))
     r = np.random.default_rng(9).random((len(cums), n_rollouts))
     want = [np.full(n_rollouts, x0)]
@@ -328,6 +331,7 @@ def test_rollout_sampler_blocks_match_the_one_shot_draw():
         want.append(np.minimum((cum[want[-1]] <= u[:, None]).sum(axis=1), n - 1))
     assert np.array_equal(got, want)
     assert (r[0] > cums[0][x0, -1]).any()          # the clamp is exercised
+    assert all(len(np.unique(w)) == n for w in want[2:])   # every state occupied
 
 
 class StubUniforms:
@@ -346,11 +350,14 @@ class StubUniforms:
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(1, 5), T=st.integers(1, 4),
+       n_rollouts=st.integers(1, 64),
        seed=st.integers(0, 2 ** 32 - 1), stub=st.booleans())
-def test_rollout_sampler_draws_as_sample_categorical(data, n, T, seed, stub):
+def test_rollout_sampler_draws_as_sample_categorical(data, n, T, n_rollouts, seed, stub):
     # rows with hard zeros (leading ones too), some scaled to sum below 1;
     # the stub's uniforms are 0.0 and exact CDF values, where a draw that
-    # compared cum < u instead of cum <= u would pick another state
+    # compared cum < u instead of cum <= u would pick another state. Each
+    # rollout is a sample_categorical walk on its own column of uniforms;
+    # one rollout walks on the generator itself, a call per step
     weight = st.sampled_from([0.0, 0.0, 0.1, 0.3, 0.5, 1.0])
     row = st.lists(weight, min_size=n, max_size=n).filter(any)
     mats = []
@@ -364,17 +371,21 @@ def test_rollout_sampler_draws_as_sample_categorical(data, n, T, seed, stub):
     x0 = data.draw(st.integers(0, n - 1))
     if stub:
         values = sorted({0.0} | {float(c) for cum in cums for c in cum.ravel() if c < 1.0})
-        uniforms = data.draw(st.lists(st.sampled_from(values), min_size=T, max_size=T))
+        uniforms = data.draw(st.lists(st.sampled_from(values), min_size=T * n_rollouts,
+                                      max_size=T * n_rollouts))
 
     def generator():
         return StubUniforms(uniforms) if stub else np.random.default_rng(seed)
 
-    rng, want = generator(), [x0]
-    for m in mats:
-        want.append(sample_categorical(m[want[-1]], rng))
-    got = control._sample_paths(mats, x0, 1, generator())
-    assert got.shape == (T + 1, 1)
-    assert got[:, 0].tolist() == want
+    columns = generator().random((T, n_rollouts)).T
+    got = control._sample_paths(mats, x0, n_rollouts, generator())
+    assert got.shape == (T + 1, n_rollouts)
+    for k, column in enumerate(columns):
+        rng = generator() if n_rollouts == 1 else StubUniforms(column)
+        want = [x0]
+        for m in mats:
+            want.append(sample_categorical(m[want[-1]], rng))
+        assert got[:, k].tolist() == want
 
 
 # ---------------------------------------------------------------------------
