@@ -42,10 +42,12 @@ The recognition half takes a leading candidate axis: on a stack of
 candidates (RecognitionModel.stacked) belief, cost, ev and Qc each gain
 it, and every row is the single build of its candidate, bit for bit.
 
-The four product builders (latent_prior, belief_table, transition_matrix,
-qchain_matrix) sum no index: each runs numpy's greedy contraction plan,
-computed once per (subscripts, operand shapes) and replayed, so a call
-costs its arithmetic and gives the bits of np.einsum(..., optimize=True).
+The product builders (latent_prior, transition_matrix, qchain_matrix) sum
+no index: each runs numpy's greedy contraction plan, computed once per
+(subscripts, operand shapes) and replayed, so a call costs its arithmetic
+and gives the bits of np.einsum(..., optimize=True), as belief_table's
+broadcast product does. Passes over (..., N, O, A, L) arrays run unmasked
+and zero their dead entries once.
 """
 
 import numpy as np
@@ -201,20 +203,25 @@ def obs_action_marginal(gen, prior):
 def belief_table(rec, tick):
     """Filtering (sentinel) recognition belief q(latents | o, a, x_prev) for
     every (x_prev, o, a), shape (..., N, O, A, L): a leading candidate axis
-    of any sentinel slice (RecognitionModel.stacked) leads the belief."""
+    of any sentinel slice (RecognitionModel.stacked) leads the belief. The
+    product is written in its (s1, s2, a1, a2) order and multiplies the
+    factors a1, s1, a2, s2 in turn, as the one step of numpy's plan does;
+    a2 and s2 are spelled out on (s2, a1, a2) first, so that it meets them in
+    runs of that length, not of a2 alone."""
     spec = rec.spec
     lat = Lattice.of(spec)
-    n = spec.n_states
-    if tick:
-        q_s2 = rec.sentinel["s2"]                              # (N, O, A, s2)
-    else:
-        q_s2 = np.broadcast_to(lat.hold_s2[:, None, None, :],
-                               (n, spec.card_o, spec.card_a, spec.card_s2))
-    q_a2 = rec.sentinel["a2"]                                  # (N, O, A, s2, a2)
-    q_s1 = rec.sentinel["s1"]                                  # (N, O, A, s2, a2, s1)
-    q_a1 = rec.sentinel["a1"]                                  # (N, O, A, s1, a2, a1)
-    joint = _product("...xowX,...xowXA,...xowXAs,...xowsAb->...xowsXbA",
-                     q_s2, q_a2, q_s1, q_a1)
+    a1c, a2c = spec.card_a1, spec.card_a2
+    sent = rec.sentinel
+    q_s2 = sent["s2"] if tick else lat.hold_s2[:, None, None, :]  # (N, O, A, s2)
+    factors = (np.swapaxes(sent["a1"], -1, -2)[..., :, None, :, :],  # (s1, a2, a1)
+               np.moveaxis(sent["s1"], -1, -3)[..., None, :],       # (s2, a2, s1)
+               np.repeat(sent["a2"][..., None, :, None, :], a1c, axis=-2),
+               np.repeat(q_s2[..., None, :, None], a1c * a2c, axis=-1).reshape(
+                   q_s2.shape[:-1] + (1, -1, a1c, a2c)))
+    joint = np.empty(np.broadcast_shapes(*(f.shape for f in factors)))
+    np.multiply(*factors[:2], out=joint)
+    joint *= factors[2]
+    joint *= factors[3]
     return joint.reshape(joint.shape[:-4] + (spec.n_latents,))
 
 
@@ -239,15 +246,19 @@ def edge_cost(gen, ref, prior, belief):
     j_lat = reference_over_latents(ref)                        # (L, O)
     l_lat = _kept(gen.pieces, "neg_log_lik", gen.spec,         # (L, O)
                   lambda: -safe_log(lik_over_latents(gen)))
-    # each term's integrand is written into one buffer where belief > 0 and
-    # summed over latents; elsewhere the buffer keeps its zeros
-    live = belief > 0.0
-    buf = np.zeros(belief.shape)
-    j = np.multiply(belief, j_lat.T[None, :, None, :], out=buf, where=live).sum(axis=-1)
-    l = np.multiply(belief, l_lat.T[None, :, None, :], out=buf, where=live).sum(axis=-1)
-    np.log(belief, out=buf, where=live)
-    np.subtract(buf, safe_log(prior)[:, None, None, :], out=buf, where=live)
-    kl = np.multiply(belief, buf, out=buf, where=live).sum(axis=-1)
+    # each term's integrand is written unmasked into one buffer, zeroed where
+    # belief = 0 (0 * inf and log 0 give NaN there) and summed over latents
+    dead, buf = ~(belief > 0.0), np.empty(belief.shape)
+
+    def summed(integrand):
+        integrand[dead] = 0.0
+        return integrand.sum(axis=-1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j = summed(np.multiply(belief, j_lat.T[None, :, None, :], out=buf))
+        l = summed(np.multiply(belief, l_lat.T[None, :, None, :], out=buf))
+        np.subtract(np.log(belief, out=buf), safe_log(prior)[:, None, None, :], out=buf)
+        kl = summed(np.multiply(belief, buf, out=buf))
     return j + l + kl
 
 

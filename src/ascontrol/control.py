@@ -20,7 +20,7 @@ import numpy as np
 from . import chains, oracle
 from .errors import (ConvergenceError, DegenerateSupportError,
                      DegenerateWeightsError, NonFiniteObjectiveError)
-from .logspace import NEG_INF, logsumexp, safe_log, support_dot, worst_error
+from .logspace import NEG_INF, axis_sum, logsumexp, safe_log, support_dot, worst_error
 from .model import (CompleteState, ConditionalTable, ModelSpec, REC_FACTORS, table_layout,
                     tick_at)
 
@@ -490,8 +490,33 @@ def _softmax_grad_rows(probs, g):
     # the rounding of the first left behind
     live = probs > 0.0
     g = np.where(live, g, 0.0)
-    g = np.where(live, g - np.sum(g * probs, axis=-1, keepdims=True), 0.0)
-    return probs * (g - np.sum(g * probs, axis=-1, keepdims=True))
+    gp = g * probs
+    g -= axis_sum(gp, -1)[..., None]
+    g[~live] = 0.0
+    g -= axis_sum(np.multiply(g, probs, out=gp), -1)[..., None]
+    g *= probs
+    return g
+
+
+def _weighted_upstream(q, prior, a_lat, b):
+    """rq = g_q * q over (N, O, A, L), built in place, for the upstream
+    gradient g_q = G_q + dC (a_lat + log q - log prior) of the belief q. Its
+    second term comes from the cost C = sum_l q (a_lat + log q - log prior),
+    less a term dC, constant over each factor's row, that the softmax
+    gradient removes; it runs unmasked and is zeroed once where q = 0 (the
+    softmax boundary, where the one-sided derivative is taken as 0) and
+    where dC = 0 (an unoccupied context contributes nothing)."""
+    log_prior = np.where(prior > 0.0, safe_log(prior), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rq = np.log(q)
+        rq += a_lat.T[None, :, None, :]
+        rq -= log_prior[:, None, None, :]
+        rq *= b["dC"][..., None]
+    rq[~(q > 0.0)] = 0.0
+    rq[~(b["dC"] > 0.0)] = 0.0
+    rq += b["G_q"]
+    rq *= q
+    return rq
 
 
 class _GradAccumulator:
@@ -515,18 +540,19 @@ class _GradAccumulator:
         occupation sums: occ = M = sum_t mu_t, shape (N,), and k = K =
         sum_t mu_t (x) lam_{t+1} gathered at the successor of each (o, a, L),
         shape (N, O, A, L), which this overwrites with dqc4, the upstream
-        gradient of the chain entries."""
+        gradient of the chain entries, and then with its G_q term."""
         b = self.buckets[tick]
         marg, belief = pc["marg"], pc["belief"]
         # zero-probability edges may carry infinite cost; they contribute
-        # nothing and their logits sit at the softmax boundary, so mask
+        # nothing and their logits sit at the softmax boundary, so zero
         # them, and unoccupied predecessors too
-        live = (marg[..., None] * belief > 0.0) & (occ > 0.0)[:, None, None, None]
         with np.errstate(invalid="ignore"):
             k += occ[:, None, None, None] * (pc["cost"] - rate)[..., None]
-        np.copyto(k, 0.0, where=~live)
+        k[~(marg[..., None] * belief > 0.0)] = 0.0
+        k[~(occ > 0.0)] = 0.0
         b["G_m"] += np.einsum("xoal,xoal->xoa", k, belief, optimize=True)
-        b["G_q"] += k * marg[..., None]
+        k *= marg[..., None]
+        b["G_q"] += k
         b["dC"] += occ[:, None, None] * marg
 
     def finalize(self, pieces):
@@ -549,22 +575,7 @@ class _GradAccumulator:
             if not (b["G_m"].any() or b["G_q"].any() or b["dC"].any()):
                 continue
             prior, q = pieces[tick]["prior"], pieces[tick]["belief"]
-            log_prior = np.where(prior > 0.0, safe_log(prior), 0.0)
-            # rq = g_q * q, built in place, where the upstream gradient of q
-            # is g_q = G_q + dC (a_lat + log q - log prior), the second term
-            # from the cost C = sum_l q (a_lat + log q - log prior) less its
-            # term dC, constant over each factor's row, which the softmax
-            # gradient removes; at q = 0 the cost's one-sided derivative is
-            # taken as 0 (softmax boundary), and an unoccupied context
-            # (dC = 0) contributes nothing
-            live = (q > 0.0) & (b["dC"] > 0.0)[..., None]
-            rq = np.zeros(q.shape)
-            np.log(q, out=rq, where=live)
-            np.add(rq, a_lat.T[None, :, None, :], out=rq, where=live)
-            np.subtract(rq, log_prior[:, None, None, :], out=rq, where=live)
-            np.multiply(rq, b["dC"][..., None], out=rq, where=live)
-            rq += b["G_q"]
-            rq *= q
+            rq = _weighted_upstream(q, prior, a_lat, b)
             g_prior = (np.einsum("xoa,lo,loa->xl", b["G_m"], lik_lat, pol0_lat,
                                  optimize=True)
                        - _safe_div(np.einsum("xoa,xoal->xl", b["dC"], q, optimize=True),
@@ -572,14 +583,14 @@ class _GradAccumulator:
             # recognition factors via the product-ratio trick, each factor's
             # sum taken from the one before it where it can be
             rq = rq.reshape(n, c_o, c_a, s1c, s2c, a1c, a2c)
-            r_sent["a1"] += rq.sum(axis=4).transpose(0, 1, 2, 3, 5, 4)
-            r_s1 = rq.sum(axis=5)                            # (.., s1, s2, a2)
+            r_sent["a1"] += axis_sum(rq, 4).transpose(0, 1, 2, 3, 5, 4)
+            r_s1 = axis_sum(rq, 5)                           # (.., s1, s2, a2)
             del rq  # not kept alive beside the next tick's
             r_sent["s1"] += r_s1.transpose(0, 1, 2, 4, 5, 3)
-            r_a2 = r_s1.sum(axis=3)                          # (.., s2, a2)
+            r_a2 = axis_sum(r_s1, 3)                         # (.., s2, a2)
             r_sent["a2"] += r_a2
             if tick:
-                r_sent["s2"] += r_a2.sum(axis=4)
+                r_sent["s2"] += axis_sum(r_a2, 4)
             # policy factors
             if "pol0" in g_pol_tables:
                 g0 = np.einsum("xoa,xl,lo->loa", b["G_m"], prior, lik_lat,
@@ -622,7 +633,7 @@ def dfe_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies=POLICY_TAB
     buckets terms linear in the occupation mu_t and in mu_t (x) lam_{t+1}
     (lam_{t+1} the cost-to-go of the states at t + 1), so per tick value
     two sums carry every step, M = sum_t mu_t and K = sum_t mu_t (x)
-    lam_{t+1}, and the masked (N, O, A, L) terms are built once per tick
+    lam_{t+1}, and the (N, O, A, L) terms are built once per tick
     value. Sums run over positive occupation only (support_dot)."""
     oracle.check_horizon(T)
     spec = gen.spec

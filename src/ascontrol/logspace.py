@@ -6,7 +6,8 @@ pairwise-tree reduction so partitioned sums are bit-stable regardless of
 how many chunks the caller split the work into. The error accumulator
 of every numerical check lives here too, so that a NaN error fails, and
 so does `support_dot`, the expectation that leaves zero weights out, so
-that an unreachable infinite cost does not become NaN.
+that an unreachable infinite cost does not become NaN; `axis_sum` is np.sum
+over one axis without numpy's loop per short row.
 """
 
 import numpy as np
@@ -34,6 +35,19 @@ def logsumexp(a, axis=None):
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)
+
+
+def axis_sum(x, axis):
+    """np.sum(x, axis) of a C-ordered x, bit for bit, as column adds from +0
+    in index order, which is numpy's order on every axis but an innermost
+    one of 8 or more entries (summed pairwise, so left to np.sum)."""
+    if x.shape[axis] >= 8 and np.prod(x.shape[axis:]) == x.shape[axis]:
+        return np.sum(x, axis=axis)
+    cols = np.moveaxis(x, axis, 0)
+    out = cols[0] + 0.0                      # as numpy: a column of -0 sums to +0
+    for col in cols[1:]:
+        out += col
+    return out
 
 
 def pairwise_logsumexp(parts):

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .logspace import safe_log
+from .logspace import axis_sum, safe_log
 
 TABLE_ROW_TOL = 1e-12
 LOAD_REJECT_TOL = 1e-6
@@ -267,9 +267,9 @@ def sample_categorical(probs, rng):
 
 def softmax_rows(logits):
     """Softmax over the last axis tolerating -inf logits (zero probability),
-    computed in the one array it returns. The row max is taken column by
-    column, exact at any row length and cheaper than a reduction over the
-    tables' short rows; the row sum is numpy's."""
+    computed in the one array it returns. The row max and the row sum
+    (axis_sum) are taken column by column, numpy's bits, cheaper than a
+    reduction over the tables' short rows (rows of 8 or more sum by np.sum)."""
     logits = np.atleast_2d(logits)
     m = logits[..., 0].copy()
     for k in range(1, logits.shape[-1]):
@@ -280,7 +280,7 @@ def softmax_rows(logits):
     e = np.subtract(logits, m, dtype=float)
     with np.errstate(over="ignore"):
         np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= axis_sum(e, -1)[..., None]
     return e
 
 

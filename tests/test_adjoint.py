@@ -4,7 +4,9 @@
 (two sums per tick value). The per-step adjoint it replaced is kept below as
 a reference, together with the accumulator's finalisation as it was before
 its temporaries were trimmed, and the two routes are compared on random
-and floored instances. Hard zeros check the positive-occupation rule of the
+and floored instances. The belief's weighted upstream gradient and the
+softmax gradient of a table's rows are checked bit for bit against their
+masked builds (`masked_weighted_upstream`, `reference_softmax_grad_rows`). Hard zeros check the positive-occupation rule of the
 objective and its adjoint, and training checks that each parameter set's
 recognition half is built once.
 """
@@ -12,6 +14,7 @@ recognition half is built once.
 import itertools
 import math
 import weakref
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -21,7 +24,8 @@ from hypothesis import strategies as st
 from ascontrol import chains, control, oracle, sim
 from ascontrol.instances import hard_zero_instance, random_instance, random_state
 from ascontrol.logspace import safe_log, support_dot, worst_error
-from ascontrol.model import REC_FACTORS, CompleteState, tick_at
+from ascontrol.model import REC_FACTORS, CompleteState, softmax_rows, tick_at
+from conftest import bits
 
 X0 = CompleteState(0, 0, 0, 0, 0, 0)
 
@@ -192,6 +196,79 @@ def test_occupation_form_matches_the_per_step_adjoint(seed, cards, tick_period,
         assert set(grads.pol_logits) == set(control.POLICY_TABLES)
         if math.isfinite(value):
             assert upstream_scaled_error(grads, want, upstream) <= 1e-12
+
+
+def reference_softmax_grad_rows(probs, g):
+    """control._softmax_grad_rows as written with np.where and np.sum."""
+    live = probs > 0.0
+    g = np.where(live, g, 0.0)
+    g = np.where(live, g - np.sum(g * probs, axis=-1, keepdims=True), 0.0)
+    return probs * (g - np.sum(g * probs, axis=-1, keepdims=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 3), st.integers(1, 12)),
+       seed=st.integers(0, 2 ** 16), offset=st.sampled_from([0.0, 30.0, 1e6]))
+def test_softmax_grad_rows_is_its_reference(shape, seed, offset):
+    """Bit for bit at row lengths on both sides of axis_sum's np.sum
+    threshold, with hard zeros and upstream gradients that carry a large
+    offset common to a row (cost-to-go); the upstream is left unchanged."""
+    rng = np.random.default_rng(seed)
+    logits = rng.standard_normal(shape)
+    logits[rng.random(shape) < 0.3] = -np.inf
+    logits[..., 0] = 0.0                                      # a finite logit per row
+    probs = softmax_rows(logits)
+    g = offset + rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3, shape)
+    kept = g.copy()
+    got = control._softmax_grad_rows(probs, g)
+    assert np.array_equal(bits(got), bits(reference_softmax_grad_rows(probs, g)))
+    assert np.array_equal(bits(g), bits(kept))
+
+
+def masked_weighted_upstream(q, prior, a_lat, b):
+    """control._weighted_upstream as built before it ran unmasked: its
+    second term written into a zeroed array where q > 0 and dC > 0 only."""
+    log_prior = np.where(prior > 0.0, safe_log(prior), 0.0)
+    live = (q > 0.0) & (b["dC"] > 0.0)[..., None]
+    rq = np.zeros(q.shape)
+    np.log(q, out=rq, where=live)
+    np.add(rq, a_lat.T[None, :, None, :], out=rq, where=live)
+    np.subtract(rq, log_prior[:, None, None, :], out=rq, where=live)
+    np.multiply(rq, b["dC"][..., None], out=rq, where=live)
+    rq += b["G_q"]
+    rq *= q
+    return rq
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), cards=st.tuples(*[st.integers(1, 3)] * 6),
+       tick_period=st.integers(1, 3), hard_zero=st.booleans(), T=st.integers(1, 6),
+       score=st.booleans())
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_weighted_upstream_is_its_masked_build(seed, cards, tick_period, hard_zero, T,
+                                               score):
+    """On the buckets of the exact or the score-function gradient, bit for
+    bit, ±0 included: unoccupied contexts and, on hard zeros, beliefs and
+    priors of 0 and infinite surprisals."""
+    gen, rec, ref = (hard_zero_instance(seed, cards, tick_period) if hard_zero
+                     else random_instance(seed, cards=cards, tick_period=tick_period))
+    rng = np.random.default_rng(seed)
+    x0 = random_state(rng, gen.spec)
+    rate = float(rng.standard_normal())
+    built, seen = control._weighted_upstream, []
+
+    def checked(q, prior, a_lat, b):
+        rq = built(q, prior, a_lat, b)
+        assert np.array_equal(bits(rq), bits(masked_weighted_upstream(q, prior, a_lat, b)))
+        seen.append(q.shape)
+        return rq
+
+    with patch.object(control, "_weighted_upstream", checked):
+        if score:
+            control.score_function_grad(gen, rec, ref, x0, T, rate, 16, seed)
+        else:
+            control.dfe_value_and_grad(gen, rec, ref, x0, T, rate)
+    assert seen
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ row or one context at a time: `latent_prior_row`, `transition_row`,
 `RecognitionModel.joint` and `objectives.step_objective`. The properties
 below check that the two routes agree on random, floored and hard-zero
 instances, on both ticks and tick periods 1-3. The product builders'
-fixed contraction plans are checked against np.einsum(..., optimize=True)
-bit for bit.
+fixed contraction plans, and belief_table's broadcast product, are checked
+against np.einsum(..., optimize=True) bit for bit, and the unmasked edge
+cost against its masked build (`masked_edge_cost`).
 """
 
 import tracemalloc
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from ascontrol import chains, control, objectives, oracle, sim
 from ascontrol.errors import EnumerationBudgetError
 from ascontrol.instances import hard_zero_instance, random_instance
+from ascontrol.logspace import safe_log
 from ascontrol.model import CompleteState, ModelSpec, RecognitionContext
 from ascontrol.objectives import step_objective
 from conftest import bits
@@ -200,6 +202,49 @@ def test_model_only_log_tables_are_kept_per_model():
     # a rebuilt model starts empty
     assert replace(ref).pieces == {} and replace(gen).pieces == {}
     assert chains.reference_over_latents(replace(ref)) is not j_lat
+
+
+def masked_edge_cost(gen, ref, prior, belief):
+    """edge_cost as built before its passes ran unmasked: each integrand is
+    written into one zeroed buffer where belief > 0 only."""
+    j_lat = chains.reference_over_latents(ref)
+    l_lat = -safe_log(chains.lik_over_latents(gen))
+    live = belief > 0.0
+    buf = np.zeros(belief.shape)
+    j = np.multiply(belief, j_lat.T[None, :, None, :], out=buf, where=live).sum(axis=-1)
+    l = np.multiply(belief, l_lat.T[None, :, None, :], out=buf, where=live).sum(axis=-1)
+    np.log(belief, out=buf, where=live)
+    np.subtract(buf, safe_log(prior)[:, None, None, :], out=buf, where=live)
+    kl = np.multiply(belief, buf, out=buf, where=live).sum(axis=-1)
+    return j + l + kl
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), cards=st.tuples(*[st.integers(1, 3)] * 6),
+       tick_period=st.integers(1, 3), hard_zero=st.booleans(), tick=st.booleans(),
+       stacked=st.sampled_from([None, "s2", "a2", "s1", "a1"]))
+def test_edge_cost_is_its_masked_build(seed, cards, tick_period, hard_zero, tick,
+                                       stacked):
+    """Bit for bit, ±0 included, where hard zeros put 0 * inf and log 0 off
+    the belief's support and infinite costs on it."""
+    gen, rec, ref = (hard_zero_instance(seed, cards, tick_period) if hard_zero
+                     else random_instance(seed, cards=cards, tick_period=tick_period))
+    if stacked is not None:
+        logits = control.extract_params(gen, rec).q_logits[stacked]
+        rng = np.random.default_rng(seed)
+        rec = rec.stacked(stacked, logits + rng.standard_normal((2,) + logits.shape))
+    prior, belief = chains.latent_prior(gen, tick), chains.belief_table(rec, tick)
+    assert np.array_equal(bits(chains.edge_cost(gen, ref, prior, belief)),
+                          bits(masked_edge_cost(gen, ref, prior, belief)))
+
+
+def test_edge_cost_is_its_masked_build_on_the_thermostat():
+    env, ref = sim.thermostat_env(3, [0, 2])
+    gen, rec = sim.thermostat_agent(env, [0, 2], 0)
+    for tick in (True, False):
+        prior, belief = chains.latent_prior(gen, tick), chains.belief_table(rec, tick)
+        assert np.array_equal(bits(chains.edge_cost(gen, ref, prior, belief)),
+                              bits(masked_edge_cost(gen, ref, prior, belief)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +442,12 @@ except ImportError:  # numpy 1.x
 
 # the subscripts of each product builder's contraction
 PRODUCTS = ("xX,XA,xXs,sAb->xsXbA",                                 # latent_prior
-            "...xowX,...xowXA,...xowXAs,...xowsAb->...xowsXbA",     # belief_table
             "xl,lo,loa->xoal",                                      # transition_matrix
             "...xoa,...xoal->...xoal")                              # qchain_matrix
+
+# the contraction of belief_table's broadcast product, sentinel factors in
+# (s2, a2, s1, a1) order
+BELIEF = "...xowX,...xowXA,...xowXAs,...xowsAb->...xowsXbA"
 
 
 def build_products(gen, rec, tick):
@@ -481,11 +529,46 @@ def test_fd_gradients_plan_each_product_once(monkeypatch):
     monkeypatch.setattr(np, "einsum_path", counted)
     control.fd_gradients(gen, rec, ref, params, X0, 2, 0.1)
     assert calls and max(calls.values()) == 1, calls
-    # the belief operands in REC_FACTORS order, each stacked in some plan
-    sentinel_ndim = [v.ndim for v in rec.sentinel.values()]
-    assert {i for (subscripts, shapes) in calls if subscripts == PRODUCTS[1]
-            for i, shape in enumerate(shapes)
-            if len(shape) == sentinel_ndim[i] + 1} == {0, 1, 2, 3}
+    # stacked beliefs reach the chain product, which plans them once
+    assert any(len(shapes[1]) == 5 for (subscripts, shapes) in calls
+               if subscripts == PRODUCTS[2])
+
+
+def belief_by_einsum(rec, tick):
+    """The belief as np.einsum(BELIEF, ..., optimize=True) gives it."""
+    spec = rec.spec
+    sent = rec.sentinel
+    q_s2 = sent["s2"] if tick else np.broadcast_to(
+        chains.Lattice.of(spec).hold_s2[:, None, None, :],
+        (spec.n_states, spec.card_o, spec.card_a, spec.card_s2))
+    joint = np.einsum(BELIEF, q_s2, sent["a2"], sent["s1"], sent["a1"], optimize=True)
+    return joint.reshape(joint.shape[:-4] + (spec.n_latents,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), cards=st.tuples(*[st.integers(1, 3)] * 6),
+       tick_period=st.integers(1, 3), hard_zero=st.booleans(), tick=st.booleans(),
+       stacked=st.sampled_from([None, "s2", "a2", "s1", "a1"]))
+def test_belief_table_gives_the_bits_of_einsum_optimize(seed, cards, tick_period,
+                                                         hard_zero, tick, stacked):
+    gen, rec, _ = (hard_zero_instance(seed, cards, tick_period) if hard_zero
+                   else random_instance(seed, cards=cards, tick_period=tick_period))
+    if stacked is not None:
+        # three candidates of one factor on a leading axis
+        logits = control.extract_params(gen, rec).q_logits[stacked]
+        rng = np.random.default_rng(seed)
+        rec = rec.stacked(stacked, logits + rng.standard_normal((3,) + logits.shape))
+    got = chains.belief_table(rec, tick)
+    assert got.flags.c_contiguous
+    assert np.array_equal(bits(got), bits(belief_by_einsum(rec, tick)))
+
+
+def test_belief_table_gives_the_bits_of_einsum_optimize_on_the_thermostat():
+    env, _ = sim.thermostat_env(3, [0, 2])
+    rec = sim.thermostat_agent(env, [0, 2], 0)[1]
+    for tick in (True, False):
+        assert np.array_equal(bits(chains.belief_table(rec, tick)),
+                              bits(belief_by_einsum(rec, tick)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ for one draw and `control._sample_paths` for rollouts, so no other package
 code calls `searchsorted` or draws uniforms with `.random(` (but for
 `instances.py`, whose `zero_some` masks entries at random). Conversion: the
 bundle reader turns row text into floats in one place, `model._rows_block`,
-which no package code but `model._rows_of` names.
+which no package code but `model._rows_of` names. Masks: a ufunc's `where=`
+pays for its mask on every entry, so in `chains.py` and `control.py`, whose
+passes run over (..., N, O, A, L) arrays unmasked and zero their dead
+entries once, only the small-array helpers `_safe_div` and `_norm` take it.
 """
 
 import ast
@@ -236,6 +239,13 @@ def test_planned_contractions_sum_an_index(path):
     assert misplaced_contractions(path.read_text()) == []
 
 
+def nodes_inside(tree, sites):
+    """The ids of every node in `tree` inside a def named in `sites`."""
+    return {id(node) for site in ast.walk(tree)
+            if isinstance(site, DEFS) and site.name in sites
+            for node in ast.walk(site)}
+
+
 # the functions that invert a CDF, and the module that may draw uniforms for
 # other ends
 INVERSE_CDF_SITES = ("sample_categorical", "_sample_paths")
@@ -247,9 +257,7 @@ def stray_draws(source):
     `.random(...)` in `source` outside the INVERSE_CDF_SITES; a class's own
     `random` constructor (`ConditionalTable.random`) draws no uniform."""
     tree = ast.parse(source)
-    inside = {id(node) for site in ast.walk(tree)
-              if isinstance(site, DEFS) and site.name in INVERSE_CDF_SITES
-              for node in ast.walk(site)}
+    inside = nodes_inside(tree, INVERSE_CDF_SITES)
     bad = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)) \
@@ -293,9 +301,7 @@ def stray_uses(source, name, sites):
     """(line, use) of each use of the function `name` in `source`, by its
     name or as an attribute, outside the defs in `sites`."""
     tree = ast.parse(source)
-    inside = {id(node) for site in ast.walk(tree)
-              if isinstance(site, DEFS) and site.name in sites
-              for node in ast.walk(site)}
+    inside = nodes_inside(tree, sites)
     return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(tree)
                   if id(node) not in inside
                   and (isinstance(node, ast.Name) and node.id == name
@@ -314,3 +320,37 @@ def test_conversion_checker_flags_stray_sites():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_row_text_is_converted_in_one_place(path):
     assert stray_uses(path.read_text(), CONVERSION, CONVERSION_SITES) == []
+
+
+# the modules of the (..., N, O, A, L) passes, and the helpers in them that
+# may pass where=
+MASKED_MODULES = ("chains.py", "control.py")
+MASKED_SITES = ("_safe_div", "_norm")
+
+
+def masked_calls(source):
+    """(line, call) of each call in `source` that passes `where=`, outside
+    the defs in MASKED_SITES."""
+    tree = ast.parse(source)
+    inside = nodes_inside(tree, MASKED_SITES)
+    return sorted((node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and any(k.arg == "where" for k in node.keywords))
+
+
+def test_mask_checker_flags_stray_sites():
+    source = ("def _safe_div(num, den):\n"
+              "    return np.divide(num, den, out=np.zeros(3), where=den > 0.0)\n"
+              "def table(q):\n"
+              "    def _norm(a):\n"
+              "        return np.divide(a, 2.0, where=a > 0.0)\n"
+              "    np.log(q, out=q, where=q > 0.0)\n"
+              "    np.copyto(q, 0.0, where=q < 0.0)\n"
+              "    q[q < 0.0] = 0.0\n"
+              "    return np.where(q > 0.0, q, 1.0)\n")
+    assert masked_calls(source) == [(6, "np.log"), (7, "np.copyto")]
+
+
+@pytest.mark.parametrize("name", MASKED_MODULES)
+def test_dense_passes_take_no_where(name):
+    assert masked_calls((PACKAGE / name).read_text()) == []

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ascontrol import chains, control, model, sim
 from ascontrol.errors import DimensionMismatchError
 from ascontrol.instances import random_instance, random_state
-from ascontrol.logspace import logsumexp
+from ascontrol.logspace import axis_sum, logsumexp
 from ascontrol.model import (REC_FACTORS, CompleteState, ConditionalTable,
                              GenerativeModel, ModelSpec, RecognitionContext,
                              RecognitionModel, ReferenceModel, _BLOCK_VALUES,
@@ -101,6 +101,29 @@ def test_normalized_rows_matches_the_three_temporary_check(data, shape, seed):
             model._normalized_rows(probs)
     else:
         assert np.array_equal(bits(model._normalized_rows(probs)), bits(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.lists(st.sampled_from([1, 2, 3, 7, 8, 9, 13]), min_size=1, max_size=4),
+       data=st.data(), seed=st.integers(0, 2 ** 16))
+def test_axis_sum_gives_the_bits_of_np_sum(shape, data, seed):
+    # numpy's rule: an innermost axis of 8 or more entries is summed
+    # pairwise, shorter inner rows and outer axes of any length in index
+    # order from +0; entries span 16 decades, and rows of -0, +-inf and NaN
+    # are drawn, so order, the sign of zero and NaN all show in the bits
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    special = rng.random(shape)
+    x[special < 0.2] = -0.0
+    x[special > 0.97] = np.inf
+    x[special > 0.985] = -np.inf
+    with np.errstate(invalid="ignore"):
+        want = np.sum(x, axis=axis)
+        assert np.array_equal(bits(axis_sum(x, axis)), bits(want))
+        all_neg_zero = np.full(shape, -0.0)
+        assert np.array_equal(bits(axis_sum(all_neg_zero, axis)),
+                              bits(np.sum(all_neg_zero, axis=axis)))
 
 
 @settings(max_examples=200, deadline=None)
