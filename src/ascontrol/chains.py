@@ -27,14 +27,16 @@ from. The generative half of the per-tick pieces (prior, marg;
 `generative_pieces`), the policy-embedded transition matrix P and the
 model-only log tables of the edge cost (-log R and -log lik per latent
 tuple) are kept on their generative or reference model. The recognition
-half (belief, cost, ev, and the chain matrix Qc on first use by
+half (cost, ev, and the chain matrix Qc on first use by
 `recognition_chain`) is kept on the recognition model for the last (gen,
 ref) pair it was built with, so the rate, the halving check and the
-gradient of one parameter set share one build; the belief, which reads
-the recognition model alone, outlives a switch of that pair.
+gradient of one parameter set share one build. Only the readers of the
+whole belief (Qc, the adjoint) build it, by `recognition_belief`, kept
+across a switch of that pair; the edge cost reads it if kept, else builds
+belief rows one x_prev block at a time.
 Models are read-only, so nothing kept goes stale; a caller bounds memory
 by the lifetime of its models. `tick_pieces` is the one place that wires
-the two halves: prior -> belief -> marginal -> edge cost.
+the two halves: prior -> belief rows -> marginal -> edge cost.
 P depends on x_prev only through its (s1, s2, a) class: its product runs on
 one prior row per class, with no (N, O, A, L) array, and expands by class.
 
@@ -200,22 +202,26 @@ def obs_action_marginal(gen, prior):
                      pol0_over_latents(gen), optimize=True)
 
 
-def belief_table(rec, tick):
+def belief_table(rec, tick, rows):
     """Filtering (sentinel) recognition belief q(latents | o, a, x_prev) for
-    every (x_prev, o, a), shape (..., N, O, A, L): a leading candidate axis
-    of any sentinel slice (RecognitionModel.stacked) leads the belief. The
-    product is written in its (s1, s2, a1, a2) order and multiplies the
-    factors a1, s1, a2, s2 in turn, as the one step of numpy's plan does;
-    a2 and s2 are spelled out on (s2, a1, a2) first, so that it meets them in
-    runs of that length, not of a2 alone."""
+    the x_prev rows `rows` (a slice; slice(None) for all) and every (o, a),
+    shape (..., R, O, A, L): a leading candidate axis of any sentinel slice
+    (RecognitionModel.stacked) leads the belief. Each row is the whole
+    build's row, bit for bit. The product is written in its (s1, s2, a1, a2)
+    order and multiplies the factors a1, s1, a2, s2 in turn, as the one step
+    of numpy's plan does; a2 and s2 are spelled out on (s2, a1, a2) first,
+    so that it meets them in runs of that length, not of a2 alone."""
     spec = rec.spec
     lat = Lattice.of(spec)
     a1c, a2c = spec.card_a1, spec.card_a2
     sent = rec.sentinel
     q_s2 = sent["s2"] if tick else lat.hold_s2[:, None, None, :]  # (N, O, A, s2)
-    factors = (np.swapaxes(sent["a1"], -1, -2)[..., :, None, :, :],  # (s1, a2, a1)
-               np.moveaxis(sent["s1"], -1, -3)[..., None, :],       # (s2, a2, s1)
-               np.repeat(sent["a2"][..., None, :, None, :], a1c, axis=-2),
+    # the rows of each factor, whose x_prev axis has 3 to 5 axes after it
+    q_s2, q_a2, q_s1, q_a1 = (arr[(..., rows) + (slice(None),) * k] for arr, k in
+                              ((q_s2, 3), (sent["a2"], 4), (sent["s1"], 5), (sent["a1"], 5)))
+    factors = (np.swapaxes(q_a1, -1, -2)[..., :, None, :, :],  # (s1, a2, a1)
+               np.moveaxis(q_s1, -1, -3)[..., None, :],       # (s2, a2, s1)
+               np.repeat(q_a2[..., None, :, None, :], a1c, axis=-2),
                np.repeat(q_s2[..., None, :, None], a1c * a2c, axis=-1).reshape(
                    q_s2.shape[:-1] + (1, -1, a1c, a2c)))
     joint = np.empty(np.broadcast_shapes(*(f.shape for f in factors)))
@@ -360,33 +366,45 @@ def generative_pieces(gen, tick):
 
 
 def tick_pieces(gen, rec, ref, tick):
-    """The per-tick arrays that the rate and the differential free energy
-    read, keyed prior, belief, marg, cost (the edge cost) and ev (its
+    """The per-tick arrays that the rate, the backup and the differential
+    free energy read, keyed prior, marg, cost (the edge cost) and ev (its
     expectation per state, shape (N,)): the generative half plus the
     recognition half built on it, kept in `rec.pieces` under `tick` for the
-    last (gen, ref) pair, by identity. The belief reads `rec` alone, so it
-    is kept apart, under "belief", across a switch of (gen, ref). Callers
-    that need the chain matrix read it with recognition_chain."""
+    last (gen, ref) pair, by identity. The edge cost reads the whole belief
+    if recognition_belief keeps it; else it reads belief_table's rows one
+    block at a time (the N / card_o x_prev rows of one observation)."""
     if rec.pieces.get("gen") is not gen or rec.pieces.get("ref") is not ref:
         rec.pieces = {"gen": gen, "ref": ref, "belief": rec.pieces.get("belief", {})}
 
     def build():
         half = generative_pieces(gen, tick)
         prior, marg = half["prior"], half["marg"]
-        belief = _kept(rec.pieces["belief"], tick, rec.spec,
-                       lambda: belief_table(rec, tick))
-        cost = edge_cost(gen, ref, prior, belief)
-        return {"prior": prior, "belief": belief, "marg": marg, "cost": cost,
+        whole, n = rec.pieces["belief"].get(tick), rec.spec.n_states
+        step = n // rec.spec.card_o
+        blocks = (slice(x, x + step) for x in range(0, n, step))
+        cost = edge_cost(gen, ref, prior, whole) if whole is not None else np.concatenate(
+            [edge_cost(gen, ref, prior[b], belief_table(rec, tick, b)) for b in blocks], axis=-3)
+        return {"prior": prior, "marg": marg, "cost": cost,
                 "ev": expected_edge_cost(marg, cost)}
 
     return _kept(rec.pieces, tick, rec.spec, build)
 
 
-def recognition_chain(spec, pieces):
-    """The recognition chain Qc of one tick's pieces (qchain_matrix), kept in
-    `pieces` under "qc"."""
-    return _kept(pieces, "qc", spec,
-                 lambda: qchain_matrix(spec, pieces["marg"], pieces["belief"]))
+def recognition_belief(rec, tick):
+    """The whole belief of `rec` (belief_table of every x_prev row), kept in
+    `rec.pieces` under "belief" and `tick` across (gen, ref) pairs: built
+    only by the readers of the whole belief (Qc, the adjoint, validate)."""
+    return _kept(rec.pieces.setdefault("belief", {}), tick, rec.spec,
+                 lambda: belief_table(rec, tick, slice(None)))
+
+
+def recognition_chain(gen, rec, ref, tick):
+    """The recognition chain Qc of one tick (qchain_matrix of the marginal
+    and the whole belief), kept in tick_pieces' pieces under "qc". The
+    belief is built before the pieces, so their edge cost reads it."""
+    belief = recognition_belief(rec, tick)
+    pc = tick_pieces(gen, rec, ref, tick)
+    return _kept(pc, "qc", rec.spec, lambda: qchain_matrix(rec.spec, pc["marg"], belief))
 
 
 def rollout_density(gen, rec, ref, tick, mode):
@@ -400,8 +418,8 @@ def rollout_density(gen, rec, ref, tick, mode):
         return (transition_matrix(gen, tick),
                 np.broadcast_to(state_cost(gen, ref), (n, n)))
     if mode == "feedback":
-        pc = tick_pieces(gen, rec, ref, tick)
-        return recognition_chain(spec, pc), expand_edges(pc["cost"], spec)
+        qc = recognition_chain(gen, rec, ref, tick)
+        return qc, expand_edges(tick_pieces(gen, rec, ref, tick)["cost"], spec)
     raise ValueError(f"unknown rollout density {mode!r}")
 
 

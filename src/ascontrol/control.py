@@ -542,7 +542,7 @@ class _GradAccumulator:
         shape (N, O, A, L), which this overwrites with dqc4, the upstream
         gradient of the chain entries, and then with its G_q term."""
         b = self.buckets[tick]
-        marg, belief = pc["marg"], pc["belief"]
+        marg, belief = pc["marg"], chains.recognition_belief(self.rec, tick)
         # zero-probability edges may carry infinite cost; they contribute
         # nothing and their logits sit at the softmax boundary, so zero
         # them, and unoccupied predecessors too
@@ -574,7 +574,7 @@ class _GradAccumulator:
             b = self.buckets[tick]
             if not (b["G_m"].any() or b["G_q"].any() or b["dC"].any()):
                 continue
-            prior, q = pieces[tick]["prior"], pieces[tick]["belief"]
+            prior, q = pieces[tick]["prior"], chains.recognition_belief(rec, tick)
             rq = _weighted_upstream(q, prior, a_lat, b)
             g_prior = (np.einsum("xoa,lo,loa->xl", b["G_m"], lik_lat, pol0_lat,
                                  optimize=True)
@@ -614,10 +614,9 @@ class _GradAccumulator:
 
 
 def _chain_pieces(gen, rec, ref, tick):
-    """chains.tick_pieces of one tick value, with its recognition chain "qc"."""
-    pc = chains.tick_pieces(gen, rec, ref, tick)
-    chains.recognition_chain(gen.spec, pc)
-    return pc
+    """chains.tick_pieces of one tick value, its recognition chain "qc" first."""
+    chains.recognition_chain(gen, rec, ref, tick)
+    return chains.tick_pieces(gen, rec, ref, tick)
 
 
 def _dfe_pieces(gen, rec, ref):
@@ -687,7 +686,7 @@ def score_function_grad(gen, rec, ref, x0, T, rate, n_rollouts, seed,
         np.add.at(bucket["G_m"], (xs, oo, aa),
                   w / pc["marg"][xs, oo, aa])
         np.add.at(bucket["G_q"], (xs, oo, aa, ll),
-                  w / pc["belief"][xs, oo, aa, ll])
+                  w / chains.recognition_belief(rec, tick)[xs, oo, aa, ll])
         np.add.at(bucket["dC"], (xs, oo, aa), 1.0 / n_rollouts)
     grads = acc.finalize(pieces)
     return value, grads
@@ -801,17 +800,19 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
     the exact objective is retried at half the learning rate. The score
     estimator draws _SCORE_ROLLOUTS rollouts per gradient.
 
-    Each parameter set's per-tick pieces are built once and kept on its
-    models (chains.tick_pieces), so its rate, halving check and gradient
-    share one build. The outgoing iterate, or a rejected candidate, is
-    released before the next candidate is built, so at most one parameter
-    set's pieces are alive.
+    Each parameter set's per-tick pieces, its chain matrix and the whole
+    belief they read (chains.recognition_chain) are built once and kept on
+    its models, so its rate, halving check and gradient share one build.
+    The outgoing iterate, or a rejected candidate, is released before the
+    next candidate is built, so at most one parameter set's pieces are alive.
     """
     oracle.check_horizon(T)
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters!r}")
     if estimator not in ("exact", "score"):
         raise ValueError(f"unknown estimator {estimator!r}")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ValueError(f"lr must be a finite number > 0, got {lr!r}")
     params = extract_params(gen, rec, trainable_policies)
     cur_gen, cur_rec = apply_params(gen, rec, params)
     rate = oracle.exact_average_rate(cur_gen, cur_rec, ref, x0, *_RATE_HORIZON,

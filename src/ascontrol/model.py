@@ -451,9 +451,9 @@ class RecognitionModel:
     def _set(self, spec, rows, index, sentinel):
         """Fill every slot: the one initializer of a model and a candidate."""
         self.spec, self.rows, self.index, self.sentinel = spec, rows, index, sentinel
-        # the recognition half of the per-tick pieces, kept by
-        # chains.tick_pieces for the last (gen, ref) pair it was built with
-        # (the belief, which reads this model alone, for every pair)
+        # the recognition half of the per-tick pieces (cost, ev, Qc), kept by
+        # chains.tick_pieces for the last (gen, ref) pair it was built with,
+        # and the whole belief, which reads this model alone, for every pair
         self.pieces = {}
         return self
 

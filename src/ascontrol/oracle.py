@@ -192,12 +192,9 @@ def exact_average_rate(gen, rec, ref, x0, T_burn, T_eval, chain="generative"):
         raise ValueError(f"unknown chain {chain!r}")
     per_tick = {}
     for tick in (True, False):
-        pc = chains.tick_pieces(gen, rec, ref, tick)
-        if chain == "generative":
-            mat = chains.transition_matrix(gen, tick)
-        else:
-            mat = chains.recognition_chain(spec, pc)
-        per_tick[tick] = (mat, pc["ev"])
+        mat = (chains.transition_matrix(gen, tick) if chain == "generative"
+               else chains.recognition_chain(gen, rec, ref, tick))
+        per_tick[tick] = (mat, chains.tick_pieces(gen, rec, ref, tick)["ev"])
     mu = np.zeros(spec.n_states)
     mu[x0.flat(spec)] = 1.0
     vals = []

@@ -115,6 +115,9 @@ def thermostat_env(n_temp_levels, setpoint_schedule, heat_success=0.85,
         raise ValueError("need at least two temperature levels")
     if not schedule:
         raise ValueError("empty setpoint schedule")
+    for name, prob in (("heat_success", heat_success), ("phase_advance", phase_advance)):
+        if not 0.0 <= prob <= 1.0:
+            raise ValueError(f"{name} must be a probability in [0, 1], got {prob!r}")
     for s in schedule:
         if not 0 <= s < n_temp_levels:
             raise ValueError(f"schedule entry {s} is not a valid a1 index")

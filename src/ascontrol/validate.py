@@ -90,7 +90,7 @@ def run_validation(seed=0, instances=20):
         for tick in (True, False):
             mat = chains.transition_matrix(gen, tick)
             err_p = worst_error(err_p, np.abs(mat.sum(axis=1) - 1.0).max())
-            q = chains.belief_table(rec, tick)
+            q = chains.recognition_belief(rec, tick)
             err_q = worst_error(err_q, np.abs(q.sum(axis=3) - 1.0).max())
     checks.append(_check("transition_normalization", err_p, 1e-10))
     checks.append(_check("recognition_normalization", err_q, 1e-10))

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ascontrol import sim
 from ascontrol.model import (REC_FACTORS, ConditionalTable, GenerativeModel,
                              ModelSpec, RecognitionModel, ReferenceModel,
                              load_models)
@@ -56,6 +57,14 @@ def two_cycle_instance(cost_hi=1.0):
     return gen, rec, ref
 
 
+def seed3_thermostat():
+    """The models of the seed-3 `init` bundle, built in memory with `init`'s
+    defaults (the bundle round trip is bit-exact)."""
+    env, ref = sim.thermostat_env(3, [0, 2], heat_success=0.85, phase_advance=0.1)
+    gen, rec = sim.thermostat_agent(env, [0, 2], 3)
+    return gen, rec, ref
+
+
 def bits(a):
     """Bit patterns of a float array, so -0.0 != 0.0 and NaN == NaN."""
     return np.asarray(a, dtype=float).view(np.uint64)
@@ -86,5 +95,5 @@ def ragged_rows(text):
     return f"{head}, {first}], [{rest}"
 
 
-__all__ = ["uniform_instance", "two_cycle_instance", "bits",
+__all__ = ["uniform_instance", "two_cycle_instance", "seed3_thermostat", "bits",
            "assert_load_matches_json", "ragged_rows"]

@@ -14,6 +14,7 @@ recognition half is built once.
 import itertools
 import math
 import weakref
+from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
@@ -21,11 +22,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ascontrol import chains, control, oracle, sim
+from ascontrol import chains, control, oracle
 from ascontrol.instances import hard_zero_instance, random_instance, random_state
 from ascontrol.logspace import safe_log, support_dot, worst_error
 from ascontrol.model import REC_FACTORS, CompleteState, softmax_rows, tick_at
-from conftest import bits
+from conftest import bits, seed3_thermostat
 
 X0 = CompleteState(0, 0, 0, 0, 0, 0)
 
@@ -53,7 +54,7 @@ def per_step_finalize(acc, pieces):
         b = acc.buckets[tick]
         if not (b["G_m"].any() or b["G_q"].any() or b["dC"].any()):
             continue
-        prior, q = pieces[tick]["prior"], pieces[tick]["belief"]
+        prior, q = pieces[tick]["prior"], chains.recognition_belief(rec, tick)
         log_q = np.where(q > 0.0, safe_log(q), 0.0)
         log_prior = np.where(prior > 0.0, safe_log(prior), 0.0)
         with np.errstate(invalid="ignore"):  # 0 * inf where dC = 0, masked
@@ -114,12 +115,13 @@ def per_step_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies):
         bucket = acc.buckets[ticks[t]]
         lam_g = lam[lat.state_of_oal]
         c_tilde = pc["cost"] - rate
-        edge_p = pc["marg"][..., None] * pc["belief"]
+        belief = chains.recognition_belief(rec, ticks[t])
+        edge_p = pc["marg"][..., None] * belief
         live = (edge_p > 0.0) & (mus[t] > 0.0)[:, None, None, None]
         with np.errstate(invalid="ignore"):  # 0 * inf off the live edges, masked
             dqc4 = np.where(live, mus[t][:, None, None, None]
                             * (c_tilde[..., None] + lam_g[None]), 0.0)
-        bucket["G_m"] += np.einsum("xoal,xoal->xoa", dqc4, pc["belief"])
+        bucket["G_m"] += np.einsum("xoal,xoal->xoa", dqc4, belief)
         bucket["G_q"] += dqc4 * pc["marg"][..., None]
         bucket["dC"] += mus[t][:, None, None] * pc["marg"]
         lam = pc["ev"] - rate + support_dot(pc["qc"], lam)
@@ -361,12 +363,6 @@ def test_adjoint_sums_over_positive_occupation(instance, T, starts):
 # one recognition half per parameter set
 
 
-def seed3_thermostat():
-    env, ref = sim.thermostat_env(3, [0, 2], heat_success=0.85, phase_advance=0.1)
-    gen, rec = sim.thermostat_agent(env, [0, 2], 3)
-    return gen, rec, ref
-
-
 def counting(monkeypatch, module, name, calls):
     original = getattr(module, name)
 
@@ -381,15 +377,30 @@ def counting(monkeypatch, module, name, calls):
 def test_training_builds_one_recognition_half_per_parameter_set(monkeypatch, iters,
                                                                 builds):
     # the rate, the halving check, the gradient and the rate refresh of one
-    # parameter set share its belief; training pol0 makes a new generative
-    # model, and so a new latent prior, for each parameter set
+    # parameter set share its belief: each reads the chain matrix, which
+    # builds the whole belief of each tick once, before the edge cost, so the
+    # edge cost reads it and no belief rows are built; training pol0 makes
+    # a new generative model, and so a new latent prior, for each parameter set
     gen, rec, ref = seed3_thermostat()
     calls = {"belief_table": 0, "latent_prior": 0}
-    for name in calls:
-        counting(monkeypatch, chains, name, calls)
+    counting(monkeypatch, chains, "latent_prior", calls)
+    whole, rows = weakref.WeakKeyDictionary(), []
+    belief_table = chains.belief_table
+
+    def recorded(r, tick, block):
+        if block == slice(None):
+            calls["belief_table"] += 1
+            whole.setdefault(r, Counter())[tick] += 1
+            assert whole[r][tick] == 1
+        else:
+            rows.append(block)
+        return belief_table(r, tick, block)
+
+    monkeypatch.setattr(chains, "belief_table", recorded)
     control.train(gen, rec, ref, X0, 8, iters=iters, lr=0.5, seed=3,
                   estimator="exact", trainable_policies=("pol0",))
     assert calls == {"belief_table": builds, "latent_prior": builds}
+    assert rows == []
 
 
 def test_training_keeps_at_most_one_recognition_half(monkeypatch):

@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import ascontrol
-from ascontrol import control, sim
+from ascontrol import control
 from ascontrol.model import CompleteState, load_models, save_models
+from conftest import seed3_thermostat
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER_PATH = PERFBENCH / "tracer.py"
@@ -79,14 +80,6 @@ def pinned(command):
     want = json.loads((PERFBENCH / "reference.json").read_text())
     assert want["seed"] == 3
     return want["fingerprints"][command]
-
-
-def seed3_thermostat():
-    """The models of the seed-3 `init` bundle, built in memory with `init`'s
-    defaults (the bundle round trip is bit-exact)."""
-    env, ref = sim.thermostat_env(3, [0, 2], heat_success=0.85, phase_advance=0.1)
-    gen, rec = sim.thermostat_agent(env, [0, 2], 3)
-    return gen, rec, ref
 
 
 def close_to_pinned(got, want):

@@ -6,8 +6,10 @@ row or one context at a time: `latent_prior_row`, `transition_row`,
 below check that the two routes agree on random, floored and hard-zero
 instances, on both ticks and tick periods 1-3. The product builders'
 fixed contraction plans, and belief_table's broadcast product, are checked
-against np.einsum(..., optimize=True) bit for bit, and the unmasked edge
-cost against its masked build (`masked_edge_cost`).
+against np.einsum(..., optimize=True) bit for bit, the unmasked edge
+cost against its masked build (`masked_edge_cost`), and belief_table's
+x_prev rows and the edge cost that tick_pieces builds from them, one
+block at a time, against the whole belief's.
 """
 
 import tracemalloc
@@ -27,7 +29,7 @@ from ascontrol.instances import hard_zero_instance, random_instance
 from ascontrol.logspace import safe_log
 from ascontrol.model import CompleteState, ModelSpec, RecognitionContext
 from ascontrol.objectives import step_objective
-from conftest import bits
+from conftest import bits, seed3_thermostat
 
 TOL = 1e-12
 
@@ -42,6 +44,18 @@ def instances(draw):
         return hard_zero_instance(seed, cards, tick_period)
     return random_instance(seed, cards=cards, tick_period=tick_period,
                            floor=kind == "floored")
+
+
+def instance_with_stack(seed, cards, tick_period, hard_zero, stacked, count=2):
+    """An instance whose recognition model is, if `stacked` names a factor,
+    `count` candidates of that factor off the model's logits."""
+    gen, rec, ref = (hard_zero_instance(seed, cards, tick_period) if hard_zero
+                     else random_instance(seed, cards=cards, tick_period=tick_period))
+    if stacked is not None:
+        logits = control.extract_params(gen, rec).q_logits[stacked]
+        rng = np.random.default_rng(seed)
+        rec = rec.stacked(stacked, logits + rng.standard_normal((count,) + logits.shape))
+    return gen, rec, ref
 
 
 def assert_close(got, want):
@@ -131,12 +145,39 @@ def test_transition_matrix_build_holds_little_beside_its_output():
     assert peak < 1.5 * out.nbytes, peak
 
 
+def traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_path_builds_hold_no_whole_belief():
+    # the generative rate keeps its two transition matrices and the Bellman
+    # operators none; the edge cost both read is built from belief rows one
+    # x_prev block at a time, so neither holds an (N, O, A, L) array, which
+    # is as large as P (N * O * A * L = N^2). A whole belief beside a buffer
+    # of its size, as a whole edge-cost build makes, is past both bounds
+    gen, rec, ref = seed3_thermostat()
+    n = gen.spec.n_states
+    rate = traced_peak(lambda: oracle.exact_average_rate(gen, rec, ref, X0, 32, 16))
+    assert rate < 3 * n * n * 8, rate
+    assert {("P", True), ("P", False)} <= set(gen.pieces)
+    assert rec.pieces["belief"] == {}
+    gen, rec, ref = seed3_thermostat()
+    ops = traced_peak(lambda: control._BellmanOps(gen, rec, ref))
+    assert ops < n * n * 8, ops
+    assert rec.pieces["belief"] == {}
+
+
 @settings(max_examples=30, deadline=None)
 @given(inst=instances(), tick=st.booleans())
 def test_recognition_joint_matches_belief_table(inst, tick):
     _, rec, _ = inst
     spec = rec.spec
-    dense = chains.belief_table(rec, tick)
+    dense = chains.belief_table(rec, tick, slice(None))
     for x, o, a, ctx in contexts(spec):
         assert_close(rec.joint(ctx, tick=tick).reshape(-1), dense[x.flat(spec), o, a])
 
@@ -197,7 +238,8 @@ def test_model_only_log_tables_are_kept_per_model():
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.0
     assert np.array_equal(bits(l_lat), bits(-np.log(chains.lik_over_latents(gen))))
-    assert np.array_equal(bits(chains.edge_cost(gen, ref, pc["prior"], pc["belief"])),
+    belief = chains.recognition_belief(rec, True)
+    assert np.array_equal(bits(chains.edge_cost(gen, ref, pc["prior"], belief)),
                           bits(pc["cost"]))
     # a rebuilt model starts empty
     assert replace(ref).pieces == {} and replace(gen).pieces == {}
@@ -227,13 +269,8 @@ def test_edge_cost_is_its_masked_build(seed, cards, tick_period, hard_zero, tick
                                        stacked):
     """Bit for bit, ±0 included, where hard zeros put 0 * inf and log 0 off
     the belief's support and infinite costs on it."""
-    gen, rec, ref = (hard_zero_instance(seed, cards, tick_period) if hard_zero
-                     else random_instance(seed, cards=cards, tick_period=tick_period))
-    if stacked is not None:
-        logits = control.extract_params(gen, rec).q_logits[stacked]
-        rng = np.random.default_rng(seed)
-        rec = rec.stacked(stacked, logits + rng.standard_normal((2,) + logits.shape))
-    prior, belief = chains.latent_prior(gen, tick), chains.belief_table(rec, tick)
+    gen, rec, ref = instance_with_stack(seed, cards, tick_period, hard_zero, stacked)
+    prior, belief = chains.latent_prior(gen, tick), chains.belief_table(rec, tick, slice(None))
     assert np.array_equal(bits(chains.edge_cost(gen, ref, prior, belief)),
                           bits(masked_edge_cost(gen, ref, prior, belief)))
 
@@ -242,7 +279,8 @@ def test_edge_cost_is_its_masked_build_on_the_thermostat():
     env, ref = sim.thermostat_env(3, [0, 2])
     gen, rec = sim.thermostat_agent(env, [0, 2], 0)
     for tick in (True, False):
-        prior, belief = chains.latent_prior(gen, tick), chains.belief_table(rec, tick)
+        prior = chains.latent_prior(gen, tick)
+        belief = chains.belief_table(rec, tick, slice(None))
         assert np.array_equal(bits(chains.edge_cost(gen, ref, prior, belief)),
                               bits(masked_edge_cost(gen, ref, prior, belief)))
 
@@ -252,40 +290,48 @@ def test_edge_cost_is_its_masked_build_on_the_thermostat():
 
 
 def test_a_kept_recognition_half_is_built_once_per_tick(monkeypatch):
-    gen, rec, ref = random_instance(9)
+    gen, rec, ref = random_instance(9, cards=(3, 2, 2, 2, 2, 2))
     fresh = {}
     for t in (True, False):
-        prior, belief = chains.latent_prior(gen, t), chains.belief_table(rec, t)
+        prior, belief = chains.latent_prior(gen, t), chains.belief_table(rec, t, slice(None))
         marg = chains.obs_action_marginal(gen, prior)
         cost = chains.edge_cost(gen, ref, prior, belief)
-        fresh[t] = {"prior": prior, "belief": belief, "marg": marg, "cost": cost,
+        fresh[t] = {"prior": prior, "marg": marg, "cost": cost,
                     "ev": chains.expected_edge_cost(marg, cost)}
     calls = []
     belief_table = chains.belief_table
-    monkeypatch.setattr(chains, "belief_table",
-                        lambda r, tick: calls.append(tick) or belief_table(r, tick))
+    monkeypatch.setattr(chains, "belief_table", lambda r, tick, rows:
+                        calls.append((tick, rows)) or belief_table(r, tick, rows))
     kept = {t: chains.tick_pieces(gen, rec, ref, t) for t in (True, False)}
-    qc = chains.recognition_chain(gen.spec, kept[True])
+    # no whole belief is kept, so the edge cost reads belief rows, one block
+    # per observation of x_prev (3 blocks of 96 / 3 rows)
+    blocks = [slice(0, 32), slice(32, 64), slice(64, 96)]
+    assert calls == [(True, rows) for rows in blocks] + [(False, rows) for rows in blocks]
+    qc = chains.recognition_chain(gen, rec, ref, True)
     for t in (True, False):
         assert chains.tick_pieces(gen, rec, ref, t) is kept[t]
+        assert set(kept[t]) - {"qc"} == set(fresh[t])
         for key, arr in fresh[t].items():
             assert np.array_equal(bits(kept[t][key]), bits(arr))
-    # the chain is carried by the kept pieces
-    assert chains.recognition_chain(gen.spec, chains.tick_pieces(gen, rec, ref, True)) is qc
-    for key in ("belief", "cost", "ev", "qc"):
+    # the chain is carried by the kept pieces; its belief is the one whole
+    # build of the tick
+    assert chains.recognition_chain(gen, rec, ref, True) is qc is kept[True]["qc"]
+    assert calls[6:] == [(True, slice(None))]
+    belief = chains.recognition_belief(rec, True)
+    for arr in (kept[True]["cost"], kept[True]["ev"], qc, belief):
         with pytest.raises(ValueError, match="read-only"):
-            kept[True][key][0] = 0.0
-    assert calls == [True, False]
+            arr[0] = 0.0
     # another generative or reference model builds afresh, and is then kept
     # in place of the last pair; the belief reads the recognition model
-    # alone, so each switch reuses it
+    # alone, so each switch reads the kept one and builds no rows
     other = chains.tick_pieces(replace(gen), rec, ref, True)
     assert other is not kept[True] and "qc" not in other
     assert chains.tick_pieces(gen, rec, replace(ref), True) is not kept[True]
     again = chains.tick_pieces(gen, rec, ref, True)
     assert again is not kept[True]
-    assert other["belief"] is again["belief"] is kept[True]["belief"]
-    assert calls == [True, False]
+    assert np.array_equal(bits(again["cost"]), bits(kept[True]["cost"]))
+    assert chains.recognition_belief(rec, True) is belief
+    assert calls[6:] == [(True, slice(None))]
 
 
 def test_a_kept_recognition_half_still_meets_the_ceiling(monkeypatch):
@@ -311,7 +357,8 @@ def built():
     """A 64-state instance with its per-tick pieces and solved value, built
     under the default ceiling (so every lattice lookup below is a cache hit)."""
     gen, rec, ref = random_instance(5, floor=True)
-    pc = chains.tick_pieces(gen, rec, ref, True)
+    pc = dict(chains.tick_pieces(gen, rec, ref, True),
+              belief=chains.recognition_belief(rec, True))
     value = control.relative_value_iteration(gen, rec, ref, tol=1e-8)
     params = control.extract_params(gen, rec)
     return gen, rec, ref, pc, value, params
@@ -324,7 +371,7 @@ DENSE_ENTRY_POINTS = {
     "chains.transition_matrix(prior)": lambda g, r, f, pc, v, p:
         chains.transition_matrix(g, True),
     "chains.transition_row": lambda g, r, f, pc, v, p: chains.transition_row(g, X0, True),
-    "chains.belief_table": lambda g, r, f, pc, v, p: chains.belief_table(r, True),
+    "chains.belief_table": lambda g, r, f, pc, v, p: chains.belief_table(r, True, slice(None)),
     "chains.obs_action_marginal": lambda g, r, f, pc, v, p:
         chains.obs_action_marginal(g, pc["prior"]),
     "chains.edge_cost": lambda g, r, f, pc, v, p:
@@ -455,7 +502,7 @@ def build_products(gen, rec, tick):
     chains.latent_prior(gen, tick)
     chains.transition_matrix(gen, tick)
     chains.qchain_matrix(gen.spec, chains.generative_pieces(gen, tick)["marg"],
-                         chains.belief_table(rec, tick))
+                         chains.belief_table(rec, tick, slice(None)))
 
 
 @contextmanager
@@ -551,14 +598,9 @@ def belief_by_einsum(rec, tick):
        stacked=st.sampled_from([None, "s2", "a2", "s1", "a1"]))
 def test_belief_table_gives_the_bits_of_einsum_optimize(seed, cards, tick_period,
                                                          hard_zero, tick, stacked):
-    gen, rec, _ = (hard_zero_instance(seed, cards, tick_period) if hard_zero
-                   else random_instance(seed, cards=cards, tick_period=tick_period))
-    if stacked is not None:
-        # three candidates of one factor on a leading axis
-        logits = control.extract_params(gen, rec).q_logits[stacked]
-        rng = np.random.default_rng(seed)
-        rec = rec.stacked(stacked, logits + rng.standard_normal((3,) + logits.shape))
-    got = chains.belief_table(rec, tick)
+    # three candidates of one factor on a leading axis
+    _, rec, _ = instance_with_stack(seed, cards, tick_period, hard_zero, stacked, count=3)
+    got = chains.belief_table(rec, tick, slice(None))
     assert got.flags.c_contiguous
     assert np.array_equal(bits(got), bits(belief_by_einsum(rec, tick)))
 
@@ -567,12 +609,56 @@ def test_belief_table_gives_the_bits_of_einsum_optimize_on_the_thermostat():
     env, _ = sim.thermostat_env(3, [0, 2])
     rec = sim.thermostat_agent(env, [0, 2], 0)[1]
     for tick in (True, False):
-        assert np.array_equal(bits(chains.belief_table(rec, tick)),
+        assert np.array_equal(bits(chains.belief_table(rec, tick, slice(None))),
                               bits(belief_by_einsum(rec, tick)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), cards=st.tuples(*[st.integers(1, 3)] * 6),
+       tick_period=st.integers(1, 3), hard_zero=st.booleans(), tick=st.booleans(),
+       stacked=st.sampled_from([None, "s2", "a2", "s1", "a1"]), data=st.data())
+def test_belief_rows_are_the_rows_of_the_whole_build(seed, cards, tick_period, hard_zero,
+                                                     tick, stacked, data):
+    _, rec, _ = instance_with_stack(seed, cards, tick_period, hard_zero, stacked)
+    n = rec.spec.n_states
+    start = data.draw(st.integers(0, n - 1))
+    rows = slice(start, data.draw(st.integers(start + 1, n)))
+    got = chains.belief_table(rec, tick, rows)
+    assert got.flags.c_contiguous
+    whole = chains.belief_table(rec, tick, slice(None))
+    assert np.array_equal(bits(got), bits(whole[..., rows, :, :, :]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), cards=st.tuples(*[st.integers(1, 3)] * 6),
+       tick_period=st.integers(1, 3), hard_zero=st.booleans(), tick=st.booleans(),
+       stacked=st.sampled_from([None, "s2", "a2", "s1", "a1"]), kept=st.booleans())
+def test_blocked_edge_cost_is_the_whole_build(seed, cards, tick_period, hard_zero, tick,
+                                              stacked, kept):
+    """tick_pieces' cost and ev, built one x_prev block at a time from belief
+    rows (or, with `kept`, from the kept whole belief), are edge_cost of the
+    whole belief and its expectation, bit for bit."""
+    gen, rec, ref = instance_with_stack(seed, cards, tick_period, hard_zero, stacked)
+    prior = chains.latent_prior(gen, tick)
+    marg = chains.obs_action_marginal(gen, prior)
+    want = chains.edge_cost(gen, ref, prior, chains.belief_table(rec, tick, slice(None)))
+    if kept:
+        chains.recognition_belief(rec, tick)
+    pc = chains.tick_pieces(gen, rec, ref, tick)
+    assert (tick in rec.pieces["belief"]) == kept          # no whole belief built
+    assert np.array_equal(bits(pc["cost"]), bits(want))
+    assert np.array_equal(bits(pc["ev"]), bits(chains.expected_edge_cost(marg, want)))
 
 
 # ---------------------------------------------------------------------------
 # stacked recognition candidates
+
+
+def pieces_with_belief(gen, rec, ref, tick):
+    """The kept tick pieces, with the chain matrix and the whole belief."""
+    chains.recognition_chain(gen, rec, ref, tick)
+    return dict(chains.tick_pieces(gen, rec, ref, tick),
+                belief=chains.recognition_belief(rec, tick))
 
 
 @settings(max_examples=20, deadline=None)
@@ -589,13 +675,11 @@ def test_stacked_candidates_give_the_single_builds_bit_for_bit(seed, cards, tick
     for key, logits in control.extract_params(gen, rec).q_logits.items():
         # two candidates off the model's logits; hard zeros stay at -inf
         cands = logits + rng.standard_normal((2,) + logits.shape)
-        stacked = chains.tick_pieces(gen, rec.stacked(key, cands), ref, tick)
-        chains.recognition_chain(gen.spec, stacked)
+        stacked = pieces_with_belief(gen, rec.stacked(key, cands), ref, tick)
         # the non-tick belief reads no s2 sentinel, so it is not stacked
         assert stacked["belief"].ndim == (4 if key == "s2" and not tick else 5)
         for j, cand in enumerate(cands):
-            single = chains.tick_pieces(gen, rec.with_logits({key: cand}), ref, tick)
-            chains.recognition_chain(gen.spec, single)
+            single = pieces_with_belief(gen, rec.with_logits({key: cand}), ref, tick)
             for name in ("belief", "cost", "ev", "qc"):
                 row = np.broadcast_to(stacked[name], (2,) + single[name].shape)[j]
                 assert np.array_equal(bits(row), bits(single[name])), (key, name, j)

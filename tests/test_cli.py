@@ -344,6 +344,28 @@ def test_user_errors_get_one_line_and_exit_2(model_file, tmp_path, args):
         assert "--seed" in r.stderr
 
 
+TRAIN_ONCE = ("train", "--model", "{model}", "--steps", "2", "--iters", "1",
+              "--out", "{dir}/trained.json")
+
+
+@pytest.mark.parametrize("args,setting", [
+    (TRAIN_ONCE + ("--lr", "0"), "lr"),
+    (TRAIN_ONCE + ("--lr=-1",), "lr"),
+    (TRAIN_ONCE + ("--lr", "inf"), "lr"),
+    (TRAIN_ONCE + ("--lr", "nan"), "lr"),
+    (("init", "--heat-success", "2", "--out", "{dir}/model.json"), "heat_success"),
+    (("init", "--phase-advance", "1.5", "--out", "{dir}/model.json"), "phase_advance"),
+], ids=["lr-0", "lr-negative", "lr-inf", "lr-nan", "heat-success-2", "phase-advance-1.5"])
+def test_out_of_range_settings_name_the_setting(model_file, tmp_path, args, setting):
+    # train used to run with these step sizes (or warn, then fail in the
+    # softmax), and init to fail with "negative probability entry"
+    r = run(*(a.format(dir=tmp_path, model=model_file) for a in args))
+    assert_one_line_exit_2(r, args[0])
+    assert f"{setting} must be" in r.stderr
+    assert r.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags,setting", [
     (("--horizon", "0"), "horizon"),
     (("--rollouts", "1"), "n_rollouts"),

@@ -122,6 +122,21 @@ def test_rvi_rejects_bad_settings_before_building_operators(monkeypatch, kw):
         control.relative_value_iteration(gen, rec, ref, **kw)
 
 
+@pytest.mark.parametrize("lr", [0.0, -1.0, math.inf, math.nan],
+                         ids=["lr-0", "lr-negative", "lr-inf", "lr-nan"])
+def test_train_rejects_a_bad_learning_rate_before_any_work(monkeypatch, lr):
+    # lr 0 or below used to train with step size 0 (or halve below 1e-12),
+    # and inf or nan to fail later with "softmax row with no finite logit"
+    gen, rec, ref = uniform_instance()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("parameters extracted for a bad learning rate")
+
+    monkeypatch.setattr(control, "extract_params", no_work)
+    with pytest.raises(ValueError, match="lr must be a finite number > 0"):
+        control.train(gen, rec, ref, X0, 2, 1, lr=lr)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), phase=st.integers(0, 5),
        h_seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-3, 1.0, 50.0]),
@@ -597,7 +612,7 @@ def test_fd_gradients_build_the_unperturbed_belief_once_per_tick(monkeypatch):
     calls = []
     belief_table = chains.belief_table
     monkeypatch.setattr(chains, "belief_table",
-                        lambda r, tick: calls.append(r) or belief_table(r, tick))
+                        lambda r, tick, rows: calls.append(r) or belief_table(r, tick, rows))
     control.fd_gradients(gen, rec, ref, params, X0, 2, 0.1)
     base = calls[0]
     assert sum(r is base for r in calls) == 2

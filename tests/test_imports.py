@@ -21,10 +21,12 @@ for one draw and `control._sample_paths` for rollouts, so no other package
 code calls `searchsorted` or draws uniforms with `.random(` (but for
 `instances.py`, whose `zero_some` masks entries at random). Conversion: the
 bundle reader turns row text into floats in one place, `model._rows_block`,
-which no package code but `model._rows_of` names. Masks: a ufunc's `where=`
-pays for its mask on every entry, so in `chains.py` and `control.py`, whose
-passes run over (..., N, O, A, L) arrays unmasked and zero their dead
-entries once, only the small-array helpers `_safe_div` and `_norm` take it.
+which no package code but `model._rows_of` names. Beliefs: only `chains.py`
+calls `belief_table`, so every whole belief is kept by its one cache rule,
+`chains.recognition_belief`. Masks: a ufunc's `where=` pays for its mask
+on every entry, so in `chains.py` and `control.py`, whose passes run over
+(..., N, O, A, L) arrays unmasked and zero their dead entries once, only
+the small-array helpers `_safe_div` and `_norm` take it.
 """
 
 import ast
@@ -320,6 +322,29 @@ def test_conversion_checker_flags_stray_sites():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_row_text_is_converted_in_one_place(path):
     assert stray_uses(path.read_text(), CONVERSION, CONVERSION_SITES) == []
+
+
+# the module that builds recognition beliefs: a whole belief is kept there by
+# one cache rule (chains.recognition_belief), which no other module gets round
+BELIEF = "belief_table"
+BELIEF_MODULE = "chains.py"
+
+
+def test_belief_checker_flags_stray_sites():
+    source = ("from .chains import belief_table, recognition_belief\n"
+              "def check(rec):\n"
+              "    q = chains.belief_table(rec, True, slice(None))\n"
+              "    r = belief_table(rec, False, slice(0, 4))\n"
+              "    return q, r, recognition_belief(rec, True)\n"
+              "build = chains.belief_table\n")
+    assert stray_uses(source, BELIEF, ()) == [
+        (3, "chains.belief_table"), (4, "belief_table"), (6, "chains.belief_table")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != BELIEF_MODULE],
+                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_beliefs_are_built_in_one_module(path):
+    assert stray_uses(path.read_text(), BELIEF, ()) == []
 
 
 # the modules of the (..., N, O, A, L) passes, and the helpers in them that

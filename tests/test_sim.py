@@ -25,6 +25,17 @@ def test_thermostat_schedule_validation():
         sim.thermostat_env(3, [])
 
 
+@pytest.mark.parametrize("name,value", [("heat_success", 2.0), ("heat_success", -0.1),
+                                        ("phase_advance", 1.5), ("phase_advance", math.nan)])
+def test_thermostat_probabilities_are_range_checked(name, value):
+    # out of [0, 1] they used to fail only at the table check, which named
+    # no parameter ("negative probability entry")
+    with pytest.raises(ValueError, match=f"{name} must be a probability in \\[0, 1\\]"):
+        sim.thermostat_env(3, [0, 2], **{name: value})
+    for edge in (0.0, 1.0):
+        sim.thermostat_env(3, [0, 2], **{name: edge})
+
+
 def test_thermostat_constant_schedule_fixed_setpoint():
     env, ref = sim.thermostat_env(3, [1, 1])
     rows = ref.ref_s1.probs
