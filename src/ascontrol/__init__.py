@@ -22,11 +22,10 @@ from .model import (CompleteState, ConditionalTable, GenerativeModel,
                     ModelSpec, RecognitionContext, RecognitionModel,
                     ReferenceModel, Trajectory, load_models, recognition_logprob,
                     sample_trajectory, sample_transition, save_models,
-                    tick_levels, trajectory_logprob, transition_logprob)
-from .objectives import (FreeEnergy, RateEstimate, StepBelief, StepObjective,
-                         advantage, global_rate, likelihood_surprisal,
-                         reference_cross_entropy_rate, reference_surprisal,
-                         step_objective, variational_free_energy)
+                    trajectory_logprob, transition_logprob)
+from .objectives import (FreeEnergy, StepObjective, likelihood_surprisal,
+                         reference_surprisal, step_objective,
+                         variational_free_energy)
 from .oracle import (SoftValue, enumerate_trajectories, exact_average_rate,
                      exact_marginal_likelihood, exact_path_integral_value,
                      exact_posterior, exact_soft_value, exact_step_posterior)

@@ -44,12 +44,12 @@ The recognition half takes a leading candidate axis: on a stack of
 candidates (RecognitionModel.stacked) belief, cost, ev and Qc each gain
 it, and every row is the single build of its candidate, bit for bit.
 
-The product builders (latent_prior, transition_matrix, qchain_matrix) sum
-no index: each runs numpy's greedy contraction plan, computed once per
-(subscripts, operand shapes) and replayed, so a call costs its arithmetic
-and gives the bits of np.einsum(..., optimize=True), as belief_table's
-broadcast product does. Passes over (..., N, O, A, L) arrays run unmasked
-and zero their dead entries once.
+The product builders (latent_prior, transition_matrix, qchain_matrix,
+belief_table) sum no index: each is a broadcast product that multiplies
+its factors in the order of numpy's one-step plan (the operands in
+descending position), so it gives the bits of np.einsum(...,
+optimize=True) without planning a path per call. Passes over (..., N, O,
+A, L) arrays run unmasked and zero their dead entries once.
 """
 
 import numpy as np
@@ -109,32 +109,6 @@ class Lattice:
         return lat
 
 
-# the one step of numpy's greedy plan for each product builder, per
-# (subscripts, operand shapes): (operand positions, step subscripts)
-_PLANS = {}
-
-
-def _product(subscripts, *ops):
-    """np.einsum(subscripts, *ops, optimize=True), bit for bit, for a
-    contraction that sums no index, with numpy's greedy plan computed once
-    per (subscripts, shapes) and replayed with plain np.einsum. For such a
-    contraction the plan is one step over every operand, which np.einsum
-    pops in descending position: one product per output element, so the
-    same operands multiplied in the same order give the same bits (plain
-    np.einsum(subscripts, *ops) multiplies them in another order)."""
-    key = (subscripts, tuple(op.shape for op in ops))
-    plan = _PLANS.get(key)
-    if plan is None:
-        (positions,) = np.einsum_path(subscripts, *ops, optimize="greedy")[0][1:]
-        positions = sorted(positions, reverse=True)
-        inputs, output = subscripts.split("->")
-        terms = inputs.split(",")
-        plan = _PLANS[key] = (
-            positions, ",".join(terms[i] for i in positions) + "->" + output)
-    positions, step = plan
-    return np.einsum(step, *[ops[i] for i in positions])
-
-
 def _kept(cache, key, spec, build):
     """cache[key]: built by `build()` on first use, made read-only (an array,
     or each array of a dict) and kept, then read. The state ceiling of
@@ -164,7 +138,11 @@ def latent_prior(gen, tick):
     d2, d1 = world_factors(gen, tick)
     p2 = gen.pol2.reshaped()                                   # (s2', a2)
     p1 = gen.pol1.reshaped()                                   # (s1', a2, a1)
-    prior = _product("xX,XA,xXs,sAb->xsXbA", d2, p2, d1, p1)
+    # ((p1 d1) p2) d2 in (x, s1, s2, a1, a2) order, as numpy's one-step plan
+    # multiplies them
+    prior = p1.transpose(0, 2, 1)[None, :, None] * d1.transpose(0, 2, 1)[..., None, None]
+    prior *= p2[:, None, :]
+    prior *= d2[:, None, :, None, None]
     return prior.reshape(spec.n_states, spec.n_latents)
 
 
@@ -280,8 +258,9 @@ def transition_matrix(gen, tick):
     x, expanded by each state's class."""
     def build():
         lat = Lattice.of(gen.spec)
-        t4 = _product("xl,lo,loa->xoal", generative_pieces(gen, tick)["prior"][lat.sa_reps],
-                      lik_over_latents(gen), pol0_over_latents(gen))
+        prior = generative_pieces(gen, tick)["prior"][lat.sa_reps]
+        t4 = (pol0_over_latents(gen).transpose(1, 2, 0)[None]
+              * lik_over_latents(gen).T[None, :, None, :]) * prior[:, None, None, :]
         return _over_successors(gen.spec, t4)[lat.sa_class]
 
     return _kept(gen.pieces, ("P", tick), gen.spec, build)
@@ -299,8 +278,7 @@ def qchain_matrix(spec, marg, belief):
     the model's marginal, latents from the filtering belief; shape (..., N, N)
     for a belief of shape (..., N, O, A, L)."""
     Lattice.of(spec)  # the ceiling, before the product allocates
-    q4 = _product("...xoa,...xoal->...xoal", marg, belief)
-    return _over_successors(spec, q4)
+    return _over_successors(spec, marg[..., None] * belief)
 
 
 def state_cost(gen, ref):

@@ -122,12 +122,13 @@ def cmd_simulate(args):
 
 
 def cmd_train(args):
+    policies = tuple(args.policies.split(",")) if args.policies else ("pol0",)
+    control.check_train_settings(args.steps, args.iters, args.lr, args.estimator, policies)
     gen, rec, ref = load_models(args.model)
     x0 = args.x0 or CompleteState(0, 0, 0, 0, 0, 0)
     report, gen2, rec2 = control.train(
         gen, rec, ref, x0, args.steps, iters=args.iters, lr=args.lr,
-        seed=args.seed, estimator=args.estimator,
-        trainable_policies=tuple(args.policies.split(",")) if args.policies else ("pol0",))
+        seed=args.seed, estimator=args.estimator, trainable_policies=policies)
     save_models(args.out, gen2, rec2, ref)
     if args.report:
         with open(args.report, "w") as fh:

@@ -63,6 +63,23 @@ def check_path_integral_settings(T, n_rollouts, rate):
                          f"got {rate!r}")
 
 
+def check_train_settings(T, iters, lr, estimator, trainable_policies):
+    """The settings of a training run: a horizon of at least one step, at
+    least one iteration, a finite learning rate > 0, a known estimator, and
+    trainable tables among the POLICY_TABLES."""
+    oracle.check_horizon(T)
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters!r}")
+    if estimator not in ("exact", "score"):
+        raise ValueError(f"unknown estimator {estimator!r}")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ValueError(f"lr must be a finite number > 0, got {lr!r}")
+    for name in trainable_policies:
+        if name not in POLICY_TABLES:
+            raise ValueError(f"{name!r} is not a trainable policy table "
+                             f"(choose from {', '.join(POLICY_TABLES)})")
+
+
 # ---------------------------------------------------------------------------
 # differential value
 
@@ -448,11 +465,8 @@ class TrainableParams:
 
 def extract_params(gen, rec, trainable_policies=POLICY_TABLES):
     """Pull free logits out of existing models: the log tables, which the
-    softmax reproduces exactly. Only the POLICY_TABLES can be trained."""
-    for name in trainable_policies:
-        if name not in POLICY_TABLES:
-            raise ValueError(f"{name!r} is not a trainable policy table "
-                             f"(choose from {', '.join(POLICY_TABLES)})")
+    softmax reproduces exactly, of the recognition factors and of the
+    policy tables in `trainable_policies` (check_train_settings checks them)."""
     q = {k: safe_log(rec.sentinel[k]) for k in REC_FACTORS}
     pol = {name: safe_log(getattr(gen, name).probs)
            for name in trainable_policies}
@@ -806,13 +820,7 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
     The outgoing iterate, or a rejected candidate, is released before the
     next candidate is built, so at most one parameter set's pieces are alive.
     """
-    oracle.check_horizon(T)
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters!r}")
-    if estimator not in ("exact", "score"):
-        raise ValueError(f"unknown estimator {estimator!r}")
-    if not (math.isfinite(lr) and lr > 0.0):
-        raise ValueError(f"lr must be a finite number > 0, got {lr!r}")
+    check_train_settings(T, iters, lr, estimator, trainable_policies)
     params = extract_params(gen, rec, trainable_policies)
     cur_gen, cur_rec = apply_params(gen, rec, params)
     rate = oracle.exact_average_rate(cur_gen, cur_rec, ref, x0, *_RATE_HORIZON,

@@ -141,14 +141,8 @@ class Trajectory:
                    for t, (prev, x) in enumerate(zip(prevs, self.steps), start=1))
 
 
-def tick_levels(t, spec):
-    """Which hierarchy levels transition at step t (level 1 always does)."""
-    if t < 1:
-        raise ValueError("time index starts at 1")
-    return {1, 2} if tick_at(t, spec) else {1}
-
-
 def tick_at(t, spec):
+    """True iff step t (counted from 1) ticks: the slow latent s2 moves too."""
     return (t - 1) % spec.tick_period_level2 == 0
 
 

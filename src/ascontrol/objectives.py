@@ -1,8 +1,10 @@
-"""Scalar objectives: surprisal costs, variational free energy, the per-step
-pathwise objective, the global surprise rate, and mean-centered advantages.
+"""Scalar objectives of one step: the realized per-state surprisals, the
+variational free energy and the per-step pathwise objective.
 
-All expectations over latent tuples are exhaustive sums in log-space.
-Units are nats throughout.
+The average of the step objective over the infinite horizon is computed by
+the chain solvers (`oracle.exact_average_rate`, relative value iteration
+and the adjoint), not here. All expectations over latent tuples are
+exhaustive sums in log-space. Units are nats throughout.
 """
 
 import warnings
@@ -26,22 +28,6 @@ class StepObjective:
     @property
     def total(self):
         return self.j + self.l + self.kl
-
-
-@dataclass(frozen=True)
-class RateEstimate:
-    mean_rate: float
-    steps: int
-    per_step: tuple
-
-
-@dataclass(frozen=True)
-class StepBelief:
-    """A logged belief: the observation it conditions on plus the joint over
-    latent tuples (flat, (L,))."""
-
-    o: int
-    q: np.ndarray
 
 
 def reference_surprisal(ref, x):
@@ -109,29 +95,3 @@ def step_objective(gen, rec, ref, context, tick=True):
         j=float(np.sum(q[mask] * j_lat[mask])),
         l=float(np.sum(q[mask] * l_lat[mask])),
         kl=kl_divergence(q, prior))
-
-
-def reference_cross_entropy_rate(beliefs, ref):
-    """Window average of E_q[-log R(x)] over logged per-step beliefs."""
-    if not beliefs:
-        raise ValueError("empty belief window")
-    j_lat = chains.reference_over_latents(ref)
-    vals = []
-    for b in beliefs:
-        with np.errstate(invalid="ignore"):
-            vals.append(float(np.where(b.q > 0.0, b.q * j_lat[:, b.o], 0.0).sum()))
-    return float(np.mean(vals))
-
-
-def global_rate(per_step):
-    """Arithmetic mean of step-objective totals."""
-    if not per_step:
-        raise ValueError("empty step-objective list")
-    totals = tuple(s.total for s in per_step)
-    return RateEstimate(mean_rate=float(np.mean(totals)), steps=len(totals),
-                        per_step=totals)
-
-
-def advantage(step, rate):
-    """Mean-centered step objective."""
-    return step.total - rate

@@ -2,21 +2,20 @@
 
 Each dense (N, ...) builder in `chains` has a second route that builds one
 row or one context at a time: `latent_prior_row`, `transition_row`,
-`RecognitionModel.joint` and `objectives.step_objective`. The properties
-below check that the two routes agree on random, floored and hard-zero
-instances, on both ticks and tick periods 1-3. The product builders'
-fixed contraction plans, and belief_table's broadcast product, are checked
-against np.einsum(..., optimize=True) bit for bit, the unmasked edge
-cost against its masked build (`masked_edge_cost`), and belief_table's
-x_prev rows and the edge cost that tick_pieces builds from them, one
-block at a time, against the whole belief's.
-"""
+`RecognitionModel.joint` and `objectives.step_objective`; the per-state
+surprisals `objectives.reference_surprisal` and `likelihood_surprisal`
+are the second route to `state_cost` and the per-latent log tables. The
+properties below check that the two routes agree on random, floored and
+hard-zero instances, on both ticks and tick periods 1-3. The broadcast
+products of the product builders are checked against np.einsum(...,
+optimize=True) bit for bit, the unmasked edge cost against its masked
+build (`masked_edge_cost`), and belief_table's x_prev rows and the edge
+cost that tick_pieces builds from them, one block at a time, against the
+whole belief's."""
 
 import tracemalloc
-from collections import Counter
-from contextlib import contextmanager
+import warnings
 from dataclasses import replace
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -99,11 +98,11 @@ def test_transition_rows_match_dense(inst, tick):
 
 def per_state_transition_matrix(gen, tick):
     """P built one state at a time: each state's own prior row through
-    transition_matrix's product and successor gather, with no class map."""
+    np.einsum's product and the successor gather, with no class map."""
     prior = chains.latent_prior(gen, tick)
     lik, pol0 = chains.lik_over_latents(gen), chains.pol0_over_latents(gen)
     return np.concatenate([chains._over_successors(
-        gen.spec, chains._product("xl,lo,loa->xoal", prior[x:x + 1], lik, pol0))
+        gen.spec, np.einsum("xl,lo,loa->xoal", prior[x:x + 1], lik, pol0, optimize=True))
         for x in range(gen.spec.n_states)])
 
 
@@ -128,6 +127,27 @@ def test_transition_matrix_is_the_per_state_build_on_the_thermostat(tick):
     gen = thermostat_model()
     got = chains.transition_matrix(gen, tick)
     assert np.array_equal(bits(got), bits(per_state_transition_matrix(gen, tick)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=instances())
+def test_per_state_surprisals_are_the_builders_entries(inst):
+    """state_cost, reference_over_latents and -log lik_over_latents at each
+    complete state are its reference_surprisal and likelihood_surprisal,
+    bit for bit, infinite ones included."""
+    gen, _, ref = inst
+    spec, lat = gen.spec, chains.Lattice.of(gen.spec)
+    cost = chains.state_cost(gen, ref)
+    j_lat, l_lat = chains.reference_over_latents(ref), -safe_log(chains.lik_over_latents(gen))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)        # zero-mass states
+        for x in states(spec):
+            i, o = x.flat(spec), x.o
+            j = objectives.reference_surprisal(ref, x)
+            l = objectives.likelihood_surprisal(gen, x)
+            l_of_x = lat.lat_of_state[i]
+            assert np.array_equal(bits([cost[i], j_lat[l_of_x, o], l_lat[l_of_x, o]]),
+                                  bits([j + l, j, l]))
 
 
 def test_transition_matrix_build_holds_little_beside_its_output():
@@ -479,106 +499,53 @@ def test_successor_map_is_the_inverse_of_each_states_oal_index(cards):
         assert (x.s1, x.s2, x.a1, x.a2) == np.unravel_index(l, spec.latent_dims)
 
 
-# ---------------------------------------------------------------------------
-# fixed contraction plans of the product builders
-
-try:
-    from numpy._core import einsumfunc
-except ImportError:  # numpy 1.x
-    from numpy.core import einsumfunc
-
-# the subscripts of each product builder's contraction
-PRODUCTS = ("xX,XA,xXs,sAb->xsXbA",                                 # latent_prior
-            "xl,lo,loa->xoal",                                      # transition_matrix
-            "...xoa,...xoal->...xoal")                              # qchain_matrix
+# broadcast products against np.einsum(..., optimize=True)
 
 # the contraction of belief_table's broadcast product, sentinel factors in
 # (s2, a2, s1, a1) order
 BELIEF = "...xowX,...xowXA,...xowXAs,...xowsAb->...xowsXbA"
 
 
-def build_products(gen, rec, tick):
-    """Run the four product builders on one instance and tick."""
-    chains.latent_prior(gen, tick)
-    chains.transition_matrix(gen, tick)
-    chains.qchain_matrix(gen.spec, chains.generative_pieces(gen, tick)["marg"],
-                         chains.belief_table(rec, tick, slice(None)))
+def products_by_einsum(gen, rec, tick):
+    """latent_prior, transition_matrix and qchain_matrix (of the whole
+    belief) as np.einsum(..., optimize=True) gives their products."""
+    spec, lat = gen.spec, chains.Lattice.of(gen.spec)
+    d2, d1 = chains.world_factors(gen, tick)
+    prior = np.einsum("xX,XA,xXs,sAb->xsXbA", d2, gen.pol2.reshaped(), d1,
+                      gen.pol1.reshaped(), optimize=True).reshape(spec.n_states, -1)
+    t4 = np.einsum("xl,lo,loa->xoal", prior[lat.sa_reps], chains.lik_over_latents(gen),
+                   chains.pol0_over_latents(gen), optimize=True)
+    q4 = np.einsum("...xoa,...xoal->...xoal", chains.generative_pieces(gen, tick)["marg"],
+                   chains.belief_table(rec, tick, slice(None)), optimize=True)
+    return (prior, chains._over_successors(spec, t4)[lat.sa_class],
+            chains._over_successors(spec, q4))
 
 
-@contextmanager
-def checked_products():
-    """Compare each contraction the product builders run, bit for bit, with
-    np.einsum(..., optimize=True); yields the (subscripts, shapes) run."""
-    product, seen = chains._product, []
-
-    def checked(subscripts, *ops):
-        out = product(subscripts, *ops)
-        want = np.einsum(subscripts, *ops, optimize=True)
-        assert np.array_equal(bits(out), bits(want)), subscripts
-        seen.append((subscripts, tuple(op.shape for op in ops)))
-        return out
-
-    with patch.object(chains, "_product", checked):
-        yield seen
+def assert_products_give_the_bits_of_einsum(gen, rec, tick):
+    marg = chains.generative_pieces(gen, tick)["marg"]
+    got = (chains.latent_prior(gen, tick), chains.transition_matrix(gen, tick),
+           chains.qchain_matrix(gen.spec, marg, chains.belief_table(rec, tick, slice(None))))
+    for name, out, want in zip(("latent_prior", "transition_matrix", "qchain_matrix"),
+                               got, products_by_einsum(gen, rec, tick)):
+        assert np.array_equal(bits(out), bits(want)), name
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), cards=st.tuples(*[st.integers(1, 3)] * 6),
-       tick_period=st.integers(1, 3), tick=st.booleans())
+       tick_period=st.integers(1, 3), hard_zero=st.booleans(), tick=st.booleans(),
+       stacked=st.sampled_from([None, "s2", "a2", "s1", "a1"]))
 def test_product_builders_give_the_bits_of_einsum_optimize(seed, cards, tick_period,
-                                                           tick):
-    gen, rec, _ = random_instance(seed, cards=cards, tick_period=tick_period)
-    with checked_products() as seen:
-        build_products(gen, rec, tick)
-    assert {subscripts for subscripts, _ in seen} == set(PRODUCTS)
+                                                           hard_zero, tick, stacked):
+    # a stack of candidates reaches qchain_matrix with a leading axis
+    gen, rec, _ = instance_with_stack(seed, cards, tick_period, hard_zero, stacked)
+    assert_products_give_the_bits_of_einsum(gen, rec, tick)
 
 
 def test_product_builders_give_the_bits_of_einsum_optimize_on_the_thermostat():
     env, _ = sim.thermostat_env(3, [0, 2])                     # 864 states
     gen, rec = sim.thermostat_agent(env, [0, 2], 0)
-    with checked_products() as seen:
-        for tick in (True, False):
-            build_products(gen, rec, tick)
-    assert {subscripts for subscripts, _ in seen} == set(PRODUCTS)
-
-
-def test_plans_are_kept_per_subscripts_and_shapes(monkeypatch):
-    monkeypatch.setattr(chains, "_PLANS", {})
-    small = random_instance(11, cards=(2, 2, 2, 2, 2, 2))
-    other = random_instance(12, cards=(3, 1, 2, 2, 3, 1), tick_period=3)
-    with checked_products() as seen:
-        for gen, rec, _ in (small, other, small):
-            for tick in (True, False):
-                build_products(gen, rec, tick)
-    shapes = {}
-    for subscripts, shape in seen:
-        shapes.setdefault(subscripts, set()).add(shape)
-    assert all(len(s) == 2 for s in shapes.values())           # same subscripts
-    assert set(chains._PLANS) == set(seen)
-
-
-def test_fd_gradients_plan_each_product_once(monkeypatch):
-    """Validate's first gradient instance: every contraction plan of the
-    product builders is computed at most once per (subscripts, shapes)
-    over the whole finite-difference check, each factor's stacked belief
-    included."""
-    gen, rec, ref = random_instance(3 * 6000, cards=(2, 2, 1, 2, 2, 1))
-    params = control.extract_params(gen, rec)
-    monkeypatch.setattr(chains, "_PLANS", {}, raising=False)
-    einsum_path, calls = np.einsum_path, Counter()
-
-    def counted(subscripts, *ops, **kwargs):
-        if subscripts in PRODUCTS:
-            calls[subscripts, tuple(np.shape(op) for op in ops)] += 1
-        return einsum_path(subscripts, *ops, **kwargs)
-
-    monkeypatch.setattr(einsumfunc, "einsum_path", counted)    # np.einsum's
-    monkeypatch.setattr(np, "einsum_path", counted)
-    control.fd_gradients(gen, rec, ref, params, X0, 2, 0.1)
-    assert calls and max(calls.values()) == 1, calls
-    # stacked beliefs reach the chain product, which plans them once
-    assert any(len(shapes[1]) == 5 for (subscripts, shapes) in calls
-               if subscripts == PRODUCTS[2])
+    for tick in (True, False):
+        assert_products_give_the_bits_of_einsum(gen, rec, tick)
 
 
 def belief_by_einsum(rec, tick):

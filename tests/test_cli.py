@@ -114,17 +114,20 @@ def test_loading_splits_each_distinct_piece_of_an_array_once(model_file, monkeyp
 def test_pi_value_builds_each_ticks_transition_matrix_once(model_file, monkeypatch, capsys):
     # the exact rate and the rollouts read one matrix per tick, kept on the
     # generative model
-    builds, product = [], chains._product
+    builds, kept = [], chains._kept
 
-    def counting_product(subscripts, *ops):
-        builds.append(subscripts)
-        return product(subscripts, *ops)
+    def counting_kept(cache, key, spec, build):
+        def counted():
+            builds.append(key)
+            return build()
+        return kept(cache, key, spec, counted)
 
-    monkeypatch.setattr(chains, "_product", counting_product)
+    monkeypatch.setattr(chains, "_kept", counting_kept)
     assert cli.main(["pi-value", "--model", str(model_file), "--rollouts", "100",
                      "--horizon", "3", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["rollouts"] == 100
-    assert builds.count("xl,lo,loa->xoal") == 2
+    assert sorted(key for key in builds if key in (("P", True), ("P", False))) == [
+        ("P", False), ("P", True)]
 
 
 def test_simulate_byte_identical(model_file, tmp_path):
@@ -379,6 +382,23 @@ def test_pi_value_settings_are_checked_before_the_bundle(tmp_path, flags, settin
     assert setting in r.stderr
     assert "missing.json" not in r.stderr
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--lr", "0"), "lr must be a finite number > 0"),
+    (("--iters", "0"), "iters must be >= 1"),
+    (("--steps", "0"), "the horizon T must be at least 1 step"),
+    (("--policies", "pol0,lik"), "'lik' is not a trainable policy table"),
+], ids=["lr-0", "iters-0", "steps-0", "policies-lik"])
+def test_train_settings_are_checked_before_the_bundle(tmp_path, flags, message):
+    # the bundle does not exist: the error names the setting, not the file
+    r = run("train", "--model", str(tmp_path / "missing.json"), "--steps", "2",
+            "--iters", "1", *flags, "--out", str(tmp_path / "trained.json"))
+    assert_one_line_exit_2(r, "train")
+    assert message in r.stderr
+    assert "missing.json" not in r.stderr
+    assert r.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def _cap_address_space():

@@ -1,21 +1,26 @@
 """Every module-level import in the package and in the tests is used by its
 module, every function, class, method, module-level assigned name and
-instance attribute in the package is used somewhere, and every einsum that
-plans its contraction per call sums an index.
+instance attribute in the package is used somewhere, and read by more than
+its own unit tests, and every einsum that plans its contraction per call
+sums an index.
 
 Stdlib-only stand-ins for a linter's unused-import and dead-code rules.
 Imports: each module under src/ascontrol (package __init__ files
 re-export, so they are skipped) and under tests/ is parsed, and every name
-bound by a top-level import must occur as a name somewhere in the module. Dead code:
-every non-dunder def or class under src/ascontrol, every non-dunder
-name a module-level assignment binds (constants, tables, aliases), and
-every attribute a package class assigns on `self` must be referenced
-outside its own body or statement in src/, tests/ or perfbench/ (an
-attribute by a read: assigning it is no use). Contractions: an
-`np.einsum(..., optimize=True)` computes its path on every call, so it is
-kept for contractions that sum an index (numpy runs their steps through
-matmul), and a contraction that sums none goes through `chains._product`,
-which plans it once per shape; both take literal subscripts. Draws: a
+bound by a top-level import must occur as a name somewhere in the module.
+Dead code: every non-dunder def or class under src/ascontrol, every
+non-dunder name a module-level assignment binds (constants, tables,
+aliases), and every attribute a package class assigns on `self` must be
+referenced outside its own body or statement in src/, tests/ or
+perfbench/ (an attribute by a read: assigning it is no use; a package
+`__init__` only re-exports, so its imports read nothing). And a def that
+no code in src/ or perfbench/ reads must be read by a test module other
+than its own unit tests, `tests/test_<its module>.py`, unless it is one of
+the ORACLES, the independent routes that only their own tests read.
+Contractions: an `np.einsum(..., optimize=True)` computes its path on
+every call, so it is kept for contractions that sum an index (numpy runs
+their steps through matmul), with literal subscripts; a product that sums
+none is a broadcast product. Draws: a
 categorical draw inverts a CDF in one of two places, `model.sample_categorical`
 for one draw and `control._sample_paths` for rollouts, so no other package
 code calls `searchsorted` or draws uniforms with `.random(` (but for
@@ -117,24 +122,45 @@ def definitions(tree):
                     yield name.id, node
 
 
-def unreferenced_defs(checked, others):
-    """(file, name) of each non-dunder def, class or module-level assigned
-    name in the `checked` sources ({file: text}) that no code in `checked` or
-    `others` uses outside the definition's own lines."""
+def readers(checked, others):
+    """((file, name), files) of each non-dunder def, class or module-level
+    assigned name in the `checked` sources ({file: text}): the files of
+    `checked` or `others` whose code uses it outside the definition's own
+    lines. A package `__init__.py` only re-exports, so it reads nothing."""
     trees = {f: ast.parse(text) for f, text in {**others, **checked}.items()}
     uses = {}
     for f, tree in trees.items():
-        for name, line in references(tree):
-            uses.setdefault(name, []).append((f, line))
-    unused = []
+        if Path(f).name != "__init__.py":
+            for name, line in references(tree):
+                uses.setdefault(name, []).append((f, line))
     for f in checked:
         for name, node in definitions(trees[f]):
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            own = range(node.lineno, node.end_lineno + 1)
-            if all(g == f and line in own for g, line in uses.get(name, [])):
-                unused.append((f, name))
-    return unused
+            if not (name.startswith("__") and name.endswith("__")):
+                own = range(node.lineno, node.end_lineno + 1)
+                yield (f, name), {g for g, line in uses.get(name, [])
+                                  if not (g == f and line in own)}
+
+
+def unreferenced_defs(checked, others):
+    """(file, name) of each def in the `checked` sources that no code in
+    `checked` or `others` uses outside its own lines."""
+    return [key for key, files in readers(checked, others) if not files]
+
+
+def own_tests(path):
+    """The unit-test module of the package file `path`: tests/test_<module>.py
+    for its top-level module (a subpackage by its name, less a leading
+    underscore)."""
+    module = Path(path).relative_to("src/ascontrol").parts[0]
+    return f"tests/test_{module.removesuffix('.py').lstrip('_')}.py"
+
+
+def unit_test_only_defs(checked, others):
+    """(file, name) of each def in the package sources `checked` ({path in
+    the repository: text}) that some code reads, but only its own unit-test
+    module."""
+    return [(f, name) for (f, name), files in readers(checked, others)
+            if files == {own_tests(f)}]
 
 
 def test_dead_code_checker_flags_unused_defs():
@@ -187,13 +213,48 @@ def test_dead_code_checker_flags_unread_instance_attributes():
         "total", "typed", "unread"]
 
 
-def test_every_package_def_is_referenced():
+def test_unit_test_checker_flags_defs_only_their_own_tests_read():
+    lib = ("def run():\n    return step()\n"
+           "def step():\n    return 1\n"
+           "def oracle():\n    return 1\n"
+           "def shared():\n    return 1\n"
+           "def unused():\n    return 1\n")
+    others = {"perfbench/bench.py": "NAMES = ('lib.run',)\n",
+              "tests/test_lib.py": "from ascontrol.lib import oracle, shared, step\n",
+              "tests/test_cli.py": "from ascontrol.lib import shared\n",
+              "src/ascontrol/__init__.py": "from .lib import oracle\n"}
+    # step is read by run, shared by another test module; a re-export reads
+    # nothing, and unused is the unreferenced rule's
+    assert unit_test_only_defs({"src/ascontrol/lib.py": lib}, others) == [
+        ("src/ascontrol/lib.py", "oracle")]
+    assert own_tests("src/ascontrol/_kernels/_py.py") == "tests/test_kernels.py"
+
+
+def package_sources():
+    """The package sources and the code that may read them ({path in the
+    repository: text}): tests and perfbench, less this lint, which names
+    defs but reads none."""
     def sources(top):
         return {p.relative_to(ROOT).as_posix(): p.read_text()
-                for p in sorted((ROOT / top).rglob("*.py"))}
+                for p in sorted((ROOT / top).rglob("*.py"))
+                if p != Path(__file__).resolve()}
 
-    assert unreferenced_defs(sources("src"), {**sources("tests"),
-                                              **sources("perfbench")}) == []
+    return sources("src"), {**sources("tests"), **sources("perfbench")}
+
+
+def test_every_package_def_is_referenced():
+    assert unreferenced_defs(*package_sources()) == []
+
+
+# the independent routes that only their own unit tests read, kept as the
+# oracles those tests check the model against: the exact posterior's paths,
+# the trajectory sampler and the recognition log-probability of a trajectory
+ORACLES = ("state_at", "sample_trajectory", "recognition_logprob")
+
+
+def test_every_package_def_is_read_beyond_its_unit_tests():
+    assert sorted(name for _, name in unit_test_only_defs(*package_sources())) == sorted(
+        ORACLES)
 
 
 def sums_an_index(subscripts):
@@ -203,24 +264,18 @@ def sums_an_index(subscripts):
 
 def misplaced_contractions(source):
     """(line, subscripts) of each `np.einsum(..., optimize=True)` in `source`
-    whose subscripts are not a literal that sums an index, and of each
-    `_product(...)` whose subscripts are not a literal that sums none."""
+    whose subscripts are not a literal that sums an index."""
     bad = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        planned = (isinstance(func, ast.Attribute) and func.attr == "einsum"
-                   and any(k.arg == "optimize" and isinstance(k.value, ast.Constant)
-                           and k.value.value is True for k in node.keywords))
-        product = (func.attr if isinstance(func, ast.Attribute)
-                   else getattr(func, "id", None)) == "_product"
-        if not (planned or product):
+        func = node.func if isinstance(node, ast.Call) else None
+        if not (isinstance(func, ast.Attribute) and func.attr == "einsum"
+                and any(k.arg == "optimize" and isinstance(k.value, ast.Constant)
+                        and k.value.value is True for k in node.keywords)):
             continue
         first = node.args[0] if node.args else None
         literal = isinstance(first, ast.Constant) and isinstance(first.value, str)
         subscripts = first.value if literal else None
-        if not literal or sums_an_index(subscripts) != planned:
+        if not literal or not sums_an_index(subscripts):
             bad.append((node.lineno, subscripts))
     return bad
 
@@ -230,10 +285,8 @@ def test_contraction_checker_flags_misplaced_sites():
               "b = np.einsum('xoa,xoal->xola', m, q, optimize=True)\n"
               "c = np.einsum(subs, m, q, optimize=True)\n"
               "d = np.einsum('xoa,xoal->xola', m, q)\n"
-              "e = chains._product('xoa,xoal->xola', m, q)\n"
-              "f = _product('xl,lo->xo', p, q)\n")
-    assert misplaced_contractions(source) == [
-        (2, "xoa,xoal->xola"), (3, None), (6, "xl,lo->xo")]
+              "e = np.einsum('xoa,xoal->xola', m, q, optimize=False)\n")
+    assert misplaced_contractions(source) == [(2, "xoa,xoal->xola"), (3, None)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())

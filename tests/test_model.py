@@ -23,7 +23,7 @@ from ascontrol.model import (REC_FACTORS, CompleteState, ConditionalTable,
                              _distinct_rows, _row_texts, load_models,
                              recognition_logprob, sample_trajectory,
                              sample_transition, save_models, softmax_rows,
-                             tick_levels, trajectory_logprob, transition_logprob)
+                             tick_at, trajectory_logprob, transition_logprob)
 from conftest import assert_load_matches_json, bits, ragged_rows, uniform_instance
 
 SPEC2 = ModelSpec(2, 2, 2, 2, 2, 2)
@@ -33,24 +33,20 @@ SPEC2 = ModelSpec(2, 2, 2, 2, 2, 2)
 # tick schedule
 
 
-def test_tick_levels_examples():
-    assert tick_levels(1, SPEC2) == {1, 2}
-    assert tick_levels(2, SPEC2) == {1}
-    assert tick_levels(3, SPEC2) == {1, 2}
-
-
-def test_tick_levels_rejects_zero():
-    with pytest.raises(ValueError):
-        tick_levels(0, SPEC2)
+def test_tick_at_examples():
+    assert [tick_at(t, SPEC2) for t in (1, 2, 3)] == [True, False, True]
+    spec = ModelSpec(2, 2, 2, 2, 2, 2, tick_period_level2=3)
+    assert [tick_at(t, spec) for t in range(1, 8)] == [
+        True, False, False, True, False, False, True]
 
 
 @given(t=st.integers(min_value=1, max_value=1000),
        period=st.integers(min_value=1, max_value=7))
-def test_tick_levels_period(t, period):
+def test_tick_at_period(t, period):
+    # the ticks are steps 1, 1 + period, 1 + 2 period, ...
     spec = ModelSpec(2, 2, 2, 2, 2, 2, tick_period_level2=period)
-    levels = tick_levels(t, spec)
-    assert 1 in levels
-    assert (2 in levels) == ((t - 1) % period == 0)
+    assert tick_at(t, spec) == (t in range(1, 1001, period))
+    assert tick_at(t + period, spec) == tick_at(t, spec)
 
 
 # ---------------------------------------------------------------------------

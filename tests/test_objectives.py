@@ -8,11 +8,8 @@ from ascontrol.errors import EnumerationBudgetError
 from ascontrol.instances import random_context, random_instance, random_state
 from ascontrol.model import (CompleteState, ConditionalTable, ModelSpec,
                              RecognitionContext, ReferenceModel)
-from ascontrol.objectives import (StepBelief, advantage, global_rate,
-                                  likelihood_surprisal,
-                                  reference_cross_entropy_rate,
-                                  reference_surprisal, step_objective,
-                                  variational_free_energy)
+from ascontrol.objectives import (likelihood_surprisal, reference_surprisal,
+                                  step_objective, variational_free_energy)
 from ascontrol.validate import free_energy_errors
 from conftest import uniform_instance
 
@@ -159,82 +156,3 @@ def test_step_objective_orderings_agree():
         fe = variational_free_energy(gen, rec, ctx, tick=tick)
         assert step.total == pytest.approx(step.j + fe.total, abs=1e-10)
         assert step.kl >= -1e-12
-
-
-# ---------------------------------------------------------------------------
-# reference cross-entropy rate
-
-
-def test_cross_entropy_rate_one_hot_match():
-    spec = ModelSpec(2, 2, 2, 2, 2, 2)
-    ref = ReferenceModel(
-        spec,
-        ref_o=ConditionalTable.one_hot((2,), 2, lambda a1: a1),
-        ref_s1=ConditionalTable.one_hot((2,), 2, lambda a2: a2),
-    )
-    q = np.zeros(spec.n_latents)
-    # latent (s1=1, s2=0, a1=1, a2=1): matches ref_s1 row 1 and, with o=1,
-    # matches ref_o row 1
-    q[np.ravel_multi_index((1, 0, 1, 1), spec.latent_dims)] = 1.0
-    beliefs = [StepBelief(o=1, q=q)]
-    assert reference_cross_entropy_rate(beliefs, ref) == 0.0
-
-
-def test_cross_entropy_rate_uniform_reference():
-    gen, rec, ref = uniform_instance()
-    rng = np.random.default_rng(2)
-    beliefs = []
-    for _ in range(4):
-        q = rng.dirichlet(np.ones(gen.spec.n_latents))
-        beliefs.append(StepBelief(o=int(rng.integers(2)), q=q))
-    assert reference_cross_entropy_rate(beliefs, ref) == pytest.approx(
-        2 * LOG2, abs=1e-12)
-
-
-def test_cross_entropy_rate_matches_sampling():
-    gen, rec, ref = random_instance(31)
-    rng = np.random.default_rng(31)
-    q = rng.dirichlet(np.ones(gen.spec.n_latents))
-    o = 1
-    exact = reference_cross_entropy_rate([StepBelief(o=o, q=q)], ref)
-    j_lat = chains.reference_over_latents(ref)[:, o]
-    n = 100_000
-    draws = rng.choice(q.size, size=n, p=q)
-    mc = j_lat[draws]
-    assert abs(mc.mean() - exact) <= 3 * mc.std(ddof=1) / math.sqrt(n)
-
-
-def test_cross_entropy_rate_empty_window():
-    _, _, ref = uniform_instance()
-    with pytest.raises(ValueError):
-        reference_cross_entropy_rate([], ref)
-
-
-# ---------------------------------------------------------------------------
-# rates and advantages
-
-
-class _Step:
-    def __init__(self, total):
-        self.total = total
-
-
-def test_global_rate_examples():
-    assert global_rate([_Step(1.0), _Step(3.0)]).mean_rate == 2.0
-    assert global_rate([_Step(0.7)] * 9).mean_rate == pytest.approx(0.7)
-    with pytest.raises(ValueError):
-        global_rate([])
-
-
-def test_advantage_examples():
-    assert advantage(_Step(2.0), 2.0) == 0.0
-    assert advantage(_Step(3.0), 2.0) == 1.0
-
-
-def test_advantage_mean_identity():
-    rng = np.random.default_rng(4)
-    steps = [_Step(float(rng.uniform(0, 5))) for _ in range(37)]
-    rate = global_rate(steps).mean_rate
-    offset = 0.31
-    advs = [advantage(s, offset) for s in steps]
-    assert np.mean(advs) == pytest.approx(rate - offset, abs=1e-12)
