@@ -13,12 +13,13 @@ from ..logspace import NEG_INF, logsumexp, pairwise_logsumexp
 DENSE_CHUNK = 1 << 22  # max leaves expanded as one dense block
 
 
-def path_logsumexp(first_row, mats, chunk=DENSE_CHUNK):
+def path_logsumexp(first_row, mats):
     """log sum over paths (j1, .., jT) of
     first_row[j1] + mats[0][j1, j2] + ... + mats[T-2][j_{T-1}, jT].
 
     `first_row` is the log-weight vector of the first step; each entry of
-    `mats` is the (N, N) log-weight matrix of a later step.
+    `mats` is the (N, N) log-weight matrix of a later step. The trailing
+    steps whose paths number at most DENSE_CHUNK are expanded as one block.
     """
     first_row = np.asarray(first_row, dtype=float)
     mats = [np.asarray(m, dtype=float) for m in mats]
@@ -33,7 +34,7 @@ def path_logsumexp(first_row, mats, chunk=DENSE_CHUNK):
 
     def walk(start_row, depth):
         remaining = len(mats) - depth
-        if remaining == 0 or n ** (remaining + 1) <= chunk:
+        if remaining == 0 or n ** (remaining + 1) <= DENSE_CHUNK:
             return expand(start_row, depth)
         parts = []
         for j in range(n):

@@ -3,8 +3,8 @@
 Subcommands: init (write a thermostat model bundle), validate (invariant
 suite with a JSON report), solve (relative value iteration), simulate
 (episode trace CSV), train, and pi-value (Monte Carlo path-integral
-estimate). The ASC_ENUM_BUDGET environment variable overrides the
-trajectory-enumeration ceiling everywhere.
+estimate). Every command checks its settings before it reads a model
+bundle, so a bad setting is a one-line error however large the bundle.
 """
 
 import argparse
@@ -61,18 +61,13 @@ def _apply_config(args, argv):
 # subcommands
 
 
-def _build_env(args, spec=None):
-    """The environment and reference model the env options name; with
-    `spec`, the environment must match it."""
+def _build_env(args):
+    """The environment and reference model the env options name."""
     if args.env != "thermostat":
         raise ValueError(f"unknown environment {args.env!r}")
-    env, ref = sim.thermostat_env(args.temps, args.schedule,
-                                  heat_success=args.heat_success,
-                                  phase_advance=args.phase_advance)
-    if spec is not None and env.spec != spec:
-        raise ValueError("model spec does not match the requested environment "
-                         f"(model {spec.dims}, env {env.spec.dims})")
-    return env, ref
+    return sim.thermostat_env(args.temps, args.schedule,
+                              heat_success=args.heat_success,
+                              phase_advance=args.phase_advance)
 
 
 def cmd_init(args):
@@ -101,6 +96,7 @@ def cmd_validate(args):
 
 
 def cmd_solve(args):
+    control.check_solve_settings(args.tol, args.max_iter)
     gen, rec, ref = load_models(args.model)
     value = control.relative_value_iteration(gen, rec, ref, tol=args.tol,
                                              max_iter=args.max_iter)
@@ -110,8 +106,12 @@ def cmd_solve(args):
 
 
 def cmd_simulate(args):
+    oracle.check_horizon(args.steps)
+    env, _ = _build_env(args)
     gen, rec, ref = load_models(args.model)
-    env, _ = _build_env(args, gen.spec)
+    if env.spec != gen.spec:
+        raise ValueError("model spec does not match the requested environment "
+                         f"(model {gen.spec.dims}, env {env.spec.dims})")
     trace = sim.run_episode(gen, rec, ref, env, args.steps, args.seed,
                             x0=args.x0)
     trace.to_csv(args.trace)

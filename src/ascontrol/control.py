@@ -29,8 +29,10 @@ VALUE_FILE_VERSION = 1
 # lazy-mixing weight of relative value iteration's aperiodicity transform
 _TAU = 0.5
 
-# burn-in and evaluation steps of train's rate estimate
+# burn-in and evaluation steps of train's rate estimate, and the iterations
+# between its refreshes
 _RATE_HORIZON = (32, 16)
+_RATE_REFRESH = 10
 
 # rollouts per gradient of train's score-function estimator
 _SCORE_ROLLOUTS = 256
@@ -61,6 +63,17 @@ def check_path_integral_settings(T, n_rollouts, rate):
     if rate is not None and not math.isfinite(rate):
         raise ValueError(f"the rate must be a finite number of nats per step, "
                          f"got {rate!r}")
+
+
+def check_solve_settings(tol, max_iter):
+    """The settings of relative value iteration: a finite sup-norm tolerance
+    > 0 and at least one sweep."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"relative value iteration: tol must be a finite "
+                         f"number > 0, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"relative value iteration: max_iter must be >= 1, "
+                         f"got {max_iter!r}")
 
 
 def check_train_settings(T, iters, lr, estimator, trainable_policies):
@@ -207,20 +220,14 @@ class _BellmanOps:
         return mats, costs
 
 
-def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000,
-                             h0=None):
+def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000):
     """Solve the hard-min differential Bellman equation on the phase-product
-    chain. Runs relative value iteration on the aperiodicity-transformed
-    problem (lazy mixing _TAU), then verifies the original residual at the
-    requested sup-norm tolerance. A state whose every action tuple has
-    infinite expected cost at some phase has no finite bias, so it raises
-    DegenerateSupportError before the first sweep."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"relative value iteration: tol must be a finite "
-                         f"number > 0, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"relative value iteration: max_iter must be >= 1, "
-                         f"got {max_iter!r}")
+    chain. Runs relative value iteration from zero biases on the
+    aperiodicity-transformed problem (lazy mixing _TAU), then verifies the
+    original residual at the requested sup-norm tolerance. A state whose
+    every action tuple has infinite expected cost at some phase has no
+    finite bias, so it raises DegenerateSupportError before the first sweep."""
+    check_solve_settings(tol, max_iter)
     ops = _BellmanOps(gen, rec, ref)
     spec = gen.spec
     n, period = spec.n_states, ops.period
@@ -231,8 +238,7 @@ def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000,
                 f"relative value iteration: {int(stuck.sum())} states have "
                 f"infinite expected cost under every action tuple at phase {p} "
                 f"(first: {CompleteState.from_flat(int(np.argmax(stuck)), spec)})")
-    h = np.zeros((period, n)) if h0 is None else np.array(h0, dtype=float)
-    h = h - h[0, 0]
+    h = np.zeros((period, n))
     inner_tol = max(tol * (1.0 - _TAU) * 0.1, 1e-15)
     last_resid = np.inf
     check_every = 10
@@ -401,20 +407,14 @@ def mc_path_integral_value(gen, rec, ref, x0, T, rate, mode="feedforward",
     return float(estimate), stderr
 
 
-def differential_free_energy(gen, rec, ref, x0, T, rate, n_rollouts=None,
-                             seed=None):
+def differential_free_energy(gen, rec, ref, x0, T, rate):
     """Jensen bound on the feedback path-integral value:
-    E_{chain}[sum_t (step objective - rate)]. Exact by forward propagation,
-    or Monte Carlo when n_rollouts is given. The exact expectation runs over
-    occupied states only: an unreachable state's infinite expected cost
-    contributes nothing, a reachable one makes the value +inf."""
+    E_{chain}[sum_t (step objective - rate)], exact by forward propagation.
+    The expectation runs over occupied states only: an unreachable state's
+    infinite expected cost contributes nothing, a reachable one makes the
+    value +inf."""
     spec = gen.spec
     x0.validate(spec)
-    if n_rollouts is not None:
-        check_path_integral_settings(T, n_rollouts, rate)
-        _, step_costs = _rollout_path_costs(gen, rec, ref, x0, T, rate, "feedback",
-                                            n_rollouts, seed or 0)
-        return float(step_costs.sum(axis=0).mean())
     pieces = _dfe_pieces(gen, rec, ref)
     return _forward_value([(pieces[tick]["ev"], pieces[tick]["qc"])
                            for tick in _step_ticks(spec, T)], spec, x0, rate)
@@ -804,15 +804,16 @@ class TrainReport:
         return asdict(self)
 
 
-def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
-          estimator="exact", trainable_policies=POLICY_TABLES, halving=True):
+def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, estimator="exact",
+          trainable_policies=POLICY_TABLES):
     """Gradient descent on the differential free energy over the free logits.
 
     The rate input, the recognition chain's average rate, is re-estimated
-    every `rate_refresh` iterations (block-coordinate; the rate shifts the
-    objective but not its gradient). With `halving`, a step that increases
-    the exact objective is retried at half the learning rate. The score
-    estimator draws _SCORE_ROLLOUTS rollouts per gradient.
+    every _RATE_REFRESH iterations (block-coordinate; the rate shifts the
+    objective but not its gradient). Under the exact estimator a step that
+    increases the objective is retried at half the learning rate. The score
+    estimator draws _SCORE_ROLLOUTS rollouts per gradient and takes every
+    step at the full learning rate.
 
     Each parameter set's per-tick pieces, its chain matrix and the whole
     belief they read (chains.recognition_chain) are built once and kept on
@@ -852,7 +853,7 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
         while True:
             cand = params.step(grads, step_lr)
             cur_gen, cur_rec = apply_params(gen, rec, cand)
-            if not halving or estimator != "exact":
+            if estimator != "exact":
                 break
             cand_value = differential_free_energy(cur_gen, cur_rec, ref, x0,
                                                   T, rate)
@@ -862,7 +863,7 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, rate_refresh=10,
             step_lr *= 0.5
         step_trace.append(step_lr)
         params = cand
-        if rate_refresh and (it + 1) % rate_refresh == 0:
+        if (it + 1) % _RATE_REFRESH == 0:
             rate = oracle.exact_average_rate(cur_gen, cur_rec, ref, x0, *_RATE_HORIZON,
                                              chain="recognition")
     report = TrainReport(iterations=len(obj_trace), objective_trace=obj_trace,

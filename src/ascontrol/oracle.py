@@ -8,7 +8,6 @@ states in chains.Lattice.of, trajectories in _check_paths) abort loudly
 rather than truncate.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,21 +20,15 @@ from .logspace import NEG_INF, logsumexp, safe_log, support_dot
 from .model import CompleteState, Trajectory, tick_at
 
 
-# the trajectory ceiling of exhaustive enumerations; ASC_ENUM_BUDGET (an
-# integer) overrides it
+# the trajectory ceiling of exhaustive enumerations
 MAX_TRAJECTORIES = 10_000_000
 
 
 def _check_paths(bound):
-    raw = os.environ.get("ASC_ENUM_BUDGET")
-    try:
-        allowed = int(raw) if raw else MAX_TRAJECTORIES
-    except ValueError:
-        raise ValueError(f"ASC_ENUM_BUDGET must be an integer, got {raw!r}") from None
-    if bound > allowed:
+    if bound > MAX_TRAJECTORIES:
         raise EnumerationBudgetError(
-            f"enumeration needs up to {bound} trajectories, budget is {allowed}",
-            required=bound, allowed=allowed)
+            f"enumeration needs up to {bound} trajectories, budget is {MAX_TRAJECTORIES}",
+            required=bound, allowed=MAX_TRAJECTORIES)
 
 
 def check_horizon(T):

@@ -9,12 +9,11 @@ sentinel).
 """
 
 import csv
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import objectives
+from . import chains, objectives, oracle
 from .errors import DimensionMismatchError, NonFiniteObjectiveError
 from .logspace import safe_log
 from .model import (CompleteState, ConditionalTable, GenerativeModel,
@@ -62,23 +61,15 @@ class Trace:
     def totals(self):
         return np.array([r.total for r in self.rows])
 
-    def write_csv(self, fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for r in self.rows:
-            s = r.state
-            writer.writerow([r.t, s.o, s.s1, s.s2, s.a, s.a1, s.a2,
-                             repr(r.j), repr(r.l), repr(r.kl), repr(r.total),
-                             repr(r.running_rate), repr(r.advantage)])
-
-    def to_csv(self, path=None):
-        if path is None:
-            buf = io.StringIO()
-            self.write_csv(buf)
-            return buf.getvalue()
+    def to_csv(self, path):
         with open(path, "w", newline="") as fh:
-            self.write_csv(fh)
-        return None
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(TRACE_COLUMNS)
+            for r in self.rows:
+                s = r.state
+                writer.writerow([r.t, s.o, s.s1, s.s2, s.a, s.a1, s.a2,
+                                 repr(r.j), repr(r.l), repr(r.kl), repr(r.total),
+                                 repr(r.running_rate), repr(r.advantage)])
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +115,7 @@ def thermostat_env(n_temp_levels, setpoint_schedule, heat_success=0.85,
     n_ph = len(schedule)
     spec = ModelSpec(card_o=n_temp_levels * n_ph, card_s1=n_temp_levels * n_ph,
                      card_s2=n_ph, card_a=2, card_a1=n_temp_levels, card_a2=n_ph)
+    chains.Lattice.of(spec)  # the state ceiling, before the dense tables
     layout = table_layout(spec)
     dense = {name: parents + (child,) for name, (parents, child) in layout.items()}
 
@@ -165,8 +157,6 @@ def thermostat_agent(env, setpoint_schedule, seed):
     (a2 = phase, a1 = schedule[a2]), a free seeded low-level policy, and
     recognition tables initialized at the exact one-step filtering
     posterior. Train with trainable_policies=("pol0",)."""
-    from . import chains
-
     spec = env.spec
     layout = table_layout(spec)
     schedule = [int(s) for s in setpoint_schedule]
@@ -196,8 +186,7 @@ def with_uniform_pol0(gen):
 
 def run_episode(gen, rec, ref, env, T, seed, x0=None):
     """One logged episode. Deterministic given (models, env, T, seed, x0)."""
-    if T < 1:
-        raise ValueError(f"an episode needs T >= 1 steps, got {T!r}")
+    oracle.check_horizon(T)
     spec = gen.spec
     if env.spec != spec:
         raise DimensionMismatchError("agent and environment specs differ")

@@ -143,8 +143,7 @@ def test_criterion_8_behavioral_improvement():
     env, ref = sim.thermostat_env(3, [0, 2])
     gen, rec = sim.thermostat_agent(env, [0, 2], seed=11)
     _, gen_tr, rec_tr = control.train(gen, rec, ref, X0, T=8, iters=40, lr=0.5,
-                                      trainable_policies=("pol0",),
-                                      rate_refresh=10)
+                                      trainable_policies=("pol0",))
     seeds = list(range(800, 850))
     trained = sim.evaluate(gen_tr, rec_tr, ref, env, 50, 60, 0, x0=X0, seeds=seeds)
     untrained = sim.evaluate(gen, rec, ref, env, 50, 60, 0, x0=X0, seeds=seeds)

@@ -434,7 +434,7 @@ def test_training_keeps_at_most_one_recognition_half(monkeypatch):
     checked(control, "differential_free_energy")
     checked(control, "dfe_value_and_grad")
     checked(oracle, "exact_average_rate")
-    report, _, rec2 = control.train(gen, rec, ref, X0, T=3, iters=6, lr=40.0,
-                                    rate_refresh=2)
+    monkeypatch.setattr(control, "_RATE_REFRESH", 2)
+    report, _, rec2 = control.train(gen, rec, ref, X0, T=3, iters=6, lr=40.0)
     assert report.step_size_trace[-1] < 40.0               # some steps halved
     assert len(made) > 7 and alive() == 1 and made[-1]() is rec2

@@ -416,8 +416,8 @@ DENSE_ENTRY_POINTS = {
         control.mc_path_integral_value(g, r, f, X0, 2, 0.0, n_rollouts=4),
     "control.differential_free_energy": lambda g, r, f, pc, v, p:
         control.differential_free_energy(g, r, f, X0, 2, 0.0),
-    "control.differential_free_energy(n_rollouts)": lambda g, r, f, pc, v, p:
-        control.differential_free_energy(g, r, f, X0, 2, 0.0, n_rollouts=4, seed=0),
+    "control.mc_path_integral_value(feedback)": lambda g, r, f, pc, v, p:
+        control.mc_path_integral_value(g, r, f, X0, 2, 0.0, mode="feedback", n_rollouts=4),
     "control.dfe_value_and_grad": lambda g, r, f, pc, v, p:
         control.dfe_value_and_grad(g, r, f, X0, 2, 0.0),
     "control.score_function_grad": lambda g, r, f, pc, v, p:

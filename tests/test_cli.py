@@ -401,6 +401,26 @@ def test_train_settings_are_checked_before_the_bundle(tmp_path, flags, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("solve", ("--tol", "0"), "tol must be a finite number > 0"),
+    ("solve", ("--max-iter", "0"), "max_iter must be >= 1"),
+    ("simulate", ("--steps", "0"), "the horizon T must be at least 1 step"),
+    ("simulate", ("--env", "foo"), "unknown environment 'foo'"),
+    ("simulate", ("--heat-success", "2"), "heat_success must be a probability"),
+], ids=["tol-0", "max-iter-0", "steps-0", "env-foo", "heat-success-2"])
+def test_solve_and_simulate_settings_are_checked_before_the_bundle(tmp_path, command,
+                                                                   flags, message):
+    # the bundle does not exist: the error names the setting, not the file
+    out = ("--out", str(tmp_path / "value.npz")) if command == "solve" else (
+        "--trace", str(tmp_path / "trace.csv"))
+    r = run(command, "--model", str(tmp_path / "missing.json"), *flags, *out)
+    assert_one_line_exit_2(r, command)
+    assert message in r.stderr
+    assert "missing.json" not in r.stderr
+    assert r.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def _cap_address_space():
     cap = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))

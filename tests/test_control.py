@@ -58,15 +58,6 @@ def test_greedy_stationary_rate_of_a_periodic_greedy_chain():
     assert control.greedy_stationary_rate(gen, rec, ref, v) == pytest.approx(v.gain, abs=1e-9)
 
 
-def test_rvi_reinitialization_invariance():
-    gen, rec, ref = random_instance(61)
-    v1 = control.relative_value_iteration(gen, rec, ref, tol=1e-10)
-    h0 = np.random.default_rng(5).standard_normal(v1.bias.shape) * 3.0
-    v2 = control.relative_value_iteration(gen, rec, ref, tol=1e-10, h0=h0)
-    assert v1.gain == pytest.approx(v2.gain, abs=1e-8)
-    assert np.array_equal(v1.greedy, v2.greedy)
-
-
 def test_rvi_residual_bound():
     gen, rec, ref = random_instance(62)
     tol = 1e-9
@@ -426,8 +417,9 @@ def test_dfe_jensen_bound_sweep():
 def test_dfe_mc_agrees_with_exact():
     gen, rec, ref = random_instance(91, cards=(2, 2, 2, 2, 1, 1))
     exact = control.differential_free_energy(gen, rec, ref, X0, 3, 0.1)
-    mc = control.differential_free_energy(gen, rec, ref, X0, 3, 0.1,
-                                          n_rollouts=200_000, seed=8)
+    _, step_costs = control._rollout_path_costs(gen, rec, ref, X0, 3, 0.1, "feedback",
+                                                200_000, 8)
+    mc = float(step_costs.sum(axis=0).mean())
     assert mc == pytest.approx(exact, abs=0.05)
 
 
@@ -810,29 +802,32 @@ def test_zero_gradient_at_deterministic_optimum():
 
 def test_training_monotone_under_exact_gradients():
     gen, rec, ref = random_instance(96, cards=(2, 2, 1, 2, 2, 1), floor=True)
-    report, _, _ = control.train(gen, rec, ref, X0, T=3, iters=30, lr=5e-3,
-                                 halving=False, rate_refresh=0)
+    report, _, _ = control.train(gen, rec, ref, X0, T=3, iters=30, lr=5e-3)
+    # no step is halved, and the objective falls between rate refreshes
+    assert report.step_size_trace == [5e-3] * 30
     tr = report.objective_trace
     assert len(tr) == 30
-    assert all(tr[k + 1] <= tr[k] + 1e-10 for k in range(len(tr) - 1))
+    assert all(tr[k + 1] <= tr[k] + 1e-10 for k in range(len(tr) - 1)
+               if (k + 1) % control._RATE_REFRESH)
 
 
-def test_training_report_shape_and_rate_refresh():
+def test_training_report_shape_and_rate_refresh(monkeypatch):
     gen, rec, ref = random_instance(97, cards=(2, 2, 1, 2, 2, 1), floor=True)
-    report, gen2, rec2 = control.train(gen, rec, ref, X0, T=3, iters=12, lr=0.05,
-                                       rate_refresh=5)
+    monkeypatch.setattr(control, "_RATE_REFRESH", 5)
+    report, gen2, rec2 = control.train(gen, rec, ref, X0, T=3, iters=12, lr=0.05)
     assert report.iterations == 12
     assert len(report.grad_norm_trace) == 12
     assert np.isfinite(report.final_rate)
     assert isinstance(rec2, RecognitionModel)
 
 
-def test_training_report_records_step_sizes_and_rates():
-    # lr 40 forces halvings; rate_refresh 2 re-estimates the rate after every
-    # second step, so the gradients of iterations 2 and 4 use new rates
+def test_training_report_records_step_sizes_and_rates(monkeypatch):
+    # lr 40 forces halvings; a refresh every 2 iterations re-estimates the
+    # rate after every second step, so the gradients of iterations 2 and 4
+    # use new rates
     gen, rec, ref = random_instance(97, cards=(2, 2, 1, 2, 2, 1), floor=True)
-    report, _, _ = control.train(gen, rec, ref, X0, T=3, iters=6, lr=40.0,
-                                 rate_refresh=2)
+    monkeypatch.setattr(control, "_RATE_REFRESH", 2)
+    report, _, _ = control.train(gen, rec, ref, X0, T=3, iters=6, lr=40.0)
     doc = json.loads(json.dumps(report.to_dict()))
     steps, rates = doc["step_size_trace"], doc["rate_trace"]
     assert len(steps) == len(rates) == doc["iterations"] == 6
@@ -845,11 +840,20 @@ def test_training_report_records_step_sizes_and_rates():
                                                  chain="recognition")
     assert rates[0] == rates[1] and rates[2] == rates[3] and rates[4] == rates[5]
     assert len({rates[0], rates[2], rates[4], doc["final_rate"]}) == 4
-    # without halving every step is the learning rate
-    plain, _, _ = control.train(gen, rec, ref, X0, T=3, iters=2, lr=40.0,
-                                halving=False, rate_refresh=0)
-    assert plain.step_size_trace == [40.0, 40.0]
-    assert plain.rate_trace == [rates[0]] * 2
+
+
+def test_score_training_takes_every_step_at_the_learning_rate(monkeypatch):
+    # only the exact estimator halves: the score estimator runs no halving
+    # check, so even lr 40 is taken whole
+    gen, rec, ref = random_instance(97, cards=(2, 2, 1, 2, 2, 1), floor=True)
+
+    def no_check(*args):
+        raise AssertionError("the score estimator ran a halving check")
+
+    monkeypatch.setattr(control, "differential_free_energy", no_check)
+    report, _, _ = control.train(gen, rec, ref, X0, T=3, iters=3, lr=40.0,
+                                 estimator="score")
+    assert report.step_size_trace == [40.0] * 3
 
 
 def test_score_training_is_seeded_and_finite():

@@ -31,7 +31,10 @@ calls `belief_table`, so every whole belief is kept by its one cache rule,
 `chains.recognition_belief`. Masks: a ufunc's `where=` pays for its mask
 on every entry, so in `chains.py` and `control.py`, whose passes run over
 (..., N, O, A, L) arrays unmasked and zero their dead entries once, only
-the small-array helpers `_safe_div` and `_norm` take it.
+the small-array helpers `_safe_div` and `_norm` take it. Defaults: a
+defaulted parameter that no call in src/ or perfbench/ sets is a setting
+only tests reach, so it is a constant, but for the commented
+TEST_DEFAULTS.
 """
 
 import ast
@@ -432,3 +435,113 @@ def test_mask_checker_flags_stray_sites():
 @pytest.mark.parametrize("name", MASKED_MODULES)
 def test_dense_passes_take_no_where(name):
     assert masked_calls((PACKAGE / name).read_text()) == []
+
+
+def call_name(call):
+    """The name a call reaches its function by: `f(...)` or `obj.f(...)`."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def defaulted_params(tree):
+    """(def, parameter, position) of each defaulted parameter of a def in
+    `tree`, with the position it takes among a call's positional arguments
+    (None for a keyword-only one): a method's calls pass no self or cls,
+    and an `__init__` is called by its class's name."""
+    owner = {id(node): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for node in cls.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(id(node))
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        offset = 0 if cls is None or static else 1
+        name = cls.name if cls is not None and node.name == "__init__" else node.name
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield name, arg.arg, i - offset
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def sets(call, param, position):
+    """Whether `call` passes the parameter: by keyword, by position, or
+    through `*` or `**`."""
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or len(call.args) > position)
+
+
+def unset_defaults(package, callers):
+    """`def.parameter` of each defaulted parameter of a def in the `package`
+    sources that no call in the `callers` sources sets (both {file: text}).
+    Calls match a def by its name alone, so a same-named function's call
+    counts."""
+    calls = {}
+    for text in callers.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                calls.setdefault(call_name(node), []).append(node)
+    return sorted({f"{name}.{param}" for text in package.values()
+                   for name, param, position in defaulted_params(ast.parse(text))
+                   if not any(sets(c, param, position) for c in calls.get(name, []))})
+
+
+def default_callers(package, others):
+    """The code whose calls count as setting a default: the package and the
+    benchmark, not the tests."""
+    return {**package, **{f: text for f, text in others.items() if f.startswith("perfbench/")}}
+
+
+def test_default_checker_flags_defaults_no_caller_sets():
+    lib = ("def solve(model, tol=1e-9, max_iter=100, h0=None, *, trace=False):\n"
+           "    return model\n"
+           "def rate(chain, horizon=8, burn=4):\n"
+           "    return chain\n"
+           "class Table:\n"
+           "    def __init__(self, rows, strict=True):\n"
+           "        self.rows = rows\n"
+           "    def sample(self, rng, n=1, replace=False):\n"
+           "        return rng\n"
+           "    @staticmethod\n"
+           "    def blank(n=2):\n"
+           "        def pad(k=0):\n"
+           "            return k\n"
+           "        return pad() + n\n")
+    cli = ("from lib import Table, rate, solve\n"
+           "def main(args, opts):\n"
+           "    solve(args.model, args.tol, max_iter=args.max_iter)\n"
+           "    rate(*args.chain)\n"
+           "    Table(args.rows, **opts).sample(args.rng, 3)\n"
+           "    return Table.blank(4)\n")
+    package = {"src/ascontrol/lib.py": lib, "src/ascontrol/cli.py": cli}
+    tests = {"tests/test_lib.py": ("from ascontrol.lib import Table, solve\n"
+                                   "solve(1, h0=0.0, trace=True)\n"
+                                   "Table(1).sample(2, replace=True)\n")}
+    # what only a test sets is still flagged
+    assert unset_defaults(package, default_callers(package, tests)) == [
+        "pad.k", "sample.replace", "solve.h0", "solve.trace"]
+    assert unset_defaults({"lib": lib}, {}) == [
+        "Table.strict", "blank.n", "pad.k", "rate.burn", "rate.horizon", "sample.n",
+        "sample.replace", "solve.h0", "solve.max_iter", "solve.tol", "solve.trace"]
+
+
+# the defaulted parameters that only tests set: an oracle's tick, the test
+# instances' knobs, and the episodes the acceptance suite pairs by x0 and
+# seeds
+TEST_DEFAULTS = ("recognition_logprob.tick", "random_instance.floor", "random_value.scale",
+                 "evaluate.x0", "evaluate.seeds")
+
+
+def test_every_default_is_set_by_a_caller():
+    package, others = package_sources()
+    assert unset_defaults(package, default_callers(package, others)) == sorted(TEST_DEFAULTS)

@@ -48,14 +48,15 @@ def test_fallback_matches_direct(n, T, with_zeros):
         assert got == pytest.approx(expect, abs=1e-10)
 
 
-def test_fallback_chunked_matches_unchunked():
+def test_fallback_chunked_matches_unchunked(monkeypatch):
     rng = np.random.default_rng(5)
     first, mats = random_mats(rng, 5, 5)
     full = _py.path_logsumexp(first, mats)
-    chunked = _py.path_logsumexp(first, mats, chunk=16)
+    monkeypatch.setattr(_py, "DENSE_CHUNK", 16)
+    chunked = _py.path_logsumexp(first, mats)
     assert chunked == pytest.approx(full, abs=1e-10)
     # deterministic: identical reruns bit-identical
-    assert _py.path_logsumexp(first, mats, chunk=16) == chunked
+    assert _py.path_logsumexp(first, mats) == chunked
 
 
 # log-weights up to 1000 nats apart: a shift by the sum of per-step maxima
@@ -88,7 +89,9 @@ def reductions(draw):
 def test_kernel_matches_direct_sum(reduction, chunk):
     first, mats = reduction
     expect = direct_reduce(first, mats)
-    got = _py.path_logsumexp(first, mats, chunk=chunk)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_py, "DENSE_CHUNK", chunk)
+        got = _py.path_logsumexp(first, mats)
     if expect == -math.inf:
         assert got == -math.inf
     else:

@@ -66,36 +66,29 @@ def test_enumerate_random_mass_and_logprobs():
 
 def test_enumerate_budget_error(monkeypatch):
     gen, _, _ = random_instance(12)
-    monkeypatch.setenv("ASC_ENUM_BUDGET", "100")
+    monkeypatch.setattr(oracle, "MAX_TRAJECTORIES", 100)
     with pytest.raises(EnumerationBudgetError):
         list(oracle.enumerate_trajectories(gen, X0, 3))
 
 
-def test_enum_budget_env_override(monkeypatch):
+def test_enum_budget_boundary(monkeypatch):
     # the bound itself passes, one trajectory less raises
     gen, _, _ = random_instance(12)
-    monkeypatch.setenv("ASC_ENUM_BUDGET", "1")
+    monkeypatch.setattr(oracle, "MAX_TRAJECTORIES", 1)
     with pytest.raises(EnumerationBudgetError) as info:
         list(oracle.enumerate_trajectories(gen, X0, 3))
     need = info.value.required
     assert need > 1 and info.value.allowed == 1
-    monkeypatch.setenv("ASC_ENUM_BUDGET", str(need))
+    monkeypatch.setattr(oracle, "MAX_TRAJECTORIES", need)
     assert len(list(oracle.enumerate_trajectories(gen, X0, 3))) > 0
-    monkeypatch.setenv("ASC_ENUM_BUDGET", str(need - 1))
+    monkeypatch.setattr(oracle, "MAX_TRAJECTORIES", need - 1)
     with pytest.raises(EnumerationBudgetError) as info:
         list(oracle.enumerate_trajectories(gen, X0, 3))
     assert (info.value.required, info.value.allowed) == (need, need - 1)
-    # unset (or empty), the default ceiling applies
-    monkeypatch.setenv("ASC_ENUM_BUDGET", "")
+    # unpatched, the default ceiling applies
+    monkeypatch.undo()
     assert len(list(oracle.enumerate_trajectories(gen, X0, 3))) > 0
     assert need <= oracle.MAX_TRAJECTORIES
-
-
-def test_enum_budget_env_must_be_an_integer(monkeypatch):
-    gen, _, _ = random_instance(12)
-    monkeypatch.setenv("ASC_ENUM_BUDGET", "1e6")
-    with pytest.raises(ValueError, match="ASC_ENUM_BUDGET"):
-        list(oracle.enumerate_trajectories(gen, X0, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +376,7 @@ def test_soft_and_path_integral_values_refuse_horizons_below_one(monkeypatch, fn
 
 def test_budget_guard_on_path_integral(monkeypatch):
     gen, rec, ref = random_instance(50)
-    monkeypatch.setenv("ASC_ENUM_BUDGET", "10")
+    monkeypatch.setattr(oracle, "MAX_TRAJECTORIES", 10)
     with pytest.raises(EnumerationBudgetError):
         oracle.exact_path_integral_value(gen, rec, ref, X0, 3, 0.0)
 

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ascontrol import chains, sim
-from ascontrol.errors import DimensionMismatchError
+from ascontrol.errors import DimensionMismatchError, EnumerationBudgetError
 from ascontrol.model import (CompleteState, ConditionalTable, GenerativeModel,
                              ModelSpec, RecognitionModel, ReferenceModel,
                              tick_at)
@@ -34,6 +35,19 @@ def test_thermostat_probabilities_are_range_checked(name, value):
         sim.thermostat_env(3, [0, 2], **{name: value})
     for edge in (0.0, 1.0):
         sim.thermostat_env(3, [0, 2], **{name: edge})
+
+
+def test_thermostat_checks_the_state_ceiling_before_its_tables():
+    # 100 temperatures give 32M complete states; the likelihood table alone
+    # would hold 4 * 100^3 floats
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationBudgetError, match="complete states exceed"):
+            sim.thermostat_env(100, [0, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_thermostat_constant_schedule_fixed_setpoint():
@@ -113,14 +127,18 @@ def test_episode_zero_reference_surprisal_when_matched():
     assert all(r.l == pytest.approx(0.0, abs=1e-12) for r in trace.rows)
 
 
-def test_episode_determinism_and_digest():
+def test_episode_determinism_and_digest(tmp_path):
     env, ref = sim.thermostat_env(3, [0, 2])
     gen, rec = sim.thermostat_agent(env, [0, 2], seed=1)
-    a = sim.run_episode(gen, rec, ref, env, 20, seed=9)
-    b = sim.run_episode(gen, rec, ref, env, 20, seed=9)
-    assert a.to_csv() == b.to_csv()
-    c = sim.run_episode(gen, rec, ref, env, 20, seed=10)
-    assert c.to_csv() != a.to_csv()
+
+    def csv_bytes(seed, name):
+        path = tmp_path / name
+        sim.run_episode(gen, rec, ref, env, 20, seed=seed).to_csv(path)
+        return path.read_bytes()
+
+    a = csv_bytes(9, "a.csv")
+    assert csv_bytes(9, "b.csv") == a
+    assert csv_bytes(10, "c.csv") != a
 
 
 def test_episode_running_rate_and_advantage_columns():
