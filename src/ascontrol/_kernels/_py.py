@@ -1,14 +1,16 @@
 """The exhaustive path-reduction kernel, in numpy.
 
 The reduction visits every nonzero-probability state path exactly once
-(no dynamic-programming shortcuts): leading steps are walked depth-first,
-and once the remaining cross product fits the chunk limit it is expanded
-as a dense array whose final log-sum-exp covers each path individually.
+(no dynamic-programming shortcuts), in one recursion whose only reduction
+is `logspace.logsumexp`: while the remaining cross product exceeds the
+chunk limit a step branches on its reachable states, and once it fits the
+remaining steps are expanded as a dense array whose log-sum-exp covers
+each path individually.
 """
 
 import numpy as np
 
-from ..logspace import NEG_INF, logsumexp, pairwise_logsumexp
+from ..logspace import NEG_INF, logsumexp
 
 DENSE_CHUNK = 1 << 22  # max leaves expanded as one dense block
 
@@ -25,23 +27,14 @@ def path_logsumexp(first_row, mats):
     mats = [np.asarray(m, dtype=float) for m in mats]
     n = first_row.shape[0]
 
-    def expand(start_row, depth):
-        # dense cross product of steps depth..end, rooted at a log-weight row
-        acc = start_row
-        for u in range(depth, len(mats)):
-            acc = acc[..., :, None] + mats[u]
-        return logsumexp(acc)
-
-    def walk(start_row, depth):
+    def reduce(row, depth):
+        # log sum over the paths of steps depth..end, rooted at a log-weight row
         remaining = len(mats) - depth
-        if remaining == 0 or n ** (remaining + 1) <= DENSE_CHUNK:
-            return expand(start_row, depth)
-        parts = []
-        for j in range(n):
-            w = start_row[j]
-            if w == NEG_INF:
-                continue
-            parts.append(w + walk(mats[depth][j], depth + 1))
-        return pairwise_logsumexp(parts)
+        if remaining and n ** (remaining + 1) > DENSE_CHUNK:
+            return logsumexp([row[j] + reduce(mats[depth][j], depth + 1)
+                              for j in np.flatnonzero(row != NEG_INF)])
+        for m in mats[depth:]:
+            row = row[..., :, None] + m
+        return logsumexp(row)
 
-    return float(walk(first_row, 0))
+    return float(reduce(first_row, 0))

@@ -3,12 +3,14 @@
 Subcommands: init (write a thermostat model bundle), validate (invariant
 suite with a JSON report), solve (relative value iteration), simulate
 (episode trace CSV), train, and pi-value (Monte Carlo path-integral
-estimate). Every command checks its settings before it reads a model
-bundle, so a bad setting is a one-line error however large the bundle.
+estimate). Every command checks its settings, and that each output path
+names a file in a directory that exists, before it reads a model bundle,
+so a bad setting is a one-line error however large the bundle.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import control, oracle, sim
@@ -57,14 +59,22 @@ def _apply_config(args, argv):
     return args.config_parser.parse_args(argv[1:], argparse.Namespace(**values))
 
 
+def _check_outputs(args):
+    """Each output path names a file in a directory that exists, checked
+    before any work."""
+    for dest in ("out", "report", "trace"):
+        path = getattr(args, dest, None)
+        if path is not None and (os.path.isdir(path) or not os.path.isdir(
+                os.path.dirname(os.path.abspath(path)))):
+            raise ValueError(f"--{dest}: {path!r} is not a file in a directory that exists")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _build_env(args):
-    """The environment and reference model the env options name."""
-    if args.env != "thermostat":
-        raise ValueError(f"unknown environment {args.env!r}")
+    """The thermostat environment and reference model the env options name."""
     return sim.thermostat_env(args.temps, args.schedule,
                               heat_success=args.heat_success,
                               phase_advance=args.phase_advance)
@@ -163,7 +173,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_env_opts(p):
-        p.add_argument("--env", default="thermostat")
         p.add_argument("--temps", type=int, default=3)
         p.add_argument("--schedule", type=_parse_schedule, default=[0, 2])
         p.add_argument("--heat-success", type=float, default=0.85)
@@ -237,6 +246,7 @@ def main(argv=None):
             args = _apply_config(args, argv)
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        _check_outputs(args)
         return args.func(args)
     except (AscontrolError, ValueError, OSError) as exc:
         # user mistakes (bad files, out-of-range settings): one line, no traceback

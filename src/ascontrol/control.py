@@ -188,14 +188,11 @@ class _BellmanOps:
             (spec.card_o, spec.card_a) + spec.latent_dims)
         self.succ = oal[:, self.ua, :, :, self.ua1, self.ua2]
 
-    def tick_of_phase(self, p):
-        return p == 0
-
     def backup(self, p, h_next):
         """The action values of one hard-min backup out of phase p, shape
         (u, N): E[cost + h_next(x')] per action tuple u and state x. The
         backup's values are their min over u, its greedy tuples the argmin."""
-        tick = self.tick_of_phase(p)
+        tick = tick_at(p + 1, self.spec)
         base = self.base[tick]
         # expected successor value: sum_{o'} lik * h_next(x'), then one matmul
         # over the world factors (s2', s1') for all action tuples at once
@@ -208,7 +205,7 @@ class _BellmanOps:
         n = self.spec.n_states
         mats, costs = [], []
         for p in range(self.period):
-            tick = self.tick_of_phase(p)
+            tick = tick_at(p + 1, self.spec)
             base = self.base[tick]
             mat = np.zeros((n, n))
             for u in np.unique(greedy[p]):
@@ -232,7 +229,7 @@ def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000):
     spec = gen.spec
     n, period = spec.n_states, ops.period
     for p in range(period):
-        stuck = np.isposinf(ops.ecost[ops.tick_of_phase(p)]).all(axis=0)
+        stuck = np.isposinf(ops.ecost[tick_at(p + 1, spec)]).all(axis=0)
         if stuck.any():
             raise DegenerateSupportError(
                 f"relative value iteration: {int(stuck.sum())} states have "
@@ -289,7 +286,7 @@ def greedy_rollout_rate(gen, rec, ref, value, x0, steps, seed):
                          1, np.random.default_rng(seed))[:, 0]
     vals = np.empty(steps)
     for p in range(period):
-        cost_edge = chains.expand_edges(ops.cost[ops.tick_of_phase(p)], gen.spec)
+        cost_edge = chains.expand_edges(ops.cost[tick_at(p + 1, gen.spec)], gen.spec)
         vals[p::period] = cost_edge[path[p:-1:period], path[p + 1::period]]
     block = _ROLLOUT_BLOCK
     n_blocks = steps // block
@@ -417,7 +414,7 @@ def differential_free_energy(gen, rec, ref, x0, T, rate):
     x0.validate(spec)
     pieces = _dfe_pieces(gen, rec, ref)
     return _forward_value([(pieces[tick]["ev"], pieces[tick]["qc"])
-                           for tick in _step_ticks(spec, T)], spec, x0, rate)
+                           for tick in _step_ticks(spec, T)], spec, x0, rate)[0]
 
 
 def _step_ticks(spec, T):
@@ -427,15 +424,17 @@ def _step_ticks(spec, T):
 
 def _forward_value(steps, spec, x0, rate):
     """sum_t (E_{mu_t}[ev_t] - rate) over `steps`, one (ev, qc) pair per
-    step, with mu_0 the point mass at x0 and mu_{t+1} = qc_t^T mu_t: the
-    forward propagation of every exact differential free energy."""
+    step, with mu_0 the point mass at x0 and mu_{t+1} = qc_t^T mu_t, and the
+    occupations mu_t of the steps it walked: the forward propagation of
+    every exact differential free energy."""
     mu = np.zeros(spec.n_states)
     mu[x0.flat(spec)] = 1.0
-    total = 0.0
+    total, mus = 0.0, []
     for ev, qc in steps:
+        mus.append(mu)
         total += float(support_dot(mu, ev)) - rate
         mu = qc.T @ mu
-    return total
+    return total, mus
 
 
 # ---------------------------------------------------------------------------
@@ -654,14 +653,9 @@ def dfe_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies=POLICY_TAB
     lat = chains.Lattice.of(spec)
     pieces = _dfe_pieces(gen, rec, ref)
     ticks = _step_ticks(spec, T)
-    mus = np.zeros((T, n))                                   # mu_t, t = 0..T-1
-    mus[0, x0.flat(spec)] = 1.0
-    value = 0.0
-    for t in range(T):
-        pc = pieces[ticks[t]]
-        value += float(support_dot(mus[t], pc["ev"])) - rate
-        if t + 1 < T:
-            mus[t + 1] = pc["qc"].T @ mus[t]
+    value, mus = _forward_value([(pieces[tick]["ev"], pieces[tick]["qc"]) for tick in ticks],
+                                spec, x0, rate)
+    mus = np.array(mus)                                      # mu_t, t = 0..T-1
     lams = np.zeros((T, n))                                  # lam_{t+1}, t = 0..T-1
     for t in range(T - 1, 0, -1):
         pc = pieces[ticks[t]]
@@ -749,7 +743,7 @@ def fd_gradients(gen, rec, ref, params, x0, T, rate):
             qcs = [np.broadcast_to(pieces[tick]["qc"], (cands.size, n, n)) for tick in ticks]
             for j in range(cands.size):
                 values[first + j] = _forward_value(
-                    [(ev[j], qc[j]) for ev, qc in zip(evs, qcs)], spec, x0, rate)
+                    [(ev[j], qc[j]) for ev, qc in zip(evs, qcs)], spec, x0, rate)[0]
             del stacked, pieces, evs, qcs  # not kept alive beside the next block's
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for floats
             q_grads[key] = ((values[0::2] - values[1::2])

@@ -1,9 +1,8 @@
 """Numerically stable log-space primitives.
 
 All probability accumulation in the package goes through these helpers:
-max-shifted log-sum-exp that tolerates -inf entries, and a deterministic
-pairwise-tree reduction so partitioned sums are bit-stable regardless of
-how many chunks the caller split the work into. The error accumulator
+max-shifted log-sum-exp that tolerates -inf entries, the one reduction of
+every log-space sum, the path kernel's included. The error accumulator
 of every numerical check lives here too, so that a NaN error fails, and
 so does `support_dot`, the expectation that leaves zero weights out, so
 that an unreachable infinite cost does not become NaN; `axis_sum` is np.sum
@@ -48,34 +47,6 @@ def axis_sum(x, axis):
     for col in cols[1:]:
         out += col
     return out
-
-
-def pairwise_logsumexp(parts):
-    """Reduce a sequence of log-values with a fixed pairwise tree.
-
-    The reduction order depends only on len(parts), so partitioned
-    enumerations reduce to bit-identical results across runs.
-    """
-    vals = [float(p) for p in parts]
-    if not vals:
-        return NEG_INF
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(_lse2(vals[i], vals[i + 1]))
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
-
-
-def _lse2(x, y):
-    if x == NEG_INF:
-        return y
-    if y == NEG_INF:
-        return x
-    hi, lo = (x, y) if x >= y else (y, x)
-    return hi + np.log1p(np.exp(lo - hi))
 
 
 def kl_divergence(q, p):

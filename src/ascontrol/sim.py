@@ -34,7 +34,6 @@ class Environment:
     lik: ConditionalTable
     dyn1: ConditionalTable
     dyn2: ConditionalTable
-    label: str
 
     table_names = ("lik", "dyn1", "dyn2")
 
@@ -145,8 +144,7 @@ def thermostat_env(n_temp_levels, setpoint_schedule, heat_success=0.85,
             "ref_o": _temp_ref_rows(n_temp_levels, n_ph, range(n_temp_levels)),
             "ref_s1": _temp_ref_rows(n_temp_levels, n_ph, schedule)}
     tables = {name: ConditionalTable(*layout[name], arr) for name, arr in rows.items()}
-    env = Environment(spec, tables["lik"], tables["dyn1"], tables["dyn2"],
-                      label="thermostat")
+    env = Environment(spec, tables["lik"], tables["dyn1"], tables["dyn2"])
     ref = ReferenceModel(spec, tables["ref_o"], tables["ref_s1"])
     return env, ref
 
@@ -267,14 +265,13 @@ class EvalSummary:
     mean_rate: float
     stderr_rate: float
     obs_ref: np.ndarray
-    mean_obs_ref: float
-    stderr_obs_ref: float
     seeds: tuple
 
 
 def evaluate(gen, rec, ref, env, n_episodes, T, seed, x0=None, seeds=None):
     """Per-episode global rates (mean step objective) and realized
-    observation-reference surprisals, with means and standard errors."""
+    observation-reference surprisals, with the rates' mean and standard
+    error."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     if seeds is None:
@@ -286,10 +283,7 @@ def evaluate(gen, rec, ref, env, n_episodes, T, seed, x0=None, seeds=None):
         rates.append(float(trace.totals().mean()))
         obs_ref.append(observed_reference_surprisal(trace, ref))
     rates = np.array(rates)
-    obs_ref = np.array(obs_ref)
     n = len(seeds)
-    se = lambda v: float(v.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    stderr = float(rates.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return EvalSummary(rates=rates, mean_rate=float(rates.mean()),
-                       stderr_rate=se(rates), obs_ref=obs_ref,
-                       mean_obs_ref=float(obs_ref.mean()),
-                       stderr_obs_ref=se(obs_ref), seeds=tuple(seeds))
+                       stderr_rate=stderr, obs_ref=np.array(obs_ref), seeds=tuple(seeds))

@@ -311,7 +311,6 @@ def test_config_mistakes_get_one_line_and_exit_2(small_model, tmp_path, command,
     ("solve", "--model", "{dir}/missing.json", "--out", "{dir}/value.json"),
     ("simulate", "--model", "{dir}/missing.json", "--trace", "{dir}/t.csv"),
     ("init", "--schedule", "0,9", "--out", "{dir}/model.json"),
-    ("init", "--env", "foo", "--out", "{dir}/model.json"),
     # run lengths below 1 and tables train cannot move are rejected before
     # any output
     ("train", "--model", "{model}", "--steps", "2", "--iters", "1",
@@ -405,9 +404,8 @@ def test_train_settings_are_checked_before_the_bundle(tmp_path, flags, message):
     ("solve", ("--tol", "0"), "tol must be a finite number > 0"),
     ("solve", ("--max-iter", "0"), "max_iter must be >= 1"),
     ("simulate", ("--steps", "0"), "the horizon T must be at least 1 step"),
-    ("simulate", ("--env", "foo"), "unknown environment 'foo'"),
     ("simulate", ("--heat-success", "2"), "heat_success must be a probability"),
-], ids=["tol-0", "max-iter-0", "steps-0", "env-foo", "heat-success-2"])
+], ids=["tol-0", "max-iter-0", "steps-0", "heat-success-2"])
 def test_solve_and_simulate_settings_are_checked_before_the_bundle(tmp_path, command,
                                                                    flags, message):
     # the bundle does not exist: the error names the setting, not the file
@@ -416,6 +414,29 @@ def test_solve_and_simulate_settings_are_checked_before_the_bundle(tmp_path, com
     r = run(command, "--model", str(tmp_path / "missing.json"), *flags, *out)
     assert_one_line_exit_2(r, command)
     assert message in r.stderr
+    assert "missing.json" not in r.stderr
+    assert r.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args,flag", [
+    (("init", "--out", "{gone}/model.json"), "--out"),
+    (("validate", "--report", "{gone}/report.json"), "--report"),
+    (("solve", "--model", "{dir}/missing.json", "--out", "{gone}/value.json"), "--out"),
+    (("simulate", "--model", "{dir}/missing.json", "--trace", "{gone}/t.csv"), "--trace"),
+    (("train", "--model", "{dir}/missing.json", "--steps", "2", "--iters", "1",
+      "--out", "{gone}/trained.json"), "--out"),
+    (("train", "--model", "{dir}/missing.json", "--steps", "2", "--iters", "1",
+      "--out", "{dir}/trained.json", "--report", "{gone}/report.json"), "--report"),
+    (("solve", "--model", "{dir}/missing.json", "--out", "{dir}"), "--out"),
+], ids=["init-out", "validate-report", "solve-out", "simulate-trace", "train-out",
+        "train-report", "solve-out-is-a-directory"])
+def test_output_directories_are_checked_before_the_bundle(tmp_path, args, flag):
+    # the output's directory does not exist (or the output is a directory),
+    # nor does the bundle: the error names the output flag, before any work
+    r = run(*(a.format(dir=tmp_path, gone=tmp_path / "gone") for a in args))
+    assert_one_line_exit_2(r, args[0])
+    assert flag in r.stderr
     assert "missing.json" not in r.stderr
     assert r.stdout == ""
     assert list(tmp_path.iterdir()) == []
@@ -523,15 +544,10 @@ def test_bad_solver_settings_get_one_line_and_exit_2(small_model, tmp_path, flag
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags,message", [
-    (("--env", "foo"), "unknown environment 'foo'"),
-    ((), "model spec does not match the requested environment"),
-], ids=["unknown-env", "spec-mismatch"])
-def test_simulate_environment_mistakes_get_one_line_and_exit_2(small_model, tmp_path,
-                                                               flags, message):
+def test_simulate_spec_mismatch_gets_one_line_and_exit_2(small_model, tmp_path):
     # small_model's spec is not the default thermostat's
     out = tmp_path / "t.csv"
-    r = run("simulate", "--model", str(small_model), *flags, "--trace", str(out))
+    r = run("simulate", "--model", str(small_model), "--trace", str(out))
     assert_one_line_exit_2(r, "simulate")
-    assert message in r.stderr
+    assert "model spec does not match the requested environment" in r.stderr
     assert not out.exists()

@@ -10,7 +10,9 @@ re-export, so they are skipped) and under tests/ is parsed, and every name
 bound by a top-level import must occur as a name somewhere in the module.
 Dead code: every non-dunder def or class under src/ascontrol, every
 non-dunder name a module-level assignment binds (constants, tables,
-aliases), and every attribute a package class assigns on `self` must be
+aliases), every attribute a package class assigns on `self`, and every
+field of a package dataclass (but for a class that serializes itself
+through `asdict`, which reads every field by name) must be
 referenced outside its own body or statement in src/, tests/ or
 perfbench/ (an attribute by a read: assigning it is no use; a package
 `__init__` only re-exports, so its imports read nothing). And a def that
@@ -105,6 +107,31 @@ def assigned(stmt):
     return [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
 
 
+def is_dataclass(cls):
+    """Whether the class `cls` is decorated `@dataclass` or `@dataclass(...)`."""
+    return any(call_name(d) == "dataclass" if isinstance(d, ast.Call)
+               else isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in cls.decorator_list)
+
+
+def serializes_itself(cls):
+    """Whether a method of `cls` passes `self` to `asdict`, which reads every
+    field by its name."""
+    return any(isinstance(node, ast.Call) and call_name(node) == "asdict"
+               and any(isinstance(a, ast.Name) and a.id == "self" for a in node.args)
+               for node in ast.walk(cls))
+
+
+def dataclass_fields(tree):
+    """(name, node) of each field of a dataclass in `tree`, but for the
+    dataclasses that serialize themselves."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and is_dataclass(cls) and not serializes_itself(cls):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield stmt.target.id, stmt
+
+
 def definitions(tree):
     """(name, node) of each def or class in `tree`, of each name bound by one
     of its module-level assignments, and of each attribute that a statement
@@ -125,11 +152,11 @@ def definitions(tree):
                     yield name.id, node
 
 
-def readers(checked, others):
-    """((file, name), files) of each non-dunder def, class or module-level
-    assigned name in the `checked` sources ({file: text}): the files of
-    `checked` or `others` whose code uses it outside the definition's own
-    lines. A package `__init__.py` only re-exports, so it reads nothing."""
+def readers(checked, others, defined):
+    """((file, name), files) of each non-dunder name that `defined` finds in
+    the `checked` sources ({file: text}): the files of `checked` or `others`
+    whose code uses it outside the definition's own lines. A package
+    `__init__.py` only re-exports, so it reads nothing."""
     trees = {f: ast.parse(text) for f, text in {**others, **checked}.items()}
     uses = {}
     for f, tree in trees.items():
@@ -137,7 +164,7 @@ def readers(checked, others):
             for name, line in references(tree):
                 uses.setdefault(name, []).append((f, line))
     for f in checked:
-        for name, node in definitions(trees[f]):
+        for name, node in defined(trees[f]):
             if not (name.startswith("__") and name.endswith("__")):
                 own = range(node.lineno, node.end_lineno + 1)
                 yield (f, name), {g for g, line in uses.get(name, [])
@@ -145,9 +172,13 @@ def readers(checked, others):
 
 
 def unreferenced_defs(checked, others):
-    """(file, name) of each def in the `checked` sources that no code in
-    `checked` or `others` uses outside its own lines."""
-    return [key for key, files in readers(checked, others) if not files]
+    """(file, name) of each def or dataclass field in the `checked` sources
+    that no code in `checked` or `others` uses outside its own lines."""
+    def defined(tree):
+        yield from definitions(tree)
+        yield from dataclass_fields(tree)
+
+    return [key for key, files in readers(checked, others, defined) if not files]
 
 
 def own_tests(path):
@@ -162,7 +193,7 @@ def unit_test_only_defs(checked, others):
     """(file, name) of each def in the package sources `checked` ({path in
     the repository: text}) that some code reads, but only its own unit-test
     module."""
-    return [(f, name) for (f, name), files in readers(checked, others)
+    return [(f, name) for (f, name), files in readers(checked, others, definitions)
             if files == {own_tests(f)}]
 
 
@@ -214,6 +245,27 @@ def test_dead_code_checker_flags_unread_instance_attributes():
     # assigned on another object, not on self
     assert sorted(name for _, name in unreferenced_defs({"lib": lib}, {"user": user})) == [
         "total", "typed", "unread"]
+
+
+def test_dead_code_checker_flags_unread_dataclass_fields():
+    lib = ("@dataclass(frozen=True)\n"
+           "class Summary:\n"
+           "    mean: float\n"
+           "    label: str\n"
+           "    kind = 'summary'\n"
+           "@dataclass\n"
+           "class Report:\n"
+           "    steps: list\n"
+           "    def to_dict(self):\n"
+           "        return asdict(self)\n"
+           "class Plain:\n"
+           "    size: int\n")
+    user = ("from lib import Plain, Report, Summary\n"
+            "s = Summary(mean=1.0, label='x')\n"
+            "print(s.mean, Report([]).to_dict(), Plain, Summary.kind)\n")
+    # a keyword at construction is not a read; asdict reads every field of
+    # Report, and a plain class or a class attribute has no fields
+    assert unreferenced_defs({"lib": lib}, {"user": user}) == [("lib", "label")]
 
 
 def test_unit_test_checker_flags_defs_only_their_own_tests_read():

@@ -109,8 +109,7 @@ def _matched_deterministic_setup():
         pol0=ConditionalTable.uniform((2, 1), 1, False),
         pol1=ConditionalTable.uniform((2, 1), 1, False),
         pol2=ConditionalTable.uniform((1,), 1, False))
-    env = sim.Environment(spec=spec, lik=lik, dyn1=dyn1, dyn2=dyn2,
-                          label="fixed-point")
+    env = sim.Environment(spec=spec, lik=lik, dyn1=dyn1, dyn2=dyn2)
     ref = ReferenceModel(
         spec,
         ref_o=ConditionalTable.one_hot((1,), 2, lambda a1: 0),
