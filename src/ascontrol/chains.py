@@ -409,8 +409,9 @@ def expand_edges(values_noa, spec):
 
 
 def step_matrices(builder, spec, T):
-    """List of per-step matrices for steps 1 .. T, built once per distinct
-    tick value. `builder(tick)` returns the matrix for one step."""
+    """The one schedule from steps to tick values: `builder(tick)`'s value
+    for each step 1 .. T (its matrix, or any per-tick value), built once per
+    distinct tick value, so step t gets the value of tick_at(t)."""
     by_tick = {}
     out = []
     for t in range(1, T + 1):

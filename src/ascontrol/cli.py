@@ -60,12 +60,12 @@ def _apply_config(args, argv):
 
 
 def _check_outputs(args):
-    """Each output path names a file in a directory that exists, checked
-    before any work."""
+    """Each output path names a file (a name, not a directory) in a
+    directory that exists, checked before any work."""
     for dest in ("out", "report", "trace"):
         path = getattr(args, dest, None)
-        if path is not None and (os.path.isdir(path) or not os.path.isdir(
-                os.path.dirname(os.path.abspath(path)))):
+        if path is not None and (not os.path.basename(path) or os.path.isdir(path)
+                                 or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
             raise ValueError(f"--{dest}: {path!r} is not a file in a directory that exists")
 
 

@@ -8,7 +8,11 @@ gradient training of the filtering recognition logits and policy logits.
 The tick schedule makes the chain periodic in time, so all average-cost
 machinery runs on the phase-product chain: a state at time t carries
 phase t mod period, the transition out of phase 0 ticks, and value
-tables hold one bias vector per phase.
+tables hold one bias vector per phase. Steps and phases meet their tick
+values in one schedule, chains.step_matrices: the Bellman pieces per
+phase, the rollout densities and the free energy's chains per step. Every
+exact differential free energy, each finite-difference candidate's and the
+adjoint's occupations included, is one forward walk (oracle.walk).
 """
 
 import json
@@ -157,8 +161,10 @@ def action_tuples(spec):
 
 
 class _BellmanOps:
-    """Per-phase pieces of the hard-min backup: nature's factors, edge costs,
-    and per action tuple the expected edge cost and successor indices."""
+    """Per-phase pieces of the hard-min backup, `phases[p] = (base, cost,
+    ecost)` out of phase p: nature's factors, edge costs, and per action
+    tuple the expected edge cost; and per action tuple the successor
+    indices."""
 
     def __init__(self, gen, rec, ref):
         spec = self.spec = gen.spec
@@ -166,23 +172,24 @@ class _BellmanOps:
         self.ua, self.ua1, self.ua2 = action_tuples(spec)
         self.n_u = self.ua.size
         self.lik_u = gen.lik.reshaped()[self.ua1]            # (u, s1', o)
-        self.base = {}
-        self.cost = {}
-        # expected edge cost per action tuple, (u, N): it does not depend on
-        # the value table, so backup and greedy_operators read it from here
-        self.ecost = {}
         n = spec.n_states
-        for tick in (True, False):
+
+        def build(tick):
             d2, d1 = chains.world_factors(gen, tick)
-            base = self.base[tick] = np.einsum("xX,xXs->xXs", d2, d1)  # (N, s2', s1')
-            cost = self.cost[tick] = chains.tick_pieces(gen, rec, ref, tick)["cost"]
-            ecost = self.ecost[tick] = np.empty((self.n_u, n))
+            base = np.einsum("xX,xXs->xXs", d2, d1)          # (N, s2', s1')
+            cost = chains.tick_pieces(gen, rec, ref, tick)["cost"]
+            # expected edge cost per action tuple, (u, N): it does not depend
+            # on the value table, so backup and greedy_operators read it here
+            ecost = np.empty((self.n_u, n))
             for u in range(self.n_u):
                 # sum_world base * lik * cost[x, o', a_u]
                 m1 = np.einsum("xXs,so->xo", base, self.lik_u[u])
                 c_u = cost[:, :, self.ua[u]]
                 with np.errstate(invalid="ignore"):
                     ecost[u] = np.where(m1 > 0.0, m1 * c_u, 0.0).sum(axis=1)
+            return base, cost, ecost
+
+        self.phases = chains.step_matrices(build, spec, self.period)
         # successor state per (u, o', s1', s2')
         oal = chains.Lattice.of(spec).state_of_oal.reshape(
             (spec.card_o, spec.card_a) + spec.latent_dims)
@@ -192,28 +199,25 @@ class _BellmanOps:
         """The action values of one hard-min backup out of phase p, shape
         (u, N): E[cost + h_next(x')] per action tuple u and state x. The
         backup's values are their min over u, its greedy tuples the argmin."""
-        tick = tick_at(p + 1, self.spec)
-        base = self.base[tick]
+        base, _, ecost = self.phases[p]
         # expected successor value: sum_{o'} lik * h_next(x'), then one matmul
         # over the world factors (s2', s1') for all action tuples at once
         inner = np.einsum("uso,uosX->uXs", self.lik_u, h_next[self.succ])
-        return self.ecost[tick] + inner.reshape(self.n_u, -1) @ base.reshape(len(base), -1).T
+        return ecost + inner.reshape(self.n_u, -1) @ base.reshape(len(base), -1).T
 
     def greedy_operators(self, greedy):
         """Transition matrices and expected edge costs of the greedy policy,
         one per phase."""
         n = self.spec.n_states
         mats, costs = [], []
-        for p in range(self.period):
-            tick = tick_at(p + 1, self.spec)
-            base = self.base[tick]
+        for p, (base, _, ecost) in enumerate(self.phases):
             mat = np.zeros((n, n))
             for u in np.unique(greedy[p]):
                 rows = np.nonzero(greedy[p] == u)[0]
                 w = np.einsum("xXs,so->xosX", base[rows], self.lik_u[u])  # (r, o, s1, s2)
                 mat[rows[:, None], self.succ[u].reshape(1, -1)] = w.reshape(rows.size, -1)
             mats.append(mat)
-            costs.append(self.ecost[tick][greedy[p], np.arange(n)])
+            costs.append(ecost[greedy[p], np.arange(n)])
         return mats, costs
 
 
@@ -228,8 +232,8 @@ def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000):
     ops = _BellmanOps(gen, rec, ref)
     spec = gen.spec
     n, period = spec.n_states, ops.period
-    for p in range(period):
-        stuck = np.isposinf(ops.ecost[tick_at(p + 1, spec)]).all(axis=0)
+    for p, (_, _, ecost) in enumerate(ops.phases):
+        stuck = np.isposinf(ecost).all(axis=0)
         if stuck.any():
             raise DegenerateSupportError(
                 f"relative value iteration: {int(stuck.sum())} states have "
@@ -285,8 +289,8 @@ def greedy_rollout_rate(gen, rec, ref, value, x0, steps, seed):
     path = _sample_paths([mats[t % period] for t in range(steps)], x0.flat(gen.spec),
                          1, np.random.default_rng(seed))[:, 0]
     vals = np.empty(steps)
-    for p in range(period):
-        cost_edge = chains.expand_edges(ops.cost[tick_at(p + 1, gen.spec)], gen.spec)
+    for p, (_, cost, _) in enumerate(ops.phases):
+        cost_edge = chains.expand_edges(cost, gen.spec)
         vals[p::period] = cost_edge[path[p:-1:period], path[p + 1::period]]
     block = _ROLLOUT_BLOCK
     n_blocks = steps // block
@@ -373,15 +377,13 @@ def _rollout_path_costs(gen, rec, ref, x0, T, rate, mode, n_rollouts, seed):
     x0: their (T + 1, n_rollouts) state paths and (T, n_rollouts) step
     costs less the rate."""
     spec = gen.spec
-    mats, costs = {}, {}
-    for tick in (True, False):
-        mats[tick], costs[tick] = chains.rollout_density(gen, rec, ref, tick, mode)
-    ticks = _step_ticks(spec, T)
-    paths = _sample_paths([mats[tick] for tick in ticks], x0.flat(spec), n_rollouts,
+    steps = chains.step_matrices(
+        lambda tick: chains.rollout_density(gen, rec, ref, tick, mode), spec, T)
+    paths = _sample_paths([mat for mat, _ in steps], x0.flat(spec), n_rollouts,
                           np.random.default_rng(seed))
     step_costs = np.empty((T, n_rollouts))
-    for t, tick in enumerate(ticks):
-        step_costs[t] = costs[tick][paths[t], paths[t + 1]] - rate
+    for t, (_, cost) in enumerate(steps):
+        step_costs[t] = cost[paths[t], paths[t + 1]] - rate
     return paths, step_costs
 
 
@@ -406,35 +408,16 @@ def mc_path_integral_value(gen, rec, ref, x0, T, rate, mode="feedforward",
 
 def differential_free_energy(gen, rec, ref, x0, T, rate):
     """Jensen bound on the feedback path-integral value:
-    E_{chain}[sum_t (step objective - rate)], exact by forward propagation.
-    The expectation runs over occupied states only: an unreachable state's
-    infinite expected cost contributes nothing, a reachable one makes the
-    value +inf."""
+    E_{chain}[sum_t (step objective - rate)], exact by the forward walk
+    (oracle.walk). The expectation runs over occupied states only: an
+    unreachable state's infinite expected cost contributes nothing, a
+    reachable one makes the value +inf."""
     spec = gen.spec
-    x0.validate(spec)
+    mu = oracle.point_mass(spec, x0)
     pieces = _dfe_pieces(gen, rec, ref)
-    return _forward_value([(pieces[tick]["ev"], pieces[tick]["qc"])
-                           for tick in _step_ticks(spec, T)], spec, x0, rate)[0]
-
-
-def _step_ticks(spec, T):
-    """The tick value of each step 1 .. T."""
-    return [tick_at(t, spec) for t in range(1, T + 1)]
-
-
-def _forward_value(steps, spec, x0, rate):
-    """sum_t (E_{mu_t}[ev_t] - rate) over `steps`, one (ev, qc) pair per
-    step, with mu_0 the point mass at x0 and mu_{t+1} = qc_t^T mu_t, and the
-    occupations mu_t of the steps it walked: the forward propagation of
-    every exact differential free energy."""
-    mu = np.zeros(spec.n_states)
-    mu[x0.flat(spec)] = 1.0
-    total, mus = 0.0, []
-    for ev, qc in steps:
-        mus.append(mu)
-        total += float(support_dot(mu, ev)) - rate
-        mu = qc.T @ mu
-    return total, mus
+    vals, _ = oracle.walk(chains.step_matrices(
+        lambda tick: (pieces[tick]["qc"], pieces[tick]["ev"]), spec, T), mu)
+    return sum(v - rate for v in vals)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +622,7 @@ def _dfe_pieces(gen, rec, ref):
 
 def dfe_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies=POLICY_TABLES):
     """Exact differential free energy and its gradient w.r.t. all trained
-    logits, by forward propagation plus the adjoint recursion.
+    logits, by the forward walk (oracle.walk) plus the adjoint recursion.
 
     The backward pass is in occupation form: step t adds to its tick's
     buckets terms linear in the occupation mu_t and in mu_t (x) lam_{t+1}
@@ -652,9 +635,10 @@ def dfe_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies=POLICY_TAB
     n = spec.n_states
     lat = chains.Lattice.of(spec)
     pieces = _dfe_pieces(gen, rec, ref)
-    ticks = _step_ticks(spec, T)
-    value, mus = _forward_value([(pieces[tick]["ev"], pieces[tick]["qc"]) for tick in ticks],
-                                spec, x0, rate)
+    ticks = chains.step_matrices(lambda tick: tick, spec, T)
+    vals, mus = oracle.walk([(pieces[tick]["qc"], pieces[tick]["ev"]) for tick in ticks],
+                            oracle.point_mass(spec, x0))
+    value = sum(v - rate for v in vals)
     mus = np.array(mus)                                      # mu_t, t = 0..T-1
     lams = np.zeros((T, n))                                  # lam_{t+1}, t = 0..T-1
     for t in range(T - 1, 0, -1):
@@ -685,8 +669,7 @@ def score_function_grad(gen, rec, ref, x0, T, rate, n_rollouts, seed,
     togo = np.cumsum(step_costs[::-1], axis=0)[::-1]
     value = float(step_costs.sum(axis=0).mean())
     acc = _GradAccumulator(gen, rec, ref, trainable_policies)
-    for t in range(T):
-        tick = tick_at(t + 1, spec)
+    for t, tick in enumerate(chains.step_matrices(lambda tick: tick, spec, T)):
         pc, bucket = pieces[tick], acc.buckets[tick]
         xs, nxt = path[t], path[t + 1]
         oo, aa, ll = lat.o[nxt], lat.a[nxt], lat.lat_of_state[nxt]
@@ -714,16 +697,16 @@ def fd_gradients(gen, rec, ref, params, x0, T, rate):
     sentinel softmax and the recognition pieces of each tick (belief, edge
     cost, ev, Qc) are built once over the stack, except pieces the factor
     does not enter (the non-tick ones of s2), which are the unperturbed
-    model's. Each candidate still gets its own forward propagation
-    (_forward_value). Policy logits: each evaluation rebuilds one policy
+    model's. Each candidate still gets its own forward walk
+    (oracle.walk). Policy logits: each evaluation rebuilds one policy
     table and runs differential_free_energy on the unperturbed recognition
     model."""
     spec = gen.spec
     n = chains.Lattice.of(spec).n_states  # the ceiling, before any stack
-    x0.validate(spec)
+    mu = oracle.point_mass(spec, x0)
     base_gen, base_rec = apply_params(gen, rec, params)
     base = _dfe_pieces(base_gen, base_rec, ref)
-    ticks = _step_ticks(spec, T)
+    ticks = chains.step_matrices(lambda tick: tick, spec, T)
     block = max(1, _FD_BLOCK_VALUES // n ** 2)
     q_grads = {}
     for key, logits in params.q_logits.items():
@@ -742,8 +725,8 @@ def fd_gradients(gen, rec, ref, params, x0, T, rate):
             evs = [np.broadcast_to(pieces[tick]["ev"], (cands.size, n)) for tick in ticks]
             qcs = [np.broadcast_to(pieces[tick]["qc"], (cands.size, n, n)) for tick in ticks]
             for j in range(cands.size):
-                values[first + j] = _forward_value(
-                    [(ev[j], qc[j]) for ev, qc in zip(evs, qcs)], spec, x0, rate)[0]
+                vals, _ = oracle.walk([(qc[j], ev[j]) for ev, qc in zip(evs, qcs)], mu)
+                values[first + j] = sum(v - rate for v in vals)
             del stacked, pieces, evs, qcs  # not kept alive beside the next block's
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for floats
             q_grads[key] = ((values[0::2] - values[1::2])

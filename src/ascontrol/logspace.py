@@ -66,7 +66,8 @@ def kl_divergence(q, p):
 def support_dot(w, v):
     """w @ v over positive weights only: a term of zero weight contributes
     nothing even where v is +inf, where the plain product would give
-    0 * inf = NaN. The weights are nonnegative and v is finite or +inf."""
+    0 * inf = NaN. The weights are nonnegative up to float error (a weight
+    at or below zero is left out where v is +inf) and v is finite or +inf."""
     inf = np.isposinf(v)
     if not inf.any():
         return w @ v

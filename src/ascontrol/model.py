@@ -417,39 +417,25 @@ class RecognitionModel:
 
     __slots__ = ("spec", "rows", "index", "sentinel", "pieces", "__weakref__")
 
-    def __init__(self, spec, tables):
-        """Takes over the float arrays of `tables` without a copy and makes
-        them read-only, so pass arrays no one else holds (from_tables copies
-        its input). Each becomes its own rows, under an identity index."""
-        shapes = self.factor_shapes(spec)
-        rows, index = {}, {}
-        for name in REC_FACTORS:
-            arr = np.ascontiguousarray(tables[name], dtype=float)
-            _check_factor(name, shapes[name], arr.shape)
-            arr.setflags(write=False)
-            rows[name] = arr.reshape(-1, arr.shape[-1])
-            index[name] = np.arange(len(rows[name]), dtype=np.int32).reshape(arr.shape[:-1])
-        self._indexed(spec, rows, index)
-
-    def _indexed(self, spec, rows, index):
-        """Fill every slot from read-only row-indexed factors, each checked
-        against the spec's shape, with the sentinel slices gathered."""
-        shapes, sentinel = self.factor_shapes(spec), {}
+    def __init__(self, spec, rows, index, sentinel):
+        """The one initializer, of a model and a candidate alike. Takes over
+        the row-indexed factors `rows` and `index` (by name; read-only rows,
+        not copied), each checked against the spec's shape, and makes each
+        index read-only; `sentinel` holds read-only filtering slices by name,
+        and a factor it lacks has its slice gathered from its rows."""
+        shapes, self.sentinel = self.factor_shapes(spec), dict(sentinel)
         for name in REC_FACTORS:
             _check_factor(name, shapes[name], index[name].shape + rows[name].shape[1:])
             index[name].setflags(write=False)
-            sentinel[name] = np.take(rows[name], index[name][:, :, :, spec.card_o], axis=0)
-            sentinel[name].setflags(write=False)
-        return self._set(spec, rows, index, sentinel)
-
-    def _set(self, spec, rows, index, sentinel):
-        """Fill every slot: the one initializer of a model and a candidate."""
-        self.spec, self.rows, self.index, self.sentinel = spec, rows, index, sentinel
+            if name not in self.sentinel:
+                arr = self.sentinel[name] = np.take(
+                    rows[name], index[name][:, :, :, spec.card_o], axis=0)
+                arr.setflags(write=False)
+        self.spec, self.rows, self.index = spec, rows, index
         # the recognition half of the per-tick pieces (cost, ev, Qc), kept by
         # chains.tick_pieces for the last (gen, ref) pair it was built with,
         # and the whole belief, which reads this model alone, for every pair
         self.pieces = {}
-        return self
 
     def with_logits(self, logits):
         """A candidate: this model with the sentinel slice of each factor in
@@ -476,8 +462,7 @@ class RecognitionModel:
                     f"recognition factor {name}: expected sentinel {want}, "
                     f"got {arr.shape}")
             arr.setflags(write=False)
-        return object.__new__(RecognitionModel)._set(self.spec, self.rows, self.index,
-                                                     sentinel)
+        return RecognitionModel(self.spec, self.rows, self.index, sentinel)
 
     @property
     def tables(self):
@@ -514,14 +499,21 @@ class RecognitionModel:
     @classmethod
     def from_logits(cls, spec, logits):
         """Tables that are the softmax of `logits` over each row."""
-        return cls(spec, {name: softmax_rows(np.asarray(logits[name], dtype=float))
-                          for name in REC_FACTORS})
+        return cls.from_tables(spec, {name: softmax_rows(np.asarray(logits[name], dtype=float))
+                                      for name in REC_FACTORS})
 
     @classmethod
     def from_tables(cls, spec, tables):
-        """Build from explicit probability tables, kept bit-exact as a copy."""
-        return cls(spec, {name: np.array(tables[name], dtype=float, order="C")
-                          for name in REC_FACTORS})
+        """Build from explicit probability tables, kept bit-exact as a copy:
+        each copy, read-only, is its own rows under an identity index."""
+        shapes, rows, index = cls.factor_shapes(spec), {}, {}
+        for name in REC_FACTORS:
+            arr = np.array(tables[name], dtype=float, order="C")
+            _check_factor(name, shapes[name], arr.shape)
+            arr.setflags(write=False)
+            rows[name] = arr.reshape(-1, arr.shape[-1])
+            index[name] = np.arange(len(rows[name]), dtype=np.int32).reshape(arr.shape[:-1])
+        return cls(spec, rows, index, {})
 
     @classmethod
     def from_filtering(cls, spec, filtering):
@@ -538,7 +530,7 @@ class RecognitionModel:
             index[name] = np.broadcast_to(
                 np.arange(len(rows[name]), dtype=np.int32).reshape(
                     shape[:3] + (1,) + shape[4:-1]), shape[:-1])
-        return object.__new__(cls)._indexed(spec, rows, index)
+        return cls(spec, rows, index, {})
 
     def joint(self, context, tick=True):
         """Belief over latent tuples, shaped (card_s1, card_s2, card_a1, card_a2):
@@ -953,4 +945,4 @@ def load_models(path):
             raise ValueError(f"recognition table {name}: {exc}") from None
         values.setflags(write=False)
         rec_rows[name] = values
-    return gen, object.__new__(RecognitionModel)._indexed(spec, rec_rows, rec_index), ref
+    return gen, RecognitionModel(spec, rec_rows, rec_index, {}), ref

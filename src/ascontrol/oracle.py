@@ -6,6 +6,12 @@ propagates exact distributions forward/backward. Nothing is sampled and
 nothing is approximated beyond float arithmetic; the ceilings (complete
 states in chains.Lattice.of, trajectories in _check_paths) abort loudly
 rather than truncate.
+
+Every forward propagation of the package is `walk`: the windowed rate
+(the mean over the steps after burn-in), the stationary rate (the mean
+over one cycle from the stationary law) and the differential free energy
+(control, the sum less the rate) are each one walk, from different
+starting laws over different windows.
 """
 
 from dataclasses import dataclass
@@ -17,7 +23,7 @@ from ._kernels import path_logsumexp
 from .errors import (DimensionMismatchError, EnumerationBudgetError,
                      ImpossibleObservationError, NonUniqueStationaryError)
 from .logspace import NEG_INF, logsumexp, safe_log, support_dot
-from .model import CompleteState, Trajectory, tick_at
+from .model import CompleteState, Trajectory
 
 
 # the trajectory ceiling of exhaustive enumerations
@@ -171,32 +177,46 @@ def exact_step_posterior(gen, x_prev, o, tick=True):
 # exact rates
 
 
+def point_mass(spec, x):
+    """The occupation of the one state x, shape (N,)."""
+    x.validate(spec)
+    mu = np.zeros(spec.n_states)
+    mu[x.flat(spec)] = 1.0
+    return mu
+
+
+def walk(steps, mu):
+    """The one forward propagation. Over `steps`, one (mat, ev) pair per
+    step, from the occupation mu: each step's expected cost E_{mu_t}[ev_t]
+    over occupied states only (support_dot), so an unoccupied state's
+    infinite cost adds nothing, and the occupations mu_t it walked, with
+    mu_{t+1} = mat_t^T mu_t."""
+    vals, mus = [], []
+    for mat, ev in steps:
+        mus.append(mu)
+        vals.append(float(support_dot(mu, ev)))
+        mu = mat.T @ mu
+    return vals, mus
+
+
 def exact_average_rate(gen, rec, ref, x0, T_burn, T_eval, chain="generative"):
-    """Expected global surprise rate from x0: push the exact state
-    distribution forward T_burn + T_eval steps and average the expected
-    step objective over the last T_eval steps. The expectation runs over
-    occupied states only, so an unreachable state's infinite cost leaves
-    the rate finite."""
+    """Expected global surprise rate from x0: walk the exact state
+    distribution T_burn + T_eval steps and average the expected step
+    objective over the last T_eval steps."""
     spec = gen.spec
-    x0.validate(spec)
+    mu = point_mass(spec, x0)
     if T_eval < 1:
         raise ValueError("T_eval must be >= 1")
     if chain not in ("generative", "recognition"):
         raise ValueError(f"unknown chain {chain!r}")
-    per_tick = {}
-    for tick in (True, False):
+
+    def build(tick):
         mat = (chains.transition_matrix(gen, tick) if chain == "generative"
                else chains.recognition_chain(gen, rec, ref, tick))
-        per_tick[tick] = (mat, chains.tick_pieces(gen, rec, ref, tick)["ev"])
-    mu = np.zeros(spec.n_states)
-    mu[x0.flat(spec)] = 1.0
-    vals = []
-    for t in range(1, T_burn + T_eval + 1):
-        mat, ev = per_tick[tick_at(t, spec)]
-        if t > T_burn:
-            vals.append(float(support_dot(mu, ev)))
-        mu = mat.T @ mu
-    return float(np.mean(vals))
+        return mat, chains.tick_pieces(gen, rec, ref, tick)["ev"]
+
+    vals, _ = walk(chains.step_matrices(build, spec, T_burn + T_eval), mu)
+    return float(np.mean(vals[T_burn:]))
 
 
 def stationary_rate(step_mats, step_costs):
@@ -206,7 +226,9 @@ def stationary_rate(step_mats, step_costs):
     mu of the composed chain C solves mu (C - I) = 0 with sum(mu) = 1, in one
     dense least-squares solve, so periodic chains need no mixing; a
     rank-deficient system (more than one recurrent class) has no unique mu
-    and raises NonUniqueStationaryError."""
+    and raises NonUniqueStationaryError. The cycle is walked from mu over
+    occupied states only, so a transient state's infinite cost counts only
+    where the solve leaves that state a positive weight of float error."""
     period = len(step_mats)
     n = step_mats[0].shape[0]
     composed = step_mats[0]
@@ -220,11 +242,8 @@ def stationary_rate(step_mats, step_costs):
         raise NonUniqueStationaryError(
             f"the chain has more than one recurrent class: its stationary "
             f"system has rank {rank} < {n} states")
-    total = 0.0
-    for p in range(period):
-        total += float(mu @ step_costs[p])
-        mu = step_mats[p].T @ mu
-    return total / period
+    vals, _ = walk(zip(step_mats, step_costs), mu)
+    return sum(vals) / period
 
 
 # ---------------------------------------------------------------------------

@@ -262,16 +262,13 @@ def observed_reference_surprisal(trace, ref):
 @dataclass(frozen=True)
 class EvalSummary:
     rates: np.ndarray
-    mean_rate: float
-    stderr_rate: float
     obs_ref: np.ndarray
     seeds: tuple
 
 
 def evaluate(gen, rec, ref, env, n_episodes, T, seed, x0=None, seeds=None):
     """Per-episode global rates (mean step objective) and realized
-    observation-reference surprisals, with the rates' mean and standard
-    error."""
+    observation-reference surprisals."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     if seeds is None:
@@ -282,8 +279,5 @@ def evaluate(gen, rec, ref, env, n_episodes, T, seed, x0=None, seeds=None):
         trace = run_episode(gen, rec, ref, env, T, s, x0=x0)
         rates.append(float(trace.totals().mean()))
         obs_ref.append(observed_reference_surprisal(trace, ref))
-    rates = np.array(rates)
-    n = len(seeds)
-    stderr = float(rates.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return EvalSummary(rates=rates, mean_rate=float(rates.mean()),
-                       stderr_rate=stderr, obs_ref=np.array(obs_ref), seeds=tuple(seeds))
+    return EvalSummary(rates=np.array(rates), obs_ref=np.array(obs_ref),
+                       seeds=tuple(seeds))

@@ -429,11 +429,15 @@ def test_solve_and_simulate_settings_are_checked_before_the_bundle(tmp_path, com
     (("train", "--model", "{dir}/missing.json", "--steps", "2", "--iters", "1",
       "--out", "{dir}/trained.json", "--report", "{gone}/report.json"), "--report"),
     (("solve", "--model", "{dir}/missing.json", "--out", "{dir}"), "--out"),
+    (("solve", "--model", "{dir}/missing.json", "--out", ""), "--out"),
+    (("solve", "--model", "{dir}/missing.json", "--out", "{gone}/"), "--out"),
 ], ids=["init-out", "validate-report", "solve-out", "simulate-trace", "train-out",
-        "train-report", "solve-out-is-a-directory"])
+        "train-report", "solve-out-is-a-directory", "solve-out-is-empty",
+        "solve-out-has-no-file-name"])
 def test_output_directories_are_checked_before_the_bundle(tmp_path, args, flag):
-    # the output's directory does not exist (or the output is a directory),
-    # nor does the bundle: the error names the output flag, before any work
+    # the output's directory does not exist (or the output is a directory or
+    # names no file), nor does the bundle: the error names the output flag,
+    # before any work
     r = run(*(a.format(dir=tmp_path, gone=tmp_path / "gone") for a in args))
     assert_one_line_exit_2(r, args[0])
     assert flag in r.stderr

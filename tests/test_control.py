@@ -670,7 +670,7 @@ def with_other_smoothing_slices(rec, seed):
     for k in REC_FACTORS:
         tables[k] = np.array(other.tables[k])
         tables[k][:, :, :, sent] = rec.tables[k][:, :, :, sent]
-    return RecognitionModel(rec.spec, tables)
+    return RecognitionModel.from_tables(rec.spec, tables)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -770,9 +770,9 @@ def test_candidate_joint_matches_the_copy_and_write_layout():
     q = {k: v + rng.standard_normal(v.shape) for k, v in params.q_logits.items()}
     _, cand = control.apply_params(gen, rec, control.TrainableParams(q, {}))
     s1 = {"s1": rng.standard_normal(q["s1"].shape)}
-    cases = [(cand, RecognitionModel(spec, copy_and_write_layout(rec, q))),
+    cases = [(cand, RecognitionModel.from_tables(spec, copy_and_write_layout(rec, q))),
              (cand.with_logits(s1),
-              RecognitionModel(spec, copy_and_write_layout(rec, {**q, **s1})))]
+              RecognitionModel.from_tables(spec, copy_and_write_layout(rec, {**q, **s1})))]
     futures = [None] + list(range(spec.card_o + 1))
     for got, want in cases:
         for x in range(spec.n_states):

@@ -15,10 +15,11 @@ field of a package dataclass (but for a class that serializes itself
 through `asdict`, which reads every field by name) must be
 referenced outside its own body or statement in src/, tests/ or
 perfbench/ (an attribute by a read: assigning it is no use; a package
-`__init__` only re-exports, so its imports read nothing). And a def that
-no code in src/ or perfbench/ reads must be read by a test module other
-than its own unit tests, `tests/test_<its module>.py`, unless it is one of
-the ORACLES, the independent routes that only their own tests read.
+`__init__` only re-exports, so its imports read nothing). And a def or
+dataclass field that no code in src/ or perfbench/ reads must be read by
+a test module other than its own unit tests, `tests/test_<its module>.py`,
+unless it is one of the ORACLES, the independent routes that only their
+own tests read.
 Contractions: an `np.einsum(..., optimize=True)` computes its path on
 every call, so it is kept for contractions that sum an index (numpy runs
 their steps through matmul), with literal subscripts; a product that sums
@@ -30,7 +31,9 @@ code calls `searchsorted` or draws uniforms with `.random(` (but for
 bundle reader turns row text into floats in one place, `model._rows_block`,
 which no package code but `model._rows_of` names. Beliefs: only `chains.py`
 calls `belief_table`, so every whole belief is kept by its one cache rule,
-`chains.recognition_belief`. Masks: a ufunc's `where=` pays for its mask
+`chains.recognition_belief`. Pushes: only `oracle.walk` pushes a
+distribution forward through a chain (`<matrix>.T @ <vector>`), so every
+forward propagation is its walk. Masks: a ufunc's `where=` pays for its mask
 on every entry, so in `chains.py` and `control.py`, whose passes run over
 (..., N, O, A, L) arrays unmasked and zero their dead entries once, only
 the small-array helpers `_safe_div` and `_norm` take it. Defaults: a
@@ -171,14 +174,16 @@ def readers(checked, others, defined):
                                   if not (g == f and line in own)}
 
 
+def defs_and_fields(tree):
+    """definitions(tree), then dataclass_fields(tree)."""
+    yield from definitions(tree)
+    yield from dataclass_fields(tree)
+
+
 def unreferenced_defs(checked, others):
     """(file, name) of each def or dataclass field in the `checked` sources
     that no code in `checked` or `others` uses outside its own lines."""
-    def defined(tree):
-        yield from definitions(tree)
-        yield from dataclass_fields(tree)
-
-    return [key for key, files in readers(checked, others, defined) if not files]
+    return [key for key, files in readers(checked, others, defs_and_fields) if not files]
 
 
 def own_tests(path):
@@ -190,10 +195,10 @@ def own_tests(path):
 
 
 def unit_test_only_defs(checked, others):
-    """(file, name) of each def in the package sources `checked` ({path in
-    the repository: text}) that some code reads, but only its own unit-test
-    module."""
-    return [(f, name) for (f, name), files in readers(checked, others, definitions)
+    """(file, name) of each def or dataclass field in the package sources
+    `checked` ({path in the repository: text}) that some code reads, but
+    only its own unit-test module."""
+    return [(f, name) for (f, name), files in readers(checked, others, defs_and_fields)
             if files == {own_tests(f)}]
 
 
@@ -273,15 +278,21 @@ def test_unit_test_checker_flags_defs_only_their_own_tests_read():
            "def step():\n    return 1\n"
            "def oracle():\n    return 1\n"
            "def shared():\n    return 1\n"
-           "def unused():\n    return 1\n")
+           "def unused():\n    return 1\n"
+           "@dataclass\n"
+           "class Summary:\n"
+           "    mean: float\n"
+           "    spread: float\n")
     others = {"perfbench/bench.py": "NAMES = ('lib.run',)\n",
-              "tests/test_lib.py": "from ascontrol.lib import oracle, shared, step\n",
-              "tests/test_cli.py": "from ascontrol.lib import shared\n",
+              "tests/test_lib.py": ("from ascontrol.lib import oracle, shared, step\n"
+                                    "s = Summary(mean=1.0, spread=0.0)\n"
+                                    "print(s.mean, s.spread)\n"),
+              "tests/test_cli.py": "from ascontrol.lib import Summary, shared\nprint(Summary.mean)\n",
               "src/ascontrol/__init__.py": "from .lib import oracle\n"}
-    # step is read by run, shared by another test module; a re-export reads
-    # nothing, and unused is the unreferenced rule's
+    # step is read by run, shared and the field mean by another test module;
+    # a re-export reads nothing, and unused is the unreferenced rule's
     assert unit_test_only_defs({"src/ascontrol/lib.py": lib}, others) == [
-        ("src/ascontrol/lib.py", "oracle")]
+        ("src/ascontrol/lib.py", "oracle"), ("src/ascontrol/lib.py", "spread")]
     assert own_tests("src/ascontrol/_kernels/_py.py") == "tests/test_kernels.py"
 
 
@@ -302,9 +313,10 @@ def test_every_package_def_is_referenced():
 
 
 # the independent routes that only their own unit tests read, kept as the
-# oracles those tests check the model against: the exact posterior's paths,
-# the trajectory sampler and the recognition log-probability of a trajectory
-ORACLES = ("state_at", "sample_trajectory", "recognition_logprob")
+# oracles those tests check the model against: the exact posterior's paths
+# and its normalizer (checked against exact_marginal_likelihood), the
+# trajectory sampler and the recognition log-probability of a trajectory
+ORACLES = ("state_at", "log_marginal", "sample_trajectory", "recognition_logprob")
 
 
 def test_every_package_def_is_read_beyond_its_unit_tests():
@@ -453,6 +465,45 @@ def test_belief_checker_flags_stray_sites():
                          ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_beliefs_are_built_in_one_module(path):
     assert stray_uses(path.read_text(), BELIEF, ()) == []
+
+
+# the module, and the module-level function in it, that push a distribution
+# forward through a chain
+PUSH_MODULE, PUSH_SITE = "oracle.py", "walk"
+
+
+def stray_pushes(source, site):
+    """(line, expression) of each forward push `<matrix>.T @ <vector>` in
+    `source` outside its module-level def named `site` (None for none)."""
+    tree = ast.parse(source)
+    inside = {id(node) for top in tree.body if isinstance(top, DEFS) and top.name == site
+              for node in ast.walk(top)}
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                  and isinstance(node.left, ast.Attribute) and node.left.attr == "T"
+                  and id(node) not in inside)
+
+
+def test_push_checker_flags_stray_sites():
+    source = ("def walk(steps, mu):\n"
+              "    for mat, ev in steps:\n"
+              "        mu = mat.T @ mu\n"
+              "    return mu\n"
+              "def rate(mats, mu):\n"
+              "    nxt = mats[0].T @ mu\n"
+              "    def walk(m):\n"
+              "        return m.T @ nxt\n"
+              "    return self.qc.T @ walk(mu), mu @ mats[1], mats[2] @ mu.T\n")
+    # a nested def of the site's name is no site; a row product or a
+    # transposed right operand is no push
+    assert stray_pushes(source, PUSH_SITE) == [
+        (6, "mats[0].T @ mu"), (8, "m.T @ nxt"), (9, "self.qc.T @ walk(mu)")]
+    assert [line for line, _ in stray_pushes(source, None)] == [3, 6, 8, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_distributions_are_pushed_forward_in_one_place(path):
+    assert stray_pushes(path.read_text(), PUSH_SITE if path.name == PUSH_MODULE else None) == []
 
 
 # the modules of the (..., N, O, A, L) passes, and the helpers in them that

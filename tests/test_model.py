@@ -399,7 +399,7 @@ def test_row_indexed_factors_read_back_the_dense_tables(cards, seed):
         zero = rng.random(shape) < 0.3
         t[zero] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)[zero]
         tables[name] = t
-    rec = RecognitionModel(spec, {k: np.array(v) for k, v in tables.items()})
+    rec = RecognitionModel.from_tables(spec, tables)
     x_prev = random_state(rng, spec)
     xp, o, a = x_prev.flat(spec), int(rng.integers(spec.card_o)), int(rng.integers(spec.card_a))
     sent = spec.card_o
@@ -674,7 +674,7 @@ def test_save_of_a_candidate_matches_the_copy_and_write_layout(tmp_path, monkeyp
         source[k][:, :, :, spec.card_o] = softmax_rows(logits)
     got, want = tmp_path / "cand.json", tmp_path / "whole.json"
     save_models(got, gen, cand, ref)
-    save_models(want, gen, RecognitionModel(spec, source), ref)
+    save_models(want, gen, RecognitionModel.from_tables(spec, source), ref)
     assert got.read_bytes() == want.read_bytes()
     assert got.read_bytes() == _reference_bundle_text(
         gen, SimpleNamespace(tables=source), ref).encode()
@@ -986,8 +986,8 @@ def test_load_holds_the_tables_and_a_few_chunks(tmp_path, monkeypatch):
         pool = rng.dirichlet(np.ones(shape[-1]), size=7)
         tables[name] = pool[rng.integers(0, 7, size=shape[:-1])]
     path = tmp_path / "model.json"
-    save_models(path, GenerativeModel.random(spec, rng), RecognitionModel(spec, tables),
-                ReferenceModel.random(spec, rng))
+    save_models(path, GenerativeModel.random(spec, rng),
+                RecognitionModel.from_tables(spec, tables), ReferenceModel.random(spec, rng))
     assert path.stat().st_size > 8 * model._BLOCK_CHARS
     tracemalloc.start()
     try:

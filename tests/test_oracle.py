@@ -197,6 +197,16 @@ def test_stationary_rate_of_a_periodic_chain():
     assert rate == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("mat,cost,rate", [
+    ([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0]], [1.0, 2.0, np.inf], 1.0),
+    ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.5]], [1.0, 3.0, np.inf], 2.0),
+], ids=["absorbing", "periodic"])
+def test_stationary_rate_leaves_out_a_transient_infinite_cost(mat, cost, rate):
+    # state 2 is transient, so its infinite cost carries no stationary weight,
+    # though the least-squares law leaves it a weight of float error
+    assert abs(oracle.stationary_rate([np.array(mat)], [np.array(cost)]) - rate) <= 1e-12
+
+
 @pytest.mark.parametrize("chain", ["identity", "two-blocks"])
 def test_stationary_rate_refuses_more_than_one_recurrent_class(chain):
     if chain == "identity":
