@@ -41,7 +41,7 @@ P depends on x_prev only through its (s1, s2, a) class: its product runs on
 one prior row per class, with no (N, O, A, L) array, and expands by class.
 
 The recognition half takes a leading candidate axis: on a stack of
-candidates (RecognitionModel.stacked) belief, cost, ev and Qc each gain
+candidates (RecognitionModel.with_logits) belief, cost, ev and Qc each gain
 it, and every row is the single build of its candidate, bit for bit.
 
 The product builders (latent_prior, transition_matrix, qchain_matrix,
@@ -136,14 +136,20 @@ def latent_prior(gen, tick):
     """p(s1, s2, a1, a2 | x_prev) for every x_prev, shape (N, L)."""
     spec = gen.spec
     d2, d1 = world_factors(gen, tick)
-    p2 = gen.pol2.reshaped()                                   # (s2', a2)
-    p1 = gen.pol1.reshaped()                                   # (s1', a2, a1)
-    # ((p1 d1) p2) d2 in (x, s1, s2, a1, a2) order, as numpy's one-step plan
-    # multiplies them
-    prior = p1.transpose(0, 2, 1)[None, :, None] * d1.transpose(0, 2, 1)[..., None, None]
-    prior *= p2[:, None, :]
+    prior = _prior_given_s2(gen, d1)
     prior *= d2[:, None, :, None, None]
     return prior.reshape(spec.n_states, spec.n_latents)
+
+
+def _prior_given_s2(gen, d1):
+    """The latent prior without its d2 factor, p(s1, a1, a2 | x_prev, s2),
+    shape (N, s1, s2, a1, a2): ((p1 d1) p2) in (x, s1, s2, a1, a2) order,
+    as numpy's one-step plan multiplies them, before d2."""
+    p2 = gen.pol2.reshaped()                                   # (s2', a2)
+    p1 = gen.pol1.reshaped()                                   # (s1', a2, a1)
+    prior = p1.transpose(0, 2, 1)[None, :, None] * d1.transpose(0, 2, 1)[..., None, None]
+    prior *= p2[:, None, :]
+    return prior
 
 
 def latent_prior_row(gen, x_prev, tick):
@@ -181,10 +187,10 @@ def obs_action_marginal(gen, prior):
 
 
 def belief_table(rec, tick, rows):
-    """Filtering (sentinel) recognition belief q(latents | o, a, x_prev) for
-    the x_prev rows `rows` (a slice; slice(None) for all) and every (o, a),
-    shape (..., R, O, A, L): a leading candidate axis of any sentinel slice
-    (RecognitionModel.stacked) leads the belief. Each row is the whole
+    """Filtering recognition belief q(latents | o, a, x_prev) for the x_prev
+    rows `rows` (a slice; slice(None) for all) and every (o, a), shape
+    (..., R, O, A, L): a leading candidate axis of any factor
+    (RecognitionModel.with_logits) leads the belief. Each row is the whole
     build's row, bit for bit. The product is written in its (s1, s2, a1, a2)
     order and multiplies the factors a1, s1, a2, s2 in turn, as the one step
     of numpy's plan does; a2 and s2 are spelled out on (s2, a1, a2) first,
@@ -192,11 +198,11 @@ def belief_table(rec, tick, rows):
     spec = rec.spec
     lat = Lattice.of(spec)
     a1c, a2c = spec.card_a1, spec.card_a2
-    sent = rec.sentinel
-    q_s2 = sent["s2"] if tick else lat.hold_s2[:, None, None, :]  # (N, O, A, s2)
+    q = rec.tables
+    q_s2 = q["s2"] if tick else lat.hold_s2[:, None, None, :]  # (N, O, A, s2)
     # the rows of each factor, whose x_prev axis has 3 to 5 axes after it
     q_s2, q_a2, q_s1, q_a1 = (arr[(..., rows) + (slice(None),) * k] for arr, k in
-                              ((q_s2, 3), (sent["a2"], 4), (sent["s1"], 5), (sent["a1"], 5)))
+                              ((q_s2, 3), (q["a2"], 4), (q["s1"], 5), (q["a1"], 5)))
     factors = (np.swapaxes(q_a1, -1, -2)[..., :, None, :, :],  # (s1, a2, a1)
                np.moveaxis(q_s1, -1, -3)[..., None, :],       # (s2, a2, s1)
                np.repeat(q_a2[..., None, :, None, :], a1c, axis=-2),
@@ -292,36 +298,51 @@ def state_cost(gen, ref):
 
 def posterior_recognition_tables(gen):
     """The exact one-step filtering posterior q(latents | o, a, x_prev)
-    propto prior * lik * pol0(a | o, a1), as the filtering slice of each
-    recognition factor: shaped like the factor without its future axis.
-    RecognitionModel.from_filtering starts every future-summary slice at
-    it; training moves only the sentinel (filtering) slice, and every model
-    apply_params builds shares the smoothing slices' rows.
+    propto prior * lik * pol0(a | o, a1), as each recognition factor's
+    array; training moves these arrays (control.apply_params).
 
     Factored as (s2, a2 | s2, s1 | s2 a2, a1 | s1 a2); the last factor is
     exact because a1 is conditionally independent of s2 given (s1, a2). The
-    slices are fresh C-ordered arrays, which from_filtering takes over.
+    factors are taken from the tick prior, whose d2 factor does not change a
+    conditional given s2. Where the tick prior leaves a conditional's row
+    no mass, a non-tick step, which holds s2, may still read it: that row is
+    the conditional of the prior without its d2 factor. The arrays are
+    fresh and C-ordered, which RecognitionModel takes over.
     """
     spec = gen.spec
     n, c_o, c_a = spec.n_states, spec.card_o, spec.card_a
     s1c, s2c, a1c, a2c = spec.latent_dims
+    evidence = lik_over_latents(gen).T[None, :, None, :]
+    action = pol0_over_latents(gen).transpose(1, 2, 0)[None]
     prior = latent_prior(gen, True)
-    joint = (prior[:, None, None, :] * lik_over_latents(gen).T[None, :, None, :]
-             * pol0_over_latents(gen).transpose(1, 2, 0)[None])
+    joint = prior[:, None, None, :] * evidence * action
     z = joint.sum(axis=3, keepdims=True)
     with np.errstate(invalid="ignore"):
         joint = np.where(z > 0.0, joint / z, 1.0 / joint.shape[3])
     joint = joint.reshape(n, c_o, c_a, s1c, s2c, a1c, a2c)
+    dead = (z == 0.0).reshape(n, c_o, c_a)
 
     def _norm(arr):
         s = arr.sum(axis=-1, keepdims=True)
         out = np.full(arr.shape, 1.0 / arr.shape[-1])
         return np.divide(arr, s, out=out, where=s > 0.0)
 
-    return {"s2": _norm(joint.sum(axis=(3, 5, 6))),                        # (.., s2)
-            "a2": _norm(joint.sum(axis=(3, 5))),                           # (.., s2, a2)
-            "s1": _norm(joint.sum(axis=5).transpose(0, 1, 2, 4, 5, 3)),    # (.., s2, a2, s1)
-            "a1": _norm(joint.sum(axis=4).transpose(0, 1, 2, 3, 5, 4))}    # (.., s1, a2, a1)
+    def _given_s2(reduce):
+        """_norm(reduce(joint)), but in the rows the tick prior leaves no
+        mass, where it is _norm of reduce of the d2-free joint."""
+        arr = reduce(joint)
+        out = _norm(arr)
+        empty = ~(arr.sum(axis=-1) > 0.0) | dead.reshape(dead.shape + (1,) * (arr.ndim - 4))
+        if empty.any():
+            d2_free = _prior_given_s2(gen, world_factors(gen, True)[1])
+            out[empty] = _norm(reduce((d2_free.reshape(n, 1, 1, -1) * evidence * action)
+                                      .reshape(joint.shape)))[empty]
+        return out
+
+    return {"s2": _norm(joint.sum(axis=(3, 5, 6))),                                  # (.., s2)
+            "a2": _given_s2(lambda j: j.sum(axis=(3, 5))),                           # (.., s2, a2)
+            "s1": _given_s2(lambda j: j.sum(axis=5).transpose(0, 1, 2, 4, 5, 3)),    # (.., s2, a2, s1)
+            "a1": _given_s2(lambda j: j.sum(axis=4).transpose(0, 1, 2, 3, 5, 4))}    # (.., s1, a2, a1)
 
 
 def expected_edge_cost(marg, cost):

@@ -426,10 +426,8 @@ def differential_free_energy(gen, rec, ref, x0, T, rate):
 
 @dataclass
 class TrainableParams:
-    """Free logits: the sentinel (filtering) slice of each recognition
-    factor, shaped like the factor without its future axis, plus the
-    selected policy tables. The smoothing slices are not trained: the
-    objective does not read them."""
+    """Free logits: each recognition factor's filtering array, plus the
+    selected policy tables."""
 
     q_logits: dict
     pol_logits: dict
@@ -449,7 +447,7 @@ def extract_params(gen, rec, trainable_policies=POLICY_TABLES):
     """Pull free logits out of existing models: the log tables, which the
     softmax reproduces exactly, of the recognition factors and of the
     policy tables in `trainable_policies` (check_train_settings checks them)."""
-    q = {k: safe_log(rec.sentinel[k]) for k in REC_FACTORS}
+    q = {k: safe_log(rec.tables[k]) for k in REC_FACTORS}
     pol = {name: safe_log(getattr(gen, name).probs)
            for name in trainable_policies}
     return TrainableParams(q, pol)
@@ -457,8 +455,8 @@ def extract_params(gen, rec, trainable_policies=POLICY_TABLES):
 
 def apply_params(gen, rec, params):
     """Rebuild (generative-with-policies, recognition) from logits: the
-    recognition sentinel slices become the softmax of params.q_logits
-    (RecognitionModel.with_logits), and the smoothing slices are `rec`'s own
+    recognition factors in params.q_logits become the softmax of their
+    logits (RecognitionModel.with_logits); the others are `rec`'s own
     arrays, shared, not copied."""
     return _policy_model(gen, params.pol_logits), rec.with_logits(params.q_logits)
 
@@ -559,10 +557,10 @@ class _GradAccumulator:
         lik_lat = chains.lik_over_latents(gen)
         pol0_lat = chains.pol0_over_latents(gen)
         a_lat = chains.reference_over_latents(ref) - safe_log(lik_lat)
-        sent = rec.sentinel
+        tables = rec.tables
         # per factor, the sum over its row's latent completions of g_q * q,
-        # in the sentinel layout; each factor's gradient is this over sent
-        r_sent = {k: np.zeros(v.shape) for k, v in sent.items()}
+        # in the factor's layout; each factor's gradient is this over its table
+        r_tables = {k: np.zeros(v.shape) for k, v in tables.items()}
         g_pol_tables = {k: np.zeros_like(getattr(gen, k).probs)
                         for k in self.trained_pols}
 
@@ -579,14 +577,14 @@ class _GradAccumulator:
             # recognition factors via the product-ratio trick, each factor's
             # sum taken from the one before it where it can be
             rq = rq.reshape(n, c_o, c_a, s1c, s2c, a1c, a2c)
-            r_sent["a1"] += axis_sum(rq, 4).transpose(0, 1, 2, 3, 5, 4)
+            r_tables["a1"] += axis_sum(rq, 4).transpose(0, 1, 2, 3, 5, 4)
             r_s1 = axis_sum(rq, 5)                           # (.., s1, s2, a2)
             del rq  # not kept alive beside the next tick's
-            r_sent["s1"] += r_s1.transpose(0, 1, 2, 4, 5, 3)
+            r_tables["s1"] += r_s1.transpose(0, 1, 2, 4, 5, 3)
             r_a2 = axis_sum(r_s1, 3)                         # (.., s2, a2)
-            r_sent["a2"] += r_a2
+            r_tables["a2"] += r_a2
             if tick:
-                r_sent["s2"] += axis_sum(r_a2, 4)
+                r_tables["s2"] += axis_sum(r_a2, 4)
             # policy factors
             if "pol0" in g_pol_tables:
                 g0 = np.einsum("xoa,xl,lo->loa", b["G_m"], prior, lik_lat,
@@ -602,7 +600,7 @@ class _GradAccumulator:
                                gen.pol1.reshaped())
                 g_pol_tables["pol1"] += g1.reshape(-1, a1c)
 
-        q_grads = {k: _softmax_grad_rows(sent[k], _safe_div(r_sent[k], sent[k]))
+        q_grads = {k: _softmax_grad_rows(tables[k], _safe_div(r_tables[k], tables[k]))
                    for k in REC_FACTORS}
         pol_grads = {k: _softmax_grad_rows(getattr(gen, k).probs, g_pol_tables[k])
                      for k in self.trained_pols}
@@ -690,11 +688,11 @@ def fd_gradients(gen, rec, ref, params, x0, T, rate):
     apply_params for every evaluation gives.
 
     Recognition logits: the two candidates of each logit of a factor (+ and
-    - _FD_STEP) are stacked along a leading axis (RecognitionModel.stacked)
+    - _FD_STEP) are stacked along a leading axis (RecognitionModel.with_logits)
     on the unperturbed models, whose generative half is built once. The
     stack is built block by block, _FD_BLOCK_VALUES belief values at a
     time, so memory does not grow with the logit count: per block the
-    sentinel softmax and the recognition pieces of each tick (belief, edge
+    factor's softmax and the recognition pieces of each tick (belief, edge
     cost, ev, Qc) are built once over the stack, except pieces the factor
     does not enter (the non-tick ones of s2), which are the unperturbed
     model's. Each candidate still gets its own forward walk
@@ -717,8 +715,8 @@ def fd_gradients(gen, rec, ref, params, x0, T, rate):
             stack = np.repeat(flat[None], cands.size, axis=0)
             stack[np.arange(cands.size), cands // 2] += np.where(cands % 2, -_FD_STEP,
                                                                  _FD_STEP)
-            stacked = base_rec.stacked(key, stack.reshape((cands.size,) + logits.shape))
-            # the non-tick belief holds s2 and reads no s2 sentinel
+            stacked = base_rec.with_logits({key: stack.reshape((cands.size,) + logits.shape)})
+            # the non-tick belief holds s2 and reads no s2 factor
             pieces = {tick: base[tick] if key == "s2" and not tick
                       else _chain_pieces(base_gen, stacked, ref, tick)
                       for tick in set(ticks)}

@@ -42,8 +42,7 @@ def hard_zero_instance(seed, cards, tick_period):
                                       for k in GenerativeModel.table_names))
     ref = ReferenceModel(ref.spec, *(table(getattr(ref, k))
                                      for k in ReferenceModel.table_names))
-    rec = RecognitionModel.from_tables(
-        rec.spec, {k: zero_some(v, rng) for k, v in rec.tables.items()})
+    rec = RecognitionModel(rec.spec, {k: zero_some(v, rng) for k, v in rec.tables.items()})
     return gen, rec, ref
 
 
@@ -60,12 +59,10 @@ def random_state(rng, spec):
 
 
 def random_context(rng, spec):
-    """A random recognition context; the future is an observation or None."""
-    f = int(rng.integers(spec.card_o + 1))
-    future = None if f == spec.card_o else f
+    """A random recognition context."""
     return RecognitionContext(o=int(rng.integers(spec.card_o)),
                               a=int(rng.integers(spec.card_a)),
-                              x_prev=random_state(rng, spec), future=future)
+                              x_prev=random_state(rng, spec))
 
 
 def random_value(rng, spec, scale=1.0):

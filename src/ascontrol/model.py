@@ -13,9 +13,11 @@ variables. One-step dynamics factor as
 
 On non-tick steps the slow latent holds deterministically. Reference
 tables score states (ref_o over observations, ref_s1 over fast latents),
-and a recognition model carries per-step beliefs over the four latent
-variables, conditioned on (o_t, a_t, x_{t-1}) and a summary of the next
-step (the next observation, or a designated no-future sentinel).
+and a recognition model carries per-step filtering beliefs over the four
+latent variables, conditioned on (o_t, a_t, x_{t-1}). A v1 bundle still
+stores each recognition factor over a future-summary axis (card_o + 1
+slices, the last the filtering one): the writer fills every slice with
+the filtering rows, and the reader checks every slice and keeps the last.
 
 Every table is immutable after construction (a generative or reference
 model only fills its cache of arrays derived from them); sampling takes an
@@ -371,16 +373,11 @@ class ReferenceModel(_TableModel):
 
 @dataclass(frozen=True)
 class RecognitionContext:
-    """Conditioning set for a per-step belief: (o_t, a_t, x_{t-1}, future).
-
-    `future` is the next observation index, or None for the no-future
-    (filtering) sentinel.
-    """
+    """Conditioning set for a per-step filtering belief: (o_t, a_t, x_{t-1})."""
 
     o: int
     a: int
     x_prev: CompleteState
-    future: object = None  # int | None
 
 
 # recognition factor order: s2, then a2 | s2, then s1 | (s2, a2), then a1 | (s1, a2)
@@ -394,99 +391,53 @@ def _check_factor(name, want, shape):
 
 
 class RecognitionModel:
-    """Per-step belief over (s1, s2, a1, a2), factored in topological order.
+    """Per-step filtering belief over (s1, s2, a1, a2), factored in
+    topological order.
 
-    Each factor is a table of normalized rows over its last axis, indexed
-    (x_prev, o, a, future, parents...). The future-summary axis has
-    card_o + 1 entries: the last is the no-future (filtering) sentinel,
-    the only slice the average-surprise objective reads; the others are
-    smoothing slices. On non-tick steps the s2 factor is replaced by the
-    deterministic level-2 hold.
-
-    A factor is held row-indexed: `rows[k]`, shape (R, child), and
-    `index[k]`, int32 shaped (x_prev, o, a, future, parents...), with
-    table[i] == rows[k][index[k][i]]; both are read-only and may repeat
-    or broadcast (a loaded factor keeps its bundle array's distinct rows,
-    each once while they fit the reader's row dictionary, _rows_of).
-    `sentinel[k]` is factor k's filtering slice, gathered into a dense
-    array: the array every reader of the objective takes. A
-    candidate (with_logits) shares its parent's rows and index and owns
-    only its new sentinels; the whole layout is assembled only where it is
-    read (tables).
+    Each factor is one read-only array of normalized rows over its last
+    axis, indexed (x_prev, o, a, parents...), kept in `tables` by name. On
+    non-tick steps the s2 factor is replaced by the deterministic level-2
+    hold. A candidate (with_logits) owns only the arrays it retrains and
+    shares the others with its parent.
     """
 
-    __slots__ = ("spec", "rows", "index", "sentinel", "pieces", "__weakref__")
+    __slots__ = ("spec", "tables", "pieces", "__weakref__")
 
-    def __init__(self, spec, rows, index, sentinel):
+    def __init__(self, spec, tables):
         """The one initializer, of a model and a candidate alike. Takes over
-        the row-indexed factors `rows` and `index` (by name; read-only rows,
-        not copied), each checked against the spec's shape, and makes each
-        index read-only; `sentinel` holds read-only filtering slices by name,
-        and a factor it lacks has its slice gathered from its rows."""
-        shapes, self.sentinel = self.factor_shapes(spec), dict(sentinel)
+        the factor arrays `tables` (by name; copied only if not C-contiguous
+        floats) and makes them read-only; each is shaped as factor_shapes
+        gives, or with one leading candidate axis (with_logits)."""
+        shapes, self.tables = self.factor_shapes(spec), {}
         for name in REC_FACTORS:
-            _check_factor(name, shapes[name], index[name].shape + rows[name].shape[1:])
-            index[name].setflags(write=False)
-            if name not in self.sentinel:
-                arr = self.sentinel[name] = np.take(
-                    rows[name], index[name][:, :, :, spec.card_o], axis=0)
-                arr.setflags(write=False)
-        self.spec, self.rows, self.index = spec, rows, index
+            arr = self.tables[name] = np.ascontiguousarray(tables[name], dtype=float)
+            lead = arr.shape[:1] if arr.ndim > len(shapes[name]) else ()
+            _check_factor(name, lead + shapes[name], arr.shape)
+            arr.setflags(write=False)
+        self.spec = spec
         # the recognition half of the per-tick pieces (cost, ev, Qc), kept by
         # chains.tick_pieces for the last (gen, ref) pair it was built with,
         # and the whole belief, which reads this model alone, for every pair
         self.pieces = {}
 
     def with_logits(self, logits):
-        """A candidate: this model with the sentinel slice of each factor in
-        `logits` replaced by the softmax of its logits, a fresh array; every
-        other slice, smoothing slices included, is this model's, shared."""
-        return self._candidate(logits, ())
-
-    def stacked(self, name, logits):
-        """Candidates along a leading axis: this model with factor `name`'s
-        sentinel slice replaced by the softmax of each entry of `logits`,
-        shaped (candidates,) + that slice's shape, as one fresh array; every
-        other slice is this model's, shared. Only the recognition half of
-        the per-tick pieces reads a stack (chains.tick_pieces), and each of
-        its pieces gains the leading axis."""
-        return self._candidate({name: logits}, np.shape(logits)[:1])
-
-    def _candidate(self, logits, lead):
-        sentinel = dict(self.sentinel)
-        for name, values in logits.items():
-            arr = sentinel[name] = softmax_rows(values)
-            want = lead + self.sentinel[name].shape
-            if arr.shape != want:
-                raise DimensionMismatchError(
-                    f"recognition factor {name}: expected sentinel {want}, "
-                    f"got {arr.shape}")
-            arr.setflags(write=False)
-        return RecognitionModel(self.spec, self.rows, self.index, sentinel)
-
-    @property
-    def tables(self):
-        """Every factor whole, keyed by name: its rows gathered by its index,
-        sentinel slice written in, a fresh read-only copy on every read."""
-        tables = {}
-        for name in REC_FACTORS:
-            arr = tables[name] = np.take(self.rows[name], self.index[name], axis=0)
-            arr[:, :, :, self.future_sentinel] = self.sentinel[name]
-            arr.setflags(write=False)
-        return tables
-
-    @property
-    def future_sentinel(self):
-        return self.spec.card_o
+        """A candidate: this model with each factor in `logits` replaced by
+        the softmax of its logits, a fresh array; every other factor is this
+        model's, shared. Logits with one more, leading axis give a stack of
+        candidates along it: only the recognition half of the per-tick
+        pieces reads a stack (chains.tick_pieces), and each of its pieces
+        gains the leading axis."""
+        return RecognitionModel(self.spec, {**self.tables, **{
+            name: softmax_rows(values) for name, values in logits.items()}})
 
     @staticmethod
     def factor_shapes(spec):
-        n, o, a, f = spec.n_states, spec.card_o, spec.card_a, spec.card_o + 1
+        n, o, a = spec.n_states, spec.card_o, spec.card_a
         return {
-            "s2": (n, o, a, f, spec.card_s2),
-            "a2": (n, o, a, f, spec.card_s2, spec.card_a2),
-            "s1": (n, o, a, f, spec.card_s2, spec.card_a2, spec.card_s1),
-            "a1": (n, o, a, f, spec.card_s1, spec.card_a2, spec.card_a1),
+            "s2": (n, o, a, spec.card_s2),
+            "a2": (n, o, a, spec.card_s2, spec.card_a2),
+            "s1": (n, o, a, spec.card_s2, spec.card_a2, spec.card_s1),
+            "a1": (n, o, a, spec.card_s1, spec.card_a2, spec.card_a1),
         }
 
     @classmethod
@@ -499,51 +450,17 @@ class RecognitionModel:
     @classmethod
     def from_logits(cls, spec, logits):
         """Tables that are the softmax of `logits` over each row."""
-        return cls.from_tables(spec, {name: softmax_rows(np.asarray(logits[name], dtype=float))
-                                      for name in REC_FACTORS})
-
-    @classmethod
-    def from_tables(cls, spec, tables):
-        """Build from explicit probability tables, kept bit-exact as a copy:
-        each copy, read-only, is its own rows under an identity index."""
-        shapes, rows, index = cls.factor_shapes(spec), {}, {}
-        for name in REC_FACTORS:
-            arr = np.array(tables[name], dtype=float, order="C")
-            _check_factor(name, shapes[name], arr.shape)
-            arr.setflags(write=False)
-            rows[name] = arr.reshape(-1, arr.shape[-1])
-            index[name] = np.arange(len(rows[name]), dtype=np.int32).reshape(arr.shape[:-1])
-        return cls(spec, rows, index, {})
-
-    @classmethod
-    def from_filtering(cls, spec, filtering):
-        """The model whose every future slice is the filtering slice in
-        `filtering` (each factor's shape without its future axis): those
-        arrays, taken over read-only (copied only if not C-contiguous), are
-        its rows, and a read-only broadcast over the future axis its index."""
-        rows, index = {}, {}
-        for name, shape in cls.factor_shapes(spec).items():
-            arr = np.ascontiguousarray(filtering[name], dtype=float)
-            _check_factor(name, shape[:3] + shape[4:], arr.shape)
-            arr.setflags(write=False)
-            rows[name] = arr.reshape(-1, shape[-1])
-            index[name] = np.broadcast_to(
-                np.arange(len(rows[name]), dtype=np.int32).reshape(
-                    shape[:3] + (1,) + shape[4:-1]), shape[:-1])
-        return cls(spec, rows, index, {})
+        return cls(spec, {name: softmax_rows(np.asarray(logits[name], dtype=float))
+                          for name in REC_FACTORS})
 
     def joint(self, context, tick=True):
-        """Belief over latent tuples, shaped (card_s1, card_s2, card_a1, card_a2):
-        the sentinel slices for a None future, the shared rows otherwise."""
+        """Belief over latent tuples, shaped (card_s1, card_s2, card_a1, card_a2)."""
         sp = self.spec
         xp = context.x_prev.validate(sp).flat(sp)
         o, a = int(context.o), int(context.a)
-        f = self.future_sentinel if context.future is None else int(context.future)
-        if not 0 <= o < sp.card_o or not 0 <= a < sp.card_a or not 0 <= f <= self.future_sentinel:
+        if not 0 <= o < sp.card_o or not 0 <= a < sp.card_a:
             raise DimensionMismatchError("recognition context index out of range")
-        q_s2, q_a2, q_s1, q_a1 = (
-            self.sentinel[k][xp, o, a] if f == self.future_sentinel
-            else self.rows[k][self.index[k][xp, o, a, f]] for k in REC_FACTORS)
+        q_s2, q_a2, q_s1, q_a1 = (self.tables[k][xp, o, a] for k in REC_FACTORS)
         if not tick:
             q_s2 = np.zeros(sp.card_s2)
             q_s2[context.x_prev.s2] = 1.0
@@ -657,22 +574,27 @@ def _distinct_rows(rows):
     return np.frombuffer(b"".join(index_of), float).reshape(-1, rows.shape[1]), index
 
 
+def _bundle_dims(spec, shape):
+    """A recognition factor's dims in a v1 bundle: its shape with a
+    future-summary axis, card_o + 1 long, after (x_prev, o, a)."""
+    return shape[:3] + (spec.card_o + 1,) + shape[3:]
+
+
 def _factor_texts(rec, name):
-    """The rows of recognition factor `name` of rec, whole and in table
-    order, as lists of row texts over consecutive x_prev of about
-    _BLOCK_VALUES values each. A block formats each distinct row (by bit
-    pattern) of the rows its index points to and of its sentinel slice
-    once, through their distinct values, and gathers the texts by index."""
-    rows, index, sent = rec.rows[name], rec.index[name], rec.sentinel[name]
-    width = rows.shape[1]
-    step = max(1, _BLOCK_VALUES // (index[0].size * width))
-    for x in range(0, len(index), step):
-        idx, block = np.array(index[x:x + step]), sent[x:x + step].reshape(-1, width)
-        # the sentinel slice's rows count on after the factor's rows
-        idx[:, :, :, rec.future_sentinel].flat = np.arange(len(rows), len(rows) + len(block))
-        used, inverse = np.unique(idx, return_inverse=True)
-        distinct, at = _distinct_rows(np.concatenate([rows[used[used < len(rows)]], block]))
-        yield _row_texts(distinct)[at[inverse.ravel()]].tolist()
+    """The rows of recognition factor `name` of rec as a v1 bundle holds
+    them, in table order: each (x_prev, o, a) context's rows once per
+    future slice, as lists of row texts over consecutive x_prev of about
+    _BLOCK_VALUES values each. A block formats each of its distinct rows
+    (by bit pattern) once, through their distinct values, and broadcasts
+    the texts over the future axis."""
+    table, futures = rec.tables[name], rec.spec.card_o + 1
+    width = table.shape[-1]
+    step = max(1, _BLOCK_VALUES // (table[0].size * futures))
+    for x in range(0, len(table), step):
+        block = table[x:x + step]
+        distinct, at = _distinct_rows(block.reshape(-1, width))
+        texts = _row_texts(distinct)[at].reshape(block.shape[:3] + (1,) + block.shape[3:-1])
+        yield np.repeat(texts, futures, axis=3).ravel().tolist()
 
 
 def save_models(path, gen, rec, ref):
@@ -693,7 +615,8 @@ def save_models(path, gen, rec, ref):
                             "strictly_positive": table.strictly_positive}
             chunks.append([_row_texts(table.probs).tolist()])
     for name, shape in RecognitionModel.factor_shapes(rec.spec).items():
-        tables["rec_" + name] = {"dims": list(shape), "rows": _ROWS_MARK}
+        tables["rec_" + name] = {"dims": list(_bundle_dims(rec.spec, shape)),
+                                 "rows": _ROWS_MARK}
         chunks.append(_factor_texts(rec, name))
     doc = {"version": FILE_VERSION, "spec": gen.spec.to_dict(), "tables": tables}
     envelope = json.dumps(doc).split(json.dumps(_ROWS_MARK))
@@ -934,15 +857,17 @@ def load_models(path):
     gen, ref = (cls(spec, **{name: table(name) for name in cls.table_names})
                 for cls in (GenerativeModel, ReferenceModel))
     # a row's check and rescaling read that row alone, so checking the
-    # distinct rows checks every row the index points to
-    rec_rows, rec_index = {}, {}
-    for name in REC_FACTORS:
-        values, index = rows["rec_" + name]
+    # distinct rows checks every row the index points to, the smoothing
+    # slices' included; only the filtering slice is kept
+    filtering = {}
+    for name, shape in RecognitionModel.factor_shapes(spec).items():
+        values, index = rows.pop("rec_" + name)
+        dims = tuple(tables["rec_" + name]["dims"])
+        _check_factor(name, _bundle_dims(spec, shape), dims)
         try:
-            rec_index[name] = index.reshape(tables["rec_" + name]["dims"][:-1])
+            index = index.reshape(dims[:-1])
             values = _normalized_rows(values)
         except ValueError as exc:
             raise ValueError(f"recognition table {name}: {exc}") from None
-        values.setflags(write=False)
-        rec_rows[name] = values
-    return gen, RecognitionModel(spec, rec_rows, rec_index, {}), ref
+        filtering[name] = values[index[:, :, :, spec.card_o]]
+    return gen, RecognitionModel(spec, filtering), ref

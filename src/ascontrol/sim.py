@@ -1,11 +1,9 @@
 """Environments, the agent-environment episode loop, and trace logging.
 
 The environment owns ground-truth emission and latent dynamics; the agent
-never reads environment latents, only the emitted observation. Belief
-updates are fixed-lag: acting at step t uses filtering beliefs over the
-previous step (no-future sentinel), and the logged objective for step t
-is finalized once o_{t+1} is available (the final step logs with the
-sentinel).
+never reads environment latents, only the emitted observation. Acting at
+step t corrects the previous step's latents from its filtering belief, and
+each step's objective is scored under its own filtering belief.
 """
 
 import csv
@@ -168,7 +166,7 @@ def thermostat_agent(env, setpoint_schedule, seed):
                                     strictly_positive=True)
     gen = GenerativeModel(spec, lik=env.lik, dyn1=env.dyn1, dyn2=env.dyn2,
                           pol0=pol0, pol1=pol1, pol2=pol2)
-    rec = RecognitionModel.from_filtering(spec, chains.posterior_recognition_tables(gen))
+    rec = RecognitionModel(spec, chains.posterior_recognition_tables(gen))
     return gen, rec
 
 
@@ -194,7 +192,7 @@ def run_episode(gen, rec, ref, env, T, seed, x0=None):
     rng = np.random.default_rng(seed)
     believed = [x0]
     env_s1, env_s2 = x0.s1, x0.s2
-    contexts = []  # (t, RecognitionContext without future) per step
+    contexts = []  # the RecognitionContext of each step
     for t in range(1, T + 1):
         tick = tick_at(t, spec)
         xprev = believed[t - 1]
@@ -204,8 +202,7 @@ def run_episode(gen, rec, ref, env, T, seed, x0=None):
             # facts but are not treated as evidence (they came from the
             # agent's own earlier belief, so conditioning on them would
             # only echo it)
-            ctx = RecognitionContext(o=xprev.o, a=xprev.a,
-                                     x_prev=believed[t - 2], future=None)
+            ctx = RecognitionContext(o=xprev.o, a=xprev.a, x_prev=believed[t - 2])
             joint = rec.joint(ctx, tick=tick_at(t - 1, spec))
             marg = joint.sum(axis=(2, 3))
             z = marg.sum()
@@ -226,18 +223,13 @@ def run_episode(gen, rec, ref, env, T, seed, x0=None):
         o_t = env.lik.sample((a1_t, env_s1), rng)
         a_t = gen.pol0.sample((o_t, a1_t), rng)
         believed.append(CompleteState(o_t, s1_b, s2_b, a_t, a1_t, a2_t))
-        contexts.append(RecognitionContext(o=o_t, a=a_t, x_prev=believed[t - 1],
-                                           future=None))
-    # lag-1 smoothing: step t's objective conditions on o_{t+1}; the final
-    # step keeps the sentinel
+        contexts.append(RecognitionContext(o=o_t, a=a_t, x_prev=believed[t - 1]))
+    # each step is scored under its filtering belief; a row logs the step's
+    # believed state after the next step's correction
     rows = []
     running_sum = 0.0
-    for t in range(1, T + 1):
-        fut = believed[t + 1].o if t < T else None
-        ctx = RecognitionContext(o=contexts[t - 1].o, a=contexts[t - 1].a,
-                                 x_prev=contexts[t - 1].x_prev, future=fut)
-        step = objectives.step_objective(gen, rec, ref, ctx,
-                                         tick=tick_at(t, spec))
+    for t, ctx in enumerate(contexts, start=1):
+        step = objectives.step_objective(gen, rec, ref, ctx, tick=tick_at(t, spec))
         if not np.isfinite(step.total):
             raise NonFiniteObjectiveError(
                 f"non-finite step objective at t={t}; enable the positivity "

@@ -26,7 +26,7 @@ from ascontrol import chains, control, objectives, oracle, sim
 from ascontrol.errors import EnumerationBudgetError
 from ascontrol.instances import hard_zero_instance, random_instance
 from ascontrol.logspace import safe_log
-from ascontrol.model import CompleteState, ModelSpec, RecognitionContext
+from ascontrol.model import CompleteState, ModelSpec, RecognitionContext, RecognitionModel
 from ascontrol.objectives import step_objective
 from conftest import bits, seed3_thermostat
 
@@ -53,7 +53,7 @@ def instance_with_stack(seed, cards, tick_period, hard_zero, stacked, count=2):
     if stacked is not None:
         logits = control.extract_params(gen, rec).q_logits[stacked]
         rng = np.random.default_rng(seed)
-        rec = rec.stacked(stacked, logits + rng.standard_normal((count,) + logits.shape))
+        rec = rec.with_logits({stacked: logits + rng.standard_normal((count,) + logits.shape)})
     return gen, rec, ref
 
 
@@ -71,11 +71,11 @@ def states(spec):
 
 
 def contexts(spec):
-    """Every (x_prev, o, a) with the filtering (sentinel) future."""
+    """Every (x_prev, o, a) with its recognition context."""
     for x in states(spec):
         for o in range(spec.card_o):
             for a in range(spec.card_a):
-                yield x, o, a, RecognitionContext(o=o, a=a, x_prev=x, future=None)
+                yield x, o, a, RecognitionContext(o=o, a=a, x_prev=x)
 
 
 @settings(max_examples=30, deadline=None)
@@ -211,6 +211,54 @@ def test_step_objective_matches_edge_cost(inst, tick):
     for x, o, a, ctx in contexts(spec):
         assert_close(step_objective(gen, rec, ref, ctx, tick=tick).total,
                      cost[x.flat(spec), o, a])
+
+
+def tick_prior_tables(gen):
+    """posterior_recognition_tables with every factor taken from the tick
+    prior alone: a row the tick prior leaves no mass is uniform."""
+    spec = gen.spec
+    prior = chains.latent_prior(gen, True)
+    joint = (prior[:, None, None, :] * chains.lik_over_latents(gen).T[None, :, None, :]
+             * chains.pol0_over_latents(gen).transpose(1, 2, 0)[None])
+    z = joint.sum(axis=3, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        joint = np.where(z > 0.0, joint / z, 1.0 / joint.shape[3])
+    joint = joint.reshape((spec.n_states, spec.card_o, spec.card_a) + spec.latent_dims)
+
+    def norm(arr):
+        s = arr.sum(axis=-1, keepdims=True)
+        out = np.full(arr.shape, 1.0 / arr.shape[-1])
+        return np.divide(arr, s, out=out, where=s > 0.0)
+
+    return {"s2": norm(joint.sum(axis=(3, 5, 6))),
+            "a2": norm(joint.sum(axis=(3, 5))),
+            "s1": norm(joint.sum(axis=5).transpose(0, 1, 2, 4, 5, 3)),
+            "a1": norm(joint.sum(axis=4).transpose(0, 1, 2, 3, 5, 4))}
+
+
+def test_floored_posterior_is_the_tick_priors():
+    # a floored model's tick prior leaves no row without mass, so the exact
+    # filtering posterior of the seed-3 thermostat (the init bundle's
+    # recognition tables) is the tick prior's arithmetic, bit for bit
+    gen, _, _ = seed3_thermostat()
+    got, want = chains.posterior_recognition_tables(gen), tick_prior_tables(gen)
+    for name in ("s2", "a2", "s1", "a1"):
+        assert np.array_equal(bits(got[name]), bits(want[name])), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=instances())
+def test_exact_filtering_posterior_drives_the_generative_chain(inst):
+    # at the exact filtering posterior the recognition chain is the
+    # policy-embedded chain, on tick and non-tick steps alike: a non-tick
+    # step holds s2, so with hard zeros it reads rows given an s2 that the
+    # tick prior leaves no mass
+    gen, _, _ = inst
+    rec = RecognitionModel(gen.spec, chains.posterior_recognition_tables(gen))
+    for tick in (True, False):
+        marg = chains.generative_pieces(gen, tick)["marg"]
+        qc = chains.qchain_matrix(gen.spec, marg, chains.belief_table(rec, tick, slice(None)))
+        assert np.max(np.abs(qc - chains.transition_matrix(gen, tick))) <= 1e-12, tick
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +549,7 @@ def test_successor_map_is_the_inverse_of_each_states_oal_index(cards):
 
 # broadcast products against np.einsum(..., optimize=True)
 
-# the contraction of belief_table's broadcast product, sentinel factors in
+# the contraction of belief_table's broadcast product, recognition factors in
 # (s2, a2, s1, a1) order
 BELIEF = "...xowX,...xowXA,...xowXAs,...xowsAb->...xowsXbA"
 
@@ -551,7 +599,7 @@ def test_product_builders_give_the_bits_of_einsum_optimize_on_the_thermostat():
 def belief_by_einsum(rec, tick):
     """The belief as np.einsum(BELIEF, ..., optimize=True) gives it."""
     spec = rec.spec
-    sent = rec.sentinel
+    sent = rec.tables
     q_s2 = sent["s2"] if tick else np.broadcast_to(
         chains.Lattice.of(spec).hold_s2[:, None, None, :],
         (spec.n_states, spec.card_o, spec.card_a, spec.card_s2))
@@ -642,8 +690,8 @@ def test_stacked_candidates_give_the_single_builds_bit_for_bit(seed, cards, tick
     for key, logits in control.extract_params(gen, rec).q_logits.items():
         # two candidates off the model's logits; hard zeros stay at -inf
         cands = logits + rng.standard_normal((2,) + logits.shape)
-        stacked = pieces_with_belief(gen, rec.stacked(key, cands), ref, tick)
-        # the non-tick belief reads no s2 sentinel, so it is not stacked
+        stacked = pieces_with_belief(gen, rec.with_logits({key: cands}), ref, tick)
+        # the non-tick belief reads no s2 factor, so it is not stacked
         assert stacked["belief"].ndim == (4 if key == "s2" and not tick else 5)
         for j, cand in enumerate(cands):
             single = pieces_with_belief(gen, rec.with_logits({key: cand}), ref, tick)

@@ -51,10 +51,24 @@ def test_init_bundle_loads_as_json_reads_it(model_file):
     assert_load_matches_json(model_file)
 
 
+def gathered_rows(monkeypatch):
+    """The reader's rows and row index of each table by name, as
+    model._gather gives them to load_models, filled in by its next load."""
+    gathered, gather = {}, model._gather
+
+    def keeping_gather(arrays, mark, width, name):
+        gathered[name] = gather(arrays, mark, width, name)
+        return gathered[name]
+
+    monkeypatch.setattr(model, "_gather", keeping_gather)
+    return gathered
+
+
 def test_loading_converts_each_distinct_row_of_an_array_once(model_file, monkeypatch):
     # the recognition tables repeat a few hundred rows over a million times;
     # a rows array's distinct rows fit its row dictionary, so each is
-    # converted once, in the _rows_block call of the block it first shows in
+    # converted once, in the _rows_block call of the block it first shows in,
+    # and the reader holds it once
     converted = []
     rows_block = model._rows_block
 
@@ -63,22 +77,28 @@ def test_loading_converts_each_distinct_row_of_an_array_once(model_file, monkeyp
         return rows_block(block, child_dim)
 
     monkeypatch.setattr(model, "_rows_block", counting_rows_block)
-    gen, rec, ref = load_models(model_file)
+    gathered = gathered_rows(monkeypatch)
+    _, rec, _ = load_models(model_file)
     n_rows, distinct = 0, 0
-    tables = [getattr(m, name).probs for m in (gen, ref) for name in m.table_names]
-    for name, table in rec.tables.items():
-        rows = table.reshape(-1, table.shape[-1])
-        assert len(rec.rows[name]) == len(np.unique(bits(rows), axis=0)) < len(rows) // 100
-        tables.append(rows)
-    for rows in tables:
-        n_rows += len(rows)
-        distinct += len(np.unique(bits(rows), axis=0))
+    for name, (values, index) in gathered.items():
+        assert len(np.unique(bits(values), axis=0)) == len(values)
+        n_rows += len(index)
+        distinct += len(values)
+        if name.startswith("rec_"):
+            assert len(values) < len(index) // 100
+            table = rec.tables[name.removeprefix("rec_")]
+            assert len(np.unique(bits(table.reshape(-1, values.shape[1])), axis=0)) == len(values)
     assert len(converted) == distinct < n_rows // 1000
 
 
-def test_seed3_load_holds_each_factors_distinct_rows(model_file):
+def test_seed3_load_holds_each_factors_distinct_rows(model_file, monkeypatch):
+    # the reader holds each recognition factor's distinct rows once; the
+    # load keeps only the filtering arrays, 5.2 MiB
+    gathered = gathered_rows(monkeypatch)
     _, rec, _ = load_models(model_file)
-    assert tuple(len(rec.rows[name]) for name in model.REC_FACTORS) == (129, 139, 515, 491)
+    assert tuple(len(gathered["rec_" + name][0])
+                 for name in model.REC_FACTORS) == (129, 139, 515, 491)
+    assert sum(rec.tables[name].nbytes for name in model.REC_FACTORS) == 5_474_304
 
 
 def test_loading_splits_each_distinct_piece_of_an_array_once(model_file, monkeypatch):
@@ -463,6 +483,30 @@ def test_init_above_the_state_ceiling_gets_one_line_and_exit_2(tmp_path):
     assert "6912 complete states exceed" in r.stderr
     assert r.stdout == ""
     assert not out.exists()
+
+
+def test_train_writes_its_trained_tables_to_every_future_slice(tmp_path):
+    # the bundle train writes holds the trained filtering array in every
+    # future slice of each recognition factor, and loads back to it bit for
+    # bit; the training run in process is the command's, from the same bundle
+    bundle, out = tmp_path / "model.json", tmp_path / "trained.json"
+    save_models(bundle, *random_instance(9, floor=True))
+    r = run("train", "--model", str(bundle), "--steps", "3", "--iters", "2",
+            "--lr", "0.5", "--seed", "0", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    gen, rec, ref = load_models(bundle)
+    _, _, trained = control.train(gen, rec, ref, X0, 3, iters=2, lr=0.5, seed=0,
+                                  estimator="exact", trainable_policies=("pol0",))
+    tables = json.loads(out.read_text())["tables"]
+    loaded = load_models(out)[1]
+    for name in model.REC_FACTORS:
+        want = trained.tables[name]
+        assert not np.array_equal(want, rec.tables[name])
+        entry = tables["rec_" + name]
+        whole = np.array(entry["rows"], dtype=float).reshape(entry["dims"])
+        for future in range(whole.shape[3]):
+            assert np.array_equal(bits(whole[:, :, :, future]), bits(want)), (name, future)
+        assert np.array_equal(bits(loaded.tables[name]), bits(want))
 
 
 def test_train_score_estimator_writes_a_bundle_that_loads(small_model, tmp_path):

@@ -12,7 +12,7 @@ from ascontrol.errors import (ConvergenceError, DegenerateSupportError,
                               DimensionMismatchError)
 from ascontrol.instances import (hard_zero_instance, random_instance, random_state,
                                  random_value)
-from ascontrol.logspace import gap, safe_log, worst_error
+from ascontrol.logspace import gap, worst_error
 from ascontrol.model import (REC_FACTORS, CompleteState, ConditionalTable,
                              RecognitionContext, RecognitionModel, ReferenceModel,
                              sample_categorical, softmax_rows)
@@ -85,7 +85,7 @@ def test_rvi_nonconvergence_error_carries_residual():
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_rvi_refuses_states_of_infinite_cost_under_every_action(monkeypatch):
-    # on this hard-zero instance 6 of 8 states have infinite expected cost
+    # on this hard-zero instance 4 of 8 states have infinite expected cost
     # under every action tuple at the tick phase: no finite bias exists, and
     # relative value iteration must say so before its first sweep
     gen, rec, ref = hard_zero_instance(2, (2, 1, 2, 2, 1, 1), 2)
@@ -94,7 +94,7 @@ def test_rvi_refuses_states_of_infinite_cost_under_every_action(monkeypatch):
         raise AssertionError("a sweep ran")
 
     monkeypatch.setattr(control._BellmanOps, "backup", unreachable)
-    with pytest.raises(DegenerateSupportError, match="6 states .* phase 0"):
+    with pytest.raises(DegenerateSupportError, match="4 states .* phase 0"):
         control.relative_value_iteration(gen, rec, ref)
 
 
@@ -512,12 +512,12 @@ def test_validation_fails_on_nan_errors(monkeypatch):
 
 
 @pytest.mark.parametrize("seed,max_errs", [
-    (3, "4.440892098500626e-16, 4.440892098500626e-16, 1.3322676295501878e-15, "
-        "1.3322676295501878e-15, 2.220446049250313e-16, 3.3306690738754696e-16, "
-        "1.7763568394002505e-15, 0.0, 8.517832294531458e-07"),
-    (5, "2.220446049250313e-16, 4.440892098500626e-16, 2.220446049250313e-16, "
-        "8.881784197001252e-16, 2.220446049250313e-16, 2.220446049250313e-16, "
-        "8.881784197001252e-16, 0.0, 4.641881207889534e-07")], ids=["seed3", "seed5"])
+    (3, "4.440892098500626e-16, 4.440892098500626e-16, 4.440892098500626e-16, "
+        "4.440892098500626e-16, 2.220446049250313e-16, 1.6653345369377348e-16, "
+        "8.881784197001252e-16, 0.0, 1.160998967523661e-06"),
+    (5, "2.220446049250313e-16, 4.440892098500626e-16, 4.440892098500626e-16, "
+        "4.440892098500626e-16, 1.1102230246251565e-16, 1.6653345369377348e-16, "
+        "1.7763568394002505e-15, 0.0, 6.94591554412094e-07")], ids=["seed3", "seed5"])
 def test_validation_keeps_pinned_errors_and_sweeps_hard_zeros(seed, max_errs):
     # the checks before the hard-zero sweeps keep their draws and their bits
     report = run_validation(seed=seed, instances=4)
@@ -612,9 +612,9 @@ def test_fd_gradients_build_the_unperturbed_belief_once_per_tick(monkeypatch):
 
 
 def test_fd_gradients_rebuild_only_the_perturbed_factor(monkeypatch):
-    # a recognition logit's candidates are stacked in its own factor's
-    # sentinel slice, every candidate once; the other three slices are the
-    # unperturbed model's arrays, which the policy-logit evaluations read whole
+    # a recognition logit's candidates are stacked in its own factor, every
+    # candidate once; the other three factors are the unperturbed model's
+    # arrays, which the policy-logit evaluations read whole
     gen, rec, ref = random_instance(961, cards=(2, 2, 1, 2, 2, 1))
     params = control.extract_params(gen, rec)
     recs, pol_recs = {}, []
@@ -633,9 +633,9 @@ def test_fd_gradients_rebuild_only_the_perturbed_factor(monkeypatch):
     assert all(r is base for r in pol_recs)
     candidates = dict.fromkeys(REC_FACTORS, 0)
     for r in stacks:
-        (key,) = [k for k in REC_FACTORS if r.sentinel[k] is not base.sentinel[k]]
-        assert r.sentinel[key].shape[1:] == base.sentinel[key].shape
-        candidates[key] += len(r.sentinel[key])
+        (key,) = [k for k in REC_FACTORS if r.tables[k] is not base.tables[k]]
+        assert r.tables[key].shape[1:] == base.tables[key].shape
+        candidates[key] += len(r.tables[key])
     assert candidates == {k: 2 * v.size for k, v in params.q_logits.items()}
 
 
@@ -662,67 +662,37 @@ def test_fd_gradients_hold_one_block_of_candidates_at_a_time(monkeypatch):
     assert peak() > limit
 
 
-def with_other_smoothing_slices(rec, seed):
-    """`rec` with every non-sentinel slice replaced by other normalized rows."""
-    other = RecognitionModel.from_seed(rec.spec, seed)
-    sent = rec.future_sentinel
-    tables = {}
-    for k in REC_FACTORS:
-        tables[k] = np.array(other.tables[k])
-        tables[k][:, :, :, sent] = rec.tables[k][:, :, :, sent]
-    return RecognitionModel.from_tables(rec.spec, tables)
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_objective_reads_only_sentinel_slices(seed):
-    # the average-surprise objective is scored under filtering beliefs, so
-    # its value, every gradient entry and the rate ignore the smoothing slices
-    gen, rec, ref = random_instance(930 + seed, cards=(2, 2, 2, 2, 2, 1))
-    other = with_other_smoothing_slices(rec, 77 + seed)
-    assert not all(np.array_equal(rec.tables[k], other.tables[k]) for k in REC_FACTORS)
-    x0 = random_state(np.random.default_rng(seed), gen.spec)
-    assert (control.differential_free_energy(gen, rec, ref, x0, 3, 0.1)
-            == control.differential_free_energy(gen, other, ref, x0, 3, 0.1))
-    value, grads = control.dfe_value_and_grad(gen, rec, ref, x0, 3, 0.1)
-    value_o, grads_o = control.dfe_value_and_grad(gen, other, ref, x0, 3, 0.1)
-    assert value == value_o
-    for group in ("q_logits", "pol_logits"):
-        for k, g in getattr(grads, group).items():
-            assert np.array_equal(bits(g), bits(getattr(grads_o, group)[k])), (group, k)
-    assert (oracle.exact_average_rate(gen, rec, ref, x0, 8, 4, chain="recognition")
-            == oracle.exact_average_rate(gen, other, ref, x0, 8, 4, chain="recognition"))
-
-
 def test_apply_params_trains_only_sentinel_slices():
+    # a factor's filtering array is all that is trained: its logits have the
+    # factor's shape, a candidate's array is their softmax, read-only, and a
+    # factor without logits is the parent's array, shared
     gen, rec, ref = random_instance(940, cards=(2, 2, 1, 2, 2, 1))
     params = control.extract_params(gen, rec)
     shapes = RecognitionModel.factor_shapes(gen.spec)
     for k, logits in params.q_logits.items():
-        assert logits.shape == shapes[k][:3] + shapes[k][4:]  # no future axis
+        assert logits.shape == shapes[k]
     _, grads = control.dfe_value_and_grad(gen, rec, ref, X0, 3, 0.1)
     cand = params.step(grads, 0.5)
     _, rec2 = control.apply_params(gen, rec, cand)
-    sent = rec.future_sentinel
     for k in REC_FACTORS:
-        assert np.array_equal(bits(rec2.tables[k][:, :, :, :sent]),
-                              bits(rec.tables[k][:, :, :, :sent]))
-        assert np.array_equal(bits(rec2.tables[k][:, :, :, sent]),
-                              bits(softmax_rows(cand.q_logits[k])))
-        assert rec2.rows[k] is rec.rows[k] and rec2.index[k] is rec.index[k]
-        for arr in (rec2.rows[k], rec2.index[k], rec2.sentinel[k]):
-            assert not arr.flags.writeable
+        assert np.array_equal(bits(rec2.tables[k]), bits(softmax_rows(cand.q_logits[k])))
+        assert not rec2.tables[k].flags.writeable
     assert not all(np.array_equal(rec2.tables[k], rec.tables[k]) for k in REC_FACTORS)
+    _, rec3 = control.apply_params(gen, rec, control.TrainableParams(
+        {"s1": cand.q_logits["s1"]}, {}))
+    assert rec3.tables["s1"] is not rec.tables["s1"]
+    assert all(rec3.tables[k] is rec.tables[k] for k in ("s2", "a2", "a1"))
 
 
 def test_apply_params_allocates_only_the_sentinel_slices():
-    # on the seed-3 thermostat a candidate's four sentinel slices are 5.2 MiB
-    # of its 36.5 MiB of recognition tables: it allocates them (and, while
-    # they are built, their softmax's row maxima and sums) and shares the
-    # smoothing slices, its parent's rows and index
+    # on the seed-3 thermostat a candidate's four filtering arrays are
+    # 5.2 MiB: it allocates them (and, while they are built, their
+    # softmax's row maxima and sums) and nothing of its parent's
     env, ref = sim.thermostat_env(3, [0, 2], heat_success=0.85, phase_advance=0.1)
     gen, rec = sim.thermostat_agent(env, [0, 2], 3)
     params = control.extract_params(gen, rec, ("pol0",))
     sent_bytes = sum(v.nbytes for v in params.q_logits.values())
+    assert sent_bytes == sum(v.nbytes for v in rec.tables.values()) == 5_474_304
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -733,36 +703,35 @@ def test_apply_params_allocates_only_the_sentinel_slices():
     assert after - before < sent_bytes + 2 ** 16
     assert peak - before < 1.5 * sent_bytes
     for k in REC_FACTORS:
-        assert cand.rows[k] is rec.rows[k] and cand.index[k] is rec.index[k]
-        assert not np.may_share_memory(cand.sentinel[k], rec.rows[k])
-        assert not np.may_share_memory(cand.sentinel[k], rec.sentinel[k])
-        assert cand.sentinel[k].flags.c_contiguous and not cand.sentinel[k].flags.writeable
+        assert not np.may_share_memory(cand.tables[k], rec.tables[k])
+        assert cand.tables[k].flags.c_contiguous and not cand.tables[k].flags.writeable
 
 
 def test_apply_params_rejects_logits_shaped_like_the_whole_table():
-    # a factor's logits have no future axis; with one, the candidate would
-    # not fit its parent's layout, and the error names the factor
+    # a factor's logits have the factor's shape; shaped like its bundle
+    # table, with the future-summary axis, they are refused, and the error
+    # names the factor
     gen, rec, _ = random_instance(942)
     params = control.extract_params(gen, rec)
-    params.q_logits["s1"] = safe_log(rec.tables["s1"])
+    params.q_logits["s1"] = np.repeat(params.q_logits["s1"][:, :, :, None],
+                                      gen.spec.card_o + 1, axis=3)
     with pytest.raises(DimensionMismatchError, match="recognition factor s1"):
         control.apply_params(gen, rec, params)
 
 
 def copy_and_write_layout(rec, q_logits):
-    """The whole tables of apply_params(..., rec, ...) as a candidate once
-    held them: copies of rec's tables with the softmax of q_logits written
-    into the sentinel slices."""
+    """The tables of apply_params(..., rec, ...) written out afresh: copies
+    of rec's tables with the softmax of q_logits in the factors it names."""
     tables = {k: np.array(v) for k, v in rec.tables.items()}
     for k, logits in q_logits.items():
-        tables[k][:, :, :, rec.future_sentinel] = softmax_rows(logits)
+        tables[k][...] = softmax_rows(logits)
     return tables
 
 
 def test_candidate_joint_matches_the_copy_and_write_layout():
-    # every future, filtering (None) and smoothing, on both tick values: a
-    # candidate, and a candidate of it that rebuilds one factor as
-    # fd_gradients does, read their beliefs bit for bit as the whole layout
+    # on both tick values, a candidate, and a candidate of it that rebuilds
+    # one factor as fd_gradients does, read their beliefs bit for bit as a
+    # model of fresh copies of their tables
     gen, rec, ref = random_instance(941)
     spec = gen.spec
     params = control.extract_params(gen, rec)
@@ -770,20 +739,18 @@ def test_candidate_joint_matches_the_copy_and_write_layout():
     q = {k: v + rng.standard_normal(v.shape) for k, v in params.q_logits.items()}
     _, cand = control.apply_params(gen, rec, control.TrainableParams(q, {}))
     s1 = {"s1": rng.standard_normal(q["s1"].shape)}
-    cases = [(cand, RecognitionModel.from_tables(spec, copy_and_write_layout(rec, q))),
+    cases = [(cand, RecognitionModel(spec, copy_and_write_layout(rec, q))),
              (cand.with_logits(s1),
-              RecognitionModel.from_tables(spec, copy_and_write_layout(rec, {**q, **s1})))]
-    futures = [None] + list(range(spec.card_o + 1))
+              RecognitionModel(spec, copy_and_write_layout(rec, {**q, **s1})))]
     for got, want in cases:
         for x in range(spec.n_states):
             x_prev = CompleteState.from_flat(x, spec)
             for o in range(spec.card_o):
                 for a in range(spec.card_a):
-                    for future in futures:
-                        ctx = RecognitionContext(o, a, x_prev, future)
-                        for tick in (True, False):
-                            assert np.array_equal(bits(got.joint(ctx, tick)),
-                                                  bits(want.joint(ctx, tick)))
+                    ctx = RecognitionContext(o, a, x_prev)
+                    for tick in (True, False):
+                        assert np.array_equal(bits(got.joint(ctx, tick)),
+                                              bits(want.joint(ctx, tick)))
 
 
 def test_zero_gradient_at_deterministic_optimum():

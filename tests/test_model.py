@@ -301,8 +301,7 @@ def test_sample_transition_frequencies():
 
 def test_recognition_uniform_logprob():
     _, rec, _ = uniform_instance()
-    ctx = RecognitionContext(o=0, a=1, x_prev=CompleteState(0, 0, 0, 0, 0, 0),
-                             future=None)
+    ctx = RecognitionContext(o=0, a=1, x_prev=CompleteState(0, 0, 0, 0, 0, 0))
     lp = recognition_logprob(rec, (0, 1, 0, 1), ctx)
     assert lp == pytest.approx(math.log(1 / 16), abs=1e-12)
 
@@ -315,9 +314,8 @@ def test_recognition_one_hot_logprob():
         t = np.zeros(shape)
         t[..., 0] = 1.0
         tables[name] = t
-    rec = RecognitionModel.from_tables(spec, tables)
-    ctx = RecognitionContext(o=1, a=0, x_prev=CompleteState(0, 0, 0, 0, 0, 0),
-                             future=2)
+    rec = RecognitionModel(spec, tables)
+    ctx = RecognitionContext(o=1, a=0, x_prev=CompleteState(0, 0, 0, 0, 0, 0))
     assert recognition_logprob(rec, (0, 0, 0, 0), ctx) == 0.0
     assert recognition_logprob(rec, (1, 0, 0, 0), ctx) == -math.inf
 
@@ -329,7 +327,7 @@ def test_recognition_normalizes(seed, tick):
     rng = np.random.default_rng(seed)
     spec = rec.spec
     ctx = RecognitionContext(o=int(rng.integers(2)), a=int(rng.integers(2)),
-                             x_prev=random_state(rng, spec), future=None)
+                             x_prev=random_state(rng, spec))
     total = 0.0
     for s1 in range(2):
         for s2 in range(2):
@@ -342,8 +340,7 @@ def test_recognition_normalizes(seed, tick):
 
 def test_recognition_hold_pins_s2():
     _, rec, _ = random_instance(2)
-    ctx = RecognitionContext(o=0, a=0, x_prev=CompleteState(0, 0, 1, 0, 0, 0),
-                             future=None)
+    ctx = RecognitionContext(o=0, a=0, x_prev=CompleteState(0, 0, 1, 0, 0, 0))
     joint = rec.joint(ctx, tick=False)
     assert joint.sum(axis=(0, 2, 3))[0] == 0.0
     assert joint.sum(axis=(0, 2, 3))[1] == pytest.approx(1.0, abs=1e-12)
@@ -357,40 +354,33 @@ def test_recognition_logits_deterministic():
 
 
 def test_recognition_keeps_callers_arrays_apart():
-    # the model is immutable, but the arrays a caller passed in stay the
+    # the model is immutable, but the logits a caller passed in stay the
     # caller's: writable, and changing them later changes nothing
     spec = ModelSpec(2, 2, 2, 2, 2, 2)
     shapes = RecognitionModel.factor_shapes(spec)
-    tables = {k: np.full(s, 1.0 / s[-1]) for k, s in shapes.items()}
     logits = {k: np.zeros(s) for k, s in shapes.items()}
-    from_tables = RecognitionModel.from_tables(spec, tables)
-    from_logits = RecognitionModel.from_logits(spec, logits)
+    rec = RecognitionModel.from_logits(spec, logits)
     for k in REC_FACTORS:
-        assert tables[k].flags.writeable and logits[k].flags.writeable
-        tables[k][...] = 0.0
+        assert logits[k].flags.writeable
         logits[k][..., 0] = 5.0
-        assert np.all(from_tables.tables[k] == 1.0 / shapes[k][-1])
-        assert np.all(from_logits.tables[k] == 1.0 / shapes[k][-1])
-        for rec in (from_tables, from_logits):
-            for arr in (rec.rows[k], rec.index[k], rec.sentinel[k]):
-                assert not arr.flags.writeable
+        assert np.all(rec.tables[k] == 1.0 / shapes[k][-1])
+        assert not rec.tables[k].flags.writeable
 
 
-def dense_joint(tables, xp, o, a, f):
-    """The belief of one context read straight off dense tables, as
+def dense_joint(tables, xp, o, a):
+    """The belief of one context read straight off the tables, as
     RecognitionModel.joint reads it (tick step)."""
-    q_s2, q_a2, q_s1, q_a1 = (tables[k][xp, o, a, f] for k in REC_FACTORS)
+    q_s2, q_a2, q_s1, q_a1 = (tables[k][xp, o, a] for k in REC_FACTORS)
     return np.einsum("X,XA,XAs,sAb->sXbA", q_s2, q_a2, q_s1, q_a1)
 
 
 @settings(max_examples=25, deadline=None)
 @given(cards=st.tuples(*[st.integers(min_value=1, max_value=3)] * 6),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-def test_row_indexed_factors_read_back_the_dense_tables(cards, seed):
-    # rows under an identity index (a dense constructor) and rows under a
-    # broadcast future axis (from_filtering) give back their tables bit for
-    # bit, hard zeros and -0.0 entries included, and joint reads every
-    # future, the sentinel's included, as the dense slice
+def test_recognition_factors_read_back_their_tables(cards, seed):
+    # a model gives back the tables it was built from bit for bit, hard
+    # zeros and -0.0 entries included, whether C-ordered (taken over) or not
+    # (copied), and joint reads each context's rows off them
     spec = ModelSpec(*cards)
     rng = np.random.default_rng(seed)
     tables = {}
@@ -399,52 +389,46 @@ def test_row_indexed_factors_read_back_the_dense_tables(cards, seed):
         zero = rng.random(shape) < 0.3
         t[zero] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)[zero]
         tables[name] = t
-    rec = RecognitionModel.from_tables(spec, tables)
     x_prev = random_state(rng, spec)
     xp, o, a = x_prev.flat(spec), int(rng.integers(spec.card_o)), int(rng.integers(spec.card_a))
-    sent = spec.card_o
-    filtering = {k: np.broadcast_to(v[:, :, :, sent:], v.shape) for k, v in tables.items()}
-    from_filtering = RecognitionModel.from_filtering(
-        spec, {k: np.array(v[:, :, :, sent]) for k, v in tables.items()})
-    for r, want in ((rec, tables), (from_filtering, filtering)):
-        got = r.tables
+    strided = {k: np.repeat(v, 2, axis=0)[::2] for k, v in tables.items()}
+    want = {k: v.copy() for k, v in tables.items()}
+    for r in (RecognitionModel(spec, tables), RecognitionModel(spec, strided)):
         for k in REC_FACTORS:
-            assert np.array_equal(bits(got[k]), bits(want[k])), k
-            assert r.index[k].dtype == np.int32
-        for f in range(sent + 1):
-            ctx = RecognitionContext(o, a, x_prev, None if f == sent else f)
-            assert np.array_equal(bits(r.joint(ctx)), bits(dense_joint(want, xp, o, a, f)))
+            assert np.array_equal(bits(r.tables[k]), bits(want[k])), k
+        ctx = RecognitionContext(o, a, x_prev)
+        assert np.array_equal(bits(r.joint(ctx)), bits(dense_joint(want, xp, o, a)))
 
 
 def test_recognition_arrays_are_read_only(tmp_path):
     # the per-tick pieces a model keeps (chains.tick_pieces) are built from
     # its arrays once, so no writer may reach them: not those of a built or
     # loaded model or one started at the filtering posterior, and not a
-    # candidate's own sentinels or its shared rows and index
+    # candidate's own arrays or the ones it shares
     gen, rec, ref = random_instance(3)
     save_models(tmp_path / "model.json", gen, rec, ref)
     loaded = load_models(tmp_path / "model.json")[1]
-    filtering = RecognitionModel.from_filtering(
-        gen.spec, chains.posterior_recognition_tables(gen))
+    filtering = RecognitionModel(gen.spec, chains.posterior_recognition_tables(gen))
     params = control.extract_params(gen, rec, ())
+    params.q_logits = {"s1": params.q_logits["s1"]}
     cand = control.apply_params(gen, rec, params)[1]
     for r in (rec, loaded, filtering, cand):
         for k in REC_FACTORS:
-            for arr in (r.rows[k], r.index[k], r.sentinel[k]):
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[(0,) * arr.ndim] = 0.5
+            arr = r.tables[k]
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0.5
 
 
-def test_from_filtering_shares_the_filtering_posterior():
+def test_recognition_shares_the_filtering_posterior():
     # the posterior's factors are C-ordered, so the model takes them over as
-    # its rows without a copy
+    # its tables without a copy
     env, _ = sim.thermostat_env(3, [0, 2])
     gen, _ = sim.thermostat_agent(env, [0, 2], 0)
     post = chains.posterior_recognition_tables(gen)
-    rec = RecognitionModel.from_filtering(gen.spec, post)
+    rec = RecognitionModel(gen.spec, post)
     for k in REC_FACTORS:
         assert post[k].flags.c_contiguous, k
-        assert np.shares_memory(rec.rows[k], post[k]), k
+        assert rec.tables[k] is post[k], k
 
 
 def test_recognition_latent_range_check():
@@ -490,9 +474,9 @@ def test_wrong_table_layout_names_the_table(kind, name):
 
 
 @pytest.mark.parametrize("kwargs,digest", [
-    ({"seed": 0}, "545602e4795114dae614e849144fe864b60da3cdb083395b777bdbbbbe1a98f1"),
+    ({"seed": 0}, "157898b39203f92de83b051ebeacad354a359fd308e09f1e9d31b61456ef08d2"),
     ({"seed": 7, "floor": True},
-     "a0cadb1eee9d010d88258a944e7d3987aa46365357c6086d14694692ec9dcebc"),
+     "0fb910592918d718246056efab9e7ca09b47521e375fc0ff895ba25bedb738a2"),
 ], ids=["seed0", "seed7-floor"])
 def test_random_instance_tables_are_pinned(kwargs, digest):
     # the validate report's numbers depend on the order in which the random
@@ -572,6 +556,52 @@ def test_loader_rejects_negative_rows(tmp_path, table):
         load_models(path)
 
 
+def bundle_with_smoothing_slices(path, seed):
+    """A v1 bundle at `path` written through json, with the raw "rows" list
+    of every recognition factor drawn afresh for each future slice, and
+    each factor's whole table, future axis included."""
+    gen, rec, ref = random_instance(seed)
+    save_models(path, gen, rec, ref)
+    doc = json.loads(path.read_text())
+    rng = np.random.default_rng(seed)
+    whole = {}
+    for name in REC_FACTORS:
+        entry = doc["tables"]["rec_" + name]
+        whole[name] = rng.dirichlet(np.ones(entry["dims"][-1]), size=entry["dims"][:-1])
+        entry["rows"] = whole[name].reshape(-1, entry["dims"][-1]).tolist()
+    path.write_text(json.dumps(doc))
+    return doc, whole
+
+
+def test_loader_keeps_only_the_filtering_slice(tmp_path):
+    # smoothing slices unlike the filtering slice load to the filtering
+    # slice, bit for bit
+    path = tmp_path / "model.json"
+    _, whole = bundle_with_smoothing_slices(path, 11)
+    rec = load_models(path)[1]
+    for name in REC_FACTORS:
+        sent = whole[name][:, :, :, -1]
+        assert not np.array_equal(whole[name][:, :, :, 0], sent)
+        assert np.array_equal(bits(rec.tables[name]), bits(sent))
+        assert not rec.tables[name].flags.writeable
+
+
+@pytest.mark.parametrize("bad", ["nan", "denormalized"])
+@pytest.mark.parametrize("name", REC_FACTORS)
+def test_loader_checks_the_smoothing_slices(tmp_path, name, bad):
+    # the rows the load drops are still checked: a NaN or denormalized row
+    # in a smoothing slice only fails it, with one line naming its table
+    path = tmp_path / "model.json"
+    doc, _ = bundle_with_smoothing_slices(path, 12)
+    rows = doc["tables"]["rec_" + name]["rows"]   # row 0: x_prev 0, o 0, a 0, future 0
+    rows[0] = [math.nan] * len(rows[0]) if bad == "nan" else [2.0] + rows[0][1:]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_models(path)
+    assert re.fullmatch(rf"recognition table {name}: row normalization off by \S+",
+                        str(err.value))
+
+
 def test_loader_checks_recognition_factor_shapes(tmp_path):
     # the right number of rec_s2 rows, but dims that are not the spec's shape
     path = tmp_path / "model.json"
@@ -613,7 +643,8 @@ def test_row_texts_match_json_dumps(data, n_rows, child_dim, repeated):
 
 
 def _reference_bundle_text(gen, rec, ref):
-    """The bundle as json.dump wrote it from nested lists, field by field."""
+    """The bundle as json.dump writes it from nested lists, field by field,
+    a recognition factor's filtering rows repeated over the future axis."""
     tables = {}
     for model, names in ((gen, GenerativeModel.table_names),
                          (ref, ReferenceModel.table_names)):
@@ -623,10 +654,12 @@ def _reference_bundle_text(gen, rec, ref):
                             "rows": t.probs.tolist(),
                             "strictly_positive": t.strictly_positive}
     for name in REC_FACTORS:
-        shape = rec.tables[name].shape
+        # each (x_prev, o, a) context's rows once per future slice
+        table = rec.tables[name]
+        whole = np.repeat(table[:, :, :, None], gen.spec.card_o + 1, axis=3)
         tables["rec_" + name] = {
-            "dims": list(shape),
-            "rows": rec.tables[name].reshape(-1, shape[-1]).tolist()}
+            "dims": list(whole.shape),
+            "rows": whole.reshape(-1, whole.shape[-1]).tolist()}
     doc = {"version": 1, "spec": gen.spec.to_dict(), "tables": tables}
     buf = io.StringIO()
     json.dump(doc, buf)
@@ -637,7 +670,8 @@ def _distinct_instance():
     # recognition tables span more than one encoder block, every value distinct
     spec = ModelSpec(3, 3, 2, 3, 2, 2)
     rng = np.random.default_rng(4)
-    assert np.prod(RecognitionModel.factor_shapes(spec)["s1"]) > _BLOCK_VALUES
+    shape = RecognitionModel.factor_shapes(spec)["s1"]
+    assert np.prod(model._bundle_dims(spec, shape)) > _BLOCK_VALUES
     return (GenerativeModel.random(spec, rng), RecognitionModel.from_seed(spec, 4),
             ReferenceModel.random(spec, rng))
 
@@ -656,9 +690,9 @@ def test_save_matches_json_dump(tmp_path, build):
 @pytest.mark.parametrize("block_values", [_BLOCK_VALUES, 40], ids=["one-block", "blocks"])
 def test_save_of_a_candidate_matches_the_copy_and_write_layout(tmp_path, monkeypatch,
                                                                block_values):
-    # a candidate owns its sentinel slices only and is written block by block;
-    # its bundle is that of the whole tables a candidate once held (its
-    # parent's, with the softmax of its logits in the sentinel slices), as a
+    # a candidate owns the arrays it retrains and shares the others, and is
+    # written block by block; its bundle is that of fresh copies of its
+    # tables (its parent's, with the softmax of its logits written in), as a
     # model and as json.dump writes them
     monkeypatch.setattr(model, "_BLOCK_VALUES", block_values)
     gen, _, ref = _distinct_instance()
@@ -666,15 +700,16 @@ def test_save_of_a_candidate_matches_the_copy_and_write_layout(tmp_path, monkeyp
     rng = np.random.default_rng(5)
     source = {k: softmax_rows(rng.standard_normal(shape))
               for k, shape in RecognitionModel.factor_shapes(spec).items()}
-    rec = RecognitionModel.from_tables(spec, source)
+    rec = RecognitionModel(spec, {k: v.copy() for k, v in source.items()})
     params = control.extract_params(gen, rec, ())
-    q = {k: v + rng.standard_normal(v.shape) for k, v in params.q_logits.items()}
+    q = {k: v + rng.standard_normal(v.shape) for k, v in params.q_logits.items()
+         if k != "a2"}
     _, cand = control.apply_params(gen, rec, control.TrainableParams(q, {}))
     for k, logits in q.items():
-        source[k][:, :, :, spec.card_o] = softmax_rows(logits)
+        source[k][...] = softmax_rows(logits)
     got, want = tmp_path / "cand.json", tmp_path / "whole.json"
     save_models(got, gen, cand, ref)
-    save_models(want, gen, RecognitionModel.from_tables(spec, source), ref)
+    save_models(want, gen, RecognitionModel(spec, source), ref)
     assert got.read_bytes() == want.read_bytes()
     assert got.read_bytes() == _reference_bundle_text(
         gen, SimpleNamespace(tables=source), ref).encode()
@@ -722,28 +757,43 @@ def test_load_of_distinct_rows_restarts_the_row_dictionary(tmp_path, monkeypatch
         assert np.array_equal(bits(got.tables[name]), bits(rec.tables[name]))
 
 
+def gathered_bytes(calls):
+    """A context manager around model._gather that adds up, in calls[0],
+    the bytes of the rows and row indices it gives the reader."""
+    gather = model._gather
+    calls.append(0)
+
+    def counting_gather(*args):
+        values, index = gather(*args)
+        calls[0] += values.nbytes + index.nbytes
+        return values, index
+
+    return mock.patch.object(model, "_gather", counting_gather)
+
+
 def test_load_of_distinct_rows_holds_one_factors_blocks_at_a_time(tmp_path, monkeypatch):
     # every recognition row is distinct, so a factor's blocks are as large
     # as its rows; each array's blocks are released as it is gathered, so
-    # the load's peak is the loaded model, the blocks and rows of the factor
-    # being gathered, and a few chunks, not every factor's blocks beside
-    # the gathered rows
+    # the load's peak is the loaded model (a factor's filtering array), the
+    # reader's rows and row indices and a few chunks, not every factor's
+    # blocks beside them
     path = tmp_path / "model.json"
     save_models(path, *_distinct_instance())
     monkeypatch.setattr(model, "_BLOCK_CHARS", 1 << 16)
-    tracemalloc.start()
-    try:
-        gen, rec, ref = load_models(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    held = (sum(rec.sentinel[k].nbytes + rec.index[k].nbytes + rec.rows[k].nbytes
-                for k in REC_FACTORS)
+    gathered = []
+    with gathered_bytes(gathered):
+        tracemalloc.start()
+        try:
+            gen, rec, ref = load_models(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    held = (sum(rec.tables[k].nbytes for k in REC_FACTORS)
             + sum(getattr(m, name).probs.nbytes
                   for m in (gen, ref) for name in m.table_names))
-    largest = max(rec.rows[k].nbytes for k in REC_FACTORS)
-    assert largest < sum(rec.rows[k].nbytes for k in REC_FACTORS) / 2
-    assert peak < held + largest + 8 * model._BLOCK_CHARS
+    largest = max(rec.tables[k].nbytes for k in REC_FACTORS)
+    assert largest < sum(rec.tables[k].nbytes for k in REC_FACTORS) / 2
+    assert peak < held + gathered[0] + 8 * model._BLOCK_CHARS
 
 
 # Value texts json reads as integers; "-0" is the integer 0, so 0.0, not -0.0.
@@ -974,10 +1024,10 @@ def test_broken_bundles_raise_across_chunk_boundaries(tmp_path, monkeypatch, edi
 def test_load_holds_the_tables_and_a_few_chunks(tmp_path, monkeypatch):
     # a bundle of many chunks whose recognition tables repeat a few rows, as
     # the thermostat's do; the reader never holds the file's text, and a
-    # recognition factor is held as its distinct rows and an int32 row index
-    # beside its filtering slice, so the load's peak is those, the other
-    # tables, the row checks' temporaries and a few chunks (the whole
-    # tables, 4.1 MB here, would not fit)
+    # recognition factor is read as its distinct rows and an int32 row
+    # index, of which a load keeps only the filtering array, so the load's
+    # peak is those, the other tables, the row checks' temporaries and a few
+    # chunks (the whole tables, 4.1 MB here, would not fit)
     monkeypatch.setattr(model, "_BLOCK_CHARS", 1 << 18)
     spec = ModelSpec(4, 3, 2, 3, 2, 2)
     rng = np.random.default_rng(0)
@@ -985,22 +1035,24 @@ def test_load_holds_the_tables_and_a_few_chunks(tmp_path, monkeypatch):
     for name, shape in RecognitionModel.factor_shapes(spec).items():
         pool = rng.dirichlet(np.ones(shape[-1]), size=7)
         tables[name] = pool[rng.integers(0, 7, size=shape[:-1])]
+    whole = (spec.card_o + 1) * sum(t.nbytes for t in tables.values())
     path = tmp_path / "model.json"
     save_models(path, GenerativeModel.random(spec, rng),
-                RecognitionModel.from_tables(spec, tables), ReferenceModel.random(spec, rng))
+                RecognitionModel(spec, tables), ReferenceModel.random(spec, rng))
     assert path.stat().st_size > 8 * model._BLOCK_CHARS
-    tracemalloc.start()
-    try:
-        gen, rec, ref = load_models(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    held = (sum(rec.sentinel[k].nbytes + rec.index[k].nbytes + rec.rows[k].nbytes
-                for k in REC_FACTORS)
+    gathered = []
+    with gathered_bytes(gathered):
+        tracemalloc.start()
+        try:
+            gen, rec, ref = load_models(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    held = (sum(rec.tables[k].nbytes for k in REC_FACTORS)
             + sum(getattr(m, name).probs.nbytes
                   for m in (gen, ref) for name in m.table_names))
-    assert held < sum(t.nbytes for t in tables.values()) / 2
-    assert peak < held + 4 * model._BLOCK_CHARS
+    assert held < whole / 2
+    assert peak < held + gathered[0] + 4 * model._BLOCK_CHARS < whole
 
 
 @pytest.mark.parametrize("edit", [

@@ -69,8 +69,7 @@ def test_likelihood_surprisal_cases():
 
 def test_vfe_uniform():
     gen, rec, _ = uniform_instance()
-    ctx = RecognitionContext(o=0, a=0, x_prev=CompleteState(0, 0, 0, 0, 0, 0),
-                             future=None)
+    ctx = RecognitionContext(o=0, a=0, x_prev=CompleteState(0, 0, 0, 0, 0, 0))
     fe = variational_free_energy(gen, rec, ctx, tick=True)
     assert fe.total == pytest.approx(LOG2, abs=1e-12)
     assert fe.kl_prior == pytest.approx(0.0, abs=1e-12)
@@ -92,13 +91,12 @@ def test_vfe_equals_evidence_at_posterior():
     # under a uniform pol0 the action carries no evidence, so the
     # action-conditioned posterior tables are the posterior given o alone
     gen = with_uniform_pol0(random_instance(17)[0])
-    rec_post = RecognitionModel.from_filtering(
-        gen.spec, chains.posterior_recognition_tables(gen))
+    rec_post = RecognitionModel(gen.spec, chains.posterior_recognition_tables(gen))
     rng = np.random.default_rng(17)
     for _ in range(5):
         xp = random_state(rng, gen.spec)
         o = int(rng.integers(gen.spec.card_o))
-        ctx = RecognitionContext(o=o, a=0, x_prev=xp, future=None)
+        ctx = RecognitionContext(o=o, a=0, x_prev=xp)
         fe = variational_free_energy(gen, rec_post, ctx, tick=True)
         _, log_ev = oracle.exact_step_posterior(gen, xp, o, True)
         ml = oracle.exact_marginal_likelihood(gen, xp, [o])
@@ -124,8 +122,7 @@ def test_vfe_and_step_objective_enforce_state_budget(monkeypatch):
 
 def test_step_objective_uniform_three_terms():
     gen, rec, ref = uniform_instance()
-    ctx = RecognitionContext(o=1, a=1, x_prev=CompleteState(0, 0, 0, 0, 0, 0),
-                             future=None)
+    ctx = RecognitionContext(o=1, a=1, x_prev=CompleteState(0, 0, 0, 0, 0, 0))
     step = step_objective(gen, rec, ref, ctx, tick=True)
     assert step.j == pytest.approx(2 * LOG2, abs=1e-12)
     assert step.l == pytest.approx(LOG2, abs=1e-12)

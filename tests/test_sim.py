@@ -114,8 +114,7 @@ def _matched_deterministic_setup():
         spec,
         ref_o=ConditionalTable.one_hot((1,), 2, lambda a1: 0),
         ref_s1=ConditionalTable.one_hot((1,), 2, lambda a2: 0))
-    rec = RecognitionModel.from_filtering(
-        spec, chains.posterior_recognition_tables(gen))
+    rec = RecognitionModel(spec, chains.posterior_recognition_tables(gen))
     return gen, rec, ref, env
 
 
