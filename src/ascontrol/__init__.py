@@ -26,7 +26,7 @@ from .model import (CompleteState, ConditionalTable, GenerativeModel,
 from .objectives import (FreeEnergy, StepObjective, likelihood_surprisal,
                          reference_surprisal, step_objective,
                          variational_free_energy)
-from .oracle import (SoftValue, enumerate_trajectories, exact_average_rate,
+from .oracle import (enumerate_trajectories, exact_average_rate,
                      exact_marginal_likelihood, exact_path_integral_value,
                      exact_posterior, exact_soft_value, exact_step_posterior)
 from .sim import (Environment, EvalSummary, Trace, evaluate,

@@ -12,6 +12,11 @@ Every forward propagation of the package is `walk`: the windowed rate
 over one cycle from the stationary law) and the differential free energy
 (control, the sum less the rate) are each one walk, from different
 starting laws over different windows.
+
+The soft value -log E[exp(-sum_t (c_t - rate))] has one set of path
+log-weights, `_weighted_paths`, and two reductions of them: the backward
+soft recursion (`exact_soft_value`) and the enumeration of every path
+(`exact_path_integral_value`), each the other's cross-check.
 """
 
 from dataclasses import dataclass
@@ -226,9 +231,11 @@ def stationary_rate(step_mats, step_costs):
     mu of the composed chain C solves mu (C - I) = 0 with sum(mu) = 1, in one
     dense least-squares solve, so periodic chains need no mixing; a
     rank-deficient system (more than one recurrent class) has no unique mu
-    and raises NonUniqueStationaryError. The cycle is walked from mu over
-    occupied states only, so a transient state's infinite cost counts only
-    where the solve leaves that state a positive weight of float error."""
+    and raises NonUniqueStationaryError. The law is then zeroed off the
+    recurrent class, found by structure alone: the states reachable on
+    C > 0 from its heaviest state. The cycle is walked from that law over
+    occupied states only, so a transient state's infinite cost counts
+    nowhere."""
     period = len(step_mats)
     n = step_mats[0].shape[0]
     composed = step_mats[0]
@@ -242,7 +249,14 @@ def stationary_rate(step_mats, step_costs):
         raise NonUniqueStationaryError(
             f"the chain has more than one recurrent class: its stationary "
             f"system has rank {rank} < {n} states")
-    vals, _ = walk(zip(step_mats, step_costs), mu)
+    recurrent = np.zeros(n, dtype=bool)
+    frontier = [int(np.argmax(mu))]
+    recurrent[frontier] = True
+    while len(frontier):
+        new = np.any(composed[frontier] > 0.0, axis=0) & ~recurrent
+        recurrent |= new
+        frontier = np.flatnonzero(new)
+    vals, _ = walk(zip(step_mats, step_costs), np.where(recurrent, mu, 0.0))
     return sum(vals) / period
 
 
@@ -250,64 +264,37 @@ def stationary_rate(step_mats, step_costs):
 # soft values and path integrals
 
 
-@dataclass(frozen=True)
-class SoftValue:
-    """Backward-recursion differential surprise-to-go: one table per step
-    (t = 1..T) plus the value rooted at x0."""
-
-    tables: tuple
-    rooted: float
-
-
-def _value_mats(gen, rec, ref, T, mode):
-    """Per-step log transitions and (N, N) edge costs for steps 1..T of a
-    rollout density (chains.rollout_density). Callers subtract the rate, so
-    the feedforward state costs stay a broadcast view."""
+def _weighted_paths(gen, rec, ref, x0, T, rate, mode):
+    """The path log-weights of a rollout density (chains.rollout_density):
+    log P(x, x') - (cost(x, x') - rate) per step, as the first step's row out
+    of x0 and each later step's (N, N) matrix. A path's weight is the sum of
+    its steps', so exp(-value) is the sum of exp(weight) over every path."""
+    x0.validate(gen.spec)
     check_horizon(T)
 
     def build(tick):
         mat, cost = chains.rollout_density(gen, rec, ref, tick, mode)
-        return safe_log(mat), cost
+        return safe_log(mat) - (cost - rate)
 
-    steps = chains.step_matrices(build, gen.spec, T)
-    return [lm for lm, _ in steps], [c for _, c in steps]
+    first, *rest = chains.step_matrices(build, gen.spec, T)
+    return first[x0.flat(gen.spec)], rest
 
 
 def exact_soft_value(gen, rec, ref, x0, T, rate, mode="feedforward"):
-    """Differential surprise-to-go by the backward soft recursion
-    (terminal value 0), under the adopted sign convention:
-    value(t) = h(t) - log E[exp(-value(t+1))]."""
-    spec = gen.spec
-    x0.validate(spec)
-    logmats, costs = _value_mats(gen, rec, ref, T, mode)
-    if mode == "feedforward":
-        sc = costs[0][0] - rate  # state cost row, identical across predecessors
-        v = sc.copy()
-        tables = [None] * T
-        tables[T - 1] = v
-        for t in range(T - 1, 0, -1):
-            soft = -logsumexp(logmats[t] - v[None, :], axis=1)
-            v = sc + soft
-            tables[t - 1] = v
-        rooted = float(-logsumexp(logmats[0][x0.flat(spec)] - tables[0]))
-        return SoftValue(tuple(tables), rooted)
-    # feedback: value on the predecessor (edge costs)
-    w = np.zeros(spec.n_states)
-    tables = [None] * T
-    for t in range(T, 0, -1):
-        h = costs[t - 1] - rate
-        w = -logsumexp(logmats[t - 1] - h - w[None, :], axis=1)
-        tables[t - 1] = w
-    return SoftValue(tuple(tables), float(w[x0.flat(spec)]))
+    """Differential surprise-to-go -log E[exp(-sum_t (c_t - rate))] by the
+    backward soft recursion over the path log-weights (terminal value 0):
+    the dynamic-programming reduction of the sum the path integral
+    enumerates."""
+    first, rest = _weighted_paths(gen, rec, ref, x0, T, rate, mode)
+    togo = np.zeros(len(first))
+    for mat in reversed(rest):
+        togo = logsumexp(mat + togo, axis=1)
+    return float(-logsumexp(first + togo))
 
 
 def exact_path_integral_value(gen, rec, ref, x0, T, rate, mode="feedforward"):
-    """-log E[exp(-sum_t h_t)] by exhaustive enumeration over every state
-    path from x0, reduced in log-space."""
-    spec = gen.spec
-    x0.validate(spec)
-    logmats, costs = _value_mats(gen, rec, ref, T, mode)
-    weighted = [lm - (c - rate) for lm, c in zip(logmats, costs)]
-    first = weighted[0][x0.flat(spec)]
-    _check_paths(_support_bound(first, weighted[1:]))
-    return float(-path_logsumexp(first, weighted[1:]))
+    """-log E[exp(-sum_t (c_t - rate))] by exhaustive enumeration over every
+    state path from x0, reduced in log-space."""
+    first, rest = _weighted_paths(gen, rec, ref, x0, T, rate, mode)
+    _check_paths(_support_bound(first, rest))
+    return float(-path_logsumexp(first, rest))

@@ -255,21 +255,17 @@ def observed_reference_surprisal(trace, ref):
 class EvalSummary:
     rates: np.ndarray
     obs_ref: np.ndarray
-    seeds: tuple
 
 
-def evaluate(gen, rec, ref, env, n_episodes, T, seed, x0=None, seeds=None):
-    """Per-episode global rates (mean step objective) and realized
-    observation-reference surprisals."""
-    if n_episodes < 1:
-        raise ValueError("n_episodes must be >= 1")
-    if seeds is None:
-        seeds = [int(s.generate_state(1)[0])
-                 for s in np.random.SeedSequence(seed).spawn(n_episodes)]
+def evaluate(gen, rec, ref, env, seeds, T, x0=None):
+    """One episode per seed: per-episode global rates (mean step objective)
+    and realized observation-reference surprisals."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("evaluate needs at least one seed")
     rates, obs_ref = [], []
     for s in seeds:
         trace = run_episode(gen, rec, ref, env, T, s, x0=x0)
         rates.append(float(trace.totals().mean()))
         obs_ref.append(observed_reference_surprisal(trace, ref))
-    return EvalSummary(rates=np.array(rates), obs_ref=np.array(obs_ref),
-                       seeds=tuple(seeds))
+    return EvalSummary(rates=np.array(rates), obs_ref=np.array(obs_ref))

@@ -40,7 +40,7 @@ def recursion_vs_enumeration(instances, rng, horizons, scale):
                 sv = oracle.exact_soft_value(gen, rec, ref, x0, T, rate, mode=mode)
                 pi = oracle.exact_path_integral_value(gen, rec, ref, x0, T, rate,
                                                       mode=mode)
-                worst = worst_error(worst, abs(gap(sv.rooted, pi)))
+                worst = worst_error(worst, abs(gap(sv, pi)))
                 infinite += np.isinf(pi)
     return worst, infinite
 

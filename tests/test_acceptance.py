@@ -145,10 +145,9 @@ def test_criterion_8_behavioral_improvement():
     _, gen_tr, rec_tr = control.train(gen, rec, ref, X0, T=8, iters=40, lr=0.5,
                                       trainable_policies=("pol0",))
     seeds = list(range(800, 850))
-    trained = sim.evaluate(gen_tr, rec_tr, ref, env, 50, 60, 0, x0=X0, seeds=seeds)
-    untrained = sim.evaluate(gen, rec, ref, env, 50, 60, 0, x0=X0, seeds=seeds)
-    uniform = sim.evaluate(sim.with_uniform_pol0(gen), rec, ref, env, 50, 60, 0,
-                           x0=X0, seeds=seeds)
+    trained = sim.evaluate(gen_tr, rec_tr, ref, env, seeds, 60, x0=X0)
+    untrained = sim.evaluate(gen, rec, ref, env, seeds, 60, x0=X0)
+    uniform = sim.evaluate(sim.with_uniform_pol0(gen), rec, ref, env, seeds, 60, x0=X0)
     margins = {}
     for name, base in (("untrained", untrained), ("uniform", uniform)):
         diff = base.obs_ref - trained.obs_ref

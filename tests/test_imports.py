@@ -639,10 +639,9 @@ def test_default_checker_flags_defaults_no_caller_sets():
 
 
 # the defaulted parameters that only tests set: an oracle's tick, the test
-# instances' knobs, and the episodes the acceptance suite pairs by x0 and
-# seeds
+# instances' knobs, and the x0 the acceptance suite starts its episodes from
 TEST_DEFAULTS = ("recognition_logprob.tick", "random_instance.floor", "random_value.scale",
-                 "evaluate.x0", "evaluate.seeds")
+                 "evaluate.x0")
 
 
 def test_every_default_is_set_by_a_caller():

@@ -202,8 +202,7 @@ def test_stationary_rate_of_a_periodic_chain():
     ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.5]], [1.0, 3.0, np.inf], 2.0),
 ], ids=["absorbing", "periodic"])
 def test_stationary_rate_leaves_out_a_transient_infinite_cost(mat, cost, rate):
-    # state 2 is transient, so its infinite cost carries no stationary weight,
-    # though the least-squares law leaves it a weight of float error
+    # state 2 is transient, so its infinite cost carries no stationary weight
     assert abs(oracle.stationary_rate([np.array(mat)], [np.array(cost)]) - rate) <= 1e-12
 
 
@@ -239,13 +238,13 @@ def power_iteration_rate(mats, costs):
 
 
 @st.composite
-def aperiodic_chains(draw):
+def aperiodic_chains(draw, min_states=1):
     """1-3 phases of random n-state stochastic matrices with hard zeros; each
     row keeps its self-loop and at least 1/45 of its mass on state 0, so
     every state reaches state 0, which has a self-loop: one recurrent class,
     aperiodic, and 5,000 power steps shrink the distance to the stationary
     law by more than e^-100."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(min_states, 6))
     period = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     mats, costs = [], []
@@ -263,6 +262,29 @@ def aperiodic_chains(draw):
 def test_stationary_rate_matches_power_iteration(chain):
     mats, costs = chain
     assert abs(oracle.stationary_rate(mats, costs) - power_iteration_rate(mats, costs)) <= 1e-12
+
+
+@st.composite
+def chains_with_an_unentered_state(draw):
+    """aperiodic_chains of 3-6 states whose last state no state enters, with
+    an infinite cost there: a transient state outside the recurrent class."""
+    mats, costs = draw(aperiodic_chains(min_states=3))
+    cut = []
+    for m in mats:
+        m = m.copy()
+        m[:, -1] = 0.0
+        cut.append(m / m.sum(axis=1, keepdims=True))
+    return cut, [np.append(c[:-1], np.inf) for c in costs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain=chains_with_an_unentered_state())
+def test_stationary_rate_is_the_rate_of_the_chain_without_its_unentered_state(chain):
+    # the least-squares law leaves the unentered state a weight of float
+    # error, which its infinite cost turned into an infinite rate
+    mats, costs = chain
+    kept = power_iteration_rate([m[:-1, :-1] for m in mats], [c[:-1] for c in costs])
+    assert abs(oracle.stationary_rate(mats, costs) - kept) <= 1e-12
 
 
 def test_average_rate_matches_rollout():
@@ -315,18 +337,20 @@ def test_average_rate_rejects_an_unknown_chain_before_building(monkeypatch):
 def test_soft_value_zero_advantages():
     gen, rec, ref = uniform_instance()
     rate = 3 * math.log(2)  # equals the constant step objective
-    sv = oracle.exact_soft_value(gen, rec, ref, X0, 4, rate, mode="feedback")
-    for table in sv.tables:
-        assert np.allclose(table, 0.0, atol=1e-12)
-    assert sv.rooted == pytest.approx(0.0, abs=1e-12)
+    for T in range(1, 5):
+        sv = oracle.exact_soft_value(gen, rec, ref, X0, T, rate, mode="feedback")
+        assert sv == pytest.approx(0.0, abs=1e-12)
 
 
 def test_soft_value_t1_is_advantage_table():
+    # one step: -log sum_x' P(x0, x') exp(-(c(x') - rate)), written out
     gen, rec, ref = random_instance(30)
     rate = 0.4
     sv = oracle.exact_soft_value(gen, rec, ref, X0, 1, rate, mode="feedforward")
-    expect = chains.state_cost(gen, ref) - rate
-    assert np.allclose(sv.tables[0], expect, atol=1e-12)
+    row = chains.transition_matrix(gen, True)[X0.flat(gen.spec)]
+    advantage = chains.state_cost(gen, ref) - rate
+    expect = -math.log(sum(p * math.exp(-h) for p, h in zip(row, advantage)))
+    assert sv == pytest.approx(expect, abs=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["feedforward", "feedback"])
@@ -338,7 +362,7 @@ def test_soft_value_equals_path_integral(mode, T):
     rate = float(rng.standard_normal() * 0.3)
     sv = oracle.exact_soft_value(gen, rec, ref, x0, T, rate, mode=mode)
     pi = oracle.exact_path_integral_value(gen, rec, ref, x0, T, rate, mode=mode)
-    assert sv.rooted == pytest.approx(pi, abs=1e-8)
+    assert sv == pytest.approx(pi, abs=1e-8)
 
 
 def test_path_integral_zero_advantages():

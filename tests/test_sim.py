@@ -210,14 +210,26 @@ def test_uniform_policy_mean_matches_stationary_expectation():
 def test_evaluate_identical_seeds_give_identical_rates():
     env, ref = sim.thermostat_env(3, [0, 2])
     gen, rec = sim.thermostat_agent(env, [0, 2], seed=1)
-    s = sim.evaluate(gen, rec, ref, env, 2, 10, seed=0, seeds=[5, 5])
+    s = sim.evaluate(gen, rec, ref, env, [5, 5], 10)
+    assert s.rates.shape == (2,)
     assert s.rates[0] == s.rates[1]
 
 
 def test_evaluate_deterministic_given_seed():
+    # one episode per seed, each the episode run_episode gives that seed
     env, ref = sim.thermostat_env(3, [0, 2])
     gen, rec = sim.thermostat_agent(env, [0, 2], seed=1)
-    a = sim.evaluate(gen, rec, ref, env, 3, 10, seed=123)
-    b = sim.evaluate(gen, rec, ref, env, 3, 10, seed=123)
-    assert a.seeds == b.seeds
+    a = sim.evaluate(gen, rec, ref, env, [123, 7, 9], 10)
+    b = sim.evaluate(gen, rec, ref, env, (s for s in (123, 7, 9)), 10)
     assert np.array_equal(a.rates, b.rates)
+    assert np.array_equal(a.obs_ref, b.obs_ref)
+    trace = sim.run_episode(gen, rec, ref, env, 10, 7)
+    assert a.rates[1] == float(trace.totals().mean())
+    assert a.obs_ref[1] == sim.observed_reference_surprisal(trace, ref)
+
+
+def test_evaluate_refuses_no_seeds():
+    env, ref = sim.thermostat_env(3, [0, 2])
+    gen, rec = sim.thermostat_agent(env, [0, 2], seed=1)
+    with pytest.raises(ValueError, match="at least one seed"):
+        sim.evaluate(gen, rec, ref, env, [], 10)
