@@ -7,14 +7,16 @@ a handful of arrays built here:
     marg      (N, O, A)         observable marginal p(o, a | x_prev)
     belief    (N, O, A, L)      recognition belief per context
     cost      (N, O, A)         per-edge step objective (j + l + kl)
-    P, Qc     (N, N)            one-step transition matrices
+    P         (K, N)            policy-embedded rows, one per (s1, s2, a) class
+    Qc        (N, N)            recognition-chain transition matrix
 
-N is the complete-state count, L the latent-tuple count, O/A the
-observation/action cardinalities. Builders that read the models' tables
-for one step take a `tick` flag (non-tick steps hold the slow latent
-deterministically); builders that combine arrays take exactly the arrays
-they combine. Complete states are raveled row-major in
-(o, s1, s2, a, a1, a2) order and latent tuples in (s1, s2, a1, a2) order.
+N is the complete-state count, K the (s1, s2, a) class count, L the
+latent-tuple count, O/A the observation/action cardinalities. Builders
+that read the models' tables for one step take a `tick` flag (non-tick
+steps hold the slow latent deterministically); builders that combine
+arrays take exactly the arrays they combine. Complete states are raveled
+row-major in (o, s1, s2, a, a1, a2) order and latent tuples in (s1, s2,
+a1, a2) order.
 Every array over a step's (observation, action, latents) has the belief's
 one axis order, (..., N, O, A, L), and meets the successor states through
 one map, `Lattice.state_of_oal` and its inverse `Lattice.oal_of_state`: the
@@ -24,7 +26,7 @@ adjoint and the Bellman backup index the successors' values by it.
 Every derived per-tick array has one cache rule (`_kept`): it is built on
 first use and kept, read-only, in the `pieces` of the model it derives
 from. The generative half of the per-tick pieces (prior, marg;
-`generative_pieces`), the policy-embedded transition matrix P and the
+`generative_pieces`), the policy-embedded class rows P and the
 model-only log tables of the edge cost (-log R and -log lik per latent
 tuple) are kept on their generative or reference model. The recognition
 half (cost, ev, and the chain matrix Qc on first use by
@@ -38,13 +40,15 @@ Models are read-only, so nothing kept goes stale; a caller bounds memory
 by the lifetime of its models. `tick_pieces` is the one place that wires
 the two halves: prior -> belief rows -> marginal -> edge cost.
 P depends on x_prev only through its (s1, s2, a) class: its product runs on
-one prior row per class, with no (N, O, A, L) array, and expands by class.
+one prior row per class, with no (N, O, A, L) array, and P is kept as
+those rows (`transition_rows`), which a chain step hands over with each
+state's class; only `transition_matrix` expands them, and keeps nothing.
 
 The recognition half takes a leading candidate axis: on a stack of
 candidates (RecognitionModel.with_logits) belief, cost, ev and Qc each gain
 it, and every row is the single build of its candidate, bit for bit.
 
-The product builders (latent_prior, transition_matrix, qchain_matrix,
+The product builders (latent_prior, transition_rows, qchain_matrix,
 belief_table) sum no index: each is a broadcast product that multiplies
 its factors in the order of numpy's one-step plan (the operands in
 descending position), so it gives the bits of np.einsum(...,
@@ -258,18 +262,24 @@ def _over_successors(spec, oal):
     return np.take(oal.reshape(oal.shape[:-3] + (-1,)), lat.oal_of_state, axis=-1)
 
 
-def transition_matrix(gen, tick):
-    """One-step matrix P[x, x'] of the policy-embedded model, shape (N, N),
-    kept in `gen.pieces` under ("P", tick): one row per (s1, s2, a) class of
-    x, expanded by each state's class."""
+def transition_rows(gen, tick):
+    """The distinct rows of the policy-embedded model's one-step matrix P,
+    one per (s1, s2, a) class of x in class order, shape (K, N), kept in
+    `gen.pieces` under ("P", tick): P[x] is row Lattice.sa_class[x]."""
     def build():
         lat = Lattice.of(gen.spec)
         prior = generative_pieces(gen, tick)["prior"][lat.sa_reps]
         t4 = (pol0_over_latents(gen).transpose(1, 2, 0)[None]
               * lik_over_latents(gen).T[None, :, None, :]) * prior[:, None, None, :]
-        return _over_successors(gen.spec, t4)[lat.sa_class]
+        return _over_successors(gen.spec, t4)
 
     return _kept(gen.pieces, ("P", tick), gen.spec, build)
+
+
+def transition_matrix(gen, tick):
+    """One-step matrix P[x, x'] of the policy-embedded model, shape (N, N):
+    transition_rows expanded by each state's class, built on each call."""
+    return transition_rows(gen, tick)[Lattice.of(gen.spec).sa_class]
 
 
 def transition_row(gen, x, tick):
@@ -407,18 +417,19 @@ def recognition_chain(gen, rec, ref, tick):
 
 
 def rollout_density(gen, rec, ref, tick, mode):
-    """One step of a rollout density: its transition matrix and edge cost,
-    both (N, N). feedforward: the policy-embedded model with the realized
-    state costs J + L (broadcast over predecessors). feedback: the
+    """One step of a rollout density: its chain, as distinct transition rows
+    and each state's row index (None: one row per state), and its (N, N)
+    edge cost. feedforward: the policy-embedded model's class rows with the
+    realized state costs J + L (broadcast over predecessors). feedback: the
     recognition-controlled chain with the step objective's edge costs."""
     spec = gen.spec
     if mode == "feedforward":
         n = spec.n_states
-        return (transition_matrix(gen, tick),
+        return (transition_rows(gen, tick), Lattice.of(spec).sa_class,
                 np.broadcast_to(state_cost(gen, ref), (n, n)))
     if mode == "feedback":
         qc = recognition_chain(gen, rec, ref, tick)
-        return qc, expand_edges(tick_pieces(gen, rec, ref, tick)["cost"], spec)
+        return qc, None, expand_edges(tick_pieces(gen, rec, ref, tick)["cost"], spec)
     raise ValueError(f"unknown rollout density {mode!r}")
 
 

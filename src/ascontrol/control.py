@@ -286,8 +286,8 @@ def greedy_rollout_rate(gen, rec, ref, value, x0, steps, seed):
     ops = _BellmanOps(gen, rec, ref)
     mats, _ = ops.greedy_operators(np.asarray(value.greedy))
     period = ops.period
-    path = _sample_paths([mats[t % period] for t in range(steps)], x0.flat(gen.spec),
-                         1, np.random.default_rng(seed))[:, 0]
+    path = _sample_paths([(mats[t % period], None) for t in range(steps)],
+                         x0.flat(gen.spec), 1, np.random.default_rng(seed))[:, 0]
     vals = np.empty(steps)
     for p, (_, cost, _) in enumerate(ops.phases):
         cost_edge = chains.expand_edges(cost, gen.spec)
@@ -342,32 +342,34 @@ def kl_qstar_identity(gen, value, x, t=0):
 # Monte Carlo path-integral value and the differential free energy
 
 
-def _sample_paths(mats, x0, n_rollouts, rng):
+def _sample_paths(steps, x0, n_rollouts, rng):
     """Seeded state paths of n_rollouts rollouts from the flat state x0, one
-    step per transition matrix in `mats`: a (len(mats) + 1, n_rollouts)
-    array. Each step takes, per rollout, the first state whose CDF exceeds
-    its uniform u, by sample_categorical's rule: one np.searchsorted(side=
-    "right") per occupied state, over the uniforms of the rollouts at that
-    state, on the state's CDF row without its last entry, so a row that sums
-    below 1 clamps to the last state. A step whose rollouts all sit in one
-    state skips the grouping. A matrix's CDF row (np.cumsum, as
-    sample_categorical takes it) is formed once per state a rollout leaves.
-    One rng.random call draws every step's uniforms, row t for step t: the
+    step per chain in `steps`, each a (rows, row_of) pair (its distinct
+    transition rows and each state's row index, None for one row per
+    state): a (len(steps) + 1, n_rollouts) array. Each step takes, per
+    rollout, the first state whose CDF exceeds its uniform u, by
+    sample_categorical's rule: one np.searchsorted(side="right") per
+    occupied row, over the uniforms of the rollouts at a state of that row,
+    on the row's CDF without its last entry, so a row that sums below 1
+    clamps to the last state. A step whose rollouts all sit on one row
+    skips the grouping. A row's CDF (np.cumsum, as sample_categorical takes
+    it) is formed once, when a rollout first leaves one of its states. One
+    rng.random call draws every step's uniforms, row t for step t: the
     stream of one call per step."""
-    paths = np.empty((len(mats) + 1, n_rollouts), dtype=np.intp)
+    paths = np.empty((len(steps) + 1, n_rollouts), dtype=np.intp)
     paths[0] = x0
-    cdfs = {}  # (id of a matrix, state) -> the state's CDF row but its last entry
-    for t, (mat, u) in enumerate(zip(mats, rng.random((len(mats), n_rollouts)))):
-        at = paths[t]
+    cdfs = {}  # (id of a rows array, row) -> the row's CDF but its last entry
+    for t, ((rows, row_of), u) in enumerate(zip(steps, rng.random((len(steps), n_rollouts)))):
+        at = paths[t] if row_of is None else row_of[paths[t]]
         if n_rollouts == 1 or (at == at[0]).all():
             groups = [(int(at[0]), slice(None))]
         else:
             order = np.argsort(at)
             groups = [(int(at[idx[0]]), idx) for idx in
                       np.split(order, np.flatnonzero(np.diff(at[order])) + 1)]
-        for x, idx in groups:
-            if (cdf := cdfs.get((id(mat), x))) is None:
-                cdf = cdfs[id(mat), x] = np.cumsum(mat[x])[:-1]
+        for r, idx in groups:
+            if (cdf := cdfs.get((id(rows), r))) is None:
+                cdf = cdfs[id(rows), r] = np.cumsum(rows[r])[:-1]
             paths[t + 1, idx] = cdf.searchsorted(u[idx], side="right")
     return paths
 
@@ -379,10 +381,10 @@ def _rollout_path_costs(gen, rec, ref, x0, T, rate, mode, n_rollouts, seed):
     spec = gen.spec
     steps = chains.step_matrices(
         lambda tick: chains.rollout_density(gen, rec, ref, tick, mode), spec, T)
-    paths = _sample_paths([mat for mat, _ in steps], x0.flat(spec), n_rollouts,
-                          np.random.default_rng(seed))
+    paths = _sample_paths([(rows, row_of) for rows, row_of, _ in steps], x0.flat(spec),
+                          n_rollouts, np.random.default_rng(seed))
     step_costs = np.empty((T, n_rollouts))
-    for t, (_, cost) in enumerate(steps):
+    for t, (_, _, cost) in enumerate(steps):
         step_costs[t] = cost[paths[t], paths[t + 1]] - rate
     return paths, step_costs
 
@@ -416,7 +418,7 @@ def differential_free_energy(gen, rec, ref, x0, T, rate):
     mu = oracle.point_mass(spec, x0)
     pieces = _dfe_pieces(gen, rec, ref)
     vals, _ = oracle.walk(chains.step_matrices(
-        lambda tick: (pieces[tick]["qc"], pieces[tick]["ev"]), spec, T), mu)
+        lambda tick: (pieces[tick]["qc"], None, pieces[tick]["ev"]), spec, T), mu)
     return sum(v - rate for v in vals)
 
 
@@ -634,8 +636,8 @@ def dfe_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies=POLICY_TAB
     lat = chains.Lattice.of(spec)
     pieces = _dfe_pieces(gen, rec, ref)
     ticks = chains.step_matrices(lambda tick: tick, spec, T)
-    vals, mus = oracle.walk([(pieces[tick]["qc"], pieces[tick]["ev"]) for tick in ticks],
-                            oracle.point_mass(spec, x0))
+    vals, mus = oracle.walk([(pieces[tick]["qc"], None, pieces[tick]["ev"])
+                             for tick in ticks], oracle.point_mass(spec, x0))
     value = sum(v - rate for v in vals)
     mus = np.array(mus)                                      # mu_t, t = 0..T-1
     lams = np.zeros((T, n))                                  # lam_{t+1}, t = 0..T-1
@@ -723,7 +725,7 @@ def fd_gradients(gen, rec, ref, params, x0, T, rate):
             evs = [np.broadcast_to(pieces[tick]["ev"], (cands.size, n)) for tick in ticks]
             qcs = [np.broadcast_to(pieces[tick]["qc"], (cands.size, n, n)) for tick in ticks]
             for j in range(cands.size):
-                vals, _ = oracle.walk([(qc[j], ev[j]) for ev, qc in zip(evs, qcs)], mu)
+                vals, _ = oracle.walk([(qc[j], None, ev[j]) for ev, qc in zip(evs, qcs)], mu)
                 values[first + j] = sum(v - rate for v in vals)
             del stacked, pieces, evs, qcs  # not kept alive beside the next block's
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for floats

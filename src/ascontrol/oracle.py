@@ -191,16 +191,18 @@ def point_mass(spec, x):
 
 
 def walk(steps, mu):
-    """The one forward propagation. Over `steps`, one (mat, ev) pair per
-    step, from the occupation mu: each step's expected cost E_{mu_t}[ev_t]
-    over occupied states only (support_dot), so an unoccupied state's
-    infinite cost adds nothing, and the occupations mu_t it walked, with
-    mu_{t+1} = mat_t^T mu_t."""
+    """The one forward propagation. Over `steps`, one (rows, row_of, ev)
+    triple per step (a chain's distinct rows, each state's row, None for a
+    row per state, and the expected cost per state), from the occupation
+    mu: each step's expected cost E_{mu_t}[ev_t] over occupied states only
+    (support_dot), so an unoccupied state's infinite cost adds nothing, and
+    the occupations mu_t it walked, with mu_{t+1} = rows_t^T applied to
+    mu_t summed per row."""
     vals, mus = [], []
-    for mat, ev in steps:
+    for rows, row_of, ev in steps:
         mus.append(mu)
         vals.append(float(support_dot(mu, ev)))
-        mu = mat.T @ mu
+        mu = rows.T @ (mu if row_of is None else np.bincount(row_of, mu, minlength=len(rows)))
     return vals, mus
 
 
@@ -210,15 +212,19 @@ def exact_average_rate(gen, rec, ref, x0, T_burn, T_eval, chain="generative"):
     objective over the last T_eval steps."""
     spec = gen.spec
     mu = point_mass(spec, x0)
+    if T_burn < 0:
+        raise ValueError("T_burn must be >= 0")
     if T_eval < 1:
         raise ValueError("T_eval must be >= 1")
     if chain not in ("generative", "recognition"):
         raise ValueError(f"unknown chain {chain!r}")
 
     def build(tick):
-        mat = (chains.transition_matrix(gen, tick) if chain == "generative"
-               else chains.recognition_chain(gen, rec, ref, tick))
-        return mat, chains.tick_pieces(gen, rec, ref, tick)["ev"]
+        if chain == "generative":
+            rows, row_of = chains.transition_rows(gen, tick), chains.Lattice.of(spec).sa_class
+        else:
+            rows, row_of = chains.recognition_chain(gen, rec, ref, tick), None
+        return rows, row_of, chains.tick_pieces(gen, rec, ref, tick)["ev"]
 
     vals, _ = walk(chains.step_matrices(build, spec, T_burn + T_eval), mu)
     return float(np.mean(vals[T_burn:]))
@@ -256,7 +262,8 @@ def stationary_rate(step_mats, step_costs):
         new = np.any(composed[frontier] > 0.0, axis=0) & ~recurrent
         recurrent |= new
         frontier = np.flatnonzero(new)
-    vals, _ = walk(zip(step_mats, step_costs), np.where(recurrent, mu, 0.0))
+    vals, _ = walk([(mat, None, cost) for mat, cost in zip(step_mats, step_costs)],
+                   np.where(recurrent, mu, 0.0))
     return sum(vals) / period
 
 
@@ -267,14 +274,16 @@ def stationary_rate(step_mats, step_costs):
 def _weighted_paths(gen, rec, ref, x0, T, rate, mode):
     """The path log-weights of a rollout density (chains.rollout_density):
     log P(x, x') - (cost(x, x') - rate) per step, as the first step's row out
-    of x0 and each later step's (N, N) matrix. A path's weight is the sum of
-    its steps', so exp(-value) is the sum of exp(weight) over every path."""
+    of x0 and each later step's (N, N) matrix, log P indexed from the
+    chain's log rows by each state's row. A path's weight is the sum of its
+    steps', so exp(-value) is the sum of exp(weight) over every path."""
     x0.validate(gen.spec)
     check_horizon(T)
 
     def build(tick):
-        mat, cost = chains.rollout_density(gen, rec, ref, tick, mode)
-        return safe_log(mat) - (cost - rate)
+        rows, row_of, cost = chains.rollout_density(gen, rec, ref, tick, mode)
+        logp = safe_log(rows)
+        return (logp if row_of is None else logp[row_of]) - (cost - rate)
 
     first, *rest = chains.step_matrices(build, gen.spec, T)
     return first[x0.flat(gen.spec)], rest

@@ -55,9 +55,6 @@ class TraceRow:
 class Trace:
     rows: tuple
 
-    def totals(self):
-        return np.array([r.total for r in self.rows])
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -253,19 +250,15 @@ def observed_reference_surprisal(trace, ref):
 
 @dataclass(frozen=True)
 class EvalSummary:
-    rates: np.ndarray
     obs_ref: np.ndarray
 
 
 def evaluate(gen, rec, ref, env, seeds, T, x0=None):
-    """One episode per seed: per-episode global rates (mean step objective)
-    and realized observation-reference surprisals."""
+    """One episode per seed: per-episode realized observation-reference
+    surprisals."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("evaluate needs at least one seed")
-    rates, obs_ref = [], []
-    for s in seeds:
-        trace = run_episode(gen, rec, ref, env, T, s, x0=x0)
-        rates.append(float(trace.totals().mean()))
-        obs_ref.append(observed_reference_surprisal(trace, ref))
-    return EvalSummary(rates=np.array(rates), obs_ref=np.array(obs_ref))
+    obs_ref = [observed_reference_surprisal(run_episode(gen, rec, ref, env, T, s, x0=x0), ref)
+               for s in seeds]
+    return EvalSummary(obs_ref=np.array(obs_ref))

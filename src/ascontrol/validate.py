@@ -88,8 +88,8 @@ def run_validation(seed=0, instances=20):
     for i in range(instances):
         gen, rec, ref = random_instance(seed * 1000 + i)
         for tick in (True, False):
-            mat = chains.transition_matrix(gen, tick)
-            err_p = worst_error(err_p, np.abs(mat.sum(axis=1) - 1.0).max())
+            rows = chains.transition_rows(gen, tick)
+            err_p = worst_error(err_p, np.abs(rows.sum(axis=1) - 1.0).max())
             q = chains.recognition_belief(rec, tick)
             err_q = worst_error(err_q, np.abs(q.sum(axis=3) - 1.0).max())
     checks.append(_check("transition_normalization", err_p, 1e-10))

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ascontrol import sim
+from ascontrol.instances import hard_zero_instance, random_instance
 from ascontrol.model import (REC_FACTORS, ConditionalTable, GenerativeModel,
                              ModelSpec, RecognitionModel, ReferenceModel,
                              load_models)
@@ -62,6 +64,19 @@ def seed3_thermostat():
     env, ref = sim.thermostat_env(3, [0, 2], heat_success=0.85, phase_advance=0.1)
     gen, rec = sim.thermostat_agent(env, [0, 2], 3)
     return gen, rec, ref
+
+
+@st.composite
+def instances(draw):
+    """A plain, floored or hard-zero random instance with cards 1-3."""
+    seed = draw(st.integers(0, 2 ** 16))
+    cards = draw(st.tuples(*[st.integers(1, 2)] * 5 + [st.integers(1, 3)]))
+    tick_period = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["plain", "floored", "hard-zero"]))
+    if kind == "hard-zero":
+        return hard_zero_instance(seed, cards, tick_period)
+    return random_instance(seed, cards=cards, tick_period=tick_period,
+                           floor=kind == "floored")
 
 
 def bits(a):

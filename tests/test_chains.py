@@ -28,21 +28,9 @@ from ascontrol.instances import hard_zero_instance, random_instance
 from ascontrol.logspace import safe_log
 from ascontrol.model import CompleteState, ModelSpec, RecognitionContext, RecognitionModel
 from ascontrol.objectives import step_objective
-from conftest import bits, seed3_thermostat
+from conftest import bits, instances, seed3_thermostat
 
 TOL = 1e-12
-
-
-@st.composite
-def instances(draw):
-    seed = draw(st.integers(0, 2 ** 16))
-    cards = draw(st.tuples(*[st.integers(1, 2)] * 5 + [st.integers(1, 3)]))
-    tick_period = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["plain", "floored", "hard-zero"]))
-    if kind == "hard-zero":
-        return hard_zero_instance(seed, cards, tick_period)
-    return random_instance(seed, cards=cards, tick_period=tick_period,
-                           floor=kind == "floored")
 
 
 def instance_with_stack(seed, cards, tick_period, hard_zero, stacked, count=2):
@@ -150,19 +138,21 @@ def test_per_state_surprisals_are_the_builders_entries(inst):
                                   bits([j + l, j, l]))
 
 
-def test_transition_matrix_build_holds_little_beside_its_output():
+def test_transition_rows_build_holds_little_beside_its_output():
     # the product runs on one prior row per (s1, s2, a) class (24 of 864
-    # on the thermostat), so no (N, O, A, L) array is made on the way
+    # on the thermostat), so no (N, O, A, L) array, 36 times the output, is
+    # made on the way: the (K, O, A, L) product and its gather are the output's
+    # size
     gen = thermostat_model()
     chains.generative_pieces(gen, True)                        # kept: not P's
     tracemalloc.start()
     try:
-        out = chains.transition_matrix(gen, True)
+        out = chains.transition_rows(gen, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.nbytes == 864 * 864 * 8
-    assert peak < 1.5 * out.nbytes, peak
+    assert out.shape == (24, 864)
+    assert peak < 4 * out.nbytes, peak
 
 
 def traced_peak(build):
@@ -174,17 +164,25 @@ def traced_peak(build):
         tracemalloc.stop()
 
 
+def kept_arrays(pieces):
+    """Every array kept in a model's `pieces`, those of a kept dict included."""
+    return [arr for value in pieces.values()
+            for arr in (value.values() if isinstance(value, dict) else (value,))
+            if isinstance(arr, np.ndarray)]
+
+
 def test_read_path_builds_hold_no_whole_belief():
-    # the generative rate keeps its two transition matrices and the Bellman
-    # operators none; the edge cost both read is built from belief rows one
-    # x_prev block at a time, so neither holds an (N, O, A, L) array, which
-    # is as large as P (N * O * A * L = N^2). A whole belief beside a buffer
-    # of its size, as a whole edge-cost build makes, is past both bounds
+    # the generative rate keeps P's class rows of its two ticks, and neither
+    # it nor the Bellman operators hold an (N, N) array; the edge cost both
+    # read is built from belief rows one x_prev block at a time, so neither
+    # holds an (N, O, A, L) array, which is N^2 (N * O * A * L). A whole
+    # belief or a dense P is past both bounds
     gen, rec, ref = seed3_thermostat()
     n = gen.spec.n_states
     rate = traced_peak(lambda: oracle.exact_average_rate(gen, rec, ref, X0, 32, 16))
-    assert rate < 3 * n * n * 8, rate
+    assert rate < n * n * 8, rate
     assert {("P", True), ("P", False)} <= set(gen.pieces)
+    assert all(arr.shape != (n, n) for arr in kept_arrays(gen.pieces))
     assert rec.pieces["belief"] == {}
     gen, rec, ref = seed3_thermostat()
     ops = traced_peak(lambda: control._BellmanOps(gen, rec, ref))

@@ -131,9 +131,10 @@ def test_loading_splits_each_distinct_piece_of_an_array_once(model_file, monkeyp
     assert [len(piece_of) for piece_of, _, _ in arrays[8:]] == [133, 134, 212, 254]
 
 
-def test_pi_value_builds_each_ticks_transition_matrix_once(model_file, monkeypatch, capsys):
-    # the exact rate and the rollouts read one matrix per tick, kept on the
-    # generative model
+def test_pi_value_builds_each_ticks_transition_rows_once_and_no_dense_matrix(
+        model_file, monkeypatch, capsys):
+    # the exact rate and the rollouts read one array of class rows per tick,
+    # kept on the generative model, and never expand it to the (N, N) matrix
     builds, kept = [], chains._kept
 
     def counting_kept(cache, key, spec, build):
@@ -142,7 +143,11 @@ def test_pi_value_builds_each_ticks_transition_matrix_once(model_file, monkeypat
             return build()
         return kept(cache, key, spec, counted)
 
+    def no_dense(*args):
+        raise AssertionError("pi-value built a dense transition matrix")
+
     monkeypatch.setattr(chains, "_kept", counting_kept)
+    monkeypatch.setattr(chains, "transition_matrix", no_dense)
     assert cli.main(["pi-value", "--model", str(model_file), "--rollouts", "100",
                      "--horizon", "3", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["rollouts"] == 100

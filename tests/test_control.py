@@ -330,7 +330,8 @@ def test_rollout_sampler_blocks_match_the_one_shot_draw():
     mats[:, x0] *= 0.5                             # a row that sums below 1
     cums = list(np.cumsum(mats, axis=2)) * 2
     n_rollouts = 529
-    got = control._sample_paths(list(mats) * 2, x0, n_rollouts, np.random.default_rng(9))
+    got = control._sample_paths([(m, None) for m in mats] * 2, x0, n_rollouts,
+                                np.random.default_rng(9))
     r = np.random.default_rng(9).random((len(cums), n_rollouts))
     want = [np.full(n_rollouts, x0)]
     for cum, u in zip(cums, r):
@@ -384,7 +385,7 @@ def test_rollout_sampler_draws_as_sample_categorical(data, n, T, n_rollouts, see
         return StubUniforms(uniforms) if stub else np.random.default_rng(seed)
 
     columns = generator().random((T, n_rollouts)).T
-    got = control._sample_paths(mats, x0, n_rollouts, generator())
+    got = control._sample_paths([(m, None) for m in mats], x0, n_rollouts, generator())
     assert got.shape == (T + 1, n_rollouts)
     for k, column in enumerate(columns):
         rng = generator() if n_rollouts == 1 else StubUniforms(column)
@@ -392,6 +393,60 @@ def test_rollout_sampler_draws_as_sample_categorical(data, n, T, n_rollouts, see
         for m in mats:
             want.append(sample_categorical(m[want[-1]], rng))
         assert got[:, k].tolist() == want
+
+
+def per_state_sample_paths(mats, x0, n_rollouts, rng):
+    """The sampler on dense (N, N) matrices, with one CDF per state a rollout
+    leaves and each state's rollouts searched as one block: the per-state
+    rule that _sample_paths keeps with its CDFs formed once per row."""
+    paths = np.empty((len(mats) + 1, n_rollouts), dtype=np.intp)
+    paths[0] = x0
+    cdfs = {}
+    for t, (mat, u) in enumerate(zip(mats, rng.random((len(mats), n_rollouts)))):
+        at = paths[t]
+        if n_rollouts == 1 or (at == at[0]).all():
+            groups = [(int(at[0]), slice(None))]
+        else:
+            order = np.argsort(at)
+            groups = [(int(at[idx[0]]), idx) for idx in
+                      np.split(order, np.flatnonzero(np.diff(at[order])) + 1)]
+        for x, idx in groups:
+            if (cdf := cdfs.get((id(mat), x))) is None:
+                cdf = cdfs[id(mat), x] = np.cumsum(mat[x])[:-1]
+            paths[t + 1, idx] = cdf.searchsorted(u[idx], side="right")
+    return paths
+
+
+def assert_rollouts_are_the_per_state_draws(gen, rec, ref, x0, T, n_rollouts, seed):
+    for mode in ("feedforward", "feedback"):
+        steps = chains.step_matrices(
+            lambda tick: chains.rollout_density(gen, rec, ref, tick, mode), gen.spec, T)
+        got = control._sample_paths([(rows, row_of) for rows, row_of, _ in steps],
+                                    x0.flat(gen.spec), n_rollouts, np.random.default_rng(seed))
+        want = per_state_sample_paths(
+            [rows if row_of is None else rows[row_of] for rows, row_of, _ in steps],
+            x0.flat(gen.spec), n_rollouts, np.random.default_rng(seed))
+        assert np.array_equal(got, want), mode
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), cards=st.tuples(*[st.integers(1, 3)] * 6),
+       tick_period=st.integers(1, 3), hard_zero=st.booleans(), T=st.integers(1, 4),
+       n_rollouts=st.integers(1, 300))
+def test_rollouts_are_the_per_state_draws(seed, cards, tick_period, hard_zero, T,
+                                         n_rollouts):
+    # the feedforward density's class rows, searched once per occupied row,
+    # draw the paths that its dense matrix, searched per state, draws
+    make = hard_zero_instance if hard_zero else random_instance
+    gen, rec, ref = make(seed, cards, tick_period)
+    x0 = random_state(np.random.default_rng(seed), gen.spec)
+    assert_rollouts_are_the_per_state_draws(gen, rec, ref, x0, T, n_rollouts, seed)
+
+
+def test_rollouts_are_the_per_state_draws_on_the_thermostat():
+    env, ref = sim.thermostat_env(3, [0, 2])                   # 864 states
+    gen, rec = sim.thermostat_agent(env, [0, 2], 0)
+    assert_rollouts_are_the_per_state_draws(gen, rec, ref, X0, 5, 2000, 300)
 
 
 # ---------------------------------------------------------------------------

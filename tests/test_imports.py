@@ -14,8 +14,10 @@ aliases), every attribute a package class assigns on `self`, and every
 field of a package dataclass (but for a class that serializes itself
 through `asdict`, which reads every field by name) must be
 referenced outside its own body or statement in src/, tests/ or
-perfbench/ (an attribute by a read: assigning it is no use; a package
-`__init__` only re-exports, so its imports read nothing). And a def or
+perfbench/ (an attribute or field by a read, `obj.name` or a dotted
+string: assigning it is no use, and a bare name, such as a local of the
+same spelling, reads none; a package `__init__` only re-exports, so its
+imports read nothing). And a def or
 dataclass field that no code in src/ or perfbench/ reads must be read by
 a test module other than its own unit tests, `tests/test_<its module>.py`,
 unless it is one of the ORACLES, the independent routes that only their
@@ -86,21 +88,22 @@ def test_module_imports_are_used(path):
 
 
 def references(tree):
-    """(name, line) of every use of a name in `tree`: names, attributes read
-    (an assigned attribute is not a use), imported names, and string
-    constants that are a dotted path (as the benchmark's tracer names its
-    entry points)."""
+    """(name, line, dotted) of every use of a name in `tree`: names,
+    attributes read (an assigned attribute is not a use), imported names,
+    and string constants that are a dotted path (as the benchmark's tracer
+    names its entry points). `dotted` marks the uses that can read an
+    attribute: an attribute read and a string with a dot."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.alias):
-            yield node.name.split(".")[-1], node.lineno
+            yield node.name.split(".")[-1], node.lineno, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
             if all(part.isidentifier() for part in parts):
-                yield parts[-1], node.lineno
+                yield parts[-1], node.lineno, len(parts) > 1
 
 
 def assigned(stmt):
@@ -126,52 +129,56 @@ def serializes_itself(cls):
 
 
 def dataclass_fields(tree):
-    """(name, node) of each field of a dataclass in `tree`, but for the
-    dataclasses that serialize themselves."""
+    """(name, node, True) of each field of a dataclass in `tree`, but for the
+    dataclasses that serialize themselves: a field is read as an attribute."""
     for cls in ast.walk(tree):
         if isinstance(cls, ast.ClassDef) and is_dataclass(cls) and not serializes_itself(cls):
             for stmt in cls.body:
                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    yield stmt.target.id, stmt
+                    yield stmt.target.id, stmt, True
 
 
 def definitions(tree):
-    """(name, node) of each def or class in `tree`, of each name bound by one
-    of its module-level assignments, and of each attribute that a statement
-    in one of its classes assigns on `self`."""
+    """(name, node, dotted) of each def or class in `tree`, of each name
+    bound by one of its module-level assignments, and of each attribute that
+    a statement in one of its classes assigns on `self`, which alone is read
+    only as an attribute (`dotted`)."""
     for node in ast.walk(tree):
         if isinstance(node, DEFS):
-            yield node.name, node
+            yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for stmt in ast.walk(node):
                 for attr in (a for t in assigned(stmt) for a in ast.walk(t)):
                     if (isinstance(attr, ast.Attribute) and isinstance(attr.value, ast.Name)
                             and attr.value.id == "self"):
-                        yield attr.attr, stmt
+                        yield attr.attr, stmt, True
     for node in tree.body:
         for target in assigned(node):
             for name in ast.walk(target):
                 if isinstance(name, ast.Name):
-                    yield name.id, node
+                    yield name.id, node, False
 
 
 def readers(checked, others, defined):
     """((file, name), files) of each non-dunder name that `defined` finds in
     the `checked` sources ({file: text}): the files of `checked` or `others`
-    whose code uses it outside the definition's own lines. A package
-    `__init__.py` only re-exports, so it reads nothing."""
+    whose code uses it outside the definition's own lines, by a dotted use
+    (references) if it is read only as an attribute, so that a bare name of
+    the same spelling, a local, reads no field. A package `__init__.py`
+    only re-exports, so it reads nothing."""
     trees = {f: ast.parse(text) for f, text in {**others, **checked}.items()}
     uses = {}
     for f, tree in trees.items():
         if Path(f).name != "__init__.py":
-            for name, line in references(tree):
-                uses.setdefault(name, []).append((f, line))
+            for name, line, dotted in references(tree):
+                uses.setdefault(name, []).append((f, line, dotted))
     for f in checked:
-        for name, node in defined(trees[f]):
+        for name, node, attribute in defined(trees[f]):
             if not (name.startswith("__") and name.endswith("__")):
                 own = range(node.lineno, node.end_lineno + 1)
-                yield (f, name), {g for g, line in uses.get(name, [])
-                                  if not (g == f and line in own)}
+                yield (f, name), {g for g, line, dotted in uses.get(name, [])
+                                  if (dotted or not attribute)
+                                  and not (g == f and line in own)}
 
 
 def defs_and_fields(tree):
@@ -287,10 +294,12 @@ def test_unit_test_checker_flags_defs_only_their_own_tests_read():
               "tests/test_lib.py": ("from ascontrol.lib import oracle, shared, step\n"
                                     "s = Summary(mean=1.0, spread=0.0)\n"
                                     "print(s.mean, s.spread)\n"),
-              "tests/test_cli.py": "from ascontrol.lib import Summary, shared\nprint(Summary.mean)\n",
+              "tests/test_cli.py": ("from ascontrol.lib import Summary, shared\n"
+                                    "spread = 'spread'\nprint(Summary.mean, spread)\n"),
               "src/ascontrol/__init__.py": "from .lib import oracle\n"}
     # step is read by run, shared and the field mean by another test module;
-    # a re-export reads nothing, and unused is the unreferenced rule's
+    # a local or a plain string named spread reads no field; a re-export
+    # reads nothing, and unused is the unreferenced rule's
     assert unit_test_only_defs({"src/ascontrol/lib.py": lib}, others) == [
         ("src/ascontrol/lib.py", "oracle"), ("src/ascontrol/lib.py", "spread")]
     assert own_tests("src/ascontrol/_kernels/_py.py") == "tests/test_kernels.py"

@@ -12,7 +12,7 @@ from ascontrol.instances import random_instance, random_state
 from ascontrol.logspace import logsumexp
 from ascontrol.model import (CompleteState, ConditionalTable, GenerativeModel,
                              ModelSpec, Trajectory, trajectory_logprob)
-from conftest import two_cycle_instance, uniform_instance
+from conftest import instances, two_cycle_instance, uniform_instance
 
 X0 = CompleteState(0, 0, 0, 0, 0, 0)
 
@@ -317,6 +317,40 @@ def test_average_rate_recognition_chain_runs():
     gen, rec, ref = random_instance(21)
     r = oracle.exact_average_rate(gen, rec, ref, X0, 50, 50, chain="recognition")
     assert np.isfinite(r)
+
+
+@pytest.mark.parametrize("T_burn, T_eval, match", [(-1, 3, "T_burn"), (-5, 3, "T_burn"),
+                                                   (2, 0, "T_eval")])
+def test_average_rate_rejects_a_window_out_of_range_before_building(monkeypatch, T_burn,
+                                                                    T_eval, match):
+    # a negative burn-in would average vals[-1:] (the last step alone) or an
+    # empty slice (NaN) instead of the T_eval steps asked for
+    gen, rec, ref = random_instance(0)
+    calls = []
+    tick_pieces = chains.tick_pieces
+    monkeypatch.setattr(chains, "tick_pieces",
+                        lambda *args: calls.append(args) or tick_pieces(*args))
+    with pytest.raises(ValueError, match=match):
+        oracle.exact_average_rate(gen, rec, ref, X0, T_burn, T_eval)
+    assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=instances(), x=st.integers(0, 2 ** 16), T_burn=st.integers(0, 6),
+       T_eval=st.integers(1, 6))
+def test_class_row_rate_is_the_dense_walk(inst, x, T_burn, T_eval):
+    # the generative walk pushes each class's summed occupation through its
+    # row; the dense matrix's walk sums the same terms in another order
+    gen, rec, ref = inst
+    spec = gen.spec
+    x0 = CompleteState.from_flat(x % spec.n_states, spec)
+    got = oracle.exact_average_rate(gen, rec, ref, x0, T_burn, T_eval)
+    vals, _ = oracle.walk(chains.step_matrices(
+        lambda tick: (chains.transition_matrix(gen, tick), None,
+                      chains.tick_pieces(gen, rec, ref, tick)["ev"]), spec, T_burn + T_eval),
+        oracle.point_mass(spec, x0))
+    want = float(np.mean(vals[T_burn:]))
+    assert got == want if math.isinf(want) else got == pytest.approx(want, rel=1e-12)
 
 
 def test_average_rate_rejects_an_unknown_chain_before_building(monkeypatch):
