@@ -29,16 +29,19 @@ from. The generative half of the per-tick pieces (prior, marg;
 `generative_pieces`), the policy-embedded class rows P and the
 model-only log tables of the edge cost (-log R and -log lik per latent
 tuple) are kept on their generative or reference model. The recognition
-half (cost, ev, and the chain matrix Qc on first use by
-`recognition_chain`) is kept on the recognition model for the last (gen,
-ref) pair it was built with, so the rate, the halving check and the
-gradient of one parameter set share one build. Only the readers of the
-whole belief (Qc, the adjoint) build it, by `recognition_belief`, kept
-across a switch of that pair; the edge cost reads it if kept, else builds
-belief rows one x_prev block at a time.
+half (cost, ev, and on first use the whole belief and Qc) is kept on the
+recognition model for the last (gen, ref) pair it was built with, so the
+rate, the halving check and the gradient of one parameter set share one
+build; the whole belief reads the recognition model alone and is kept
+across a switch of that pair.
 Models are read-only, so nothing kept goes stale; a caller bounds memory
-by the lifetime of its models. `tick_pieces` is the one place that wires
-the two halves: prior -> belief rows -> marginal -> edge cost.
+by the lifetime of its models. The per-tick pieces have two entry points,
+which alone wire the two halves (prior -> belief -> marginal -> edge
+cost): `tick_pieces`, the read path's, whose edge cost reads belief rows
+one x_prev block at a time unless the whole belief is kept, and
+`recognition_pieces`, the one call of every reader of Qc or of the whole
+belief, which adds both to the same pieces, the belief built first so
+that the edge cost reads it.
 P depends on x_prev only through its (s1, s2, a) class: its product runs on
 one prior row per class, with no (N, O, A, L) array, and P is kept as
 those rows (`transition_rows`), which a chain step hands over with each
@@ -375,13 +378,13 @@ def generative_pieces(gen, tick):
 
 
 def tick_pieces(gen, rec, ref, tick):
-    """The per-tick arrays that the rate, the backup and the differential
-    free energy read, keyed prior, marg, cost (the edge cost) and ev (its
-    expectation per state, shape (N,)): the generative half plus the
-    recognition half built on it, kept in `rec.pieces` under `tick` for the
-    last (gen, ref) pair, by identity. The edge cost reads the whole belief
-    if recognition_belief keeps it; else it reads belief_table's rows one
-    block at a time (the N / card_o x_prev rows of one observation)."""
+    """The per-tick arrays that the rate and the backup read, keyed prior,
+    marg, cost (the edge cost) and ev (its expectation per state, shape
+    (N,)): the generative half plus the recognition half built on it, kept
+    in `rec.pieces` under `tick` for the last (gen, ref) pair, by identity.
+    The edge cost reads the whole belief if it is kept; else it reads
+    belief_table's rows one block at a time (the N / card_o x_prev rows of
+    one observation)."""
     if rec.pieces.get("gen") is not gen or rec.pieces.get("ref") is not ref:
         rec.pieces = {"gen": gen, "ref": ref, "belief": rec.pieces.get("belief", {})}
 
@@ -401,19 +404,22 @@ def tick_pieces(gen, rec, ref, tick):
 
 def recognition_belief(rec, tick):
     """The whole belief of `rec` (belief_table of every x_prev row), kept in
-    `rec.pieces` under "belief" and `tick` across (gen, ref) pairs: built
-    only by the readers of the whole belief (Qc, the adjoint, validate)."""
+    `rec.pieces` under "belief" and `tick` across (gen, ref) pairs."""
     return _kept(rec.pieces.setdefault("belief", {}), tick, rec.spec,
                  lambda: belief_table(rec, tick, slice(None)))
 
 
-def recognition_chain(gen, rec, ref, tick):
-    """The recognition chain Qc of one tick (qchain_matrix of the marginal
-    and the whole belief), kept in tick_pieces' pieces under "qc". The
-    belief is built before the pieces, so their edge cost reads it."""
+def recognition_pieces(gen, rec, ref, tick):
+    """tick_pieces of one tick with the whole belief under "belief" and the
+    recognition chain Qc (qchain_matrix of the marginal and the belief)
+    under "qc", kept with them: what the feedback rate and rollouts, the
+    differential free energy and its gradients read. The belief is built
+    before the other pieces, so their edge cost reads it."""
     belief = recognition_belief(rec, tick)
     pc = tick_pieces(gen, rec, ref, tick)
-    return _kept(pc, "qc", rec.spec, lambda: qchain_matrix(rec.spec, pc["marg"], belief))
+    pc["belief"] = belief
+    _kept(pc, "qc", rec.spec, lambda: qchain_matrix(rec.spec, pc["marg"], belief))
+    return pc
 
 
 def rollout_density(gen, rec, ref, tick, mode):
@@ -428,8 +434,8 @@ def rollout_density(gen, rec, ref, tick, mode):
         return (transition_rows(gen, tick), Lattice.of(spec).sa_class,
                 np.broadcast_to(state_cost(gen, ref), (n, n)))
     if mode == "feedback":
-        qc = recognition_chain(gen, rec, ref, tick)
-        return qc, None, expand_edges(tick_pieces(gen, rec, ref, tick)["cost"], spec)
+        pc = recognition_pieces(gen, rec, ref, tick)
+        return pc["qc"], None, expand_edges(pc["cost"], spec)
     raise ValueError(f"unknown rollout density {mode!r}")
 
 

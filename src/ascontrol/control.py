@@ -109,7 +109,6 @@ class DifferentialValue:
     spec: object
     gain: float
     bias: np.ndarray              # (period, n_states)
-    anchor_state: CompleteState
     greedy: np.ndarray = None     # (period, n_states) flat action tuples
 
     @property
@@ -126,7 +125,7 @@ class DifferentialValue:
             "spec": self.spec.to_dict(),
             "gain": self.gain,
             "bias": self.bias.tolist(),
-            "anchor": self.anchor_state.astuple(),
+            "anchor": CompleteState.from_flat(0, self.spec).astuple(),
         }
         if self.greedy is not None:
             doc["greedy"] = self.greedy.tolist()
@@ -146,8 +145,7 @@ class DifferentialValue:
         if "greedy" in doc:
             greedy = np.array(doc["greedy"], dtype=np.intp)
             greedy.setflags(write=False)
-        return cls(spec=spec, gain=float(doc["gain"]), bias=bias,
-                   anchor_state=CompleteState(*doc["anchor"]), greedy=greedy)
+        return cls(spec=spec, gain=float(doc["gain"]), bias=bias, greedy=greedy)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +258,7 @@ def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000):
             if last_resid <= tol:
                 bias.setflags(write=False)
                 greedy.setflags(write=False)
-                return DifferentialValue(
-                    spec=spec, gain=gain, bias=bias,
-                    anchor_state=CompleteState.from_flat(0, spec), greedy=greedy)
+                return DifferentialValue(spec=spec, gain=gain, bias=bias, greedy=greedy)
             if delta <= inner_tol:
                 inner_tol = max(inner_tol / 10.0, 1e-16)
     raise ConvergenceError(
@@ -270,21 +266,28 @@ def relative_value_iteration(gen, rec, ref, tol=1e-9, max_iter=200_000):
         f"after {max_iter} sweeps", residual=last_resid)
 
 
-def greedy_stationary_rate(gen, rec, ref, value):
-    """Exact long-run average edge cost of the greedy policy extracted from a
-    converged DifferentialValue."""
+def _greedy_operators(gen, rec, ref, value):
+    """The Bellman operators, and the greedy policy's transition matrices and
+    expected edge costs per phase, of a converged DifferentialValue, whose
+    greedy table is checked before any build."""
     if value.greedy is None:
         raise ValueError("DifferentialValue carries no greedy policy")
     ops = _BellmanOps(gen, rec, ref)
-    mats, costs = ops.greedy_operators(np.asarray(value.greedy))
+    return (ops, *ops.greedy_operators(np.asarray(value.greedy)))
+
+
+def greedy_stationary_rate(gen, rec, ref, value):
+    """Exact long-run average edge cost of the greedy policy extracted from a
+    converged DifferentialValue."""
+    _, mats, costs = _greedy_operators(gen, rec, ref, value)
     return oracle.stationary_rate(mats, costs)
 
 
 def greedy_rollout_rate(gen, rec, ref, value, x0, steps, seed):
-    """Seeded rollout under the greedy policy: mean edge cost and its
-    standard error over batches of _ROLLOUT_BLOCK steps."""
-    ops = _BellmanOps(gen, rec, ref)
-    mats, _ = ops.greedy_operators(np.asarray(value.greedy))
+    """Seeded rollout of `steps` >= 1 steps under the greedy policy: mean
+    edge cost and its standard error over batches of _ROLLOUT_BLOCK steps."""
+    oracle.check_horizon(steps)
+    ops, mats, _ = _greedy_operators(gen, rec, ref, value)
     period = ops.period
     path = _sample_paths([(mats[t % period], None) for t in range(steps)],
                          x0.flat(gen.spec), 1, np.random.default_rng(seed))[:, 0]
@@ -538,7 +541,7 @@ class _GradAccumulator:
         shape (N, O, A, L), which this overwrites with dqc4, the upstream
         gradient of the chain entries, and then with its G_q term."""
         b = self.buckets[tick]
-        marg, belief = pc["marg"], chains.recognition_belief(self.rec, tick)
+        marg, belief = pc["marg"], pc["belief"]
         # zero-probability edges may carry infinite cost; they contribute
         # nothing and their logits sit at the softmax boundary, so zero
         # them, and unoccupied predecessors too
@@ -570,7 +573,7 @@ class _GradAccumulator:
             b = self.buckets[tick]
             if not (b["G_m"].any() or b["G_q"].any() or b["dC"].any()):
                 continue
-            prior, q = pieces[tick]["prior"], chains.recognition_belief(rec, tick)
+            prior, q = pieces[tick]["prior"], pieces[tick]["belief"]
             rq = _weighted_upstream(q, prior, a_lat, b)
             g_prior = (np.einsum("xoa,lo,loa->xl", b["G_m"], lik_lat, pol0_lat,
                                  optimize=True)
@@ -609,15 +612,9 @@ class _GradAccumulator:
         return TrainableParams(q_grads, pol_grads)
 
 
-def _chain_pieces(gen, rec, ref, tick):
-    """chains.tick_pieces of one tick value, its recognition chain "qc" first."""
-    chains.recognition_chain(gen, rec, ref, tick)
-    return chains.tick_pieces(gen, rec, ref, tick)
-
-
 def _dfe_pieces(gen, rec, ref):
-    """_chain_pieces per tick value."""
-    return {tick: _chain_pieces(gen, rec, ref, tick) for tick in (True, False)}
+    """chains.recognition_pieces per tick value."""
+    return {tick: chains.recognition_pieces(gen, rec, ref, tick) for tick in (True, False)}
 
 
 def dfe_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies=POLICY_TABLES):
@@ -677,7 +674,7 @@ def score_function_grad(gen, rec, ref, x0, T, rate, n_rollouts, seed,
         np.add.at(bucket["G_m"], (xs, oo, aa),
                   w / pc["marg"][xs, oo, aa])
         np.add.at(bucket["G_q"], (xs, oo, aa, ll),
-                  w / chains.recognition_belief(rec, tick)[xs, oo, aa, ll])
+                  w / pc["belief"][xs, oo, aa, ll])
         np.add.at(bucket["dC"], (xs, oo, aa), 1.0 / n_rollouts)
     grads = acc.finalize(pieces)
     return value, grads
@@ -694,18 +691,17 @@ def fd_gradients(gen, rec, ref, params, x0, T, rate):
     on the unperturbed models, whose generative half is built once. The
     stack is built block by block, _FD_BLOCK_VALUES belief values at a
     time, so memory does not grow with the logit count: per block the
-    factor's softmax and the recognition pieces of each tick (belief, edge
-    cost, ev, Qc) are built once over the stack, except pieces the factor
-    does not enter (the non-tick ones of s2), which are the unperturbed
-    model's. Each candidate still gets its own forward walk
-    (oracle.walk). Policy logits: each evaluation rebuilds one policy
-    table and runs differential_free_energy on the unperturbed recognition
-    model."""
+    factor's softmax and each tick's chains.recognition_pieces (belief,
+    edge cost, ev, Qc) are built once over the stack; a piece the factor
+    does not enter (a non-tick belief reads no s2 factor) has no candidate
+    axis, is the unperturbed model's bit for bit and is broadcast. Each
+    candidate still gets its own forward walk (oracle.walk). Policy logits:
+    each evaluation rebuilds one policy table and runs
+    differential_free_energy on the unperturbed recognition model."""
     spec = gen.spec
     n = chains.Lattice.of(spec).n_states  # the ceiling, before any stack
     mu = oracle.point_mass(spec, x0)
     base_gen, base_rec = apply_params(gen, rec, params)
-    base = _dfe_pieces(base_gen, base_rec, ref)
     ticks = chains.step_matrices(lambda tick: tick, spec, T)
     block = max(1, _FD_BLOCK_VALUES // n ** 2)
     q_grads = {}
@@ -718,9 +714,7 @@ def fd_gradients(gen, rec, ref, params, x0, T, rate):
             stack[np.arange(cands.size), cands // 2] += np.where(cands % 2, -_FD_STEP,
                                                                  _FD_STEP)
             stacked = base_rec.with_logits({key: stack.reshape((cands.size,) + logits.shape)})
-            # the non-tick belief holds s2 and reads no s2 factor
-            pieces = {tick: base[tick] if key == "s2" and not tick
-                      else _chain_pieces(base_gen, stacked, ref, tick)
+            pieces = {tick: chains.recognition_pieces(base_gen, stacked, ref, tick)
                       for tick in set(ticks)}
             evs = [np.broadcast_to(pieces[tick]["ev"], (cands.size, n)) for tick in ticks]
             qcs = [np.broadcast_to(pieces[tick]["qc"], (cands.size, n, n)) for tick in ticks]
@@ -792,8 +786,8 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, estimator="exact",
     estimator draws _SCORE_ROLLOUTS rollouts per gradient and takes every
     step at the full learning rate.
 
-    Each parameter set's per-tick pieces, its chain matrix and the whole
-    belief they read (chains.recognition_chain) are built once and kept on
+    Each parameter set's per-tick pieces, with the whole belief and the
+    chain matrix (chains.recognition_pieces), are built once and kept on
     its models, so its rate, halving check and gradient share one build.
     The outgoing iterate, or a rejected candidate, is released before the
     next candidate is built, so at most one parameter set's pieces are alive.

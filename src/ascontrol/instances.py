@@ -72,5 +72,4 @@ def random_value(rng, spec, scale=1.0):
     bias = scale * rng.standard_normal((period, spec.n_states))
     bias[0, 0] = 0.0
     bias.setflags(write=False)
-    return DifferentialValue(spec=spec, gain=float(rng.standard_normal()),
-                             bias=bias, anchor_state=CompleteState.from_flat(0, spec))
+    return DifferentialValue(spec=spec, gain=float(rng.standard_normal()), bias=bias)

@@ -345,10 +345,9 @@ class GenerativeModel(_TableModel):
     pol0: ConditionalTable   # (o, a1) -> a
     pol1: ConditionalTable   # (s1, a2) -> a1
     pol2: ConditionalTable   # (s2,) -> a2
-    # derived arrays kept by chains on first use: the generative half of the
-    # per-tick pieces (tick -> {"prior", "marg"}), the transition matrix
-    # (("P", tick)) and -log lik over latents ("neg_log_lik"). The tables
-    # are read-only, so it cannot go stale; dataclasses.replace starts empty.
+    # derived arrays that chains keeps on first use (its module docstring
+    # lists them); the tables are read-only, so they cannot go stale, and
+    # dataclasses.replace starts empty
     pieces: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -363,8 +362,7 @@ class ReferenceModel(_TableModel):
     spec: ModelSpec
     ref_o: ConditionalTable   # (a1,) -> o
     ref_s1: ConditionalTable  # (a2,) -> s1
-    # -log R over latents ("neg_log_ref"), kept by chains on first use; like
-    # GenerativeModel.pieces it cannot go stale
+    # derived arrays that chains keeps on first use, as on GenerativeModel
     pieces: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -415,9 +413,8 @@ class RecognitionModel:
             _check_factor(name, lead + shapes[name], arr.shape)
             arr.setflags(write=False)
         self.spec = spec
-        # the recognition half of the per-tick pieces (cost, ev, Qc), kept by
-        # chains.tick_pieces for the last (gen, ref) pair it was built with,
-        # and the whole belief, which reads this model alone, for every pair
+        # derived arrays that chains keeps on first use (its module docstring
+        # lists them)
         self.pieces = {}
 
     def with_logits(self, logits):
@@ -425,8 +422,9 @@ class RecognitionModel:
         the softmax of its logits, a fresh array; every other factor is this
         model's, shared. Logits with one more, leading axis give a stack of
         candidates along it: only the recognition half of the per-tick
-        pieces reads a stack (chains.tick_pieces), and each of its pieces
-        gains the leading axis."""
+        pieces reads a stack (chains.tick_pieces and
+        chains.recognition_pieces), and each of its pieces gains the leading
+        axis."""
         return RecognitionModel(self.spec, {**self.tables, **{
             name: softmax_rows(values) for name, values in logits.items()}})
 

@@ -151,17 +151,15 @@ def exact_posterior(gen, x0, obs):
     _check_paths(m ** T)
     logw = first
     for mat in rest:
-        k = logw.shape[0]
-        logw = (logw[:, None] + mat[np.arange(k) % m]).reshape(-1)
+        logw = logw[..., :, None] + mat
+    logw = logw.reshape(-1)
     log_z = logsumexp(logw)
     if log_z == NEG_INF:
         raise ImpossibleObservationError(
             f"observations {list(obs)} have zero marginal probability")
     probs = np.exp(logw - log_z)
-    keep = np.nonzero(probs > 0.0)[0]
-    paths = np.empty((keep.size, T), dtype=np.intp)
-    for t in range(T):
-        paths[:, t] = (keep // (m ** (T - 1 - t))) % m
+    keep = np.flatnonzero(probs > 0.0)
+    paths = np.stack(np.unravel_index(keep, (m,) * T), axis=1)
     return PosteriorTable(spec=gen.spec, paths=paths, probs=probs[keep],
                           log_marginal=float(log_z))
 
@@ -220,11 +218,11 @@ def exact_average_rate(gen, rec, ref, x0, T_burn, T_eval, chain="generative"):
         raise ValueError(f"unknown chain {chain!r}")
 
     def build(tick):
-        if chain == "generative":
-            rows, row_of = chains.transition_rows(gen, tick), chains.Lattice.of(spec).sa_class
-        else:
-            rows, row_of = chains.recognition_chain(gen, rec, ref, tick), None
-        return rows, row_of, chains.tick_pieces(gen, rec, ref, tick)["ev"]
+        if chain == "recognition":
+            pc = chains.recognition_pieces(gen, rec, ref, tick)
+            return pc["qc"], None, pc["ev"]
+        return (chains.transition_rows(gen, tick), chains.Lattice.of(spec).sa_class,
+                chains.tick_pieces(gen, rec, ref, tick)["ev"])
 
     vals, _ = walk(chains.step_matrices(build, spec, T_burn + T_eval), mu)
     return float(np.mean(vals[T_burn:]))

@@ -373,17 +373,18 @@ def test_a_kept_recognition_half_is_built_once_per_tick(monkeypatch):
     # per observation of x_prev (3 blocks of 96 / 3 rows)
     blocks = [slice(0, 32), slice(32, 64), slice(64, 96)]
     assert calls == [(True, rows) for rows in blocks] + [(False, rows) for rows in blocks]
-    qc = chains.recognition_chain(gen, rec, ref, True)
+    pc = chains.recognition_pieces(gen, rec, ref, True)
+    qc, belief = pc["qc"], pc["belief"]
     for t in (True, False):
         assert chains.tick_pieces(gen, rec, ref, t) is kept[t]
-        assert set(kept[t]) - {"qc"} == set(fresh[t])
+        assert set(kept[t]) - {"qc", "belief"} == set(fresh[t])
         for key, arr in fresh[t].items():
             assert np.array_equal(bits(kept[t][key]), bits(arr))
-    # the chain is carried by the kept pieces; its belief is the one whole
-    # build of the tick
-    assert chains.recognition_chain(gen, rec, ref, True) is qc is kept[True]["qc"]
+    # the chain and the belief are carried by the kept pieces; the belief is
+    # the one whole build of the tick
+    assert chains.recognition_pieces(gen, rec, ref, True) is pc is kept[True]
     assert calls[6:] == [(True, slice(None))]
-    belief = chains.recognition_belief(rec, True)
+    assert chains.recognition_belief(rec, True) is belief
     for arr in (kept[True]["cost"], kept[True]["ev"], qc, belief):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
@@ -667,13 +668,6 @@ def test_blocked_edge_cost_is_the_whole_build(seed, cards, tick_period, hard_zer
 # stacked recognition candidates
 
 
-def pieces_with_belief(gen, rec, ref, tick):
-    """The kept tick pieces, with the chain matrix and the whole belief."""
-    chains.recognition_chain(gen, rec, ref, tick)
-    return dict(chains.tick_pieces(gen, rec, ref, tick),
-                belief=chains.recognition_belief(rec, tick))
-
-
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), cards=st.tuples(*[st.integers(1, 3)] * 6),
        tick_period=st.integers(1, 3), hard_zero=st.booleans(), tick=st.booleans())
@@ -688,11 +682,11 @@ def test_stacked_candidates_give_the_single_builds_bit_for_bit(seed, cards, tick
     for key, logits in control.extract_params(gen, rec).q_logits.items():
         # two candidates off the model's logits; hard zeros stay at -inf
         cands = logits + rng.standard_normal((2,) + logits.shape)
-        stacked = pieces_with_belief(gen, rec.with_logits({key: cands}), ref, tick)
+        stacked = chains.recognition_pieces(gen, rec.with_logits({key: cands}), ref, tick)
         # the non-tick belief reads no s2 factor, so it is not stacked
         assert stacked["belief"].ndim == (4 if key == "s2" and not tick else 5)
         for j, cand in enumerate(cands):
-            single = pieces_with_belief(gen, rec.with_logits({key: cand}), ref, tick)
+            single = chains.recognition_pieces(gen, rec.with_logits({key: cand}), ref, tick)
             for name in ("belief", "cost", "ev", "qc"):
                 row = np.broadcast_to(stacked[name], (2,) + single[name].shape)[j]
                 assert np.array_equal(bits(row), bits(single[name])), (key, name, j)

@@ -191,6 +191,19 @@ def test_rvi_rollout_within_three_stderr():
     assert abs(mean - v.gain) <= 3 * se
 
 
+def test_greedy_rates_check_their_inputs_before_any_build(monkeypatch):
+    gen, rec, ref = random_instance(64)
+    v = control.relative_value_iteration(gen, rec, ref, tol=1e-9)
+    no_greedy = random_value(np.random.default_rng(0), gen.spec)
+    monkeypatch.setattr(control, "_BellmanOps", None)  # building it would raise TypeError
+    with pytest.raises(ValueError, match="horizon"):
+        control.greedy_rollout_rate(gen, rec, ref, v, X0, 0, seed=2)
+    for rate in (lambda: control.greedy_rollout_rate(gen, rec, ref, no_greedy, X0, 10, seed=2),
+                 lambda: control.greedy_stationary_rate(gen, rec, ref, no_greedy)):
+        with pytest.raises(ValueError, match="carries no greedy policy"):
+            rate()
+
+
 # ---------------------------------------------------------------------------
 # optimal transition density
 
@@ -199,8 +212,7 @@ def test_qstar_constant_bias_recovers_model_row():
     gen, rec, ref = random_instance(70)
     spec = gen.spec
     bias = np.full((2, spec.n_states), 1.7)  # constant: reweighting cancels
-    value = control.DifferentialValue(spec=spec, gain=0.0, bias=bias,
-                                      anchor_state=X0)
+    value = control.DifferentialValue(spec=spec, gain=0.0, bias=bias)
     x = CompleteState(1, 0, 1, 1, 0, 1)
     for t, tick in ((0, True), (1, False)):
         q = control.optimal_transition(gen, value, x, t=t)
@@ -213,8 +225,7 @@ def test_qstar_one_hot_when_bias_spikes():
     spec = gen.spec
     bias = np.full((2, spec.n_states), 1e9)
     bias[:, 5] = 0.0
-    value = control.DifferentialValue(spec=spec, gain=0.0, bias=bias,
-                                      anchor_state=X0)
+    value = control.DifferentialValue(spec=spec, gain=0.0, bias=bias)
     x = CompleteState(0, 0, 0, 0, 0, 0)
     q = control.optimal_transition(gen, value, x, t=0)
     assert q[5] == pytest.approx(1.0, abs=1e-9)
@@ -242,8 +253,7 @@ def test_kl_identity_constant_bias_both_sides_zero():
     gen, rec, ref = random_instance(72)
     spec = gen.spec
     bias = np.zeros((2, spec.n_states))
-    value = control.DifferentialValue(spec=spec, gain=0.0, bias=bias,
-                                      anchor_state=X0)
+    value = control.DifferentialValue(spec=spec, gain=0.0, bias=bias)
     lhs, rhs = control.kl_qstar_identity(gen, value, CompleteState(0, 1, 0, 1, 0, 1))
     assert lhs == pytest.approx(0.0, abs=1e-12)
     assert rhs == pytest.approx(0.0, abs=1e-12)
@@ -653,7 +663,8 @@ def test_fd_gradients_build_the_unperturbed_belief_once_per_tick(monkeypatch):
     # validate's first gradient instance: each policy-logit evaluation puts
     # another generative model beside the unperturbed recognition model,
     # whose belief reads no generative table and so is kept across the
-    # switch (rebuilding it for each evaluation would make 114 calls)
+    # switch (rebuilding it for each evaluation would make 116 calls); the
+    # stacks take 64 calls, two per block of each factor's candidates
     gen, rec, ref = random_instance(3 * 6000, cards=(2, 2, 1, 2, 2, 1))
     params = control.extract_params(gen, rec)
     calls = []
@@ -661,9 +672,9 @@ def test_fd_gradients_build_the_unperturbed_belief_once_per_tick(monkeypatch):
     monkeypatch.setattr(chains, "belief_table",
                         lambda r, tick, rows: calls.append(r) or belief_table(r, tick, rows))
     control.fd_gradients(gen, rec, ref, params, X0, 2, 0.1)
-    base = calls[0]
+    base = calls[-1]  # the policy-logit evaluations come last
     assert sum(r is base for r in calls) == 2
-    assert len(calls) == 62
+    assert len(calls) == 66
 
 
 def test_fd_gradients_rebuild_only_the_perturbed_factor(monkeypatch):
@@ -683,11 +694,11 @@ def test_fd_gradients_rebuild_only_the_perturbed_factor(monkeypatch):
     monkeypatch.setattr(control, "differential_free_energy",
                         lambda g, r, *args: pol_recs.append(r) or 0.0)
     control.fd_gradients(gen, rec, ref, params, X0, 2, 0.1)
-    base, *stacks = recs.values()
+    base = pol_recs[0]
     assert len(pol_recs) == 2 * sum(v.size for v in params.pol_logits.values())
     assert all(r is base for r in pol_recs)
     candidates = dict.fromkeys(REC_FACTORS, 0)
-    for r in stacks:
+    for r in recs.values():
         (key,) = [k for k in REC_FACTORS if r.tables[k] is not base.tables[k]]
         assert r.tables[key].shape[1:] == base.tables[key].shape
         candidates[key] += len(r.tables[key])
@@ -929,4 +940,5 @@ def test_value_file_round_trip(tmp_path):
     assert v2.gain == v.gain
     assert np.array_equal(v2.bias, v.bias)
     assert np.array_equal(v2.greedy, v.greedy)
-    assert v2.anchor_state == v.anchor_state
+    anchor = json.loads(path.read_text())["anchor"]
+    assert CompleteState(*anchor) == CompleteState.from_flat(0, v.spec)

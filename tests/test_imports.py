@@ -33,7 +33,11 @@ code calls `searchsorted` or draws uniforms with `.random(` (but for
 bundle reader turns row text into floats in one place, `model._rows_block`,
 which no package code but `model._rows_of` names. Beliefs: only `chains.py`
 calls `belief_table`, so every whole belief is kept by its one cache rule,
-`chains.recognition_belief`. Pushes: only `oracle.walk` pushes a
+`chains.recognition_belief`, which only `chains.py` and the validation
+suite's normalization check call; only `chains.py` calls `qchain_matrix`,
+so Qc and the whole belief are read through `chains.recognition_pieces`,
+which builds them in its one order; and only `chains.py` reads or writes a
+model's kept `.pieces`. Pushes: only `oracle.walk` pushes a
 distribution forward through a chain (`<matrix>.T @ <vector>`), so every
 forward propagation is its walk. Masks: a ufunc's `where=` pays for its mask
 on every entry, so in `chains.py` and `control.py`, whose passes run over
@@ -454,7 +458,8 @@ def test_row_text_is_converted_in_one_place(path):
 
 
 # the module that builds recognition beliefs: a whole belief is kept there by
-# one cache rule (chains.recognition_belief), which no other module gets round
+# one cache rule (chains.recognition_belief, read through
+# chains.recognition_pieces), which no other module gets round
 BELIEF = "belief_table"
 BELIEF_MODULE = "chains.py"
 
@@ -474,6 +479,65 @@ def test_belief_checker_flags_stray_sites():
                          ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_beliefs_are_built_in_one_module(path):
     assert stray_uses(path.read_text(), BELIEF, ()) == []
+
+
+# the builders that only the modules named here call: Qc and the whole belief
+# are read through chains.recognition_pieces, which builds them in its one
+# order; the validation suite checks the whole belief's normalization
+BUILDER_MODULES = {"recognition_belief": ("chains.py", "validate.py"),
+                   "qchain_matrix": ("chains.py",)}
+
+
+@pytest.mark.parametrize("name", BUILDER_MODULES)
+def test_builder_checker_flags_stray_sites(name):
+    source = ("from .chains import qchain_matrix, recognition_belief\n"
+              "def rate(gen, rec, ref):\n"
+              "    pc = chains.recognition_pieces(gen, rec, ref, True)\n"
+              "    q = chains.recognition_belief(rec, True)\n"
+              "    return qchain_matrix(gen.spec, pc['marg'], q), pc['qc']\n")
+    # an import binds the name but calls nothing
+    assert stray_uses(source, name, ()) == {
+        "recognition_belief": [(4, "chains.recognition_belief")],
+        "qchain_matrix": [(5, "qchain_matrix")]}[name]
+
+
+@pytest.mark.parametrize("name, path", [(name, p) for name, sites in BUILDER_MODULES.items()
+                                        for p in MODULES if p.name not in sites],
+                         ids=lambda v: v if isinstance(v, str) else v.relative_to(PACKAGE).as_posix())
+def test_builders_are_called_in_their_modules(name, path):
+    assert stray_uses(path.read_text(), name, ()) == []
+
+
+# the module that reads and writes the models' kept pieces; a model's own
+# initializer sets its empty `self.pieces`
+PIECES_MODULE = "chains.py"
+
+
+def stray_pieces(source):
+    """(line, expression) of each `<obj>.pieces` read or written in `source`
+    on anything but `self`."""
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "pieces"
+                  and not (isinstance(node.value, ast.Name) and node.value.id == "self"))
+
+
+def test_pieces_checker_flags_stray_sites():
+    source = ("class Model:\n"
+              "    def __init__(self):\n"
+              "        self.pieces = {}\n"
+              "def grad(gen, rec, ref):\n"
+              "    pieces = _dfe_pieces(gen, rec, ref)\n"
+              "    rec.pieces = {}\n"
+              "    return pieces[True], gen.pieces.get(True), self_model().pieces\n")
+    # a model's own slot and a local named pieces are no reads of a model's
+    assert stray_pieces(source) == [(6, "rec.pieces"), (7, "gen.pieces"),
+                                    (7, "self_model().pieces")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != PIECES_MODULE],
+                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_kept_pieces_are_read_in_one_module(path):
+    assert stray_pieces(path.read_text()) == []
 
 
 # the module, and the module-level function in it, that push a distribution
