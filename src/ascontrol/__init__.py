@@ -20,17 +20,16 @@ from .errors import (AscontrolError, ConvergenceError, DegenerateSupportError,
                      NonFiniteObjectiveError, NonUniqueStationaryError)
 from .model import (CompleteState, ConditionalTable, GenerativeModel,
                     ModelSpec, RecognitionContext, RecognitionModel,
-                    ReferenceModel, Trajectory, load_models, recognition_logprob,
-                    sample_trajectory, sample_transition, save_models,
-                    trajectory_logprob, transition_logprob)
+                    ReferenceModel, Trajectory, load_models, sample_trajectory,
+                    sample_transition, save_models, trajectory_logprob,
+                    transition_logprob)
 from .objectives import (FreeEnergy, StepObjective, likelihood_surprisal,
-                         reference_surprisal, step_objective,
-                         variational_free_energy)
+                         recognition_logprob, reference_surprisal,
+                         step_objective, variational_free_energy)
 from .oracle import (enumerate_trajectories, exact_average_rate,
                      exact_marginal_likelihood, exact_path_integral_value,
                      exact_posterior, exact_soft_value, exact_step_posterior)
-from .sim import (Environment, EvalSummary, Trace, evaluate,
-                  observed_reference_surprisal, run_episode, thermostat_agent,
-                  thermostat_env, with_uniform_pol0)
+from .sim import (Environment, Trace, evaluate, observed_reference_surprisal,
+                  run_episode, thermostat_agent, thermostat_env, with_uniform_pol0)
 
 __version__ = "0.1.0"

@@ -52,16 +52,19 @@ candidates (RecognitionModel.with_logits) belief, cost, ev and Qc each gain
 it, and every row is the single build of its candidate, bit for bit.
 
 The product builders (latent_prior, transition_rows, qchain_matrix,
-belief_table) sum no index: each is a broadcast product that multiplies
-its factors in the order of numpy's one-step plan (the operands in
-descending position), so it gives the bits of np.einsum(...,
-optimize=True) without planning a path per call. Passes over (..., N, O,
-A, L) arrays run unmasked and zero their dead entries once.
+belief_table) sum no index: each is a broadcast product that plans no
+path per call. The first three multiply their factors in the order of
+numpy's one-step plan (the operands in descending position), so they give
+the bits of np.einsum(..., optimize=True); belief_table, the one belief
+product, multiplies its factors in their order, as a plain np.einsum
+does, and a single context's belief (context_belief) is its row. Passes
+over (..., N, O, A, L) arrays run unmasked and zero their dead entries
+once.
 """
 
 import numpy as np
 
-from .errors import EnumerationBudgetError
+from .errors import DimensionMismatchError, EnumerationBudgetError
 from .logspace import safe_log
 from .model import tick_at
 
@@ -163,11 +166,8 @@ def latent_prior_row(gen, x_prev, tick):
     """Latent prior for a single conditioning state, shape (L,)."""
     spec = gen.spec
     x_prev.validate(spec)
-    if tick:
-        d2 = gen.dyn2.reshaped()[x_prev.s2, x_prev.a]          # (s2',)
-    else:
-        d2 = np.zeros(spec.card_s2)
-        d2[x_prev.s2] = 1.0
+    d2 = (gen.dyn2.reshaped()[x_prev.s2, x_prev.a] if tick    # (s2',)
+          else Lattice.of(spec).hold_s2[x_prev.flat(spec)])
     p2 = gen.pol2.reshaped()
     d1 = gen.dyn1.reshaped()[x_prev.s1, :, x_prev.a, :]        # (s2', s1')
     p1 = gen.pol1.reshaped()
@@ -198,28 +198,35 @@ def belief_table(rec, tick, rows):
     rows `rows` (a slice; slice(None) for all) and every (o, a), shape
     (..., R, O, A, L): a leading candidate axis of any factor
     (RecognitionModel.with_logits) leads the belief. Each row is the whole
-    build's row, bit for bit. The product is written in its (s1, s2, a1, a2)
-    order and multiplies the factors a1, s1, a2, s2 in turn, as the one step
-    of numpy's plan does; a2 and s2 are spelled out on (s2, a1, a2) first,
-    so that it meets them in runs of that length, not of a2 alone."""
+    build's row, bit for bit. The product multiplies the factors in their
+    order, ((s2 a2) s1) a1, as a plain np.einsum does: the (s2, a2, s1)
+    partial product is copied over a1 into the (s1, s2, a1, a2) layout, and
+    the a1 factor multiplies it in place."""
     spec = rec.spec
     lat = Lattice.of(spec)
-    a1c, a2c = spec.card_a1, spec.card_a2
     q = rec.tables
     q_s2 = q["s2"] if tick else lat.hold_s2[:, None, None, :]  # (N, O, A, s2)
     # the rows of each factor, whose x_prev axis has 3 to 5 axes after it
     q_s2, q_a2, q_s1, q_a1 = (arr[(..., rows) + (slice(None),) * k] for arr, k in
                               ((q_s2, 3), (q["a2"], 4), (q["s1"], 5), (q["a1"], 5)))
-    factors = (np.swapaxes(q_a1, -1, -2)[..., :, None, :, :],  # (s1, a2, a1)
-               np.moveaxis(q_s1, -1, -3)[..., None, :],       # (s2, a2, s1)
-               np.repeat(q_a2[..., None, :, None, :], a1c, axis=-2),
-               np.repeat(q_s2[..., None, :, None], a1c * a2c, axis=-1).reshape(
-                   q_s2.shape[:-1] + (1, -1, a1c, a2c)))
-    joint = np.empty(np.broadcast_shapes(*(f.shape for f in factors)))
-    np.multiply(*factors[:2], out=joint)
-    joint *= factors[2]
-    joint *= factors[3]
-    return joint.reshape(joint.shape[:-4] + (spec.n_latents,))
+    partial = (q_s2[..., None] * q_a2)[..., None] * q_s1      # (s2, a2, s1)
+    partial = np.moveaxis(partial, -1, -3)[..., None, :]       # (s1, s2, 1, a2)
+    q_a1 = np.swapaxes(q_a1, -1, -2)[..., :, None, :, :]      # (s1, 1, a1, a2)
+    belief = np.empty(np.broadcast_shapes(partial.shape, q_a1.shape))
+    belief[...] = partial
+    belief *= q_a1
+    return belief.reshape(belief.shape[:-4] + (spec.n_latents,))
+
+
+def context_belief(rec, context, tick):
+    """The belief of one recognition context (o, a, x_prev): belief_table's
+    row for x_prev, taken at (o, a), shape spec.latent_dims."""
+    spec = rec.spec
+    x = context.x_prev.validate(spec).flat(spec)
+    o, a = int(context.o), int(context.a)
+    if not 0 <= o < spec.card_o or not 0 <= a < spec.card_a:
+        raise DimensionMismatchError("recognition context index out of range")
+    return belief_table(rec, tick, slice(x, x + 1))[0, o, a].reshape(spec.latent_dims)
 
 
 def reference_over_latents(ref):
@@ -234,6 +241,12 @@ def reference_over_latents(ref):
     return _kept(ref.pieces, "neg_log_ref", ref.spec, build)
 
 
+def neg_log_lik_over_latents(gen):
+    """-log lik per latent tuple, shape (L, O). Kept in `gen.pieces`."""
+    return _kept(gen.pieces, "neg_log_lik", gen.spec,
+                 lambda: -safe_log(lik_over_latents(gen)))
+
+
 def edge_cost(gen, ref, prior, belief):
     """Step objective for a transition x_prev -> x', as a function of
     (x_prev, o(x'), a(x')), shape (..., N, O, A) for a belief of shape
@@ -241,8 +254,7 @@ def edge_cost(gen, ref, prior, belief):
     observation surprisal plus the KL from belief to latent prior, all under
     the filtering belief."""
     j_lat = reference_over_latents(ref)                        # (L, O)
-    l_lat = _kept(gen.pieces, "neg_log_lik", gen.spec,         # (L, O)
-                  lambda: -safe_log(lik_over_latents(gen)))
+    l_lat = neg_log_lik_over_latents(gen)                      # (L, O)
     # each term's integrand is written unmasked into one buffer, zeroed where
     # belief = 0 (0 * inf and log 0 give NaN there) and summed over latents
     dead, buf = ~(belief > 0.0), np.empty(belief.shape)

@@ -285,7 +285,8 @@ def greedy_stationary_rate(gen, rec, ref, value):
 
 def greedy_rollout_rate(gen, rec, ref, value, x0, steps, seed):
     """Seeded rollout of `steps` >= 1 steps under the greedy policy: mean
-    edge cost and its standard error over batches of _ROLLOUT_BLOCK steps."""
+    edge cost and its standard error over batches of _ROLLOUT_BLOCK steps,
+    NaN below two batches, which give no batch-means spread."""
     oracle.check_horizon(steps)
     ops, mats, _ = _greedy_operators(gen, rec, ref, value)
     period = ops.period
@@ -298,7 +299,7 @@ def greedy_rollout_rate(gen, rec, ref, value, x0, steps, seed):
     block = _ROLLOUT_BLOCK
     n_blocks = steps // block
     means = vals[:n_blocks * block].reshape(n_blocks, block).mean(axis=1)
-    stderr = float(means.std(ddof=1) / np.sqrt(n_blocks)) if n_blocks > 1 else 0.0
+    stderr = float(means.std(ddof=1) / np.sqrt(n_blocks)) if n_blocks > 1 else math.nan
     return float(vals.mean()), stderr
 
 
@@ -561,7 +562,7 @@ class _GradAccumulator:
         n, c_o, c_a = spec.n_states, spec.card_o, spec.card_a
         lik_lat = chains.lik_over_latents(gen)
         pol0_lat = chains.pol0_over_latents(gen)
-        a_lat = chains.reference_over_latents(ref) - safe_log(lik_lat)
+        a_lat = chains.reference_over_latents(ref) + chains.neg_log_lik_over_latents(gen)
         tables = rec.tables
         # per factor, the sum over its row's latent completions of g_q * q,
         # in the factor's layout; each factor's gradient is this over its table

@@ -451,32 +451,6 @@ class RecognitionModel:
         return cls(spec, {name: softmax_rows(np.asarray(logits[name], dtype=float))
                           for name in REC_FACTORS})
 
-    def joint(self, context, tick=True):
-        """Belief over latent tuples, shaped (card_s1, card_s2, card_a1, card_a2)."""
-        sp = self.spec
-        xp = context.x_prev.validate(sp).flat(sp)
-        o, a = int(context.o), int(context.a)
-        if not 0 <= o < sp.card_o or not 0 <= a < sp.card_a:
-            raise DimensionMismatchError("recognition context index out of range")
-        q_s2, q_a2, q_s1, q_a1 = (self.tables[k][xp, o, a] for k in REC_FACTORS)
-        if not tick:
-            q_s2 = np.zeros(sp.card_s2)
-            q_s2[context.x_prev.s2] = 1.0
-        joint = np.einsum("X,XA,XAs,sAb->sXbA", q_s2, q_a2, q_s1, q_a1)
-        return joint  # axes (s1, s2, a1, a2)
-
-
-def recognition_logprob(rec, latents, context, tick=True):
-    """Log-probability of a latent tuple (s1, s2, a1, a2) under the factored
-    belief for the given context."""
-    s1, s2, a1, a2 = latents
-    sp = rec.spec
-    for v, dim, name in zip((s1, s2, a1, a2), sp.latent_dims, ("s1", "s2", "a1", "a2")):
-        if not 0 <= v < dim:
-            raise DimensionMismatchError(f"latent {name}={v} out of range [0, {dim})")
-    joint = rec.joint(context, tick=tick)
-    return float(safe_log(joint[s1, s2, a1, a2]))
-
 
 # ---------------------------------------------------------------------------
 # transition evaluation and sampling

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chains
+from .errors import DimensionMismatchError
 from .logspace import kl_divergence, safe_log
 
 
@@ -51,12 +52,21 @@ def likelihood_surprisal(gen, x):
     return float(val)
 
 
+def recognition_logprob(rec, latents, context, tick=True):
+    """Log-probability of a latent tuple (s1, s2, a1, a2) under the factored
+    belief for the given context."""
+    s1, s2, a1, a2 = latents
+    for v, dim, name in zip((s1, s2, a1, a2), rec.spec.latent_dims, ("s1", "s2", "a1", "a2")):
+        if not 0 <= v < dim:
+            raise DimensionMismatchError(f"latent {name}={v} out of range [0, {dim})")
+    return float(safe_log(chains.context_belief(rec, context, tick)[s1, s2, a1, a2]))
+
+
 def _context_rows(gen, rec, context, tick):
     """Belief, latent prior, and per-latent surprisal columns for one context."""
-    lat = chains.Lattice.of(gen.spec)
-    q = rec.joint(context, tick=tick).reshape(-1)
+    q = chains.context_belief(rec, context, tick).reshape(-1)
     prior = chains.latent_prior_row(gen, context.x_prev, tick)
-    l_lat = -safe_log(gen.lik.reshaped()[lat.la1, lat.ls1, context.o])
+    l_lat = chains.neg_log_lik_over_latents(gen)[:, context.o]
     return q, prior, l_lat
 
 

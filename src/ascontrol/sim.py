@@ -200,8 +200,7 @@ def run_episode(gen, rec, ref, env, T, seed, x0=None):
             # agent's own earlier belief, so conditioning on them would
             # only echo it)
             ctx = RecognitionContext(o=xprev.o, a=xprev.a, x_prev=believed[t - 2])
-            joint = rec.joint(ctx, tick=tick_at(t - 1, spec))
-            marg = joint.sum(axis=(2, 3))
+            marg = chains.context_belief(rec, ctx, tick_at(t - 1, spec)).sum(axis=(2, 3))
             z = marg.sum()
             if z > 0.0:
                 flat = sample_categorical(marg.reshape(-1) / z, rng)
@@ -248,17 +247,12 @@ def observed_reference_surprisal(trace, ref):
     return float(np.mean(vals))
 
 
-@dataclass(frozen=True)
-class EvalSummary:
-    obs_ref: np.ndarray
-
-
 def evaluate(gen, rec, ref, env, seeds, T, x0=None):
-    """One episode per seed: per-episode realized observation-reference
-    surprisals."""
+    """One episode per seed: the realized observation-reference surprisal
+    of each episode, in seed order, shape (len(seeds),)."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("evaluate needs at least one seed")
     obs_ref = [observed_reference_surprisal(run_episode(gen, rec, ref, env, T, s, x0=x0), ref)
                for s in seeds]
-    return EvalSummary(obs_ref=np.array(obs_ref))
+    return np.array(obs_ref)

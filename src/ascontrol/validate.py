@@ -22,7 +22,7 @@ def free_energy_errors(gen, rec, ctx, tick):
     fe = variational_free_energy(gen, rec, ctx, tick=tick)
     post, log_ev = oracle.exact_step_posterior(gen, ctx.x_prev, ctx.o, tick)
     fe_gap = fe.total - (-log_ev)
-    q = rec.joint(ctx, tick=tick).reshape(-1)
+    q = chains.context_belief(rec, ctx, tick).reshape(-1)
     return (abs(fe.total - fe.divergence_form), fe_gap,
             abs(fe_gap - kl_divergence(q, post)))
 

@@ -150,7 +150,7 @@ def test_criterion_8_behavioral_improvement():
     uniform = sim.evaluate(sim.with_uniform_pol0(gen), rec, ref, env, seeds, 60, x0=X0)
     margins = {}
     for name, base in (("untrained", untrained), ("uniform", uniform)):
-        diff = base.obs_ref - trained.obs_ref
+        diff = base - trained
         se = diff.std(ddof=1) / math.sqrt(diff.size)
         margins[name] = (float(diff.mean()), float(diff.mean() / se))
     elapsed = time.time() - t0

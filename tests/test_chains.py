@@ -1,17 +1,19 @@
 """Dense builders against their per-row counterparts.
 
 Each dense (N, ...) builder in `chains` has a second route that builds one
-row or one context at a time: `latent_prior_row`, `transition_row`,
-`RecognitionModel.joint` and `objectives.step_objective`; the per-state
-surprisals `objectives.reference_surprisal` and `likelihood_surprisal`
-are the second route to `state_cost` and the per-latent log tables. The
-properties below check that the two routes agree on random, floored and
-hard-zero instances, on both ticks and tick periods 1-3. The broadcast
-products of the product builders are checked against np.einsum(...,
-optimize=True) bit for bit, the unmasked edge cost against its masked
-build (`masked_edge_cost`), and belief_table's x_prev rows and the edge
-cost that tick_pieces builds from them, one block at a time, against the
-whole belief's."""
+row or one context at a time: `latent_prior_row`, `transition_row` and
+`objectives.step_objective`; the per-state surprisals
+`objectives.reference_surprisal` and `likelihood_surprisal` are the second
+route to `state_cost` and the per-latent log tables. The properties below
+check that the two routes agree on random, floored and hard-zero
+instances, on both ticks and tick periods 1-3. The broadcast products of
+the product builders are checked bit for bit against np.einsum(...,
+optimize=True), and belief_table's against a plain np.einsum, which
+multiplies the factors in their order; so is each context's belief
+(`context_belief`), belief_table's row. The unmasked edge cost is checked
+against its masked build (`masked_edge_cost`), and belief_table's x_prev
+rows and the edge cost that tick_pieces builds from them, one block at a
+time, against the whole belief's."""
 
 import tracemalloc
 import warnings
@@ -26,7 +28,8 @@ from ascontrol import chains, control, objectives, oracle, sim
 from ascontrol.errors import EnumerationBudgetError
 from ascontrol.instances import hard_zero_instance, random_instance
 from ascontrol.logspace import safe_log
-from ascontrol.model import CompleteState, ModelSpec, RecognitionContext, RecognitionModel
+from ascontrol.model import (REC_FACTORS, CompleteState, ModelSpec, RecognitionContext,
+                             RecognitionModel)
 from ascontrol.objectives import step_objective
 from conftest import bits, instances, seed3_thermostat
 
@@ -193,11 +196,20 @@ def test_read_path_builds_hold_no_whole_belief():
 @settings(max_examples=30, deadline=None)
 @given(inst=instances(), tick=st.booleans())
 def test_recognition_joint_matches_belief_table(inst, tick):
+    # a context's belief is the whole belief's row and the plain einsum of
+    # its factor rows, bit for bit
     _, rec, _ = inst
     spec = rec.spec
     dense = chains.belief_table(rec, tick, slice(None))
+    hold = chains.Lattice.of(spec).hold_s2
     for x, o, a, ctx in contexts(spec):
-        assert_close(rec.joint(ctx, tick=tick).reshape(-1), dense[x.flat(spec), o, a])
+        got = chains.context_belief(rec, ctx, tick)
+        q_s2, q_a2, q_s1, q_a1 = (rec.tables[k][x.flat(spec), o, a] for k in REC_FACTORS)
+        want = np.einsum("X,XA,XAs,sAb->sXbA", q_s2 if tick else hold[x.flat(spec)],
+                         q_a2, q_s1, q_a1)
+        assert got.shape == spec.latent_dims
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(got.reshape(-1)), bits(dense[x.flat(spec), o, a]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -303,6 +315,7 @@ def test_model_only_log_tables_are_kept_per_model():
     for table in (j_lat, l_lat):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.0
+    assert chains.neg_log_lik_over_latents(gen) is l_lat
     assert np.array_equal(bits(l_lat), bits(-np.log(chains.lik_over_latents(gen))))
     belief = chains.recognition_belief(rec, True)
     assert np.array_equal(bits(chains.edge_cost(gen, ref, pc["prior"], belief)),
@@ -546,10 +559,10 @@ def test_successor_map_is_the_inverse_of_each_states_oal_index(cards):
         assert (x.s1, x.s2, x.a1, x.a2) == np.unravel_index(l, spec.latent_dims)
 
 
-# broadcast products against np.einsum(..., optimize=True)
+# broadcast products against np.einsum
 
 # the contraction of belief_table's broadcast product, recognition factors in
-# (s2, a2, s1, a1) order
+# (s2, a2, s1, a1) order, which a plain np.einsum multiplies left to right
 BELIEF = "...xowX,...xowXA,...xowXAs,...xowsAb->...xowsXbA"
 
 
@@ -596,13 +609,13 @@ def test_product_builders_give_the_bits_of_einsum_optimize_on_the_thermostat():
 
 
 def belief_by_einsum(rec, tick):
-    """The belief as np.einsum(BELIEF, ..., optimize=True) gives it."""
+    """The belief as np.einsum(BELIEF, ...) gives it, without a plan."""
     spec = rec.spec
     sent = rec.tables
     q_s2 = sent["s2"] if tick else np.broadcast_to(
         chains.Lattice.of(spec).hold_s2[:, None, None, :],
         (spec.n_states, spec.card_o, spec.card_a, spec.card_s2))
-    joint = np.einsum(BELIEF, q_s2, sent["a2"], sent["s1"], sent["a1"], optimize=True)
+    joint = np.einsum(BELIEF, q_s2, sent["a2"], sent["s1"], sent["a1"])
     return joint.reshape(joint.shape[:-4] + (spec.n_latents,))
 
 

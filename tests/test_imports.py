@@ -25,7 +25,9 @@ own tests read.
 Contractions: an `np.einsum(..., optimize=True)` computes its path on
 every call, so it is kept for contractions that sum an index (numpy runs
 their steps through matmul), with literal subscripts; a product that sums
-none is a broadcast product. Draws: a
+none is a broadcast product; and only `chains.py` and `control.py` call
+`np.einsum`, so a context's belief is read off the one belief product,
+`chains.belief_table`. Draws: a
 categorical draw inverts a CDF in one of two places, `model.sample_categorical`
 for one draw and `control._sample_paths` for rollouts, so no other package
 code calls `searchsorted` or draws uniforms with `.random(` (but for
@@ -506,6 +508,27 @@ def test_builder_checker_flags_stray_sites(name):
                          ids=lambda v: v if isinstance(v, str) else v.relative_to(PACKAGE).as_posix())
 def test_builders_are_called_in_their_modules(name, path):
     assert stray_uses(path.read_text(), name, ()) == []
+
+
+# the modules that call np.einsum: the product builders and the adjoint's
+# contractions; a context's belief is a row of chains.belief_table, so no
+# other module spells out a product of its own
+EINSUM_MODULES = ("chains.py", "control.py")
+
+
+def test_einsum_checker_flags_stray_sites():
+    source = ("from numpy import einsum\n"
+              "def joint(q_s2, q_a2):\n"
+              "    return np.einsum('X,XA->XA', q_s2, q_a2)\n"
+              "product = einsum\n")
+    # an import binds the name but calls nothing
+    assert stray_uses(source, "einsum", ()) == [(3, "np.einsum"), (4, "einsum")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in EINSUM_MODULES],
+                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_einsum_is_called_in_the_builder_modules(path):
+    assert stray_uses(path.read_text(), "einsum", ()) == []
 
 
 # the module that reads and writes the models' kept pieces; a model's own

@@ -21,9 +21,9 @@ from ascontrol.model import (REC_FACTORS, CompleteState, ConditionalTable,
                              GenerativeModel, ModelSpec, RecognitionContext,
                              RecognitionModel, ReferenceModel, _BLOCK_VALUES,
                              _distinct_rows, _row_texts, load_models,
-                             recognition_logprob, sample_trajectory,
-                             sample_transition, save_models, softmax_rows,
-                             tick_at, trajectory_logprob, transition_logprob)
+                             sample_trajectory, sample_transition, save_models,
+                             softmax_rows, tick_at, trajectory_logprob,
+                             transition_logprob)
 from conftest import assert_load_matches_json, bits, ragged_rows, uniform_instance
 
 SPEC2 = ModelSpec(2, 2, 2, 2, 2, 2)
@@ -299,27 +299,6 @@ def test_sample_transition_frequencies():
 # recognition model
 
 
-def test_recognition_uniform_logprob():
-    _, rec, _ = uniform_instance()
-    ctx = RecognitionContext(o=0, a=1, x_prev=CompleteState(0, 0, 0, 0, 0, 0))
-    lp = recognition_logprob(rec, (0, 1, 0, 1), ctx)
-    assert lp == pytest.approx(math.log(1 / 16), abs=1e-12)
-
-
-def test_recognition_one_hot_logprob():
-    spec = ModelSpec(2, 2, 2, 2, 2, 2)
-    shapes = RecognitionModel.factor_shapes(spec)
-    tables = {}
-    for name, shape in shapes.items():
-        t = np.zeros(shape)
-        t[..., 0] = 1.0
-        tables[name] = t
-    rec = RecognitionModel(spec, tables)
-    ctx = RecognitionContext(o=1, a=0, x_prev=CompleteState(0, 0, 0, 0, 0, 0))
-    assert recognition_logprob(rec, (0, 0, 0, 0), ctx) == 0.0
-    assert recognition_logprob(rec, (1, 0, 0, 0), ctx) == -math.inf
-
-
 @pytest.mark.parametrize("seed", [0, 4])
 @pytest.mark.parametrize("tick", [True, False])
 def test_recognition_normalizes(seed, tick):
@@ -328,20 +307,15 @@ def test_recognition_normalizes(seed, tick):
     spec = rec.spec
     ctx = RecognitionContext(o=int(rng.integers(2)), a=int(rng.integers(2)),
                              x_prev=random_state(rng, spec))
-    total = 0.0
-    for s1 in range(2):
-        for s2 in range(2):
-            for a1 in range(2):
-                for a2 in range(2):
-                    total += math.exp(
-                        recognition_logprob(rec, (s1, s2, a1, a2), ctx, tick=tick))
-    assert total == pytest.approx(1.0, abs=1e-10)
+    belief = chains.context_belief(rec, ctx, tick)
+    assert belief.shape == (2, 2, 2, 2)
+    assert belief.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_recognition_hold_pins_s2():
     _, rec, _ = random_instance(2)
     ctx = RecognitionContext(o=0, a=0, x_prev=CompleteState(0, 0, 1, 0, 0, 0))
-    joint = rec.joint(ctx, tick=False)
+    joint = chains.context_belief(rec, ctx, False)
     assert joint.sum(axis=(0, 2, 3))[0] == 0.0
     assert joint.sum(axis=(0, 2, 3))[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -368,10 +342,12 @@ def test_recognition_keeps_callers_arrays_apart():
 
 
 def dense_joint(tables, xp, o, a):
-    """The belief of one context read straight off the tables, as
-    RecognitionModel.joint reads it (tick step)."""
+    """The belief of one context read straight off the tables (tick step),
+    multiplied in factor order, ((s2 a2) s1) a1, into its (s1, s2, a1, a2)
+    layout."""
     q_s2, q_a2, q_s1, q_a1 = (tables[k][xp, o, a] for k in REC_FACTORS)
-    return np.einsum("X,XA,XAs,sAb->sXbA", q_s2, q_a2, q_s1, q_a1)
+    partial = q_s2[:, None, None] * q_a2[:, :, None] * q_s1                # (s2, a2, s1)
+    return partial.transpose(2, 0, 1)[:, :, None, :] * q_a1.transpose(0, 2, 1)[:, None]
 
 
 @settings(max_examples=25, deadline=None)
@@ -380,7 +356,8 @@ def dense_joint(tables, xp, o, a):
 def test_recognition_factors_read_back_their_tables(cards, seed):
     # a model gives back the tables it was built from bit for bit, hard
     # zeros and -0.0 entries included, whether C-ordered (taken over) or not
-    # (copied), and joint reads each context's rows off them
+    # (copied), and a context's belief reads its rows off them; a -0.0 keeps
+    # its sign in the product (a plain einsum adds +0.0 and drops it)
     spec = ModelSpec(*cards)
     rng = np.random.default_rng(seed)
     tables = {}
@@ -397,7 +374,8 @@ def test_recognition_factors_read_back_their_tables(cards, seed):
         for k in REC_FACTORS:
             assert np.array_equal(bits(r.tables[k]), bits(want[k])), k
         ctx = RecognitionContext(o, a, x_prev)
-        assert np.array_equal(bits(r.joint(ctx)), bits(dense_joint(want, xp, o, a)))
+        assert np.array_equal(bits(chains.context_belief(r, ctx, True)),
+                              bits(dense_joint(want, xp, o, a)))
 
 
 def test_recognition_arrays_are_read_only(tmp_path):
@@ -431,11 +409,14 @@ def test_recognition_shares_the_filtering_posterior():
         assert rec.tables[k] is post[k], k
 
 
-def test_recognition_latent_range_check():
+@pytest.mark.parametrize("ctx", [RecognitionContext(2, 0, CompleteState(0, 0, 0, 0, 0, 0)),
+                                 RecognitionContext(0, -1, CompleteState(0, 0, 0, 0, 0, 0)),
+                                 RecognitionContext(0, 0, CompleteState(0, 0, 2, 0, 0, 0))])
+def test_context_belief_range_check(ctx):
     _, rec, _ = random_instance(2)
-    ctx = RecognitionContext(o=0, a=0, x_prev=CompleteState(0, 0, 0, 0, 0, 0))
-    with pytest.raises(DimensionMismatchError):
-        recognition_logprob(rec, (2, 0, 0, 0), ctx)
+    for tick in (True, False):
+        with pytest.raises(DimensionMismatchError, match="out of range"):
+            chains.context_belief(rec, ctx, tick)
 
 
 # ---------------------------------------------------------------------------

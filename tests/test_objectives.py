@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from ascontrol import chains, oracle
-from ascontrol.errors import EnumerationBudgetError
+from ascontrol.errors import DimensionMismatchError, EnumerationBudgetError
 from ascontrol.instances import random_context, random_instance, random_state
 from ascontrol.model import (CompleteState, ConditionalTable, ModelSpec,
-                             RecognitionContext, ReferenceModel)
-from ascontrol.objectives import (likelihood_surprisal, reference_surprisal,
-                                  step_objective, variational_free_energy)
+                             RecognitionContext, RecognitionModel, ReferenceModel)
+from ascontrol.objectives import (likelihood_surprisal, recognition_logprob,
+                                  reference_surprisal, step_objective,
+                                  variational_free_energy)
 from ascontrol.validate import free_energy_errors
 from conftest import uniform_instance
 
@@ -61,6 +62,38 @@ def test_likelihood_surprisal_cases():
                           gen.pol1, gen.pol2)
     val = likelihood_surprisal(gen_floor, CompleteState(0, 1, 0, 0, 0, 0))
     assert val == pytest.approx(-math.log(1e-12), rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# recognition log-probability
+
+
+def test_recognition_uniform_logprob():
+    _, rec, _ = uniform_instance()
+    ctx = RecognitionContext(o=0, a=1, x_prev=CompleteState(0, 0, 0, 0, 0, 0))
+    lp = recognition_logprob(rec, (0, 1, 0, 1), ctx)
+    assert lp == pytest.approx(math.log(1 / 16), abs=1e-12)
+
+
+def test_recognition_one_hot_logprob():
+    spec = ModelSpec(2, 2, 2, 2, 2, 2)
+    shapes = RecognitionModel.factor_shapes(spec)
+    tables = {}
+    for name, shape in shapes.items():
+        t = np.zeros(shape)
+        t[..., 0] = 1.0
+        tables[name] = t
+    rec = RecognitionModel(spec, tables)
+    ctx = RecognitionContext(o=1, a=0, x_prev=CompleteState(0, 0, 0, 0, 0, 0))
+    assert recognition_logprob(rec, (0, 0, 0, 0), ctx) == 0.0
+    assert recognition_logprob(rec, (1, 0, 0, 0), ctx) == -math.inf
+
+
+def test_recognition_latent_range_check():
+    _, rec, _ = random_instance(2)
+    ctx = RecognitionContext(o=0, a=0, x_prev=CompleteState(0, 0, 0, 0, 0, 0))
+    with pytest.raises(DimensionMismatchError):
+        recognition_logprob(rec, (2, 0, 0, 0), ctx)
 
 
 # ---------------------------------------------------------------------------

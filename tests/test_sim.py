@@ -210,9 +210,9 @@ def test_uniform_policy_mean_matches_stationary_expectation():
 def test_evaluate_identical_seeds_give_identical_surprisals():
     env, ref = sim.thermostat_env(3, [0, 2])
     gen, rec = sim.thermostat_agent(env, [0, 2], seed=1)
-    s = sim.evaluate(gen, rec, ref, env, [5, 5], 10)
-    assert s.obs_ref.shape == (2,)
-    assert s.obs_ref[0] == s.obs_ref[1]
+    obs_ref = sim.evaluate(gen, rec, ref, env, [5, 5], 10)
+    assert obs_ref.shape == (2,)
+    assert obs_ref[0] == obs_ref[1]
 
 
 def test_evaluate_deterministic_given_seed():
@@ -221,9 +221,9 @@ def test_evaluate_deterministic_given_seed():
     gen, rec = sim.thermostat_agent(env, [0, 2], seed=1)
     a = sim.evaluate(gen, rec, ref, env, [123, 7, 9], 10)
     b = sim.evaluate(gen, rec, ref, env, (s for s in (123, 7, 9)), 10)
-    assert np.array_equal(a.obs_ref, b.obs_ref)
+    assert np.array_equal(a, b)
     trace = sim.run_episode(gen, rec, ref, env, 10, 7)
-    assert a.obs_ref[1] == sim.observed_reference_surprisal(trace, ref)
+    assert a[1] == sim.observed_reference_surprisal(trace, ref)
 
 
 def test_evaluate_refuses_no_seeds():
