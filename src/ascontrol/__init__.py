@@ -8,8 +8,8 @@ and an agent-environment simulator with CSV traces.
 """
 
 from ._kernels import backend_name
-from .control import (DifferentialValue, TrainableParams, TrainReport,
-                      apply_params, dfe_value_and_grad, differential_free_energy,
+from .control import (DifferentialValue, TrainReport, apply_params,
+                      dfe_value_and_grad, differential_free_energy,
                       extract_params, fd_gradients, greedy_rollout_rate,
                       greedy_stationary_rate, kl_qstar_identity,
                       mc_path_integral_value, optimal_transition,

@@ -42,10 +42,14 @@ one x_prev block at a time unless the whole belief is kept, and
 `recognition_pieces`, the one call of every reader of Qc or of the whole
 belief, which adds both to the same pieces, the belief built first so
 that the edge cost reads it.
-P depends on x_prev only through its (s1, s2, a) class: its product runs on
-one prior row per class, with no (N, O, A, L) array, and P is kept as
-those rows (`transition_rows`), which a chain step hands over with each
-state's class; only `transition_matrix` expands them, and keeps nothing.
+P depends on x_prev only through its (s1, s2, a) class, as do the filtering
+posterior and nature's factors, so each is built on one row per class
+(`Lattice.sa_reps`), with no (N, O, A, L) array. P is kept as those rows
+(`transition_rows`), which a chain step hands over with each state's class
+(`Lattice.sa_class`); only `transition_matrix` expands them, and keeps
+nothing. `posterior_recognition_tables` gathers its factors by class at
+the end, and the Bellman backup (control._BellmanOps) gathers its action
+values.
 
 The recognition half takes a leading candidate axis: on a stack of
 candidates (RecognitionModel.with_logits) belief, cost, ev and Qc each gain
@@ -331,21 +335,26 @@ def posterior_recognition_tables(gen):
     factors are taken from the tick prior, whose d2 factor does not change a
     conditional given s2. Where the tick prior leaves a conditional's row
     no mass, a non-tick step, which holds s2, may still read it: that row is
-    the conditional of the prior without its d2 factor. The arrays are
-    fresh and C-ordered, which RecognitionModel takes over.
+    the conditional of the prior without its d2 factor. Like P, the
+    posterior reads x_prev only through its (s1, s2, a) class, so it is
+    built on one row per class (Lattice.sa_reps) and each factor is gathered
+    by Lattice.sa_class at the end, which gives the fresh, C-ordered arrays
+    RecognitionModel takes over.
     """
     spec = gen.spec
-    n, c_o, c_a = spec.n_states, spec.card_o, spec.card_a
+    lat = Lattice.of(spec)
+    k, c_o, c_a = lat.sa_reps.size, spec.card_o, spec.card_a
     s1c, s2c, a1c, a2c = spec.latent_dims
     evidence = lik_over_latents(gen).T[None, :, None, :]
     action = pol0_over_latents(gen).transpose(1, 2, 0)[None]
-    prior = latent_prior(gen, True)
-    joint = prior[:, None, None, :] * evidence * action
+    d2, d1 = (f[lat.sa_reps] for f in world_factors(gen, True))
+    given_s2 = _prior_given_s2(gen, d1)                        # the prior without d2
+    joint = (given_s2 * d2[:, None, :, None, None]).reshape(k, 1, 1, -1) * evidence * action
     z = joint.sum(axis=3, keepdims=True)
     with np.errstate(invalid="ignore"):
         joint = np.where(z > 0.0, joint / z, 1.0 / joint.shape[3])
-    joint = joint.reshape(n, c_o, c_a, s1c, s2c, a1c, a2c)
-    dead = (z == 0.0).reshape(n, c_o, c_a)
+    joint = joint.reshape(k, c_o, c_a, s1c, s2c, a1c, a2c)
+    dead = (z == 0.0).reshape(k, c_o, c_a)
 
     def _norm(arr):
         s = arr.sum(axis=-1, keepdims=True)
@@ -359,15 +368,15 @@ def posterior_recognition_tables(gen):
         out = _norm(arr)
         empty = ~(arr.sum(axis=-1) > 0.0) | dead.reshape(dead.shape + (1,) * (arr.ndim - 4))
         if empty.any():
-            d2_free = _prior_given_s2(gen, world_factors(gen, True)[1])
-            out[empty] = _norm(reduce((d2_free.reshape(n, 1, 1, -1) * evidence * action)
+            out[empty] = _norm(reduce((given_s2.reshape(k, 1, 1, -1) * evidence * action)
                                       .reshape(joint.shape)))[empty]
         return out
 
-    return {"s2": _norm(joint.sum(axis=(3, 5, 6))),                                  # (.., s2)
-            "a2": _given_s2(lambda j: j.sum(axis=(3, 5))),                           # (.., s2, a2)
-            "s1": _given_s2(lambda j: j.sum(axis=5).transpose(0, 1, 2, 4, 5, 3)),    # (.., s2, a2, s1)
-            "a1": _given_s2(lambda j: j.sum(axis=4).transpose(0, 1, 2, 3, 5, 4))}    # (.., s1, a2, a1)
+    tables = {"s2": _norm(joint.sum(axis=(3, 5, 6))),                                # (.., s2)
+              "a2": _given_s2(lambda j: j.sum(axis=(3, 5))),                         # (.., s2, a2)
+              "s1": _given_s2(lambda j: j.sum(axis=5).transpose(0, 1, 2, 4, 5, 3)),  # (.., s2, a2, s1)
+              "a1": _given_s2(lambda j: j.sum(axis=4).transpose(0, 1, 2, 3, 5, 4))}  # (.., s1, a2, a1)
+    return {name: arr[lat.sa_class] for name, arr in tables.items()}
 
 
 def expected_edge_cost(marg, cost):

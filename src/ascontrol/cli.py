@@ -132,7 +132,8 @@ def cmd_simulate(args):
 
 
 def cmd_train(args):
-    policies = tuple(args.policies.split(",")) if args.policies else ("pol0",)
+    # comma-separated names; an empty list trains no policy table
+    policies = tuple(name for name in args.policies.split(",") if name)
     control.check_train_settings(args.steps, args.iters, args.lr, args.estimator, policies)
     gen, rec, ref = load_models(args.model)
     x0 = args.x0 or CompleteState(0, 0, 0, 0, 0, 0)
@@ -215,7 +216,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--estimator", choices=("exact", "score"), default="exact")
     p.add_argument("--policies", default="pol0",
-                   help="comma-separated trainable policy tables")
+                   help="comma-separated trainable policy tables (\"\" for none)")
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
     p.add_argument("--x0", type=_parse_x0, default=None)

@@ -160,7 +160,8 @@ def action_tuples(spec):
 
 class _BellmanOps:
     """Per-phase pieces of the hard-min backup, `phases[p] = (base, cost,
-    ecost)` out of phase p: nature's factors, edge costs, and per action
+    ecost)` out of phase p: nature's factors, one row per (s1, s2, a) class
+    of x (Lattice.sa_class gives each state's), edge costs, and per action
     tuple the expected edge cost; and per action tuple the successor
     indices."""
 
@@ -170,27 +171,26 @@ class _BellmanOps:
         self.ua, self.ua1, self.ua2 = action_tuples(spec)
         self.n_u = self.ua.size
         self.lik_u = gen.lik.reshaped()[self.ua1]            # (u, s1', o)
-        n = spec.n_states
+        lat = chains.Lattice.of(spec)
+        self.sa_class = lat.sa_class
 
         def build(tick):
             d2, d1 = chains.world_factors(gen, tick)
-            base = np.einsum("xX,xXs->xXs", d2, d1)          # (N, s2', s1')
+            base = np.einsum("xX,xXs->xXs", d2[lat.sa_reps], d1[lat.sa_reps])  # (K, s2', s1')
             cost = chains.tick_pieces(gen, rec, ref, tick)["cost"]
             # expected edge cost per action tuple, (u, N): it does not depend
-            # on the value table, so backup and greedy_operators read it here
-            ecost = np.empty((self.n_u, n))
-            for u in range(self.n_u):
-                # sum_world base * lik * cost[x, o', a_u]
-                m1 = np.einsum("xXs,so->xo", base, self.lik_u[u])
-                c_u = cost[:, :, self.ua[u]]
-                with np.errstate(invalid="ignore"):
-                    ecost[u] = np.where(m1 > 0.0, m1 * c_u, 0.0).sum(axis=1)
-            return base, cost, ecost
+            # on the value table, so backup and greedy_operators read it here;
+            # sum_world base * lik * cost[x, o', a_u]
+            m1 = np.einsum("kXs,uso->uko", base, self.lik_u)[:, self.sa_class]
+            terms = np.moveaxis(cost, 2, 0)[self.ua]             # (u, N, O)
+            with np.errstate(invalid="ignore"):
+                terms *= m1
+            terms[~(m1 > 0.0)] = 0.0
+            return base, cost, terms.sum(axis=2)
 
         self.phases = chains.step_matrices(build, spec, self.period)
         # successor state per (u, o', s1', s2')
-        oal = chains.Lattice.of(spec).state_of_oal.reshape(
-            (spec.card_o, spec.card_a) + spec.latent_dims)
+        oal = lat.state_of_oal.reshape((spec.card_o, spec.card_a) + spec.latent_dims)
         self.succ = oal[:, self.ua, :, :, self.ua1, self.ua2]
 
     def backup(self, p, h_next):
@@ -199,9 +199,10 @@ class _BellmanOps:
         backup's values are their min over u, its greedy tuples the argmin."""
         base, _, ecost = self.phases[p]
         # expected successor value: sum_{o'} lik * h_next(x'), then one matmul
-        # over the world factors (s2', s1') for all action tuples at once
+        # over the world factors (s2', s1') for all action tuples and classes
         inner = np.einsum("uso,uosX->uXs", self.lik_u, h_next[self.succ])
-        return ecost + inner.reshape(self.n_u, -1) @ base.reshape(len(base), -1).T
+        values = inner.reshape(self.n_u, -1) @ base.reshape(len(base), -1).T
+        return ecost + np.take(values, self.sa_class, axis=1)
 
     def greedy_operators(self, greedy):
         """Transition matrices and expected edge costs of the greedy policy,
@@ -212,7 +213,8 @@ class _BellmanOps:
             mat = np.zeros((n, n))
             for u in np.unique(greedy[p]):
                 rows = np.nonzero(greedy[p] == u)[0]
-                w = np.einsum("xXs,so->xosX", base[rows], self.lik_u[u])  # (r, o, s1, s2)
+                w = np.einsum("xXs,so->xosX", base[self.sa_class[rows]],
+                              self.lik_u[u])                       # (r, o, s1, s2)
                 mat[rows[:, None], self.succ[u].reshape(1, -1)] = w.reshape(rows.size, -1)
             mats.append(mat)
             costs.append(ecost[greedy[p], np.arange(n)])
@@ -430,41 +432,27 @@ def differential_free_energy(gen, rec, ref, x0, T, rate):
 # trainable parameters and exact gradients
 
 
-@dataclass
-class TrainableParams:
-    """Free logits: each recognition factor's filtering array, plus the
-    selected policy tables."""
-
-    q_logits: dict
-    pol_logits: dict
-
-    def step(self, grads, lr):
-        return TrainableParams(
-            {k: self.q_logits[k] - lr * grads.q_logits[k] for k in self.q_logits},
-            {k: self.pol_logits[k] - lr * grads.pol_logits[k] for k in self.pol_logits})
-
-    def norm(self):
-        sq = sum(float(np.sum(np.square(v))) for v in self.q_logits.values())
-        sq += sum(float(np.sum(np.square(v))) for v in self.pol_logits.values())
-        return float(np.sqrt(sq))
-
-
 def extract_params(gen, rec, trainable_policies=POLICY_TABLES):
-    """Pull free logits out of existing models: the log tables, which the
-    softmax reproduces exactly, of the recognition factors and of the
-    policy tables in `trainable_policies` (check_train_settings checks them)."""
-    q = {k: safe_log(rec.tables[k]) for k in REC_FACTORS}
-    pol = {name: safe_log(getattr(gen, name).probs)
-           for name in trainable_policies}
-    return TrainableParams(q, pol)
+    """Pull free logits out of existing models: a parameter set, {table
+    name: logits}, of the log tables, which the softmax reproduces exactly,
+    of the recognition factors (in REC_FACTORS order) and then of the policy
+    tables in `trainable_policies` (check_train_settings checks them)."""
+    params = {k: safe_log(rec.tables[k]) for k in REC_FACTORS}
+    params.update({name: safe_log(getattr(gen, name).probs) for name in trainable_policies})
+    return params
 
 
 def apply_params(gen, rec, params):
-    """Rebuild (generative-with-policies, recognition) from logits: the
-    recognition factors in params.q_logits become the softmax of their
-    logits (RecognitionModel.with_logits); the others are `rec`'s own
-    arrays, shared, not copied."""
-    return _policy_model(gen, params.pol_logits), rec.with_logits(params.q_logits)
+    """Rebuild (generative-with-policies, recognition) from a parameter set,
+    split by name: each recognition factor in it becomes the softmax of its
+    logits (RecognitionModel.with_logits), each policy table likewise
+    (_policy_model); the tables it does not name are the models' own, shared,
+    not copied. A name that is neither raises ValueError."""
+    unknown = set(params) - set(REC_FACTORS) - set(POLICY_TABLES)
+    if unknown:
+        raise ValueError(f"not a trainable table: {', '.join(sorted(unknown))}")
+    return (_policy_model(gen, {k: v for k, v in params.items() if k in POLICY_TABLES}),
+            rec.with_logits({k: v for k, v in params.items() if k in REC_FACTORS}))
 
 
 def _policy_model(gen, pol_logits):
@@ -523,9 +511,8 @@ class _GradAccumulator:
     """Per-tick buckets of upstream gradients (G_m, G_q, dC), turned into
     logit gradients once at the end."""
 
-    def __init__(self, gen, rec, ref, trained_pols):
+    def __init__(self, gen, rec, ref):
         self.gen, self.rec, self.ref = gen, rec, ref
-        self.trained_pols = tuple(trained_pols)
         spec = gen.spec
         shape_noa = (spec.n_states, spec.card_o, spec.card_a)
         self.buckets = {
@@ -556,6 +543,7 @@ class _GradAccumulator:
         b["dC"] += occ[:, None, None] * marg
 
     def finalize(self, pieces):
+        """The logit gradients by table name, REC_FACTORS then POLICY_TABLES."""
         gen, rec, ref = self.gen, self.rec, self.ref
         spec = gen.spec
         s1c, s2c, a1c, a2c = spec.latent_dims
@@ -567,8 +555,7 @@ class _GradAccumulator:
         # per factor, the sum over its row's latent completions of g_q * q,
         # in the factor's layout; each factor's gradient is this over its table
         r_tables = {k: np.zeros(v.shape) for k, v in tables.items()}
-        g_pol_tables = {k: np.zeros_like(getattr(gen, k).probs)
-                        for k in self.trained_pols}
+        g_pol_tables = {k: np.zeros_like(getattr(gen, k).probs) for k in POLICY_TABLES}
 
         for tick in (True, False):
             b = self.buckets[tick]
@@ -592,25 +579,20 @@ class _GradAccumulator:
             if tick:
                 r_tables["s2"] += axis_sum(r_a2, 4)
             # policy factors
-            if "pol0" in g_pol_tables:
-                g0 = np.einsum("xoa,xl,lo->loa", b["G_m"], prior, lik_lat,
-                               optimize=True)
-                g0 = g0.reshape(s1c, s2c, a1c, a2c, c_o, c_a).sum(axis=(0, 1, 3))
-                g_pol_tables["pol0"] += g0.transpose(1, 0, 2).reshape(-1, c_a)
+            g0 = np.einsum("xoa,xl,lo->loa", b["G_m"], prior, lik_lat, optimize=True)
+            g0 = g0.reshape(s1c, s2c, a1c, a2c, c_o, c_a).sum(axis=(0, 1, 3))
+            g_pol_tables["pol0"] += g0.transpose(1, 0, 2).reshape(-1, c_a)
             r5 = (g_prior * prior).reshape(n, s1c, s2c, a1c, a2c)
-            if "pol2" in g_pol_tables:
-                g2 = _safe_div(r5.sum(axis=(0, 1, 3)), gen.pol2.reshaped())
-                g_pol_tables["pol2"] += g2.reshape(-1, a2c)
-            if "pol1" in g_pol_tables:
-                g1 = _safe_div(r5.sum(axis=(0, 2)).transpose(0, 2, 1),
-                               gen.pol1.reshaped())
-                g_pol_tables["pol1"] += g1.reshape(-1, a1c)
+            g2 = _safe_div(r5.sum(axis=(0, 1, 3)), gen.pol2.reshaped())
+            g_pol_tables["pol2"] += g2.reshape(-1, a2c)
+            g1 = _safe_div(r5.sum(axis=(0, 2)).transpose(0, 2, 1), gen.pol1.reshaped())
+            g_pol_tables["pol1"] += g1.reshape(-1, a1c)
 
-        q_grads = {k: _softmax_grad_rows(tables[k], _safe_div(r_tables[k], tables[k]))
-                   for k in REC_FACTORS}
-        pol_grads = {k: _softmax_grad_rows(getattr(gen, k).probs, g_pol_tables[k])
-                     for k in self.trained_pols}
-        return TrainableParams(q_grads, pol_grads)
+        grads = {k: _softmax_grad_rows(tables[k], _safe_div(r_tables[k], tables[k]))
+                 for k in REC_FACTORS}
+        grads.update({k: _softmax_grad_rows(getattr(gen, k).probs, g_pol_tables[k])
+                      for k in POLICY_TABLES})
+        return grads
 
 
 def _dfe_pieces(gen, rec, ref):
@@ -618,9 +600,9 @@ def _dfe_pieces(gen, rec, ref):
     return {tick: chains.recognition_pieces(gen, rec, ref, tick) for tick in (True, False)}
 
 
-def dfe_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies=POLICY_TABLES):
-    """Exact differential free energy and its gradient w.r.t. all trained
-    logits, by the forward walk (oracle.walk) plus the adjoint recursion.
+def dfe_value_and_grad(gen, rec, ref, x0, T, rate):
+    """Exact differential free energy and its gradient w.r.t. every trainable
+    table's logits, by the forward walk (oracle.walk) plus the adjoint recursion.
 
     The backward pass is in occupation form: step t adds to its tick's
     buckets terms linear in the occupation mu_t and in mu_t (x) lam_{t+1}
@@ -642,7 +624,7 @@ def dfe_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies=POLICY_TAB
     for t in range(T - 1, 0, -1):
         pc = pieces[ticks[t]]
         lams[t - 1] = pc["ev"] - rate + support_dot(pc["qc"], lams[t])
-    acc = _GradAccumulator(gen, rec, ref, trainable_policies)
+    acc = _GradAccumulator(gen, rec, ref)
     for tick in (True, False):
         steps = [t for t in range(T) if ticks[t] == tick]
         if steps:
@@ -655,10 +637,10 @@ def dfe_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies=POLICY_TAB
     return value, grads
 
 
-def score_function_grad(gen, rec, ref, x0, T, rate, n_rollouts, seed,
-                        trainable_policies=POLICY_TABLES):
-    """Monte Carlo gradient of the differential free energy: score-function
-    term with cost-to-go (advantage) weights plus the direct cost term."""
+def score_function_grad(gen, rec, ref, x0, T, rate, n_rollouts, seed):
+    """Monte Carlo gradient of the differential free energy, per trainable
+    table: score-function term with cost-to-go (advantage) weights plus the
+    direct cost term."""
     spec = gen.spec
     lat = chains.Lattice.of(spec)
     pieces = _dfe_pieces(gen, rec, ref)
@@ -666,7 +648,7 @@ def score_function_grad(gen, rec, ref, x0, T, rate, n_rollouts, seed,
                                            n_rollouts, seed)
     togo = np.cumsum(step_costs[::-1], axis=0)[::-1]
     value = float(step_costs.sum(axis=0).mean())
-    acc = _GradAccumulator(gen, rec, ref, trainable_policies)
+    acc = _GradAccumulator(gen, rec, ref)
     for t, tick in enumerate(chains.step_matrices(lambda tick: tick, spec, T)):
         pc, bucket = pieces[tick], acc.buckets[tick]
         xs, nxt = path[t], path[t + 1]
@@ -683,9 +665,10 @@ def score_function_grad(gen, rec, ref, x0, T, rate, n_rollouts, seed,
 
 def fd_gradients(gen, rec, ref, params, x0, T, rate):
     """Central finite differences (step _FD_STEP) of the exact differential
-    free energy over every logit in `params` (the independent check on the
-    adjoint gradients), each bit for bit what rebuilding both models with
-    apply_params for every evaluation gives.
+    free energy over every logit of the parameter set `params` (the
+    independent check on the adjoint gradients): a dict over the tables
+    `params` names, in its order, each entry bit for bit what rebuilding
+    both models with apply_params for every evaluation gives.
 
     Recognition logits: the two candidates of each logit of a factor (+ and
     - _FD_STEP) are stacked along a leading axis (RecognitionModel.with_logits)
@@ -705,8 +688,25 @@ def fd_gradients(gen, rec, ref, params, x0, T, rate):
     base_gen, base_rec = apply_params(gen, rec, params)
     ticks = chains.step_matrices(lambda tick: tick, spec, T)
     block = max(1, _FD_BLOCK_VALUES // n ** 2)
-    q_grads = {}
-    for key, logits in params.q_logits.items():
+    grads = {}
+    for key, logits in params.items():
+        if key not in REC_FACTORS:
+            # perturbed in a C-ordered copy, which flat views whatever the
+            # layout of the caller's array
+            logits = np.array(logits, order="C")
+            flat, grad = logits.reshape(-1), np.empty(logits.size)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + _FD_STEP
+                hi = differential_free_energy(_policy_model(base_gen, {key: logits}),
+                                              base_rec, ref, x0, T, rate)
+                flat[i] = orig - _FD_STEP
+                lo = differential_free_energy(_policy_model(base_gen, {key: logits}),
+                                              base_rec, ref, x0, T, rate)
+                flat[i] = orig
+                grad[i] = (hi - lo) / (2.0 * _FD_STEP)
+            grads[key] = grad.reshape(logits.shape)
+            continue
         flat = logits.reshape(-1)
         values = np.empty(2 * flat.size)        # candidate 2i is +, 2i + 1 is -
         for first in range(0, values.size, block):
@@ -724,35 +724,19 @@ def fd_gradients(gen, rec, ref, params, x0, T, rate):
                 values[first + j] = sum(v - rate for v in vals)
             del stacked, pieces, evs, qcs  # not kept alive beside the next block's
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for floats
-            q_grads[key] = ((values[0::2] - values[1::2])
-                            / (2.0 * _FD_STEP)).reshape(logits.shape)
-
-    pol_grads = {k: np.zeros_like(v) for k, v in params.pol_logits.items()}
-    for key, logits in params.pol_logits.items():
-        flat, grad = logits.reshape(-1), pol_grads[key].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + _FD_STEP
-            hi = differential_free_energy(_policy_model(base_gen, {key: logits}),
-                                          base_rec, ref, x0, T, rate)
-            flat[i] = orig - _FD_STEP
-            lo = differential_free_energy(_policy_model(base_gen, {key: logits}),
-                                          base_rec, ref, x0, T, rate)
-            flat[i] = orig
-            grad[i] = (hi - lo) / (2.0 * _FD_STEP)
-    return TrainableParams(q_grads, pol_grads)
+            grads[key] = ((values[0::2] - values[1::2])
+                          / (2.0 * _FD_STEP)).reshape(logits.shape)
+    return grads
 
 
 def gradient_relative_error(grads, fd):
-    """Max over logits of |g - fd| / max(|g|, |fd|, _GRAD_ERR_FLOOR); NaN if
-    any of them is NaN."""
+    """Max over the logits of fd's tables of |g - fd| / max(|g|, |fd|,
+    _GRAD_ERR_FLOOR); NaN if any of them is NaN."""
     worst = 0.0
-    for group, ref_group in ((grads.q_logits, fd.q_logits),
-                             (grads.pol_logits, fd.pol_logits)):
-        for key in group:
-            g, f = group[key], ref_group[key]
-            rel = np.abs(g - f) / np.maximum(np.maximum(np.abs(g), np.abs(f)), _GRAD_ERR_FLOOR)
-            worst = worst_error(worst, rel.max(initial=0.0))
+    for key, f in fd.items():
+        g = grads[key]
+        rel = np.abs(g - f) / np.maximum(np.maximum(np.abs(g), np.abs(f)), _GRAD_ERR_FLOOR)
+        worst = worst_error(worst, rel.max(initial=0.0))
     return worst
 
 
@@ -778,7 +762,8 @@ class TrainReport:
 
 def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, estimator="exact",
           trainable_policies=POLICY_TABLES):
-    """Gradient descent on the differential free energy over the free logits.
+    """Gradient descent on the differential free energy over the parameter
+    set of extract_params, whose tables alone are stepped and normed.
 
     The rate input, the recognition chain's average rate, is re-estimated
     every _RATE_REFRESH iterations (block-coordinate; the rate shifts the
@@ -805,25 +790,25 @@ def train(gen, rec, ref, x0, T, iters, lr=0.05, seed=0, estimator="exact",
         # an infinite cost or rate gives NaN terms; the checks below raise on them
         with np.errstate(invalid="ignore"):
             if estimator == "exact":
-                value, grads = dfe_value_and_grad(cur_gen, cur_rec, ref, x0, T, rate,
-                                                  trainable_policies)
+                value, grads = dfe_value_and_grad(cur_gen, cur_rec, ref, x0, T, rate)
             else:
-                value, grads = score_function_grad(
-                    cur_gen, cur_rec, ref, x0, T, rate,
-                    _SCORE_ROLLOUTS, mc_seed.integers(2 ** 63), trainable_policies)
+                value, grads = score_function_grad(cur_gen, cur_rec, ref, x0, T, rate,
+                                                   _SCORE_ROLLOUTS, mc_seed.integers(2 ** 63))
         del cur_gen, cur_rec
         rate_trace.append(rate)
         if not np.isfinite(value):
             raise NonFiniteObjectiveError(
                 f"objective became non-finite at iteration {it}", iteration=it)
-        gnorm = grads.norm()
+        # the recognition factors' squares summed, then the policy tables'
+        sq = [float(np.sum(np.square(grads[k]))) for k in params]
+        gnorm = float(np.sqrt(sum(sq[:len(REC_FACTORS)]) + sum(sq[len(REC_FACTORS):])))
         if not np.isfinite(gnorm):
             raise NonFiniteObjectiveError(
                 f"gradient became non-finite at iteration {it}", iteration=it)
         obj_trace.append(value)
         gnorm_trace.append(gnorm)
         while True:
-            cand = params.step(grads, step_lr)
+            cand = {k: v - step_lr * grads[k] for k, v in params.items()}
             cur_gen, cur_rec = apply_params(gen, rec, cand)
             if estimator != "exact":
                 break

@@ -56,8 +56,10 @@ def _support_bound(first_row, mats):
 
 
 def _log_transition_mats(gen, T):
+    """log P per step 1 .. T, (N, N): its class rows' log, expanded by class."""
+    sa_class = chains.Lattice.of(gen.spec).sa_class
     return chains.step_matrices(
-        lambda tick: safe_log(chains.transition_matrix(gen, tick)), gen.spec, T)
+        lambda tick: safe_log(chains.transition_rows(gen, tick))[sa_class], gen.spec, T)
 
 
 # ---------------------------------------------------------------------------

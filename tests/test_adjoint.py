@@ -38,8 +38,8 @@ X0 = CompleteState(0, 0, 0, 0, 0, 0)
 def per_step_finalize(acc, pieces):
     """_GradAccumulator.finalize before its in-place trim: every
     (N, O, A, L) term as its own array, each factor's sum over the full
-    product. Returns the logit gradients and, per trained table, its rows
-    and their upstream gradient, (probs, g)."""
+    product. Returns the logit gradients and, per table, its rows and their
+    upstream gradient, (probs, g), each by table name."""
     gen, rec, ref = acc.gen, acc.rec, acc.ref
     spec = gen.spec
     s1c, s2c, a1c, a2c = spec.latent_dims
@@ -49,7 +49,7 @@ def per_step_finalize(acc, pieces):
     a_lat = chains.reference_over_latents(ref) - safe_log(lik_lat)
     sent = rec.tables
     g_sent = {k: np.zeros(v.shape) for k, v in sent.items()}
-    g_pol = {k: np.zeros_like(getattr(gen, k).probs) for k in acc.trained_pols}
+    g_pol = {k: np.zeros_like(getattr(gen, k).probs) for k in control.POLICY_TABLES}
     for tick in (True, False):
         b = acc.buckets[tick]
         if not (b["G_m"].any() or b["G_q"].any() or b["dC"].any()):
@@ -73,26 +73,21 @@ def per_step_finalize(acc, pieces):
             rq.sum(axis=5).transpose(0, 1, 2, 4, 5, 3), sent["s1"])
         g_sent["a1"] += control._safe_div(
             rq.sum(axis=4).transpose(0, 1, 2, 3, 5, 4), sent["a1"])
-        if "pol0" in g_pol:
-            g0 = np.einsum("xoa,xl,lo->loa", b["G_m"], prior, lik_lat)
-            g0 = g0.reshape(s1c, s2c, a1c, a2c, c_o, c_a).sum(axis=(0, 1, 3))
-            g_pol["pol0"] += g0.transpose(1, 0, 2).reshape(-1, c_a)
+        g0 = np.einsum("xoa,xl,lo->loa", b["G_m"], prior, lik_lat)
+        g0 = g0.reshape(s1c, s2c, a1c, a2c, c_o, c_a).sum(axis=(0, 1, 3))
+        g_pol["pol0"] += g0.transpose(1, 0, 2).reshape(-1, c_a)
         r5 = (g_prior * prior).reshape(n, s1c, s2c, a1c, a2c)
-        if "pol2" in g_pol:
-            g_pol["pol2"] += control._safe_div(
-                r5.sum(axis=(0, 1, 3)), gen.pol2.reshaped()).reshape(-1, a2c)
-        if "pol1" in g_pol:
-            g_pol["pol1"] += control._safe_div(
-                r5.sum(axis=(0, 2)).transpose(0, 2, 1), gen.pol1.reshaped()).reshape(-1, a1c)
+        g_pol["pol2"] += control._safe_div(
+            r5.sum(axis=(0, 1, 3)), gen.pol2.reshaped()).reshape(-1, a2c)
+        g_pol["pol1"] += control._safe_div(
+            r5.sum(axis=(0, 2)).transpose(0, 2, 1), gen.pol1.reshaped()).reshape(-1, a1c)
     upstream = {k: (sent[k], g_sent[k]) for k in REC_FACTORS}
-    upstream.update({k: (getattr(gen, k).probs, g_pol[k]) for k in acc.trained_pols})
-    grads = control.TrainableParams(
-        {k: control._softmax_grad_rows(*upstream[k]) for k in REC_FACTORS},
-        {k: control._softmax_grad_rows(*upstream[k]) for k in acc.trained_pols})
+    upstream.update({k: (getattr(gen, k).probs, g_pol[k]) for k in control.POLICY_TABLES})
+    grads = {k: control._softmax_grad_rows(*u) for k, u in upstream.items()}
     return grads, upstream
 
 
-def per_step_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies):
+def per_step_value_and_grad(gen, rec, ref, x0, T, rate):
     """The adjoint step by step: each step adds its own (N, O, A, L) terms,
     built from mu_t and lam_{t+1}, to its tick's buckets, over the states
     occupied at that step only. Returns the value, the logit gradients and
@@ -109,7 +104,7 @@ def per_step_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies):
         value += float(support_dot(mus[t], pc["ev"])) - rate
         mus.append(pc["qc"].T @ mus[t])
     lam = np.zeros(spec.n_states)
-    acc = control._GradAccumulator(gen, rec, ref, trainable_policies)
+    acc = control._GradAccumulator(gen, rec, ref)
     for t in range(T - 1, -1, -1):
         pc = pieces[ticks[t]]
         bucket = acc.buckets[ticks[t]]
@@ -129,7 +124,8 @@ def per_step_value_and_grad(gen, rec, ref, x0, T, rate, trainable_policies):
 
 
 def upstream_scaled_error(grads, want, upstream):
-    """Max over logits of |g - w| / max(|g|, |w|, p max_j |u_j|), with p the
+    """Max over the logits of want's tables of |g - w| / max(|g|, |w|, p
+    max_j |u_j|), with p the
     entry's probability and u the upstream gradient of its row (live entries
     only); NaN if any entry is NaN.
 
@@ -139,31 +135,29 @@ def upstream_scaled_error(grads, want, upstream):
     eps p |u|, not eps |g|: a fixed floor in place of p |u| fails such
     entries, or hides errors in entries of small p."""
     worst = 0.0
-    for group, ref_group in ((grads.q_logits, want.q_logits),
-                             (grads.pol_logits, want.pol_logits)):
-        for key in group:
-            g, w = group[key], ref_group[key]
-            probs, u = upstream[key]
-            scale = probs * np.max(np.abs(np.where(probs > 0.0, u, 0.0)), axis=-1,
-                                   keepdims=True)
-            diff = np.abs(g - w)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                rel = np.where(diff == 0.0, 0.0,
-                               diff / np.maximum(np.maximum(np.abs(g), np.abs(w)), scale))
-            worst = worst_error(worst, rel.max(initial=0.0))
+    for key, w in want.items():
+        g = grads[key]
+        probs, u = upstream[key]
+        scale = probs * np.max(np.abs(np.where(probs > 0.0, u, 0.0)), axis=-1,
+                               keepdims=True)
+        diff = np.abs(g - w)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rel = np.where(diff == 0.0, 0.0,
+                           diff / np.maximum(np.maximum(np.abs(g), np.abs(w)), scale))
+        worst = worst_error(worst, rel.max(initial=0.0))
     return worst
 
 
 def test_upstream_scaled_error_flags_nan_and_scaled_gaps():
     probs = np.array([[0.5, 0.5, 0.0]])
     upstream = {"pol0": (probs, np.array([[20.0, 20.0, np.inf]]))}
-    grads = control.TrainableParams({}, {"pol0": np.array([[1e-15, -1e-15, 0.0]])})
-    want = control.TrainableParams({}, {"pol0": np.zeros((1, 3))})
+    grads = {"pol0": np.array([[1e-15, -1e-15, 0.0]])}
+    want = {"pol0": np.zeros((1, 3))}
     # measured against p |u| = 10, not against the entries' own size
     assert upstream_scaled_error(grads, want, upstream) == pytest.approx(1e-16)
-    want.pol_logits["pol0"][0, 2] = 1e-3  # a dead entry has no scale but its own
+    want["pol0"][0, 2] = 1e-3  # a dead entry has no scale but its own
     assert upstream_scaled_error(grads, want, upstream) == 1.0
-    grads.pol_logits["pol0"][0, 0] = np.nan
+    grads["pol0"][0, 0] = np.nan
     assert math.isnan(upstream_scaled_error(grads, want, upstream))
 
 
@@ -192,10 +186,9 @@ def test_occupation_form_matches_the_per_step_adjoint(seed, cards, tick_period,
         x0 = random_state(rng, gen.spec)
         rate = float(rng.standard_normal())
         value, grads = control.dfe_value_and_grad(gen, rec, ref, x0, T, rate)
-        want_value, want, upstream = per_step_value_and_grad(gen, rec, ref, x0, T, rate,
-                                                             control.POLICY_TABLES)
+        want_value, want, upstream = per_step_value_and_grad(gen, rec, ref, x0, T, rate)
         assert value == want_value
-        assert set(grads.pol_logits) == set(control.POLICY_TABLES)
+        assert list(grads) == list(want) == [*REC_FACTORS, *control.POLICY_TABLES]
         if math.isfinite(value):
             assert upstream_scaled_error(grads, want, upstream) <= 1e-12
 

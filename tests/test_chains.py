@@ -13,7 +13,8 @@ multiplies the factors in their order; so is each context's belief
 (`context_belief`), belief_table's row. The unmasked edge cost is checked
 against its masked build (`masked_edge_cost`), and belief_table's x_prev
 rows and the edge cost that tick_pieces builds from them, one block at a
-time, against the whole belief's."""
+time, against the whole belief's; the filtering posterior's class-row build
+against its build on every x_prev row (`tick_prior_tables`)."""
 
 import tracemalloc
 import warnings
@@ -42,7 +43,7 @@ def instance_with_stack(seed, cards, tick_period, hard_zero, stacked, count=2):
     gen, rec, ref = (hard_zero_instance(seed, cards, tick_period) if hard_zero
                      else random_instance(seed, cards=cards, tick_period=tick_period))
     if stacked is not None:
-        logits = control.extract_params(gen, rec).q_logits[stacked]
+        logits = control.extract_params(gen, rec)[stacked]
         rng = np.random.default_rng(seed)
         rec = rec.with_logits({stacked: logits + rng.standard_normal((count,) + logits.shape)})
     return gen, rec, ref
@@ -223,27 +224,54 @@ def test_step_objective_matches_edge_cost(inst, tick):
                      cost[x.flat(spec), o, a])
 
 
-def tick_prior_tables(gen):
-    """posterior_recognition_tables with every factor taken from the tick
-    prior alone: a row the tick prior leaves no mass is uniform."""
+def tick_prior_tables(gen, d2_free=False):
+    """posterior_recognition_tables built on every x_prev row, as it was
+    built before its class rows: each factor taken from the tick prior,
+    where a row the tick prior leaves no mass is uniform, or, with
+    `d2_free`, the conditional of the prior without its d2 factor."""
     spec = gen.spec
-    prior = chains.latent_prior(gen, True)
-    joint = (prior[:, None, None, :] * chains.lik_over_latents(gen).T[None, :, None, :]
-             * chains.pol0_over_latents(gen).transpose(1, 2, 0)[None])
+    n = spec.n_states
+    evidence = chains.lik_over_latents(gen).T[None, :, None, :]
+    action = chains.pol0_over_latents(gen).transpose(1, 2, 0)[None]
+    joint = chains.latent_prior(gen, True)[:, None, None, :] * evidence * action
     z = joint.sum(axis=3, keepdims=True)
     with np.errstate(invalid="ignore"):
         joint = np.where(z > 0.0, joint / z, 1.0 / joint.shape[3])
-    joint = joint.reshape((spec.n_states, spec.card_o, spec.card_a) + spec.latent_dims)
+    joint = joint.reshape((n, spec.card_o, spec.card_a) + spec.latent_dims)
+    dead = (z == 0.0).reshape(n, spec.card_o, spec.card_a)
 
     def norm(arr):
         s = arr.sum(axis=-1, keepdims=True)
         out = np.full(arr.shape, 1.0 / arr.shape[-1])
         return np.divide(arr, s, out=out, where=s > 0.0)
 
+    def given_s2(reduce):
+        arr = reduce(joint)
+        out = norm(arr)
+        empty = ~(arr.sum(axis=-1) > 0.0) | dead.reshape(dead.shape + (1,) * (arr.ndim - 4))
+        if d2_free and empty.any():
+            prior = chains._prior_given_s2(gen, chains.world_factors(gen, True)[1])
+            out[empty] = norm(reduce((prior.reshape(n, 1, 1, -1) * evidence * action)
+                                     .reshape(joint.shape)))[empty]
+        return out
+
     return {"s2": norm(joint.sum(axis=(3, 5, 6))),
-            "a2": norm(joint.sum(axis=(3, 5))),
-            "s1": norm(joint.sum(axis=5).transpose(0, 1, 2, 4, 5, 3)),
-            "a1": norm(joint.sum(axis=4).transpose(0, 1, 2, 3, 5, 4))}
+            "a2": given_s2(lambda j: j.sum(axis=(3, 5))),
+            "s1": given_s2(lambda j: j.sum(axis=5).transpose(0, 1, 2, 4, 5, 3)),
+            "a1": given_s2(lambda j: j.sum(axis=4).transpose(0, 1, 2, 3, 5, 4))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=instances())
+def test_posterior_class_rows_are_the_per_state_build(inst):
+    # the posterior reads x_prev only through its (s1, s2, a) class, so its
+    # build on one row per class, gathered, is the build on every row, bit
+    # for bit, with hard zeros (and their d2-free rows) included
+    gen, _, _ = inst
+    got, want = chains.posterior_recognition_tables(gen), tick_prior_tables(gen, True)
+    for name in REC_FACTORS:
+        assert got[name].flags.c_contiguous
+        assert np.array_equal(bits(got[name]), bits(want[name])), name
 
 
 def test_floored_posterior_is_the_tick_priors():
@@ -254,6 +282,24 @@ def test_floored_posterior_is_the_tick_priors():
     got, want = chains.posterior_recognition_tables(gen), tick_prior_tables(gen)
     for name in ("s2", "a2", "s1", "a1"):
         assert np.array_equal(bits(got[name]), bits(want[name])), name
+
+
+def test_posterior_build_holds_little_beside_its_output():
+    # the posterior reads x_prev only through its (s1, s2, a) class, so it is
+    # built on one row per class (24 of 864 on the thermostat) and gathered:
+    # no (N, O, A, L) joint, larger than the four factors together, is made
+    # on the way
+    gen, _, _ = seed3_thermostat()
+    tracemalloc.start()
+    try:
+        out = chains.posterior_recognition_tables(gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = sum(arr.nbytes for arr in out.values())
+    assert out_bytes == 5_474_304
+    assert all(arr.flags.c_contiguous for arr in out.values())
+    assert peak < 1.5 * out_bytes, peak
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,10 +325,9 @@ def test_generative_half_is_rebuilt_for_a_rebuilt_model():
     gen, rec, ref = random_instance(7)
     for tick in (True, False):
         chains.tick_pieces(gen, rec, ref, tick)
-    params = control.extract_params(gen, rec)
     rng = np.random.default_rng(0)
-    params.pol_logits = {k: v + rng.standard_normal(v.shape)
-                         for k, v in params.pol_logits.items()}
+    params = {k: v + rng.standard_normal(v.shape) if k in control.POLICY_TABLES else v
+              for k, v in control.extract_params(gen, rec).items()}
     by_apply, _ = control.apply_params(gen, rec, params)
     by_replace = replace(gen, pol1=by_apply.pol1)
     for g in (by_apply, by_replace):
@@ -692,7 +737,7 @@ def test_stacked_candidates_give_the_single_builds_bit_for_bit(seed, cards, tick
     gen, rec, ref = (hard_zero_instance(seed, cards, tick_period) if hard_zero
                      else random_instance(seed, cards=cards, tick_period=tick_period))
     rng = np.random.default_rng(seed)
-    for key, logits in control.extract_params(gen, rec).q_logits.items():
+    for key, logits in control.extract_params(gen, rec, ()).items():
         # two candidates off the model's logits; hard zeros stay at -inf
         cands = logits + rng.standard_normal((2,) + logits.shape)
         stacked = chains.recognition_pieces(gen, rec.with_logits({key: cands}), ref, tick)

@@ -233,9 +233,8 @@ def test_train_with_a_non_finite_gradient_stops_at_its_iteration(tmp_path, monke
         value, grads = exact(*args)
         calls.append(value)
         if len(calls) > 1:
-            grads = control.TrainableParams(
-                {k: np.full_like(v, np.nan) for k, v in grads.q_logits.items()},
-                grads.pol_logits)
+            grads = {k: np.full_like(v, np.nan) if k in model.REC_FACTORS else v
+                     for k, v in grads.items()}
         return value, grads
 
     monkeypatch.setattr(control, "dfe_value_and_grad", nan_from_the_second_call)
@@ -512,6 +511,35 @@ def test_train_writes_its_trained_tables_to_every_future_slice(tmp_path):
         for future in range(whole.shape[3]):
             assert np.array_equal(bits(whole[:, :, :, future]), bits(want)), (name, future)
         assert np.array_equal(bits(loaded.tables[name]), bits(want))
+
+
+@pytest.mark.parametrize("policies,trained", [("", ()), ("pol0,", ("pol0",)),
+                                               ("pol1,,pol0", ("pol1", "pol0"))])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_train_policies_lists_the_trained_tables(tmp_path, policies, trained, from_config):
+    # an empty name in the list names no table: an empty list trains no
+    # policy table, whose rows the written bundle keeps bit for bit
+    bundle, out = tmp_path / "model.json", tmp_path / "trained.json"
+    save_models(bundle, *random_instance(9, floor=True))
+    argv = ["train", "--model", str(bundle), "--steps", "3", "--iters", "1",
+            "--lr", "0.5", "--out", str(out)]
+    if from_config:
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"policies": policies}))
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--policies", policies]
+    assert cli.main(argv) == 0
+    gen, rec, ref = load_models(bundle)
+    got = load_models(out)[0]
+    for name in control.POLICY_TABLES:
+        same = np.array_equal(bits(getattr(got, name).probs), bits(getattr(gen, name).probs))
+        assert same == (name not in trained), name
+    _, want, _ = control.train(gen, rec, ref, X0, 3, iters=1, lr=0.5,
+                               trainable_policies=trained)
+    for name in control.POLICY_TABLES:
+        assert np.array_equal(bits(getattr(got, name).probs),
+                              bits(getattr(want, name).probs)), name
 
 
 def test_train_score_estimator_writes_a_bundle_that_loads(small_model, tmp_path):

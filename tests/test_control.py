@@ -17,7 +17,8 @@ from ascontrol.model import (REC_FACTORS, CompleteState, ConditionalTable,
                              RecognitionContext, RecognitionModel, ReferenceModel,
                              sample_categorical, softmax_rows)
 from ascontrol.validate import gradient_error, jensen_violation, run_validation
-from conftest import bits, two_cycle_instance, uniform_instance
+from conftest import (bits, instances, seed3_thermostat, two_cycle_instance,
+                      uniform_instance)
 
 X0 = CompleteState(0, 0, 0, 0, 0, 0)
 LOG2 = math.log(2.0)
@@ -152,6 +153,62 @@ def test_backup_matches_constant_policy_operators(seed, phase, h_seed, scale,
     tol = 1e-12 * np.maximum(1.0, np.abs(want))
     assert np.all(np.abs(vals - want) <= tol)
     assert np.all(np.abs(per_u[argmin, np.arange(n)] - want) <= tol)
+
+
+def loop_bellman_phases(gen, rec, ref):
+    """The Bellman backup's per-phase pieces as they were built before the
+    world factors' class rows: nature's factors for every state, (N, s2',
+    s1'), and the expected edge costs, (u, N), one pass per action tuple."""
+    ua, ua1, _ = control.action_tuples(gen.spec)
+    lik_u = gen.lik.reshaped()[ua1]
+
+    def build(tick):
+        d2, d1 = chains.world_factors(gen, tick)
+        base = np.einsum("xX,xXs->xXs", d2, d1)
+        cost = chains.tick_pieces(gen, rec, ref, tick)["cost"]
+        ecost = np.empty((ua.size, gen.spec.n_states))
+        for u in range(ua.size):
+            m1 = np.einsum("xXs,so->xo", base, lik_u[u])
+            with np.errstate(invalid="ignore"):
+                ecost[u] = np.where(m1 > 0.0, m1 * cost[:, :, ua[u]], 0.0).sum(axis=1)
+        return base, ecost
+
+    return chains.step_matrices(build, gen.spec, gen.spec.tick_period_level2)
+
+
+def class_row_and_loop_backups(gen, rec, ref, h):
+    """Per phase, (got, want) pairs of the expected edge costs and of the
+    action values at the value table h: _BellmanOps' build on class rows,
+    and loop_bellman_phases' with the backup's product on every state."""
+    ops = control._BellmanOps(gen, rec, ref)
+    n = gen.spec.n_states
+    for p, (base, ecost) in enumerate(loop_bellman_phases(gen, rec, ref)):
+        inner = np.einsum("uso,uosX->uXs", ops.lik_u, h[ops.succ])
+        yield ops.phases[p][2], ecost
+        yield ops.backup(p, h), ecost + inner.reshape(ops.n_u, -1) @ base.reshape(n, -1).T
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=instances(), h_seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_backup_on_class_rows_matches_the_per_state_build(inst, h_seed):
+    # nature's factors read x only through its (s1, s2, a) class, so the
+    # backup's pieces may be built on one row per class and its action
+    # values gathered by class; the one product over every action tuple
+    # sums in its own order, so they agree to a few ulps (equal infinities
+    # included)
+    gen, rec, ref = inst
+    h = np.random.default_rng(h_seed).standard_normal(gen.spec.n_states)
+    for got, want in class_row_and_loop_backups(gen, rec, ref, h):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_backup_on_class_rows_is_the_per_state_build_on_the_thermostat():
+    # on the seed-3 thermostat, whose solve output is pinned, bit for bit
+    gen, rec, ref = seed3_thermostat()
+    h = np.random.default_rng(0).standard_normal(gen.spec.n_states)
+    for got, want in class_row_and_loop_backups(gen, rec, ref, h):
+        assert np.array_equal(bits(got), bits(want))
 
 
 def loop_successors(spec):
@@ -615,19 +672,18 @@ def fd_rebuilding_both_models(gen, rec, ref, params, x0, T, rate):
         return control.differential_free_energy(g2, r2, ref, x0, T, rate)
 
     out = {}
-    for group in ("q_logits", "pol_logits"):
-        for key, arr in getattr(params, group).items():
-            grad = np.zeros_like(arr)
-            flat, g = arr.reshape(-1), grad.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + control._FD_STEP
-                hi = objective()
-                flat[i] = orig - control._FD_STEP
-                lo = objective()
-                flat[i] = orig
-                g[i] = (hi - lo) / (2.0 * control._FD_STEP)
-            out[group, key] = grad
+    for key, arr in params.items():
+        grad = np.zeros_like(arr)
+        flat, g = arr.reshape(-1), grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + control._FD_STEP
+            hi = objective()
+            flat[i] = orig - control._FD_STEP
+            lo = objective()
+            flat[i] = orig
+            g[i] = (hi - lo) / (2.0 * control._FD_STEP)
+        out[key] = grad
     return out
 
 
@@ -641,16 +697,30 @@ def test_fd_gradients_match_rebuilding_both_models(cards, seed, T):
     rate = float(rng.standard_normal() * 0.2)
     # logits away from the loaded tables, so the unperturbed models that
     # fd_gradients shares differ from `gen` and `rec`
-    base = control.extract_params(gen, rec)
-    params = control.TrainableParams(
-        {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in base.q_logits.items()},
-        {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in base.pol_logits.items()})
+    params = {k: v + 0.3 * rng.standard_normal(v.shape)
+              for k, v in control.extract_params(gen, rec).items()}
     fd = control.fd_gradients(gen, rec, ref, params, x0, T, rate)
     want = fd_rebuilding_both_models(gen, rec, ref, params, x0, T, rate)
-    assert set(want) == ({("q_logits", k) for k in fd.q_logits}
-                         | {("pol_logits", k) for k in fd.pol_logits})
-    for (group, key), w in want.items():
-        assert np.array_equal(bits(getattr(fd, group)[key]), bits(w)), (group, key)
+    assert list(fd) == list(want) == [*REC_FACTORS, *control.POLICY_TABLES]
+    for key, w in want.items():
+        assert np.array_equal(bits(fd[key]), bits(w)), key
+
+
+def test_fd_gradients_do_not_depend_on_the_logits_layout():
+    # a policy table's logits are perturbed one entry at a time through a
+    # flat view, which a Fortran-ordered array does not have: perturbing a
+    # flat copy would leave every policy gradient 0.0; the caller's arrays
+    # are left untouched
+    gen, rec, ref = random_instance(5, cards=(2, 2, 1, 2, 2, 1))
+    params = control.extract_params(gen, rec)
+    want = control.fd_gradients(gen, rec, ref, params, X0, 2, 0.1)
+    fortran = {k: np.asfortranarray(v) for k, v in params.items()}
+    before = {k: v.copy() for k, v in fortran.items()}
+    got = control.fd_gradients(gen, rec, ref, fortran, X0, 2, 0.1)
+    assert np.abs(want["pol0"]).max() > 0.1
+    for k in params:
+        assert np.array_equal(bits(got[k]), bits(want[k])), k
+        assert np.array_equal(bits(fortran[k]), bits(before[k])), k
 
 
 def test_fd_gradients_build_one_generative_half_per_generative_model(monkeypatch):
@@ -668,7 +738,7 @@ def test_fd_gradients_build_one_generative_half_per_generative_model(monkeypatch
 
     monkeypatch.setattr(chains, "latent_prior", counted)
     control.fd_gradients(gen, rec, ref, params, X0, 2, 0.1)
-    n_pol = sum(v.size for v in params.pol_logits.values())
+    n_pol = sum(params[k].size for k in control.POLICY_TABLES)
     assert len(calls) == 2 * (2 * n_pol + 1)
 
 
@@ -708,14 +778,14 @@ def test_fd_gradients_rebuild_only_the_perturbed_factor(monkeypatch):
                         lambda g, r, *args: pol_recs.append(r) or 0.0)
     control.fd_gradients(gen, rec, ref, params, X0, 2, 0.1)
     base = pol_recs[0]
-    assert len(pol_recs) == 2 * sum(v.size for v in params.pol_logits.values())
+    assert len(pol_recs) == 2 * sum(params[k].size for k in control.POLICY_TABLES)
     assert all(r is base for r in pol_recs)
     candidates = dict.fromkeys(REC_FACTORS, 0)
     for r in recs.values():
         (key,) = [k for k in REC_FACTORS if r.tables[k] is not base.tables[k]]
         assert r.tables[key].shape[1:] == base.tables[key].shape
         candidates[key] += len(r.tables[key])
-    assert candidates == {k: 2 * v.size for k, v in params.q_logits.items()}
+    assert candidates == {k: 2 * params[k].size for k in REC_FACTORS}
 
 
 def test_fd_gradients_hold_one_block_of_candidates_at_a_time(monkeypatch):
@@ -748,17 +818,16 @@ def test_apply_params_trains_only_sentinel_slices():
     gen, rec, ref = random_instance(940, cards=(2, 2, 1, 2, 2, 1))
     params = control.extract_params(gen, rec)
     shapes = RecognitionModel.factor_shapes(gen.spec)
-    for k, logits in params.q_logits.items():
-        assert logits.shape == shapes[k]
+    for k in REC_FACTORS:
+        assert params[k].shape == shapes[k]
     _, grads = control.dfe_value_and_grad(gen, rec, ref, X0, 3, 0.1)
-    cand = params.step(grads, 0.5)
+    cand = {k: v - 0.5 * grads[k] for k, v in params.items()}
     _, rec2 = control.apply_params(gen, rec, cand)
     for k in REC_FACTORS:
-        assert np.array_equal(bits(rec2.tables[k]), bits(softmax_rows(cand.q_logits[k])))
+        assert np.array_equal(bits(rec2.tables[k]), bits(softmax_rows(cand[k])))
         assert not rec2.tables[k].flags.writeable
     assert not all(np.array_equal(rec2.tables[k], rec.tables[k]) for k in REC_FACTORS)
-    _, rec3 = control.apply_params(gen, rec, control.TrainableParams(
-        {"s1": cand.q_logits["s1"]}, {}))
+    _, rec3 = control.apply_params(gen, rec, {"s1": cand["s1"]})
     assert rec3.tables["s1"] is not rec.tables["s1"]
     assert all(rec3.tables[k] is rec.tables[k] for k in ("s2", "a2", "a1"))
 
@@ -770,7 +839,7 @@ def test_apply_params_allocates_only_the_sentinel_slices():
     env, ref = sim.thermostat_env(3, [0, 2], heat_success=0.85, phase_advance=0.1)
     gen, rec = sim.thermostat_agent(env, [0, 2], 3)
     params = control.extract_params(gen, rec, ("pol0",))
-    sent_bytes = sum(v.nbytes for v in params.q_logits.values())
+    sent_bytes = sum(params[k].nbytes for k in REC_FACTORS)
     assert sent_bytes == sum(v.nbytes for v in rec.tables.values()) == 5_474_304
     tracemalloc.start()
     try:
@@ -786,14 +855,23 @@ def test_apply_params_allocates_only_the_sentinel_slices():
         assert cand.tables[k].flags.c_contiguous and not cand.tables[k].flags.writeable
 
 
+def test_apply_params_rejects_a_table_that_is_not_trainable():
+    # a parameter set names recognition factors and policy tables; any other
+    # generative table (or a misspelt name) is refused, not silently kept
+    gen, rec, _ = random_instance(942)
+    params = control.extract_params(gen, rec)
+    for name in ("lik", "pol3"):
+        with pytest.raises(ValueError, match=f"not a trainable table: {name}"):
+            control.apply_params(gen, rec, {**params, name: params["pol0"]})
+
+
 def test_apply_params_rejects_logits_shaped_like_the_whole_table():
     # a factor's logits have the factor's shape; shaped like its bundle
     # table, with the future-summary axis, they are refused, and the error
     # names the factor
     gen, rec, _ = random_instance(942)
     params = control.extract_params(gen, rec)
-    params.q_logits["s1"] = np.repeat(params.q_logits["s1"][:, :, :, None],
-                                      gen.spec.card_o + 1, axis=3)
+    params["s1"] = np.repeat(params["s1"][:, :, :, None], gen.spec.card_o + 1, axis=3)
     with pytest.raises(DimensionMismatchError, match="recognition factor s1"):
         control.apply_params(gen, rec, params)
 
@@ -815,8 +893,8 @@ def test_candidate_joint_matches_the_copy_and_write_layout():
     spec = gen.spec
     params = control.extract_params(gen, rec)
     rng = np.random.default_rng(0)
-    q = {k: v + rng.standard_normal(v.shape) for k, v in params.q_logits.items()}
-    _, cand = control.apply_params(gen, rec, control.TrainableParams(q, {}))
+    q = {k: params[k] + rng.standard_normal(params[k].shape) for k in REC_FACTORS}
+    _, cand = control.apply_params(gen, rec, q)
     s1 = {"s1": rng.standard_normal(q["s1"].shape)}
     cases = [(cand, RecognitionModel(spec, copy_and_write_layout(rec, q))),
              (cand.with_logits(s1),
@@ -836,14 +914,14 @@ def test_zero_gradient_at_deterministic_optimum():
     # cost_hi = log 2 makes the observation reference uniform, so the
     # deterministic reference-matching chain has state-independent edge
     # costs: the recognition beliefs are already exact (one-hot) and every
-    # free-logit gradient vanishes at iteration 0.
+    # free-logit gradient, of the policy tables too, vanishes at iteration 0.
     gen, rec, ref = two_cycle_instance(cost_hi=LOG2)
-    params = control.extract_params(gen, rec, trainable_policies=())
-    gen2, rec2 = control.apply_params(gen, rec, params)
-    value, grads = control.dfe_value_and_grad(gen2, rec2, ref, X0, 3, 0.0,
-                                              trainable_policies=())
+    gen2, rec2 = control.apply_params(gen, rec, control.extract_params(gen, rec))
+    value, grads = control.dfe_value_and_grad(gen2, rec2, ref, X0, 3, 0.0)
     assert np.isfinite(value)
-    assert grads.norm() == pytest.approx(0.0, abs=1e-9)
+    assert list(grads) == [*REC_FACTORS, *control.POLICY_TABLES]
+    norm = math.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
+    assert norm == pytest.approx(0.0, abs=1e-9)
 
 
 def test_training_monotone_under_exact_gradients():
@@ -933,13 +1011,13 @@ def test_score_gradient_tracks_exact_direction():
     _, exact = control.dfe_value_and_grad(gen2, rec2, ref, X0, 3, 0.1)
     _, score = control.score_function_grad(gen2, rec2, ref, X0, 3, 0.1,
                                            n_rollouts=60_000, seed=12)
+    assert list(score) == list(exact)
     num = den_a = den_b = 0.0
-    for group in ("q_logits", "pol_logits"):
-        for k, g in getattr(exact, group).items():
-            s = getattr(score, group)[k]
-            num += float(np.sum(g * s))
-            den_a += float(np.sum(g * g))
-            den_b += float(np.sum(s * s))
+    for k, g in exact.items():
+        s = score[k]
+        num += float(np.sum(g * s))
+        den_a += float(np.sum(g * g))
+        den_b += float(np.sum(s * s))
     cosine = num / math.sqrt(den_a * den_b)
     assert cosine > 0.9
 

@@ -47,7 +47,8 @@ on every entry, so in `chains.py` and `control.py`, whose passes run over
 the small-array helpers `_safe_div` and `_norm` take it. Defaults: a
 defaulted parameter that no call in src/ or perfbench/ sets is a setting
 only tests reach, so it is a constant, but for the commented
-TEST_DEFAULTS.
+TEST_DEFAULTS; and the package's count of defaulted parameters stays at
+or below MAX_DEFAULTS.
 """
 
 import ast
@@ -743,3 +744,14 @@ TEST_DEFAULTS = ("recognition_logprob.tick", "random_instance.floor", "random_va
 def test_every_default_is_set_by_a_caller():
     package, others = package_sources()
     assert unset_defaults(package, default_callers(package, others)) == sorted(TEST_DEFAULTS)
+
+
+# a ratchet on the package's defaulted parameters: lower it to the new count
+# whenever a change removes a default, so the count can only fall
+MAX_DEFAULTS = 42
+
+
+def test_defaulted_parameters_do_not_grow():
+    package, _ = package_sources()
+    count = sum(len(list(defaulted_params(ast.parse(text)))) for text in package.values())
+    assert count <= MAX_DEFAULTS, count

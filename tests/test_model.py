@@ -388,8 +388,7 @@ def test_recognition_arrays_are_read_only(tmp_path):
     loaded = load_models(tmp_path / "model.json")[1]
     filtering = RecognitionModel(gen.spec, chains.posterior_recognition_tables(gen))
     params = control.extract_params(gen, rec, ())
-    params.q_logits = {"s1": params.q_logits["s1"]}
-    cand = control.apply_params(gen, rec, params)[1]
+    cand = control.apply_params(gen, rec, {"s1": params["s1"]})[1]
     for r in (rec, loaded, filtering, cand):
         for k in REC_FACTORS:
             arr = r.tables[k]
@@ -683,9 +682,8 @@ def test_save_of_a_candidate_matches_the_copy_and_write_layout(tmp_path, monkeyp
               for k, shape in RecognitionModel.factor_shapes(spec).items()}
     rec = RecognitionModel(spec, {k: v.copy() for k, v in source.items()})
     params = control.extract_params(gen, rec, ())
-    q = {k: v + rng.standard_normal(v.shape) for k, v in params.q_logits.items()
-         if k != "a2"}
-    _, cand = control.apply_params(gen, rec, control.TrainableParams(q, {}))
+    q = {k: v + rng.standard_normal(v.shape) for k, v in params.items() if k != "a2"}
+    _, cand = control.apply_params(gen, rec, q)
     for k, logits in q.items():
         source[k][...] = softmax_rows(logits)
     got, want = tmp_path / "cand.json", tmp_path / "whole.json"
